@@ -143,11 +143,14 @@ def cmd_gencode(args) -> int:
 
 def cmd_verify_distance(args) -> int:
     started = time.perf_counter()
-    matrix = read_matrix_file(args.matrix)
     try:
+        matrix = read_matrix_file(args.matrix)
         cert = min_distance_at_least(matrix, args.d, budget=args.budget, threads=args.threads)
     except BudgetExceededError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
+        return EXIT_ERROR
+    except OSError as exc:
+        print(f"input error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     except ValueError as exc:
         print(f"parameter error: {exc}", file=sys.stderr)
@@ -275,6 +278,9 @@ def cmd_reduce(args) -> int:
     except BudgetExceededError as exc:
         print(f"budget exceeded: {exc}; pass --trials to sample instead", file=sys.stderr)
         return EXIT_ERROR
+    except OSError as exc:
+        print(f"input error: {exc}", file=sys.stderr)
+        return EXIT_ERROR
     except ValueError as exc:
         print(f"parameter error: {exc}", file=sys.stderr)
         return EXIT_ERROR
@@ -321,11 +327,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_gencode)
 
-    p = sub.add_parser("verify-distance", help="certify distance >= d by exhaustive scan")
+    p = sub.add_parser("verify-distance", help="certify distance >= d by exhaustive word search")
     p.add_argument("--matrix", required=True)
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--budget", type=int, default=_default_budget())
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1,
+                   help="recorded in the certificate; does not change the work")
     p.add_argument("--out", default=None, help="also write the certificate to a file")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_verify_distance)

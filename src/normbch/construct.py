@@ -310,24 +310,34 @@ def write_matrix_file(matrix: ParityCheckMatrix, path) -> None:
 
 
 def read_matrix_file(path) -> ParityCheckMatrix:
-    """Parse a matrix file; locators and params are not reconstructed."""
+    """Parse a matrix file; locators and params are not reconstructed.
+
+    Raises ValueError naming the file line when the header, the row
+    count, a row's entry count or a digit (outside [0, q)) is wrong.
+    """
     with open(path) as fh:
-        header = fh.readline().strip()
+        header, *body = fh.read().rstrip().splitlines() or [""]
+    try:
         fields = dict(part.split("=", 1) for part in header.split())
-        q = int(fields["q"])
-        n = int(fields["n"])
-        r = int(fields["r"])
-        blocks = [
-            (name, int(count))
-            for name, count in (item.split(":") for item in fields["blocks"].split(","))
-        ]
-        rows = np.zeros((r, n), dtype=np.int16)
-        for i in range(r):
-            line = fh.readline().split()
-            if len(line) != n:
-                raise ValueError(f"row {i} has {len(line)} entries, expected {n}")
-            rows[i] = [int(v) for v in line]
-    return ParityCheckMatrix(q, rows, blocks)
+        q, n, r = (int(fields.pop(key)) for key in "qnr")
+        blocks = [(name, int(c)) for name, c in (b.split(":") for b in fields.pop("blocks").split(","))]
+        if fields or not is_prime(q):
+            raise ValueError
+    except (KeyError, ValueError):
+        form = "q=<prime> n=<n> r=<r> blocks=<name:count,...>"
+        raise ValueError(f"{path}:1: header {header!r} is not {form}") from None
+    if len(body) != r:
+        raise ValueError(f"{path}: {len(body)} rows after the header, expected r={r}")
+    rows = []  # built from the file's own entries, so a huge n in the header allocates nothing
+    for number, line in enumerate(body, start=2):
+        entries = line.split()
+        if len(entries) != n:
+            raise ValueError(f"{path}:{number}: {len(entries)} entries, expected n={n}")
+        bad = [e for e in entries if not (e.isdecimal() and int(e) < q)]
+        if bad:
+            raise ValueError(f"{path}:{number}: entry {bad[0]!r} is not a digit in [0, {q})")
+        rows.append([int(e) for e in entries])
+    return ParityCheckMatrix(q, np.array(rows, dtype=np.int16).reshape(r, n), blocks)
 
 
 def write_codeword_file(word: Codeword, n: int, path) -> None:

@@ -306,14 +306,21 @@ class Field:
         return f"Field(GF({self.p}^{self.degree}), modulus={list(self.modulus)})"
 
 
-@lru_cache(maxsize=None)
 def make_field(p: int, total_degree: int, max_size: int = DEFAULT_MAX_FIELD_SIZE) -> Field:
     """GF(p^total_degree) with the deterministic modulus choice.
 
-    Cached, so repeated calls with equal parameters return the same
-    object and their elements interoperate directly.
+    Cached on (p, total_degree) alone, so every call for one field
+    returns the same object and their elements interoperate directly;
+    max_size is checked on every call, cached or not.
     """
-    return Field(p, total_degree, max_size)
+    if p**total_degree > max_size:
+        raise ValueError(f"field size {p}^{total_degree} = {p**total_degree} exceeds the budget {max_size}")
+    return _cached_field(p, total_degree)
+
+
+@lru_cache(maxsize=None)
+def _cached_field(p: int, degree: int) -> Field:
+    return Field(p, degree, max_size=p**degree)
 
 
 class BasisPair:

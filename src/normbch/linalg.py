@@ -1,22 +1,14 @@
 """Dense linear algebra over prime fields GF(p) on numpy integer matrices.
 
 All routines take matrices of plain integers and a prime modulus and
-reduce entries mod p themselves.  batch_ranks vectorizes Gaussian
-elimination across a whole batch of small matrices at once; it is the
-workhorse of the exhaustive column-subset scans.
+reduce entries mod p themselves.  They serve matrix ranks, kernels of
+single column slices and small linear systems; the exhaustive word
+searches in verify.py work on syndromes and need no elimination.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-
-def inverse_table(p: int) -> np.ndarray:
-    """Multiplicative inverses mod p, with inv[0] = 0 as a harmless filler."""
-    inv = np.zeros(p, dtype=np.int64)
-    for a in range(1, p):
-        inv[a] = pow(a, -1, p)
-    return inv
 
 
 def rref(mat, p: int):
@@ -100,42 +92,3 @@ def invert(mat, p: int) -> np.ndarray:
     if pivots[:n] != list(range(n)):
         raise ValueError("matrix is singular over GF(%d)" % p)
     return aug[:, n:]
-
-
-def batch_ranks(slices: np.ndarray, p: int, inv_t: np.ndarray | None = None) -> np.ndarray:
-    """Ranks over GF(p) of a batch of small matrices, shape (B, rows, cols).
-
-    Eliminates column by column; per elimination step the pivot row is
-    chosen independently for every batch element, so the loop count is
-    the (small) column count regardless of batch size.
-    """
-    m = np.ascontiguousarray(slices, dtype=np.int32) % p
-    n_batch, n_rows, n_cols = m.shape
-    if inv_t is None:
-        inv_t = inverse_table(p)
-    ranks = np.zeros(n_batch, dtype=np.int64)
-    row_idx = np.arange(n_rows, dtype=np.int64)
-    for col in range(n_cols):
-        nz = (m[:, :, col] != 0) & (row_idx[None, :] >= ranks[:, None])
-        has = nz.any(axis=1)
-        if not has.any():
-            continue
-        b = np.nonzero(has)[0]
-        mb = m[b]
-        bi = np.arange(b.size)
-        pr = nz[b].argmax(axis=1)
-        tr = ranks[b]
-        pivot_rows = mb[bi, pr, :].copy()
-        mb[bi, pr, :] = mb[bi, tr, :]
-        mb[bi, tr, :] = pivot_rows
-        lead = mb[bi, tr, col]
-        mb[bi, tr, :] = (mb[bi, tr, :] * inv_t[lead][:, None]) % p
-        piv = mb[bi, tr, :].copy()
-        factors = mb[:, :, col]
-        mb = (mb - factors[:, :, None] * piv[:, None, :]) % p
-        mb[bi, tr, :] = piv
-        m[b] = mb
-        ranks[b] += 1
-        if (ranks == n_cols).all():
-            break
-    return ranks

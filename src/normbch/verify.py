@@ -1,26 +1,26 @@
 """Exhaustive distance certification and affine-line validation.
 
-Distance at least d is certified by checking that every (d-1)-subset of
-matrix columns is linearly independent over GF(q); since n >= d-1, a
-dependent smaller subset would extend to a dependent (d-1)-subset, so
-the single subset size suffices.  Subsets are visited in colexicographic
-order over sorted column tuples; for parallel runs the colex range is
-statically split into one contiguous chunk per worker and results are
-merged in chunk order, so verdict and counterexample do not depend on
-the worker count.  Within a chunk, subsets are unranked in vectorized
-batches and their ranks computed by batched Gaussian elimination.
+Both jobs run on _kernel_words, an exhaustive form of Stern's
+syndrome-collision search: a weight-v kernel vector with first
+coefficient 1 splits into x on its first ceil(v/2) positions and y on
+the rest, with Hx = -Hy.  Sorting the syndromes of every x (lead
+coefficient 1) together with the negated syndromes of every y and
+pairing equal ones with max supp(x) < min supp(y) yields each word
+exactly once.  Passes over a fixed memory cap are refused up front.
 
-Weight-w codeword enumeration reuses the same scan: a w-subset supports
-a codeword exactly when its column slice has a kernel vector with no
-zero entry; one representative per scalar class is emitted with the
-first coefficient normalized to 1.
+Distance >= d holds when no (d-1)-subset of columns is dependent.  A
+counterexample is the colex-first dependent (d-1)-subset: the
+colex-smallest superset of a word support.  Colex order visits every
+subset of the first c columns before the others, so the search runs on
+column prefixes of length w, 2w, 4w, ... and stops at the first prefix
+holding a word.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,29 +29,27 @@ from . import linalg
 from .construct import (
     CodeParams,
     Codeword,
-    LocatorTable,
     ParityCheckMatrix,
     augmented_matrix,
     bch_matrix,
-    build_locators,
     syndrome,
 )
 from .errors import BudgetExceededError
 from .field import BasisPair, FieldElement, prime_scalar
 
 DEFAULT_SUBSET_BUDGET = 20_000_000
-_BATCH = 1 << 15
-_PARALLEL_MIN = 1 << 16
+# Memory cap of one collision pass; above it the pass is refused with
+# BudgetExceededError before its tables are allocated.
+MEMORY_CAP_BYTES = 1 << 30
 
 
 @dataclass(frozen=True)
 class DistanceCertificate:
-    """Outcome of one exhaustive subset scan against a distance target.
+    """Outcome of one exhaustive distance check against a distance target.
 
     subsets_examined counts colex-order coverage: the full subset count
     when certified, or the 1-based colex rank of the first dependent
-    subset otherwise, so the value is identical for every thread count.
-    Wall clock and thread count are metadata only.
+    subset otherwise.  Wall clock and thread count are metadata only.
     """
 
     matrix_sha256: str
@@ -96,71 +94,112 @@ class LinesReport:
         return len(self.violations)
 
 
-def _binom_table(n: int, w: int) -> np.ndarray:
-    table = np.zeros((n + 1, w + 1), dtype=np.int64)
-    table[:, 0] = 1
-    for c in range(1, n + 1):
-        top = min(c, w)
-        table[c, 1 : top + 1] = table[c - 1, 0:top] + table[c - 1, 1 : top + 1]
-    return table
+def _check_memory(r: int, n: int, q: int, v: int, words: int = 0) -> None:
+    """Refuse a weight-v pass over n columns that would exceed MEMORY_CAP_BYTES.
+
+    A slot per x and y half-vector and v + 1 per output word; a slot is
+    r syndrome entries plus 40 bytes (37 in all measured at r=8, q=7).
+    """
+    a = (v + 1) // 2
+    slots = math.comb(n, a) * (q - 1) ** (a - 1) + math.comb(n, v - a) * (q - 1) ** (v - a)
+    slots += (v + 1) * words
+    per_slot = r * np.min_scalar_type(q - 1).itemsize + 40
+    if slots * per_slot > MEMORY_CAP_BYTES:
+        raise BudgetExceededError(slots, MEMORY_CAP_BYTES // per_slot, what="half-vectors")
 
 
-def _unrank_colex(ranks: np.ndarray, w: int, binom: np.ndarray) -> np.ndarray:
-    """Column index tuples (ascending) for the given colex ranks."""
-    out = np.empty((ranks.shape[0], w), dtype=np.int64)
-    rem = ranks.astype(np.int64).copy()
-    for i in range(w, 0, -1):
-        c = np.searchsorted(binom[:, i], rem, side="right") - 1
-        out[:, i - 1] = c
-        rem -= binom[c, i]
-    return out
+def _half_table(rows: np.ndarray, q: int, k: int, lead_one: bool, out: np.ndarray):
+    """Supports and coefficients of every weight-k vector on the columns of rows.
 
-
-def _scan_range(rows: np.ndarray, q: int, w: int, lo: int, hi: int, collect: bool):
-    """Dependent subsets in the colex range [lo, hi), as (rank, columns) pairs.
-
-    Stops at the first hit unless collect is set.  Each call owns its
-    scratch arrays, so ranges can run in separate workers.
+    Coefficients run over 1..q-1, the first fixed to 1 with lead_one.
+    Column s * len(coeffs) + i of out gets the syndrome of support s
+    with coefficient row i.
     """
     n = rows.shape[1]
-    binom = _binom_table(n, w)
-    inv_t = linalg.inverse_table(q)
-    found: list[tuple[int, tuple[int, ...]]] = []
-    pos = lo
-    while pos < hi:
-        count = min(_BATCH, hi - pos)
-        idx = _unrank_colex(np.arange(pos, pos + count, dtype=np.int64), w, binom)
-        slices = np.ascontiguousarray(rows[:, idx].transpose(1, 0, 2))
-        ranks = linalg.batch_ranks(slices, q, inv_t)
-        bad = np.nonzero(ranks < w)[0]
-        if bad.size:
-            for offset in bad:
-                found.append((pos + int(offset), tuple(int(c) for c in idx[offset])))
-            if not collect:
-                return found[:1]
-        pos += count
-    return found
+    n_supports = math.comb(n, k)
+    combos = itertools.chain.from_iterable(itertools.combinations(range(n), k))
+    supports = np.fromiter(combos, dtype=np.intp, count=n_supports * k).reshape(n_supports, k)
+    tails = list(itertools.product(range(1, q), repeat=k - lead_one))
+    coeffs = np.array([(1,) * lead_one + t for t in tails], dtype=np.intp).reshape(len(tails), k)
+    work = np.min_scalar_type(q * q)  # holds acc + c * h for acc, c, h < q
+    cols = rows.astype(work)[:, supports]
+    for i, pattern in enumerate(coeffs.tolist()):
+        acc = np.zeros(cols.shape[:2], dtype=work)
+        for j, c in enumerate(pattern):
+            acc = (acc + c * cols[:, :, j]) % q
+        out[:, i :: len(coeffs)] = acc
+    return supports, coeffs
 
 
-def _scan_args(args):
-    return _scan_range(*args)
+def _kernel_words(rows: np.ndarray, q: int, v: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every weight-v kernel vector of rows over GF(q) whose first coefficient is 1.
+
+    Returns (supports, coeffs), two (N, v) arrays of ascending 0-based
+    column indices and their coefficients, in no particular order.
+    Raises BudgetExceededError, counting half-vectors, when the pass
+    would need more than MEMORY_CAP_BYTES.
+    """
+    r, n = rows.shape
+    a = (v + 1) // 2
+    n_x = math.comb(n, a) * (q - 1) ** (a - 1)
+    _check_memory(r, n, q, v)
+    keys = np.empty((r, n_x + math.comb(n, v - a) * (q - 1) ** (v - a)), dtype=np.min_scalar_type(q - 1))
+    xs, xc = _half_table(rows, q, a, True, keys[:, :n_x])
+    ys, yc = _half_table(rows, q, v - a, False, keys[:, n_x:])  # Hx = Hy makes the word (x, -y)
+
+    # Sort by syndrome, then by max supp(x) or min supp(y).  Within one
+    # syndrome the y rows then run in ascending min supp(y), and each x
+    # pairs with the tail of them whose min exceeds its max.
+    edge = np.concatenate([np.repeat(xs[:, -1], len(xc)), np.repeat(ys.min(axis=1, initial=n), len(yc))])
+    edge = edge.astype(np.min_scalar_type(n))
+    order = np.lexsort([edge, *keys])
+    new_group = np.zeros(order.size, dtype=bool)
+    for row in keys:
+        row = row[order]
+        new_group[1:] |= row[1:] != row[:-1]
+    del keys
+    key = np.cumsum(new_group)  # (syndrome group, edge), ascending
+    key *= n + 1
+    key += edge[order]
+    x_at = np.flatnonzero(order < n_x)
+    y_at = np.flatnonzero(order >= n_x)
+    x_key, y_key = key[x_at], key[y_at]
+    del key
+    lo = np.searchsorted(y_key, x_key, side="right")
+    counts = np.searchsorted(y_key, (x_key // (n + 1) + 1) * (n + 1)) - lo
+    words = int(counts.sum())
+    _check_memory(r, n, q, v, words)
+
+    x_sup, x_coef = np.divmod(order[np.repeat(x_at, counts)], len(xc))
+    y_pick = y_at[np.arange(words) + np.repeat(lo - np.cumsum(counts) + counts, counts)]
+    y_sup, y_coef = np.divmod(order[y_pick] - n_x, len(yc))
+    return np.hstack([xs[x_sup], ys[y_sup]]), np.hstack([xc[x_coef], q - yc[y_coef]])
 
 
-def _scan(rows: np.ndarray, q: int, w: int, total: int, threads: int, collect: bool):
-    if total <= 0:
-        return []
-    if threads <= 1 or total < _PARALLEL_MIN:
-        return _scan_range(rows, q, w, 0, total, collect)
-    bounds = [total * i // threads for i in range(threads + 1)]
-    jobs = [(rows, q, w, bounds[i], bounds[i + 1], collect) for i in range(threads)]
-    with ProcessPoolExecutor(max_workers=threads) as pool:
-        chunk_results = list(pool.map(_scan_args, jobs))
-    if collect:
-        return [item for chunk in chunk_results for item in chunk]
-    for chunk in chunk_results:
-        if chunk:
-            return chunk[:1]
-    return []
+def _colex_first_dependent(rows: np.ndarray, q: int, w: int) -> tuple[int, ...] | None:
+    """The colex-first linearly dependent w-subset of columns, or None.
+
+    The largest pass is checked against the memory cap before any runs.
+    """
+    n = rows.shape[1]
+    _check_memory(rows.shape[0], n, q, w)
+    small = np.arange(w)
+    c = w
+    while True:
+        c = min(c, n)
+        found = []
+        for v in range(1, w + 1):
+            supports, _ = _kernel_words(rows[:, :c], q, v)
+            # the colex-smallest w-superset adds the smallest free indices
+            free = ~(supports[:, :, None] == small).any(axis=1)
+            fill = np.broadcast_to(small, free.shape)[free & (np.cumsum(free, axis=1) <= w - v)]
+            found.append(np.sort(np.hstack([supports, fill.reshape(len(supports), w - v)]), axis=1))
+        subsets = np.concatenate(found)
+        if subsets.size:
+            return tuple(int(i) for i in subsets[np.lexsort(subsets.T)[0]])
+        if c == n:
+            return None
+        c *= 2
 
 
 def _dependency_codeword(matrix: ParityCheckMatrix, columns: tuple[int, ...]) -> Codeword:
@@ -187,7 +226,9 @@ def min_distance_at_least(
     """Certify distance >= d or produce a minimal dependency as a counterexample.
 
     Raises BudgetExceededError (with the exact subset count) when
-    C(n, d-1) exceeds the budget.
+    C(n, d-1) exceeds the budget, or (counting half-vectors) when the
+    collision pass would exceed MEMORY_CAP_BYTES.  threads is recorded
+    in the certificate and does not change the work.
     """
     if d < 2:
         raise ValueError("distance targets below 2 are meaningless")
@@ -197,13 +238,12 @@ def min_distance_at_least(
     total = math.comb(n, w)
     if total > budget:
         raise BudgetExceededError(total, budget)
-    found = _scan(matrix.rows, matrix.q, w, total, threads, collect=False)
-    if not found:
+    columns = _colex_first_dependent(matrix.rows, matrix.q, w)
+    if columns is None:
         verdict, counterexample, examined = "certified", None, total
     else:
-        rank_idx, columns = found[0]
         counterexample = _dependency_codeword(matrix, columns)
-        verdict, examined = "counterexample", rank_idx + 1
+        verdict, examined = "counterexample", 1 + sum(math.comb(c, i + 1) for i, c in enumerate(columns))
     return DistanceCertificate(
         matrix_sha256=matrix.sha256(),
         distance_bound=d,
@@ -216,44 +256,26 @@ def min_distance_at_least(
     )
 
 
-def _projective_reps(q: int, k: int):
-    # Coefficient vectors with first nonzero entry equal to 1, in a
-    # fixed deterministic order: one per scalar class.
-    import itertools
-
-    for lead in range(k):
-        for tail in itertools.product(range(q), repeat=k - lead - 1):
-            yield (0,) * lead + (1,) + tail
-
-
 def enumerate_weight_words(
     matrix: ParityCheckMatrix, w: int, budget: int = DEFAULT_SUBSET_BUDGET
 ) -> list[Codeword]:
     """All weight-w codewords of the matrix kernel, one per scalar class.
 
-    Output is sorted by (support, coefficients).  The zero word is never
-    included; w = 0 or w > n yields an empty list.
+    Each word has first coefficient 1.  Output is sorted by (support,
+    coefficients).  The zero word is never included; w = 0 or w > n
+    yields an empty list.
     """
     if w <= 0 or w > matrix.n:
         return []
     total = math.comb(matrix.n, w)
     if total > budget:
         raise BudgetExceededError(total, budget)
-    q = matrix.q
-    words: list[Codeword] = []
-    for _, columns in _scan(matrix.rows, q, w, total, threads=1, collect=True):
-        slice_ = matrix.rows[:, list(columns)].astype(np.int64)
-        basis = linalg.kernel_basis(slice_, q)
-        for rep in _projective_reps(q, basis.shape[0]):
-            vec = (np.array(rep, dtype=np.int64) @ basis) % q
-            if not np.all(vec):
-                continue
-            vec = (vec * pow(int(vec[0]), -1, q)) % q
-            words.append(
-                Codeword(tuple(int(c) + 1 for c in columns), tuple(int(v) for v in vec))
-            )
-    words.sort(key=lambda cw: (cw.support, cw.coeffs))
-    return words
+    supports, coeffs = _kernel_words(matrix.rows, matrix.q, w)
+    order = np.lexsort(np.hstack([supports, coeffs]).T[::-1])
+    return [
+        Codeword(tuple(s), tuple(c))
+        for s, c in zip((supports[order] + 1).tolist(), coeffs[order].tolist())
+    ]
 
 
 def on_affine_line(locators) -> AffineLine | None:

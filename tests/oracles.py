@@ -165,6 +165,41 @@ def min_distance_enumeration(rows, q):
     return best
 
 
+def colex_first_dependent(rows, q, w):
+    """(1-based colex rank, columns) of the first dependent w-subset of columns, or None.
+
+    Walks every w-subset in colex order (compared largest column first)
+    and ranks each column slice by plain row reduction.
+    """
+    subsets = sorted(itertools.combinations(range(len(rows[0])), w), key=lambda c: c[::-1])
+    for rank, cols in enumerate(subsets, start=1):
+        if len(rref_lists([[row[c] for c in cols] for row in rows], q)[1]) < w:
+            return rank, cols
+    return None
+
+
+def dependency_word(rows, q, cols):
+    """First kernel basis vector on the columns, scaled to first coefficient 1.
+
+    Returned as (1-based positions, coefficients) of its nonzero entries.
+    """
+    vec = kernel_lists([[row[c] for c in cols] for row in rows], q)[0]
+    inv = pow(next(v for v in vec if v), -1, q)
+    vec = [(v * inv) % q for v in vec]
+    return tuple(c + 1 for c, v in zip(cols, vec) if v), tuple(v for v in vec if v)
+
+
+def weight_words(rows, q, w):
+    """Every weight-w kernel vector with first coefficient 1, as sorted (positions, coeffs)."""
+    words = []
+    for cols in itertools.combinations(range(len(rows[0])), w):
+        for tail in itertools.product(range(1, q), repeat=w - 1):
+            coeffs = (1,) + tail
+            if all(sum(row[c] * x for c, x in zip(cols, coeffs)) % q == 0 for row in rows):
+                words.append((tuple(c + 1 for c in cols), coeffs))
+    return sorted(words)
+
+
 def find_line_bruteforce(locators):
     """Whether some affine line {a + t*b, t in the prime field} covers the locators."""
     field = locators[0].field

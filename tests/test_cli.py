@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -92,6 +93,30 @@ class TestVerifyDistance:
         assert code == 2
         assert "9691375" in stderr
 
+    def test_memory_cap_exit_2(self, tmp_path, capsys):
+        wide = tmp_path / "wide.txt"
+        wide.write_text("q=7 n=2000 r=2 blocks=dense:2\n" + ("1 " * 2000 + "\n") * 2)
+        code, _, stderr = run(
+            capsys,
+            "verify-distance", "--matrix", str(wide), "--d", "5", "--budget", str(math.comb(2000, 4)),
+        )
+        assert code == 2
+        assert "half-vectors" in stderr
+
+    @pytest.mark.parametrize(
+        "text",
+        [None, "garbage\n1 0 1\n", "q=5 n=3 r=1 blocks=dense:1\n1 7 9\n"],
+        ids=["missing-file", "garbage-header", "digits-out-of-range"],
+    )
+    def test_bad_input_exit_2(self, tmp_path, capsys, text):
+        path = tmp_path / "input.txt"
+        if text is not None:
+            path.write_text(text)
+        code, stdout, stderr = run(capsys, "verify-distance", "--matrix", str(path), "--d", "3")
+        assert code == 2
+        assert stdout == ""
+        assert len(stderr.strip().splitlines()) == 1
+
     def test_json_and_cert_file(self, matrix_files, tmp_path, capsys):
         cert = tmp_path / "cert.txt"
         code, stdout, _ = run(
@@ -167,6 +192,13 @@ class TestReduce:
         assert code == 0
         assert "mode=sampled" in stdout
         assert "guaranteed=false" in stdout
+
+    def test_missing_input_exit_2(self, tmp_path, capsys):
+        code, _, stderr = run(
+            capsys, "reduce", "--input", str(tmp_path / "missing"), "--q2", "2", "--subset", "0,1"
+        )
+        assert code == 2
+        assert len(stderr.strip().splitlines()) == 1
 
     def test_bad_subset(self, tmp_path, capsys):
         src = tmp_path / "toy.cwl"

@@ -14,6 +14,7 @@ from normbch import (
     norm,
     prime_scalar,
 )
+from normbch.field import DEFAULT_MAX_FIELD_SIZE
 from oracles import (
     is_irreducible,
     multiplicative_order,
@@ -45,6 +46,12 @@ class TestMakeField:
     def test_size_budget(self):
         with pytest.raises(ValueError):
             make_field(2, 25)
+
+    def test_cached_on_field_only(self):
+        assert make_field(5, 3) is make_field(5, 3, DEFAULT_MAX_FIELD_SIZE)
+        assert make_field(5, 3) is make_field(5, 3, 5**3)
+        with pytest.raises(ValueError):
+            make_field(5, 3, 5**3 - 1)  # the cached field does not bypass the budget
 
     @pytest.mark.parametrize("p,k", [(5, 1), (5, 2), (5, 3), (3, 2), (3, 4), (7, 3)])
     def test_modulus_is_monic_irreducible_primitive(self, p, k):

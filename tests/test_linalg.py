@@ -69,22 +69,3 @@ def test_invert():
         assert ((mat @ inv) % q == np.eye(n, dtype=int)).all()
     with pytest.raises(ValueError):
         linalg.invert([[1, 2], [2, 4]], 5)
-
-
-@pytest.mark.parametrize("q", [2, 3, 5, 7])
-def test_batch_ranks_matches_single(q):
-    rng = random.Random(500 + q)
-    rows, cols = 6, 4
-    batch = np.array(
-        [[[rng.randrange(q) for _ in range(cols)] for _ in range(rows)] for _ in range(200)]
-    )
-    got = linalg.batch_ranks(batch, q)
-    for i in range(batch.shape[0]):
-        assert got[i] == linalg.rank(batch[i], q)
-
-
-def test_batch_ranks_extremes():
-    zeros = np.zeros((3, 4, 2), dtype=int)
-    assert (linalg.batch_ranks(zeros, 5) == 0).all()
-    eye = np.tile(np.eye(3, dtype=int), (4, 1, 1))
-    assert (linalg.batch_ranks(eye, 3) == 3).all()

@@ -1,5 +1,6 @@
 import math
 import random
+import time
 
 import numpy as np
 import pytest
@@ -19,7 +20,13 @@ from normbch import (
     vandermonde_check,
     verify_lines_theorem,
 )
-from oracles import find_line_bruteforce, min_distance_enumeration
+from oracles import (
+    colex_first_dependent,
+    dependency_word,
+    find_line_bruteforce,
+    min_distance_enumeration,
+    weight_words,
+)
 
 
 class TestMinDistance:
@@ -227,3 +234,83 @@ class TestOracleEquivalence:
             assert bad.weight == true_d
             assert not syndrome(matrix, bad).any()
             done += 1
+
+
+def _degenerate_matrix(rng, q):
+    """Small random matrix, often with a zero column, a repeated column, or all zero."""
+    n, r = rng.randrange(1, 11), rng.randrange(1, 5)
+    rows = [[rng.randrange(q) for _ in range(n)] for _ in range(r)]
+    kind = rng.randrange(4)
+    for row in rows:
+        if kind == 0:
+            row[rng.randrange(n)] = 0
+        elif kind == 1 and n > 1:
+            row[n - 1] = row[0]
+        elif kind == 2:
+            row[:] = [0] * n
+    return rows
+
+
+class TestEngineAgainstOracles:
+    @pytest.mark.parametrize("q", [2, 3, 5, 7])
+    def test_certificates(self, q):
+        rng = random.Random(600 + q)
+        for _ in range(30):
+            rows = _degenerate_matrix(rng, q)
+            n = len(rows[0])
+            matrix = ParityCheckMatrix(q, np.array(rows), [("dense", len(rows))])
+            targets = [2, 3, 4, 5] + ([n + 1, n + 2] if n <= 7 else [])  # w >= n at the end
+            for d in targets:
+                w = min(d - 1, n)
+                cert = min_distance_at_least(matrix, d)
+                want = colex_first_dependent(rows, q, w)
+                assert cert.subset_count == math.comb(n, w)
+                if want is None:
+                    assert cert.certified
+                    assert cert.subsets_examined == cert.subset_count
+                else:
+                    rank, cols = want
+                    assert cert.verdict == "counterexample"
+                    assert cert.subsets_examined == rank
+                    word = cert.counterexample
+                    assert (word.support, word.coeffs) == dependency_word(rows, q, cols)
+
+    @pytest.mark.parametrize("q", [2, 3, 5, 7])
+    def test_word_lists(self, q):
+        rng = random.Random(700 + q)
+        for _ in range(30):
+            rows = _degenerate_matrix(rng, q)
+            n = len(rows[0])
+            matrix = ParityCheckMatrix(q, np.array(rows), [("dense", len(rows))])
+            for w in range(1, n + 1):
+                if math.comb(n, w) * (q - 1) ** (w - 1) > 5000:
+                    continue
+                got = [(cw.support, cw.coeffs) for cw in enumerate_weight_words(matrix, w)]
+                assert got == weight_words(rows, q, w)
+
+    @pytest.mark.parametrize(
+        "rows, positions, coeffs",
+        [(np.zeros((8, 125), dtype=int), (1,), (1,)), (np.ones((1, 125), dtype=int), (1, 2), (1, 4))],
+        ids=["all-zero", "all-ones"],
+    )
+    def test_degenerate_125_pinned(self, rows, positions, coeffs):
+        matrix = ParityCheckMatrix(5, rows, [("dense", rows.shape[0])])
+        started = time.perf_counter()
+        cert = min_distance_at_least(matrix, 5)
+        assert time.perf_counter() - started < 1.0
+        assert cert.subsets_examined == 1
+        assert cert.counterexample == Codeword(positions, coeffs)
+
+    def test_memory_cap_refuses_up_front(self):
+        rng = np.random.default_rng(0)
+        matrix = ParityCheckMatrix(7, rng.integers(0, 7, size=(2, 2000)), [("dense", 2)])
+        half_vectors = math.comb(2000, 2) * 6 + math.comb(2000, 2) * 36
+        for call in (
+            lambda: enumerate_weight_words(matrix, 4, budget=math.comb(2000, 4)),
+            lambda: min_distance_at_least(matrix, 5, budget=math.comb(2000, 4)),
+        ):
+            with pytest.raises(BudgetExceededError) as err:
+                call()
+            assert err.value.what == "half-vectors"
+            assert err.value.needed == half_vectors
+            assert err.value.budget < half_vectors
