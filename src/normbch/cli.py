@@ -2,10 +2,14 @@
 
 Subcommands: gencode, verify-distance, check-lines, bounds, reduce.
 Exit codes: 0 success or certified, 1 mathematical counterexample or
-violation, 2 usage, parameter or budget error.  Every file written gets
-a JSON manifest next to it recording parameters, input/output hashes,
-seed and timing; re-running with the manifest's parameters reproduces
-byte-identical primary outputs.
+violation, 2 usage, parameter, file or budget error.  Subcommands only
+compute and print; they raise on bad input, and main() alone turns
+BudgetExceededError, OSError and ValueError into exit 2 with one stderr
+line (any other exception is a bug and keeps its traceback).  Every
+file written with --out gets a JSON manifest next to it, written by
+main() from the parsed arguments, recording parameters, input/output
+hashes, seed and timing; re-running with the manifest's parameters
+reproduces byte-identical primary outputs.
 """
 
 from __future__ import annotations
@@ -40,34 +44,24 @@ EXIT_COUNTEREXAMPLE = 1
 EXIT_ERROR = 2
 
 
-def _default_budget() -> int:
-    raw = os.environ.get("NORMBCH_BUDGET")
-    if raw:
-        try:
-            return int(raw)
-        except ValueError:
-            print(f"ignoring malformed NORMBCH_BUDGET={raw!r}", file=sys.stderr)
-    return DEFAULT_SUBSET_BUDGET
-
-
 def _sha256_file(path: str) -> str:
     with open(path, "rb") as fh:
         return hashlib.sha256(fh.read()).hexdigest()
 
 
-def _write_manifest(out_path: str, subcommand: str, parameters: dict, inputs: dict,
-                    outputs: dict, elapsed: float, seed=None) -> None:
+def _write_manifest(args, elapsed: float) -> None:
+    inputs = [getattr(args, key) for key in ("matrix", "input") if hasattr(args, key)]
     manifest = {
         "tool": "normbch",
         "version": __version__,
-        "subcommand": subcommand,
-        "parameters": parameters,
-        "seed": seed,
+        "subcommand": args.command,
+        "parameters": {k: v for k, v in vars(args).items() if k not in ("command", "func", "json")},
+        "seed": getattr(args, "seed", None),
         "inputs": {p: _sha256_file(p) for p in inputs},
-        "outputs": {p: _sha256_file(p) for p in outputs},
+        "outputs": {args.out: _sha256_file(args.out)},
         "elapsed_s": round(elapsed, 6),
     }
-    with open(out_path + ".manifest.json", "w") as fh:
+    with open(args.out + ".manifest.json", "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -109,19 +103,11 @@ def _cert_payload(cert):
 
 
 def cmd_gencode(args) -> int:
-    started = time.perf_counter()
     params = validate_params(args.q, args.m, args.d, relaxed=args.relaxed)
     if not params.valid:
-        print("invalid parameters:", file=sys.stderr)
-        for v in params.violations:
-            print(f"  - {v}", file=sys.stderr)
-        return EXIT_ERROR
+        raise ValueError("invalid parameters: " + "; ".join(params.violations))
     matrix = bch_matrix(params) if args.bch_only else augmented_matrix(params)
     write_matrix_file(matrix, args.out)
-    parameters = {"q": args.q, "m": args.m, "d": args.d, "relaxed": args.relaxed,
-                  "bch_only": args.bch_only, "out": args.out}
-    _write_manifest(args.out, "gencode", parameters, {}, {args.out: None},
-                    time.perf_counter() - started)
     lines = [
         f"wrote {args.out}",
         f"n={matrix.n} rows={matrix.row_count} rank={matrix.rank()} dimension={matrix.dimension()}",
@@ -142,42 +128,19 @@ def cmd_gencode(args) -> int:
 
 
 def cmd_verify_distance(args) -> int:
-    started = time.perf_counter()
-    try:
-        matrix = read_matrix_file(args.matrix)
-        cert = min_distance_at_least(matrix, args.d, budget=args.budget, threads=args.threads)
-    except BudgetExceededError as exc:
-        print(f"budget exceeded: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except OSError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except ValueError as exc:
-        print(f"parameter error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+    matrix = read_matrix_file(args.matrix)
+    cert = min_distance_at_least(matrix, args.d, budget=args.budget, threads=args.threads)
     payload = _cert_payload(cert)
-    _emit(payload, args.json)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write("\n".join(payload[0]) + "\n")
-        parameters = {"matrix": args.matrix, "d": args.d, "budget": args.budget,
-                      "threads": args.threads, "out": args.out}
-        _write_manifest(args.out, "verify-distance", parameters, {args.matrix: None},
-                        {args.out: None}, time.perf_counter() - started)
+    _emit(payload, args.json)
     return EXIT_OK if cert.certified else EXIT_COUNTEREXAMPLE
 
 
 def cmd_check_lines(args) -> int:
-    started = time.perf_counter()
     params = validate_params(args.q, args.m, args.d, relaxed=args.relaxed)
-    try:
-        report = verify_lines_theorem(params, budget=args.budget, experimental=args.experimental)
-    except BudgetExceededError as exc:
-        print(f"budget exceeded: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except ValueError as exc:
-        print(f"parameter error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+    report = verify_lines_theorem(params, budget=args.budget, experimental=args.experimental)
     lines = [
         f"q={args.q} m={args.m} d={args.d}",
         f"weight={report.weight}",
@@ -198,14 +161,10 @@ def cmd_check_lines(args) -> int:
         "violations": report.violation_count,
         "theorem_applies": report.theorem_applies,
     }
-    _emit((lines, obj), args.json)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write("\n".join(lines) + "\n")
-        parameters = {"q": args.q, "m": args.m, "d": args.d, "relaxed": args.relaxed,
-                      "experimental": args.experimental, "budget": args.budget, "out": args.out}
-        _write_manifest(args.out, "check-lines", parameters, {}, {args.out: None},
-                        time.perf_counter() - started)
+    _emit((lines, obj), args.json)
     return EXIT_OK if report.violation_count == 0 else EXIT_COUNTEREXAMPLE
 
 
@@ -226,32 +185,25 @@ def _bound_obj(report):
     }
 
 
+def _table_range(text: str) -> range:
+    lo, sep, hi = text.partition("..")
+    if not (sep and lo.isdecimal() and hi.isdecimal()):
+        raise ValueError("table ranges look like qmin..qmax dmin..dmax")
+    return range(int(lo), int(hi) + 1)
+
+
 def cmd_bounds(args) -> int:
     if args.table:
-        try:
-            q_lo, q_hi = (int(t) for t in args.table[0].split(".."))
-            d_lo, d_hi = (int(t) for t in args.table[1].split(".."))
-        except ValueError:
-            print("table ranges look like qmin..qmax dmin..dmax", file=sys.stderr)
-            return EXIT_ERROR
+        q_range, d_range = (_table_range(t) for t in args.table)
         if args.json:
-            reports = [
-                _bound_obj(best_known(q, d))
-                for q in range(q_lo, q_hi + 1)
-                for d in range(d_lo, d_hi + 1)
-            ]
+            reports = [_bound_obj(best_known(q, d)) for q in q_range for d in d_range]
             print(json.dumps(reports, indent=2, sort_keys=True))
         else:
-            print(bounds_table(range(q_lo, q_hi + 1), range(d_lo, d_hi + 1)))
+            print(bounds_table(q_range, d_range))
         return EXIT_OK
     if args.q is None or args.d is None:
-        print("either --q and --d, or --table, is required", file=sys.stderr)
-        return EXIT_ERROR
-    try:
-        report = best_known(args.q, args.d)
-    except ValueError as exc:
-        print(f"parameter error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+        raise ValueError("either --q and --d, or --table, is required")
+    report = best_known(args.q, args.d)
     lines = [
         f"q={report.q} d={report.d}",
         f"hamming_lower={report.hamming_lower}",
@@ -269,21 +221,14 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_reduce(args) -> int:
-    started = time.perf_counter()
+    subset = [int(t) for t in args.subset.split(",")]
+    code = read_codeword_list(args.input, args.q2)
+    mode = "exhaustive" if args.trials is None else "sampled"
     try:
-        subset = [int(t) for t in args.subset.split(",")]
-        code = read_codeword_list(args.input, args.q2)
-        mode = "sampled" if args.trials else "exhaustive"
         result = reduce_alphabet(code, subset, mode=mode, trials=args.trials or 0, seed=args.seed)
     except BudgetExceededError as exc:
-        print(f"budget exceeded: {exc}; pass --trials to sample instead", file=sys.stderr)
-        return EXIT_ERROR
-    except OSError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except ValueError as exc:
-        print(f"parameter error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+        exc.args = (f"{exc}; pass --trials to sample instead",)
+        raise
     lines = [
         f"mode={result.mode}",
         "shift=" + ",".join(str(v) for v in result.shift),
@@ -302,18 +247,25 @@ def cmd_reduce(args) -> int:
         "guaranteed": result.guaranteed,
         "subcode_size": len(result.subcode.words),
     }
-    _emit((lines, obj), args.json)
     if args.out:
         write_codeword_list(result.subcode, args.out)
-        parameters = {"input": args.input, "q2": args.q2, "subset": args.subset,
-                      "trials": args.trials, "seed": args.seed, "out": args.out}
-        _write_manifest(args.out, "reduce", parameters, {args.input: None},
-                        {args.out: None}, time.perf_counter() - started, seed=args.seed)
+    _emit((lines, obj), args.json)
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse with usage errors reported on one stderr line."""
+
+    def error(self, message):
+        self.exit(EXIT_ERROR, f"{self.prog}: error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="normbch", description=__doc__)
+    # A string default goes through type=int only when the option is not
+    # given, so a malformed NORMBCH_BUDGET is a usage error of exactly the
+    # subcommands that take --budget.
+    budget = os.environ.get("NORMBCH_BUDGET") or str(DEFAULT_SUBSET_BUDGET)
+    parser = _Parser(prog="normbch", description=__doc__)
     parser.add_argument("--version", action="version", version=f"normbch {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -330,7 +282,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify-distance", help="certify distance >= d by exhaustive word search")
     p.add_argument("--matrix", required=True)
     p.add_argument("--d", type=int, required=True)
-    p.add_argument("--budget", type=int, default=_default_budget())
+    p.add_argument("--budget", type=int, default=budget)
     p.add_argument("--threads", type=int, default=1,
                    help="recorded in the certificate; does not change the work")
     p.add_argument("--out", default=None, help="also write the certificate to a file")
@@ -341,7 +293,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--d", type=int, required=True)
-    p.add_argument("--budget", type=int, default=_default_budget())
+    p.add_argument("--budget", type=int, default=budget)
     p.add_argument("--relaxed", action="store_true")
     p.add_argument("--experimental", action="store_true",
                    help="run even when the hypotheses fail; results are reported, not asserted")
@@ -375,7 +327,21 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         # argparse exits with 2 on usage errors, matching our convention
         return int(exc.code) if exc.code else EXIT_OK
-    return args.func(args)
+    started = time.perf_counter()
+    try:
+        code = args.func(args)
+        if getattr(args, "out", None):
+            _write_manifest(args, time.perf_counter() - started)
+    except BudgetExceededError as exc:
+        print(f"budget exceeded: {exc}", file=sys.stderr)
+        return EXIT_ERROR
+    except OSError as exc:
+        print(f"file error: {exc}", file=sys.stderr)
+        return EXIT_ERROR
+    except ValueError as exc:
+        print(f"parameter error: {exc}", file=sys.stderr)
+        return EXIT_ERROR
+    return code
 
 
 def cli_entry() -> None:

@@ -170,14 +170,12 @@ class Field:
     instances so elements of equal fields share one object.
     """
 
-    def __init__(self, p: int, degree: int, max_size: int = DEFAULT_MAX_FIELD_SIZE):
+    def __init__(self, p: int, degree: int):
         if not is_prime(p):
             raise ValueError(f"p={p} is not prime")
         if degree < 1:
             raise ValueError(f"extension degree must be positive, got {degree}")
         size = p**degree
-        if size > max_size:
-            raise ValueError(f"field size {p}^{degree} = {size} exceeds the budget {max_size}")
         self.p = p
         self.degree = degree
         self.size = size
@@ -240,23 +238,15 @@ class Field:
         return self._exp[(t - self._log[a]) % t]
 
     def _pow_int(self, a: int, exponent: int) -> int:
-        # Square-and-multiply; the exponent is reduced mod (size - 1) for
-        # a nonzero base, which also gives meaning to negative exponents.
+        # For a nonzero base the exponent acts mod (size - 1) in the log
+        # domain, which also gives meaning to negative exponents.
         if a == 0:
             if exponent == 0:
                 return 1
             if exponent < 0:
                 raise ZeroDivisionError("zero cannot be raised to a negative power")
             return 0
-        e = exponent % (self.size - 1)
-        result = 1
-        base = a
-        while e:
-            if e & 1:
-                result = self._mul_int(result, base)
-            base = self._mul_int(base, base)
-            e >>= 1
-        return result
+        return self._exp[self._log[a] * exponent % (self.size - 1)]
 
     def coords_of(self, val: int) -> tuple[int, ...]:
         p = self.p
@@ -320,7 +310,7 @@ def make_field(p: int, total_degree: int, max_size: int = DEFAULT_MAX_FIELD_SIZE
 
 @lru_cache(maxsize=None)
 def _cached_field(p: int, degree: int) -> Field:
-    return Field(p, degree, max_size=p**degree)
+    return Field(p, degree)
 
 
 class BasisPair:

@@ -126,9 +126,9 @@ def reduce_alphabet(
 
     Exhaustive mode scans all q2^n shifts (budget-guarded), returns the
     lexicographically smallest maximizer and guarantees the averaging
-    floor ceil(q1^n * |V| / q2^n).  Sampled mode tries `trials` seeded
-    random shifts and reports its best without a guarantee.  An empty
-    subcode is a legitimate outcome, not an error.
+    floor ceil(q1^n * |V| / q2^n).  Sampled mode tries `trials` (at least
+    one) seeded random shifts and reports its best without a guarantee.
+    An empty subcode is a legitimate outcome, not an error.
     """
     subset = sorted(set(subset))
     if not subset:
@@ -160,6 +160,8 @@ def reduce_alphabet(
         result_trials = None
         guaranteed = True
     elif mode == "sampled":
+        if trials < 1:
+            raise ValueError(f"sampled mode needs at least one trial, got {trials}")
         rng = random.Random(seed)
         best_count = -1
         best_shift: tuple[int, ...] = (0,) * code.n

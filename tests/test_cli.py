@@ -1,8 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import normbch
 from normbch.cli import main
 
 
@@ -200,6 +205,16 @@ class TestReduce:
         assert code == 2
         assert len(stderr.strip().splitlines()) == 1
 
+    def test_zero_trials_exit_2(self, tmp_path, capsys):
+        src = tmp_path / "toy.cwl"
+        src.write_text("0 0\n1 1\n")
+        code, stdout, stderr = run(
+            capsys, "reduce", "--input", str(src), "--q2", "2", "--subset", "0", "--trials", "0"
+        )
+        assert code == 2
+        assert stdout == ""
+        assert "at least one trial" in stderr
+
     def test_bad_subset(self, tmp_path, capsys):
         src = tmp_path / "toy.cwl"
         src.write_text("0 0\n1 1\n")
@@ -211,3 +226,121 @@ class TestReduce:
 def test_version_flag(capsys):
     assert main(["--version"]) == 0
     assert "normbch" in capsys.readouterr().out
+
+
+# Each case: argv with {missing} (an --out path in a missing directory),
+# {aug524} (a matrix file) and {toy} (a codeword list) filled in, the
+# NORMBCH_BUDGET value or None, and the prefix of the one stderr line.
+EXIT_2_CASES = {
+    "gencode-out-missing-dir": (
+        ["gencode", "--q", "5", "--m", "2", "--d", "4", "--out", "{missing}"], None, "file error:"),
+    "verify-distance-out-missing-dir": (
+        ["verify-distance", "--matrix", "{aug524}", "--d", "4", "--out", "{missing}"], None, "file error:"),
+    "check-lines-out-missing-dir": (
+        ["check-lines", "--q", "5", "--m", "2", "--d", "4", "--out", "{missing}"], None, "file error:"),
+    "reduce-out-missing-dir": (
+        ["reduce", "--input", "{toy}", "--q2", "4", "--subset", "0,1,2", "--out", "{missing}"],
+        None, "file error:"),
+    "gencode-d3": (["gencode", "--q", "5", "--m", "2", "--d", "3", "--out", "{tmp}/d3.txt"],
+                   None, "parameter error:"),
+    "gencode-335": (["gencode", "--q", "3", "--m", "3", "--d", "5", "--out", "{tmp}/335.txt"],
+                    None, "parameter error: invalid parameters:"),
+    "bounds-table-d1": (["bounds", "--table", "2..3", "1..4"], None, "parameter error:"),
+    "reduce-negative-trials": (
+        ["reduce", "--input", "{toy}", "--q2", "4", "--subset", "0,1,2", "--trials", "-3"],
+        None, "parameter error:"),
+    "verify-distance-malformed-budget": (
+        ["verify-distance", "--matrix", "{aug524}", "--d", "4"], "2e7", "normbch verify-distance: error:"),
+    "check-lines-malformed-budget": (
+        ["check-lines", "--q", "5", "--m", "2", "--d", "4"], "2e7", "normbch check-lines: error:"),
+}
+
+
+def _fill(argv, matrix_files, tmp_path):
+    toy = tmp_path / "toy.cwl"
+    toy.write_text("0 0 0 0\n1 1 1 1\n2 2 2 2\n3 3 3 3\n")
+    paths = {"missing": tmp_path / "no-such-dir" / "out.txt", "aug524": matrix_files["aug524"],
+             "toy": toy, "tmp": tmp_path}
+    return [a.format(**paths) for a in argv]
+
+
+@pytest.mark.parametrize("argv, budget, prefix", EXIT_2_CASES.values(), ids=EXIT_2_CASES.keys())
+def test_exit_2_contract(matrix_files, tmp_path, capsys, monkeypatch, argv, budget, prefix):
+    if budget is None:
+        monkeypatch.delenv("NORMBCH_BUDGET", raising=False)
+    else:
+        monkeypatch.setenv("NORMBCH_BUDGET", budget)
+    code, stdout, stderr = run(capsys, *_fill(argv, matrix_files, tmp_path))
+    assert code == 2
+    assert stdout == ""
+    assert len(stderr.splitlines()) == 1
+    assert stderr.startswith(prefix)
+    assert not list(tmp_path.glob("*.manifest.json"))
+
+
+@pytest.mark.parametrize("case", ["check-lines-out-missing-dir", "bounds-table-d1"])
+def test_exit_2_contract_entry_point(matrix_files, tmp_path, case):
+    argv, _, prefix = EXIT_2_CASES[case]
+    env = dict(os.environ)
+    env.pop("NORMBCH_BUDGET", None)
+    src = str(Path(normbch.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "normbch.cli", *_fill(argv, matrix_files, tmp_path)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith(prefix)
+
+
+class TestBudgetEnvironment:
+    def test_valid_value_is_the_default(self, capsys, monkeypatch):
+        monkeypatch.setenv("NORMBCH_BUDGET", "1000")
+        code, stdout, stderr = run(capsys, "check-lines", "--q", "5", "--m", "2", "--d", "4")
+        assert code == 2
+        assert stdout == ""
+        assert stderr.startswith("budget exceeded:") and "budget is 1000" in stderr
+
+    def test_explicit_budget_overrides_malformed_value(self, capsys, monkeypatch):
+        monkeypatch.setenv("NORMBCH_BUDGET", "2e7")
+        code, stdout, _ = run(capsys, "check-lines", "--q", "5", "--m", "2", "--d", "4", "--budget", "5000")
+        assert code == 0
+        assert "words_found=300" in stdout
+
+    def test_malformed_value_ignored_without_budget(self, capsys, monkeypatch):
+        monkeypatch.setenv("NORMBCH_BUDGET", "2e7")
+        code, stdout, stderr = run(capsys, "bounds", "--q", "5", "--d", "5")
+        assert code == 0
+        assert stderr == ""
+        assert "best_upper=7/3 [norm-bch]" in stdout
+
+
+def test_manifests_pinned(tmp_path, monkeypatch):
+    """Manifest fields derived from the parsed arguments, for all four writing subcommands."""
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("NORMBCH_BUDGET", raising=False)
+    Path("toy.cwl").write_text("0 0 0 0\n1 1 1 1\n2 2 2 2\n3 3 3 3\n")
+    runs = [
+        (["gencode", "--q", "5", "--m", "2", "--d", "4", "--out", "h.txt"],
+         {"q": 5, "m": 2, "d": 4, "relaxed": False, "bch_only": False, "out": "h.txt"}, [], None),
+        (["verify-distance", "--matrix", "h.txt", "--d", "4", "--out", "cert.txt"],
+         {"matrix": "h.txt", "d": 4, "budget": 20_000_000, "threads": 1, "out": "cert.txt"},
+         ["h.txt"], None),
+        (["check-lines", "--q", "5", "--m", "2", "--d", "4", "--out", "lines.txt"],
+         {"q": 5, "m": 2, "d": 4, "relaxed": False, "experimental": False, "budget": 20_000_000,
+          "out": "lines.txt"}, [], None),
+        (["reduce", "--input", "toy.cwl", "--q2", "4", "--subset", "0,1,2", "--out", "sub.cwl"],
+         {"input": "toy.cwl", "q2": 4, "subset": "0,1,2", "trials": None, "seed": 0, "out": "sub.cwl"},
+         ["toy.cwl"], 0),
+    ]
+    for argv, parameters, inputs, seed in runs:
+        assert main(argv) == 0
+        out = parameters["out"]
+        manifest = json.loads(Path(out + ".manifest.json").read_text())
+        assert manifest["subcommand"] == argv[0]
+        assert manifest["parameters"] == parameters
+        assert sorted(manifest["inputs"]) == inputs
+        assert list(manifest["outputs"]) == [out]
+        assert manifest["seed"] == seed

@@ -110,6 +110,13 @@ class TestArithmetic:
         x = F125.elem(17)
         assert x**-1 == x.inverse()
 
+    def test_pow_matches_repeated_multiplication(self):
+        for x in F125.nonzero_elements():
+            up, down, inv = F125.one, F125.one, x.inverse()
+            for k in range(131):
+                assert x**k == up and x ** (-k) == down
+                up, down = up * x, down * inv
+
     def test_field_mismatch(self):
         with pytest.raises(FieldMismatchError):
             F125.one + F25.one

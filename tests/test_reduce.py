@@ -113,6 +113,11 @@ class TestReduceSampled:
         b = reduce_alphabet(TOY, [0, 1, 2], mode="sampled", trials=50, seed=3)
         assert a.shift == b.shift and a.achieved == b.achieved
 
+    @pytest.mark.parametrize("trials", [0, -3])
+    def test_needs_a_trial(self, trials):
+        with pytest.raises(ValueError, match="at least one trial"):
+            reduce_alphabet(TOY, [0, 1, 2], mode="sampled", trials=trials)
+
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
             reduce_alphabet(TOY, [0, 1], mode="greedy")
