@@ -92,6 +92,18 @@ def residue_of_x_is_primitive(modulus, p):
     return acc == [1]
 
 
+def powers_of_x(modulus, p):
+    """x^0, ..., x^(p^k - 2) modulo the monic modulus, each encoded low digit first."""
+    k = len(modulus) - 1
+    out = []
+    acc = [1]
+    for _ in range(p**k - 1):
+        digits = list(acc) + [0] * (k - len(acc))
+        out.append(sum(c * p**i for i, c in enumerate(digits)))
+        acc = poly_mod(poly_mul(acc, [0, 1], p), modulus, p)
+    return out
+
+
 def multiplicative_order(x):
     """Order of a nonzero field element by repeated multiplication."""
     assert x

@@ -231,3 +231,26 @@ class TestFiles:
 
     def test_field_description(self):
         assert make_field(5, 2).describe() == "p=5 deg=2 modulus=2,1,1"
+
+
+# sha256 of the matrix text as the element-by-element build wrote it.
+# (7,2,5) fails the hypotheses (m = 2 does not exceed (d-3)!) but still
+# builds, with m = 2 below mu = 3.
+PINNED_SHA256 = {
+    (5, 2, 4, "aug"): "988c52af8609dcf38a38dff8c5e74de8f180eb900d4bd8cb1822c0ab2f8997ba",
+    (5, 2, 4, "bch"): "34aeccad37742e15b75f8bbf408ffcb1510343e4d879ebe47239579317b9a38a",
+    (5, 3, 5, "aug"): "9093651095b9527c735c5fd30a7fe503c8914aad20a9c43a5c0e29b91b559b3a",
+    (5, 3, 5, "bch"): "29c946851f3c25674f59365651ba32d8585896c1fbf1e4e7e021504d92115f54",
+    (5, 5, 5, "aug"): "efeb42408b73802a4eee4904266f70464447c041fb424ecba17123084839a520",
+    (7, 3, 5, "aug"): "ab5279911d46cbafcba87af1df2e13932d03970679ae654decd4b12380eeb0c3",
+    (7, 3, 5, "bch"): "c95152367af4090fbd782d0c4fd70d97a8059f4634c32968d842ad5f2bb57dda",
+    (3, 2, 4, "aug"): "ab9b5b6f419c54e59296c682620c655b33558c9db1f5254019580c4e4d8ce260",
+    (7, 2, 5, "aug"): "db1435b38a0ae2670880100108158c80ad02324d9238204a067019a1d8bf596c",
+}
+
+
+@pytest.mark.parametrize("q,m,d,kind", PINNED_SHA256)
+def test_matrix_sha256_pinned(q, m, d, kind):
+    params = validate_params(q, m, d)
+    matrix = augmented_matrix(params) if kind == "aug" else bch_matrix(params)
+    assert matrix.sha256() == PINNED_SHA256[q, m, d, kind]

@@ -18,12 +18,24 @@ from normbch.field import DEFAULT_MAX_FIELD_SIZE
 from oracles import (
     is_irreducible,
     multiplicative_order,
+    powers_of_x,
     residue_of_x_is_primitive,
 )
 
 F5 = make_field(5, 1)
 F25 = make_field(5, 2)
 F125 = make_field(5, 3)
+
+# Moduli chosen by the original search, which walked the orbit of x for
+# every candidate; any faster search must choose the same ones.
+PINNED_MODULI = {
+    (5, 5): (2, 0, 0, 0, 3, 1),
+    (5, 6): (2, 0, 0, 0, 0, 1, 1),
+    (7, 4): (3, 0, 1, 1, 1),
+    (3, 8): (2, 0, 0, 0, 0, 1, 0, 0, 1),
+    (2, 12): (1, 0, 0, 0, 0, 0, 1, 0, 1, 0, 0, 1, 1),
+}
+SMALL_FIELDS = [(p, k) for p in (2, 3, 5, 7) for k in range(1, 14) if p**k <= 5**6]
 
 
 class TestMakeField:
@@ -63,11 +75,22 @@ class TestMakeField:
 
     def test_modulus_is_lex_smallest(self):
         # scan every lex-smaller monic candidate with the oracle arithmetic
-        chosen = F125.modulus[:-1]
-        for tail in itertools.product(range(5), repeat=3):
-            if tail >= chosen:
-                break
-            assert not residue_of_x_is_primitive(list(tail) + [1], 5)
+        for p, k in [(5, 3), (2, 8), (3, 5), (5, 4), (7, 3)]:
+            chosen = make_field(p, k).modulus[:-1]
+            for tail in itertools.product(range(p), repeat=k):
+                if tail >= chosen:
+                    break
+                assert not residue_of_x_is_primitive(list(tail) + [1], p)
+
+    @pytest.mark.parametrize("p,k", PINNED_MODULI)
+    def test_modulus_pinned(self, p, k):
+        assert make_field(p, k).modulus == PINNED_MODULI[p, k]
+
+    @pytest.mark.parametrize("p,k", SMALL_FIELDS)
+    def test_tables_are_powers_of_x(self, p, k):
+        field = make_field(p, k)
+        assert [int(v) for v in field._exp] == powers_of_x(list(field.modulus), p)
+        assert all(field._log[v] == i for i, v in enumerate(field._exp))
 
     def test_determinism(self):
         assert make_field(5, 3).describe() == F125.describe()
