@@ -29,7 +29,6 @@ from .construct import (
     bch_matrix,
     read_matrix_file,
     validate_params,
-    write_matrix_file,
 )
 from .errors import BudgetExceededError
 from .reduce import read_codeword_list, reduce_alphabet, write_codeword_list
@@ -106,8 +105,9 @@ def cmd_gencode(args) -> int:
     params = validate_params(args.q, args.m, args.d, relaxed=args.relaxed)
     if not params.valid:
         raise ValueError("invalid parameters: " + "; ".join(params.violations))
-    matrix = bch_matrix(params) if args.bch_only else augmented_matrix(params)
-    write_matrix_file(matrix, args.out)
+    with open(args.out, "w") as fh:  # opened first, so an unwritable --out fails before the build
+        matrix = bch_matrix(params) if args.bch_only else augmented_matrix(params)
+        fh.write(matrix.to_text())
     lines = [
         f"wrote {args.out}",
         f"n={matrix.n} rows={matrix.row_count} rank={matrix.rank()} dimension={matrix.dimension()}",
@@ -189,6 +189,8 @@ def _table_range(text: str) -> range:
     lo, sep, hi = text.partition("..")
     if not (sep and lo.isdecimal() and hi.isdecimal()):
         raise ValueError("table ranges look like qmin..qmax dmin..dmax")
+    if int(lo) > int(hi):
+        raise ValueError(f"table range {text} is empty: its lower end exceeds its upper end")
     return range(int(lo), int(hi) + 1)
 
 

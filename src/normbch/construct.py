@@ -27,11 +27,9 @@ from .field import (
     BasisPair,
     FieldElement,
     FieldMismatchError,
-    embed_hat,
     is_prime,
     make_basis_pair,
     make_field,
-    norm,
 )
 from . import linalg
 
@@ -129,30 +127,31 @@ class Codeword:
 
 
 class LocatorTable:
-    """Position-to-locator map for one field: e^1, ..., e^(n-1), then 0."""
+    """Position-to-locator map for one field: e^1, ..., e^(n-1), then 0.
+
+    Locators are read from the field's antilog table on demand, and
+    positions from its log table.
+    """
 
     def __init__(self, field):
-        n = field.size
-        values = []
-        cur = field.e
-        for _ in range(1, n):
-            values.append(cur)
-            cur = cur * field.e
-        values.append(field.zero)
         self.field = field
-        self.n = n
-        self.values = tuple(values)
-        self._position = {el.val: j + 1 for j, el in enumerate(values)}
+        self.n = field.size
+
+    @property
+    def values(self) -> tuple[FieldElement, ...]:
+        return tuple(self.locator(j) for j in range(1, self.n + 1))
 
     def locator(self, position: int) -> FieldElement:
         if not 1 <= position <= self.n:
             raise ValueError(f"position {position} out of range [1, {self.n}]")
-        return self.values[position - 1]
+        return self.field.zero if position == self.n else self.field.e**position
 
     def position_of(self, x: FieldElement) -> int:
         if x.field != self.field:
             raise FieldMismatchError("locator from a different field")
-        return self._position[x.val]
+        if not x:
+            return self.n
+        return (int(self.field.log_array(x.val)) - 1) % (self.n - 1) + 1
 
     def __len__(self) -> int:
         return self.n
@@ -178,6 +177,7 @@ class ParityCheckMatrix:
         self.locators = locators
         self.params = params
         self._rank: int | None = None
+        self._text: str | None = None
 
     @property
     def n(self) -> int:
@@ -201,11 +201,13 @@ class ParityCheckMatrix:
         return self.rows[:, position - 1].copy()
 
     def to_text(self) -> str:
-        blocks = ",".join(f"{name}:{count}" for name, count in self.blocks)
-        lines = [f"q={self.q} n={self.n} r={self.row_count} blocks={blocks}"]
-        for row in self.rows:
-            lines.append(" ".join(str(int(v)) for v in row))
-        return "\n".join(lines) + "\n"
+        """The matrix file text; rendered once and cached, like the rank."""
+        if self._text is None:
+            blocks = ",".join(f"{name}:{count}" for name, count in self.blocks)
+            lines = [f"q={self.q} n={self.n} r={self.row_count} blocks={blocks}"]
+            lines += [" ".join(map(str, row)) for row in self.rows.tolist()]
+            self._text = "\n".join(lines) + "\n"
+        return self._text
 
     def sha256(self) -> str:
         return hashlib.sha256(self.to_text().encode()).hexdigest()
@@ -232,16 +234,12 @@ def bch_matrix(params: CodeParams, locators: LocatorTable | None = None) -> Pari
     _require_buildable(params)
     loc = locators if locators is not None else build_locators(params)
     q, m, d, n = params.q, params.m, params.d, params.n
+    field = loc.field
+    positions = np.arange(1, n)
     rows = np.zeros((1 + (d - 3) * m, n), dtype=np.int16)
     rows[0, :] = 1
-    for j0, x in enumerate(loc.values):
-        if x.val == 0:
-            continue
-        y = x
-        for t in range(1, d - 2):
-            base = 1 + (t - 1) * m
-            rows[base : base + m, j0] = y.coords
-            y = y * x
+    for t in range(1, d - 2):
+        rows[1 + (t - 1) * m : 1 + t * m, :-1] = field.coords_array(field.power_array(positions * t))
     blocks = [("ones", 1)] + [(f"pow{t}", m) for t in range(1, d - 2)]
     return ParityCheckMatrix(q, rows, blocks, locators=loc, params=params)
 
@@ -265,14 +263,18 @@ def augmented_matrix(
     bp = basis if basis is not None else make_basis_pair(params.q, params.m, params.d)
     if bp.field_m != base.locators.field or bp.field_mu.degree != params.mu or bp.s != params.s:
         raise ValueError("basis pair does not match the code parameters")
-    s, n = params.s, params.n
+    q, s, n = params.q, params.s, params.n
+    field_mu = bp.field_mu
+    # Work in the log domain: the embedded locators y = embed_hat(e^j) are
+    # nonzero, and log norm(y) = E * log y with E = sum of q^(t*s), t < d-2.
+    # The last position (locator 0) keeps its zero column.
+    embedded = bp.embed_array(base.locators.field.power_array(np.arange(1, n)))
+    exponent = sum(q ** (t * s) for t in range(params.d - 2))
+    coords = bp.g_coords(field_mu.power_array(field_mu.log_array(embedded) * exponent))
+    if coords[s:].any():
+        raise RuntimeError("norm value has coordinates outside the g-prefix; basis construction bug")
     norm_rows = np.zeros((s, n), dtype=np.int16)
-    for j0, x in enumerate(base.locators.values):
-        value = norm(embed_hat(x, bp), params.d)
-        coords = bp.g_coords(value)
-        if any(coords[s:]):
-            raise RuntimeError("norm value has coordinates outside the g-prefix; basis construction bug")
-        norm_rows[:, j0] = coords[:s]
+    norm_rows[:, :-1] = coords[:s]
     rows = np.vstack([base.rows, norm_rows])
     blocks = list(base.blocks) + [("norm", s)]
     return ParityCheckMatrix(params.q, rows, blocks, locators=base.locators, params=params)

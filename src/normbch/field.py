@@ -24,8 +24,6 @@ share across threads; all arithmetic is pure.
 
 from __future__ import annotations
 
-import itertools
-import math
 from functools import lru_cache
 from typing import Iterator
 
@@ -62,36 +60,114 @@ def _encode(digits, p: int) -> int:
     return v
 
 
-def _mul_by_x(digits, modulus, p: int):
-    # One multiply-by-x step with reduction by the monic modulus.
-    k = len(digits)
-    carry = digits[-1]
-    out = [0] * k
-    out[0] = (-carry * modulus[0]) % p
-    for j in range(1, k):
-        out[j] = (digits[j - 1] - carry * modulus[j]) % p
+def _prime_factors(n: int) -> list[int]:
+    out = []
+    f = 2
+    while f * f <= n:
+        if n % f == 0:
+            out.append(f)
+            while n % f == 0:
+                n //= f
+        f += 1
+    if n > 1:
+        out.append(n)
     return out
 
 
-def _antilog_table(p: int, k: int, modulus) -> list[int] | None:
-    """Powers of the residue of x if it has full multiplicative order, else None."""
-    size = p**k
-    target = size - 1
-    cur = [0] * k
-    if k == 1:
-        cur[0] = (-modulus[0]) % p
-    else:
-        cur[1] = 1
-    powers = [1]
-    for _ in range(1, target):
-        val = _encode(cur, p)
-        if val == 1:
-            return None
-        powers.append(val)
-        cur = _mul_by_x(cur, modulus, p)
-    if _encode(cur, p) != 1:
-        return None
-    return powers
+def _times_x(rows, tails, p: int):
+    # x * a modulo each monic x^k + tail; one polynomial per row, low degree first.
+    shifted = np.zeros_like(rows)
+    shifted[:, 1:] = rows[:, :-1]
+    return (shifted - rows[:, -1:] * tails) % p
+
+
+def _x_power(tails, exponent: int, p: int):
+    """x^exponent modulo each monic polynomial x^k + tail, by square and multiply."""
+    count, k = tails.shape
+    x = _times_x(np.eye(1, k, dtype=np.int64).repeat(count, axis=0), tails, p)
+    # fold[:, i] holds x^(k+i), so a product of degree < 2k-1 reduces in one matmul
+    fold = np.empty((count, k - 1, k), dtype=np.int64)
+    row = np.eye(1, k, k - 1, dtype=np.int64).repeat(count, axis=0)
+    for i in range(k - 1):
+        row = _times_x(row, tails, p)
+        fold[:, i] = row
+    acc = x
+    for bit in bin(exponent)[3:]:
+        prod = np.zeros((count, 2 * k - 1), dtype=np.int64)
+        for i in range(k):
+            prod[:, i : i + k] += acc[:, i : i + 1] * acc
+        prod %= p
+        acc = (prod[:, :k] + np.matmul(prod[:, None, k:], fold)[:, 0]) % p
+        if bit == "1":
+            acc = _times_x(acc, tails, p)
+    return acc
+
+
+_SEARCH_BATCH = 256  # candidate moduli tested per numpy pass
+
+
+def _primitive_modulus(p: int, k: int) -> tuple[int, ...]:
+    """Lexicographically smallest monic f of degree k with x of order p^k - 1 mod f.
+
+    Candidates are the tails (c0, ..., c_{k-1}), c0 most significant.  A
+    residue x of order N = p^k - 1 has norm (-1)^k * c0 generating GF(p)*,
+    so blocks of c0 failing that are skipped; each other candidate is
+    kept when x^N = 1 and x^(N/r) != 1 for every prime r dividing N.  Only
+    a field has N units, so the winner is irreducible and x primitive.
+    """
+    order = p**k - 1
+    cofactors = [order // r for r in _prime_factors(order)]
+    generators = {c for c in range(1, p) if all(pow(c, (p - 1) // r, p) != 1 for r in _prime_factors(p - 1))}
+    place = p ** np.arange(k - 2, -1, -1, dtype=np.int64)
+    for c0 in range(1, p):
+        if (-1) ** k * c0 % p not in generators:
+            continue
+        for start in range(0, p ** (k - 1), _SEARCH_BATCH):
+            index = np.arange(start, min(start + _SEARCH_BATCH, p ** (k - 1)), dtype=np.int64)
+            alive = np.empty((len(index), k), dtype=np.int64)
+            alive[:, 0] = c0
+            alive[:, 1:] = index[:, None] // place % p
+            for exponent, want_one in [(order, True)] + [(c, False) for c in cofactors]:
+                power = _x_power(alive, exponent, p)
+                is_one = (power[:, 0] == 1) & ~power[:, 1:].any(axis=1)
+                alive = alive[is_one == want_one]
+            if len(alive):
+                return tuple(int(c) for c in alive[0]) + (1,)
+    raise RuntimeError(f"no primitive polynomial of degree {k} over GF({p})")
+
+
+def _powers_of_x(modulus, p: int) -> np.ndarray:
+    """Encoded x^0, ..., x^(p^k - 2) modulo a primitive modulus, one block at a time.
+
+    A block holds about sqrt(p^k) consecutive powers as coordinate
+    columns; multiplying it by the matrix of x^width gives the next one,
+    so no array of all p^k coordinate vectors is built.  The arithmetic
+    is float64 so the products run through BLAS: every entry stays below
+    k * p^2, far inside the exactly represented integers.
+    """
+    k = len(modulus) - 1
+    n = p**k - 1
+    mult = np.zeros((k, k))
+    mult[1:, :-1] = np.eye(k - 1)
+    mult[:, -1] = [-c % p for c in modulus[:-1]]
+    block = np.eye(k, 1)
+    while block.shape[1] ** 2 < n:
+        block = np.hstack([block, _mod(mult @ block, p)])
+        mult = _mod(mult @ mult, p)
+    weights = p ** np.arange(k, dtype=np.float64)
+    out = np.empty(n, dtype=np.int64)
+    width = block.shape[1]
+    for start in range(0, n, width):
+        out[start : start + width] = (weights @ block)[: n - start]
+        block = _mod(mult @ block, p)
+    return out
+
+
+def _mod(a, p: int):
+    # Exact on the small nonnegative integers held here: a / p is correctly
+    # rounded, and a fractional quotient is too far from the next integer
+    # to round onto it.
+    return a - p * np.floor(a / p)
 
 
 class FieldElement:
@@ -179,26 +255,15 @@ class Field:
         self.p = p
         self.degree = degree
         self.size = size
-        self.modulus, antilog = self._search_modulus()
-        self._exp = antilog
-        self._log = [0] * size
-        for i, v in enumerate(antilog):
-            self._log[v] = i
+        self.modulus = _primitive_modulus(p, degree)
+        self._weights = p ** np.arange(degree, dtype=np.int64)
+        self._exp = _powers_of_x(self.modulus, p)
+        self._log = np.zeros(size, dtype=np.int64)
+        self._log[self._exp] = np.arange(size - 1)
         self._hash = hash((p, degree, self.modulus))
         self.zero = FieldElement(self, 0)
         self.one = FieldElement(self, 1)
-        self.e = FieldElement(self, antilog[1 % (size - 1)])
-
-    def _search_modulus(self):
-        p, k = self.p, self.degree
-        for tail in itertools.product(range(p), repeat=k):
-            if tail[0] == 0:
-                continue  # divisible by x, cannot be primitive
-            modulus = tail + (1,)
-            table = _antilog_table(p, k, modulus)
-            if table is not None:
-                return modulus, table
-        raise RuntimeError(f"no primitive polynomial of degree {k} over GF({p})")
+        self.e = FieldElement(self, self._exp.item(1 % (size - 1)))
 
     # integer-level arithmetic on encoded values
     def _add_int(self, a: int, b: int) -> int:
@@ -228,14 +293,12 @@ class Field:
     def _mul_int(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
             return 0
-        t = self.size - 1
-        return self._exp[(self._log[a] + self._log[b]) % t]
+        return self._exp.item((self._log.item(a) + self._log.item(b)) % (self.size - 1))
 
     def _inv_int(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("zero has no multiplicative inverse")
-        t = self.size - 1
-        return self._exp[(t - self._log[a]) % t]
+        return self._exp.item(-self._log.item(a) % (self.size - 1))
 
     def _pow_int(self, a: int, exponent: int) -> int:
         # For a nonzero base the exponent acts mod (size - 1) in the log
@@ -246,7 +309,7 @@ class Field:
             if exponent < 0:
                 raise ZeroDivisionError("zero cannot be raised to a negative power")
             return 0
-        return self._exp[self._log[a] * exponent % (self.size - 1)]
+        return self._exp.item(self._log.item(a) * exponent % (self.size - 1))
 
     def coords_of(self, val: int) -> tuple[int, ...]:
         p = self.p
@@ -255,6 +318,23 @@ class Field:
             val, r = divmod(val, p)
             out.append(r)
         return tuple(out)
+
+    # array-level access to the tables, for building matrices column-wise
+    def power_array(self, exponents) -> np.ndarray:
+        """Encoded e^t for each integer t of an array (t taken mod size - 1)."""
+        return self._exp[np.asarray(exponents) % (self.size - 1)]
+
+    def log_array(self, vals) -> np.ndarray:
+        """Discrete logs base e of an array of nonzero encoded values."""
+        return self._log[vals]
+
+    def coords_array(self, vals) -> np.ndarray:
+        """Coordinates of an array of encoded values; column j belongs to vals[j]."""
+        return np.asarray(vals)[None, :] // self._weights[:, None] % self.p
+
+    def encode_array(self, coords) -> np.ndarray:
+        """Encoded values of coordinate columns (inverse of coords_array)."""
+        return self._weights @ coords
 
     def elem(self, val: int) -> FieldElement:
         if not 0 <= val < self.size:
@@ -334,6 +414,8 @@ class BasisPair:
             raise FieldMismatchError("the two fields have different characteristics")
         if len(h) != field_m.degree or len(g) != field_mu.degree:
             raise ValueError("basis length must equal the extension degree")
+        if len(h) > len(g):
+            raise ValueError("h is longer than g, so embed_hat could not be injective")
         if not 1 <= s <= len(g) or field_mu.degree % s != 0:
             raise ValueError(f"subfield prefix length s={s} incompatible with degree {field_mu.degree}")
         p = field_m.p
@@ -352,15 +434,18 @@ class BasisPair:
         self.s = s
         self.field_m = field_m
         self.field_mu = field_mu
+        self._g_mat = g_mat
         self._g_inv = linalg.invert(g_mat, p)
-        self._mu_scalars = tuple(FieldElement(field_mu, c) for c in range(p))
 
-    def g_coords(self, y: FieldElement) -> tuple[int, ...]:
-        """Coordinates of y in the g basis."""
-        if y.field != self.field_mu:
-            raise FieldMismatchError("element does not belong to the extension field of g")
-        vec = np.array(y.coords, dtype=np.int64)
-        return tuple(int(c) for c in (self._g_inv @ vec) % self.field_mu.p)
+    def embed_array(self, vals) -> np.ndarray:
+        """embed_hat on an array of encoded GF(q^m) values: G times their coordinates."""
+        field_m = self.field_m
+        coords = self._g_mat[:, : field_m.degree] @ field_m.coords_array(vals) % field_m.p
+        return self.field_mu.encode_array(coords)
+
+    def g_coords(self, vals) -> np.ndarray:
+        """Coordinates in the g basis of an array of encoded GF(q^mu) values, one column each."""
+        return self._g_inv @ self.field_mu.coords_array(vals) % self.field_mu.p
 
     def __repr__(self):
         return (
@@ -404,11 +489,7 @@ def embed_hat(x: FieldElement, bp: BasisPair) -> FieldElement:
     """
     if x.field != bp.field_m:
         raise FieldMismatchError("element does not belong to the h-basis field")
-    acc = bp.field_mu.zero
-    for digit, g_i in zip(x.coords, bp.g):
-        if digit:
-            acc = acc + bp._mu_scalars[digit] * g_i
-    return acc
+    return FieldElement(bp.field_mu, bp.embed_array([x.val]).item())
 
 
 def norm(x: FieldElement, d: int) -> FieldElement:

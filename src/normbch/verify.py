@@ -232,6 +232,8 @@ def min_distance_at_least(
     """
     if d < 2:
         raise ValueError("distance targets below 2 are meaningless")
+    if threads < 1:
+        raise ValueError(f"threads must be at least 1, got {threads}")
     start = time.perf_counter()
     n = matrix.n
     w = min(d - 1, n)

@@ -92,6 +92,32 @@ def residue_of_x_is_primitive(modulus, p):
     return acc == [1]
 
 
+def order_of_x(modulus, p):
+    """Multiplicative order of the residue of x, from the factorization of p^k - 1.
+
+    Starts at p^k - 1 (which x^(p^k - 1) = 1 must confirm, else 0 is
+    returned) and divides out each prime factor while x^(order/r) = 1.
+    """
+    k = len(modulus) - 1
+    order = p**k - 1
+    if poly_powmod([0, 1], order, modulus, p) != [1]:
+        return 0
+    rest, r = order, 2
+    primes = []
+    while r * r <= rest:
+        if rest % r == 0:
+            primes.append(r)
+            while rest % r == 0:
+                rest //= r
+        r += 1
+    if rest > 1:
+        primes.append(rest)
+    for r in primes:
+        while order % r == 0 and poly_powmod([0, 1], order // r, modulus, p) == [1]:
+            order //= r
+    return order
+
+
 def powers_of_x(modulus, p):
     """x^0, ..., x^(p^k - 2) modulo the monic modulus, each encoded low digit first."""
     k = len(modulus) - 1

@@ -8,6 +8,8 @@ from pathlib import Path
 import pytest
 
 import normbch
+from normbch import augmented_matrix, empirical_rho, validate_params, varshamov_upper
+from normbch import cli
 from normbch.cli import main
 
 
@@ -50,6 +52,30 @@ class TestGencode:
         run(capsys, "gencode", "--q", "5", "--m", "2", "--d", "4", "--out", str(a))
         run(capsys, "gencode", "--q", "5", "--m", "2", "--d", "4", "--out", str(b))
         assert a.read_bytes() == b.read_bytes()
+
+    def test_unwritable_out_fails_before_the_build(self, tmp_path, capsys, monkeypatch):
+        def no_build(*args, **kwargs):
+            raise AssertionError("the matrix was built before --out was opened")
+
+        monkeypatch.setattr(cli, "augmented_matrix", no_build)
+        out = tmp_path / "no-such-dir" / "x.txt"
+        code, stdout, stderr = run(capsys, "gencode", "--q", "5", "--m", "5", "--d", "5", "--out", str(out))
+        assert code == 2
+        assert stdout == ""
+        assert stderr.startswith("file error:")
+
+    def test_d6_member_576(self, tmp_path, capsys):
+        # the smallest d = 6 member: n = 5^7, norm rows from GF(5^8)
+        out = tmp_path / "h576.txt"
+        code, stdout, _ = run(capsys, "gencode", "--q", "5", "--m", "7", "--d", "6", "--out", str(out))
+        assert code == 0
+        assert "n=78125 rows=24 rank=24 dimension=78101" in stdout
+        assert "blocks=ones:1,pow1:7,pow2:7,pow3:7,norm:2" in stdout
+        assert "matrix_sha256=351882e51900b173b0bab7ff28a4c826bca0d8e6277680d6c57065462e2a2be0" in stdout
+        point = empirical_rho(augmented_matrix(validate_params(5, 7, 6)))
+        assert point.redundancy == 24
+        assert point.ratio == pytest.approx(24 / 7)
+        assert point.ratio < varshamov_upper(6) == 4
 
     def test_json_output(self, tmp_path, capsys):
         out = tmp_path / "m.txt"
@@ -246,6 +272,9 @@ EXIT_2_CASES = {
     "gencode-335": (["gencode", "--q", "3", "--m", "3", "--d", "5", "--out", "{tmp}/335.txt"],
                     None, "parameter error: invalid parameters:"),
     "bounds-table-d1": (["bounds", "--table", "2..3", "1..4"], None, "parameter error:"),
+    "bounds-table-reversed": (["bounds", "--table", "3..2", "4..5"], None, "parameter error:"),
+    "verify-distance-threads-below-1": (
+        ["verify-distance", "--matrix", "{aug524}", "--d", "4", "--threads", "-1"], None, "parameter error:"),
     "reduce-negative-trials": (
         ["reduce", "--input", "{toy}", "--q2", "4", "--subset", "0,1,2", "--trials", "-3"],
         None, "parameter error:"),

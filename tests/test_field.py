@@ -18,6 +18,7 @@ from normbch.field import DEFAULT_MAX_FIELD_SIZE
 from oracles import (
     is_irreducible,
     multiplicative_order,
+    order_of_x,
     powers_of_x,
     residue_of_x_is_primitive,
 )
@@ -85,6 +86,17 @@ class TestMakeField:
     @pytest.mark.parametrize("p,k", PINNED_MODULI)
     def test_modulus_pinned(self, p, k):
         assert make_field(p, k).modulus == PINNED_MODULI[p, k]
+
+    @pytest.mark.parametrize(
+        "p,k,modulus",
+        [(5, 7, (2, 0, 0, 0, 0, 0, 1, 1)), (5, 8, (2, 0, 0, 0, 0, 0, 2, 1, 1)), (2, 20, (1,) + (0,) * 16 + (1, 0, 0, 1))],
+    )
+    def test_large_field_modulus(self, p, k, modulus):
+        # GF(5^7) and GF(5^8) carry the d = 6 member (5,7,6); GF(2^20) is
+        # the largest field within the default budget
+        assert make_field(p, k).modulus == modulus
+        assert is_irreducible(list(modulus), p)
+        assert order_of_x(list(modulus), p) == p**k - 1
 
     @pytest.mark.parametrize("p,k", SMALL_FIELDS)
     def test_tables_are_powers_of_x(self, p, k):
@@ -201,6 +213,11 @@ class TestBasisPair:
         bp = make_basis_pair(5, 2, 4)
         with pytest.raises(ValueError):
             BasisPair(bp.h, (bp.g[0], bp.g[0]), 1)
+
+    def test_h_longer_than_g_rejected(self):
+        bp = make_basis_pair(5, 3, 4)
+        with pytest.raises(ValueError, match="injective"):
+            BasisPair(bp.g, bp.h, 1)
 
     def test_bad_prefix_rejected(self):
         bp = make_basis_pair(5, 3, 4)
