@@ -7,7 +7,9 @@ numpy array over GF(q) with one column per position plus row-block
 metadata; the base construction stacks an all-ones row with the
 h-coordinates of the locator powers e_j^t for t = 1..d-3, and the
 augmented construction appends s rows holding the leading g-coordinates
-of the norm of each embedded locator.
+of the norm of each embedded locator.  Both are built a row block at a
+time from the field's log and antilog tables: e_j^t is e^(j*t), and the
+norm is a multiple of the discrete log.
 
 Row and coordinate order is fixed (all-ones first, then t ascending,
 then basis coordinate ascending) so that two builds with equal
@@ -228,8 +230,10 @@ def _require_buildable(params: CodeParams) -> None:
 def bch_matrix(params: CodeParams, locators: LocatorTable | None = None) -> ParityCheckMatrix:
     """Base matrix: all-ones row, then h-coordinates of e_j^t for t = 1..d-3.
 
-    The extended position n has locator 0, so its column is 1 in the
-    all-ones row and 0 elsewhere.  Row count is (d-3)m + 1.
+    Row block t, column j < n holds the coordinates of e^(j*t), read
+    from the antilog table.  The extended position n has locator 0, so
+    its column is 1 in the all-ones row and 0 elsewhere.  Row count is
+    (d-3)m + 1.
     """
     _require_buildable(params)
     loc = locators if locators is not None else build_locators(params)
@@ -251,7 +255,9 @@ def augmented_matrix(
 ) -> ParityCheckMatrix:
     """Base matrix plus s norm rows (leading g-coordinates of norm(embed(e_j))).
 
-    Every norm value provably lies in the GF(q^s) subfield spanned by
+    All locators are embedded at once (embed_hat as a linear map on
+    coordinate columns) and normed in the log domain.  Every norm value
+    provably lies in the GF(q^s) subfield spanned by
     g_1..g_s; the build checks that the trailing coordinates vanish and
     treats a nonzero one as a basis construction bug.  Row count is
     (d-3)m + s + 1.
@@ -266,11 +272,14 @@ def augmented_matrix(
     q, s, n = params.q, params.s, params.n
     field_mu = bp.field_mu
     # Work in the log domain: the embedded locators y = embed_hat(e^j) are
-    # nonzero, and log norm(y) = E * log y with E = sum of q^(t*s), t < d-2.
-    # The last position (locator 0) keeps its zero column.
+    # nonzero, and log norm(y) = E * log y mod (q^mu - 1), E = sum of
+    # q^(t*s) for t < d-2.  As E * (q^s - 1) = q^mu - 1, log y may be taken
+    # mod q^s - 1 first, which keeps the product below q^mu.  The last
+    # position (locator 0) keeps its zero column.
     embedded = bp.embed_array(base.locators.field.power_array(np.arange(1, n)))
     exponent = sum(q ** (t * s) for t in range(params.d - 2))
-    coords = bp.g_coords(field_mu.power_array(field_mu.log_array(embedded) * exponent))
+    logs = field_mu.log_array(embedded) % (q**s - 1) * exponent
+    coords = bp.g_coords(field_mu.power_array(logs))
     if coords[s:].any():
         raise RuntimeError("norm value has coordinates outside the g-prefix; basis construction bug")
     norm_rows = np.zeros((s, n), dtype=np.int16)

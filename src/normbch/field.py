@@ -3,13 +3,20 @@
 An element of GF(p^k) is an integer in [0, p^k): its base-p digits, low
 digit first, are the coordinates in the polynomial basis
 {1, x, ..., x^(k-1)} modulo the field's defining polynomial.  The
-defining polynomial is the lexicographically smallest monic primitive
-polynomial of degree k (coefficients compared low degree first), found
-by brute force; primitivity means the residue class of x generates the
-multiplicative group, so it doubles as the canonical primitive element
-and the log/antilog tables fall out of the modulus search for free.
-This fixed choice makes every field, basis and matrix in the package
-bit-reproducible across runs.
+defining polynomial is the lexicographically smallest monic polynomial
+of degree k (coefficients compared low degree first) modulo which x has
+multiplicative order p^k - 1; the residue class of x is then the
+canonical primitive element e.  The search tests each candidate by
+order, x^N = 1 and x^(N/r) != 1 for the primes r dividing N = p^k - 1,
+on batches of candidates at once, and skips constant terms whose norm
+cannot generate GF(p)*.  The antilog table (the powers of e) is built
+once, for the chosen modulus, and the log table is its inverse
+permutation; both are numpy arrays.  This fixed choice makes every
+field, basis and matrix in the package bit-reproducible across runs.
+
+FieldElement is the element-at-a-time API.  Matrix construction works
+on arrays instead: power_array, log_array, coords_array and encode_array
+map whole columns through the tables.
 
 Field towers pair GF(q^m) with GF(q^mu) through two bases: h, the
 polynomial basis of GF(q^m), and g, a product basis of GF(q^mu) over
