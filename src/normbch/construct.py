@@ -21,6 +21,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -131,22 +132,24 @@ class Codeword:
 class LocatorTable:
     """Position-to-locator map for one field: e^1, ..., e^(n-1), then 0.
 
-    Locators are read from the field's antilog table on demand, and
-    positions from its log table.
+    Positions are read from the field's log table.  The locators, as
+    elements, are read from its antilog table on first use, so a matrix
+    build, which works on the tables directly, never creates them.
     """
 
     def __init__(self, field):
         self.field = field
         self.n = field.size
 
-    @property
+    @cached_property
     def values(self) -> tuple[FieldElement, ...]:
-        return tuple(self.locator(j) for j in range(1, self.n + 1))
+        powers = self.field.power_array(np.arange(1, self.n)).tolist()
+        return tuple(FieldElement(self.field, v) for v in powers) + (self.field.zero,)
 
     def locator(self, position: int) -> FieldElement:
         if not 1 <= position <= self.n:
             raise ValueError(f"position {position} out of range [1, {self.n}]")
-        return self.field.zero if position == self.n else self.field.e**position
+        return self.values[position - 1]
 
     def position_of(self, x: FieldElement) -> int:
         if x.field != self.field:
