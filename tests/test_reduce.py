@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -11,6 +12,7 @@ from normbch import (
     redundancy_ratio_identity,
     write_codeword_list,
 )
+from normbch import reduce as reduce_module
 from normbch.reduce import all_shift_counts
 
 TOY = ExplicitCode(q=4, n=4, words=((0, 0, 0, 0), (1, 1, 1, 1), (2, 2, 2, 2), (3, 3, 3, 3)))
@@ -97,6 +99,93 @@ class TestReduceExhaustive:
             reduce_alphabet(TOY, [0, 9])
         with pytest.raises(ValueError):
             reduce_alphabet(TOY, [])
+
+
+def _pinned_cases():
+    """50 seeded random codes (q2 in 2..6, n in 1..6, 0..40 words) with a subset and a trial count."""
+    rng = random.Random(2024)
+    for i in range(50):
+        q = rng.randrange(2, 7)
+        n = rng.randrange(1, 7)
+        size = i if i < 2 else rng.randrange(0, min(40, q**n) + 1)
+        words = set()
+        while len(words) < size:
+            words.add(tuple(rng.randrange(q) for _ in range(n)))
+        subset = sorted(rng.sample(range(q), rng.randrange(1, q + 1)))
+        yield ExplicitCode(q=q, n=n, words=tuple(sorted(words))), subset, (1, 7, 30)[i % 3]
+
+
+# Per case: the exhaustive shift and count, then the first 16 hex digits of
+# the sha256 of every field of the exhaustive result and of the sampled
+# results for seeds 0 and 3, followed by all_shift_counts (codes with words).
+REDUCE_PINS = [
+    ((0, 0), 0, "420de16cb788ae94"),  # q=5 n=2 |V|=0 subset=[0, 1, 2, 3, 4]
+    ((2, 2), 1, "40c62dbeec3f942f"),  # q=6 n=2 |V|=1 subset=[1, 2, 3, 4]
+    ((3, 4, 1, 3, 2, 1), 18, "6f220b223d1a032d"),  # q=6 n=6 |V|=21 subset=[0, 2, 3, 4, 5]
+    ((0, 2), 1, "60ff2d87635fed26"),  # q=6 n=2 |V|=13 subset=[2]
+    ((0, 0), 0, "c1331b035d994fb3"),  # q=2 n=2 |V|=0 subset=[0]
+    ((0, 0), 12, "e52256360ac310ea"),  # q=6 n=2 |V|=12 subset=[0, 1, 2, 3, 4, 5]
+    ((1, 0, 2, 1), 2, "7043ea8b06c42fab"),  # q=6 n=4 |V|=35 subset=[0, 3]
+    ((0, 0, 0), 12, "f00dfe07b30894f5"),  # q=6 n=3 |V|=12 subset=[0, 1, 2, 3, 4, 5]
+    ((0, 0, 0, 0, 0), 17, "6497f1ab149c738f"),  # q=3 n=5 |V|=17 subset=[0, 1, 2]
+    ((0, 0, 2), 24, "6a1d9d06884449c8"),  # q=5 n=3 |V|=37 subset=[0, 1, 2, 4]
+    ((0, 1), 1, "ec89d3bc2b814c75"),  # q=3 n=2 |V|=5 subset=[1]
+    ((2, 3, 4, 2, 1), 21, "b5f528a56c9faeb3"),  # q=5 n=5 |V|=37 subset=[0, 1, 2, 3]
+    ((0, 0, 0, 0, 0, 0), 4, "5e8f23e39490a046"),  # q=5 n=6 |V|=4 subset=[0, 1, 2, 3, 4]
+    ((2, 4, 5), 1, "b80b9fe6dcc21495"),  # q=6 n=3 |V|=3 subset=[1]
+    ((0, 0, 2, 3, 3, 2), 1, "f487372611138b32"),  # q=4 n=6 |V|=36 subset=[2]
+    ((2, 3, 1, 1), 4, "6c56b688772ad1fe"),  # q=4 n=4 |V|=16 subset=[0, 1]
+    ((0, 0), 6, "c38f604738660bf4"),  # q=3 n=2 |V|=6 subset=[0, 1, 2]
+    ((1, 0), 7, "66cdd07df4bb9a79"),  # q=6 n=2 |V|=19 subset=[0, 4, 5]
+    ((0, 0, 0, 0, 0), 7, "f5e7ded058496836"),  # q=2 n=5 |V|=7 subset=[0, 1]
+    ((0, 0, 0, 0, 0), 22, "492718640f33a7c9"),  # q=3 n=5 |V|=22 subset=[0, 1, 2]
+    ((0, 0), 1, "8519d85a7570bb36"),  # q=4 n=2 |V|=10 subset=[2]
+    ((0, 3, 2), 17, "9ab8a1144c17e1c4"),  # q=4 n=3 |V|=32 subset=[0, 1, 2]
+    ((0, 1, 3, 2), 2, "03333cf36fa43850"),  # q=4 n=4 |V|=5 subset=[0, 1]
+    ((0, 0), 1, "b973f4cf61678612"),  # q=6 n=2 |V|=11 subset=[5]
+    ((0, 0, 0, 0), 0, "9ff96b3715ce17e4"),  # q=5 n=4 |V|=0 subset=[0, 2]
+    ((0, 1), 1, "8cb7083805af2553"),  # q=6 n=2 |V|=19 subset=[2]
+    ((0, 0, 0, 0), 34, "db35ce053a8153ad"),  # q=5 n=4 |V|=34 subset=[0, 1, 2, 3, 4]
+    ((0, 0, 0, 0, 0), 18, "866d9179f419fc4f"),  # q=2 n=5 |V|=18 subset=[0, 1]
+    ((0, 0, 0), 0, "ce501ea1d2f697de"),  # q=2 n=3 |V|=0 subset=[0]
+    ((2, 1), 8, "5869638694d30a50"),  # q=5 n=2 |V|=17 subset=[1, 3, 4]
+    ((2, 0, 2, 0), 9, "04031cbe6065da9e"),  # q=3 n=4 |V|=20 subset=[0, 2]
+    ((0, 0, 0, 0, 0), 18, "b3b9fe420f59b5ca"),  # q=3 n=5 |V|=18 subset=[0, 1, 2]
+    ((2, 4, 2, 2, 1), 2, "7525cffbb10e7340"),  # q=6 n=5 |V|=9 subset=[0, 1]
+    ((0, 0, 0, 0, 0), 19, "cd8395ee16b0fc48"),  # q=2 n=5 |V|=19 subset=[0, 1]
+    ((0, 1), 1, "cc0a48a93ff405ee"),  # q=3 n=2 |V|=8 subset=[1]
+    ((0, 0, 0, 0, 0, 0), 16, "f8f4554a10a4925f"),  # q=2 n=6 |V|=16 subset=[0, 1]
+    ((2,), 3, "8190dce66e84a36d"),  # q=5 n=1 |V|=4 subset=[0, 2, 4]
+    ((0, 0, 0, 0, 0), 15, "b6f6e9bdc6054908"),  # q=3 n=5 |V|=15 subset=[0, 1, 2]
+    ((0,), 2, "5f43106a174f7eed"),  # q=4 n=1 |V|=3 subset=[0, 3]
+    ((1,), 1, "3e78c733016ca1e2"),  # q=5 n=1 |V|=1 subset=[0, 2]
+    ((1, 0, 2, 2, 3), 9, "696fea23c07a5aec"),  # q=6 n=5 |V|=10 subset=[0, 1, 2, 3, 5]
+    ((0,), 0, "9a3ba7a2afbf56db"),  # q=5 n=1 |V|=0 subset=[0, 1, 3, 4]
+    ((0, 0, 0, 0), 9, "f45ab15be74b65cf"),  # q=2 n=4 |V|=9 subset=[0, 1]
+    ((0, 0), 15, "7ef156c4231bd527"),  # q=4 n=2 |V|=15 subset=[0, 1, 2, 3]
+    ((3, 3), 2, "b2f105c7b124f773"),  # q=6 n=2 |V|=2 subset=[0, 1, 5]
+    ((0, 3), 1, "8a61a539cbf47226"),  # q=5 n=2 |V|=14 subset=[1]
+    ((0,), 0, "87a584b9912a7c68"),  # q=2 n=1 |V|=0 subset=[0, 1]
+    ((0, 3), 1, "61b1ee65669404e0"),  # q=5 n=2 |V|=2 subset=[1]
+    ((0, 0, 0, 0), 1, "e5400ee5b0f48f3d"),  # q=2 n=4 |V|=14 subset=[0]
+    ((4, 0, 4, 2, 0), 9, "a50de907df09cd6a"),  # q=5 n=5 |V|=32 subset=[1, 2, 3]
+]
+
+
+@pytest.mark.parametrize("one_shift_per_batch", [False, True], ids=["default-batch", "one-shift-batch"])
+def test_reduce_pinned(monkeypatch, one_shift_per_batch):
+    if one_shift_per_batch:
+        monkeypatch.setattr(reduce_module, "_SHIFT_BATCH", 1)
+    for (code, subset, trials), (shift, achieved, digest) in zip(_pinned_cases(), REDUCE_PINS, strict=True):
+        results = [reduce_alphabet(code, subset)] + [
+            reduce_alphabet(code, subset, mode="sampled", trials=trials, seed=seed) for seed in (0, 3)
+        ]
+        assert (results[0].shift, results[0].achieved) == (shift, achieved)
+        text = repr([(r.mode, r.shift, r.achieved, r.average, r.floor, r.guaranteed, r.trials, r.subcode)
+                     for r in results])
+        if code.words:
+            text += repr(all_shift_counts(code, subset).tolist())
+        assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest, (code, subset)
 
 
 class TestReduceSampled:
