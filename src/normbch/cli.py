@@ -229,7 +229,8 @@ def cmd_reduce(args) -> int:
     try:
         result = reduce_alphabet(code, subset, mode=mode, trials=args.trials or 0, seed=args.seed)
     except BudgetExceededError as exc:
-        exc.args = (f"{exc}; pass --trials to sample instead",)
+        if mode == "exhaustive":
+            exc.args = (f"{exc}; pass --trials to sample instead",)
         raise
     lines = [
         f"mode={result.mode}",

@@ -36,6 +36,8 @@ from .field import (
 )
 from . import linalg
 
+MAX_ALPHABET = int(np.iinfo(np.int16).max)  # matrix entries are int16
+
 
 @dataclass(frozen=True)
 class CodeParams:
@@ -59,25 +61,32 @@ class CodeParams:
         return not self.violations
 
 
-def validate_params(
-    q: int, m: int, d: int, relaxed: bool = False, max_size: int = DEFAULT_MAX_FIELD_SIZE
-) -> CodeParams:
+def _alphabet_violation(q: int) -> str | None:
+    """Why q cannot be a matrix alphabet, or None; generated and read matrices share this rule."""
+    if q > MAX_ALPHABET:
+        return f"q={q} exceeds {MAX_ALPHABET}, the largest alphabet of the int16 matrix entries"
+    if not is_prime(q):
+        return f"q={q} is not prime (this implementation supports prime alphabets)"
+
+
+def validate_params(q: int, m: int, d: int, relaxed: bool = False) -> CodeParams:
     """Check every construction hypothesis for (q, m, d).
 
     Strict mode demands a prime extension degree m > (d-3)!; relaxed
     mode only demands that every divisor of m other than 1 exceeds
-    (d-3)!.
+    (d-3)!.  No field within the size budget has a degree above
+    log2(budget), so m is checked, and (d-3)! computed, only up to it.
     """
     violations: list[str] = []
     if d < 3:
         violations.append(f"d={d} is below the minimum supported distance 3")
     if m < 1:
         violations.append(f"m={m} must be a positive extension degree")
-    if not is_prime(q):
-        violations.append(f"q={q} is not prime (this implementation supports prime alphabets)")
-    s = mu = n = 0
-    if q >= 2 and m >= 1:
-        n = q**m
+    if alphabet := _alphabet_violation(q):
+        violations.append(alphabet)
+    max_degree = DEFAULT_MAX_FIELD_SIZE.bit_length() - 1
+    s = mu = 0
+    n = q**m if q >= 2 and 1 <= m <= max_degree else 0
     if d >= 3:
         if m >= 1:
             s = -(-m // (d - 2))
@@ -89,21 +98,22 @@ def validate_params(
                 violations.append(f"q={q} divides d-2 = {d - 2}")
             if q < d - 1:
                 violations.append(f"q={q} is below d-1 = {d - 1}")
-        fact = math.factorial(d - 3)
-        if m >= 1:
+        fact = math.factorial(min(d - 3, max_degree))
+        fact_text = str(fact) if d - 3 <= max_degree else f"{d - 3}!"
+        if 1 <= m <= max_degree:
             if relaxed:
                 bad = [t for t in range(2, m + 1) if m % t == 0 and t <= fact]
                 if bad:
                     violations.append(
-                        f"m={m} has divisors {bad} not exceeding (d-3)! = {fact} (relaxed rule)"
+                        f"m={m} has divisors {bad} not exceeding (d-3)! = {fact_text} (relaxed rule)"
                     )
             else:
                 if not is_prime(m):
                     violations.append(f"m={m} is not prime (strict rule; relaxed mode uses divisors)")
                 if m <= fact:
-                    violations.append(f"m={m} does not exceed (d-3)! = {fact}")
-    if n and n > max_size:
-        violations.append(f"n={n} exceeds the field size budget {max_size}")
+                    violations.append(f"m={m} does not exceed (d-3)! = {fact_text}")
+    if q >= 2 and m >= 1 and (m > max_degree or n > DEFAULT_MAX_FIELD_SIZE):
+        violations.append(f"n={q}^{m} exceeds the field size budget {DEFAULT_MAX_FIELD_SIZE}")
     return CodeParams(q, m, d, relaxed, s, mu, n, tuple(violations))
 
 
@@ -173,14 +183,13 @@ class ParityCheckMatrix:
     Immutable by convention; rank is computed lazily and cached.
     """
 
-    def __init__(self, q, rows, blocks, locators=None, params=None):
+    def __init__(self, q, rows, blocks, locators=None):
         self.q = q
         self.rows = np.ascontiguousarray(np.asarray(rows, dtype=np.int16) % q)
         self.blocks = tuple((str(name), int(count)) for name, count in blocks)
         if sum(c for _, c in self.blocks) != self.rows.shape[0]:
             raise ValueError("block row counts do not sum to the row count")
         self.locators = locators
-        self.params = params
         self._rank: int | None = None
         self._text: str | None = None
 
@@ -226,11 +235,11 @@ def _require_buildable(params: CodeParams) -> None:
     # hypotheses fail, but the field itself must exist.
     if params.d < 3:
         raise ValueError(f"d={params.d} is below 3; no matrix is defined")
-    if params.m < 1 or not is_prime(params.q):
+    if params.m < 1 or _alphabet_violation(params.q):
         raise ValueError("matrix construction needs a prime q and positive m: " + "; ".join(params.violations))
 
 
-def bch_matrix(params: CodeParams, locators: LocatorTable | None = None) -> ParityCheckMatrix:
+def bch_matrix(params: CodeParams) -> ParityCheckMatrix:
     """Base matrix: all-ones row, then h-coordinates of e_j^t for t = 1..d-3.
 
     Row block t, column j < n holds the coordinates of e^(j*t), read
@@ -239,7 +248,7 @@ def bch_matrix(params: CodeParams, locators: LocatorTable | None = None) -> Pari
     (d-3)m + 1.
     """
     _require_buildable(params)
-    loc = locators if locators is not None else build_locators(params)
+    loc = build_locators(params)
     q, m, d, n = params.q, params.m, params.d, params.n
     field = loc.field
     positions = np.arange(1, n)
@@ -248,14 +257,10 @@ def bch_matrix(params: CodeParams, locators: LocatorTable | None = None) -> Pari
     for t in range(1, d - 2):
         rows[1 + (t - 1) * m : 1 + t * m, :-1] = field.coords_array(field.power_array(positions * t))
     blocks = [("ones", 1)] + [(f"pow{t}", m) for t in range(1, d - 2)]
-    return ParityCheckMatrix(q, rows, blocks, locators=loc, params=params)
+    return ParityCheckMatrix(q, rows, blocks, locators=loc)
 
 
-def augmented_matrix(
-    params: CodeParams,
-    basis: BasisPair | None = None,
-    locators: LocatorTable | None = None,
-) -> ParityCheckMatrix:
+def augmented_matrix(params: CodeParams, basis: BasisPair | None = None) -> ParityCheckMatrix:
     """Base matrix plus s norm rows (leading g-coordinates of norm(embed(e_j))).
 
     All locators are embedded at once (embed_hat as a linear map on
@@ -268,7 +273,7 @@ def augmented_matrix(
     if params.d == 3:
         raise ValueError("d=3 needs no norm rows; use bch_matrix, whose code already has distance 3")
     _require_buildable(params)
-    base = bch_matrix(params, locators)
+    base = bch_matrix(params)
     bp = basis if basis is not None else make_basis_pair(params.q, params.m, params.d)
     if bp.field_m != base.locators.field or bp.field_mu.degree != params.mu or bp.s != params.s:
         raise ValueError("basis pair does not match the code parameters")
@@ -289,7 +294,7 @@ def augmented_matrix(
     norm_rows[:, :-1] = coords[:s]
     rows = np.vstack([base.rows, norm_rows])
     blocks = list(base.blocks) + [("norm", s)]
-    return ParityCheckMatrix(params.q, rows, blocks, locators=base.locators, params=params)
+    return ParityCheckMatrix(params.q, rows, blocks, locators=base.locators)
 
 
 def syndrome(matrix: ParityCheckMatrix, word: Codeword) -> np.ndarray:
@@ -335,11 +340,13 @@ def read_matrix_file(path) -> ParityCheckMatrix:
         fields = dict(part.split("=", 1) for part in header.split())
         q, n, r = (int(fields.pop(key)) for key in "qnr")
         blocks = [(name, int(c)) for name, c in (b.split(":") for b in fields.pop("blocks").split(","))]
-        if fields or not is_prime(q):
+        if fields:
             raise ValueError
     except (KeyError, ValueError):
         form = "q=<prime> n=<n> r=<r> blocks=<name:count,...>"
         raise ValueError(f"{path}:1: header {header!r} is not {form}") from None
+    if alphabet := _alphabet_violation(q):
+        raise ValueError(f"{path}:1: {alphabet}")
     if len(body) != r:
         raise ValueError(f"{path}: {len(body)} rows after the header, expected r={r}")
     rows = []  # built from the file's own entries, so a huge n in the header allocates nothing

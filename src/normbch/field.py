@@ -388,10 +388,11 @@ def make_field(p: int, total_degree: int, max_size: int = DEFAULT_MAX_FIELD_SIZE
 
     Cached on (p, total_degree) alone, so every call for one field
     returns the same object and their elements interoperate directly;
-    max_size is checked on every call, cached or not.
+    max_size is checked on every call, cached or not, and p^total_degree
+    is computed only for a degree that 2^degree <= max_size admits.
     """
-    if p**total_degree > max_size:
-        raise ValueError(f"field size {p}^{total_degree} = {p**total_degree} exceeds the budget {max_size}")
+    if total_degree >= max_size.bit_length() or p**total_degree > max_size:
+        raise ValueError(f"field size {p}^{total_degree} exceeds the budget {max_size}")
     return _cached_field(p, total_degree)
 
 
@@ -441,13 +442,13 @@ class BasisPair:
         self.s = s
         self.field_m = field_m
         self.field_mu = field_mu
-        self._g_mat = g_mat
+        # embed_hat on polynomial coordinates: H^-1 gives h-coordinates, G puts them on g
+        self._embed = g_mat[:, : len(h)] @ linalg.invert(h_mat, p) % p
         self._g_inv = linalg.invert(g_mat, p)
 
     def embed_array(self, vals) -> np.ndarray:
-        """embed_hat on an array of encoded GF(q^m) values: G times their coordinates."""
-        field_m = self.field_m
-        coords = self._g_mat[:, : field_m.degree] @ field_m.coords_array(vals) % field_m.p
+        """embed_hat on an array of encoded GF(q^m) values."""
+        coords = self._embed @ self.field_m.coords_array(vals) % self.field_m.p
         return self.field_mu.encode_array(coords)
 
     def g_coords(self, vals) -> np.ndarray:
@@ -461,7 +462,7 @@ class BasisPair:
         )
 
 
-def make_basis_pair(q: int, m: int, d: int, max_size: int = DEFAULT_MAX_FIELD_SIZE) -> BasisPair:
+def make_basis_pair(q: int, m: int, d: int) -> BasisPair:
     """Standard basis pair for parameters (q, m, d).
 
     h is the polynomial basis {1, e, ..., e^(m-1)} of GF(q^m).  g is the
@@ -477,8 +478,8 @@ def make_basis_pair(q: int, m: int, d: int, max_size: int = DEFAULT_MAX_FIELD_SI
         raise ValueError("m must be positive")
     s = -(-m // (d - 2))
     mu = s * (d - 2)
-    field_m = make_field(q, m, max_size)
-    field_mu = make_field(q, mu, max_size)
+    field_m = make_field(q, m)
+    field_mu = make_field(q, mu)
     h = tuple(field_m.e**i for i in range(m))
     big_e = field_mu.e
     sub_gen = big_e ** ((field_mu.size - 1) // (q**s - 1))

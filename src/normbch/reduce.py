@@ -8,10 +8,19 @@ result carries that floor as a guarantee; the sampled mode only reports
 the best of the shifts it tried next to the average bound, claiming
 nothing.  The alphabet group is fixed to Z_q2 with componentwise
 addition.
+
+Both modes and all_shift_counts count shifts in one batch scan.  It
+visits q2^n shifts or the trials; that count and q2 itself must not
+exceed DEFAULT_SHIFT_BUDGET, checked before any allocation.  Symbols sit
+in the smallest dtype holding a symbol plus a shift, 2(q2 - 1), looked
+up in a table of 2*q2 entries without reducing mod q2, and a batch
+holds at most _BATCH_BYTES of working arrays.  Ties between shifts go
+to the lexicographically smallest.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -21,7 +30,9 @@ import numpy as np
 from .errors import BudgetExceededError
 
 DEFAULT_SHIFT_BUDGET = 10_000_000
-_SHIFT_BATCH = 1 << 12
+# A batch takes at most 16 bytes per shift-row entry (int64 digits) and per
+# (shift, codeword) pair (a symbol sum, its lookup and the running mask).
+_BATCH_BYTES = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -49,13 +60,7 @@ class ExplicitCode:
         """Smallest pairwise Hamming distance; None for fewer than 2 words."""
         if len(self.words) < 2:
             return None
-        best = self.n
-        for i, a in enumerate(self.words):
-            for b in self.words[i + 1 :]:
-                dist = sum(x != y for x, y in zip(a, b))
-                if dist < best:
-                    best = dist
-        return best
+        return min(sum(x != y for x, y in zip(a, b)) for a, b in itertools.combinations(self.words, 2))
 
 
 @dataclass(frozen=True)
@@ -70,36 +75,35 @@ class ReductionResult:
     trials: int | None
 
 
-def _shift_counts(words: np.ndarray, member: np.ndarray, q: int, shifts: np.ndarray) -> np.ndarray:
-    shifted = (words[None, :, :] + shifts[:, None, :]) % q
-    return member[shifted].all(axis=2).sum(axis=1)
+def _scan(code: ExplicitCode, subset: list[int], total: int, shift_rows):
+    """Yield (shifts, counts) per batch of the shift indices 0 .. total - 1, where
+    shift_rows(start, stop) gives an index range's shifts (flat or as rows) and
+    counts are the codewords each shift moves into subset^n."""
+    if total > DEFAULT_SHIFT_BUDGET:
+        raise BudgetExceededError(total, DEFAULT_SHIFT_BUDGET, what="shifts")
+    if code.q > DEFAULT_SHIFT_BUDGET:  # the membership table below has 2 * q2 entries
+        raise BudgetExceededError(code.q, DEFAULT_SHIFT_BUDGET, what="alphabet symbols")
+    dtype = np.min_scalar_type(2 * (code.q - 1))
+    words = np.array(code.words, dtype=dtype).reshape(-1, code.n)
+    member = np.isin(np.arange(2 * code.q) % code.q, subset)  # indexed by symbol + shift, not mod q2
+    batch = max(1, _BATCH_BYTES // (16 * (code.n + len(words))))
+    for start in range(0, total, batch):
+        shifts = np.array(shift_rows(start, min(start + batch, total)), dtype=dtype).reshape(-1, code.n)
+        inside = np.ones((len(shifts), len(words)), dtype=bool)
+        for i in range(code.n):
+            inside &= member[words[:, i] + shifts[:, i, None]]
+        yield shifts, inside.sum(axis=1)
 
 
-def _index_to_shifts(idx: np.ndarray, q: int, n: int) -> np.ndarray:
-    # Digit 0 is the most significant, so numeric index order equals
-    # lexicographic order on shift tuples.
-    out = np.empty((idx.shape[0], n), dtype=np.int64)
-    rem = idx.copy()
-    for pos in range(n - 1, -1, -1):
-        out[:, pos] = rem % q
-        rem //= q
-    return out
+def _lexicographic_shifts(q: int, n: int):
+    # shift_rows for all q^n shifts; digit 0 is the most significant, so index order is lexicographic
+    return lambda start, stop: np.arange(start, stop)[:, None] // q ** np.arange(n - 1, -1, -1) % q
 
 
 def all_shift_counts(code: ExplicitCode, subset) -> np.ndarray:
     """Intersection size with subset^n for every shift, in lexicographic shift order."""
-    subset = sorted(set(subset))
-    member = np.zeros(code.q, dtype=bool)
-    member[subset] = True
-    words = np.array(code.words, dtype=np.int64)
-    total = code.q**code.n
-    counts = np.empty(total, dtype=np.int64)
-    for start in range(0, total, _SHIFT_BATCH):
-        idx = np.arange(start, min(start + _SHIFT_BATCH, total), dtype=np.int64)
-        counts[start : start + idx.shape[0]] = _shift_counts(
-            words, member, code.q, _index_to_shifts(idx, code.q, code.n)
-        )
-    return counts
+    scan = _scan(code, sorted(set(subset)), code.q**code.n, _lexicographic_shifts(code.q, code.n))
+    return np.concatenate([counts for _, counts in scan])
 
 
 def _subcode(code: ExplicitCode, subset: list[int], shift: tuple[int, ...]) -> ExplicitCode:
@@ -120,15 +124,14 @@ def reduce_alphabet(
     mode: str = "exhaustive",
     trials: int = 1000,
     seed: int = 0,
-    shift_budget: int = DEFAULT_SHIFT_BUDGET,
 ) -> ReductionResult:
     """Best shift of the code into the sub-alphabet, with the retained subcode.
 
-    Exhaustive mode scans all q2^n shifts (budget-guarded), returns the
-    lexicographically smallest maximizer and guarantees the averaging
-    floor ceil(q1^n * |V| / q2^n).  Sampled mode tries `trials` (at least
-    one) seeded random shifts and reports its best without a guarantee.
-    An empty subcode is a legitimate outcome, not an error.
+    Exhaustive mode scans all q2^n shifts, returns the lexicographically
+    smallest maximizer and guarantees the averaging floor
+    ceil(q1^n * |V| / q2^n).  Sampled mode tries `trials` (at least one)
+    seeded random shifts and reports its best without a guarantee.  Both
+    are budget-guarded; an empty subcode is a legitimate outcome.
     """
     subset = sorted(set(subset))
     if not subset:
@@ -139,44 +142,29 @@ def reduce_alphabet(
     size_v = len(code.words)
     average = (q1**code.n) * size_v / code.q**code.n
     floor = -((q1**code.n) * size_v // -(code.q**code.n))
-    member = np.zeros(code.q, dtype=bool)
-    member[subset] = True
-    words = np.array(code.words, dtype=np.int64) if code.words else np.zeros((0, code.n), dtype=np.int64)
 
     if mode == "exhaustive":
-        total = code.q**code.n
-        if total > shift_budget:
-            raise BudgetExceededError(total, shift_budget, what="shifts")
-        best_count = -1
-        best_idx = 0
-        for start in range(0, total, _SHIFT_BATCH):
-            idx = np.arange(start, min(start + _SHIFT_BATCH, total), dtype=np.int64)
-            counts = _shift_counts(words, member, code.q, _index_to_shifts(idx, code.q, code.n))
-            top = int(counts.argmax())
-            if int(counts[top]) > best_count:
-                best_count = int(counts[top])
-                best_idx = start + top
-        shift = tuple(int(v) for v in _index_to_shifts(np.array([best_idx]), code.q, code.n)[0])
-        result_trials = None
-        guaranteed = True
+        total, result_trials = code.q**code.n, None
+        shift_rows = _lexicographic_shifts(code.q, code.n)
     elif mode == "sampled":
         if trials < 1:
             raise ValueError(f"sampled mode needs at least one trial, got {trials}")
         rng = random.Random(seed)
-        best_count = -1
-        best_shift: tuple[int, ...] = (0,) * code.n
-        for _ in range(trials):
-            cand = tuple(rng.randrange(code.q) for _ in range(code.n))
-            count = int(
-                _shift_counts(words, member, code.q, np.array([cand], dtype=np.int64))[0]
-            )
-            if count > best_count or (count == best_count and cand < best_shift):
-                best_count, best_shift = count, cand
-        shift = best_shift
-        result_trials = trials
-        guaranteed = False
+        total, result_trials = trials, trials
+
+        def shift_rows(start, stop):
+            # batches are drawn in order, so the trials follow one seeded sequence
+            return [rng.randrange(code.q) for _ in range((stop - start) * code.n)]
     else:
         raise ValueError(f"unknown mode {mode!r}; use 'exhaustive' or 'sampled'")
+
+    best_count, shift = -1, ()
+    for shifts, counts in _scan(code, subset, total, shift_rows):
+        top = int(counts.max())
+        tied = shifts[counts == top]
+        cand = tuple(int(v) for v in tied[np.lexsort(tied.T[::-1])[0]])
+        if top > best_count or (top == best_count and cand < shift):
+            best_count, shift = top, cand
 
     sub = _subcode(code, subset, shift)
     if len(sub.words) != best_count:
@@ -187,7 +175,7 @@ def reduce_alphabet(
         achieved=best_count,
         average=average,
         floor=floor,
-        guaranteed=guaranteed,
+        guaranteed=mode == "exhaustive",
         subcode=sub,
         trials=result_trials,
     )

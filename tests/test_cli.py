@@ -1,11 +1,15 @@
+import contextlib
+import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 import normbch
 from normbch import augmented_matrix, empirical_rho, validate_params, varshamov_upper
@@ -136,8 +140,9 @@ class TestVerifyDistance:
 
     @pytest.mark.parametrize(
         "text",
-        [None, "garbage\n1 0 1\n", "q=5 n=3 r=1 blocks=dense:1\n1 7 9\n"],
-        ids=["missing-file", "garbage-header", "digits-out-of-range"],
+        [None, "garbage\n1 0 1\n", "q=5 n=3 r=1 blocks=dense:1\n1 7 9\n",
+         "q=40009 n=2 r=1 blocks=dense:1\n1 2\n"],
+        ids=["missing-file", "garbage-header", "digits-out-of-range", "alphabet-beyond-int16"],
     )
     def test_bad_input_exit_2(self, tmp_path, capsys, text):
         path = tmp_path / "input.txt"
@@ -147,6 +152,28 @@ class TestVerifyDistance:
         assert code == 2
         assert stdout == ""
         assert len(stderr.strip().splitlines()) == 1
+
+    @given(data=st.data())
+    def test_corrupted_matrix_file(self, matrix_files, tmp_path_factory, data):
+        # Replace one token (a run of non-separators, or one of "=:,") of the
+        # (5,2,4) file; half the draws pick from the header line.
+        text = matrix_files["aug524"].read_text()
+        tokens = list(re.finditer(r"[=:,]|[^\s=:,]+", text))
+        header_tokens = sum(1 for tok in tokens if tok.start() < text.index("\n"))
+        index = data.draw(st.one_of(st.integers(0, header_tokens - 1), st.integers(0, len(tokens) - 1)))
+        new = data.draw(st.one_of(
+            st.sampled_from(["", "0", "4", "5", "7", "-1", "40009", "9" * 30, "x", "\n", "=", ":", ","]),
+            st.text(max_size=4)))
+        tok = tokens[index]
+        path = tmp_path_factory.mktemp("corrupt") / "m.txt"
+        path.write_text(text[: tok.start()] + new + text[tok.end() :], encoding="utf-8")
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["verify-distance", "--matrix", str(path), "--d", "4"])
+        assert code in (0, 1, 2)
+        if code == 2:
+            assert out.getvalue() == ""
+            assert len(err.getvalue().splitlines()) == 1
 
     def test_json_and_cert_file(self, matrix_files, tmp_path, capsys):
         cert = tmp_path / "cert.txt"
@@ -241,6 +268,16 @@ class TestReduce:
         assert stdout == ""
         assert "at least one trial" in stderr
 
+    @pytest.mark.parametrize("trials, hint", [(None, True), ("10000001", False)], ids=["exhaustive", "sampled"])
+    def test_trials_hint_only_in_exhaustive_mode(self, tmp_path, capsys, trials, hint):
+        src = tmp_path / "toy.cwl"
+        src.write_text("0 0 0 0 0 0 0 0 0 0 0 0\n")
+        argv = ["reduce", "--input", str(src), "--q2", "4", "--subset", "0,1"]
+        code, _, stderr = run(capsys, *argv, *(["--trials", trials] if trials else []))
+        assert code == 2
+        assert stderr.startswith("budget exceeded:")
+        assert ("pass --trials" in stderr) == hint
+
     def test_bad_subset(self, tmp_path, capsys):
         src = tmp_path / "toy.cwl"
         src.write_text("0 0\n1 1\n")
@@ -282,6 +319,27 @@ EXIT_2_CASES = {
         ["verify-distance", "--matrix", "{aug524}", "--d", "4"], "2e7", "normbch verify-distance: error:"),
     "check-lines-malformed-budget": (
         ["check-lines", "--q", "5", "--m", "2", "--d", "4"], "2e7", "normbch check-lines: error:"),
+    "gencode-m-beyond-field-budget": (
+        ["gencode", "--q", "5", "--m", "3000000", "--d", "5", "--out", "{tmp}/x.txt"],
+        None, "parameter error: invalid parameters:"),
+    "gencode-m-beyond-field-budget-relaxed": (
+        ["gencode", "--q", "5", "--m", "100000000", "--d", "5", "--relaxed", "--out", "{tmp}/x.txt"],
+        None, "parameter error: invalid parameters:"),
+    "gencode-huge-d": (["gencode", "--q", "5", "--m", "3", "--d", "100000", "--out", "{tmp}/x.txt"],
+                       None, "parameter error: invalid parameters:"),
+    "check-lines-m-beyond-field-budget": (
+        ["check-lines", "--q", "5", "--m", "3000000", "--d", "5", "--experimental"], None, "parameter error:"),
+    "gencode-q-beyond-int16": (
+        ["gencode", "--q", "40009", "--m", "1", "--d", "4", "--relaxed", "--out", "{tmp}/x.txt"],
+        None, "parameter error: invalid parameters:"),
+    "reduce-q2-beyond-budget": (
+        ["reduce", "--input", "{toy}", "--q2", "1000000000000", "--subset", "0,1,2"], None, "budget exceeded:"),
+    "reduce-q2-beyond-budget-sampled": (
+        ["reduce", "--input", "{toy}", "--q2", "1000000000000", "--subset", "0,1,2", "--trials", "1"],
+        None, "budget exceeded:"),
+    "reduce-trials-beyond-budget": (
+        ["reduce", "--input", "{toy}", "--q2", "4", "--subset", "0,1,2", "--trials", "10000001"],
+        None, "budget exceeded:"),
 }
 
 
@@ -307,7 +365,7 @@ def test_exit_2_contract(matrix_files, tmp_path, capsys, monkeypatch, argv, budg
     assert not list(tmp_path.glob("*.manifest.json"))
 
 
-@pytest.mark.parametrize("case", ["check-lines-out-missing-dir", "bounds-table-d1"])
+@pytest.mark.parametrize("case", ["check-lines-out-missing-dir", "bounds-table-d1", "reduce-q2-beyond-budget"])
 def test_exit_2_contract_entry_point(matrix_files, tmp_path, case):
     argv, _, prefix = EXIT_2_CASES[case]
     env = dict(os.environ)

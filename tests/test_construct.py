@@ -2,10 +2,12 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from normbch import (
     BasisPair,
     Codeword,
+    ParityCheckMatrix,
     apply_affine_permutation,
     augmented_matrix,
     bch_matrix,
@@ -56,6 +58,20 @@ class TestValidateParams:
     def test_d_below_three(self):
         p = validate_params(5, 3, 2)
         assert any("minimum supported distance" in v for v in p.violations)
+
+    @pytest.mark.parametrize(
+        "q, m, d, relaxed, rule",
+        [(5, 3_000_000, 5, False, "n=5^3000000 exceeds the field size budget"),
+         (5, 100_000_000, 5, True, "n=5^100000000 exceeds the field size budget"),
+         (5, 10**30, 4, False, "exceeds the field size budget"),
+         (5, 3, 100_000, False, "m=3 does not exceed (d-3)! = 99997!"),
+         (40009, 1, 4, True, "q=40009 exceeds 32767"),
+         (10**40 + 1, 1, 4, True, "exceeds 32767")],
+        ids=["m-3e6", "m-1e8-relaxed", "m-1e30", "d-1e5", "q-beyond-int16", "q-huge"],
+    )
+    def test_work_bounded_for_any_params(self, q, m, d, relaxed, rule):
+        p = validate_params(q, m, d, relaxed=relaxed)
+        assert any(rule in v for v in p.violations), p.violations
 
 
 class TestLocators:
@@ -217,6 +233,24 @@ class TestFiles:
         assert back.blocks == ha535.blocks
         assert (back.rows == ha535.rows).all()
         assert back.to_text() == ha535.to_text()
+
+    @given(data=st.data())
+    def test_matrix_file_roundtrip_property(self, tmp_path_factory, data):
+        q = data.draw(st.sampled_from([2, 3, 5, 7, 11, 32749]))
+        r = data.draw(st.integers(1, 4))
+        n = data.draw(st.integers(1, 6))
+        rows = data.draw(st.lists(st.lists(st.integers(0, q - 1), min_size=n, max_size=n),
+                                  min_size=r, max_size=r))
+        cuts = sorted(data.draw(st.sets(st.integers(1, r - 1)))) if r > 1 else []
+        names = data.draw(st.lists(st.from_regex(r"[a-z][a-z0-9]{0,5}", fullmatch=True),
+                                   min_size=len(cuts) + 1, max_size=len(cuts) + 1))
+        counts = [b - a for a, b in zip([0] + cuts, cuts + [r])]
+        matrix = ParityCheckMatrix(q, rows, list(zip(names, counts)))
+        path = tmp_path_factory.mktemp("roundtrip") / "m.txt"
+        write_matrix_file(matrix, path)
+        back = read_matrix_file(path)
+        assert (back.q, back.blocks, back.sha256()) == (q, matrix.blocks, matrix.sha256())
+        assert back.rows.tolist() == rows
 
     def test_matrix_text_format(self, h524):
         first = h524.to_text().splitlines()[0]

@@ -60,6 +60,11 @@ class TestMakeField:
         with pytest.raises(ValueError):
             make_field(2, 25)
 
+    def test_size_budget_for_any_degree(self):
+        # 5^3000000 would have over 4300 digits; the check never computes it
+        with pytest.raises(ValueError, match=r"5\^3000000 exceeds the budget"):
+            make_field(5, 3_000_000)
+
     def test_cached_on_field_only(self):
         assert make_field(5, 3) is make_field(5, 3, DEFAULT_MAX_FIELD_SIZE)
         assert make_field(5, 3) is make_field(5, 3, 5**3)
@@ -237,6 +242,14 @@ class TestEmbed:
         for bp in (self.BP535, self.BP524, make_basis_pair(5, 3, 4)):
             for h_i, g_i in zip(bp.h, bp.g):
                 assert embed_hat(h_i, bp) == g_i
+
+    def test_h_coordinates_map_onto_g(self):
+        # a non-polynomial h: h'_0 = 2*h_0 still goes to g_0, not to 2*g_0
+        bp = make_basis_pair(5, 3, 4)
+        h = (bp.field_m.scalar(2) * bp.h[0],) + bp.h[1:]
+        scaled = BasisPair(h, bp.g, 1)
+        for h_i, g_i in zip(h, bp.g):
+            assert embed_hat(h_i, scaled) == g_i
 
     def test_linearity_random(self):
         bp = self.BP535

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
@@ -13,7 +14,7 @@ from normbch import (
     write_codeword_list,
 )
 from normbch import reduce as reduce_module
-from normbch.reduce import all_shift_counts
+from normbch.reduce import DEFAULT_SHIFT_BUDGET, all_shift_counts
 
 TOY = ExplicitCode(q=4, n=4, words=((0, 0, 0, 0), (1, 1, 1, 1), (2, 2, 2, 2), (3, 3, 3, 3)))
 
@@ -80,6 +81,25 @@ class TestReduceExhaustive:
                 counts = all_shift_counts(code, subset)
                 assert counts.shape[0] == q**n
                 assert int(counts.sum()) == len(subset) ** n * len(code.words)
+
+    def test_no_words_gives_zero_counts(self):
+        code = ExplicitCode(q=3, n=2, words=())
+        assert all_shift_counts(code, [0, 1]).tolist() == [0] * 9
+
+    def test_memory_bounded_on_a_large_code(self):
+        # 2,120 words of length 6 over Z_4: one batch of all 4096 shifts as
+        # int64 symbols would take 417 MB
+        rng = random.Random(1)
+        words = sorted({tuple(rng.randrange(4) for _ in range(6)) for _ in range(3000)})
+        code = ExplicitCode(q=4, n=6, words=tuple(words))
+        tracemalloc.start()
+        try:
+            result = reduce_alphabet(code, [0, 1, 2])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (len(words), result.achieved, result.shift) == (2120, 416, (3, 0, 3, 0, 0, 1))
+        assert peak <= 4 * reduce_module._BATCH_BYTES
 
     def test_budget_guard(self):
         big = ExplicitCode(q=4, n=13, words=((0,) * 13,))
@@ -175,7 +195,7 @@ REDUCE_PINS = [
 @pytest.mark.parametrize("one_shift_per_batch", [False, True], ids=["default-batch", "one-shift-batch"])
 def test_reduce_pinned(monkeypatch, one_shift_per_batch):
     if one_shift_per_batch:
-        monkeypatch.setattr(reduce_module, "_SHIFT_BATCH", 1)
+        monkeypatch.setattr(reduce_module, "_BATCH_BYTES", 1)
     for (code, subset, trials), (shift, achieved, digest) in zip(_pinned_cases(), REDUCE_PINS, strict=True):
         results = [reduce_alphabet(code, subset)] + [
             reduce_alphabet(code, subset, mode="sampled", trials=trials, seed=seed) for seed in (0, 3)
@@ -206,6 +226,16 @@ class TestReduceSampled:
     def test_needs_a_trial(self, trials):
         with pytest.raises(ValueError, match="at least one trial"):
             reduce_alphabet(TOY, [0, 1, 2], mode="sampled", trials=trials)
+
+    def test_trials_count_against_the_budget(self):
+        with pytest.raises(BudgetExceededError, match="shifts"):
+            reduce_alphabet(TOY, [0, 1], mode="sampled", trials=DEFAULT_SHIFT_BUDGET + 1)
+
+    @pytest.mark.parametrize("mode", ["exhaustive", "sampled"])
+    def test_alphabet_beyond_the_budget_allocates_nothing(self, mode):
+        code = ExplicitCode(q=10**12, n=1, words=((5,),))
+        with pytest.raises(BudgetExceededError):
+            reduce_alphabet(code, [0, 1], mode=mode, trials=1)
 
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
