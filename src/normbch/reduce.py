@@ -85,7 +85,8 @@ def _scan(code: ExplicitCode, subset: list[int], total: int, shift_rows):
         raise BudgetExceededError(code.q, DEFAULT_SHIFT_BUDGET, what="alphabet symbols")
     dtype = np.min_scalar_type(2 * (code.q - 1))
     words = np.array(code.words, dtype=dtype).reshape(-1, code.n)
-    member = np.isin(np.arange(2 * code.q) % code.q, subset)  # indexed by symbol + shift, not mod q2
+    member = np.zeros(2 * code.q, dtype=bool)  # indexed by symbol + shift, not mod q2
+    member[subset + [s + code.q for s in subset]] = True
     batch = max(1, _BATCH_BYTES // (16 * (code.n + len(words))))
     for start in range(0, total, batch):
         shifts = np.array(shift_rows(start, min(start + batch, total)), dtype=dtype).reshape(-1, code.n)
