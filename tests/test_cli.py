@@ -286,6 +286,116 @@ class TestReduce:
         assert "parameter error" in stderr
 
 
+# Each case: argv (run in a directory holding aug524.txt, bch535.txt and
+# toy.cwl), the exit code, the exact stdout with the elapsed_s value masked, and the
+# exact contents of the --out file for the commands that write their
+# text there.
+_CERT_524 = (
+    "verdict=certified",
+    "distance_bound=4",
+    "matrix_sha256=988c52af8609dcf38a38dff8c5e74de8f180eb900d4bd8cb1822c0ab2f8997ba",
+    "subset_count=2300",
+    "subsets_examined=2300",
+    "threads=1",
+    "elapsed_s=*",
+)
+_CEX_535 = (
+    "verdict=counterexample",
+    "distance_bound=5",
+    "matrix_sha256=29c946851f3c25674f59365651ba32d8585896c1fbf1e4e7e021504d92115f54",
+    "subset_count=9691375",
+    "subsets_examined=25307",
+    "threads=1",
+    "elapsed_s=*",
+    "counterexample_positions=1,7,23,30",
+    "counterexample_coeffs=1,2,4,3",
+    "counterexample_weight=4",
+)
+_LINES_524 = ("q=5 m=2 d=4", "weight=3", "subset_count=2300", "words_found=300", "on_line=300",
+              "violations=0", "theorem_applies=true")
+_LINES_525 = ("q=5 m=2 d=5", "weight=4", "subset_count=12650", "words_found=350", "on_line=150",
+              "violations=200", "theorem_applies=false")
+PINNED_TEXT = {
+    "gencode-aug524": (
+        ["gencode", "--q", "5", "--m", "2", "--d", "4", "--out", "h.txt"], 0,
+        ("wrote h.txt", "n=25 rows=4 rank=4 dimension=21", "blocks=ones:1,pow1:2,norm:1",
+         "matrix_sha256=988c52af8609dcf38a38dff8c5e74de8f180eb900d4bd8cb1822c0ab2f8997ba"), None),
+    "gencode-bch535": (
+        ["gencode", "--q", "5", "--m", "3", "--d", "5", "--bch-only", "--out", "h.txt"], 0,
+        ("wrote h.txt", "n=125 rows=7 rank=7 dimension=118", "blocks=ones:1,pow1:3,pow2:3",
+         "matrix_sha256=29c946851f3c25674f59365651ba32d8585896c1fbf1e4e7e021504d92115f54"), None),
+    "verify-distance-certified": (
+        ["verify-distance", "--matrix", "aug524.txt", "--d", "4", "--out", "cert.txt"], 0, _CERT_524, _CERT_524),
+    "verify-distance-counterexample": (
+        ["verify-distance", "--matrix", "bch535.txt", "--d", "5", "--out", "cert.txt"], 1, _CEX_535, _CEX_535),
+    "check-lines-proven": (
+        ["check-lines", "--q", "5", "--m", "2", "--d", "4", "--out", "lines.txt"], 0, _LINES_524, _LINES_524),
+    "check-lines-experimental": (
+        ["check-lines", "--q", "5", "--m", "2", "--d", "5", "--experimental", "--out", "lines.txt"], 1,
+        _LINES_525, _LINES_525),
+    "bounds-two-specials": (
+        ["bounds", "--q", "3", "--d", "4"], 0,
+        ("q=3 d=4", "hamming_lower=1", "varshamov_upper=2", "gilbert_upper=3", "bch_upper=2",
+         "new_upper=3/2", "special_caps-general=1.4685", "special_ternary-caps-record=3449/2500",
+         "best_upper=3449/2500 [ternary-caps-record]", "exact=false"), None),
+    "bounds-no-special": (
+        ["bounds", "--q", "2", "--d", "7"], 0,
+        ("q=2 d=7", "hamming_lower=3", "varshamov_upper=5", "gilbert_upper=6", "bch_upper=3",
+         "new_upper=21/5", "best_upper=3 [bch]", "exact=true"), None),
+    "bounds-norm-bch": (
+        ["bounds", "--q", "5", "--d", "5"], 0,
+        ("q=5 d=5", "hamming_lower=2", "varshamov_upper=3", "gilbert_upper=4", "bch_upper=3",
+         "new_upper=7/3", "special_d5-family=7/3", "best_upper=7/3 [norm-bch]", "exact=false"), None),
+    "bounds-quaternary-d6": (
+        ["bounds", "--q", "4", "--d", "6"], 0,
+        ("q=4 d=6", "hamming_lower=2", "varshamov_upper=4", "gilbert_upper=5", "bch_upper=3",
+         "new_upper=13/4", "special_d6-family=3", "special_quaternary-d6=17/6",
+         "best_upper=17/6 [quaternary-d6]", "exact=false"), None),
+    "bounds-table": (
+        ["bounds", "--table", "2..5", "4..6"], 0,
+        ("q\\d   d=4                              d=5                              d=6                              ",
+         "q=2   1 [bch] =                        2 [bch] =                        2 [bch] =                        ",
+         "q=3   3449/2500 [ternary-caps-record]  2 [bch] =                        5/2 [ternary-d6]                 ",
+         "q=4   29/20 [quaternary-caps]          2 [quaternary-d5] =              17/6 [quaternary-d6]             ",
+         "q=5   1.4913 [caps-general]            7/3 [norm-bch]                   3 [d6-family]                    "),
+        None),
+    "reduce-exhaustive": (
+        ["reduce", "--input", "toy.cwl", "--q2", "4", "--subset", "0,1,2", "--out", "sub.cwl"], 0,
+        ("mode=exhaustive", "shift=0,0,0,0", "achieved=3", "average=1.2656", "floor=2", "guaranteed=true",
+         "subcode_size=3"),
+        ("0 0 0 0", "1 1 1 1", "2 2 2 2")),
+    "reduce-sampled": (
+        ["reduce", "--input", "toy.cwl", "--q2", "4", "--subset", "0,1,2", "--trials", "32", "--seed", "5"], 0,
+        ("mode=sampled", "shift=1,1,1,1", "achieved=3", "average=1.2656", "floor=2", "guaranteed=false",
+         "subcode_size=3"), None),
+}
+
+
+def _mask_elapsed(text):
+    return re.sub(r"^elapsed_s=\d+\.\d{3}$", "elapsed_s=*", text, flags=re.M)
+
+
+@pytest.fixture
+def pin_dir(matrix_files, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("NORMBCH_BUDGET", raising=False)
+    for name in ("aug524", "bch535"):
+        (tmp_path / f"{name}.txt").write_bytes(matrix_files[name].read_bytes())
+    (tmp_path / "toy.cwl").write_text("0 0 0 0\n1 1 1 1\n2 2 2 2\n3 3 3 3\n")
+    return tmp_path
+
+
+@pytest.mark.parametrize("argv, exit_code, stdout, written", PINNED_TEXT.values(), ids=PINNED_TEXT.keys())
+def test_text_pinned(pin_dir, capsys, argv, exit_code, stdout, written):
+    code, out, err = run(capsys, *argv)
+    assert code == exit_code
+    assert err == ""
+    assert _mask_elapsed(out) == "".join(line + "\n" for line in stdout)
+    if written is not None:
+        text = (pin_dir / argv[argv.index("--out") + 1]).read_text()
+        assert _mask_elapsed(text) == "".join(line + "\n" for line in written)
+
+
 def test_version_flag(capsys):
     assert main(["--version"]) == 0
     assert "normbch" in capsys.readouterr().out
