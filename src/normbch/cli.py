@@ -1,6 +1,13 @@
 """Command line entry point.
 
 Subcommands: gencode, verify-distance, check-lines, bounds, reduce.
+Each builds its result once, as a record: a dict whose keys are the
+keys of its text output.  A small per-command layout renders the record
+as text, one `key=value` line per key in record order unless the layout
+gives a key its own str.format line (or none); bools print in lower
+case, lists comma-joined and a dict as `name:count,...`.  That text goes
+to stdout and to the verify-distance and check-lines --out files, and
+--json prints the record itself.
 Exit codes: 0 success or certified, 1 mathematical counterexample or
 violation, 2 usage, parameter, file or budget error.  Subcommands only
 compute and print; they raise on bad input, and main() alone turns
@@ -18,9 +25,9 @@ import argparse
 import hashlib
 import json
 import os
+import string
 import sys
 import time
-from fractions import Fraction
 
 from . import __version__
 from .bounds import best_known, bounds_table, empirical_rho, format_bound
@@ -65,40 +72,35 @@ def _write_manifest(args, elapsed: float) -> None:
         fh.write("\n")
 
 
-def _emit(lines_or_obj, as_json: bool) -> None:
-    if as_json:
-        print(json.dumps(lines_or_obj[1], indent=2, sort_keys=True, default=str))
-    else:
-        for line in lines_or_obj[0]:
-            print(line)
+def _text(value) -> str:
+    """A record value as text: bools in lower case, a dict as name:count,...,
+    a list comma-joined."""
+    if isinstance(value, bool):
+        return str(value).lower()
+    if isinstance(value, dict):
+        return ",".join(f"{name}:{count}" for name, count in value.items())
+    if isinstance(value, list):
+        return ",".join(str(v) for v in value)
+    return str(value)
 
 
-def _cert_payload(cert):
-    lines = [
-        f"verdict={cert.verdict}",
-        f"distance_bound={cert.distance_bound}",
-        f"matrix_sha256={cert.matrix_sha256}",
-        f"subset_count={cert.subset_count}",
-        f"subsets_examined={cert.subsets_examined}",
-        f"threads={cert.threads}",
-        f"elapsed_s={cert.elapsed_s:.3f}",
-    ]
-    obj = {
-        "verdict": cert.verdict,
-        "distance_bound": cert.distance_bound,
-        "matrix_sha256": cert.matrix_sha256,
-        "subset_count": cert.subset_count,
-        "subsets_examined": cert.subsets_examined,
-        "threads": cert.threads,
-        "elapsed_s": round(cert.elapsed_s, 6),
-    }
-    if cert.counterexample is not None:
-        cw = cert.counterexample
-        lines.append("counterexample_positions=" + ",".join(str(j) for j in cw.support))
-        lines.append("counterexample_coeffs=" + ",".join(str(c) for c in cw.coeffs))
-        lines.append(f"counterexample_weight={cw.weight}")
-        obj["counterexample"] = {"positions": list(cw.support), "coeffs": list(cw.coeffs)}
-    return lines, obj
+class _Formatter(string.Formatter):
+    def format_field(self, value, format_spec):
+        # a field with a spec, such as {average:.4f}, keeps it
+        return format(value, format_spec) if format_spec else _text(value)
+
+
+def _emit(record: dict, layout: dict, as_json: bool, out=None) -> None:
+    """Print the record as text, or as JSON when as_json, after writing the
+    text to out when given.  The text has one line per record key, in record
+    order: key=value, unless the layout maps the key to its own line, or to
+    "" for none."""
+    lines = (layout.get(key, f"{key}={{{key}}}") for key in record)
+    text = "".join(_Formatter().format(line, **record) + "\n" for line in lines if line)
+    if out:
+        with open(out, "w") as fh:
+            fh.write(text)
+    sys.stdout.write(json.dumps(record, indent=2, sort_keys=True) + "\n" if as_json else text)
 
 
 def cmd_gencode(args) -> int:
@@ -108,80 +110,47 @@ def cmd_gencode(args) -> int:
     with open(args.out, "w") as fh:  # opened first, so an unwritable --out fails before the build
         matrix = bch_matrix(params) if args.bch_only else augmented_matrix(params)
         fh.write(matrix.to_text())
-    lines = [
-        f"wrote {args.out}",
-        f"n={matrix.n} rows={matrix.row_count} rank={matrix.rank()} dimension={matrix.dimension()}",
-        "blocks=" + ",".join(f"{name}:{c}" for name, c in matrix.blocks),
-        f"matrix_sha256={matrix.sha256()}",
-    ]
-    obj = {
-        "out": args.out,
-        "n": matrix.n,
-        "rows": matrix.row_count,
-        "rank": matrix.rank(),
-        "dimension": matrix.dimension(),
-        "blocks": dict(matrix.blocks),
-        "matrix_sha256": matrix.sha256(),
-    }
-    _emit((lines, obj), args.json)
+    record = dict(out=args.out, n=matrix.n, rows=matrix.row_count, rank=matrix.rank(),
+                  dimension=matrix.dimension(), blocks=dict(matrix.blocks), matrix_sha256=matrix.sha256())
+    _emit(record, {"out": "wrote {out}", "n": "n={n} rows={rows} rank={rank} dimension={dimension}",
+                   "rows": "", "rank": "", "dimension": ""}, args.json)
     return EXIT_OK
 
 
 def cmd_verify_distance(args) -> int:
     matrix = read_matrix_file(args.matrix)
     cert = min_distance_at_least(matrix, args.d, budget=args.budget, threads=args.threads)
-    payload = _cert_payload(cert)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write("\n".join(payload[0]) + "\n")
-    _emit(payload, args.json)
+    record = dict(verdict=cert.verdict, distance_bound=cert.distance_bound, matrix_sha256=cert.matrix_sha256,
+                  subset_count=cert.subset_count, subsets_examined=cert.subsets_examined,
+                  threads=cert.threads, elapsed_s=round(cert.elapsed_s, 6))
+    if cert.counterexample is not None:
+        cw = cert.counterexample
+        record.update(counterexample_positions=list(cw.support), counterexample_coeffs=list(cw.coeffs),
+                      counterexample_weight=cw.weight)
+    _emit(record, {"elapsed_s": "elapsed_s={elapsed_s:.3f}"}, args.json, args.out)
     return EXIT_OK if cert.certified else EXIT_COUNTEREXAMPLE
 
 
 def cmd_check_lines(args) -> int:
     params = validate_params(args.q, args.m, args.d, relaxed=args.relaxed)
     report = verify_lines_theorem(params, budget=args.budget, experimental=args.experimental)
-    lines = [
-        f"q={args.q} m={args.m} d={args.d}",
-        f"weight={report.weight}",
-        f"subset_count={report.subset_count}",
-        f"words_found={report.words_found}",
-        f"on_line={report.on_line}",
-        f"violations={report.violation_count}",
-        f"theorem_applies={str(report.theorem_applies).lower()}",
-    ]
-    obj = {
-        "q": args.q,
-        "m": args.m,
-        "d": args.d,
-        "weight": report.weight,
-        "subset_count": report.subset_count,
-        "words_found": report.words_found,
-        "on_line": report.on_line,
-        "violations": report.violation_count,
-        "theorem_applies": report.theorem_applies,
-    }
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
-    _emit((lines, obj), args.json)
+    record = dict(q=args.q, m=args.m, d=args.d, weight=report.weight, subset_count=report.subset_count,
+                  words_found=report.words_found, on_line=report.on_line,
+                  violations=report.violation_count, theorem_applies=report.theorem_applies)
+    _emit(record, {"q": "q={q} m={m} d={d}", "m": "", "d": ""}, args.json, args.out)
     return EXIT_OK if report.violation_count == 0 else EXIT_COUNTEREXAMPLE
 
 
-def _bound_obj(report):
+def _bound_record(q: int, d: int) -> dict:
+    report = best_known(q, d)
     return {
-        "q": report.q,
-        "d": report.d,
-        "hamming_lower": report.hamming_lower,
-        "varshamov_upper": report.varshamov_upper,
-        "gilbert_upper": report.gilbert_upper,
-        "bch_upper": report.bch_upper,
+        "q": q, "d": d,
+        "hamming_lower": report.hamming_lower, "varshamov_upper": report.varshamov_upper,
+        "gilbert_upper": report.gilbert_upper, "bch_upper": report.bch_upper,
         "new_upper": format_bound(report.new_upper),
-        "special": [[format_bound(v), label] for v, label in report.special],
-        "best_upper": format_bound(report.best_upper),
-        "best_source": report.best_source,
-        "exact": report.exact,
-        "consistent": report.consistent,
+        **{f"special_{label}": format_bound(value) for value, label in report.special},
+        "best_upper": format_bound(report.best_upper), "best_source": report.best_source,
+        "exact": report.exact, "consistent": report.consistent,
     }
 
 
@@ -198,27 +167,15 @@ def cmd_bounds(args) -> int:
     if args.table:
         q_range, d_range = (_table_range(t) for t in args.table)
         if args.json:
-            reports = [_bound_obj(best_known(q, d)) for q in q_range for d in d_range]
-            print(json.dumps(reports, indent=2, sort_keys=True))
+            records = [_bound_record(q, d) for q in q_range for d in d_range]
+            print(json.dumps(records, indent=2, sort_keys=True))
         else:
             print(bounds_table(q_range, d_range))
         return EXIT_OK
     if args.q is None or args.d is None:
         raise ValueError("either --q and --d, or --table, is required")
-    report = best_known(args.q, args.d)
-    lines = [
-        f"q={report.q} d={report.d}",
-        f"hamming_lower={report.hamming_lower}",
-        f"varshamov_upper={report.varshamov_upper}",
-        f"gilbert_upper={report.gilbert_upper}",
-        f"bch_upper={report.bch_upper}",
-        f"new_upper={format_bound(report.new_upper)}",
-    ]
-    for value, label in report.special:
-        lines.append(f"special_{label}={format_bound(value)}")
-    lines.append(f"best_upper={format_bound(report.best_upper)} [{report.best_source}]")
-    lines.append(f"exact={str(report.exact).lower()}")
-    _emit((lines, _bound_obj(report)), args.json)
+    _emit(_bound_record(args.q, args.d), {"q": "q={q} d={d}", "d": "", "best_source": "", "consistent": "",
+                                          "best_upper": "best_upper={best_upper} [{best_source}]"}, args.json)
     return EXIT_OK
 
 
@@ -232,27 +189,12 @@ def cmd_reduce(args) -> int:
         if mode == "exhaustive":
             exc.args = (f"{exc}; pass --trials to sample instead",)
         raise
-    lines = [
-        f"mode={result.mode}",
-        "shift=" + ",".join(str(v) for v in result.shift),
-        f"achieved={result.achieved}",
-        f"average={result.average:.4f}",
-        f"floor={result.floor}",
-        f"guaranteed={str(result.guaranteed).lower()}",
-        f"subcode_size={len(result.subcode.words)}",
-    ]
-    obj = {
-        "mode": result.mode,
-        "shift": list(result.shift),
-        "achieved": result.achieved,
-        "average": result.average,
-        "floor": result.floor,
-        "guaranteed": result.guaranteed,
-        "subcode_size": len(result.subcode.words),
-    }
     if args.out:
         write_codeword_list(result.subcode, args.out)
-    _emit((lines, obj), args.json)
+    record = dict(mode=result.mode, shift=list(result.shift), achieved=result.achieved,
+                  average=result.average, floor=result.floor, guaranteed=result.guaranteed,
+                  subcode_size=len(result.subcode.words))
+    _emit(record, {"average": "average={average:.4f}"}, args.json)
     return EXIT_OK
 
 

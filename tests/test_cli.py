@@ -396,6 +396,53 @@ def test_text_pinned(pin_dir, capsys, argv, exit_code, stdout, written):
         assert _mask_elapsed(text) == "".join(line + "\n" for line in written)
 
 
+def _matches(token, value):
+    """Whether a text token shows the JSON value: bools lower case, lists
+    comma-joined, a dict as name:count,..., floats to the token's decimals."""
+    if isinstance(value, bool):
+        return token == str(value).lower()
+    if isinstance(value, dict):
+        return dict(item.split(":") for item in token.split(",")) == {k: str(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return token == ",".join(str(v) for v in value)
+    if isinstance(value, float):
+        return token == f"{value:.{len(token.partition('.')[2])}f}"
+    return token == str(value)
+
+
+@pytest.mark.parametrize("argv", [argv for argv, *_ in PINNED_TEXT.values() if "--table" not in argv],
+                         ids=[key for key, (argv, *_) in PINNED_TEXT.items() if "--table" not in argv])
+def test_text_renders_the_json_record(pin_dir, capsys, argv):
+    _, text, _ = run(capsys, *argv)
+    _, out, _ = run(capsys, *argv, "--json")
+    record = json.loads(out)
+    tokens = [tok.partition("=") for tok in text.split() if "=" in tok]
+    assert tokens
+    for key, _, value in tokens:
+        if key == "elapsed_s":  # wall clock of two separate runs
+            assert isinstance(record[key], float)
+        else:
+            assert _matches(value, record[key]), key
+
+
+def test_json_keys_are_the_text_keys(pin_dir, capsys):
+    _, out, _ = run(capsys, "verify-distance", "--matrix", "bch535.txt", "--d", "5", "--json")
+    record = json.loads(out)
+    assert "counterexample" not in record
+    assert record["counterexample_positions"] == [1, 7, 23, 30]
+    assert record["counterexample_coeffs"] == [1, 2, 4, 3]
+    assert record["counterexample_weight"] == 4
+    _, out, _ = run(capsys, "bounds", "--q", "3", "--d", "4", "--json")
+    record = json.loads(out)
+    assert "special" not in record
+    assert record["special_caps-general"] == "1.4685"
+    assert record["special_ternary-caps-record"] == "3449/2500"
+    assert record["best_source"] == "ternary-caps-record" and record["consistent"] is True
+    singles =[json.loads(run(capsys, "bounds", "--q", str(q), "--d", str(d), "--json")[1])
+               for q in (2, 3) for d in (4, 5)]
+    assert json.loads(run(capsys, "bounds", "--table", "2..3", "4..5", "--json")[1]) == singles
+
+
 def test_version_flag(capsys):
     assert main(["--version"]) == 0
     assert "normbch" in capsys.readouterr().out
