@@ -1,5 +1,13 @@
 """Shared exception types."""
 
+import math
+
+
+def _count(value: int) -> str:
+    # Exact below 10^18; a larger count prints as a power of ten, so one
+    # with thousands of digits never meets Python's int-to-str limit.
+    return str(value) if value < 10**18 else f"about 10^{math.floor(math.log10(value))}"
+
 
 class BudgetExceededError(RuntimeError):
     """A requested enumeration is larger than the configured budget.
@@ -9,7 +17,7 @@ class BudgetExceededError(RuntimeError):
     """
 
     def __init__(self, needed: int, budget: int, what: str = "subsets"):
-        super().__init__(f"{needed} {what} needed, budget is {budget}")
+        super().__init__(f"{_count(needed)} {what} needed, budget is {_count(budget)}")
         self.needed = needed
         self.budget = budget
         self.what = what

@@ -207,11 +207,28 @@ def write_codeword_list(code: ExplicitCode, path) -> None:
 
 
 def read_codeword_list(path, q: int) -> ExplicitCode:
-    words = []
+    """Read one word per line, symbols space-separated; blank lines are skipped.
+
+    Raises ValueError naming the file line when a symbol is not a digit in
+    [0, q), a word's length differs from the first word's, or a word repeats.
+    """
+    words: dict[tuple[int, ...], int] = {}  # word -> its line
+    digits = len(str(q))  # a longer symbol is out of range, and int() never sees it
     with open(path) as fh:
-        for line in fh:
-            if line.strip():
-                words.append(tuple(int(v) for v in line.split()))
+        for number, line in enumerate(fh, start=1):
+            symbols = line.split()
+            bad = [v for v in symbols if not (v.isdecimal() and len(v.lstrip("0")) <= digits and int(v) < q)]
+            if bad:
+                raise ValueError(f"{path}:{number}: symbol {bad[0]!r} is not a digit in [0, {q})")
+            if not symbols:
+                continue
+            word = tuple(int(v) for v in symbols)
+            n = len(next(iter(words), word))
+            if len(word) != n:
+                raise ValueError(f"{path}:{number}: {len(word)} symbols, expected {n} as in the first word")
+            if word in words:
+                raise ValueError(f"{path}:{number}: repeats the word of line {words[word]}")
+            words[word] = number
     if not words:
-        raise ValueError("empty codeword list")
-    return ExplicitCode(q=q, n=len(words[0]), words=tuple(words))
+        raise ValueError(f"{path}: empty codeword list")
+    return ExplicitCode(q=q, n=len(next(iter(words))), words=tuple(words))

@@ -278,6 +278,27 @@ class TestReduce:
         assert stderr.startswith("budget exceeded:")
         assert ("pass --trials" in stderr) == hint
 
+    @given(data=st.data())
+    def test_corrupted_codeword_list(self, tmp_path_factory, data):
+        # Replace one token (a run of non-whitespace) of a five-word list over Z_4.
+        text = "0 0 0 0\n1 1 1 1\n2 2 2 2\n3 3 3 3\n0 1 2 3\n"
+        tokens = list(re.finditer(r"\S+", text))
+        tok = tokens[data.draw(st.integers(0, len(tokens) - 1))]
+        new = data.draw(st.one_of(
+            st.sampled_from(["", "0", "3", "4", "-1", "+1", "1_0", "00", "9" * 30, "9" * 5000, "x", "\n",
+                             "0 0", "1 2 3"]),
+            st.text(max_size=4)))
+        path = tmp_path_factory.mktemp("corrupt") / "code.cwl"
+        path.write_text(text[: tok.start()] + new + text[tok.end() :], encoding="utf-8")
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["reduce", "--input", str(path), "--q2", "4", "--subset", "0,1,2"])
+        assert code in (0, 2)
+        if code == 2:
+            assert out.getvalue() == ""
+            assert len(err.getvalue().splitlines()) == 1
+            assert err.getvalue().startswith(f"parameter error: {path}")
+
     def test_bad_subset(self, tmp_path, capsys):
         src = tmp_path / "toy.cwl"
         src.write_text("0 0\n1 1\n")
@@ -449,7 +470,8 @@ def test_version_flag(capsys):
 
 
 # Each case: argv with {missing} (an --out path in a missing directory),
-# {aug524} (a matrix file) and {toy} (a codeword list) filled in, the
+# {aug524} (a matrix file), {toy} (a codeword list) and {long} (one
+# binary word of length 15,000) filled in, the
 # NORMBCH_BUDGET value or None, and the prefix of the one stderr line.
 EXIT_2_CASES = {
     "gencode-out-missing-dir": (
@@ -497,14 +519,19 @@ EXIT_2_CASES = {
     "reduce-trials-beyond-budget": (
         ["reduce", "--input", "{toy}", "--q2", "4", "--subset", "0,1,2", "--trials", "10000001"],
         None, "budget exceeded:"),
+    "reduce-count-beyond-digit-limit": (  # 2^15000 shifts: a count of 4516 digits
+        ["reduce", "--input", "{long}", "--q2", "2", "--subset", "0"],
+        None, "budget exceeded: about 10^4515 shifts needed, budget is 10000000"),
 }
 
 
 def _fill(argv, matrix_files, tmp_path):
     toy = tmp_path / "toy.cwl"
     toy.write_text("0 0 0 0\n1 1 1 1\n2 2 2 2\n3 3 3 3\n")
+    long = tmp_path / "long.cwl"
+    long.write_text(" ".join(["1"] * 15000) + "\n")
     paths = {"missing": tmp_path / "no-such-dir" / "out.txt", "aug524": matrix_files["aug524"],
-             "toy": toy, "tmp": tmp_path}
+             "toy": toy, "long": long, "tmp": tmp_path}
     return [a.format(**paths) for a in argv]
 
 
