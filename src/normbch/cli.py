@@ -180,7 +180,11 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_reduce(args) -> int:
-    subset = [int(t) for t in args.subset.split(",")]
+    try:
+        subset = [int(t) for t in args.subset.split(",")]
+    except ValueError:
+        form = "comma-separated integers such as 0,1,2"
+        raise ValueError(f"--subset takes {form}, got {args.subset!r}") from None
     code = read_codeword_list(args.input, args.q2)
     mode = "exhaustive" if args.trials is None else "sampled"
     try:

@@ -350,11 +350,12 @@ def read_matrix_file(path) -> ParityCheckMatrix:
     if len(body) != r:
         raise ValueError(f"{path}: {len(body)} rows after the header, expected r={r}")
     rows = []  # built from the file's own entries, so a huge n in the header allocates nothing
+    digits = len(str(q))  # a longer entry is out of range, and int() never sees it
     for number, line in enumerate(body, start=2):
         entries = line.split()
         if len(entries) != n:
             raise ValueError(f"{path}:{number}: {len(entries)} entries, expected n={n}")
-        bad = [e for e in entries if not (e.isdecimal() and int(e) < q)]
+        bad = [e for e in entries if not (e.isdecimal() and len(e.lstrip("0")) <= digits and int(e) < q)]
         if bad:
             raise ValueError(f"{path}:{number}: entry {bad[0]!r} is not a digit in [0, {q})")
         rows.append([int(e) for e in entries])

@@ -1,12 +1,23 @@
 """Exhaustive distance certification and affine-line validation.
 
 Both jobs run on _kernel_words, an exhaustive form of Stern's
-syndrome-collision search: a weight-v kernel vector with first
-coefficient 1 splits into x on its first ceil(v/2) positions and y on
-the rest, with Hx = -Hy.  Sorting the syndromes of every x (lead
-coefficient 1) together with the negated syndromes of every y and
-pairing equal ones with max supp(x) < min supp(y) yields each word
-exactly once.  Passes over a fixed memory cap are refused up front.
+syndrome-collision search: a weight-v vector z with Hz = t splits into
+x on its first ceil(v/2) positions and -y on the rest, with
+Hx = Hy + t.  Sorting the syndromes Hx of every x together with the
+Hy + t of every y and pairing equal ones with
+max supp(x) < min supp(y) yields each vector exactly once.  For t = 0
+the first coefficient of x is fixed to 1, giving one kernel word per
+scalar class.  Passes over a fixed memory cap are refused up front.
+
+The line check examines representatives only.  The maps x -> a*x + b
+(a nonzero) preserve the base code and act doubly transitively on the
+locators (Kasami, Lin and Peterson, 1967), so every weight-v word is an
+image of a representative: a word whose support holds locator 1
+(position n-1) and locator 0 (position n).  Those are the weight-(v-2)
+solutions of Hz = -(h_n + c*h_(n-1)), c = 1..q-1, completed by c and 1.
+An invariant set with R representatives has R*n(n-1)/(v(v-1)) members,
+which gives every count; the violating words themselves are the images
+of the off-line representatives, mapped through the field tables.
 
 Distance >= d holds when no (d-1)-subset of columns is dependent.  A
 counterexample is the colex-first dependent (d-1)-subset: the
@@ -94,26 +105,26 @@ class LinesReport:
         return len(self.violations)
 
 
-def _check_memory(r: int, n: int, q: int, v: int, words: int = 0) -> None:
+def _check_memory(r: int, n: int, q: int, v: int, words: int = 0, lead_one: bool = True) -> None:
     """Refuse a weight-v pass over n columns that would exceed MEMORY_CAP_BYTES.
 
     A slot per x and y half-vector and v + 1 per output word; a slot is
     r syndrome entries plus 40 bytes (37 in all measured at r=8, q=7).
     """
     a = (v + 1) // 2
-    slots = math.comb(n, a) * (q - 1) ** (a - 1) + math.comb(n, v - a) * (q - 1) ** (v - a)
+    slots = math.comb(n, a) * (q - 1) ** (a - lead_one) + math.comb(n, v - a) * (q - 1) ** (v - a)
     slots += (v + 1) * words
     per_slot = r * np.min_scalar_type(q - 1).itemsize + 40
     if slots * per_slot > MEMORY_CAP_BYTES:
         raise BudgetExceededError(slots, MEMORY_CAP_BYTES // per_slot, what="half-vectors")
 
 
-def _half_table(rows: np.ndarray, q: int, k: int, lead_one: bool, out: np.ndarray):
+def _half_table(rows: np.ndarray, q: int, k: int, lead_one: bool, out: np.ndarray, offset=None):
     """Supports and coefficients of every weight-k vector on the columns of rows.
 
     Coefficients run over 1..q-1, the first fixed to 1 with lead_one.
     Column s * len(coeffs) + i of out gets the syndrome of support s
-    with coefficient row i.
+    with coefficient row i, plus offset (a syndrome) when given.
     """
     n = rows.shape[1]
     n_supports = math.comb(n, k)
@@ -123,29 +134,36 @@ def _half_table(rows: np.ndarray, q: int, k: int, lead_one: bool, out: np.ndarra
     coeffs = np.array([(1,) * lead_one + t for t in tails], dtype=np.intp).reshape(len(tails), k)
     work = np.min_scalar_type(q * q)  # holds acc + c * h for acc, c, h < q
     cols = rows.astype(work)[:, supports]
+    start = np.zeros((rows.shape[0], 1), dtype=work)
+    if offset is not None:
+        start[:, 0] = np.asarray(offset) % q
     for i, pattern in enumerate(coeffs.tolist()):
-        acc = np.zeros(cols.shape[:2], dtype=work)
+        acc = np.broadcast_to(start, cols.shape[:2])
         for j, c in enumerate(pattern):
             acc = (acc + c * cols[:, :, j]) % q
         out[:, i :: len(coeffs)] = acc
     return supports, coeffs
 
 
-def _kernel_words(rows: np.ndarray, q: int, v: int) -> tuple[np.ndarray, np.ndarray]:
-    """Every weight-v kernel vector of rows over GF(q) whose first coefficient is 1.
+def _kernel_words(rows: np.ndarray, q: int, v: int, target=None) -> tuple[np.ndarray, np.ndarray]:
+    """Every weight-v vector z over GF(q) with rows @ z = target (default 0).
 
-    Returns (supports, coeffs), two (N, v) arrays of ascending 0-based
-    column indices and their coefficients, in no particular order.
-    Raises BudgetExceededError, counting half-vectors, when the pass
-    would need more than MEMORY_CAP_BYTES.
+    Without a target the first coefficient is 1, one vector per scalar
+    class; with one, every coefficient runs over 1..q-1.  Returns
+    (supports, coeffs), two (N, v) arrays of ascending 0-based column
+    indices and their coefficients, in no particular order.  Raises
+    BudgetExceededError, counting half-vectors, when the pass would
+    need more than MEMORY_CAP_BYTES.
     """
     r, n = rows.shape
     a = (v + 1) // 2
-    n_x = math.comb(n, a) * (q - 1) ** (a - 1)
-    _check_memory(r, n, q, v)
+    lead_one = target is None
+    n_x = math.comb(n, a) * (q - 1) ** (a - lead_one)
+    _check_memory(r, n, q, v, lead_one=lead_one)
     keys = np.empty((r, n_x + math.comb(n, v - a) * (q - 1) ** (v - a)), dtype=np.min_scalar_type(q - 1))
-    xs, xc = _half_table(rows, q, a, True, keys[:, :n_x])
-    ys, yc = _half_table(rows, q, v - a, False, keys[:, n_x:])  # Hx = Hy makes the word (x, -y)
+    xs, xc = _half_table(rows, q, a, lead_one, keys[:, :n_x])
+    # Hx = Hy + t makes the word (x, -y)
+    ys, yc = _half_table(rows, q, v - a, False, keys[:, n_x:], target)
 
     # Sort by syndrome, then by max supp(x) or min supp(y).  Within one
     # syndrome the y rows then run in ascending min supp(y), and each x
@@ -168,7 +186,7 @@ def _kernel_words(rows: np.ndarray, q: int, v: int) -> tuple[np.ndarray, np.ndar
     lo = np.searchsorted(y_key, x_key, side="right")
     counts = np.searchsorted(y_key, (x_key // (n + 1) + 1) * (n + 1)) - lo
     words = int(counts.sum())
-    _check_memory(r, n, q, v, words)
+    _check_memory(r, n, q, v, words, lead_one)
 
     x_sup, x_coef = np.divmod(order[np.repeat(x_at, counts)], len(xc))
     y_pick = y_at[np.arange(words) + np.repeat(lo - np.cumsum(counts) + counts, counts)]
@@ -308,6 +326,83 @@ def on_affine_line(locators) -> AffineLine | None:
     return AffineLine(a=anchor, b=direction, lambdas=tuple(lambdas))
 
 
+def _representatives(rows: np.ndarray, q: int, v: int) -> tuple[np.ndarray, np.ndarray]:
+    """The weight-v kernel words of rows that hold the last two columns.
+
+    One word per scalar class: coefficient 1 on the last column and
+    c = 1..q-1 on the one before, completed by the weight-(v-2)
+    solutions z on the other columns of Hz = -(h_last + c * h_before).
+    Returns (supports, coeffs) as _kernel_words does, columns ascending.
+    """
+    n = rows.shape[1]
+    found = []
+    for c in range(1, q):
+        target = -(rows[:, -1].astype(np.int64) + c * rows[:, -2]) % q
+        supports, coeffs = _kernel_words(rows[:, :-2], q, v - 2, target)
+        tail = np.ones((len(supports), 1), dtype=np.intp)
+        supports = np.hstack([supports, (n - 2) * tail, (n - 1) * tail])
+        found.append((supports, np.hstack([coeffs, c * tail, tail])))
+    supports, coeffs = zip(*found)
+    return np.concatenate(supports), np.concatenate(coeffs)
+
+
+def _orbit_size(reps: int, n: int, v: int) -> int:
+    """Size of an affine-invariant set of weight-v words with reps representatives."""
+    size, rest = divmod(reps * n * (n - 1), v * (v - 1))
+    if rest:
+        raise RuntimeError(f"{reps} representatives of weight {v} cannot fill whole orbits at n={n}")
+    return size
+
+
+_IMAGE_ENTRIES = 1 << 16  # locators mapped per numpy pass
+# Peak bytes per violation word, plus _POSITION_BYTES per position: the
+# Codeword, its tuples and the lists and arrays they are built from
+# (tracemalloc peak: 579 at v=4, 653 at v=5).
+_WORD_BYTES, _POSITION_BYTES = 200, 100
+
+
+def _violation_images(field, supports: np.ndarray, coeffs: np.ndarray, q: int, count: int):
+    """Every image of the representatives under x -> a*x + b, one per scalar class.
+
+    The count words, sorted by (support, coefficients), first coefficient
+    1.  A word arises from a representative under one map per ordered
+    pair of its locators; the pass keeps the image under the map that
+    sends locators 1 and 0 to its last two positions, so each word is
+    kept once.  Locators are mapped through the field's log and antilog
+    tables, a bounded batch of maps at a time.  Raises BudgetExceededError
+    when the words would exceed MEMORY_CAP_BYTES, RuntimeError when the
+    pass does not yield count words.
+    """
+    reps, v = supports.shape
+    per_word = _WORD_BYTES + _POSITION_BYTES * v
+    if count * per_word > MEMORY_CAP_BYTES:
+        raise BudgetExceededError(count, MEMORY_CAP_BYTES // per_word, what="violation images")
+    if not reps:
+        return ()
+    n = field.size
+    logs = (supports + 1) % (n - 1)  # column c holds e^(c+1); the last column holds 0
+    step = max(1, _IMAGE_ENTRIES // (reps * v))
+    kept = []
+    for first in range(0, n * (n - 1), step):
+        a, b = np.divmod(np.arange(first, min(first + step, n * (n - 1))), n)  # x -> e^a * x + b
+        scaled = field.power_array(logs + a[:, None, None])
+        scaled[:, :, -1] = 0
+        shift = np.broadcast_to(b[:, None, None], scaled.shape).ravel()
+        vals = field.encode_array((field.coords_array(scaled.ravel()) + field.coords_array(shift)) % field.p)
+        cols = np.where(vals == 0, n - 1, (field.log_array(vals) - 1) % (n - 1)).reshape(scaled.shape)
+        # column * q + coefficient orders like the columns, which differ within an image
+        keys = (cols * q + coeffs).reshape(-1, v)
+        keep = (keys[:, -1] > keys[:, :-1].max(axis=1)) & (keys[:, -2] > keys[:, :-2].max(axis=1))
+        kept.append(np.sort(keys[keep], axis=1))
+    sups, coefs = np.divmod(np.concatenate(kept), q)
+    if len(sups) != count:
+        raise RuntimeError(f"{len(sups)} distinct violation images, expected {count} from the orbit count")
+    coefs = coefs * np.array([0] + [pow(c, -1, q) for c in range(1, q)])[coefs[:, :1]] % q
+    order = np.lexsort(np.hstack([sups, coefs]).T[::-1])
+    pairs = zip((sups[order] + 1).tolist(), coefs[order].tolist())
+    return tuple(Codeword(tuple(s), tuple(c)) for s, c in pairs)
+
+
 def verify_lines_theorem(
     params: CodeParams,
     budget: int = DEFAULT_SUBSET_BUDGET,
@@ -315,33 +410,38 @@ def verify_lines_theorem(
 ) -> LinesReport:
     """Check that every minimum-weight word of the base code sits on a line.
 
-    Enumerates the weight-(d-1) words of the base matrix, maps supports
-    to locator sets and tests each for an affine line.  With
-    experimental set, parameters that fail the hypotheses are still run
-    and the report is marked as outside the proven range; results are
-    then observations, not assertions.
+    Examines only the representatives, the weight-(d-1) words whose
+    support holds locators 1 and 0, and derives words_found, on_line and
+    the violation count by orbit counting (see the module docstring).
+    on_affine_line anchors a representative at 0 with direction 1, so it
+    is on a line exactly when every locator of its support lies in GF(q).
+    The violations are the sorted images of the off-line representatives
+    under the affine maps.  With experimental set, parameters that fail
+    the hypotheses are still run and the report is marked as outside the
+    proven range; results are then observations, not assertions.
     """
     if params.d < 4:
         raise ValueError("line validation needs d >= 4 (below that any support is collinear)")
     if not params.valid and not experimental:
         raise ValueError("parameters violate the hypotheses: " + "; ".join(params.violations))
     matrix = bch_matrix(params)
-    w = params.d - 1
-    words = enumerate_weight_words(matrix, w, budget)
-    loc = matrix.locators
-    violations = []
-    for word in words:
-        line = on_affine_line([loc.locator(j) for j in word.support])
-        if line is None:
-            violations.append(word)
+    n, q, v = params.n, params.q, params.d - 1
+    total = math.comb(n, v)
+    if total > budget:
+        raise BudgetExceededError(total, budget)
+    supports, coeffs = _representatives(matrix.rows, q, v)
+    off = ((supports[:, :-2] + 1) % ((n - 1) // (q - 1)) != 0).any(axis=1)
+    violations = _violation_images(
+        matrix.locators.field, supports[off], coeffs[off], q, _orbit_size(int(off.sum()), n, v)
+    )
     return LinesReport(
         params=params,
-        weight=w,
-        words_found=len(words),
-        on_line=len(words) - len(violations),
-        violations=tuple(violations),
+        weight=v,
+        words_found=_orbit_size(len(supports), n, v),
+        on_line=_orbit_size(int((~off).sum()), n, v),
+        violations=violations,
         theorem_applies=params.valid,
-        subset_count=math.comb(params.n, w),
+        subset_count=total,
     )
 
 

@@ -238,6 +238,20 @@ def weight_words(rows, q, w):
     return sorted(words)
 
 
+def syndrome_words(rows, q, w, target):
+    """Every weight-w vector z with rows @ z = target, as sorted (positions, coeffs).
+
+    All coefficients run over 1..q-1; with a zero target each kernel
+    word appears once per nonzero scalar multiple.
+    """
+    words = []
+    for cols in itertools.combinations(range(len(rows[0])), w):
+        for coeffs in itertools.product(range(1, q), repeat=w):
+            if all(sum(row[c] * x for c, x in zip(cols, coeffs)) % q == t % q for row, t in zip(rows, target)):
+                words.append((tuple(c + 1 for c in cols), coeffs))
+    return sorted(words)
+
+
 def find_line_bruteforce(locators):
     """Whether some affine line {a + t*b, t in the prime field} covers the locators."""
     field = locators[0].field

@@ -141,8 +141,9 @@ class TestVerifyDistance:
     @pytest.mark.parametrize(
         "text",
         [None, "garbage\n1 0 1\n", "q=5 n=3 r=1 blocks=dense:1\n1 7 9\n",
-         "q=40009 n=2 r=1 blocks=dense:1\n1 2\n"],
-        ids=["missing-file", "garbage-header", "digits-out-of-range", "alphabet-beyond-int16"],
+         "q=40009 n=2 r=1 blocks=dense:1\n1 2\n", "q=5 n=3 r=1 blocks=dense:1\n1 " + "9" * 5000 + " 0\n"],
+        ids=["missing-file", "garbage-header", "digits-out-of-range", "alphabet-beyond-int16",
+             "entry-beyond-digit-limit"],
     )
     def test_bad_input_exit_2(self, tmp_path, capsys, text):
         path = tmp_path / "input.txt"
@@ -152,6 +153,8 @@ class TestVerifyDistance:
         assert code == 2
         assert stdout == ""
         assert len(stderr.strip().splitlines()) == 1
+        if text is not None:
+            assert stderr.startswith(f"parameter error: {path}:")  # names the file line
 
     @given(data=st.data())
     def test_corrupted_matrix_file(self, matrix_files, tmp_path_factory, data):
@@ -199,6 +202,15 @@ class TestCheckLines:
         code, _, stderr = run(capsys, "check-lines", "--q", "5", "--m", "4", "--d", "5")
         assert code == 2
         assert "parameter error" in stderr
+
+    def test_image_pass_refused_by_memory_cap(self, capsys, monkeypatch):
+        # the representatives of (5,2,5) fit in 20 kB; its 200 violation words do not
+        monkeypatch.setattr(normbch.verify, "MEMORY_CAP_BYTES", 20_000)
+        code, stdout, stderr = run(capsys, "check-lines", "--q", "5", "--m", "2", "--d", "5", "--experimental")
+        assert code == 2
+        assert stdout == ""
+        assert len(stderr.splitlines()) == 1
+        assert stderr.startswith("budget exceeded: 200 violation images needed")
 
 
 class TestBounds:
@@ -491,6 +503,9 @@ EXIT_2_CASES = {
     "bounds-table-reversed": (["bounds", "--table", "3..2", "4..5"], None, "parameter error:"),
     "verify-distance-threads-below-1": (
         ["verify-distance", "--matrix", "{aug524}", "--d", "4", "--threads", "-1"], None, "parameter error:"),
+    "reduce-subset-not-integers": (
+        ["reduce", "--input", "{toy}", "--q2", "4", "--subset", "0,x"],
+        None, "parameter error: --subset takes comma-separated integers such as 0,1,2, got '0,x'"),
     "reduce-negative-trials": (
         ["reduce", "--input", "{toy}", "--q2", "4", "--subset", "0,1,2", "--trials", "-3"],
         None, "parameter error:"),

@@ -20,13 +20,37 @@ from normbch import (
     vandermonde_check,
     verify_lines_theorem,
 )
+from normbch.verify import _kernel_words, _orbit_size
 from oracles import (
     colex_first_dependent,
     dependency_word,
     find_line_bruteforce,
     min_distance_enumeration,
+    syndrome_words,
     weight_words,
 )
+
+# (q, m, d) with q in {2,3,5,7} and d = 4..6 whose full enumeration (the
+# oracle below) takes about a second or less, proven and experimental.
+ORBIT_INSTANCES = [
+    (2, 1, 4), (2, 2, 4), (2, 3, 4), (2, 4, 4), (2, 5, 4), (2, 6, 4), (2, 7, 4),
+    (2, 2, 5), (2, 3, 5), (2, 4, 5), (2, 5, 5), (2, 6, 5),
+    (2, 2, 6), (2, 3, 6), (2, 4, 6), (2, 5, 6), (2, 6, 6), (2, 7, 6),
+    (3, 1, 4), (3, 2, 4), (3, 3, 4), (3, 4, 4), (3, 5, 4),
+    (3, 2, 5), (3, 3, 5), (3, 4, 5), (3, 5, 5), (3, 6, 5),
+    (3, 2, 6), (3, 3, 6), (3, 4, 6),
+    (5, 1, 4), (5, 2, 4), (5, 3, 4), (5, 1, 5), (5, 2, 5), (5, 3, 5), (5, 1, 6), (5, 2, 6),
+    (7, 1, 4), (7, 2, 4), (7, 1, 5), (7, 2, 5), (7, 1, 6), (7, 2, 6),
+]
+
+
+def lines_by_enumeration(params):
+    """(words_found, on_line, violations) from every weight-(d-1) word and its line test."""
+    matrix = bch_matrix(params)
+    words = enumerate_weight_words(matrix, params.d - 1, budget=math.comb(params.n, params.d - 1))
+    loc = matrix.locators
+    violations = tuple(w for w in words if on_affine_line([loc.locator(j) for j in w.support]) is None)
+    return len(words), len(words) - len(violations), violations
 
 
 class TestMinDistance:
@@ -161,6 +185,35 @@ class TestLinesTheorem:
         with pytest.raises(ValueError):
             verify_lines_theorem(validate_params(5, 2, 3))
 
+    def test_735_pinned(self):
+        report = verify_lines_theorem(validate_params(7, 3, 5), budget=math.comb(343, 4))
+        assert (report.words_found, report.on_line, report.violation_count) == (97755, 97755, 0)
+        assert report.theorem_applies
+
+    @pytest.mark.parametrize("qmd", ORBIT_INSTANCES, ids=lambda qmd: "%d-%d-%d" % qmd)
+    def test_orbit_counting_matches_enumeration(self, qmd):
+        params = validate_params(*qmd)
+        budget = math.comb(params.n, params.d - 1)
+        report = verify_lines_theorem(params, budget=budget, experimental=not params.valid)
+        assert (report.words_found, report.on_line, report.violations) == lines_by_enumeration(params)
+
+    @pytest.mark.parametrize("qmd", ORBIT_INSTANCES, ids=lambda qmd: "%d-%d-%d" % qmd)
+    def test_row_space_is_affine_invariant(self, qmd):
+        # the row space, hence the code, is unchanged under the generators x -> e*x and x -> x+1
+        matrix = bch_matrix(validate_params(*qmd))
+        loc = matrix.locators
+        field = loc.field
+        for image in (lambda x: field.e * x, lambda x: x + field.one):
+            perm = [loc.position_of(image(loc.locator(j))) - 1 for j in range(1, matrix.n + 1)]
+            assert sorted(perm) == list(range(matrix.n))
+            stacked = np.vstack([matrix.rows, matrix.rows[:, perm]])
+            assert ParityCheckMatrix(matrix.q, stacked, [("stacked", len(stacked))]).rank() == matrix.rank()
+
+    def test_orbit_size_must_be_whole(self):
+        assert _orbit_size(1, 25, 3) == 100
+        with pytest.raises(RuntimeError):
+            _orbit_size(1, 5, 4)  # 20 images of one weight-4 class cannot make whole orbits of 12
+
 
 class TestSeparationWitness:
     def test_524_exact_values(self, params524, h524):
@@ -287,6 +340,20 @@ class TestEngineAgainstOracles:
                     continue
                 got = [(cw.support, cw.coeffs) for cw in enumerate_weight_words(matrix, w)]
                 assert got == weight_words(rows, q, w)
+
+    @pytest.mark.parametrize("q", [2, 3, 5, 7])
+    def test_target_words(self, q):
+        rng = random.Random(800 + q)
+        for _ in range(30):
+            rows = _degenerate_matrix(rng, q)
+            n = len(rows[0])
+            for target in ([rng.randrange(q) for _ in rows], [0] * len(rows), [row[0] for row in rows]):
+                for w in range(1, n + 1):
+                    if math.comb(n, w) * (q - 1) ** w > 5000:
+                        continue
+                    supports, coeffs = _kernel_words(np.array(rows), q, w, np.array(target))
+                    got = sorted(zip(map(tuple, (supports + 1).tolist()), map(tuple, coeffs.tolist())))
+                    assert got == syndrome_words(rows, q, w, target)
 
     @pytest.mark.parametrize(
         "rows, positions, coeffs",
