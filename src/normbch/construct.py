@@ -349,17 +349,50 @@ def read_matrix_file(path) -> ParityCheckMatrix:
         raise ValueError(f"{path}:1: {alphabet}")
     if len(body) != r:
         raise ValueError(f"{path}: {len(body)} rows after the header, expected r={r}")
-    rows = []  # built from the file's own entries, so a huge n in the header allocates nothing
-    digits = len(str(q))  # a longer entry is out of range, and int() never sees it
-    for number, line in enumerate(body, start=2):
-        entries = line.split()
-        if len(entries) != n:
-            raise ValueError(f"{path}:{number}: {len(entries)} entries, expected n={n}")
-        bad = [e for e in entries if not (e.isdecimal() and len(e.lstrip("0")) <= digits and int(e) < q)]
-        if bad:
-            raise ValueError(f"{path}:{number}: entry {bad[0]!r} is not a digit in [0, {q})")
-        rows.append([int(e) for e in entries])
+    rows = _written_rows(body, q, n)
+    if rows is None:  # not as written, or wrong: line by line, naming the first bad line
+        rows = []  # built from the file's own entries, so a huge n in the header allocates nothing
+        digits = len(str(q))  # a longer entry is out of range, and int() never sees it
+        for number, line in enumerate(body, start=2):
+            entries = line.split()
+            if len(entries) != n:
+                raise ValueError(f"{path}:{number}: {len(entries)} entries, expected n={n}")
+            bad = [e for e in entries if not (e.isdecimal() and len(e.lstrip("0")) <= digits and int(e) < q)]
+            if bad:
+                raise ValueError(f"{path}:{number}: entry {bad[0]!r} is not a digit in [0, {q})")
+            rows.append([int(e) for e in entries])
     return ParityCheckMatrix(q, np.array(rows, dtype=np.int16).reshape(r, n), blocks)
+
+
+def _written_rows(body: list[str], q: int, n: int) -> np.ndarray | None:
+    """The entries of body lines in the form to_text writes, or None.
+
+    That form is n entries a line, each a digit string of at most
+    len(str(q)) characters and below q, one space apart.  The lines are
+    parsed as one byte array; None means some line differs from the form
+    or holds an entry of q or more.
+    """
+    raw = np.frombuffer("\n".join(body).encode(), dtype=np.uint8)
+    digit = (raw >= ord("0")) & (raw <= ord("9"))
+    starts = np.flatnonzero(digit & ~np.r_[False, digit[:-1]])
+    ends = np.flatnonzero(digit & ~np.r_[digit[1:], False]) + 1
+    count = len(body) * n
+    if count == 0 or len(starts) != count or starts[0] != 0 or ends[-1] != len(raw):
+        return None
+    # one separator byte between entries: a newline after every n-th, a space elsewhere
+    breaks = np.arange(1, count) % n == 0
+    if (starts[1:] != ends[:-1] + 1).any() or (raw[ends[:-1]] != np.where(breaks, ord("\n"), ord(" "))).any():
+        return None
+    lengths = ends - starts
+    if lengths.max() > len(str(q)):
+        return None
+    values = np.zeros(count, dtype=np.int64)
+    for k in range(int(lengths.max())):
+        more = lengths > k
+        values = np.where(more, values * 10 + raw[np.where(more, starts + k, 0)] - ord("0"), values)
+    if (values >= q).any():
+        return None
+    return values.reshape(-1, n)
 
 
 def write_codeword_file(word: Codeword, n: int, path) -> None:

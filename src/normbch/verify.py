@@ -9,18 +9,31 @@ max supp(x) < min supp(y) yields each vector exactly once.  For t = 0
 the first coefficient of x is fixed to 1, giving one kernel word per
 scalar class.  Passes over a fixed memory cap are refused up front.
 
-The line check examines representatives only.  The maps x -> a*x + b
-(a nonzero) preserve the base code and act doubly transitively on the
-locators (Kasami, Lin and Peterson, 1967), so every weight-v word is an
-image of a representative: a word whose support holds locator 1
-(position n-1) and locator 0 (position n).  Those are the weight-(v-2)
-solutions of Hz = -(h_n + c*h_(n-1)), c = 1..q-1, completed by c and 1.
-An invariant set with R representatives has R*n(n-1)/(v(v-1)) members,
-which gives every count; the violating words themselves are the images
-of the off-line representatives, mapped through the field tables.
+Both also use the affine orbits of the base code.  The maps
+x -> a*x + b (a nonzero) preserve the base code and act doubly
+transitively on the locators (Kasami, Lin and Peterson, 1967), so every
+weight-v word is an image of a representative: a word whose support
+holds locator 1 (position n-1) and locator 0 (position n).  Those are
+the weight-(v-2) solutions of Hz = -(h_n + c*h_(n-1)), c = 1..q-1,
+completed by c and 1.  Images are mapped in bounded batches through
+Zech logarithms, log(1 + e^k), read from the field tables.
 
-Distance >= d holds when no (d-1)-subset of columns is dependent.  A
-counterexample is the colex-first dependent (d-1)-subset: the
+The line check examines representatives only.  An invariant set with R
+representatives has R*n(n-1)/(v(v-1)) members, which gives every count;
+the violating words themselves are the images of the off-line
+representatives.
+
+Distance >= d holds when no (d-1)-subset of columns is dependent.  On
+the augmented matrix of the construction, rebuilt from its header and
+compared row by row, the orbit route decides this: after checking by
+rank that the base rows span an invariant space, it pushes every image
+of every representative of weight 2..d-1 through the norm rows, and no
+zero norm syndrome means distance >= d.  Any other matrix or target, a
+zero norm syndrome, or a representative search over the memory cap
+falls back to the generic engine below, so its counterexamples and
+refusals are the only ones reported.
+
+The generic engine reports the colex-first dependent (d-1)-subset: the
 colex-smallest superset of a word support.  Colex order visits every
 subset of the first c columns before the others, so the search runs on
 column prefixes of length w, 2w, 4w, ... and stops at the first prefix
@@ -29,10 +42,12 @@ holding a word.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 import time
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -44,6 +59,7 @@ from .construct import (
     augmented_matrix,
     bch_matrix,
     syndrome,
+    validate_params,
 )
 from .errors import BudgetExceededError
 from .field import BasisPair, FieldElement, prime_scalar
@@ -92,17 +108,28 @@ class AffineLine:
 
 @dataclass(frozen=True)
 class LinesReport:
+    """Counts of the minimum-weight base-code words and of those off every line.
+
+    violation_arrays holds the violating words as (supports, coeffs), two
+    (violation_count, weight) arrays of 1-based positions and
+    coefficients; violations builds the Codeword objects from them on
+    first read (about 600 bytes a word, outside MEMORY_CAP_BYTES).
+    """
+
     params: CodeParams
     weight: int
     words_found: int
     on_line: int
-    violations: tuple[Codeword, ...]
+    violation_count: int
     theorem_applies: bool
     subset_count: int
+    violation_arrays: tuple[np.ndarray, np.ndarray] = dataclasses.field(repr=False, compare=False)
 
-    @property
-    def violation_count(self) -> int:
-        return len(self.violations)
+    @cached_property
+    def violations(self) -> tuple[Codeword, ...]:
+        """The violating words sorted by (support, coefficients), first coefficient 1."""
+        sups, coefs = self.violation_arrays
+        return tuple(Codeword(tuple(s), tuple(c)) for s, c in zip(sups.tolist(), coefs.tolist()))
 
 
 def _check_memory(r: int, n: int, q: int, v: int, words: int = 0, lead_one: bool = True) -> None:
@@ -235,6 +262,75 @@ def _dependency_codeword(matrix: ParityCheckMatrix, columns: tuple[int, ...]) ->
     )
 
 
+def _affine_invariant(rows: np.ndarray, field) -> bool:
+    """Whether the row space of rows is unchanged by the affine maps of field.
+
+    Checks the column permutations of the generators x -> e*x and
+    x -> x+1: the rows stacked on their permuted copy keep the rank of
+    rows when each permuted row reduces to zero against rref(rows).
+    """
+    q, n = field.p, field.size
+    times_e = np.append(np.arange(1, n) % (n - 1), n - 1)  # e^(j+1) -> e^(j+2); 0 stays
+    plus_one = _log_columns(n)[_translates(field, _locator_logs(np.arange(n), n), np.array([0]))[0]]
+    reduced, rank, pivots = linalg.rref(rows, q)
+    for perm in (times_e, plus_one):
+        moved = rows[:, perm].astype(np.int64)
+        if ((moved[:, pivots] @ reduced[:rank] - moved) % q).any():
+            return False
+    return True
+
+
+def _orbit_certifies(matrix: ParityCheckMatrix, d: int) -> bool:
+    """Whether the affine-orbit route proves distance >= d for matrix.
+
+    The route takes only the augmented matrix of some (q, m, d) with this
+    d: blocks ones:1, pow1:m, ..., pow(d-3):m, norm:s, n = q^m, and rows
+    equal to augmented_matrix rebuilt from them.  It then checks that the
+    base rows span the same space after the column permutations of the
+    generators x -> e*x and x -> x+1 of the affine maps (the stacked rows
+    have the base rank), so the base code is invariant and each of its
+    words of weight 2..d-1 is an image of a representative.  Distance
+    >= d holds when no column is zero and no image has a zero norm
+    syndrome.  False (any other matrix, a hit, or a representative search
+    over the memory cap) leaves the verdict to the generic engine.
+    """
+    q, n, blocks = matrix.q, matrix.n, matrix.blocks
+    if d < 4 or len(blocks) != d - 1:
+        return False
+    m, s = blocks[1][1], blocks[-1][1]
+    if blocks != (("ones", 1), *((f"pow{t}", m) for t in range(1, d - 2)), ("norm", s)):
+        return False
+    params = validate_params(q, m, d)
+    if params.n != n or params.s != s:
+        return False
+    try:
+        rebuilt = augmented_matrix(params)
+    except ValueError:  # no field or basis pair within the budgets
+        return False
+    if not np.array_equal(rebuilt.rows, matrix.rows):
+        return False
+    field, base = rebuilt.locators.field, matrix.rows[:-s]
+    if not _affine_invariant(base, field):
+        return False
+    if not matrix.rows.any(axis=0).all():  # a zero column is a weight-1 word
+        return False
+    # entry c*n + j of a norm row's table is c times the row's entry in column j
+    scaled = (np.arange(q)[:, None] * matrix.rows[-s:, None, :].astype(np.int32) % q).reshape(s, -1)
+    for v in range(min(d - 1, n), 1, -1):  # the largest search first, so a refusal comes early
+        try:
+            supports, coeffs = _representatives(base, q, v)
+        except BudgetExceededError:
+            return False
+        for rows, cols in _affine_images(field, supports):
+            index = cols + coeffs[rows] * n
+            zero = np.ones(index.shape[:2], dtype=bool)
+            for table in scaled:
+                zero &= sum(table[index[:, :, k]] for k in range(v)) % q == 0
+            if zero.any():
+                return False
+    return True
+
+
 def min_distance_at_least(
     matrix: ParityCheckMatrix,
     d: int,
@@ -243,10 +339,13 @@ def min_distance_at_least(
 ) -> DistanceCertificate:
     """Certify distance >= d or produce a minimal dependency as a counterexample.
 
-    Raises BudgetExceededError (with the exact subset count) when
-    C(n, d-1) exceeds the budget, or (counting half-vectors) when the
-    collision pass would exceed MEMORY_CAP_BYTES.  threads is recorded
-    in the certificate and does not change the work.
+    The affine-orbit route certifies the construction's augmented
+    matrices; every other case goes to the generic collision engine (see
+    the module docstring).  Raises BudgetExceededError (with the exact
+    subset count) when C(n, d-1) exceeds the budget, whichever route
+    would run, or (counting half-vectors) when the generic engine's pass
+    would exceed MEMORY_CAP_BYTES.  threads is recorded in the
+    certificate and does not change the work.
     """
     if d < 2:
         raise ValueError("distance targets below 2 are meaningless")
@@ -258,7 +357,10 @@ def min_distance_at_least(
     total = math.comb(n, w)
     if total > budget:
         raise BudgetExceededError(total, budget)
-    columns = _colex_first_dependent(matrix.rows, matrix.q, w)
+    if _orbit_certifies(matrix, d):
+        columns = None
+    else:
+        columns = _colex_first_dependent(matrix.rows, matrix.q, w)
     if columns is None:
         verdict, counterexample, examined = "certified", None, total
     else:
@@ -338,7 +440,10 @@ def _representatives(rows: np.ndarray, q: int, v: int) -> tuple[np.ndarray, np.n
     found = []
     for c in range(1, q):
         target = -(rows[:, -1].astype(np.int64) + c * rows[:, -2]) % q
-        supports, coeffs = _kernel_words(rows[:, :-2], q, v - 2, target)
+        if v == 2:  # the empty completion solves Hz = 0 only
+            supports = coeffs = np.empty((0 if target.any() else 1, 0), dtype=np.intp)
+        else:
+            supports, coeffs = _kernel_words(rows[:, :-2], q, v - 2, target)
         tail = np.ones((len(supports), 1), dtype=np.intp)
         supports = np.hstack([supports, (n - 2) * tail, (n - 1) * tail])
         found.append((supports, np.hstack([coeffs, c * tail, tail])))
@@ -354,44 +459,90 @@ def _orbit_size(reps: int, n: int, v: int) -> int:
     return size
 
 
-_IMAGE_ENTRIES = 1 << 16  # locators mapped per numpy pass
+_IMAGE_ENTRIES = 1 << 16  # entries of one image batch and of one translate table
 # Peak bytes per violation word, plus _POSITION_BYTES per position: the
-# Codeword, its tuples and the lists and arrays they are built from
-# (tracemalloc peak: 579 at v=4, 653 at v=5).
-_WORD_BYTES, _POSITION_BYTES = 200, 100
+# kept images and their sorted copies (tracemalloc peak: 186 at v=4, 225
+# at v=5, past the fixed batch arrays).
+_WORD_BYTES, _POSITION_BYTES = 32, 48
+
+
+def _locator_logs(columns: np.ndarray, n: int) -> np.ndarray:
+    """Base-e logs of the locators of 0-based columns; 2n-3 stands for the zero locator.
+
+    Column j < n-1 holds e^(j+1) and column n-1 holds 0.
+    """
+    return np.where(columns == n - 1, 2 * n - 3, (columns + 1) % (n - 1))
+
+
+def _log_columns(n: int) -> np.ndarray:
+    """The column of e^k for k = 0..2n-4, then n-1 (the zero locator) for 2n-3..3n-5.
+
+    Index a + l gives the column of e^a * x when l is the log of x or 2n-3.
+    """
+    return np.concatenate([(np.arange(2 * n - 3) - 1) % (n - 1), np.full(n - 1, n - 1)])
+
+
+def _translates(field, logs: np.ndarray, shifts: np.ndarray) -> np.ndarray:
+    """Logs of x + c for each locator log x and each shift log c, a (shifts, logs) table.
+
+    Logs as in _locator_logs, zero included.  Nonzero sums go through the
+    Zech logarithms log(1 + e^k), read from the field tables.
+    """
+    n = field.size
+    zero = 2 * n - 3
+    coords = field.coords_array(field.power_array(np.arange(n - 1)))
+    coords[0] = (coords[0] + 1) % field.p
+    sums = field.encode_array(coords)
+    zech = np.where(sums == 0, zero, field.log_array(sums))
+    x, c = logs[None, :], shifts[:, None]
+    z = zech[(x - c) % (n - 1)]  # x + c = e^c * (1 + e^(x-c))
+    table = np.where(z == zero, zero, (c + z) % (n - 1))
+    return np.where(x == zero, c, np.where(c == zero, x, table))
+
+
+def _affine_images(field, supports: np.ndarray):
+    """The images of supports under every map x -> e^a * (x + c), a bounded batch at a time.
+
+    supports holds one word's 0-based columns per row.  Yields (rows, cols):
+    a slice of the support rows and the (maps, rows, v) columns of their
+    images.  Over all batches each row meets each of the n(n-1) maps once.
+    A batch and the translate table of a slice hold at most _IMAGE_ENTRIES
+    entries, or one support row's worth when that is more.
+    """
+    n = field.size
+    reps, v = supports.shape
+    shifts = np.append(np.arange(n - 1), 2 * n - 3)  # c = e^0 .. e^(n-2), then 0
+    columns = _log_columns(n).astype(np.int32)  # int32 halves the traffic of the batches
+    chunk = max(1, _IMAGE_ENTRIES // (n * v))
+    for lo in range(0, reps, chunk):
+        rows = slice(lo, min(lo + chunk, reps))
+        table = _translates(field, _locator_logs(supports[rows].ravel(), n), shifts).astype(np.int32)
+        step = max(1, _IMAGE_ENTRIES // table.shape[1])
+        for first in range(0, n * (n - 1), step):
+            c, a = np.divmod(np.arange(first, min(first + step, n * (n - 1))), n - 1)
+            yield rows, columns[a[:, None].astype(np.int32) + table[c]].reshape(len(c), -1, v)
 
 
 def _violation_images(field, supports: np.ndarray, coeffs: np.ndarray, q: int, count: int):
     """Every image of the representatives under x -> a*x + b, one per scalar class.
 
-    The count words, sorted by (support, coefficients), first coefficient
-    1.  A word arises from a representative under one map per ordered
-    pair of its locators; the pass keeps the image under the map that
-    sends locators 1 and 0 to its last two positions, so each word is
-    kept once.  Locators are mapped through the field's log and antilog
-    tables, a bounded batch of maps at a time.  Raises BudgetExceededError
-    when the words would exceed MEMORY_CAP_BYTES, RuntimeError when the
-    pass does not yield count words.
+    Returns the count words as (supports, coeffs), two (count, v) arrays
+    of 1-based positions and coefficients, sorted by (support,
+    coefficients), first coefficient 1.  A word arises from a
+    representative under one map per ordered pair of its locators; the
+    pass keeps the image under the map that sends locators 1 and 0 to its
+    last two positions, so each word is kept once.  Raises
+    BudgetExceededError when the words would exceed MEMORY_CAP_BYTES,
+    RuntimeError when the pass does not yield count words.
     """
-    reps, v = supports.shape
+    v = supports.shape[1]
     per_word = _WORD_BYTES + _POSITION_BYTES * v
     if count * per_word > MEMORY_CAP_BYTES:
         raise BudgetExceededError(count, MEMORY_CAP_BYTES // per_word, what="violation images")
-    if not reps:
-        return ()
-    n = field.size
-    logs = (supports + 1) % (n - 1)  # column c holds e^(c+1); the last column holds 0
-    step = max(1, _IMAGE_ENTRIES // (reps * v))
-    kept = []
-    for first in range(0, n * (n - 1), step):
-        a, b = np.divmod(np.arange(first, min(first + step, n * (n - 1))), n)  # x -> e^a * x + b
-        scaled = field.power_array(logs + a[:, None, None])
-        scaled[:, :, -1] = 0
-        shift = np.broadcast_to(b[:, None, None], scaled.shape).ravel()
-        vals = field.encode_array((field.coords_array(scaled.ravel()) + field.coords_array(shift)) % field.p)
-        cols = np.where(vals == 0, n - 1, (field.log_array(vals) - 1) % (n - 1)).reshape(scaled.shape)
+    kept = [np.empty((0, v), dtype=np.intp)]
+    for rows, cols in _affine_images(field, supports):
         # column * q + coefficient orders like the columns, which differ within an image
-        keys = (cols * q + coeffs).reshape(-1, v)
+        keys = (cols.astype(np.intp) * q + coeffs[rows]).reshape(-1, v)
         keep = (keys[:, -1] > keys[:, :-1].max(axis=1)) & (keys[:, -2] > keys[:, :-2].max(axis=1))
         kept.append(np.sort(keys[keep], axis=1))
     sups, coefs = np.divmod(np.concatenate(kept), q)
@@ -399,8 +550,7 @@ def _violation_images(field, supports: np.ndarray, coeffs: np.ndarray, q: int, c
         raise RuntimeError(f"{len(sups)} distinct violation images, expected {count} from the orbit count")
     coefs = coefs * np.array([0] + [pow(c, -1, q) for c in range(1, q)])[coefs[:, :1]] % q
     order = np.lexsort(np.hstack([sups, coefs]).T[::-1])
-    pairs = zip((sups[order] + 1).tolist(), coefs[order].tolist())
-    return tuple(Codeword(tuple(s), tuple(c)) for s, c in pairs)
+    return sups[order] + 1, coefs[order]
 
 
 def verify_lines_theorem(
@@ -439,9 +589,10 @@ def verify_lines_theorem(
         weight=v,
         words_found=_orbit_size(len(supports), n, v),
         on_line=_orbit_size(int((~off).sum()), n, v),
-        violations=violations,
+        violation_count=len(violations[0]),
         theorem_applies=params.valid,
         subset_count=total,
+        violation_arrays=violations,
     )
 
 

@@ -138,6 +138,18 @@ class TestVerifyDistance:
         assert code == 2
         assert "half-vectors" in stderr
 
+    def test_orbit_route_certifies_below_the_memory_cap(self, matrix_files, capsys, monkeypatch):
+        # 1 MB is below the generic engine's (5,3,5) pass (155,000 half-vectors, about 7.4 MB)
+        # and above the representative search's
+        monkeypatch.setattr(normbch.verify, "MEMORY_CAP_BYTES", 1_000_000)
+        code, stdout, _ = run(capsys, "verify-distance", "--matrix", str(matrix_files["aug535"]), "--d", "5")
+        assert code == 0
+        assert "verdict=certified" in stdout
+        assert "subsets_examined=9691375" in stdout
+        code, stdout, stderr = run(capsys, "verify-distance", "--matrix", str(matrix_files["bch535"]), "--d", "5")
+        assert code == 2
+        assert stderr.startswith("budget exceeded: 155000 half-vectors needed")
+
     @pytest.mark.parametrize(
         "text",
         [None, "garbage\n1 0 1\n", "q=5 n=3 r=1 blocks=dense:1\n1 7 9\n",

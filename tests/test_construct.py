@@ -1,4 +1,5 @@
 import random
+import re
 
 import numpy as np
 import pytest
@@ -251,6 +252,19 @@ class TestFiles:
         back = read_matrix_file(path)
         assert (back.q, back.blocks, back.sha256()) == (q, matrix.blocks, matrix.sha256())
         assert back.rows.tolist() == rows
+
+    def test_matrix_file_in_other_spacing(self, tmp_path):
+        # tabs, runs of spaces and leading zeros are not the written form; the line reader takes them
+        path = tmp_path / "m.txt"
+        path.write_text("q=5 n=3 r=2 blocks=dense:2\n1\t0  4 \n004 3 2\n")
+        assert read_matrix_file(path).rows.tolist() == [[1, 0, 4], [4, 3, 2]]
+
+    def test_matrix_file_entries_across_lines(self, tmp_path):
+        # the right entry count in all, split across the lines wrongly
+        path = tmp_path / "m.txt"
+        path.write_text("q=5 n=3 r=2 blocks=dense:2\n1 2 3 4\n0 1\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:2: 4 entries, expected n=3$"):
+            read_matrix_file(path)
 
     def test_matrix_text_format(self, h524):
         first = h524.to_text().splitlines()[0]

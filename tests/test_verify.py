@@ -9,6 +9,7 @@ from normbch import (
     BudgetExceededError,
     Codeword,
     ParityCheckMatrix,
+    augmented_matrix,
     bch_matrix,
     construct_weight_word,
     enumerate_weight_words,
@@ -20,7 +21,8 @@ from normbch import (
     vandermonde_check,
     verify_lines_theorem,
 )
-from normbch.verify import _kernel_words, _orbit_size
+from normbch import verify
+from normbch.verify import _affine_invariant, _kernel_words, _orbit_certifies, _orbit_size
 from oracles import (
     colex_first_dependent,
     dependency_word,
@@ -42,6 +44,33 @@ ORBIT_INSTANCES = [
     (5, 1, 4), (5, 2, 4), (5, 3, 4), (5, 1, 5), (5, 2, 5), (5, 3, 5), (5, 1, 6), (5, 2, 6),
     (7, 1, 4), (7, 2, 4), (7, 1, 5), (7, 2, 5), (7, 1, 6), (7, 2, 6),
 ]
+
+
+# Augmented (q, m, d) with q in {2,3,5,7} and d = 4..6 on which the generic
+# engine runs in about a second or less, inside and outside the hypotheses.
+# (5,2,5), (7,2,5) and (5,4,5) fail them and have distance 4: the orbit
+# route finds a hit there and falls through.
+AUGMENTED_INSTANCES = [
+    (2, 1, 4), (2, 2, 4), (2, 3, 4), (2, 4, 4), (2, 5, 4), (2, 6, 4), (2, 7, 4), (2, 8, 4),
+    (2, 1, 5), (2, 2, 5), (2, 3, 5), (2, 4, 5), (2, 5, 5), (2, 6, 5), (2, 7, 5), (2, 8, 5),
+    (2, 1, 6), (2, 2, 6), (2, 3, 6), (2, 4, 6), (2, 5, 6), (2, 6, 6), (2, 7, 6),
+    (3, 1, 4), (3, 2, 4), (3, 3, 4), (3, 4, 4), (3, 5, 4), (3, 6, 4),
+    (3, 1, 5), (3, 2, 5), (3, 3, 5), (3, 4, 5), (3, 5, 5),
+    (3, 1, 6), (3, 2, 6), (3, 3, 6), (3, 4, 6), (3, 5, 6),
+    (5, 1, 4), (5, 2, 4), (5, 3, 4), (5, 4, 4), (5, 1, 5), (5, 2, 5), (5, 3, 5), (5, 4, 5),
+    (5, 1, 6), (5, 2, 6),
+    (7, 1, 4), (7, 2, 4), (7, 3, 4), (7, 1, 5), (7, 2, 5), (7, 3, 5), (7, 1, 6), (7, 2, 6),
+]
+
+
+def certificate_fields(cert):
+    """Everything a certificate records except its wall clock."""
+    return (cert.matrix_sha256, cert.distance_bound, cert.subset_count, cert.subsets_examined,
+            cert.verdict, cert.counterexample, cert.threads)
+
+
+def must_not_run(*args, **kwargs):
+    raise AssertionError("called where it must not run")
 
 
 def lines_by_enumeration(params):
@@ -91,6 +120,85 @@ class TestMinDistance:
         assert min_distance_at_least(ha524, 4).certified
         for w in (1, 2, 3):
             assert enumerate_weight_words(ha524, w) == []
+
+
+class TestOrbitRoute:
+    @pytest.mark.parametrize("qmd", AUGMENTED_INSTANCES, ids=lambda qmd: "%d-%d-%d" % qmd)
+    def test_agrees_with_generic_engine(self, qmd, monkeypatch):
+        params = validate_params(*qmd)
+        matrix = augmented_matrix(params)
+        w = min(params.d - 1, params.n)
+        budget = math.comb(params.n, w)
+        with monkeypatch.context() as patch:
+            patch.setattr(verify, "_orbit_certifies", lambda matrix, d: False)
+            generic = min_distance_at_least(matrix, params.d, budget=budget)
+        images = []
+        with monkeypatch.context() as patch:
+            if generic.certified:  # the route alone must certify
+                patch.setattr(verify, "_colex_first_dependent", must_not_run)
+            all_images = verify._affine_images
+            patch.setattr(verify, "_affine_images", lambda *args: images.append(1) or all_images(*args))
+            routed = min_distance_at_least(matrix, params.d, budget=budget)
+        assert certificate_fields(routed) == certificate_fields(generic)
+        if not generic.certified:
+            assert images  # a hit in the image pass, not a mismatch, sent it to the fallback
+        if budget <= 3000:
+            want = colex_first_dependent(matrix.rows.tolist(), params.q, w)
+            if want is None:
+                assert routed.certified
+            else:
+                rank, cols = want
+                assert routed.subsets_examined == rank
+                word = routed.counterexample
+                assert (word.support, word.coeffs) == dependency_word(matrix.rows.tolist(), params.q, cols)
+
+    @staticmethod
+    def fallback_cases():
+        params = validate_params(5, 3, 5)
+        aug = augmented_matrix(params)
+        changed = aug.rows.copy()
+        changed[-1, 7] = (changed[-1, 7] + 1) % 5
+        scaled = aug.rows.copy()
+        scaled[-1] = 2 * scaled[-1] % 5  # the same code from other rows
+        base_blocks = [("ones", 1), ("pow1", 3), ("pow2", 3)]
+        return {
+            "bch-only": (bch_matrix(params), 5, False),
+            "renamed-block": (ParityCheckMatrix(5, aug.rows, base_blocks + [("norms", 1)]), 5, False),
+            "reordered-blocks": (
+                ParityCheckMatrix(5, np.vstack([aug.rows[-1:], aug.rows[:-1]]), [("norm", 1)] + base_blocks), 5, False),
+            "target-4": (aug, 4, False),
+            "target-6": (aug, 6, False),
+            "one-entry-changed": (ParityCheckMatrix(5, changed, aug.blocks), 5, True),
+            "norm-row-scaled": (ParityCheckMatrix(5, scaled, aug.blocks), 5, True),
+        }
+
+    @pytest.mark.parametrize("case", ["bch-only", "renamed-block", "reordered-blocks", "target-4", "target-6",
+                                      "one-entry-changed", "norm-row-scaled"])
+    def test_other_matrices_fall_back(self, case, monkeypatch):
+        matrix, d, passes_header = self.fallback_cases()[case]
+        budget = math.comb(matrix.n, d - 1)
+        if not passes_header:  # the header alone turns these away
+            monkeypatch.setattr(verify, "augmented_matrix", must_not_run)
+        assert not _orbit_certifies(matrix, d)
+        cert = min_distance_at_least(matrix, d, budget=budget)
+        certified = case in ("renamed-block", "reordered-blocks", "target-4", "norm-row-scaled")
+        assert cert.verdict == ("certified" if certified else "counterexample")
+        if not certified:
+            assert cert.counterexample.weight < d
+            assert not syndrome(matrix, cert.counterexample).any()
+
+    @pytest.mark.parametrize("qmd", [(5, 2, 4), (5, 3, 5), (2, 4, 5), (7, 2, 6)], ids=lambda qmd: "%d-%d-%d" % qmd)
+    def test_invariance_check(self, qmd):
+        matrix = bch_matrix(validate_params(*qmd))
+        field = matrix.locators.field
+        assert _affine_invariant(matrix.rows, field)
+        swapped = matrix.rows[:, [1, 0, *range(2, matrix.n)]]  # locators e and e^2 trade columns
+        assert not _affine_invariant(swapped, field)
+
+    def test_budget_refusal_comes_first(self, ha535, monkeypatch):
+        monkeypatch.setattr(verify, "_orbit_certifies", must_not_run)
+        with pytest.raises(BudgetExceededError):
+            min_distance_at_least(ha535, 5, budget=1000)
 
 
 class TestEnumerate:
@@ -180,6 +288,8 @@ class TestLinesTheorem:
         report = verify_lines_theorem(bad, experimental=True)
         assert not report.theorem_applies
         assert report.words_found == report.on_line + report.violation_count
+        assert "violations" not in vars(report)  # the words are built when first read
+        assert len(report.violations) == report.violation_count == 200
 
     def test_d3_rejected(self):
         with pytest.raises(ValueError):
