@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import linalg
 from .construct import ParityCheckMatrix
 
 Bound = int | Fraction | float

@@ -30,7 +30,7 @@ import sys
 import time
 
 from . import __version__
-from .bounds import best_known, bounds_table, empirical_rho, format_bound
+from .bounds import best_known, bounds_table, format_bound
 from .construct import (
     augmented_matrix,
     bch_matrix,

@@ -403,15 +403,33 @@ def write_codeword_file(word: Codeword, n: int, path) -> None:
 
 
 def read_codeword_file(path) -> tuple[Codeword, int]:
+    """Read `n=<n>` then one `<position> <coefficient>` pair per line; blank lines are skipped.
+
+    Raises ValueError naming the file line on a bad header, a line that
+    is not two decimal integers, a position outside [1, n], positions
+    that do not increase, or a zero coefficient.
+    """
+    support: list[int] = []
+    coeffs: list[int] = []
     with open(path) as fh:
         header = fh.readline().strip()
-        n = int(header.split("=", 1)[1])
-        support = []
-        coeffs = []
-        for line in fh:
-            if not line.strip():
+        key, _, value = header.partition("=")
+        if key != "n" or not value.isdecimal() or int(value) < 1:
+            raise ValueError(f"{path}:1: header {header!r} is not n=<positive integer>")
+        n = int(value)
+        for number, line in enumerate(fh, start=2):
+            fields = line.split()
+            if not fields:
                 continue
-            j, c = line.split()
-            support.append(int(j))
-            coeffs.append(int(c))
+            if len(fields) != 2 or not all(f.isdecimal() for f in fields):
+                raise ValueError(f"{path}:{number}: {line.strip()!r} is not a position and a coefficient")
+            j, c = int(fields[0]), int(fields[1])
+            if not 1 <= j <= n:
+                raise ValueError(f"{path}:{number}: position {j} outside [1, {n}]")
+            if support and j <= support[-1]:
+                raise ValueError(f"{path}:{number}: position {j} does not follow {support[-1]}")
+            if c == 0:
+                raise ValueError(f"{path}:{number}: zero coefficient")
+            support.append(j)
+            coeffs.append(c)
     return Codeword(tuple(support), tuple(coeffs)), n

@@ -16,7 +16,10 @@ field, basis and matrix in the package bit-reproducible across runs.
 
 FieldElement is the element-at-a-time API.  Matrix construction works
 on arrays instead: power_array, log_array, coords_array and encode_array
-map whole columns through the tables.
+map whole columns through the tables.  Element arithmetic and the
+affine-orbit route of verify read the same exp, log and Zech tables: a
+product is a sum of logs, and a sum a + b is a * (1 + b/a), one lookup
+in the Zech table zech[k] = log(1 + e^k).
 
 Field towers pair GF(q^m) with GF(q^mu) through two bases: h, the
 polynomial basis of GF(q^m), and g, a product basis of GF(q^mu) over
@@ -26,12 +29,13 @@ GF(q)-linear injection); norm is the multiplicative norm of GF(q^mu)
 onto that subfield.
 
 Fields and basis pairs are immutable after construction and safe to
-share across threads; all arithmetic is pure.
+share across threads; all arithmetic is pure.  The Zech table is built
+on first use, from the antilog and log tables alone.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterator
 
 import numpy as np
@@ -58,13 +62,6 @@ def is_prime(n: int) -> bool:
             return False
         f += 2
     return True
-
-
-def _encode(digits, p: int) -> int:
-    v = 0
-    for d in reversed(digits):
-        v = v * p + d
-    return v
 
 
 def _prime_factors(n: int) -> list[int]:
@@ -272,27 +269,30 @@ class Field:
         self.one = FieldElement(self, 1)
         self.e = FieldElement(self, self._exp.item(1 % (size - 1)))
 
-    # integer-level arithmetic on encoded values
+    @cached_property
+    def zech(self) -> np.ndarray:
+        """Zech logarithms: entry k is log(1 + e^k), or -1 where 1 + e^k = 0.
+
+        Adding 1 changes only the constant digit, so 1 + e^k is read off
+        the antilog table directly.
+        """
+        low = self._exp % self.p
+        sums = self._exp - low + (low + 1) % self.p
+        return np.where(sums == 0, -1, self._log[sums])
+
+    # integer-level arithmetic on encoded values, through the exp, log and Zech tables
     def _add_int(self, a: int, b: int) -> int:
-        p = self.p
-        out = 0
-        mult = 1
-        for _ in range(self.degree):
-            out += ((a + b) % p) * mult
-            a //= p
-            b //= p
-            mult *= p
-        return out
+        if a == 0 or b == 0:
+            return a + b
+        log_a = self._log.item(a)
+        z = self.zech.item((self._log.item(b) - log_a) % (self.size - 1))  # a + b = a * (1 + b/a)
+        return 0 if z < 0 else self._exp.item((log_a + z) % (self.size - 1))
 
     def _neg_int(self, a: int) -> int:
-        p = self.p
-        out = 0
-        mult = 1
-        for _ in range(self.degree):
-            out += (-a % p) * mult
-            a //= p
-            mult *= p
-        return out
+        # -1 = e^((size-1)/2) in odd characteristic
+        if a == 0 or self.p == 2:
+            return a
+        return self._exp.item((self._log.item(a) + (self.size - 1) // 2) % (self.size - 1))
 
     def _sub_int(self, a: int, b: int) -> int:
         return self._add_int(a, self._neg_int(b))
@@ -319,12 +319,7 @@ class Field:
         return self._exp.item(self._log.item(a) * exponent % (self.size - 1))
 
     def coords_of(self, val: int) -> tuple[int, ...]:
-        p = self.p
-        out = []
-        for _ in range(self.degree):
-            val, r = divmod(val, p)
-            out.append(r)
-        return tuple(out)
+        return tuple(self.coords_array([val])[:, 0].tolist())
 
     # array-level access to the tables, for building matrices column-wise
     def power_array(self, exponents) -> np.ndarray:
@@ -352,7 +347,8 @@ class Field:
         digits = list(digits)
         if len(digits) != self.degree:
             raise ValueError(f"expected {self.degree} coordinates, got {len(digits)}")
-        return FieldElement(self, _encode([d % self.p for d in digits], self.p))
+        # reduced in Python first: a digit may not fit in int64
+        return FieldElement(self, self.encode_array(np.array([d % self.p for d in digits])).item())
 
     def scalar(self, c: int) -> FieldElement:
         """The prime-subfield element with constant coordinate c."""

@@ -16,7 +16,7 @@ weight-v word is an image of a representative: a word whose support
 holds locator 1 (position n-1) and locator 0 (position n).  Those are
 the weight-(v-2) solutions of Hz = -(h_n + c*h_(n-1)), c = 1..q-1,
 completed by c and 1.  Images are mapped in bounded batches through
-Zech logarithms, log(1 + e^k), read from the field tables.
+the field's Zech logarithms, log(1 + e^k).
 
 The line check examines representatives only.  An invariant set with R
 representatives has R*n(n-1)/(v(v-1)) members, which gives every count;
@@ -486,17 +486,13 @@ def _translates(field, logs: np.ndarray, shifts: np.ndarray) -> np.ndarray:
     """Logs of x + c for each locator log x and each shift log c, a (shifts, logs) table.
 
     Logs as in _locator_logs, zero included.  Nonzero sums go through the
-    Zech logarithms log(1 + e^k), read from the field tables.
+    field's Zech logarithms log(1 + e^k).
     """
     n = field.size
     zero = 2 * n - 3
-    coords = field.coords_array(field.power_array(np.arange(n - 1)))
-    coords[0] = (coords[0] + 1) % field.p
-    sums = field.encode_array(coords)
-    zech = np.where(sums == 0, zero, field.log_array(sums))
     x, c = logs[None, :], shifts[:, None]
-    z = zech[(x - c) % (n - 1)]  # x + c = e^c * (1 + e^(x-c))
-    table = np.where(z == zero, zero, (c + z) % (n - 1))
+    z = field.zech[(x - c) % (n - 1)]  # x + c = e^c * (1 + e^(x-c))
+    table = np.where(z < 0, zero, (c + z) % (n - 1))
     return np.where(x == zero, c, np.where(c == zero, x, table))
 
 

@@ -277,6 +277,29 @@ class TestFiles:
         back, n = read_codeword_file(path)
         assert back == word and n == 25
 
+    @pytest.mark.parametrize(
+        "text,line,message",
+        [
+            ("", 1, "header '' is not n=<positive integer>"),
+            ("25\n3 1\n", 1, "header '25' is not n=<positive integer>"),
+            ("n=0\n", 1, "header 'n=0' is not n=<positive integer>"),
+            ("m=25\n3 1\n", 1, "header 'm=25' is not n=<positive integer>"),
+            ("n=25\n3 1\n\n4 1 2\n", 4, "'4 1 2' is not a position and a coefficient"),
+            ("n=25\n3 x\n", 2, "'3 x' is not a position and a coefficient"),
+            ("n=25\n3 -1\n", 2, "'3 -1' is not a position and a coefficient"),
+            ("n=25\n3 1\n26 1\n", 3, "position 26 outside [1, 25]"),
+            ("n=25\n0 1\n", 2, "position 0 outside [1, 25]"),
+            ("n=25\n9 1\n3 1\n", 3, "position 3 does not follow 9"),
+            ("n=25\n9 1\n9 2\n", 3, "position 9 does not follow 9"),
+            ("n=25\n9 0\n", 2, "zero coefficient"),
+        ],
+    )
+    def test_bad_codeword_file(self, tmp_path, text, line, message):
+        path = tmp_path / "w.txt"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{path}:{line}: {message}')}$"):
+            read_codeword_file(path)
+
     def test_field_description(self):
         assert make_field(5, 2).describe() == "p=5 deg=2 modulus=2,1,1"
 

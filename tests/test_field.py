@@ -1,6 +1,7 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -172,7 +173,40 @@ class TestArithmetic:
         assert (x / y) * y == x
 
 
+class TestAdditionReference:
+    """The Zech-table sum, difference and negation against digit-wise arithmetic mod p."""
+
+    @pytest.mark.parametrize("p,k", [(2, 1), (2, 3), (2, 8), (3, 4), (5, 3), (7, 2), (11, 2), (13, 1)])
+    def test_every_pair(self, p, k):
+        field = make_field(p, k)
+        elements = [(x, x.coords) for x in field.elements()]
+        for x, cx in elements:
+            assert (-x).coords == tuple(-a % p for a in cx)
+            for y, cy in elements:
+                assert (x + y).coords == tuple((a + b) % p for a, b in zip(cx, cy))
+                assert (x - y).coords == tuple((a - b) % p for a, b in zip(cx, cy))
+
+    def test_gf2_20_sum_is_xor(self):
+        field = make_field(2, 20)
+        rng = random.Random(20)
+        for _ in range(10_000):
+            a, b = rng.randrange(field.size), rng.randrange(field.size)
+            assert (field.elem(a) + field.elem(b)).val == a ^ b
+        # and every table entry: e^zech[k] = e^k XOR 1, where 1 + e^0 = 0 is marked -1
+        powers = field.power_array(np.arange(field.size - 1))
+        assert field.zech[0] == -1
+        assert (field.power_array(field.zech[1:]) == powers[1:] ^ 1).all()
+
+    def test_zech_table_built_once(self):
+        assert F125.zech is F125.zech
+        assert len(F125.zech) == 124
+
+
 class TestSerialization:
+    def test_element_text_digits_reduced_mod_p(self):
+        # the digit does not fit in int64; it is reduced before encoding
+        assert F25.element_from_text("99999999999999999999999,0").coords == (4, 0)
+
     def test_element_text_roundtrip(self):
         x = F125.elem(67)
         assert F125.element_from_text(x.to_text()) == x

@@ -1,0 +1,36 @@
+"""The quick scripts run and print the numbers the README quotes.
+
+scripts/certify_codes.py takes several seconds and is left out.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import normbch
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def run_script(name: str) -> str:
+    env = dict(os.environ)
+    src = str(Path(normbch.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / name)], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_bounds_table():
+    lines = run_script("bounds_table.py").splitlines()
+    assert lines[0].startswith("q\\d   d=3")
+    assert "cells show the smallest recorded upper bound and its source; '=' marks" in lines
+
+
+def test_lines_experiment():
+    out = run_script("lines_experiment.py")
+    assert "(q=13, m=3, d=5)  [proven range]  weight=4 words=22112805 on_line=22112805 violations=0\n" in out
+    assert "(q=5, m=2, d=5)  [experiment only]  weight=4 words=350 on_line=150 violations=200\n" in out
