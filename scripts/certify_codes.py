@@ -12,6 +12,7 @@ Usage: python scripts/certify_codes.py
 """
 
 import math
+import os
 import sys
 import time
 
@@ -101,4 +102,12 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout early (as `| head` does): exit quietly, and
+        # point stdout at devnull so the interpreter's own flush does not fail.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)

@@ -10,6 +10,7 @@ Usage: python scripts/lines_experiment.py
 """
 
 import math
+import os
 import sys
 
 from normbch import validate_params, verify_lines_theorem
@@ -42,4 +43,12 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout early (as `| head` does): exit quietly, and
+        # point stdout at devnull so the interpreter's own flush does not fail.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)

@@ -6,6 +6,11 @@ weight words, redundancy-coefficient bound tables, and alphabet
 reduction by shift search.
 """
 
+import os
+
+# Set before numpy loads: normbch's BLAS products are tiny, and a worker thread only slows start-up.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 __version__ = "0.1.0"
 
 from .bounds import (

@@ -215,12 +215,24 @@ class ParityCheckMatrix:
         return self.rows[:, position - 1].copy()
 
     def to_text(self) -> str:
-        """The matrix file text; rendered once and cached, like the rank."""
+        """The matrix file text; rendered once and cached, like the rank.
+
+        Each row is its entries in decimal, one space apart, ending in a
+        newline.  The body is one byte array: each entry's slot, a space
+        and its digits padded on the left with zero bytes, is read from a
+        table of the q values; dropping the zero bytes and each row's
+        first space leaves the text.
+        """
         if self._text is None:
             blocks = ",".join(f"{name}:{count}" for name, count in self.blocks)
-            lines = [f"q={self.q} n={self.n} r={self.row_count} blocks={blocks}"]
-            lines += [" ".join(map(str, row)) for row in self.rows.tolist()]
-            self._text = "\n".join(lines) + "\n"
+            header = f"q={self.q} n={self.n} r={self.row_count} blocks={blocks}\n"
+            width = len(str(self.q - 1))
+            table = "".join(" " + str(v).rjust(width, "\0") for v in range(self.q)).encode()
+            slots = np.frombuffer(table, dtype=np.uint8).reshape(self.q, 1 + width)[self.rows]
+            slots[:, :1, 0] = 0
+            r = self.row_count
+            body = np.hstack([slots.reshape(r, -1), np.full((r, 1), ord("\n"), dtype=np.uint8)])
+            self._text = header + body[body != 0].tobytes().decode("ascii")
         return self._text
 
     def sha256(self) -> str:

@@ -41,7 +41,21 @@ def rref(mat, p: int):
 
 
 def rank(mat, p: int) -> int:
-    return rref(mat, p)[1]
+    """Rank over GF(p).
+
+    Reduces a column prefix that starts at 4x the row count and doubles
+    until it has full row rank or is the whole matrix.  A wide matrix of
+    full row rank, as the construction's matrices are, is done after a few
+    prefix columns instead of row operations across all of them.
+    """
+    a = np.asarray(mat)
+    n_rows, n_cols = a.shape
+    width = 4 * n_rows
+    while True:
+        r = rref(a[:, :width], p)[1]
+        if r == n_rows or width >= n_cols:
+            return r
+        width *= 2
 
 
 def kernel_basis(mat, p: int) -> np.ndarray:

@@ -493,6 +493,31 @@ def test_version_flag(capsys):
     assert "normbch" in capsys.readouterr().out
 
 
+def _import_normbch(openblas_threads):
+    """OPENBLAS_NUM_THREADS and the thread count of a fresh process after `import normbch`."""
+    env = dict(os.environ)
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if openblas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = openblas_threads
+    src = str(Path(normbch.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    probe = "import os, normbch; print(os.environ['OPENBLAS_NUM_THREADS'], len(os.listdir('/proc/self/task')))"
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    value, threads = proc.stdout.split()
+    return value, int(threads)
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="counts threads in /proc/self/task")
+def test_numpy_loads_without_a_blas_thread():
+    assert _import_normbch(None) == ("1", 1)
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="counts threads in /proc/self/task")
+def test_caller_blas_threads_are_kept():
+    assert _import_normbch("2")[0] == "2"
+
+
 # Each case: argv with {missing} (an --out path in a missing directory),
 # {aug524} (a matrix file), {toy} (a codeword list) and {long} (one
 # binary word of length 15,000) filled in, the

@@ -225,6 +225,14 @@ class TestAffinePermutation:
             assert not syndrome(h524, moved).any()
 
 
+def _text_by_entry(matrix):
+    """The matrix text rendered one entry at a time, as to_text once did."""
+    blocks = ",".join(f"{name}:{count}" for name, count in matrix.blocks)
+    lines = [f"q={matrix.q} n={matrix.n} r={matrix.row_count} blocks={blocks}"]
+    lines += [" ".join(map(str, row)) for row in matrix.rows.tolist()]
+    return "\n".join(lines) + "\n"
+
+
 class TestFiles:
     def test_matrix_roundtrip(self, ha535, tmp_path):
         path = tmp_path / "m.txt"
@@ -265,6 +273,26 @@ class TestFiles:
         path.write_text("q=5 n=3 r=2 blocks=dense:2\n1 2 3 4\n0 1\n")
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:2: 4 entries, expected n=3$"):
             read_matrix_file(path)
+
+    @given(data=st.data())
+    def test_to_text_matches_per_entry_rendering(self, data):
+        q = data.draw(st.sampled_from([2, 3, 5, 7, 11, 13, 101, 32749]))
+        r = data.draw(st.integers(1, 4))
+        n = data.draw(st.integers(1, 12))
+        entry = st.integers(0, q - 1) | st.sampled_from([0, 1, q - 1])
+        rows = data.draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=r, max_size=r))
+        for i in data.draw(st.sets(st.integers(0, r - 1))):
+            rows[i] = [0] * n
+        matrix = ParityCheckMatrix(q, rows, [("dense", r)])
+        assert matrix.to_text() == _text_by_entry(matrix)
+
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 9), (7, 1), (3, 5)])
+    @pytest.mark.parametrize("q", [2, 3, 5, 7, 11, 13, 101, 32749])
+    def test_to_text_shapes(self, q, shape):
+        full = np.arange(shape[0] * shape[1]).reshape(shape) * 7919 % q  # mixed widths
+        for rows in (full, np.zeros(shape, dtype=np.int64), full * (np.arange(shape[0]) % 2)[:, None]):
+            matrix = ParityCheckMatrix(q, rows, [("dense", shape[0])])
+            assert matrix.to_text() == _text_by_entry(matrix)
 
     def test_matrix_text_format(self, h524):
         first = h524.to_text().splitlines()[0]
@@ -317,6 +345,11 @@ PINNED_SHA256 = {
     (7, 3, 5, "bch"): "c95152367af4090fbd782d0c4fd70d97a8059f4634c32968d842ad5f2bb57dda",
     (3, 2, 4, "aug"): "ab9b5b6f419c54e59296c682620c655b33558c9db1f5254019580c4e4d8ce260",
     (7, 2, 5, "aug"): "db1435b38a0ae2670880100108158c80ad02324d9238204a067019a1d8bf596c",
+    # Two-digit entries.
+    (11, 3, 5, "aug"): "5f80e96a6a9d8eed64d7ce14f3e3233af50e5728f4826942bd159a6d020851c0",
+    (11, 3, 5, "bch"): "b651428147bc8dfce63da9d9d4e54a8c705b2fcf62c8ef825cf1354653153726",
+    (13, 3, 5, "aug"): "70baea606d12e377de5646e0e1cfffaf8df33c444214ad1f2624c6b09b5c9bf2",
+    (13, 3, 5, "bch"): "de1093db3cc7f8a3d1327ac4907f0c0abe8a9009c560a746271361700ddbfd8e",
 }
 
 

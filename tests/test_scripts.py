@@ -8,17 +8,23 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import normbch
 
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def run_script(name: str) -> str:
+def script_env() -> dict:
     env = dict(os.environ)
     src = str(Path(normbch.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def run_script(name: str) -> str:
     proc = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / name)], capture_output=True, text=True, env=env, timeout=120
+        [sys.executable, str(ROOT / "scripts" / name)], capture_output=True, text=True, env=script_env(), timeout=120
     )
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
@@ -34,3 +40,24 @@ def test_lines_experiment():
     out = run_script("lines_experiment.py")
     assert "(q=13, m=3, d=5)  [proven range]  weight=4 words=22112805 on_line=22112805 violations=0\n" in out
     assert "(q=5, m=2, d=5)  [experiment only]  weight=4 words=350 on_line=150 violations=200\n" in out
+
+
+@pytest.mark.parametrize("name", ["bounds_table.py", "lines_experiment.py"])
+def test_closed_stdout_exits_quietly(name):
+    # The read end is closed before the child starts, so its first write to
+    # stdout fails with EPIPE, as when `| head` has exited.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, str(ROOT / "scripts" / name)],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=script_env(),
+            timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.stderr == ""  # no BrokenPipeError traceback
+    assert proc.returncode == 1
