@@ -18,8 +18,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-from .construct import ParityCheckMatrix
+if TYPE_CHECKING:  # an annotation only: the table code never loads numpy
+    from .construct import ParityCheckMatrix
 
 Bound = int | Fraction | float
 

@@ -9,7 +9,8 @@ case, lists comma-joined and a dict as `name:count,...`.  That text goes
 to stdout and to the verify-distance and check-lines --out files, and
 --json prints the record itself.
 Exit codes: 0 success or certified, 1 mathematical counterexample or
-violation, 2 usage, parameter, file or budget error.  Subcommands only
+violation, 2 usage, parameter, file or budget error, 141 (128 + SIGPIPE)
+stdout closed by its reader, with nothing on stderr.  Subcommands only
 compute and print; they raise on bad input, and main() alone turns
 BudgetExceededError, OSError and ValueError into exit 2 with one stderr
 line (any other exception is a bug and keeps its traceback).  Every
@@ -17,6 +18,8 @@ file written with --out gets a JSON manifest next to it, written by
 main() from the parsed arguments, recording parameters, input/output
 hashes, seed and timing; re-running with the manifest's parameters
 reproduces byte-identical primary outputs.
+Each subcommand imports its own engine when it runs, so a process loads
+only what its command uses: `--version` and `bounds` never load numpy.
 """
 
 from __future__ import annotations
@@ -30,24 +33,12 @@ import sys
 import time
 
 from . import __version__
-from .bounds import best_known, bounds_table, format_bound
-from .construct import (
-    augmented_matrix,
-    bch_matrix,
-    read_matrix_file,
-    validate_params,
-)
-from .errors import BudgetExceededError
-from .reduce import read_codeword_list, reduce_alphabet, write_codeword_list
-from .verify import (
-    DEFAULT_SUBSET_BUDGET,
-    min_distance_at_least,
-    verify_lines_theorem,
-)
+from .errors import DEFAULT_SUBSET_BUDGET, BudgetExceededError
 
 EXIT_OK = 0
 EXIT_COUNTEREXAMPLE = 1
 EXIT_ERROR = 2
+EXIT_BROKEN_PIPE = 128 + 13  # as if killed by SIGPIPE, the shell's code for `cmd | head`
 
 
 def _sha256_file(path: str) -> str:
@@ -104,6 +95,8 @@ def _emit(record: dict, layout: dict, as_json: bool, out=None) -> None:
 
 
 def cmd_gencode(args) -> int:
+    from .construct import augmented_matrix, bch_matrix, validate_params
+
     params = validate_params(args.q, args.m, args.d, relaxed=args.relaxed)
     if not params.valid:
         raise ValueError("invalid parameters: " + "; ".join(params.violations))
@@ -118,6 +111,9 @@ def cmd_gencode(args) -> int:
 
 
 def cmd_verify_distance(args) -> int:
+    from .construct import read_matrix_file
+    from .verify import min_distance_at_least
+
     matrix = read_matrix_file(args.matrix)
     cert = min_distance_at_least(matrix, args.d, budget=args.budget, threads=args.threads)
     record = dict(verdict=cert.verdict, distance_bound=cert.distance_bound, matrix_sha256=cert.matrix_sha256,
@@ -132,6 +128,9 @@ def cmd_verify_distance(args) -> int:
 
 
 def cmd_check_lines(args) -> int:
+    from .construct import validate_params
+    from .verify import verify_lines_theorem
+
     params = validate_params(args.q, args.m, args.d, relaxed=args.relaxed)
     report = verify_lines_theorem(params, budget=args.budget, experimental=args.experimental)
     record = dict(q=args.q, m=args.m, d=args.d, weight=report.weight, subset_count=report.subset_count,
@@ -142,6 +141,8 @@ def cmd_check_lines(args) -> int:
 
 
 def _bound_record(q: int, d: int) -> dict:
+    from .bounds import best_known, format_bound
+
     report = best_known(q, d)
     return {
         "q": q, "d": d,
@@ -164,6 +165,8 @@ def _table_range(text: str) -> range:
 
 
 def cmd_bounds(args) -> int:
+    from .bounds import bounds_table
+
     if args.table:
         q_range, d_range = (_table_range(t) for t in args.table)
         if args.json:
@@ -180,6 +183,8 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_reduce(args) -> int:
+    from .reduce import read_codeword_list, reduce_alphabet, write_codeword_list
+
     try:
         subset = [int(t) for t in args.subset.split(",")]
     except ValueError:
@@ -281,6 +286,12 @@ def main(argv=None) -> int:
         code = args.func(args)
         if getattr(args, "out", None):
             _write_manifest(args, time.perf_counter() - started)
+        sys.stdout.flush()  # so a closed stdout fails here, not at interpreter exit
+    except BrokenPipeError:
+        # The reader closed stdout early (as `| head` does): exit quietly, and
+        # point stdout at devnull so the interpreter's own flush does not fail.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except BudgetExceededError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_ERROR

@@ -2,6 +2,10 @@
 
 import math
 
+# Default cap on the subsets an exhaustive word search may enumerate; the
+# CLI parser needs it, so it lives here rather than in verify.
+DEFAULT_SUBSET_BUDGET = 20_000_000
+
 
 def _count(value: int) -> str:
     # Exact below 10^18; a larger count prints as a power of ten, so one

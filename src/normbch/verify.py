@@ -61,10 +61,9 @@ from .construct import (
     syndrome,
     validate_params,
 )
-from .errors import BudgetExceededError
+from .errors import DEFAULT_SUBSET_BUDGET, BudgetExceededError
 from .field import BasisPair, FieldElement, prime_scalar
 
-DEFAULT_SUBSET_BUDGET = 20_000_000
 # Memory cap of one collision pass; above it the pass is refused with
 # BudgetExceededError before its tables are allocated.
 MEMORY_CAP_BYTES = 1 << 30

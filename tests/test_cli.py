@@ -13,7 +13,6 @@ from hypothesis import given, strategies as st
 
 import normbch
 from normbch import augmented_matrix, empirical_rho, validate_params, varshamov_upper
-from normbch import cli
 from normbch.cli import main
 
 
@@ -61,7 +60,7 @@ class TestGencode:
         def no_build(*args, **kwargs):
             raise AssertionError("the matrix was built before --out was opened")
 
-        monkeypatch.setattr(cli, "augmented_matrix", no_build)
+        monkeypatch.setattr(normbch.construct, "augmented_matrix", no_build)
         out = tmp_path / "no-such-dir" / "x.txt"
         code, stdout, stderr = run(capsys, "gencode", "--q", "5", "--m", "5", "--d", "5", "--out", str(out))
         assert code == 2
@@ -493,15 +492,24 @@ def test_version_flag(capsys):
     assert "normbch" in capsys.readouterr().out
 
 
-def _import_normbch(openblas_threads):
-    """OPENBLAS_NUM_THREADS and the thread count of a fresh process after `import normbch`."""
+def _child_env() -> dict:
+    """The environment for a fresh interpreter: this process's, with the
+    package under test first on PYTHONPATH and NORMBCH_BUDGET unset."""
     env = dict(os.environ)
+    env.pop("NORMBCH_BUDGET", None)
+    src = str(Path(normbch.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def _import_normbch(openblas_threads):
+    """OPENBLAS_NUM_THREADS and the thread count of a fresh process after `import normbch.field`,
+    which loads numpy (a bare `import normbch` does not)."""
+    env = _child_env()
     env.pop("OPENBLAS_NUM_THREADS", None)
     if openblas_threads is not None:
         env["OPENBLAS_NUM_THREADS"] = openblas_threads
-    src = str(Path(normbch.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    probe = "import os, normbch; print(os.environ['OPENBLAS_NUM_THREADS'], len(os.listdir('/proc/self/task')))"
+    probe = "import os, normbch.field; print(os.environ['OPENBLAS_NUM_THREADS'], len(os.listdir('/proc/self/task')))"
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     value, threads = proc.stdout.split()
@@ -604,18 +612,67 @@ def test_exit_2_contract(matrix_files, tmp_path, capsys, monkeypatch, argv, budg
 @pytest.mark.parametrize("case", ["check-lines-out-missing-dir", "bounds-table-d1", "reduce-q2-beyond-budget"])
 def test_exit_2_contract_entry_point(matrix_files, tmp_path, case):
     argv, _, prefix = EXIT_2_CASES[case]
-    env = dict(os.environ)
-    env.pop("NORMBCH_BUDGET", None)
-    src = str(Path(normbch.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "normbch.cli", *_fill(argv, matrix_files, tmp_path)],
-        capture_output=True, text=True, env=env, timeout=120,
+        capture_output=True, text=True, env=_child_env(), timeout=120,
     )
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith(prefix)
+
+
+@pytest.mark.parametrize("buffered", [False, True], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize("argv", [["bounds", "--table", "2..9", "3..8", "--json"], ["bounds", "--q", "7", "--d", "5"]],
+                         ids=["table-json", "single"])
+def test_closed_stdout_exits_141_quietly(argv, buffered):
+    # The read end is closed before the child starts, so its first write to
+    # stdout, or main's flush of a buffered one, fails with EPIPE, as when
+    # `| head` has exited.
+    env = _child_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "normbch.cli", *argv], stdout=write_end,
+                              stderr=subprocess.PIPE, text=True, env=env, timeout=120)
+    finally:
+        os.close(write_end)
+    assert proc.stderr == ""  # neither "file error:" nor a BrokenPipeError report
+    assert proc.returncode == 141
+
+
+# A fresh interpreter runs one command through cli.main, then prints the
+# normbch submodules and numpy that it loaded, as its last line.
+FOOTPRINT_PROBE = (
+    "import json, sys\n"
+    "from normbch.cli import main\n"
+    "main(sys.argv[1:])\n"
+    "print(json.dumps(sorted(m for m in sys.modules if m == 'numpy' or m.startswith('normbch.'))))\n"
+)
+# Each case: argv as in EXIT_2_CASES, modules that must load, modules that must not.
+FOOTPRINT_CASES = {
+    "version": (["--version"], {"normbch.cli"}, {"numpy"}),
+    "bounds": (["bounds", "--q", "7", "--d", "5"], {"normbch.bounds"}, {"numpy"}),
+    "gencode": (["gencode", "--q", "5", "--m", "2", "--d", "4", "--out", "{tmp}/g.txt"],
+                {"normbch.construct", "numpy"}, {"normbch.verify", "normbch.bounds", "normbch.reduce"}),
+    "verify-distance": (["verify-distance", "--matrix", "{aug524}", "--d", "4"],
+                        {"normbch.verify"}, {"normbch.bounds", "normbch.reduce"}),
+    "check-lines": (["check-lines", "--q", "5", "--m", "2", "--d", "4"],
+                    {"normbch.verify"}, {"normbch.bounds", "normbch.reduce"}),
+}
+
+
+@pytest.mark.parametrize("argv, present, absent", FOOTPRINT_CASES.values(), ids=FOOTPRINT_CASES.keys())
+def test_import_footprint(matrix_files, tmp_path, argv, present, absent):
+    proc = subprocess.run([sys.executable, "-c", FOOTPRINT_PROBE, *_fill(argv, matrix_files, tmp_path)],
+                          capture_output=True, text=True, env=_child_env(), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(json.loads(proc.stdout.splitlines()[-1]))
+    assert present <= loaded
+    assert not loaded & absent
 
 
 class TestBudgetEnvironment:
