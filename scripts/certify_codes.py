@@ -109,5 +109,5 @@ if __name__ == "__main__":
         # The reader closed stdout early (as `| head` does): exit quietly, and
         # point stdout at devnull so the interpreter's own flush does not fail.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        code = 1
+        code = 128 + 13  # as if killed by SIGPIPE, like the normbch CLI
     sys.exit(code)

@@ -27,18 +27,16 @@ _EXPORTS = {
     "cli": (),
     "construct": (
         "CodeParams", "Codeword", "LocatorTable", "ParityCheckMatrix", "apply_affine_permutation",
-        "augmented_matrix", "bch_matrix", "build_locators", "read_codeword_file", "read_matrix_file",
-        "syndrome", "validate_params", "write_codeword_file", "write_matrix_file",
+        "augmented_matrix", "bch_matrix", "build_locators", "read_matrix_file", "syndrome", "validate_params",
     ),
     "errors": ("BudgetExceededError",),
     "field": (
-        "BasisPair", "Field", "FieldElement", "FieldMismatchError", "embed_hat", "in_subfield", "is_prime",
+        "BasisPair", "Field", "FieldElement", "FieldMismatchError", "embed_hat", "is_prime",
         "make_basis_pair", "make_field", "norm", "prime_scalar",
     ),
     "linalg": (),
     "reduce": (
-        "ExplicitCode", "ReductionResult", "read_codeword_list", "reduce_alphabet",
-        "redundancy_ratio_identity", "write_codeword_list",
+        "ExplicitCode", "ReductionResult", "read_codeword_list", "reduce_alphabet", "write_codeword_list",
     ),
     "verify": (
         "AffineLine", "DistanceCertificate", "LinesReport", "construct_weight_word", "enumerate_weight_words",

@@ -277,15 +277,15 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        # argparse exits with 2 on usage errors, matching our convention
-        return int(exc.code) if exc.code else EXIT_OK
-    started = time.perf_counter()
-    try:
-        code = args.func(args)
-        if getattr(args, "out", None):
-            _write_manifest(args, time.perf_counter() - started)
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit as exc:  # 0 after --help or --version, 2 on a usage error
+            code = int(exc.code) if exc.code else EXIT_OK
+        else:
+            started = time.perf_counter()
+            code = args.func(args)
+            if getattr(args, "out", None):
+                _write_manifest(args, time.perf_counter() - started)
         sys.stdout.flush()  # so a closed stdout fails here, not at interpreter exit
     except BrokenPipeError:
         # The reader closed stdout early (as `| head` does): exit quietly, and

@@ -168,9 +168,6 @@ class LocatorTable:
             return self.n
         return (int(self.field.log_array(x.val)) - 1) % (self.n - 1) + 1
 
-    def __len__(self) -> int:
-        return self.n
-
 
 def build_locators(params: CodeParams) -> LocatorTable:
     """Locator table of GF(q^m); needs a buildable field, not full validity."""
@@ -208,11 +205,6 @@ class ParityCheckMatrix:
 
     def dimension(self) -> int:
         return self.n - self.rank()
-
-    def column(self, position: int) -> np.ndarray:
-        if not 1 <= position <= self.n:
-            raise ValueError(f"position {position} out of range [1, {self.n}]")
-        return self.rows[:, position - 1].copy()
 
     def to_text(self) -> str:
         """The matrix file text; rendered once and cached, like the rank.
@@ -335,11 +327,6 @@ def apply_affine_permutation(
     return Codeword(tuple(j for j, _ in pairs), tuple(c for _, c in pairs))
 
 
-def write_matrix_file(matrix: ParityCheckMatrix, path) -> None:
-    with open(path, "w") as fh:
-        fh.write(matrix.to_text())
-
-
 def read_matrix_file(path) -> ParityCheckMatrix:
     """Parse a matrix file; locators and params are not reconstructed.
 
@@ -406,42 +393,3 @@ def _written_rows(body: list[str], q: int, n: int) -> np.ndarray | None:
         return None
     return values.reshape(-1, n)
 
-
-def write_codeword_file(word: Codeword, n: int, path) -> None:
-    with open(path, "w") as fh:
-        fh.write(f"n={n}\n")
-        for j, c in zip(word.support, word.coeffs):
-            fh.write(f"{j} {c}\n")
-
-
-def read_codeword_file(path) -> tuple[Codeword, int]:
-    """Read `n=<n>` then one `<position> <coefficient>` pair per line; blank lines are skipped.
-
-    Raises ValueError naming the file line on a bad header, a line that
-    is not two decimal integers, a position outside [1, n], positions
-    that do not increase, or a zero coefficient.
-    """
-    support: list[int] = []
-    coeffs: list[int] = []
-    with open(path) as fh:
-        header = fh.readline().strip()
-        key, _, value = header.partition("=")
-        if key != "n" or not value.isdecimal() or int(value) < 1:
-            raise ValueError(f"{path}:1: header {header!r} is not n=<positive integer>")
-        n = int(value)
-        for number, line in enumerate(fh, start=2):
-            fields = line.split()
-            if not fields:
-                continue
-            if len(fields) != 2 or not all(f.isdecimal() for f in fields):
-                raise ValueError(f"{path}:{number}: {line.strip()!r} is not a position and a coefficient")
-            j, c = int(fields[0]), int(fields[1])
-            if not 1 <= j <= n:
-                raise ValueError(f"{path}:{number}: position {j} outside [1, {n}]")
-            if support and j <= support[-1]:
-                raise ValueError(f"{path}:{number}: position {j} does not follow {support[-1]}")
-            if c == 0:
-                raise ValueError(f"{path}:{number}: zero coefficient")
-            support.append(j)
-            coeffs.append(c)
-    return Codeword(tuple(support), tuple(coeffs)), n

@@ -238,10 +238,6 @@ class FieldElement:
     def __repr__(self):
         return f"gf({self.field.p}^{self.field.degree}):{self.val}"
 
-    def to_text(self) -> str:
-        """Comma-separated base-p digits, low coordinate first."""
-        return ",".join(str(c) for c in self.coords)
-
 
 class Field:
     """GF(p^k) with the deterministically chosen primitive modulus.
@@ -343,13 +339,6 @@ class Field:
             raise ValueError(f"element value {val} out of range [0, {self.size})")
         return FieldElement(self, val)
 
-    def from_coords(self, digits) -> FieldElement:
-        digits = list(digits)
-        if len(digits) != self.degree:
-            raise ValueError(f"expected {self.degree} coordinates, got {len(digits)}")
-        # reduced in Python first: a digit may not fit in int64
-        return FieldElement(self, self.encode_array(np.array([d % self.p for d in digits])).item())
-
     def scalar(self, c: int) -> FieldElement:
         """The prime-subfield element with constant coordinate c."""
         return FieldElement(self, c % self.p)
@@ -359,13 +348,6 @@ class Field:
 
     def nonzero_elements(self) -> Iterator[FieldElement]:
         return (FieldElement(self, v) for v in range(1, self.size))
-
-    def describe(self) -> str:
-        """Text form: p=<p> deg=<k> modulus=<c0,c1,...,ck>."""
-        return f"p={self.p} deg={self.degree} modulus=" + ",".join(str(c) for c in self.modulus)
-
-    def element_from_text(self, text: str) -> FieldElement:
-        return self.from_coords(int(t) for t in text.split(","))
 
     def __eq__(self, other):
         if not isinstance(other, Field):
@@ -379,16 +361,17 @@ class Field:
         return f"Field(GF({self.p}^{self.degree}), modulus={list(self.modulus)})"
 
 
-def make_field(p: int, total_degree: int, max_size: int = DEFAULT_MAX_FIELD_SIZE) -> Field:
+def make_field(p: int, total_degree: int) -> Field:
     """GF(p^total_degree) with the deterministic modulus choice.
 
-    Cached on (p, total_degree) alone, so every call for one field
-    returns the same object and their elements interoperate directly;
-    max_size is checked on every call, cached or not, and p^total_degree
-    is computed only for a degree that 2^degree <= max_size admits.
+    Cached on (p, total_degree), so every call for one field returns the
+    same object and their elements interoperate directly.
+    DEFAULT_MAX_FIELD_SIZE is checked on every call, cached or not, and
+    p^total_degree is computed only for a degree that 2^degree <=
+    DEFAULT_MAX_FIELD_SIZE admits.
     """
-    if total_degree >= max_size.bit_length() or p**total_degree > max_size:
-        raise ValueError(f"field size {p}^{total_degree} exceeds the budget {max_size}")
+    if total_degree >= DEFAULT_MAX_FIELD_SIZE.bit_length() or p**total_degree > DEFAULT_MAX_FIELD_SIZE:
+        raise ValueError(f"field size {p}^{total_degree} exceeds the budget {DEFAULT_MAX_FIELD_SIZE}")
     return _cached_field(p, total_degree)
 
 
@@ -511,11 +494,6 @@ def norm(x: FieldElement, d: int) -> FieldElement:
     s = field.degree // (d - 2)
     exponent = sum(field.p ** (t * s) for t in range(d - 2))
     return x**exponent
-
-
-def in_subfield(x: FieldElement, sub_size: int) -> bool:
-    """Whether x lies in the subfield of the given size (x ** sub_size == x)."""
-    return x**sub_size == x
 
 
 def prime_scalar(x: FieldElement) -> int:

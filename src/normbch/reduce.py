@@ -21,7 +21,6 @@ to the lexicographically smallest.
 from __future__ import annotations
 
 import itertools
-import math
 import random
 from dataclasses import dataclass
 
@@ -180,24 +179,6 @@ def reduce_alphabet(
         subcode=sub,
         trials=result_trials,
     )
-
-
-def redundancy_ratio_identity(n: int, q1: int, q2: int, size_v: int) -> tuple[float, float]:
-    """Both sides of the redundancy-preservation identity, for numeric comparison.
-
-    lhs treats the average-retained subcode over q1; rhs the original
-    code over q2.  They agree analytically; callers compare within
-    floating tolerance.
-    """
-    if n < 2 or q1 < 2 or q2 < 2 or size_v < 1:
-        raise ValueError("need n >= 2, alphabet sizes >= 2 and a positive code size")
-    log_q1 = math.log(q1)
-    log_q2 = math.log(q2)
-    log_v = math.log(size_v)
-    log_avg = n + log_v / log_q1 - n * log_q2 / log_q1
-    lhs = (n - log_avg) / (math.log(n) / log_q1)
-    rhs = (n - log_v / log_q2) / (math.log(n) / log_q2)
-    return lhs, rhs
 
 
 def write_codeword_list(code: ExplicitCode, path) -> None:

@@ -62,7 +62,7 @@ from .construct import (
     validate_params,
 )
 from .errors import DEFAULT_SUBSET_BUDGET, BudgetExceededError
-from .field import BasisPair, FieldElement, prime_scalar
+from .field import FieldElement, prime_scalar
 
 # Memory cap of one collision pass; above it the pass is refused with
 # BudgetExceededError before its tables are allocated.
@@ -591,9 +591,7 @@ def verify_lines_theorem(
     )
 
 
-def construct_weight_word(
-    params: CodeParams, basis: BasisPair | None = None
-) -> tuple[Codeword, np.ndarray]:
+def construct_weight_word(params: CodeParams) -> tuple[Codeword, np.ndarray]:
     """Deterministic weight-(d-1) word of the base code, plus its augmented syndrome.
 
     Locators are the d-3 smallest elements of GF(q) outside {0, 1},
@@ -619,7 +617,7 @@ def construct_weight_word(
     coeffs = [int(c) for c in solution] + [1]
     if any(c == 0 for c in coeffs):
         raise RuntimeError("separation witness produced a zero coefficient")
-    aug = augmented_matrix(params, basis)
+    aug = augmented_matrix(params)
     loc = aug.locators
     field = loc.field
     pairs = sorted(

@@ -622,10 +622,7 @@ def test_exit_2_contract_entry_point(matrix_files, tmp_path, case):
     assert proc.stderr.startswith(prefix)
 
 
-@pytest.mark.parametrize("buffered", [False, True], ids=["unbuffered", "buffered"])
-@pytest.mark.parametrize("argv", [["bounds", "--table", "2..9", "3..8", "--json"], ["bounds", "--q", "7", "--d", "5"]],
-                         ids=["table-json", "single"])
-def test_closed_stdout_exits_141_quietly(argv, buffered):
+def _run_into_closed_pipe(argv, buffered):
     # The read end is closed before the child starts, so its first write to
     # stdout, or main's flush of a buffered one, fails with EPIPE, as when
     # `| head` has exited.
@@ -636,12 +633,29 @@ def test_closed_stdout_exits_141_quietly(argv, buffered):
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
-        proc = subprocess.run([sys.executable, "-m", "normbch.cli", *argv], stdout=write_end,
+        return subprocess.run([sys.executable, "-m", "normbch.cli", *argv], stdout=write_end,
                               stderr=subprocess.PIPE, text=True, env=env, timeout=120)
     finally:
         os.close(write_end)
+
+
+@pytest.mark.parametrize("buffered", [False, True], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize("argv", [["bounds", "--table", "2..9", "3..8", "--json"], ["bounds", "--q", "7", "--d", "5"]],
+                         ids=["table-json", "single"])
+def test_closed_stdout_exits_141_quietly(argv, buffered):
+    proc = _run_into_closed_pipe(argv, buffered)
     assert proc.stderr == ""  # neither "file error:" nor a BrokenPipeError report
     assert proc.returncode == 141
+
+
+@pytest.mark.parametrize("buffered", [False, True], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize("argv", [["--version"], ["gencode", "--help"]], ids=["version", "help"])
+def test_closed_stdout_after_version_or_help(argv, buffered):
+    # argparse prints these and exits inside parse_args; unbuffered, it
+    # swallows the write error itself and exits 0
+    proc = _run_into_closed_pipe(argv, buffered)
+    assert proc.stderr == ""  # no "Exception ignored ... BrokenPipeError" at interpreter exit
+    assert proc.returncode == 141 if buffered else proc.returncode in (0, 141)
 
 
 # A fresh interpreter runs one command through cli.main, then prints the

@@ -9,7 +9,6 @@ from normbch import (
     BasisPair,
     FieldMismatchError,
     embed_hat,
-    in_subfield,
     make_basis_pair,
     make_field,
     norm,
@@ -58,7 +57,7 @@ class TestMakeField:
             make_field(5, 0)
 
     def test_size_budget(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=f"exceeds the budget {DEFAULT_MAX_FIELD_SIZE}$"):
             make_field(2, 25)
 
     def test_size_budget_for_any_degree(self):
@@ -67,10 +66,7 @@ class TestMakeField:
             make_field(5, 3_000_000)
 
     def test_cached_on_field_only(self):
-        assert make_field(5, 3) is make_field(5, 3, DEFAULT_MAX_FIELD_SIZE)
-        assert make_field(5, 3) is make_field(5, 3, 5**3)
-        with pytest.raises(ValueError):
-            make_field(5, 3, 5**3 - 1)  # the cached field does not bypass the budget
+        assert make_field(5, 3) is make_field(5, 3) is F125
 
     @pytest.mark.parametrize("p,k", [(5, 1), (5, 2), (5, 3), (3, 2), (3, 4), (7, 3)])
     def test_modulus_is_monic_irreducible_primitive(self, p, k):
@@ -111,8 +107,7 @@ class TestMakeField:
         assert all(field._log[v] == i for i, v in enumerate(field._exp))
 
     def test_determinism(self):
-        assert make_field(5, 3).describe() == F125.describe()
-        assert F125.describe() == "p=5 deg=3 modulus=2,0,1,1"
+        assert make_field(5, 3).modulus == F125.modulus == (2, 0, 1, 1)
 
 
 class TestArithmetic:
@@ -203,19 +198,8 @@ class TestAdditionReference:
 
 
 class TestSerialization:
-    def test_element_text_digits_reduced_mod_p(self):
-        # the digit does not fit in int64; it is reduced before encoding
-        assert F25.element_from_text("99999999999999999999999,0").coords == (4, 0)
-
-    def test_element_text_roundtrip(self):
-        x = F125.elem(67)
-        assert F125.element_from_text(x.to_text()) == x
-
-    def test_element_text_low_digit_first(self):
-        assert F125.elem(1 + 2 * 5 + 3 * 25).to_text() == "1,2,3"
-
     def test_describe_format(self):
-        assert F5.describe() == "p=5 deg=1 modulus=2,1"
+        assert F5.modulus == (2, 1)
 
 
 class TestBasisPair:
@@ -245,7 +229,7 @@ class TestBasisPair:
         for c1 in range(5):
             for c2 in range(5):
                 span.add((f.scalar(c1) * bp.g[0] + f.scalar(c2) * bp.g[1]).val)
-        subfield = {x.val for x in f.elements() if in_subfield(x, 25)}
+        subfield = {x.val for x in f.elements() if x**25 == x}
         assert span == subfield
 
     def test_dependent_basis_rejected(self):
@@ -329,7 +313,8 @@ class TestNorm:
         f = bp.field_mu
         sub = q**bp.s
         for x in f.elements():
-            assert in_subfield(norm(x, d), sub)
+            y = norm(x, d)
+            assert y**sub == y
 
     def test_norm_of_primitive_has_subfield_order(self):
         bp = make_basis_pair(5, 3, 4)

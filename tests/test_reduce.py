@@ -10,7 +10,6 @@ from normbch import (
     ExplicitCode,
     read_codeword_list,
     reduce_alphabet,
-    redundancy_ratio_identity,
     write_codeword_list,
 )
 from normbch import reduce as reduce_module
@@ -240,28 +239,6 @@ class TestReduceSampled:
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
             reduce_alphabet(TOY, [0, 1], mode="greedy")
-
-
-class TestRatioIdentity:
-    def test_example(self):
-        lhs, rhs = redundancy_ratio_identity(16, 3, 4, 4**10)
-        assert lhs == pytest.approx(rhs, rel=1e-9)
-
-    def test_full_code_gives_zero(self):
-        lhs, rhs = redundancy_ratio_identity(8, 3, 4, 4**8)
-        assert lhs == pytest.approx(0.0, abs=1e-9)
-        assert rhs == pytest.approx(0.0, abs=1e-9)
-
-    def test_single_word(self):
-        import math
-
-        lhs, rhs = redundancy_ratio_identity(10, 3, 5, 1)
-        assert lhs == pytest.approx(rhs, rel=1e-9)
-        assert rhs == pytest.approx(10 / (math.log(10) / math.log(5)), rel=1e-9)
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            redundancy_ratio_identity(1, 3, 4, 5)
 
 
 class TestFiles:
