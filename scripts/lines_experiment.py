@@ -4,7 +4,8 @@
 The first group of parameter sets satisfies the hypotheses (prime m
 above (d-3)!, characteristic above d-3), so zero violations there is a
 certified reproduction.  The second group deliberately breaks the m
-condition; results for it are observations only and nothing is asserted.
+condition (m too small, or not prime); results for it are observations
+only and nothing is asserted.
 
 Usage: python scripts/lines_experiment.py
 """
@@ -34,8 +35,8 @@ def main() -> int:
     for q, m, d in ((5, 2, 4), (7, 2, 4), (5, 3, 5), (7, 3, 5), (11, 3, 5), (13, 3, 5)):
         report(validate_params(q, m, d))
     print()
-    print("hypotheses fail (m too small); reported, never asserted:")
-    for q, m, d in ((5, 2, 5), (7, 2, 5)):
+    print("hypotheses fail (m too small or not prime); reported, never asserted:")
+    for q, m, d in ((5, 2, 5), (7, 2, 5), (5, 4, 5), (7, 4, 5)):
         params = validate_params(q, m, d)
         assert not params.valid
         report(params, experimental=True)

@@ -39,6 +39,7 @@ EXIT_OK = 0
 EXIT_COUNTEREXAMPLE = 1
 EXIT_ERROR = 2
 EXIT_BROKEN_PIPE = 128 + 13  # as if killed by SIGPIPE, the shell's code for `cmd | head`
+MAX_TABLE_CELLS = 100_000  # bounds --table takes about 4 s and prints 3 MB at this size
 
 
 def _sha256_file(path: str) -> str:
@@ -169,6 +170,9 @@ def cmd_bounds(args) -> int:
 
     if args.table:
         q_range, d_range = (_table_range(t) for t in args.table)
+        cells = (q_range.stop - q_range.start) * (d_range.stop - d_range.start)  # len() overflows past 2^63
+        if cells > MAX_TABLE_CELLS:
+            raise BudgetExceededError(cells, MAX_TABLE_CELLS, what="table cells")
         if args.json:
             records = [_bound_record(q, d) for q in q_range for d in d_range]
             print(json.dumps(records, indent=2, sort_keys=True))

@@ -19,9 +19,7 @@ completed by c and 1.  Images are mapped in bounded batches through
 the field's Zech logarithms, log(1 + e^k).
 
 The line check examines representatives only.  An invariant set with R
-representatives has R*n(n-1)/(v(v-1)) members, which gives every count;
-the violating words themselves are the images of the off-line
-representatives.
+representatives has R*n(n-1)/(v(v-1)) members, which gives every count.
 
 Distance >= d holds when no (d-1)-subset of columns is dependent.  On
 the augmented matrix of the construction, rebuilt from its header and
@@ -42,12 +40,10 @@ holding a word.
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import math
 import time
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -107,13 +103,7 @@ class AffineLine:
 
 @dataclass(frozen=True)
 class LinesReport:
-    """Counts of the minimum-weight base-code words and of those off every line.
-
-    violation_arrays holds the violating words as (supports, coeffs), two
-    (violation_count, weight) arrays of 1-based positions and
-    coefficients; violations builds the Codeword objects from them on
-    first read (about 600 bytes a word, outside MEMORY_CAP_BYTES).
-    """
+    """Counts of the minimum-weight base-code words and of those off every line."""
 
     params: CodeParams
     weight: int
@@ -122,13 +112,6 @@ class LinesReport:
     violation_count: int
     theorem_applies: bool
     subset_count: int
-    violation_arrays: tuple[np.ndarray, np.ndarray] = dataclasses.field(repr=False, compare=False)
-
-    @cached_property
-    def violations(self) -> tuple[Codeword, ...]:
-        """The violating words sorted by (support, coefficients), first coefficient 1."""
-        sups, coefs = self.violation_arrays
-        return tuple(Codeword(tuple(s), tuple(c)) for s, c in zip(sups.tolist(), coefs.tolist()))
 
 
 def _check_memory(r: int, n: int, q: int, v: int, words: int = 0, lead_one: bool = True) -> None:
@@ -459,10 +442,6 @@ def _orbit_size(reps: int, n: int, v: int) -> int:
 
 
 _IMAGE_ENTRIES = 1 << 16  # entries of one image batch and of one translate table
-# Peak bytes per violation word, plus _POSITION_BYTES per position: the
-# kept images and their sorted copies (tracemalloc peak: 186 at v=4, 225
-# at v=5, past the fixed batch arrays).
-_WORD_BYTES, _POSITION_BYTES = 32, 48
 
 
 def _locator_logs(columns: np.ndarray, n: int) -> np.ndarray:
@@ -518,36 +497,6 @@ def _affine_images(field, supports: np.ndarray):
             yield rows, columns[a[:, None].astype(np.int32) + table[c]].reshape(len(c), -1, v)
 
 
-def _violation_images(field, supports: np.ndarray, coeffs: np.ndarray, q: int, count: int):
-    """Every image of the representatives under x -> a*x + b, one per scalar class.
-
-    Returns the count words as (supports, coeffs), two (count, v) arrays
-    of 1-based positions and coefficients, sorted by (support,
-    coefficients), first coefficient 1.  A word arises from a
-    representative under one map per ordered pair of its locators; the
-    pass keeps the image under the map that sends locators 1 and 0 to its
-    last two positions, so each word is kept once.  Raises
-    BudgetExceededError when the words would exceed MEMORY_CAP_BYTES,
-    RuntimeError when the pass does not yield count words.
-    """
-    v = supports.shape[1]
-    per_word = _WORD_BYTES + _POSITION_BYTES * v
-    if count * per_word > MEMORY_CAP_BYTES:
-        raise BudgetExceededError(count, MEMORY_CAP_BYTES // per_word, what="violation images")
-    kept = [np.empty((0, v), dtype=np.intp)]
-    for rows, cols in _affine_images(field, supports):
-        # column * q + coefficient orders like the columns, which differ within an image
-        keys = (cols.astype(np.intp) * q + coeffs[rows]).reshape(-1, v)
-        keep = (keys[:, -1] > keys[:, :-1].max(axis=1)) & (keys[:, -2] > keys[:, :-2].max(axis=1))
-        kept.append(np.sort(keys[keep], axis=1))
-    sups, coefs = np.divmod(np.concatenate(kept), q)
-    if len(sups) != count:
-        raise RuntimeError(f"{len(sups)} distinct violation images, expected {count} from the orbit count")
-    coefs = coefs * np.array([0] + [pow(c, -1, q) for c in range(1, q)])[coefs[:, :1]] % q
-    order = np.lexsort(np.hstack([sups, coefs]).T[::-1])
-    return sups[order] + 1, coefs[order]
-
-
 def verify_lines_theorem(
     params: CodeParams,
     budget: int = DEFAULT_SUBSET_BUDGET,
@@ -560,10 +509,9 @@ def verify_lines_theorem(
     the violation count by orbit counting (see the module docstring).
     on_affine_line anchors a representative at 0 with direction 1, so it
     is on a line exactly when every locator of its support lies in GF(q).
-    The violations are the sorted images of the off-line representatives
-    under the affine maps.  With experimental set, parameters that fail
-    the hypotheses are still run and the report is marked as outside the
-    proven range; results are then observations, not assertions.
+    With experimental set, parameters that fail the hypotheses are still
+    run and the report is marked as outside the proven range; results
+    are then observations, not assertions.
     """
     if params.d < 4:
         raise ValueError("line validation needs d >= 4 (below that any support is collinear)")
@@ -574,20 +522,16 @@ def verify_lines_theorem(
     total = math.comb(n, v)
     if total > budget:
         raise BudgetExceededError(total, budget)
-    supports, coeffs = _representatives(matrix.rows, q, v)
+    supports, _ = _representatives(matrix.rows, q, v)
     off = ((supports[:, :-2] + 1) % ((n - 1) // (q - 1)) != 0).any(axis=1)
-    violations = _violation_images(
-        matrix.locators.field, supports[off], coeffs[off], q, _orbit_size(int(off.sum()), n, v)
-    )
     return LinesReport(
         params=params,
         weight=v,
         words_found=_orbit_size(len(supports), n, v),
         on_line=_orbit_size(int((~off).sum()), n, v),
-        violation_count=len(violations[0]),
+        violation_count=_orbit_size(int(off.sum()), n, v),
         theorem_applies=params.valid,
         subset_count=total,
-        violation_arrays=violations,
     )
 
 

@@ -214,14 +214,29 @@ class TestCheckLines:
         assert code == 2
         assert "parameter error" in stderr
 
-    def test_image_pass_refused_by_memory_cap(self, capsys, monkeypatch):
-        # the representatives of (5,2,5) fit in 20 kB; its 200 violation words do not
+    def test_representative_search_within_memory_cap(self, capsys, monkeypatch):
+        # the representative search of (5,2,5) fits in 20 kB, and the counts need nothing more
         monkeypatch.setattr(normbch.verify, "MEMORY_CAP_BYTES", 20_000)
+        code, stdout, stderr = run(capsys, "check-lines", "--q", "5", "--m", "2", "--d", "5", "--experimental")
+        assert code == 1
+        assert "violations=200" in stdout
+        assert stderr == ""
+
+    def test_representative_search_refused_by_memory_cap(self, capsys, monkeypatch):
+        monkeypatch.setattr(normbch.verify, "MEMORY_CAP_BYTES", 5_000)
         code, stdout, stderr = run(capsys, "check-lines", "--q", "5", "--m", "2", "--d", "5", "--experimental")
         assert code == 2
         assert stdout == ""
-        assert len(stderr.splitlines()) == 1
-        assert stderr.startswith("budget exceeded: 200 violation images needed")
+        assert stderr == "budget exceeded: 184 half-vectors needed, budget is 111\n"
+
+    def test_745_counts_by_orbits(self, capsys):
+        # m = 4 is not prime; 5,762,400 violating words are counted, never built
+        budget = str(math.comb(2401, 4))
+        code, stdout, stderr = run(capsys, "check-lines", "--q", "7", "--m", "4", "--d", "5", "--experimental",
+                                   "--budget", budget)
+        assert code == 1
+        assert "words_found=10564400\non_line=4802000\nviolations=5762400\n" in stdout
+        assert stderr == ""
 
 
 class TestBounds:
@@ -546,6 +561,10 @@ EXIT_2_CASES = {
                     None, "parameter error: invalid parameters:"),
     "bounds-table-d1": (["bounds", "--table", "2..3", "1..4"], None, "parameter error:"),
     "bounds-table-reversed": (["bounds", "--table", "3..2", "4..5"], None, "parameter error:"),
+    "bounds-table-beyond-cell-cap": (["bounds", "--table", "2..2000", "3..60", "--json"], None,
+                                     "budget exceeded: 115942 table cells needed, budget is 100000"),
+    "bounds-table-beyond-int64": (["bounds", "--table", "2..99999999999999999999", "3..4"], None,
+                                 "budget exceeded: about 10^20 table cells needed, budget is 100000"),
     "verify-distance-threads-below-1": (
         ["verify-distance", "--matrix", "{aug524}", "--d", "4", "--threads", "-1"], None, "parameter error:"),
     "reduce-subset-not-integers": (
@@ -609,7 +628,8 @@ def test_exit_2_contract(matrix_files, tmp_path, capsys, monkeypatch, argv, budg
     assert not list(tmp_path.glob("*.manifest.json"))
 
 
-@pytest.mark.parametrize("case", ["check-lines-out-missing-dir", "bounds-table-d1", "reduce-q2-beyond-budget"])
+@pytest.mark.parametrize("case", ["check-lines-out-missing-dir", "bounds-table-d1", "bounds-table-beyond-int64",
+                                  "reduce-q2-beyond-budget"])
 def test_exit_2_contract_entry_point(matrix_files, tmp_path, case):
     argv, _, prefix = EXIT_2_CASES[case]
     proc = subprocess.run(

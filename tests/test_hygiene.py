@@ -1,10 +1,10 @@
 """Every name a module of the package imports is used in that module, and
-every name the package exports is used by the package, the scripts or the
-acceptance tests.
+every name the package exports or a module defines at its top level is
+read by the package, the scripts or the acceptance tests.
 
 No linter ships with the test environment, so these tests are the check
-for dead imports and dead exports.  __init__.py is skipped: its names are
-the public API.
+for dead imports, dead exports and dead definitions.  __init__.py is
+skipped: its names are the public API.
 """
 
 import ast
@@ -45,17 +45,52 @@ def test_no_unused_imports(path):
 
 
 def used_names(source: str) -> set[str]:
-    """Every name the source reads, bare or as an attribute; a def or class binds its name, not reads it."""
+    """Every name the source reads, bare or as an attribute; a def, class or assignment binds its name,
+    not reads it."""
     nodes = list(ast.walk(ast.parse(source)))
-    return {n.id for n in nodes if isinstance(n, ast.Name)} | {n.attr for n in nodes if isinstance(n, ast.Attribute)}
+    loads = {n.id for n in nodes if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    return loads | {n.attr for n in nodes if isinstance(n, ast.Attribute)}
 
 
 def test_used_names_skip_definitions():
-    source = "import os\ndef f(x):\n    return os.path.join(x, g)\nclass C:\n    pass\n"
+    source = "import os\ndef f(x):\n    return os.path.join(x, g)\nclass C:\n    pass\nK = 1\n"
     assert used_names(source) == {"os", "path", "join", "x", "g"}
+
+
+def top_level_names(source: str) -> list[str]:
+    """The functions, classes and constants a module binds at its top level, in source order."""
+    names = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    return names
+
+
+def unread_definitions(module: str, used: set[str]) -> list[str]:
+    return [name for name in top_level_names(module) if name not in used]
+
+
+def test_unread_definition_is_found():
+    constants = "_WORD_BYTES, _POSITION_BYTES = 32, 48\n"
+    images = "def _violation_images(v):\n    return _WORD_BYTES + _POSITION_BYTES * v\n"
+    check = "def verify_lines_theorem(v):\n    return {}\n"
+    before = constants + images + check.format("_violation_images(v)")
+    caller = "verify_lines_theorem(4)\n"
+    assert unread_definitions(before, used_names(before + caller)) == []
+    after = constants + check.format("v")  # the function deleted, its constants left behind
+    assert unread_definitions(after, used_names(after + caller)) == ["_WORD_BYTES", "_POSITION_BYTES"]
 
 
 def test_every_export_has_a_caller():
     used = set().union(*(used_names(path.read_text()) for path in CALLERS))
     unused = sorted(set(normbch.__all__) - used)
     assert not unused, "exported without a caller: " + ", ".join(unused)
+
+
+def test_every_definition_has_a_reader():
+    used = set().union(*(used_names(path.read_text()) for path in CALLERS))
+    unread = [f"{path.name}: {name}" for path in MODULES for name in unread_definitions(path.read_text(), used)]
+    assert not unread, "defined without a reader: " + ", ".join(unread)

@@ -40,6 +40,8 @@ def test_lines_experiment():
     out = run_script("lines_experiment.py")
     assert "(q=13, m=3, d=5)  [proven range]  weight=4 words=22112805 on_line=22112805 violations=0\n" in out
     assert "(q=5, m=2, d=5)  [experiment only]  weight=4 words=350 on_line=150 violations=200\n" in out
+    assert "(q=5, m=4, d=5)  [experiment only]  weight=4 words=227500 on_line=97500 violations=130000\n" in out
+    assert "(q=7, m=4, d=5)  [experiment only]  weight=4 words=10564400 on_line=4802000 violations=5762400\n" in out
 
 
 @pytest.mark.parametrize("name", ["bounds_table.py", "lines_experiment.py"])
