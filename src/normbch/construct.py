@@ -27,7 +27,6 @@ import numpy as np
 
 from .field import (
     DEFAULT_MAX_FIELD_SIZE,
-    BasisPair,
     FieldElement,
     FieldMismatchError,
     is_prime,
@@ -264,7 +263,7 @@ def bch_matrix(params: CodeParams) -> ParityCheckMatrix:
     return ParityCheckMatrix(q, rows, blocks, locators=loc)
 
 
-def augmented_matrix(params: CodeParams, basis: BasisPair | None = None) -> ParityCheckMatrix:
+def augmented_matrix(params: CodeParams) -> ParityCheckMatrix:
     """Base matrix plus s norm rows (leading g-coordinates of norm(embed(e_j))).
 
     All locators are embedded at once (embed_hat as a linear map on
@@ -278,9 +277,7 @@ def augmented_matrix(params: CodeParams, basis: BasisPair | None = None) -> Pari
         raise ValueError("d=3 needs no norm rows; use bch_matrix, whose code already has distance 3")
     _require_buildable(params)
     base = bch_matrix(params)
-    bp = basis if basis is not None else make_basis_pair(params.q, params.m, params.d)
-    if bp.field_m != base.locators.field or bp.field_mu.degree != params.mu or bp.s != params.s:
-        raise ValueError("basis pair does not match the code parameters")
+    bp = make_basis_pair(params.q, params.m, params.d)
     q, s, n = params.q, params.s, params.n
     field_mu = bp.field_mu
     # Work in the log domain: the embedded locators y = embed_hat(e^j) are
@@ -330,8 +327,11 @@ def apply_affine_permutation(
 def read_matrix_file(path) -> ParityCheckMatrix:
     """Parse a matrix file; locators and params are not reconstructed.
 
-    Raises ValueError naming the file line when the header, the row
-    count, a row's entry count or a digit (outside [0, q)) is wrong.
+    The body is read by one np.loadtxt call.  When that fails, or when the
+    body holds what loadtxt takes but the format does not, a line-by-line
+    pass raises ValueError naming the first bad line: a wrong entry count,
+    or an entry that is not ASCII digits below q.  A bad header is named
+    as line 1, a wrong row count by the file alone.
     """
     with open(path) as fh:
         header, *body = fh.read().rstrip().splitlines() or [""]
@@ -348,48 +348,21 @@ def read_matrix_file(path) -> ParityCheckMatrix:
         raise ValueError(f"{path}:1: {alphabet}")
     if len(body) != r:
         raise ValueError(f"{path}: {len(body)} rows after the header, expected r={r}")
-    rows = _written_rows(body, q, n)
-    if rows is None:  # not as written, or wrong: line by line, naming the first bad line
-        rows = []  # built from the file's own entries, so a huge n in the header allocates nothing
+    try:  # an empty body skips loadtxt, which warns on it
+        rows = np.loadtxt(body, dtype=np.int64, ndmin=2, comments=None) if r else np.zeros(0, dtype=np.int64)
+    except ValueError:
+        rows = None
+    text = "\n".join(body)
+    # loadtxt skips blank lines, takes signs and reads some non-ASCII letters as digits
+    if r and (rows is None or rows.shape != (r, n) or (rows >= q).any() or "+" in text or "-" in text
+              or not (text.isascii() or all(c.isascii() or c.isspace() for c in set(text)))):
         digits = len(str(q))  # a longer entry is out of range, and int() never sees it
         for number, line in enumerate(body, start=2):
             entries = line.split()
             if len(entries) != n:
                 raise ValueError(f"{path}:{number}: {len(entries)} entries, expected n={n}")
-            bad = [e for e in entries if not (e.isdecimal() and len(e.lstrip("0")) <= digits and int(e) < q)]
+            bad = [e for e in entries
+                   if not (e.isascii() and e.isdigit() and len(e.lstrip("0")) <= digits and int(e) < q)]
             if bad:
                 raise ValueError(f"{path}:{number}: entry {bad[0]!r} is not a digit in [0, {q})")
-            rows.append([int(e) for e in entries])
-    return ParityCheckMatrix(q, np.array(rows, dtype=np.int16).reshape(r, n), blocks)
-
-
-def _written_rows(body: list[str], q: int, n: int) -> np.ndarray | None:
-    """The entries of body lines in the form to_text writes, or None.
-
-    That form is n entries a line, each a digit string of at most
-    len(str(q)) characters and below q, one space apart.  The lines are
-    parsed as one byte array; None means some line differs from the form
-    or holds an entry of q or more.
-    """
-    raw = np.frombuffer("\n".join(body).encode(), dtype=np.uint8)
-    digit = (raw >= ord("0")) & (raw <= ord("9"))
-    starts = np.flatnonzero(digit & ~np.r_[False, digit[:-1]])
-    ends = np.flatnonzero(digit & ~np.r_[digit[1:], False]) + 1
-    count = len(body) * n
-    if count == 0 or len(starts) != count or starts[0] != 0 or ends[-1] != len(raw):
-        return None
-    # one separator byte between entries: a newline after every n-th, a space elsewhere
-    breaks = np.arange(1, count) % n == 0
-    if (starts[1:] != ends[:-1] + 1).any() or (raw[ends[:-1]] != np.where(breaks, ord("\n"), ord(" "))).any():
-        return None
-    lengths = ends - starts
-    if lengths.max() > len(str(q)):
-        return None
-    values = np.zeros(count, dtype=np.int64)
-    for k in range(int(lengths.max())):
-        more = lengths > k
-        values = np.where(more, values * 10 + raw[np.where(more, starts + k, 0)] - ord("0"), values)
-    if (values >= q).any():
-        return None
-    return values.reshape(-1, n)
-
+    return ParityCheckMatrix(q, rows.reshape(r, n), blocks)

@@ -198,7 +198,8 @@ def read_codeword_list(path, q: int) -> ExplicitCode:
     with open(path) as fh:
         for number, line in enumerate(fh, start=1):
             symbols = line.split()
-            bad = [v for v in symbols if not (v.isdecimal() and len(v.lstrip("0")) <= digits and int(v) < q)]
+            bad = [v for v in symbols
+                   if not (v.isascii() and v.isdigit() and len(v.lstrip("0")) <= digits and int(v) < q)]
             if bad:
                 raise ValueError(f"{path}:{number}: symbol {bad[0]!r} is not a digit in [0, {q})")
             if not symbols:

@@ -167,6 +167,26 @@ class TestVerifyDistance:
         if text is not None:
             assert stderr.startswith(f"parameter error: {path}:")  # names the file line
 
+    @pytest.mark.parametrize("entry", ["+1", "-0", "\u0664", "9" * 19],
+                             ids=["plus", "minus-zero", "arabic-indic", "beyond-int64"])
+    def test_refused_entry_names_its_line(self, matrix_files, tmp_path, capsys, entry):
+        lines = matrix_files["aug524"].read_text().splitlines(keepends=True)
+        lines[2] = entry + lines[2][1:]
+        path = tmp_path / "m.txt"
+        path.write_text("".join(lines), encoding="utf-8")
+        code, stdout, stderr = run(capsys, "verify-distance", "--matrix", str(path), "--d", "4")
+        assert (code, stdout) == (2, "")
+        assert stderr == f"parameter error: {path}:3: entry {entry!r} is not a digit in [0, 5)\n"
+
+    def test_tab_separated_matrix_certifies_alike(self, matrix_files, tmp_path, capsys):
+        header, body = matrix_files["aug524"].read_text().split("\n", 1)
+        path = tmp_path / "m.txt"
+        path.write_text(header + "\n" + body.replace(" ", "\t"))
+        runs = [run(capsys, "verify-distance", "--matrix", str(p), "--d", "4") for p in (matrix_files["aug524"], path)]
+        kept = [(code, re.sub(r"elapsed_s=\S+", "", stdout), stderr) for code, stdout, stderr in runs]
+        assert kept[0] == kept[1]
+        assert kept[0][0] == 0
+
     @given(data=st.data())
     def test_corrupted_matrix_file(self, matrix_files, tmp_path_factory, data):
         # Replace one token (a run of non-separators, or one of "=:,") of the

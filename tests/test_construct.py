@@ -1,12 +1,12 @@
 import random
 import re
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from normbch import (
-    BasisPair,
     Codeword,
     ParityCheckMatrix,
     apply_affine_permutation,
@@ -15,7 +15,6 @@ from normbch import (
     build_locators,
     enumerate_weight_words,
     linalg,
-    make_basis_pair,
     make_field,
     read_matrix_file,
     syndrome,
@@ -153,18 +152,6 @@ class TestAugmentedMatrix:
         assert again.to_text() == ha535.to_text()
         assert again.sha256() == ha535.sha256()
 
-    def test_alternative_basis_same_distance_verdicts(self, params524, ha524):
-        from normbch import min_distance_at_least
-
-        bp = make_basis_pair(5, 2, 4)
-        scaled = (bp.g[0], bp.field_mu.scalar(2) * bp.g[1])
-        alt = augmented_matrix(params524, basis=BasisPair(bp.h, scaled, 1))
-        assert alt.to_text() != ha524.to_text()
-        for d in (4, 5):
-            a = min_distance_at_least(ha524, d)
-            b = min_distance_at_least(alt, d)
-            assert a.verdict == b.verdict
-
 
 class TestCodeword:
     def test_validation(self):
@@ -230,6 +217,20 @@ def _text_by_entry(matrix):
     return "\n".join(lines) + "\n"
 
 
+def _rows_by_entry(body, q, n):
+    """The matrix body rule one entry at a time: the rows, or the first bad line's number and message."""
+    rows = []
+    for number, line in enumerate(body, start=2):
+        entries = line.split()
+        if len(entries) != n:
+            return number, f"{len(entries)} entries, expected n={n}"
+        bad = [e for e in entries if not (e.isascii() and e.isdecimal() and int(e) < q)]
+        if bad:
+            return number, f"entry {bad[0]!r} is not a digit in [0, {q})"
+        rows.append([int(e) for e in entries])
+    return rows
+
+
 class TestFiles:
     def test_matrix_roundtrip(self, ha535, tmp_path):
         path = tmp_path / "m.txt"
@@ -270,6 +271,64 @@ class TestFiles:
         path.write_text("q=5 n=3 r=2 blocks=dense:2\n1 2 3 4\n0 1\n")
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:2: 4 entries, expected n=3$"):
             read_matrix_file(path)
+
+    @given(data=st.data())
+    def test_reader_agrees_with_entry_by_entry_rule(self, tmp_path_factory, data):
+        # Entries in [0, q), leading zeros allowed, apart by any whitespace; one line, or none,
+        # has an entry too many or too few, or an entry at or above q, with a sign or with
+        # letters (non-ASCII digits among them) that np.loadtxt may take as digits.
+        q = data.draw(st.sampled_from([2, 5, 11, 32749]))
+        n = data.draw(st.integers(1, 4))
+        r = data.draw(st.integers(1, 4))
+        entry = st.builds(lambda zeros, v: zeros + str(v), st.text("0", max_size=2), st.integers(0, q - 1))
+        odd = st.integers(q, q + 1).map(str) | st.text("0123456789+-\u0664x\u01fe", min_size=1, max_size=4)
+        separator = st.text(" \t\xa0", min_size=1, max_size=2)
+        bad_line = data.draw(st.integers(0, 2 * r))  # r or more: every line good
+        lines = []
+        for k in range(r):
+            entries = data.draw(st.lists(entry, min_size=n, max_size=n))
+            if k == bad_line:
+                entries = data.draw(st.lists(entry | odd, min_size=n - 1, max_size=n + 1))
+            spaces = data.draw(st.lists(separator, min_size=len(entries) + 1, max_size=len(entries) + 1))
+            lines.append("".join(s + e for s, e in zip(spaces, entries + [""])))
+        path = tmp_path_factory.mktemp("reader") / "m.txt"
+        path.write_text(f"q={q} n={n} r={r} blocks=dense:{r}\n" + "\n".join(lines) + "\n", encoding="utf-8")
+        body = path.read_text(encoding="utf-8").rstrip().splitlines()[1:]
+        assume(len(body) == r)  # a blank last line is a row count error, not a line's
+        expected = _rows_by_entry(body, q, n)
+        if isinstance(expected, list):
+            assert read_matrix_file(path).rows.tolist() == expected
+        else:
+            with pytest.raises(ValueError) as err:
+                read_matrix_file(path)
+            assert str(err.value) == f"{path}:{expected[0]}: {expected[1]}"
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [("q=5 n=3 r=2 blocks=x:2\n1 2 3\n+4 0 1\n", ":3: entry '+4' is not a digit in [0, 5)"),
+         ("q=5 n=3 r=2 blocks=x:2\n1 2 3\n0 -0 1\n", ":3: entry '-0' is not a digit in [0, 5)"),
+         ("q=5 n=3 r=2 blocks=x:2\n1 2 3\n1 9999999999999999999 0\n",
+          ":3: entry '9999999999999999999' is not a digit in [0, 5)"),
+         ("q=5 n=3 r=3 blocks=x:3\n1 2 3\n\n1 2 3\n", ":3: 0 entries, expected n=3"),
+         ("q=5 n=3 r=2 blocks=x:2\n1 2 3\n\u0664 0 1\n", ":3: entry '\u0664' is not a digit in [0, 5)"),
+         ("q=32749 n=1 r=1 blocks=x:1\n1\u01fe2\n", ":2: entry '1\u01fe2' is not a digit in [0, 32749)")],
+        ids=["plus-sign", "minus-zero", "beyond-int64", "blank-line", "arabic-indic-digit", "latin-letter"],
+    )
+    def test_matrix_file_refusals_name_the_line(self, tmp_path, text, message):
+        path = tmp_path / "m.txt"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ValueError) as err:
+            read_matrix_file(path)
+        assert str(err.value) == f"{path}{message}"
+
+    def test_matrix_file_without_rows(self, tmp_path, capsys):
+        path = tmp_path / "m.txt"
+        path.write_text("q=5 n=3 r=0 blocks=x:0\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # np.loadtxt warns on an empty body
+            matrix = read_matrix_file(path)
+        assert matrix.rows.shape == (0, 3)
+        assert capsys.readouterr() == ("", "")
 
     @given(data=st.data())
     def test_to_text_matches_per_entry_rendering(self, data):

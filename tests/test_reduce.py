@@ -259,15 +259,17 @@ class TestFiles:
         [("0 1\n1 x\n", ":2: symbol 'x' is not a digit in [0, 3)"),
          ("0 1\n\n2 -1\n", ":3: symbol '-1' is not a digit in [0, 3)"),
          ("0 1\n1 3\n", ":2: symbol '3' is not a digit in [0, 3)"),
+         ("0 1\n1 \u0661\n", ":2: symbol '\u0661' is not a digit in [0, 3)"),
          ("0 1\n1 " + "9" * 5000 + "\n", ":2: symbol '" + "9" * 5000 + "' is not a digit in [0, 3)"),
          ("0 1\n2\n", ":2: 1 symbols, expected 2 as in the first word"),
          ("0 1\n1 1\n0 1\n", ":3: repeats the word of line 1"),
          ("\n \n", ": empty codeword list")],
-        ids=["bad-token", "negative", "out-of-range", "beyond-digit-limit", "short-word", "duplicate", "blank"],
+        ids=["bad-token", "negative", "out-of-range", "arabic-indic-digit", "beyond-digit-limit", "short-word",
+             "duplicate", "blank"],
     )
     def test_errors_name_file_and_line(self, tmp_path, text, message):
         path = tmp_path / "bad.cwl"
-        path.write_text(text)
+        path.write_text(text, encoding="utf-8")
         with pytest.raises(ValueError) as err:
             read_codeword_list(path, 3)
         assert str(err.value) == f"{path}{message}"
