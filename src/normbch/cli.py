@@ -19,14 +19,14 @@ main() from the parsed arguments, recording parameters, input/output
 hashes, seed and timing; re-running with the manifest's parameters
 reproduces byte-identical primary outputs.
 Each subcommand imports its own engine when it runs, so a process loads
-only what its command uses: `--version` and `bounds` never load numpy.
+only what its command uses: `--version` and `bounds` never load numpy,
+and hashlib (with libcrypto) and json load only where a digest or JSON
+is written.
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
-import json
 import os
 import string
 import sys
@@ -43,11 +43,15 @@ MAX_TABLE_CELLS = 100_000  # bounds --table takes about 4 s and prints 3 MB at t
 
 
 def _sha256_file(path: str) -> str:
+    import hashlib
+
     with open(path, "rb") as fh:
         return hashlib.sha256(fh.read()).hexdigest()
 
 
 def _write_manifest(args, elapsed: float) -> None:
+    import json
+
     inputs = [getattr(args, key) for key in ("matrix", "input") if hasattr(args, key)]
     manifest = {
         "tool": "normbch",
@@ -92,7 +96,11 @@ def _emit(record: dict, layout: dict, as_json: bool, out=None) -> None:
     if out:
         with open(out, "w") as fh:
             fh.write(text)
-    sys.stdout.write(json.dumps(record, indent=2, sort_keys=True) + "\n" if as_json else text)
+    if as_json:
+        import json
+
+        text = json.dumps(record, indent=2, sort_keys=True) + "\n"
+    sys.stdout.write(text)
 
 
 def cmd_gencode(args) -> int:
@@ -174,6 +182,8 @@ def cmd_bounds(args) -> int:
         if cells > MAX_TABLE_CELLS:
             raise BudgetExceededError(cells, MAX_TABLE_CELLS, what="table cells")
         if args.json:
+            import json
+
             records = [_bound_record(q, d) for q in q_range for d in d_range]
             print(json.dumps(records, indent=2, sort_keys=True))
         else:

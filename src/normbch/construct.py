@@ -18,7 +18,6 @@ parameters serialize to identical bytes.
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -221,12 +220,15 @@ class ParityCheckMatrix:
             table = "".join(" " + str(v).rjust(width, "\0") for v in range(self.q)).encode()
             slots = np.frombuffer(table, dtype=np.uint8).reshape(self.q, 1 + width)[self.rows]
             slots[:, :1, 0] = 0
-            r = self.row_count
-            body = np.hstack([slots.reshape(r, -1), np.full((r, 1), ord("\n"), dtype=np.uint8)])
+            r = self.row_count  # the row width is given, as reshape cannot infer one when r = 0
+            newlines = np.full((r, 1), ord("\n"), dtype=np.uint8)
+            body = np.hstack([slots.reshape(r, self.n * (1 + width)), newlines])
             self._text = header + body[body != 0].tobytes().decode("ascii")
         return self._text
 
     def sha256(self) -> str:
+        import hashlib  # here, not at module level: only digest writers load libcrypto
+
         return hashlib.sha256(self.to_text().encode()).hexdigest()
 
     def __repr__(self):
@@ -330,8 +332,9 @@ def read_matrix_file(path) -> ParityCheckMatrix:
     The body is read by one np.loadtxt call.  When that fails, or when the
     body holds what loadtxt takes but the format does not, a line-by-line
     pass raises ValueError naming the first bad line: a wrong entry count,
-    or an entry that is not ASCII digits below q.  A bad header is named
-    as line 1, a wrong row count by the file alone.
+    or an entry that is not ASCII digits below q.  A bad header, and a
+    length n below 1, is named as line 1, a wrong row count by the file
+    alone.
     """
     with open(path) as fh:
         header, *body = fh.read().rstrip().splitlines() or [""]
@@ -346,6 +349,8 @@ def read_matrix_file(path) -> ParityCheckMatrix:
         raise ValueError(f"{path}:1: header {header!r} is not {form}") from None
     if alphabet := _alphabet_violation(q):
         raise ValueError(f"{path}:1: {alphabet}")
+    if n < 1:
+        raise ValueError(f"{path}:1: n={n} is not a positive length")
     if len(body) != r:
         raise ValueError(f"{path}: {len(body)} rows after the header, expected r={r}")
     try:  # an empty body skips loadtxt, which warns on it

@@ -162,9 +162,12 @@ def _kernel_words(rows: np.ndarray, q: int, v: int, target=None) -> tuple[np.nda
     (supports, coeffs), two (N, v) arrays of ascending 0-based column
     indices and their coefficients, in no particular order.  Raises
     BudgetExceededError, counting half-vectors, when the pass would
-    need more than MEMORY_CAP_BYTES.
+    need more than MEMORY_CAP_BYTES; with v > n there is no such vector,
+    and nothing is checked.
     """
     r, n = rows.shape
+    if v > n:
+        return np.empty((0, v), dtype=np.intp), np.empty((0, v), dtype=np.intp)
     a = (v + 1) // 2
     lead_one = target is None
     n_x = math.comb(n, a) * (q - 1) ** (a - lead_one)

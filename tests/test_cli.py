@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import io
 import json
@@ -127,6 +128,16 @@ class TestVerifyDistance:
         assert code == 2
         assert "9691375" in stderr
 
+    def test_matrix_without_rows(self, tmp_path, capsys):
+        # every column of an r = 0 matrix is a codeword of weight 1
+        empty = tmp_path / "empty.txt"
+        empty.write_text("q=5 n=3 r=0 blocks=x:0\n")
+        code, stdout, stderr = run(capsys, "verify-distance", "--matrix", str(empty), "--d", "3")
+        assert code == 1
+        assert "subsets_examined=1\n" in stdout
+        assert "counterexample_positions=1\n" in stdout
+        assert stderr == ""
+
     def test_memory_cap_exit_2(self, tmp_path, capsys):
         wide = tmp_path / "wide.txt"
         wide.write_text("q=7 n=2000 r=2 blocks=dense:2\n" + ("1 " * 2000 + "\n") * 2)
@@ -248,6 +259,13 @@ class TestCheckLines:
         assert code == 2
         assert stdout == ""
         assert stderr == "budget exceeded: 184 half-vectors needed, budget is 111\n"
+
+    def test_weight_beyond_length_finds_no_words(self, capsys):
+        # no weight-39 word fits in n = 25 positions, so there is nothing to refuse
+        code, stdout, stderr = run(capsys, "check-lines", "--q", "5", "--m", "2", "--d", "40", "--experimental")
+        assert code == 0
+        assert "words_found=0\non_line=0\nviolations=0\n" in stdout
+        assert stderr == ""
 
     def test_745_counts_by_orbits(self, capsys):
         # m = 4 is not prime; 5,762,400 violating words are counted, never built
@@ -451,7 +469,9 @@ PINNED_TEXT = {
 
 
 def _mask_elapsed(text):
-    return re.sub(r"^elapsed_s=\d+\.\d{3}$", "elapsed_s=*", text, flags=re.M)
+    """text with each elapsed_s value, as a text line or a JSON key, replaced by *."""
+    text = re.sub(r"^elapsed_s=\d+\.\d{3}$", "elapsed_s=*", text, flags=re.M)
+    return re.sub(r'"elapsed_s": [0-9.e+-]+', '"elapsed_s": "*"', text)
 
 
 @pytest.fixture
@@ -698,24 +718,25 @@ def test_closed_stdout_after_version_or_help(argv, buffered):
     assert proc.returncode == 141 if buffered else proc.returncode in (0, 141)
 
 
-# A fresh interpreter runs one command through cli.main, then prints the
-# normbch submodules and numpy that it loaded, as its last line.
+# A fresh interpreter runs one command through cli.main, then prints, as
+# its last line, the repr of the normbch submodules, numpy, _hashlib (the
+# libcrypto binding) and json that it loaded; it imports nothing itself.
 FOOTPRINT_PROBE = (
-    "import json, sys\n"
+    "import sys\n"
     "from normbch.cli import main\n"
     "main(sys.argv[1:])\n"
-    "print(json.dumps(sorted(m for m in sys.modules if m == 'numpy' or m.startswith('normbch.'))))\n"
+    "print(repr(sorted(m for m in sys.modules if m in ('numpy', '_hashlib', 'json') or m.startswith('normbch.'))))\n"
 )
 # Each case: argv as in EXIT_2_CASES, modules that must load, modules that must not.
 FOOTPRINT_CASES = {
-    "version": (["--version"], {"normbch.cli"}, {"numpy"}),
-    "bounds": (["bounds", "--q", "7", "--d", "5"], {"normbch.bounds"}, {"numpy"}),
+    "version": (["--version"], {"normbch.cli"}, {"numpy", "_hashlib", "json"}),
+    "bounds": (["bounds", "--q", "7", "--d", "5"], {"normbch.bounds"}, {"numpy", "_hashlib", "json"}),
     "gencode": (["gencode", "--q", "5", "--m", "2", "--d", "4", "--out", "{tmp}/g.txt"],
-                {"normbch.construct", "numpy"}, {"normbch.verify", "normbch.bounds", "normbch.reduce"}),
+                {"normbch.construct", "numpy", "_hashlib"}, {"normbch.verify", "normbch.bounds", "normbch.reduce"}),
     "verify-distance": (["verify-distance", "--matrix", "{aug524}", "--d", "4"],
-                        {"normbch.verify"}, {"normbch.bounds", "normbch.reduce"}),
+                        {"normbch.verify", "_hashlib"}, {"normbch.bounds", "normbch.reduce"}),
     "check-lines": (["check-lines", "--q", "5", "--m", "2", "--d", "4"],
-                    {"normbch.verify"}, {"normbch.bounds", "normbch.reduce"}),
+                    {"normbch.verify"}, {"normbch.bounds", "normbch.reduce", "_hashlib", "json"}),
 }
 
 
@@ -724,9 +745,38 @@ def test_import_footprint(matrix_files, tmp_path, argv, present, absent):
     proc = subprocess.run([sys.executable, "-c", FOOTPRINT_PROBE, *_fill(argv, matrix_files, tmp_path)],
                           capture_output=True, text=True, env=_child_env(), timeout=120)
     assert proc.returncode == 0, proc.stderr
-    loaded = set(json.loads(proc.stdout.splitlines()[-1]))
+    loaded = set(ast.literal_eval(proc.stdout.splitlines()[-1]))
     assert present <= loaded
     assert not loaded & absent
+
+
+# Each case: argv with relative --out paths, and the files it writes.
+FRESH_PROCESS_CASES = {
+    "gencode-out": (["gencode", "--q", "5", "--m", "2", "--d", "4", "--out", "g.txt"],
+                    ["g.txt", "g.txt.manifest.json"]),
+    "verify-distance-json": (["verify-distance", "--matrix", "{aug524}", "--d", "4", "--json"], []),
+    "check-lines-json-out": (["check-lines", "--q", "5", "--m", "2", "--d", "4", "--json", "--out", "lines.txt"],
+                             ["lines.txt", "lines.txt.manifest.json"]),
+    "bounds-table-json": (["bounds", "--table", "2..3", "4..5", "--json"], []),
+}
+
+
+@pytest.mark.parametrize("argv, written", FRESH_PROCESS_CASES.values(), ids=FRESH_PROCESS_CASES.keys())
+def test_fresh_process_matches_in_process(matrix_files, tmp_path, capsys, monkeypatch, argv, written):
+    """A new interpreter, which has not imported json or hashlib before the
+    command asks for them, prints and writes what the in-process run does
+    (elapsed_s aside)."""
+    argv = _fill(argv, matrix_files, tmp_path)
+    proc = subprocess.run([sys.executable, "-m", "normbch.cli", *argv], capture_output=True, text=True,
+                          cwd=tmp_path, env=_child_env(), timeout=120)
+    assert proc.stderr == ""
+    fresh = [proc.returncode, proc.stdout] + [(tmp_path / name).read_text() for name in written]
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("NORMBCH_BUDGET", raising=False)
+    code, stdout, stderr = run(capsys, *argv)
+    assert stderr == ""
+    in_process = [code, stdout] + [(tmp_path / name).read_text() for name in written]
+    assert [_mask_elapsed(str(v)) for v in fresh] == [_mask_elapsed(str(v)) for v in in_process]
 
 
 class TestBudgetEnvironment:

@@ -311,8 +311,10 @@ class TestFiles:
           ":3: entry '9999999999999999999' is not a digit in [0, 5)"),
          ("q=5 n=3 r=3 blocks=x:3\n1 2 3\n\n1 2 3\n", ":3: 0 entries, expected n=3"),
          ("q=5 n=3 r=2 blocks=x:2\n1 2 3\n\u0664 0 1\n", ":3: entry '\u0664' is not a digit in [0, 5)"),
-         ("q=32749 n=1 r=1 blocks=x:1\n1\u01fe2\n", ":2: entry '1\u01fe2' is not a digit in [0, 32749)")],
-        ids=["plus-sign", "minus-zero", "beyond-int64", "blank-line", "arabic-indic-digit", "latin-letter"],
+         ("q=32749 n=1 r=1 blocks=x:1\n1\u01fe2\n", ":2: entry '1\u01fe2' is not a digit in [0, 32749)"),
+         ("q=5 n=0 r=0 blocks=x:0\n", ":1: n=0 is not a positive length")],
+        ids=["plus-sign", "minus-zero", "beyond-int64", "blank-line", "arabic-indic-digit", "latin-letter",
+             "zero-length"],
     )
     def test_matrix_file_refusals_name_the_line(self, tmp_path, text, message):
         path = tmp_path / "m.txt"
@@ -328,6 +330,7 @@ class TestFiles:
             warnings.simplefilter("error")  # np.loadtxt warns on an empty body
             matrix = read_matrix_file(path)
         assert matrix.rows.shape == (0, 3)
+        assert matrix.to_text() == path.read_text()  # the width of a row comes from n, not the entries
         assert capsys.readouterr() == ("", "")
 
     @given(data=st.data())

@@ -477,6 +477,13 @@ class TestEngineAgainstOracles:
         assert cert.subsets_examined == 1
         assert cert.counterexample == Codeword(positions, coeffs)
 
+    def test_weight_beyond_length_is_empty_before_the_memory_cap(self, monkeypatch):
+        monkeypatch.setattr(verify, "MEMORY_CAP_BYTES", 0)
+        rows = np.ones((2, 5), dtype=np.int16)
+        for target in (None, np.array([1, 2])):
+            supports, coeffs = _kernel_words(rows, 5, 6, target)
+            assert supports.shape == coeffs.shape == (0, 6)
+
     def test_memory_cap_refuses_up_front(self):
         rng = np.random.default_rng(0)
         matrix = ParityCheckMatrix(7, rng.integers(0, 7, size=(2, 2000)), [("dense", 2)])
