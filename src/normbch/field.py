@@ -11,8 +11,12 @@ order, x^N = 1 and x^(N/r) != 1 for the primes r dividing N = p^k - 1,
 on batches of candidates at once, and skips constant terms whose norm
 cannot generate GF(p)*.  The antilog table (the powers of e) is built
 once, for the chosen modulus, and the log table is its inverse
-permutation; both are numpy arrays.  This fixed choice makes every
-field, basis and matrix in the package bit-reproducible across runs.
+permutation; both are numpy arrays.  The search and the table take
+every power of x from the float64 companion matrix of y -> x*y, so the
+products run through BLAS: the search squares it, and the table
+multiplies blocks of consecutive powers by a power of it.  This fixed
+choice makes every field, basis and matrix in the package
+bit-reproducible across runs.
 
 FieldElement is the element-at-a-time API.  Matrix construction works
 on arrays instead: power_array, log_array, coords_array and encode_array
@@ -50,21 +54,11 @@ class FieldMismatchError(ValueError):
 
 
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
+    return _prime_factors(n) == [n]
 
 
 def _prime_factors(n: int) -> list[int]:
+    """The distinct primes dividing n, ascending; none for n < 2."""
     out = []
     f = 2
     while f * f <= n:
@@ -78,33 +72,31 @@ def _prime_factors(n: int) -> list[int]:
     return out
 
 
-def _times_x(rows, tails, p: int):
-    # x * a modulo each monic x^k + tail; one polynomial per row, low degree first.
-    shifted = np.zeros_like(rows)
-    shifted[:, 1:] = rows[:, :-1]
-    return (shifted - rows[:, -1:] * tails) % p
+def _companions(tails, p: int) -> np.ndarray:
+    """The float64 matrix of y -> x*y modulo each monic x^k + tail, one per row of tails.
 
-
-def _x_power(tails, exponent: int, p: int):
-    """x^exponent modulo each monic polynomial x^k + tail, by square and multiply."""
+    The matrices act on coordinate columns, low degree first.
+    """
     count, k = tails.shape
-    x = _times_x(np.eye(1, k, dtype=np.int64).repeat(count, axis=0), tails, p)
-    # fold[:, i] holds x^(k+i), so a product of degree < 2k-1 reduces in one matmul
-    fold = np.empty((count, k - 1, k), dtype=np.int64)
-    row = np.eye(1, k, k - 1, dtype=np.int64).repeat(count, axis=0)
-    for i in range(k - 1):
-        row = _times_x(row, tails, p)
-        fold[:, i] = row
-    acc = x
+    mult = np.zeros((count, k, k))
+    mult[:, 1:, :-1] = np.eye(k - 1)
+    mult[:, :, -1] = -tails % p
+    return mult
+
+
+def _x_power(tails, exponent: int, p: int) -> np.ndarray:
+    """Coordinates of x^exponent, exponent >= 1, modulo each monic x^k + tail, one row per tail.
+
+    Squares and multiplies the companion matrices; the first column of
+    the matrix of x^exponent is its coordinate vector.
+    """
+    mult = _companions(tails, p)
+    acc = mult
     for bit in bin(exponent)[3:]:
-        prod = np.zeros((count, 2 * k - 1), dtype=np.int64)
-        for i in range(k):
-            prod[:, i : i + k] += acc[:, i : i + 1] * acc
-        prod %= p
-        acc = (prod[:, :k] + np.matmul(prod[:, None, k:], fold)[:, 0]) % p
+        acc = _mod(acc @ acc, p)
         if bit == "1":
-            acc = _times_x(acc, tails, p)
-    return acc
+            acc = _mod(mult @ acc, p)
+    return acc[:, :, 0]
 
 
 _SEARCH_BATCH = 256  # candidate moduli tested per numpy pass
@@ -121,7 +113,8 @@ def _primitive_modulus(p: int, k: int) -> tuple[int, ...]:
     """
     order = p**k - 1
     cofactors = [order // r for r in _prime_factors(order)]
-    generators = {c for c in range(1, p) if all(pow(c, (p - 1) // r, p) != 1 for r in _prime_factors(p - 1))}
+    unit_factors = _prime_factors(p - 1)
+    generators = {c for c in range(1, p) if all(pow(c, (p - 1) // r, p) != 1 for r in unit_factors)}
     place = p ** np.arange(k - 2, -1, -1, dtype=np.int64)
     for c0 in range(1, p):
         if (-1) ** k * c0 % p not in generators:
@@ -145,15 +138,11 @@ def _powers_of_x(modulus, p: int) -> np.ndarray:
 
     A block holds about sqrt(p^k) consecutive powers as coordinate
     columns; multiplying it by the matrix of x^width gives the next one,
-    so no array of all p^k coordinate vectors is built.  The arithmetic
-    is float64 so the products run through BLAS: every entry stays below
-    k * p^2, far inside the exactly represented integers.
+    so no array of all p^k coordinate vectors is built.
     """
     k = len(modulus) - 1
     n = p**k - 1
-    mult = np.zeros((k, k))
-    mult[1:, :-1] = np.eye(k - 1)
-    mult[:, -1] = [-c % p for c in modulus[:-1]]
+    mult = _companions(np.array([modulus[:-1]]), p)[0]
     block = np.eye(k, 1)
     while block.shape[1] ** 2 < n:
         block = np.hstack([block, _mod(mult @ block, p)])
@@ -168,10 +157,15 @@ def _powers_of_x(modulus, p: int) -> np.ndarray:
 
 
 def _mod(a, p: int):
-    # Exact on the small nonnegative integers held here: a / p is correctly
-    # rounded, and a fractional quotient is too far from the next integer
-    # to round onto it.
-    return a - p * np.floor(a / p)
+    # Products of reduced k x k matrices stay below k * p^2 <= 2^40 < 2^53
+    # within DEFAULT_MAX_FIELD_SIZE, and on such integers this is exact: a / p
+    # is correctly rounded, and a fractional quotient is too far from the
+    # next integer to round onto it.  In place after the division: a new
+    # array per step made the GF(2^20) modulus search about 1.5x slower.
+    out = a / p
+    np.floor(out, out=out)
+    out *= p
+    return np.subtract(a, out, out=out)
 
 
 class FieldElement:

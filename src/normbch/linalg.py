@@ -1,9 +1,10 @@
 """Dense linear algebra over prime fields GF(p) on numpy integer matrices.
 
 All routines take matrices of plain integers and a prime modulus and
-reduce entries mod p themselves.  They serve matrix ranks, kernels of
-single column slices and small linear systems; the exhaustive word
-searches in verify.py work on syndromes and need no elimination.
+reduce entries mod p themselves.  They serve matrix ranks, the
+inverses of the change-of-basis matrices and kernels of single column
+slices; the exhaustive word searches in verify.py work on syndromes and
+need no elimination.
 """
 
 from __future__ import annotations
@@ -74,26 +75,6 @@ def kernel_basis(mat, p: int) -> np.ndarray:
         for row, c in enumerate(pivots):
             basis[i, c] = (-a[row, f]) % p
     return basis
-
-
-def solve(mat, rhs, p: int) -> np.ndarray:
-    """Unique solution of mat @ x = rhs over GF(p).
-
-    Raises ValueError when the system is inconsistent or has a
-    non-trivial solution space.
-    """
-    a = np.array(mat, dtype=np.int64) % p
-    b = np.array(rhs, dtype=np.int64).reshape(-1, 1) % p
-    aug, _, pivots = rref(np.hstack([a, b]), p)
-    n = a.shape[1]
-    if n in pivots:
-        raise ValueError("inconsistent linear system")
-    if len(pivots) < n:
-        raise ValueError("singular linear system")
-    x = np.zeros(n, dtype=np.int64)
-    for row, c in enumerate(pivots):
-        x[c] = aug[row, n]
-    return x
 
 
 def invert(mat, p: int) -> np.ndarray:

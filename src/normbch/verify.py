@@ -207,12 +207,8 @@ def _kernel_words(rows: np.ndarray, q: int, v: int, target=None) -> tuple[np.nda
 
 
 def _colex_first_dependent(rows: np.ndarray, q: int, w: int) -> tuple[int, ...] | None:
-    """The colex-first linearly dependent w-subset of columns, or None.
-
-    The largest pass is checked against the memory cap before any runs.
-    """
+    """The colex-first linearly dependent w-subset of columns, or None."""
     n = rows.shape[1]
-    _check_memory(rows.shape[0], n, q, w)
     small = np.arange(w)
     c = w
     while True:
@@ -541,35 +537,25 @@ def verify_lines_theorem(
 def construct_weight_word(params: CodeParams) -> tuple[Codeword, np.ndarray]:
     """Deterministic weight-(d-1) word of the base code, plus its augmented syndrome.
 
-    Locators are the d-3 smallest elements of GF(q) outside {0, 1},
-    then 1, then 0; the last coefficient is fixed to 1 and the rest
-    solve the resulting square system, which is invertible because the
-    locators are distinct (its matrix is a Vandermonde transpose).  The
-    word has zero syndrome against the base matrix by construction; its
-    nonzero syndrome against the augmented matrix is returned so callers
-    can observe the separation between the two codes.
+    Locators y_i are the d-3 smallest elements of GF(q) outside {0, 1},
+    then 1, then 0.  The coefficients c_i = 1/prod_(j != i)(y_i - y_j),
+    scaled to 1 at locator 0, are the Lagrange weights (the column
+    multipliers of a generalized Reed-Solomon code's dual): the unique
+    solution of sum_i c_i y_i^t = 0, t = 0..d-3, with that last
+    coefficient.  The word's base syndrome is zero; its augmented
+    syndrome, nonzero, is returned to show the separation of the codes.
     """
     if params.d < 4:
         raise ValueError("the separation witness needs d >= 4")
     if not params.valid:
         raise ValueError("parameters violate the hypotheses: " + "; ".join(params.violations))
     q, d = params.q, params.d
-    ys = list(range(2, d - 1)) + [1]  # y_1..y_(d-2); the final locator 0 is handled via the rhs
-    mat = [[pow(y, t, q) for y in ys] for t in range(d - 2)]
-    rhs = [(-1) % q] + [0] * (d - 3)
-    try:
-        solution = linalg.solve(mat, rhs, q)
-    except ValueError as exc:  # distinct locators make this unreachable
-        raise RuntimeError("separation system unexpectedly singular") from exc
-    coeffs = [int(c) for c in solution] + [1]
-    if any(c == 0 for c in coeffs):
-        raise RuntimeError("separation witness produced a zero coefficient")
+    ys = list(range(2, d - 1)) + [1, 0]
+    spreads = [math.prod(y - z for z in ys if z != y) for y in ys]  # prod_(j != i)(y_i - y_j)
+    coeffs = [spreads[-1] * pow(s, -1, q) % q for s in spreads]
     aug = augmented_matrix(params)
     loc = aug.locators
-    field = loc.field
-    pairs = sorted(
-        (loc.position_of(field.scalar(y)), c) for y, c in zip(ys + [0], coeffs)
-    )
+    pairs = sorted((loc.position_of(loc.field.scalar(y)), c) for y, c in zip(ys, coeffs))
     word = Codeword(tuple(j for j, _ in pairs), tuple(c for _, c in pairs))
     return word, syndrome(aug, word)
 

@@ -100,7 +100,10 @@ def matrix_files(tmp_path_factory):
     assert main(["gencode", "--q", "5", "--m", "2", "--d", "4", "--out", str(aug524)]) == 0
     assert main(["gencode", "--q", "5", "--m", "3", "--d", "5", "--out", str(aug535)]) == 0
     assert main(["gencode", "--q", "5", "--m", "3", "--d", "5", "--bch-only", "--out", str(bch535)]) == 0
-    return {"aug524": aug524, "aug535": aug535, "bch535": bch535}
+    # aug535 under another block name, which the orbit route declines
+    renamed535 = base / "renamed535.txt"
+    renamed535.write_text(aug535.read_text().replace("norm:1", "x:1", 1))
+    return {"aug524": aug524, "aug535": aug535, "bch535": bch535, "renamed535": renamed535}
 
 
 class TestVerifyDistance:
@@ -138,27 +141,58 @@ class TestVerifyDistance:
         assert "counterexample_positions=1\n" in stdout
         assert stderr == ""
 
-    def test_memory_cap_exit_2(self, tmp_path, capsys):
+    def test_short_word_answers_before_the_memory_cap(self, tmp_path, capsys):
+        # the weight-4 pass over all 2000 columns would exceed the cap; the first prefix already
+        # holds the weight-2 word, so no wider pass runs
         wide = tmp_path / "wide.txt"
         wide.write_text("q=7 n=2000 r=2 blocks=dense:2\n" + ("1 " * 2000 + "\n") * 2)
-        code, _, stderr = run(
+        code, stdout, stderr = run(
             capsys,
             "verify-distance", "--matrix", str(wide), "--d", "5", "--budget", str(math.comb(2000, 4)),
         )
+        assert code == 1
+        assert "subsets_examined=1\n" in stdout
+        assert "counterexample_positions=1,2\ncounterexample_coeffs=1,6\n" in stdout
+        assert stderr == ""
+
+    def test_short_word_answers_at_any_target(self, tmp_path, capsys):
+        # (5,2,4) has weight-5 words; a target far beyond them needs no wide pass
+        h = tmp_path / "h.txt"
+        assert main(["gencode", "--q", "5", "--m", "2", "--d", "4", "--out", str(h)]) == 0
+        capsys.readouterr()
+        code, stdout, stderr = run(capsys, "verify-distance", "--matrix", str(h), "--d", "12")
+        assert code == 1
+        assert "subsets_examined=1\n" in stdout
+        assert "counterexample_positions=1,2,3,4,5\n" in stdout
+        assert stderr == ""
+
+    def test_memory_cap_exit_2(self, matrix_files, capsys, monkeypatch):
+        # with no word below weight 5, the engine reaches the weight-4 pass over all 125 columns,
+        # which 4 MB refuses
+        monkeypatch.setattr(normbch.verify, "MEMORY_CAP_BYTES", 4_000_000)
+        code, stdout, stderr = run(capsys, "verify-distance", "--matrix", str(matrix_files["renamed535"]), "--d", "5")
         assert code == 2
-        assert "half-vectors" in stderr
+        assert stdout == ""
+        assert stderr == "budget exceeded: 155000 half-vectors needed, budget is 83333\n"
 
     def test_orbit_route_certifies_below_the_memory_cap(self, matrix_files, capsys, monkeypatch):
-        # 1 MB is below the generic engine's (5,3,5) pass (155,000 half-vectors, about 7.4 MB)
-        # and above the representative search's
+        # 1 MB is below the generic engine's weight-4 passes over the 64- and 125-column prefixes
+        # of (5,3,5) (40,320 and 155,000 half-vectors, about 1.9 and 7.4 MB) and above the
+        # representative search's
         monkeypatch.setattr(normbch.verify, "MEMORY_CAP_BYTES", 1_000_000)
         code, stdout, _ = run(capsys, "verify-distance", "--matrix", str(matrix_files["aug535"]), "--d", "5")
         assert code == 0
         assert "verdict=certified" in stdout
         assert "subsets_examined=9691375" in stdout
+        # the base matrix's colex-first word lies within the 32-column prefix
         code, stdout, stderr = run(capsys, "verify-distance", "--matrix", str(matrix_files["bch535"]), "--d", "5")
+        assert code == 1
+        assert "subsets_examined=25307\n" in stdout
+        assert "counterexample_positions=1,7,23,30\ncounterexample_coeffs=1,2,4,3\n" in stdout
+        assert stderr == ""
+        code, stdout, stderr = run(capsys, "verify-distance", "--matrix", str(matrix_files["renamed535"]), "--d", "5")
         assert code == 2
-        assert stderr.startswith("budget exceeded: 155000 half-vectors needed")
+        assert stderr == "budget exceeded: 40320 half-vectors needed, budget is 20833\n"
 
     @pytest.mark.parametrize(
         "text",

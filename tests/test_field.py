@@ -14,11 +14,12 @@ from normbch import (
     norm,
     prime_scalar,
 )
-from normbch.field import DEFAULT_MAX_FIELD_SIZE
+from normbch.field import DEFAULT_MAX_FIELD_SIZE, _x_power, is_prime
 from oracles import (
     is_irreducible,
     multiplicative_order,
     order_of_x,
+    poly_powmod,
     powers_of_x,
     residue_of_x_is_primitive,
 )
@@ -108,6 +109,39 @@ class TestMakeField:
 
     def test_determinism(self):
         assert make_field(5, 3).modulus == F125.modulus == (2, 0, 1, 1)
+
+
+class TestSearchKernel:
+    """The two number-theoretic kernels of the modulus search, pinned directly."""
+
+    @pytest.mark.parametrize("p,k", [(32749, 1), (2, 13), (5, 3), (5, 8)])
+    def test_x_power_matches_the_antilog_table(self, p, k):
+        field = make_field(p, k)
+        rng = random.Random(p + k)
+        exponents = [1, field.size - 2, field.size - 1] + [rng.randrange(1, 10 * field.size) for _ in range(30)]
+        tails = np.array([field.modulus[:-1]] * len(exponents))
+        for exponent in exponents:
+            powers = _x_power(tails, exponent, p).astype(np.int64)
+            assert (field.encode_array(powers.T) == field.power_array([exponent])).all()
+
+    @pytest.mark.parametrize("p,k", [(2, 5), (3, 4), (7, 3), (13, 2)])
+    def test_x_power_batch_matches_oracle(self, p, k):
+        # arbitrary monic moduli, reducible ones included, each row reduced independently
+        rng = random.Random(10 * p + k)
+        tails = np.array([[rng.randrange(p) for _ in range(k)] for _ in range(40)])
+        for exponent in [1, 2, p**k - 1, rng.randrange(1, 10**6)]:
+            got = _x_power(tails, exponent, p).astype(np.int64).tolist()
+            for row, tail in zip(got, tails.tolist()):
+                want = poly_powmod([0, 1], exponent, tail + [1], p)
+                assert row == want + [0] * (k - len(want))
+
+    def test_is_prime_matches_a_sieve(self):
+        limit = 10**4
+        sieve = [False, False] + [True] * (limit - 1)
+        for i in range(2, int(limit**0.5) + 1):
+            if sieve[i]:
+                sieve[i * i :: i] = [False] * len(sieve[i * i :: i])
+        assert [is_prime(n) for n in range(-3, limit + 1)] == [False] * 3 + sieve
 
 
 class TestArithmetic:

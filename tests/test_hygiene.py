@@ -1,6 +1,7 @@
 """Every name a module of the package imports is used in that module, and
-every name the package exports or a module defines at its top level is
-read by the package, the scripts or the acceptance tests.
+every name the package exports or a module defines at its top level, and
+every method of its top-level classes, is read by the package, the
+scripts or the acceptance tests.
 
 No linter ships with the test environment, so these tests are the check
 for dead imports, dead exports and dead definitions.  __init__.py is
@@ -8,6 +9,7 @@ skipped: its names are the public API.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -90,9 +92,34 @@ def test_every_export_has_a_caller():
     assert not unused, "exported without a caller: " + ", ".join(unused)
 
 
+def unread_methods(source: str, used: set[str], inherited) -> list[str]:
+    """Class.method for each unread method of a top-level class.  Dunder methods are exempt, and so
+    is each name that inherited(class, method) reports a base class defines: the base calls it."""
+    return [f"{node.name}.{item.name}" for node in ast.parse(source).body if isinstance(node, ast.ClassDef)
+            for item in node.body if isinstance(item, ast.FunctionDef) and item.name not in used
+            and not (item.name.startswith("__") and item.name.endswith("__"))
+            and not inherited(node.name, item.name)]
+
+
+def test_unread_method_is_found():
+    source = ("class Table(dict):\n    def __len__(self):\n        return 0\n    def keys(self):\n"
+              "        return []\n    def rows(self):\n        return self._cells()\n"
+              "    def _cells(self):\n        return []\n    def _stale(self):\n        return None\n")
+    used = used_names(source + "Table().rows()\n")
+    assert unread_methods(source, used, lambda cls, name: hasattr(dict, name)) == ["Table._stale"]
+
+
+def overrides_in(path: Path):
+    """Whether a method of a class in the module at path overrides one of a base class."""
+    module = importlib.import_module(f"normbch.{path.stem}")
+    return lambda cls, name: any(hasattr(base, name) for base in getattr(module, cls).__mro__[1:])
+
+
 def test_every_definition_has_a_reader():
     used = set().union(*(used_names(path.read_text()) for path in CALLERS))
     unread = [f"{path.name}: {name}" for path in MODULES for name in unread_definitions(path.read_text(), used)]
+    unread += [f"{path.name}: {name}" for path in MODULES
+               for name in unread_methods(path.read_text(), used, overrides_in(path))]
     assert not unread, "defined without a reader: " + ", ".join(unread)
 
 

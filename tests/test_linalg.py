@@ -35,27 +35,6 @@ def test_kernel_annihilates(q):
         assert basis.tolist() == kernel_lists(mat.tolist(), q)
 
 
-def test_solve_roundtrip():
-    rng = random.Random(300)
-    q = 5
-    for _ in range(25):
-        n = rng.randrange(1, 6)
-        while True:
-            mat = _random_matrix(rng, n, n, q)
-            if linalg.rank(mat, q) == n:
-                break
-        x = np.array([rng.randrange(q) for _ in range(n)])
-        rhs = (mat @ x) % q
-        assert (linalg.solve(mat, rhs, q) == x % q).all()
-
-
-def test_solve_singular_raises():
-    with pytest.raises(ValueError):
-        linalg.solve([[1, 2], [2, 4]], [1, 2], 5)
-    with pytest.raises(ValueError):
-        linalg.solve([[1, 2], [2, 4]], [1, 3], 5)
-
-
 def test_invert():
     rng = random.Random(400)
     q = 7

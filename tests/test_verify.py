@@ -21,8 +21,8 @@ from normbch import (
     vandermonde_check,
     verify_lines_theorem,
 )
-from normbch import verify
-from normbch.verify import _affine_invariant, _kernel_words, _orbit_certifies, _orbit_size
+from normbch import linalg, verify
+from normbch.verify import _affine_invariant, _half_table, _kernel_words, _orbit_certifies, _orbit_size
 from oracles import (
     colex_first_dependent,
     dependency_word,
@@ -340,6 +340,19 @@ class TestSeparationWitness:
         assert (syndrome(ha535, word) == aug_synd).all()
         assert aug_synd.any()
 
+    @pytest.mark.parametrize("qmd", [(5, 2, 4), (7, 2, 4), (7, 3, 5), (11, 3, 5)], ids=str)
+    def test_lagrange_weights_are_the_kernel_vector(self, qmd):
+        params = validate_params(*qmd)
+        base, aug = bch_matrix(params), augmented_matrix(params)
+        word, aug_synd = construct_weight_word(params)
+        assert word.weight == params.d - 1
+        assert word.support[-1] == params.n and word.coeffs[-1] == 1  # locator 0
+        assert not syndrome(base, word).any()
+        assert (syndrome(aug, word) == aug_synd).all() and aug_synd.any()
+        # d-1 columns of rank d-2: one kernel vector, whose free last entry is 1
+        kernel = linalg.kernel_basis(base.rows[:, [j - 1 for j in word.support]], params.q)
+        assert kernel.tolist() == [list(word.coeffs)]
+
     def test_invalid_params_rejected(self):
         with pytest.raises(ValueError):
             construct_weight_word(validate_params(3, 3, 5))
@@ -484,16 +497,34 @@ class TestEngineAgainstOracles:
             supports, coeffs = _kernel_words(rows, 5, 6, target)
             assert supports.shape == coeffs.shape == (0, 6)
 
-    def test_memory_cap_refuses_up_front(self):
+    def test_memory_cap_refuses_up_front(self, monkeypatch):
         rng = np.random.default_rng(0)
         matrix = ParityCheckMatrix(7, rng.integers(0, 7, size=(2, 2000)), [("dense", 2)])
         half_vectors = math.comb(2000, 2) * 6 + math.comb(2000, 2) * 36
-        for call in (
-            lambda: enumerate_weight_words(matrix, 4, budget=math.comb(2000, 4)),
-            lambda: min_distance_at_least(matrix, 5, budget=math.comb(2000, 4)),
-        ):
-            with pytest.raises(BudgetExceededError) as err:
-                call()
-            assert err.value.what == "half-vectors"
-            assert err.value.needed == half_vectors
-            assert err.value.budget < half_vectors
+        with pytest.raises(BudgetExceededError) as err:
+            enumerate_weight_words(matrix, 4, budget=math.comb(2000, 4))
+        assert err.value.what == "half-vectors"
+        assert err.value.needed == half_vectors
+        assert err.value.budget < half_vectors
+        # the distance engine's passes start on a 4-column prefix, which holds a dependent pair
+        cert = min_distance_at_least(matrix, 5, budget=math.comb(2000, 4))
+        assert cert.subsets_examined == 1
+        assert cert.counterexample == Codeword((1, 3), (1, 3))
+        # aug535 under another block name has no word below weight 5, so its search reaches the
+        # weight-4 pass over all 125 columns; 4 MB refuses that pass before its tables exist
+        aug = augmented_matrix(validate_params(5, 3, 5))
+        renamed = ParityCheckMatrix(5, aug.rows, [*aug.blocks[:-1], ("norms", 1)])
+        monkeypatch.setattr(verify, "MEMORY_CAP_BYTES", 4_000_000)
+        widths = []
+
+        def half_table(rows, *args):
+            widths.append(rows.shape[1])
+            return _half_table(rows, *args)
+
+        monkeypatch.setattr(verify, "_half_table", half_table)
+        with pytest.raises(BudgetExceededError) as err:
+            min_distance_at_least(renamed, 5)
+        assert err.value.what == "half-vectors"
+        assert err.value.needed == math.comb(125, 2) * 4 + math.comb(125, 2) * 16
+        assert err.value.budget == 4_000_000 // 48
+        assert max(widths) == 125 and widths.count(125) == 6  # two tables for each of weights 1..3
