@@ -24,9 +24,16 @@ representatives has R*n(n-1)/(v(v-1)) members, which gives every count.
 Distance >= d holds when no (d-1)-subset of columns is dependent.  On
 the augmented matrix of the construction, rebuilt from its header and
 compared row by row, the orbit route decides this: after checking by
-rank that the base rows span an invariant space, it pushes every image
-of every representative of weight 2..d-1 through the norm rows, and no
-zero norm syndrome means distance >= d.  Any other matrix or target, a
+rank that the base rows span an invariant space, it shows that no image
+of a representative of weight 2..d-1 has a zero norm syndrome.  A
+representative whose locators t all lie in GF(q), with coefficients
+c_t, is settled by one sum.  Its image under x -> a*x + b has norm
+syndrome N(hat a) * sum_t c_t N(u + t), u = hat b / hat a, as hat is
+GF(q)-linear and N multiplicative.  N(u + t) is monic of degree d-2 in
+t and the word kills t^j for j <= d-3, so that is N(hat a) * f with
+f = sum_t c_t t^(d-2), which is nonzero by Vandermonde.  Only the other
+representatives, which occur outside the proven range, have their
+images pushed through the norm rows.  Any other matrix or target, a
 zero norm syndrome, or a representative search over the memory cap
 falls back to the generic engine below, so its counterexamples and
 refusals are the only ones reported.
@@ -272,8 +279,11 @@ def _orbit_certifies(matrix: ParityCheckMatrix, d: int) -> bool:
     have the base rank), so the base code is invariant and each of its
     words of weight 2..d-1 is an image of a representative.  Distance
     >= d holds when no column is zero and no image has a zero norm
-    syndrome.  False (any other matrix, a hit, or a representative search
-    over the memory cap) leaves the verdict to the generic engine.
+    syndrome: a nonzero f = sum_t c_t t^(d-2) shows this for every image
+    of a representative on GF(q) (module docstring), and the images of
+    the others go through the norm rows in batches.  False (any other
+    matrix, a zero f or a hit, or a representative search over the
+    memory cap) leaves the verdict to the generic engine.
     """
     q, n, blocks = matrix.q, matrix.n, matrix.blocks
     if d < 4 or len(blocks) != d - 1:
@@ -295,13 +305,26 @@ def _orbit_certifies(matrix: ParityCheckMatrix, d: int) -> bool:
         return False
     if not matrix.rows.any(axis=0).all():  # a zero column is a weight-1 word
         return False
-    # entry c*n + j of a norm row's table is c times the row's entry in column j
-    scaled = (np.arange(q)[:, None] * matrix.rows[-s:, None, :].astype(np.int32) % q).reshape(s, -1)
+    scaled = None
     for v in range(min(d - 1, n), 1, -1):  # the largest search first, so a refusal comes early
         try:
             supports, coeffs = _representatives(base, q, v)
         except BudgetExceededError:
             return False
+        on = _on_line(supports, n, q)
+        # an encoded GF(q) element is its constant coordinate; column n-1 holds locator 0
+        ys = np.where(supports[on] == n - 1, 0, field.power_array(supports[on] + 1))
+        f = coeffs[on]
+        for _ in range(d - 2):
+            f = f * ys % q
+        if (f.sum(axis=1) % q == 0).any():
+            return False
+        if on.all():
+            continue
+        if scaled is None:
+            # entry c*n + j of a norm row's table is c times the row's entry in column j
+            scaled = (np.arange(q)[:, None] * matrix.rows[-s:, None, :].astype(np.int32) % q).reshape(s, -1)
+        supports, coeffs = supports[~on], coeffs[~on]
         for rows, cols in _affine_images(field, supports):
             index = cols + coeffs[rows] * n
             zero = np.ones(index.shape[:2], dtype=bool)
@@ -432,6 +455,16 @@ def _representatives(rows: np.ndarray, q: int, v: int) -> tuple[np.ndarray, np.n
     return np.concatenate(supports), np.concatenate(coeffs)
 
 
+def _on_line(supports: np.ndarray, n: int, q: int) -> np.ndarray:
+    """Which representatives have every locator in GF(q), a boolean per support row.
+
+    The last two columns of a representative hold locators 1 and 0.
+    Column j < n-1 holds e^(j+1), which lies in GF(q) exactly when
+    (n-1)/(q-1) divides j+1.
+    """
+    return ((supports[:, :-2] + 1) % ((n - 1) // (q - 1)) == 0).all(axis=1)
+
+
 def _orbit_size(reps: int, n: int, v: int) -> int:
     """Size of an affine-invariant set of weight-v words with reps representatives."""
     size, rest = divmod(reps * n * (n - 1), v * (v - 1))
@@ -522,13 +555,13 @@ def verify_lines_theorem(
     if total > budget:
         raise BudgetExceededError(total, budget)
     supports, _ = _representatives(matrix.rows, q, v)
-    off = ((supports[:, :-2] + 1) % ((n - 1) // (q - 1)) != 0).any(axis=1)
+    on = int(_on_line(supports, n, q).sum())
     return LinesReport(
         params=params,
         weight=v,
         words_found=_orbit_size(len(supports), n, v),
-        on_line=_orbit_size(int((~off).sum()), n, v),
-        violation_count=_orbit_size(int(off.sum()), n, v),
+        on_line=_orbit_size(on, n, v),
+        violation_count=_orbit_size(len(supports) - on, n, v),
         theorem_applies=params.valid,
         subset_count=total,
     )

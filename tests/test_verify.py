@@ -11,18 +11,31 @@ from normbch import (
     ParityCheckMatrix,
     augmented_matrix,
     bch_matrix,
+    apply_affine_permutation,
     construct_weight_word,
+    embed_hat,
     enumerate_weight_words,
+    make_basis_pair,
     make_field,
     min_distance_at_least,
+    norm,
     on_affine_line,
+    prime_scalar,
     syndrome,
     validate_params,
     vandermonde_check,
     verify_lines_theorem,
 )
 from normbch import linalg, verify
-from normbch.verify import _affine_invariant, _half_table, _kernel_words, _orbit_certifies, _orbit_size
+from normbch.verify import (
+    _affine_invariant,
+    _half_table,
+    _kernel_words,
+    _on_line,
+    _orbit_certifies,
+    _orbit_size,
+    _representatives,
+)
 from oracles import (
     colex_first_dependent,
     dependency_word,
@@ -60,6 +73,13 @@ AUGMENTED_INSTANCES = [
     (5, 1, 4), (5, 2, 4), (5, 3, 4), (5, 4, 4), (5, 1, 5), (5, 2, 5), (5, 3, 5), (5, 4, 5),
     (5, 1, 6), (5, 2, 6),
     (7, 1, 4), (7, 2, 4), (7, 3, 4), (7, 1, 5), (7, 2, 5), (7, 3, 5), (7, 1, 6), (7, 2, 6),
+]
+
+# The augmented instances above with distance below d.  Each has an
+# off-line representative with an image of zero norm syndrome.
+DECLINED_INSTANCES = [
+    (2, 3, 5), (2, 4, 5), (2, 5, 5), (2, 6, 5), (2, 7, 5), (2, 8, 5),
+    (3, 3, 6), (3, 4, 6), (3, 5, 6), (5, 2, 5), (5, 4, 5), (5, 2, 6), (7, 2, 5),
 ]
 
 
@@ -133,15 +153,22 @@ class TestOrbitRoute:
             patch.setattr(verify, "_orbit_certifies", lambda matrix, d: False)
             generic = min_distance_at_least(matrix, params.d, budget=budget)
         images = []
+        all_images = verify._affine_images
+
+        def record_images(*args):  # a pass the route leaves at a hit never logs "finished"
+            images.append("started")
+            yield from all_images(*args)
+            images.append("finished")
+
         with monkeypatch.context() as patch:
             if generic.certified:  # the route alone must certify
                 patch.setattr(verify, "_colex_first_dependent", must_not_run)
-            all_images = verify._affine_images
-            patch.setattr(verify, "_affine_images", lambda *args: images.append(1) or all_images(*args))
+            patch.setattr(verify, "_affine_images", record_images)
             routed = min_distance_at_least(matrix, params.d, budget=budget)
         assert certificate_fields(routed) == certificate_fields(generic)
+        assert generic.certified == (qmd not in DECLINED_INSTANCES)
         if not generic.certified:
-            assert images  # a hit in the image pass, not a mismatch, sent it to the fallback
+            assert images[-1] == "started"  # a hit in the image pass, not a mismatch, sent it to the fallback
         if budget <= 3000:
             want = colex_first_dependent(matrix.rows.tolist(), params.q, w)
             if want is None:
@@ -151,6 +178,29 @@ class TestOrbitRoute:
                 assert routed.subsets_examined == rank
                 word = routed.counterexample
                 assert (word.support, word.coeffs) == dependency_word(matrix.rows.tolist(), params.q, cols)
+
+    @pytest.mark.parametrize("qmd", [(5, 3, 5), (7, 3, 5), (11, 3, 5), (5, 5, 5), (13, 3, 5)], ids=str)
+    def test_members_certify_by_line_norm_sums_alone(self, qmd, monkeypatch):
+        monkeypatch.setattr(verify, "_affine_images", must_not_run)
+        monkeypatch.setattr(verify, "_colex_first_dependent", must_not_run)
+        params = validate_params(*qmd)
+        budget = math.comb(params.n, params.d - 1)
+        assert min_distance_at_least(augmented_matrix(params), params.d, budget=budget).certified
+
+    @pytest.mark.parametrize(("qmd", "off_line"), [((2, 2, 5), 1), ((3, 2, 6), 5), ((7, 2, 6), 35)], ids=str)
+    def test_only_off_line_representatives_take_the_image_pass(self, qmd, off_line, monkeypatch):
+        params = validate_params(*qmd)
+        matrix = augmented_matrix(params)
+        pushed = []
+        all_images = verify._affine_images
+        monkeypatch.setattr(verify, "_affine_images", lambda *args: pushed.append(args[1]) or all_images(*args))
+        monkeypatch.setattr(verify, "_colex_first_dependent", must_not_run)
+        assert min_distance_at_least(matrix, params.d, budget=math.comb(params.n, params.d - 1)).certified
+        supports = np.concatenate(pushed)
+        assert len(supports) == off_line
+        loc, q = matrix.locators, params.q
+        for support in (supports + 1).tolist():
+            assert any(loc.locator(j) ** q != loc.locator(j) for j in support)  # a locator outside GF(q)
 
     @staticmethod
     def fallback_cases():
@@ -199,6 +249,34 @@ class TestOrbitRoute:
         monkeypatch.setattr(verify, "_orbit_certifies", must_not_run)
         with pytest.raises(BudgetExceededError):
             min_distance_at_least(ha535, 5, budget=1000)
+
+
+class TestLineNormIdentity:
+    @pytest.mark.parametrize("qmd", [(5, 2, 4), (7, 2, 4), (5, 3, 5), (7, 3, 5)], ids=str)
+    def test_image_norm_syndrome(self, qmd):
+        # A representative with locators t in GF(q) and coefficients c_t has,
+        # under x -> a*x + b, the norm syndrome N(hat a) * f with
+        # f = sum_t c_t t^(d-2), and f is never 0.
+        params = validate_params(*qmd)
+        q, m, d, s = params.q, params.m, params.d, params.s
+        aug = augmented_matrix(params)
+        loc = aug.locators
+        field = loc.field
+        bp = make_basis_pair(q, m, d)
+        supports, coeffs = _representatives(aug.rows[:-s], q, d - 1)
+        words = [Codeword(tuple(j), tuple(c)) for j, c in zip((supports + 1).tolist(), coeffs.tolist())]
+        in_gf_q = [all(loc.locator(j) ** q == loc.locator(j) for j in w.support) for w in words]
+        assert _on_line(supports, params.n, q).tolist() == in_gf_q
+        assert any(in_gf_q)
+        rng = random.Random("%d-%d-%d" % qmd)
+        for word in (w for w, on in zip(words, in_gf_q) if on):
+            f = sum(c * prime_scalar(loc.locator(j)) ** (d - 2) for j, c in zip(word.support, word.coeffs)) % q
+            assert f != 0
+            for _ in range(20):
+                a, b = field.elem(rng.randrange(1, field.size)), field.elem(rng.randrange(field.size))
+                image = apply_affine_permutation(word, b, a, loc)  # x -> b + a*x
+                want = bp.g_coords([norm(embed_hat(a, bp), d).val])[:s, 0] * f % q
+                assert syndrome(aug, image)[-s:].tolist() == want.tolist()
 
 
 class TestEnumerate:
