@@ -32,7 +32,8 @@ def report(params, experimental=False):
 
 def main() -> int:
     print("hypotheses hold:")
-    for q, m, d in ((5, 2, 4), (7, 2, 4), (5, 3, 5), (7, 3, 5), (11, 3, 5), (13, 3, 5)):
+    proven = ((5, 2, 4), (7, 2, 4), (5, 3, 5), (7, 3, 5), (11, 3, 5), (13, 3, 5), (101, 2, 4), (29, 3, 5))
+    for q, m, d in proven:
         report(validate_params(q, m, d))
     print()
     print("hypotheses fail (m too small or not prime); reported, never asserted:")

@@ -14,9 +14,10 @@ x -> a*x + b (a nonzero) preserve the base code and act doubly
 transitively on the locators (Kasami, Lin and Peterson, 1967), so every
 weight-v word is an image of a representative: a word whose support
 holds locator 1 (position n-1) and locator 0 (position n).  Those are
-the weight-(v-2) solutions of Hz = -(h_n + c*h_(n-1)), c = 1..q-1,
-completed by c and 1.  Images are mapped in bounded batches through
-the field's Zech logarithms, log(1 + e^k).
+the weight-(v-2) solutions of Hz = -(h_n + c*h_(n-1)), c nonzero,
+completed by c and 1, which one pass finds for every c once a row has
+cleared h_(n-1) from the others.  Images are mapped in bounded batches
+through the field's Zech logarithms, log(1 + e^k).
 
 The line check examines representatives only.  An invariant set with R
 representatives has R*n(n-1)/(v(v-1)) members, which gives every count.
@@ -121,15 +122,11 @@ class LinesReport:
     subset_count: int
 
 
-def _check_memory(r: int, n: int, q: int, v: int, words: int = 0, lead_one: bool = True) -> None:
-    """Refuse a weight-v pass over n columns that would exceed MEMORY_CAP_BYTES.
+def _check_memory(r: int, q: int, slots: int) -> None:
+    """Refuse a pass of the given slots that would exceed MEMORY_CAP_BYTES.
 
-    A slot per x and y half-vector and v + 1 per output word; a slot is
-    r syndrome entries plus 40 bytes (37 in all measured at r=8, q=7).
+    A slot is r syndrome entries plus 40 bytes (37 in all measured at r=8, q=7).
     """
-    a = (v + 1) // 2
-    slots = math.comb(n, a) * (q - 1) ** (a - lead_one) + math.comb(n, v - a) * (q - 1) ** (v - a)
-    slots += (v + 1) * words
     per_slot = r * np.min_scalar_type(q - 1).itemsize + 40
     if slots * per_slot > MEMORY_CAP_BYTES:
         raise BudgetExceededError(slots, MEMORY_CAP_BYTES // per_slot, what="half-vectors")
@@ -178,8 +175,9 @@ def _kernel_words(rows: np.ndarray, q: int, v: int, target=None) -> tuple[np.nda
     a = (v + 1) // 2
     lead_one = target is None
     n_x = math.comb(n, a) * (q - 1) ** (a - lead_one)
-    _check_memory(r, n, q, v, lead_one=lead_one)
-    keys = np.empty((r, n_x + math.comb(n, v - a) * (q - 1) ** (v - a)), dtype=np.min_scalar_type(q - 1))
+    n_y = math.comb(n, v - a) * (q - 1) ** (v - a)
+    _check_memory(r, q, n_x + n_y)  # a slot per x and y half-vector
+    keys = np.empty((r, n_x + n_y), dtype=np.min_scalar_type(q - 1))
     xs, xc = _half_table(rows, q, a, lead_one, keys[:, :n_x])
     # Hx = Hy + t makes the word (x, -y)
     ys, yc = _half_table(rows, q, v - a, False, keys[:, n_x:], target)
@@ -187,7 +185,8 @@ def _kernel_words(rows: np.ndarray, q: int, v: int, target=None) -> tuple[np.nda
     # Sort by syndrome, then by max supp(x) or min supp(y).  Within one
     # syndrome the y rows then run in ascending min supp(y), and each x
     # pairs with the tail of them whose min exceeds its max.
-    edge = np.concatenate([np.repeat(xs[:, -1], len(xc)), np.repeat(ys.min(axis=1, initial=n), len(yc))])
+    x_edge, y_edge = xs.max(axis=1, initial=0), ys.min(axis=1, initial=n)  # an empty x has edge 0
+    edge = np.concatenate([np.repeat(x_edge, len(xc)), np.repeat(y_edge, len(yc))])
     edge = edge.astype(np.min_scalar_type(n))
     order = np.lexsort([edge, *keys])
     new_group = np.zeros(order.size, dtype=bool)
@@ -205,7 +204,7 @@ def _kernel_words(rows: np.ndarray, q: int, v: int, target=None) -> tuple[np.nda
     lo = np.searchsorted(y_key, x_key, side="right")
     counts = np.searchsorted(y_key, (x_key // (n + 1) + 1) * (n + 1)) - lo
     words = int(counts.sum())
-    _check_memory(r, n, q, v, words, lead_one)
+    _check_memory(r, q, n_x + n_y + (v + 1) * words)  # and v + 1 per output word
 
     x_sup, x_coef = np.divmod(order[np.repeat(x_at, counts)], len(xc))
     y_pick = y_at[np.arange(words) + np.repeat(lo - np.cumsum(counts) + counts, counts)]
@@ -436,23 +435,23 @@ def _representatives(rows: np.ndarray, q: int, v: int) -> tuple[np.ndarray, np.n
     """The weight-v kernel words of rows that hold the last two columns.
 
     One word per scalar class: coefficient 1 on the last column and
-    c = 1..q-1 on the one before, completed by the weight-(v-2)
-    solutions z on the other columns of Hz = -(h_last + c * h_before).
+    c = 1..q-1 on the one before, completed by the weight-(v-2) words z
+    on the other columns with Hz = -(h_last + c * h_before).  Row i,
+    the first where h_before is nonzero, scaled and taken from every
+    row gives P with P h_before = 0, so one pass over P z = -P h_last
+    finds z for every c; row i gives c, and c = 0 is dropped.
     Returns (supports, coeffs) as _kernel_words does, columns ascending.
     """
     n = rows.shape[1]
-    found = []
-    for c in range(1, q):
-        target = -(rows[:, -1].astype(np.int64) + c * rows[:, -2]) % q
-        if v == 2:  # the empty completion solves Hz = 0 only
-            supports = coeffs = np.empty((0 if target.any() else 1, 0), dtype=np.intp)
-        else:
-            supports, coeffs = _kernel_words(rows[:, :-2], q, v - 2, target)
-        tail = np.ones((len(supports), 1), dtype=np.intp)
-        supports = np.hstack([supports, (n - 2) * tail, (n - 1) * tail])
-        found.append((supports, np.hstack([coeffs, c * tail, tail])))
-    supports, coeffs = zip(*found)
-    return np.concatenate(supports), np.concatenate(coeffs)
+    i = int(np.flatnonzero(rows[:, -2])[0])
+    inv = pow(int(rows[i, -2]), -1, q)
+    projected = ((rows - rows[:, -2:-1].astype(np.int64) * inv % q * rows[i]) % q).astype(rows.dtype)
+    supports, coeffs = _kernel_words(projected[:, :-2], q, v - 2, -projected[:, -1].astype(np.int64) % q)
+    c = -((rows[i, supports] * coeffs).sum(axis=1) + rows[i, -1]) * inv % q
+    keep = c != 0
+    tail = np.ones((int(keep.sum()), 1), dtype=np.intp)
+    supports = np.hstack([supports[keep], (n - 2) * tail, (n - 1) * tail])
+    return supports, np.hstack([coeffs[keep], c[keep, None], tail])
 
 
 def _on_line(supports: np.ndarray, n: int, q: int) -> np.ndarray:

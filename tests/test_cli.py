@@ -274,6 +274,17 @@ class TestCheckLines:
         assert "words_found=300" in stdout
         assert "violations=0" in stdout
 
+    @pytest.mark.parametrize("qmd, words", [((101, 2, 4), 1716828300), ((29, 3, 5), 17397868761)], ids=str)
+    def test_large_q_pinned(self, qmd, words, capsys):
+        # one collision pass over the representatives' columns settles n = 10,201 and n = 24,389
+        q, m, d = qmd
+        budget = math.comb(q**m, d - 1)
+        code, stdout, stderr = run(capsys, "check-lines", "--q", str(q), "--m", str(m), "--d", str(d),
+                                   "--budget", str(budget))
+        assert code == 0
+        assert f"words_found={words}\non_line={words}\nviolations=0\n" in stdout
+        assert stderr == ""
+
     def test_invalid_without_experimental(self, capsys):
         code, _, stderr = run(capsys, "check-lines", "--q", "5", "--m", "4", "--d", "5")
         assert code == 2

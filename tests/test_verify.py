@@ -93,6 +93,27 @@ def must_not_run(*args, **kwargs):
     raise AssertionError("called where it must not run")
 
 
+def representatives_per_coefficient(rows, q, v):
+    """Reference for _representatives: one collision pass per coefficient c of the second-to-last column."""
+    n = rows.shape[1]
+    found = []
+    for c in range(1, q):
+        target = -(rows[:, -1].astype(np.int64) + c * rows[:, -2]) % q
+        if v == 2:  # the empty completion solves Hz = 0 only
+            supports = coeffs = np.empty((0 if target.any() else 1, 0), dtype=np.intp)
+        else:
+            supports, coeffs = _kernel_words(rows[:, :-2], q, v - 2, target)
+        tail = np.ones((len(supports), 1), dtype=np.intp)
+        supports = np.hstack([supports, (n - 2) * tail, (n - 1) * tail])
+        found.append((supports, np.hstack([coeffs, c * tail, tail])))
+    supports, coeffs = zip(*found)
+    return np.concatenate(supports), np.concatenate(coeffs)
+
+
+def sorted_words(supports, coeffs):
+    return sorted(map(tuple, np.hstack([supports, coeffs]).tolist()))
+
+
 def lines_by_enumeration(params):
     """(words_found, on_line, violation_count) from every weight-(d-1) word and its line test."""
     matrix = bch_matrix(params)
@@ -249,6 +270,46 @@ class TestOrbitRoute:
         monkeypatch.setattr(verify, "_orbit_certifies", must_not_run)
         with pytest.raises(BudgetExceededError):
             min_distance_at_least(ha535, 5, budget=1000)
+
+
+class TestRepresentatives:
+    # every case below runs the reference in well under a second (0.3 s in all)
+    @pytest.mark.parametrize("qmd", sorted(set(ORBIT_INSTANCES) | set(AUGMENTED_INSTANCES)),
+                             ids=lambda qmd: "%d-%d-%d" % qmd)
+    def test_one_pass_matches_the_per_coefficient_loop(self, qmd):
+        params = validate_params(*qmd)
+        rows = bch_matrix(params).rows
+        for v in range(2, params.d):
+            got = _representatives(rows, params.q, v)
+            assert sorted_words(*got) == sorted_words(*representatives_per_coefficient(rows, params.q, v))
+
+    @pytest.mark.parametrize("q", [2, 3, 5, 7])
+    def test_one_pass_matches_on_random_rows(self, q):
+        # random rows have short words, some that solve row i with c = 0, and the first row
+        # with a nonzero entry in the second-to-last column need not be row 0 or hold a 1
+        rng = np.random.default_rng(900 + q)
+        for _ in range(40):
+            r, n = int(rng.integers(1, 5)), int(rng.integers(3, 10))
+            rows = rng.integers(0, q, size=(r, n)).astype(np.int16)
+            rows[: rng.integers(r), -2] = 0
+            rows[-1, -2] = rng.integers(1, q)
+            for v in range(2, min(n, 5) + 1):
+                got = _representatives(rows, q, v)
+                assert sorted_words(*got) == sorted_words(*representatives_per_coefficient(rows, q, v))
+
+    @pytest.mark.parametrize("v", [2, 3, 4])
+    def test_one_kernel_pass_per_call(self, v, monkeypatch):
+        passes = []
+        monkeypatch.setattr(verify, "_kernel_words", lambda *args: passes.append(args) or _kernel_words(*args))
+        supports, _ = _representatives(bch_matrix(validate_params(5, 3, 5)).rows, 5, v)
+        assert len(passes) == 1
+        assert len(supports) == (3 if v == 4 else 0)
+
+    def test_weight_zero_is_the_empty_word_of_the_zero_target(self):
+        rows = np.array([[1, 1, 1], [0, 1, 2]], dtype=np.int16)
+        for target, found in (([0, 0], 1), ([0, 1], 0), ([3, 0], 0)):
+            supports, coeffs = _kernel_words(rows, 5, 0, np.array(target))
+            assert supports.shape == coeffs.shape == (found, 0)
 
 
 class TestLineNormIdentity:
