@@ -109,9 +109,19 @@ def cmd_gencode(args) -> int:
     params = validate_params(args.q, args.m, args.d, relaxed=args.relaxed)
     if not params.valid:
         raise ValueError("invalid parameters: " + "; ".join(params.violations))
-    with open(args.out, "w") as fh:  # opened first, so an unwritable --out fails before the build
-        matrix = bch_matrix(params) if args.bch_only else augmented_matrix(params)
-        fh.write(matrix.to_text())
+    created = not os.path.exists(args.out)
+    try:
+        # Opened first, so an unwritable --out fails before the build; "a"
+        # keeps what the file held until the text is ready.
+        with open(args.out, "a") as fh:
+            matrix = bch_matrix(params) if args.bch_only else augmented_matrix(params)
+            text = matrix.to_text()
+            fh.truncate(0)
+            fh.write(text)
+    except BaseException:
+        if created and os.path.exists(args.out):  # a failed run leaves no file of its own
+            os.remove(args.out)
+        raise
     record = dict(out=args.out, n=matrix.n, rows=matrix.row_count, rank=matrix.rank(),
                   dimension=matrix.dimension(), blocks=dict(matrix.blocks), matrix_sha256=matrix.sha256())
     _emit(record, {"out": "wrote {out}", "n": "n={n} rows={rows} rank={rank} dimension={dimension}",

@@ -16,8 +16,7 @@ weight-v word is an image of a representative: a word whose support
 holds locator 1 (position n-1) and locator 0 (position n).  Those are
 the weight-(v-2) solutions of Hz = -(h_n + c*h_(n-1)), c nonzero,
 completed by c and 1, which one pass finds for every c once a row has
-cleared h_(n-1) from the others.  Images are mapped in bounded batches
-through the field's Zech logarithms, log(1 + e^k).
+cleared h_(n-1) from the others.
 
 The line check examines representatives only.  An invariant set with R
 representatives has R*n(n-1)/(v(v-1)) members, which gives every count.
@@ -32,12 +31,11 @@ c_t, is settled by one sum.  Its image under x -> a*x + b has norm
 syndrome N(hat a) * sum_t c_t N(u + t), u = hat b / hat a, as hat is
 GF(q)-linear and N multiplicative.  N(u + t) is monic of degree d-2 in
 t and the word kills t^j for j <= d-3, so that is N(hat a) * f with
-f = sum_t c_t t^(d-2), which is nonzero by Vandermonde.  Only the other
-representatives, which occur outside the proven range, have their
-images pushed through the norm rows.  Any other matrix or target, a
-zero norm syndrome, or a representative search over the memory cap
-falls back to the generic engine below, so its counterexamples and
-refusals are the only ones reported.
+f = sum_t c_t t^(d-2), which is nonzero by Vandermonde.  Any other
+matrix or target, a representative with a locator outside GF(q) (which
+occurs only outside the proven range), a zero f, or a representative
+search over the memory cap falls back to the generic engine below, so
+its counterexamples and refusals are the only ones reported.
 
 The generic engine reports the colex-first dependent (d-1)-subset: the
 colex-smallest superset of a word support.  Colex order visits every
@@ -258,7 +256,8 @@ def _affine_invariant(rows: np.ndarray, field) -> bool:
     """
     q, n = field.p, field.size
     times_e = np.append(np.arange(1, n) % (n - 1), n - 1)  # e^(j+1) -> e^(j+2); 0 stays
-    plus_one = _log_columns(n)[_translates(field, _locator_logs(np.arange(n), n), np.array([0]))[0]]
+    z = field.zech[np.arange(1, n) % (n - 1)]  # e^(j+1) + 1 = e^z, or 0 where z < 0
+    plus_one = np.append(np.where(z < 0, n - 1, (z - 1) % (n - 1)), n - 2)  # 0 -> 1
     reduced, rank, pivots = linalg.rref(rows, q)
     for perm in (times_e, plus_one):
         moved = rows[:, perm].astype(np.int64)
@@ -277,12 +276,12 @@ def _orbit_certifies(matrix: ParityCheckMatrix, d: int) -> bool:
     generators x -> e*x and x -> x+1 of the affine maps (the stacked rows
     have the base rank), so the base code is invariant and each of its
     words of weight 2..d-1 is an image of a representative.  Distance
-    >= d holds when no column is zero and no image has a zero norm
-    syndrome: a nonzero f = sum_t c_t t^(d-2) shows this for every image
-    of a representative on GF(q) (module docstring), and the images of
-    the others go through the norm rows in batches.  False (any other
-    matrix, a zero f or a hit, or a representative search over the
-    memory cap) leaves the verdict to the generic engine.
+    >= d holds when no column is zero and every representative has its
+    locators in GF(q) and a nonzero f = sum_t c_t t^(d-2), which shows
+    that none of its images has a zero norm syndrome (module docstring).
+    False (any other matrix, a locator outside GF(q), a zero f, or a
+    representative search over the memory cap) leaves the verdict to
+    the generic engine.
     """
     q, n, blocks = matrix.q, matrix.n, matrix.blocks
     if d < 4 or len(blocks) != d - 1:
@@ -304,33 +303,20 @@ def _orbit_certifies(matrix: ParityCheckMatrix, d: int) -> bool:
         return False
     if not matrix.rows.any(axis=0).all():  # a zero column is a weight-1 word
         return False
-    scaled = None
     for v in range(min(d - 1, n), 1, -1):  # the largest search first, so a refusal comes early
         try:
             supports, coeffs = _representatives(base, q, v)
         except BudgetExceededError:
             return False
-        on = _on_line(supports, n, q)
+        if not _on_line(supports, n, q).all():  # outside the proven range
+            return False
         # an encoded GF(q) element is its constant coordinate; column n-1 holds locator 0
-        ys = np.where(supports[on] == n - 1, 0, field.power_array(supports[on] + 1))
-        f = coeffs[on]
+        ys = np.where(supports == n - 1, 0, field.power_array(supports + 1))
+        f = coeffs
         for _ in range(d - 2):
             f = f * ys % q
         if (f.sum(axis=1) % q == 0).any():
             return False
-        if on.all():
-            continue
-        if scaled is None:
-            # entry c*n + j of a norm row's table is c times the row's entry in column j
-            scaled = (np.arange(q)[:, None] * matrix.rows[-s:, None, :].astype(np.int32) % q).reshape(s, -1)
-        supports, coeffs = supports[~on], coeffs[~on]
-        for rows, cols in _affine_images(field, supports):
-            index = cols + coeffs[rows] * n
-            zero = np.ones(index.shape[:2], dtype=bool)
-            for table in scaled:
-                zero &= sum(table[index[:, :, k]] for k in range(v)) % q == 0
-            if zero.any():
-                return False
     return True
 
 
@@ -470,62 +456,6 @@ def _orbit_size(reps: int, n: int, v: int) -> int:
     if rest:
         raise RuntimeError(f"{reps} representatives of weight {v} cannot fill whole orbits at n={n}")
     return size
-
-
-_IMAGE_ENTRIES = 1 << 16  # entries of one image batch and of one translate table
-
-
-def _locator_logs(columns: np.ndarray, n: int) -> np.ndarray:
-    """Base-e logs of the locators of 0-based columns; 2n-3 stands for the zero locator.
-
-    Column j < n-1 holds e^(j+1) and column n-1 holds 0.
-    """
-    return np.where(columns == n - 1, 2 * n - 3, (columns + 1) % (n - 1))
-
-
-def _log_columns(n: int) -> np.ndarray:
-    """The column of e^k for k = 0..2n-4, then n-1 (the zero locator) for 2n-3..3n-5.
-
-    Index a + l gives the column of e^a * x when l is the log of x or 2n-3.
-    """
-    return np.concatenate([(np.arange(2 * n - 3) - 1) % (n - 1), np.full(n - 1, n - 1)])
-
-
-def _translates(field, logs: np.ndarray, shifts: np.ndarray) -> np.ndarray:
-    """Logs of x + c for each locator log x and each shift log c, a (shifts, logs) table.
-
-    Logs as in _locator_logs, zero included.  Nonzero sums go through the
-    field's Zech logarithms log(1 + e^k).
-    """
-    n = field.size
-    zero = 2 * n - 3
-    x, c = logs[None, :], shifts[:, None]
-    z = field.zech[(x - c) % (n - 1)]  # x + c = e^c * (1 + e^(x-c))
-    table = np.where(z < 0, zero, (c + z) % (n - 1))
-    return np.where(x == zero, c, np.where(c == zero, x, table))
-
-
-def _affine_images(field, supports: np.ndarray):
-    """The images of supports under every map x -> e^a * (x + c), a bounded batch at a time.
-
-    supports holds one word's 0-based columns per row.  Yields (rows, cols):
-    a slice of the support rows and the (maps, rows, v) columns of their
-    images.  Over all batches each row meets each of the n(n-1) maps once.
-    A batch and the translate table of a slice hold at most _IMAGE_ENTRIES
-    entries, or one support row's worth when that is more.
-    """
-    n = field.size
-    reps, v = supports.shape
-    shifts = np.append(np.arange(n - 1), 2 * n - 3)  # c = e^0 .. e^(n-2), then 0
-    columns = _log_columns(n).astype(np.int32)  # int32 halves the traffic of the batches
-    chunk = max(1, _IMAGE_ENTRIES // (n * v))
-    for lo in range(0, reps, chunk):
-        rows = slice(lo, min(lo + chunk, reps))
-        table = _translates(field, _locator_logs(supports[rows].ravel(), n), shifts).astype(np.int32)
-        step = max(1, _IMAGE_ENTRIES // table.shape[1])
-        for first in range(0, n * (n - 1), step):
-            c, a = np.divmod(np.arange(first, min(first + step, n * (n - 1))), n - 1)
-            yield rows, columns[a[:, None].astype(np.int32) + table[c]].reshape(len(c), -1, v)
 
 
 def verify_lines_theorem(

@@ -68,6 +68,28 @@ class TestGencode:
         assert stdout == ""
         assert stderr.startswith("file error:")
 
+    def test_failed_build_keeps_out_as_it_was(self, tmp_path, capsys, monkeypatch):
+        def failed_build(*args, **kwargs):
+            raise ValueError("no field within the budget")
+
+        monkeypatch.setattr(normbch.construct, "augmented_matrix", failed_build)
+        existing, absent = tmp_path / "existing.txt", tmp_path / "absent.txt"
+        held = b"q=5 n=2 r=1 blocks=dense:1\n1 2\n" * 50
+        existing.write_bytes(held)
+        for out in (existing, absent):
+            code, stdout, stderr = run(capsys, "gencode", "--q", "5", "--m", "2", "--d", "4", "--out", str(out))
+            assert (code, stdout) == (2, "")
+            assert stderr == "parameter error: no field within the budget\n"
+        assert existing.read_bytes() == held
+        assert not absent.exists()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["existing.txt"]  # no manifest either
+
+    def test_shorter_matrix_replaces_longer_file(self, tmp_path, capsys):
+        out = tmp_path / "m.txt"
+        out.write_text("x" * 10_000)
+        assert run(capsys, "gencode", "--q", "5", "--m", "2", "--d", "4", "--out", str(out))[0] == 0
+        assert out.read_text() == augmented_matrix(validate_params(5, 2, 4)).to_text()
+
     def test_d6_member_576(self, tmp_path, capsys):
         # the smallest d = 6 member: n = 5^7, norm rows from GF(5^8)
         out = tmp_path / "h576.txt"

@@ -155,10 +155,9 @@ def test_unpassed_parameter_is_found():
 
 
 def test_every_defaulted_parameter_is_passed():
-    # main's argv is passed by the tests and the benchmark, which call it in-process; the budget of
-    # enumerate_weight_words is raised by a test's own reference enumeration.
+    # the budget of enumerate_weight_words is raised by a test's own reference enumeration.
     passed = set().union(*(passed_parameters(path.read_text()) for path in CALLERS))
     unpassed = {(path.name, function, name) for path in MODULES
                 for function, position, name in defaulted_parameters(path.read_text())
                 if (function, name) not in passed and (function, position) not in passed}
-    assert unpassed == {("cli.py", "main", "argv"), ("verify.py", "enumerate_weight_words", "budget")}
+    assert unpassed == {("verify.py", "enumerate_weight_words", "budget")}

@@ -33,6 +33,17 @@ def test_bounds_table():
     assert "cells show the smallest recorded upper bound and its source; '=' marks" in lines
 
 
+@pytest.mark.parametrize(("args", "error"), [
+    (["x"], "parameter error: table ranges look like qmin..qmax dmin..dmax\n"),
+    (["1"], "parameter error: table range 2..1 is empty: its lower end exceeds its upper end\n"),
+])
+def test_bounds_table_bad_range_exits_2(args, error):
+    # exit 1 is reserved for counterexamples, and an empty range prints no table
+    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "bounds_table.py"), *args],
+                          capture_output=True, text=True, env=script_env(), timeout=120)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", error)
+
+
 def test_lines_experiment():
     out = run_script("lines_experiment.py")
     assert "(q=13, m=3, d=5)  [proven range]  weight=4 words=22112805 on_line=22112805 violations=0\n" in out
