@@ -47,6 +47,23 @@ _OWNER = {name: module for module, names in _EXPORTS.items() for name in names}
 __all__ = sorted(_OWNER)
 
 
+def _sha256_hex(data: bytes) -> str:
+    """The SHA-256 of data as hex, from CPython's built-in hash module.
+
+    hashlib would map OpenSSL's libcrypto, about 3.5 MB of RSS for the one
+    digest a command prints; it serves only a build without the built-in
+    module, and gives the same digest.
+    """
+    try:
+        from _sha2 import sha256  # Python 3.12 on
+    except ImportError:
+        try:
+            from _sha256 import sha256  # Python 3.10 and 3.11
+        except ImportError:
+            from hashlib import sha256
+    return sha256(data).hexdigest()
+
+
 def __getattr__(name: str):
     if name in _EXPORTS:
         return importlib.import_module(f"{__name__}.{name}")  # the import binds it here

@@ -20,8 +20,9 @@ hashes, seed and timing; re-running with the manifest's parameters
 reproduces byte-identical primary outputs.
 Each subcommand imports its own engine when it runs, so a process loads
 only what its command uses: `--version` and `bounds` never load numpy,
-and hashlib (with libcrypto) and json load only where a digest or JSON
-is written.
+and json loads only where JSON is written.  Digests (matrix_sha256 and
+the manifest hashes) come from CPython's built-in SHA-256, so no
+command maps OpenSSL's libcrypto.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ import string
 import sys
 import time
 
-from . import __version__
+from . import __version__, _sha256_hex
 from .errors import DEFAULT_SUBSET_BUDGET, BudgetExceededError
 
 EXIT_OK = 0
@@ -43,10 +44,8 @@ MAX_TABLE_CELLS = 100_000  # bounds --table takes about 4 s and prints 3 MB at t
 
 
 def _sha256_file(path: str) -> str:
-    import hashlib
-
     with open(path, "rb") as fh:
-        return hashlib.sha256(fh.read()).hexdigest()
+        return _sha256_hex(fh.read())
 
 
 def _write_manifest(args, elapsed: float) -> None:

@@ -32,7 +32,7 @@ from .field import (
     make_basis_pair,
     make_field,
 )
-from . import linalg
+from . import _sha256_hex, linalg
 
 MAX_ALPHABET = int(np.iinfo(np.int16).max)  # matrix entries are int16
 
@@ -227,9 +227,7 @@ class ParityCheckMatrix:
         return self._text
 
     def sha256(self) -> str:
-        import hashlib  # here, not at module level: only digest writers load libcrypto
-
-        return hashlib.sha256(self.to_text().encode()).hexdigest()
+        return _sha256_hex(self.to_text().encode())  # the built-in hash: no libcrypto mapped
 
     def __repr__(self):
         return f"ParityCheckMatrix(q={self.q}, {self.row_count}x{self.n}, blocks={self.blocks})"
@@ -332,9 +330,9 @@ def read_matrix_file(path) -> ParityCheckMatrix:
     The body is read by one np.loadtxt call.  When that fails, or when the
     body holds what loadtxt takes but the format does not, a line-by-line
     pass raises ValueError naming the first bad line: a wrong entry count,
-    or an entry that is not ASCII digits below q.  A bad header, and a
-    length n below 1, is named as line 1, a wrong row count by the file
-    alone.
+    or an entry that is not ASCII digits below q.  A bad header, a length
+    n below 1, and block row counts that are negative or do not sum to r
+    are named as line 1, a wrong row count by the file alone.
     """
     with open(path) as fh:
         header, *body = fh.read().rstrip().splitlines() or [""]
@@ -351,6 +349,10 @@ def read_matrix_file(path) -> ParityCheckMatrix:
         raise ValueError(f"{path}:1: {alphabet}")
     if n < 1:
         raise ValueError(f"{path}:1: n={n} is not a positive length")
+    if negative := [f"{name}:{count}" for name, count in blocks if count < 0]:
+        raise ValueError(f"{path}:1: block {negative[0]} has a negative row count")
+    if sum(count for _, count in blocks) != r:
+        raise ValueError(f"{path}:1: block row counts do not sum to r={r}")
     if len(body) != r:
         raise ValueError(f"{path}: {len(body)} rows after the header, expected r={r}")
     try:  # an empty body skips loadtxt, which warns on it

@@ -38,9 +38,11 @@ search over the memory cap falls back to the generic engine below, so
 its counterexamples and refusals are the only ones reported.
 
 The generic engine reports the colex-first dependent (d-1)-subset: the
-colex-smallest superset of a word support.  Colex order visits every
-subset of the first c columns before the others, so the search runs on
-column prefixes of length w, 2w, 4w, ... and stops at the first prefix
+colex-smallest superset of a word support.  When the first w columns
+are dependent (as whenever w exceeds the rank), they are that subset,
+and one rank settles it.  Otherwise, as colex order visits every subset
+of the first c columns before the others, the search runs on column
+prefixes of length w, 2w, 4w, ... and stops at the first prefix
 holding a word.
 """
 
@@ -212,6 +214,8 @@ def _kernel_words(rows: np.ndarray, q: int, v: int, target=None) -> tuple[np.nda
 
 def _colex_first_dependent(rows: np.ndarray, q: int, w: int) -> tuple[int, ...] | None:
     """The colex-first linearly dependent w-subset of columns, or None."""
+    if linalg.rank(rows[:, :w], q) < w:  # the colex-first w-subset itself, whatever the weight of its word
+        return tuple(range(w))
     n = rows.shape[1]
     small = np.arange(w)
     c = w

@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -188,6 +189,22 @@ class TestVerifyDistance:
         assert "counterexample_positions=1,2,3,4,5\n" in stdout
         assert stderr == ""
 
+    @pytest.mark.parametrize("name, d, subsets, positions, coeffs", [
+        ("aug524", 20, 177100, "1,2,3,4,5", "1,4,4,2,4"),
+        ("aug524", 26, 1, "1,2,3,4,5", "1,4,4,2,4"),
+        ("aug535", 126, 1, "1,2,3,4,5,6,7,8,9", "1,3,1,3,3,4,3,1,1"),
+    ], ids=["524-d20", "524-d26", "535-d126"])
+    def test_dependent_first_columns_answer_at_once(self, matrix_files, capsys, name, d, subsets, positions,
+                                                    coeffs):
+        # d - 1 exceeds the rank, so the first d - 1 columns are the colex-first dependent subset;
+        # the collision engine would need 100,822,924 half-vectors at (5,2,4), d = 20
+        started = time.perf_counter()
+        code, stdout, stderr = run(capsys, "verify-distance", "--matrix", str(matrix_files[name]), "--d", str(d))
+        assert time.perf_counter() - started < 1.0
+        assert (code, stderr) == (1, "")
+        assert f"subset_count={subsets}\nsubsets_examined=1\n" in stdout
+        assert f"counterexample_positions={positions}\ncounterexample_coeffs={coeffs}\n" in stdout
+
     def test_memory_cap_exit_2(self, matrix_files, capsys, monkeypatch):
         # with no word below weight 5, the engine reaches the weight-4 pass over all 125 columns,
         # which 4 MB refuses
@@ -257,8 +274,10 @@ class TestVerifyDistance:
     @given(data=st.data())
     def test_corrupted_matrix_file(self, matrix_files, tmp_path_factory, data):
         # Replace one token (a run of non-separators, or one of "=:,") of the
-        # (5,2,4) file; half the draws pick from the header line.
-        text = matrix_files["aug524"].read_text()
+        # (5,2,4) or (5,3,5) file, verified at its own d; half the draws pick
+        # from the header line.
+        name, d = data.draw(st.sampled_from([("aug524", "4"), ("aug535", "5")]))
+        text = matrix_files[name].read_text()
         tokens = list(re.finditer(r"[=:,]|[^\s=:,]+", text))
         header_tokens = sum(1 for tok in tokens if tok.start() < text.index("\n"))
         index = data.draw(st.one_of(st.integers(0, header_tokens - 1), st.integers(0, len(tokens) - 1)))
@@ -270,7 +289,7 @@ class TestVerifyDistance:
         path.write_text(text[: tok.start()] + new + text[tok.end() :], encoding="utf-8")
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(["verify-distance", "--matrix", str(path), "--d", "4"])
+            code = main(["verify-distance", "--matrix", str(path), "--d", d])
         assert code in (0, 1, 2)
         if code == 2:
             assert out.getvalue() == ""
@@ -788,6 +807,8 @@ def test_closed_stdout_after_version_or_help(argv, buffered):
 # A fresh interpreter runs one command through cli.main, then prints, as
 # its last line, the repr of the normbch submodules, numpy, _hashlib (the
 # libcrypto binding) and json that it loaded; it imports nothing itself.
+# No command loads _hashlib: digests and manifest hashes use the built-in
+# SHA-256.
 FOOTPRINT_PROBE = (
     "import sys\n"
     "from normbch.cli import main\n"
@@ -799,11 +820,16 @@ FOOTPRINT_CASES = {
     "version": (["--version"], {"normbch.cli"}, {"numpy", "_hashlib", "json"}),
     "bounds": (["bounds", "--q", "7", "--d", "5"], {"normbch.bounds"}, {"numpy", "_hashlib", "json"}),
     "gencode": (["gencode", "--q", "5", "--m", "2", "--d", "4", "--out", "{tmp}/g.txt"],
-                {"normbch.construct", "numpy", "_hashlib"}, {"normbch.verify", "normbch.bounds", "normbch.reduce"}),
+                {"normbch.construct", "numpy", "json"},
+                {"normbch.verify", "normbch.bounds", "normbch.reduce", "_hashlib"}),
     "verify-distance": (["verify-distance", "--matrix", "{aug524}", "--d", "4"],
-                        {"normbch.verify", "_hashlib"}, {"normbch.bounds", "normbch.reduce"}),
+                        {"normbch.verify"}, {"normbch.bounds", "normbch.reduce", "_hashlib", "json"}),
+    "verify-distance-out": (["verify-distance", "--matrix", "{aug524}", "--d", "4", "--out", "{tmp}/c.txt"],
+                            {"normbch.verify", "json"}, {"normbch.bounds", "normbch.reduce", "_hashlib"}),
     "check-lines": (["check-lines", "--q", "5", "--m", "2", "--d", "4"],
                     {"normbch.verify"}, {"normbch.bounds", "normbch.reduce", "_hashlib", "json"}),
+    "check-lines-out": (["check-lines", "--q", "5", "--m", "2", "--d", "4", "--out", "{tmp}/l.txt"],
+                        {"normbch.verify", "json"}, {"normbch.bounds", "normbch.reduce", "_hashlib"}),
 }
 
 

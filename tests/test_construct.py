@@ -1,5 +1,7 @@
+import hashlib
 import random
 import re
+import sys
 import warnings
 
 import numpy as np
@@ -7,6 +9,7 @@ import pytest
 from hypothesis import assume, given, strategies as st
 
 from normbch import (
+    _sha256_hex,
     Codeword,
     ParityCheckMatrix,
     apply_affine_permutation,
@@ -312,9 +315,11 @@ class TestFiles:
          ("q=5 n=3 r=3 blocks=x:3\n1 2 3\n\n1 2 3\n", ":3: 0 entries, expected n=3"),
          ("q=5 n=3 r=2 blocks=x:2\n1 2 3\n\u0664 0 1\n", ":3: entry '\u0664' is not a digit in [0, 5)"),
          ("q=32749 n=1 r=1 blocks=x:1\n1\u01fe2\n", ":2: entry '1\u01fe2' is not a digit in [0, 32749)"),
-         ("q=5 n=0 r=0 blocks=x:0\n", ":1: n=0 is not a positive length")],
+         ("q=5 n=0 r=0 blocks=x:0\n", ":1: n=0 is not a positive length"),
+         ("q=5 n=3 r=2 blocks=ones:3,pow1:-1\n1 1 1\n0 1 2\n", ":1: block pow1:-1 has a negative row count"),
+         ("q=5 n=3 r=2 blocks=ones:1,pow1:2\n1 1 1\n0 1 2\n", ":1: block row counts do not sum to r=2")],
         ids=["plus-sign", "minus-zero", "beyond-int64", "blank-line", "arabic-indic-digit", "latin-letter",
-             "zero-length"],
+             "zero-length", "negative-block", "block-sum"],
     )
     def test_matrix_file_refusals_name_the_line(self, tmp_path, text, message):
         path = tmp_path / "m.txt"
@@ -387,3 +392,21 @@ def test_matrix_sha256_pinned(q, m, d, kind):
     params = validate_params(q, m, d)
     matrix = augmented_matrix(params) if kind == "aug" else bch_matrix(params)
     assert matrix.sha256() == PINNED_SHA256[q, m, d, kind]
+    assert hashlib.sha256(matrix.to_text().encode()).hexdigest() == PINNED_SHA256[q, m, d, kind]
+
+
+@pytest.mark.parametrize("data", [b"", b"abc", bytes(range(256)) * (1 << 14)], ids=["empty", "short", "4MB"])
+def test_builtin_sha256_equals_hashlib(data, monkeypatch):
+    want = hashlib.sha256(data).hexdigest()
+    monkeypatch.setattr(hashlib, "sha256", None)  # the built-in module answers alone
+    assert _sha256_hex(data) == want
+
+
+def test_sha256_falls_back_to_hashlib(monkeypatch):
+    # a build without the built-in hashes: importing either module fails
+    monkeypatch.setitem(sys.modules, "_sha2", None)
+    monkeypatch.setitem(sys.modules, "_sha256", None)
+    real, calls = hashlib.sha256, []
+    monkeypatch.setattr(hashlib, "sha256", lambda data: calls.append(data) or real(data))
+    assert _sha256_hex(b"abc") == real(b"abc").hexdigest()
+    assert calls == [b"abc"]

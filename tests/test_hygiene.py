@@ -161,3 +161,33 @@ def test_every_defaulted_parameter_is_passed():
                 for function, position, name in defaulted_parameters(path.read_text())
                 if (function, name) not in passed and (function, position) not in passed}
     assert unpassed == {("verify.py", "enumerate_weight_words", "budget")}
+
+
+def hashlib_imports(source: str) -> list[str]:
+    """Where the source imports hashlib: 'function:handler' inside an except handler of a top-level
+    function, else 'line N'."""
+    tree = ast.parse(source)
+    fallback = {id(node): f"{func.name}:handler" for func in tree.body if isinstance(func, ast.FunctionDef)
+                for handler in ast.walk(func) if isinstance(handler, ast.ExceptHandler)
+                for node in ast.walk(handler)}
+    found = []
+    for node in ast.walk(tree):
+        names = ([alias.name for alias in node.names] if isinstance(node, ast.Import)
+                 else [node.module] if isinstance(node, ast.ImportFrom) else [])
+        if any(name and name.split(".")[0] == "hashlib" for name in names):
+            found.append(fallback.get(id(node), f"line {node.lineno}"))
+    return found
+
+
+def test_hashlib_import_is_found():
+    source = ("import hashlib\ndef digest(data):\n    from hashlib import sha256\n    try:\n"
+              "        from _sha256 import sha256\n    except ImportError:\n        from hashlib import sha256\n"
+              "    return sha256(data)\n")
+    assert hashlib_imports(source) == ["line 1", "line 3", "digest:handler"]
+
+
+def test_hashlib_only_as_the_digest_fallback():
+    # hashlib maps OpenSSL's libcrypto; the package digests with the built-in SHA-256 and keeps
+    # hashlib for a build without it
+    found = {path.name: hashlib_imports(path.read_text()) for path in Path(normbch.__file__).parent.glob("*.py")}
+    assert {name: where for name, where in found.items() if where} == {"__init__.py": ["_sha256_hex:handler"]}

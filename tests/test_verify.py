@@ -29,6 +29,7 @@ from normbch import (
 from normbch import linalg, verify
 from normbch.verify import (
     _affine_invariant,
+    _colex_first_dependent,
     _half_table,
     _kernel_words,
     _on_line,
@@ -609,6 +610,33 @@ class TestEngineAgainstOracles:
         assert time.perf_counter() - started < 1.0
         assert cert.subsets_examined == 1
         assert cert.counterexample == Codeword(positions, coeffs)
+
+    @pytest.mark.parametrize("q", [2, 3, 5])
+    def test_first_columns_check_agrees_with_the_engine_alone(self, q, monkeypatch):
+        # with the first w columns dependent the check answers; without it the prefix search must
+        # reach the same subset
+        rng = random.Random(900 + q)
+        cases = [(rows, w) for rows in (np.array(_degenerate_matrix(rng, q)) for _ in range(20))
+                 for w in range(1, rows.shape[1] + 1)]
+        with_check = [_colex_first_dependent(rows, q, w) for rows, w in cases]
+        assert any(cols == tuple(range(w)) for cols, (_, w) in zip(with_check, cases))
+        monkeypatch.setattr(linalg, "rank", lambda mat, p: np.shape(mat)[1])  # never below w
+        assert [_colex_first_dependent(rows, q, w) for rows, w in cases] == with_check
+
+    def test_first_columns_check_agrees_with_enumeration(self):
+        # n <= 25, targets from 2 up to past the rank, where the check answers every one
+        rng = random.Random(57)
+        for q, n, k in [(2, 25, 8), (2, 20, 10), (3, 16, 6), (3, 25, 9), (5, 12, 4), (7, 10, 3)]:
+            rows = np.array([[rng.randrange(q) for _ in range(n)] for _ in range(n - k)])
+            matrix = ParityCheckMatrix(q, rows, [("dense", n - k)])
+            true_d = min_distance_enumeration(rows.tolist(), q)
+            for d in sorted({2, 3, true_d, true_d + 1, matrix.rank() + 2, n + 1}):
+                cert = min_distance_at_least(matrix, d, budget=math.comb(n, min(d - 1, n)))
+                assert cert.certified == (d <= true_d), (q, n, k, d)
+                if not cert.certified:
+                    assert not syndrome(matrix, cert.counterexample).any()
+                    assert true_d <= cert.counterexample.weight <= d - 1
+                    assert cert.counterexample.weight == true_d or d > true_d + 1
 
     def test_weight_beyond_length_is_empty_before_the_memory_cap(self, monkeypatch):
         monkeypatch.setattr(verify, "MEMORY_CAP_BYTES", 0)
