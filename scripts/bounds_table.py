@@ -8,7 +8,6 @@ checks, cell cap and exit codes are the CLI's: a bad range exits 2 with
 one line on stderr, and the legend is printed only after a table.
 """
 
-import os
 import sys
 
 from normbch import cli
@@ -26,12 +25,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    try:
-        code = main()
-        sys.stdout.flush()
-    except BrokenPipeError:
-        # The reader closed stdout early (as `| head` does): exit quietly, and
-        # point stdout at devnull so the interpreter's own flush does not fail.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        code = 128 + 13  # as if killed by SIGPIPE, like the normbch CLI
-    sys.exit(code)
+    sys.exit(cli.pipe_safe(main))  # a closed stdout exits 141 quietly, as the normbch CLI does

@@ -11,7 +11,6 @@ Usage: python scripts/certify_codes.py
 """
 
 import math
-import os
 import sys
 import time
 
@@ -19,6 +18,7 @@ from normbch import (
     augmented_matrix,
     bch_matrix,
     bch_upper,
+    cli,
     construct_weight_word,
     empirical_rho,
     min_distance_at_least,
@@ -101,12 +101,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    try:
-        code = main()
-        sys.stdout.flush()
-    except BrokenPipeError:
-        # The reader closed stdout early (as `| head` does): exit quietly, and
-        # point stdout at devnull so the interpreter's own flush does not fail.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        code = 128 + 13  # as if killed by SIGPIPE, like the normbch CLI
-    sys.exit(code)
+    sys.exit(cli.pipe_safe(main))  # a closed stdout exits 141 quietly, as the normbch CLI does

@@ -11,10 +11,9 @@ Usage: python scripts/lines_experiment.py
 """
 
 import math
-import os
 import sys
 
-from normbch import validate_params, verify_lines_theorem
+from normbch import cli, validate_params, verify_lines_theorem
 
 
 def report(params, experimental=False):
@@ -45,12 +44,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    try:
-        code = main()
-        sys.stdout.flush()
-    except BrokenPipeError:
-        # The reader closed stdout early (as `| head` does): exit quietly, and
-        # point stdout at devnull so the interpreter's own flush does not fail.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        code = 128 + 13  # as if killed by SIGPIPE, like the normbch CLI
-    sys.exit(code)
+    sys.exit(cli.pipe_safe(main))  # a closed stdout exits 141 quietly, as the normbch CLI does

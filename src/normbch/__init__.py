@@ -32,7 +32,7 @@ _EXPORTS = {
     "errors": ("BudgetExceededError",),
     "field": (
         "BasisPair", "Field", "FieldElement", "FieldMismatchError", "embed_hat", "is_prime",
-        "make_basis_pair", "make_field", "norm", "prime_scalar",
+        "make_basis_pair", "make_field", "norm",
     ),
     "linalg": (),
     "reduce": (

@@ -214,11 +214,10 @@ def cmd_reduce(args) -> int:
         form = "comma-separated integers such as 0,1,2"
         raise ValueError(f"--subset takes {form}, got {args.subset!r}") from None
     code = read_codeword_list(args.input, args.q2)
-    mode = "exhaustive" if args.trials is None else "sampled"
     try:
-        result = reduce_alphabet(code, subset, mode=mode, trials=args.trials or 0, seed=args.seed)
+        result = reduce_alphabet(code, subset, trials=args.trials, seed=args.seed)
     except BudgetExceededError as exc:
-        if mode == "exhaustive":
+        if args.trials is None:
             exc.args = (f"{exc}; pass --trials to sample instead",)
         raise
     if args.out:
@@ -297,34 +296,41 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv=None) -> int:
-    parser = _build_parser()
+def pipe_safe(run) -> int:
+    """run()'s exit code, or EXIT_BROKEN_PIPE, quietly, when the reader closed stdout early (as `| head` does)."""
     try:
-        try:
-            args = parser.parse_args(argv)
-        except SystemExit as exc:  # 0 after --help or --version, 2 on a usage error
-            code = int(exc.code) if exc.code else EXIT_OK
-        else:
-            started = time.perf_counter()
-            code = args.func(args)
-            if getattr(args, "out", None):
-                _write_manifest(args, time.perf_counter() - started)
+        code = run()
         sys.stdout.flush()  # so a closed stdout fails here, not at interpreter exit
     except BrokenPipeError:
-        # The reader closed stdout early (as `| head` does): exit quietly, and
-        # point stdout at devnull so the interpreter's own flush does not fail.
+        # point stdout at devnull so the interpreter's own flush does not fail
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_BROKEN_PIPE
-    except BudgetExceededError as exc:
-        print(f"budget exceeded: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except OSError as exc:
-        print(f"file error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except ValueError as exc:
-        print(f"parameter error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
     return code
+
+
+def _run(argv) -> int:
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:  # 0 after --help or --version, 2 on a usage error
+        return int(exc.code) if exc.code else EXIT_OK
+    started = time.perf_counter()
+    code = args.func(args)
+    if getattr(args, "out", None):
+        _write_manifest(args, time.perf_counter() - started)
+    return code
+
+
+def main(argv=None) -> int:
+    try:
+        return pipe_safe(lambda: _run(argv))
+    except BudgetExceededError as exc:
+        message = f"budget exceeded: {exc}"
+    except OSError as exc:
+        message = f"file error: {exc}"
+    except ValueError as exc:
+        message = f"parameter error: {exc}"
+    print(message, file=sys.stderr)
+    return EXIT_ERROR
 
 
 def cli_entry() -> None:

@@ -2,7 +2,8 @@
 
 Positions are 1-based: position j < n carries the locator e^j (e the
 primitive element of GF(q^m)), position n carries the locator 0, so the
-locators enumerate the whole field exactly once.  A matrix is a dense
+locators enumerate the whole field exactly once.  LocatorTable is the
+one map from columns to locators.  A matrix is a dense
 numpy array over GF(q) with one column per position plus row-block
 metadata; the base construction stacks an all-ones row with the
 h-coordinates of the locator powers e_j^t for t = 1..d-3, and the
@@ -20,7 +21,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -65,6 +65,14 @@ def _alphabet_violation(q: int) -> str | None:
         return f"q={q} exceeds {MAX_ALPHABET}, the largest alphabet of the int16 matrix entries"
     if not is_prime(q):
         return f"q={q} is not prime (this implementation supports prime alphabets)"
+
+
+def _blocks_violation(blocks, r: int) -> str | None:
+    """Why block row counts cannot head r rows, or None; built and read matrices share this rule."""
+    if negative := [f"{name}:{count}" for name, count in blocks if count < 0]:
+        return f"block {negative[0]} has a negative row count"
+    if sum(count for _, count in blocks) != r:
+        return f"block row counts do not sum to r={r}"
 
 
 def validate_params(q: int, m: int, d: int, relaxed: bool = False) -> CodeParams:
@@ -138,26 +146,25 @@ class Codeword:
 
 
 class LocatorTable:
-    """Position-to-locator map for one field: e^1, ..., e^(n-1), then 0.
+    """Column-to-locator map for one field: e^1, ..., e^(n-1), then 0.
 
-    Positions are read from the field's log table.  The locators, as
-    elements, are read from its antilog table on first use, so a matrix
-    build, which works on the tables directly, never creates them.
+    encoded reads it from the field's antilog table for arrays of
+    columns, locator for one position; position_of inverts it.
     """
 
     def __init__(self, field):
         self.field = field
         self.n = field.size
 
-    @cached_property
-    def values(self) -> tuple[FieldElement, ...]:
-        powers = self.field.power_array(np.arange(1, self.n)).tolist()
-        return tuple(FieldElement(self.field, v) for v in powers) + (self.field.zero,)
+    def encoded(self, columns) -> np.ndarray:
+        """Encoded locators of 0-based columns: e^(j+1) for column j < n-1, 0 for column n-1."""
+        columns = np.asarray(columns)
+        return np.where(columns == self.n - 1, 0, self.field.power_array(columns + 1))
 
     def locator(self, position: int) -> FieldElement:
         if not 1 <= position <= self.n:
             raise ValueError(f"position {position} out of range [1, {self.n}]")
-        return self.values[position - 1]
+        return FieldElement(self.field, self.encoded(position - 1).item())
 
     def position_of(self, x: FieldElement) -> int:
         if x.field != self.field:
@@ -182,8 +189,8 @@ class ParityCheckMatrix:
         self.q = q
         self.rows = np.ascontiguousarray(np.asarray(rows, dtype=np.int16) % q)
         self.blocks = tuple((str(name), int(count)) for name, count in blocks)
-        if sum(c for _, c in self.blocks) != self.rows.shape[0]:
-            raise ValueError("block row counts do not sum to the row count")
+        if violation := _blocks_violation(self.blocks, self.rows.shape[0]):
+            raise ValueError(violation)
         self.locators = locators
         self._rank: int | None = None
         self._text: str | None = None
@@ -285,7 +292,7 @@ def augmented_matrix(params: CodeParams) -> ParityCheckMatrix:
     # q^(t*s) for t < d-2.  As E * (q^s - 1) = q^mu - 1, log y may be taken
     # mod q^s - 1 first, which keeps the product below q^mu.  The last
     # position (locator 0) keeps its zero column.
-    embedded = bp.embed_array(base.locators.field.power_array(np.arange(1, n)))
+    embedded = bp.embed_array(base.locators.encoded(np.arange(n - 1)))
     exponent = sum(q ** (t * s) for t in range(params.d - 2))
     logs = field_mu.log_array(embedded) % (q**s - 1) * exponent
     coords = bp.g_coords(field_mu.power_array(logs))
@@ -349,10 +356,8 @@ def read_matrix_file(path) -> ParityCheckMatrix:
         raise ValueError(f"{path}:1: {alphabet}")
     if n < 1:
         raise ValueError(f"{path}:1: n={n} is not a positive length")
-    if negative := [f"{name}:{count}" for name, count in blocks if count < 0]:
-        raise ValueError(f"{path}:1: block {negative[0]} has a negative row count")
-    if sum(count for _, count in blocks) != r:
-        raise ValueError(f"{path}:1: block row counts do not sum to r={r}")
+    if violation := _blocks_violation(blocks, r):
+        raise ValueError(f"{path}:1: {violation}")
     if len(body) != r:
         raise ValueError(f"{path}: {len(body)} rows after the header, expected r={r}")
     try:  # an empty body skips loadtxt, which warns on it

@@ -20,10 +20,12 @@ bit-reproducible across runs.
 
 FieldElement is the element-at-a-time API.  Matrix construction works
 on arrays instead: power_array, log_array, coords_array and encode_array
-map whole columns through the tables.  Element arithmetic and the
+map whole columns through the tables.  FieldElement's operators and the
 affine-orbit route of verify read the same exp, log and Zech tables: a
 product is a sum of logs, and a sum a + b is a * (1 + b/a), one lookup
-in the Zech table zech[k] = log(1 + e^k).
+in the Zech table zech[k] = log(1 + e^k).  An element lies in the prime
+field exactly when its encoding is below p, as its only nonzero digit
+is then the constant one.
 
 Field towers pair GF(q^m) with GF(q^mu) through two bases: h, the
 polynomial basis of GF(q^m), and g, a product basis of GF(q^mu) over
@@ -180,7 +182,7 @@ class FieldElement:
     @property
     def coords(self) -> tuple[int, ...]:
         """Coordinates over the prime field, low coordinate first."""
-        return self.field.coords_of(self.val)
+        return tuple(self.field.coords_array([self.val])[:, 0].tolist())
 
     def _check(self, other: "FieldElement") -> None:
         if not isinstance(other, FieldElement):
@@ -191,32 +193,53 @@ class FieldElement:
                 f"GF({other.field.p}^{other.field.degree}) cannot be combined"
             )
 
+    def _dlog(self) -> int:
+        """Discrete log base e of a nonzero element."""
+        return self.field._log.item(self.val)
+
+    def _from_log(self, k: int) -> "FieldElement":
+        """e^k, with k taken mod size - 1."""
+        return FieldElement(self.field, self.field._exp.item(k % (self.field.size - 1)))
+
     def __add__(self, other):
         self._check(other)
-        return FieldElement(self.field, self.field._add_int(self.val, other.val))
+        if not self.val or not other.val:
+            return FieldElement(self.field, self.val + other.val)
+        z = self.field.zech.item((other._dlog() - self._dlog()) % (self.field.size - 1))  # a + b = a * (1 + b/a)
+        return self.field.zero if z < 0 else self._from_log(self._dlog() + z)
 
     def __sub__(self, other):
         self._check(other)
-        return FieldElement(self.field, self.field._sub_int(self.val, other.val))
+        return self + -other
 
     def __neg__(self):
-        return FieldElement(self.field, self.field._neg_int(self.val))
+        return self * self.field.scalar(-1)
 
     def __mul__(self, other):
         self._check(other)
-        return FieldElement(self.field, self.field._mul_int(self.val, other.val))
+        if not self.val or not other.val:
+            return self.field.zero
+        return self._from_log(self._dlog() + other._dlog())
 
     def __truediv__(self, other):
         self._check(other)
-        return FieldElement(self.field, self.field._mul_int(self.val, self.field._inv_int(other.val)))
+        return self * other.inverse()
 
     def __pow__(self, exponent):
         if not isinstance(exponent, int):
             return NotImplemented
-        return FieldElement(self.field, self.field._pow_int(self.val, exponent))
+        # For a nonzero base the exponent acts mod (size - 1) in the log
+        # domain, which also gives meaning to negative exponents.
+        if not self.val:
+            if exponent < 0:
+                raise ZeroDivisionError("zero cannot be raised to a negative power")
+            return self.field.one if exponent == 0 else self
+        return self._from_log(self._dlog() * exponent)
 
     def inverse(self) -> "FieldElement":
-        return FieldElement(self.field, self.field._inv_int(self.val))
+        if not self.val:
+            raise ZeroDivisionError("zero has no multiplicative inverse")
+        return self._from_log(-self._dlog())
 
     def __bool__(self) -> bool:
         return self.val != 0
@@ -269,47 +292,6 @@ class Field:
         low = self._exp % self.p
         sums = self._exp - low + (low + 1) % self.p
         return np.where(sums == 0, -1, self._log[sums])
-
-    # integer-level arithmetic on encoded values, through the exp, log and Zech tables
-    def _add_int(self, a: int, b: int) -> int:
-        if a == 0 or b == 0:
-            return a + b
-        log_a = self._log.item(a)
-        z = self.zech.item((self._log.item(b) - log_a) % (self.size - 1))  # a + b = a * (1 + b/a)
-        return 0 if z < 0 else self._exp.item((log_a + z) % (self.size - 1))
-
-    def _neg_int(self, a: int) -> int:
-        # -1 = e^((size-1)/2) in odd characteristic
-        if a == 0 or self.p == 2:
-            return a
-        return self._exp.item((self._log.item(a) + (self.size - 1) // 2) % (self.size - 1))
-
-    def _sub_int(self, a: int, b: int) -> int:
-        return self._add_int(a, self._neg_int(b))
-
-    def _mul_int(self, a: int, b: int) -> int:
-        if a == 0 or b == 0:
-            return 0
-        return self._exp.item((self._log.item(a) + self._log.item(b)) % (self.size - 1))
-
-    def _inv_int(self, a: int) -> int:
-        if a == 0:
-            raise ZeroDivisionError("zero has no multiplicative inverse")
-        return self._exp.item(-self._log.item(a) % (self.size - 1))
-
-    def _pow_int(self, a: int, exponent: int) -> int:
-        # For a nonzero base the exponent acts mod (size - 1) in the log
-        # domain, which also gives meaning to negative exponents.
-        if a == 0:
-            if exponent == 0:
-                return 1
-            if exponent < 0:
-                raise ZeroDivisionError("zero cannot be raised to a negative power")
-            return 0
-        return self._exp.item(self._log.item(a) * exponent % (self.size - 1))
-
-    def coords_of(self, val: int) -> tuple[int, ...]:
-        return tuple(self.coords_array([val])[:, 0].tolist())
 
     # array-level access to the tables, for building matrices column-wise
     def power_array(self, exponents) -> np.ndarray:
@@ -489,10 +471,3 @@ def norm(x: FieldElement, d: int) -> FieldElement:
     exponent = sum(field.p ** (t * s) for t in range(d - 2))
     return x**exponent
 
-
-def prime_scalar(x: FieldElement) -> int:
-    """The prime-field value of an element of the prime subfield."""
-    coords = x.coords
-    if any(coords[1:]):
-        raise ValueError(f"{x!r} is not a prime-subfield element")
-    return coords[0]

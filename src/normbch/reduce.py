@@ -118,20 +118,15 @@ def _subcode(code: ExplicitCode, subset: list[int], shift: tuple[int, ...]) -> E
     return ExplicitCode(q=len(subset), n=code.n, words=tuple(kept))
 
 
-def reduce_alphabet(
-    code: ExplicitCode,
-    subset,
-    mode: str = "exhaustive",
-    trials: int = 1000,
-    seed: int = 0,
-) -> ReductionResult:
+def reduce_alphabet(code: ExplicitCode, subset, trials: int | None = None, seed: int = 0) -> ReductionResult:
     """Best shift of the code into the sub-alphabet, with the retained subcode.
 
-    Exhaustive mode scans all q2^n shifts, returns the lexicographically
-    smallest maximizer and guarantees the averaging floor
-    ceil(q1^n * |V| / q2^n).  Sampled mode tries `trials` (at least one)
-    seeded random shifts and reports its best without a guarantee.  Both
-    are budget-guarded; an empty subcode is a legitimate outcome.
+    Without trials the mode is exhaustive: it scans all q2^n shifts,
+    returns the lexicographically smallest maximizer and guarantees the
+    averaging floor ceil(q1^n * |V| / q2^n).  With trials (at least one)
+    the mode is sampled: it tries that many seeded random shifts and
+    reports its best without a guarantee.  Both are budget-guarded; an
+    empty subcode is a legitimate outcome.
     """
     subset = sorted(set(subset))
     if not subset:
@@ -143,20 +138,16 @@ def reduce_alphabet(
     average = (q1**code.n) * size_v / code.q**code.n
     floor = -((q1**code.n) * size_v // -(code.q**code.n))
 
-    if mode == "exhaustive":
-        total, result_trials = code.q**code.n, None
-        shift_rows = _lexicographic_shifts(code.q, code.n)
-    elif mode == "sampled":
-        if trials < 1:
-            raise ValueError(f"sampled mode needs at least one trial, got {trials}")
-        rng = random.Random(seed)
-        total, result_trials = trials, trials
+    if trials is None:
+        total, shift_rows = code.q**code.n, _lexicographic_shifts(code.q, code.n)
+    elif trials < 1:
+        raise ValueError(f"sampled mode needs at least one trial, got {trials}")
+    else:
+        total, rng = trials, random.Random(seed)
 
         def shift_rows(start, stop):
             # batches are drawn in order, so the trials follow one seeded sequence
             return [rng.randrange(code.q) for _ in range((stop - start) * code.n)]
-    else:
-        raise ValueError(f"unknown mode {mode!r}; use 'exhaustive' or 'sampled'")
 
     best_count, shift = -1, ()
     for shifts, counts in _scan(code, subset, total, shift_rows):
@@ -170,14 +161,14 @@ def reduce_alphabet(
     if len(sub.words) != best_count:
         raise RuntimeError("shift count disagrees with the extracted subcode")
     return ReductionResult(
-        mode=mode,
+        mode="exhaustive" if trials is None else "sampled",
         shift=shift,
         achieved=best_count,
         average=average,
         floor=floor,
-        guaranteed=mode == "exhaustive",
+        guaranteed=trials is None,
         subcode=sub,
-        trials=result_trials,
+        trials=trials,
     )
 
 

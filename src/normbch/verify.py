@@ -20,6 +20,7 @@ cleared h_(n-1) from the others.
 
 The line check examines representatives only.  An invariant set with R
 representatives has R*n(n-1)/(v(v-1)) members, which gives every count.
+Both routes check the on-line count against its closed form.
 
 Distance >= d holds when no (d-1)-subset of columns is dependent.  On
 the augmented matrix of the construction, rebuilt from its header and
@@ -66,7 +67,7 @@ from .construct import (
     validate_params,
 )
 from .errors import DEFAULT_SUBSET_BUDGET, BudgetExceededError
-from .field import FieldElement, prime_scalar
+from .field import FieldElement
 
 # Memory cap of one collision pass; above it the pass is refused with
 # BudgetExceededError before its tables are allocated.
@@ -283,6 +284,9 @@ def _orbit_certifies(matrix: ParityCheckMatrix, d: int) -> bool:
     >= d holds when no column is zero and every representative has its
     locators in GF(q) and a nonzero f = sum_t c_t t^(d-2), which shows
     that none of its images has a zero norm syndrome (module docstring).
+    Such a representative has weight d-1, and f is the normalizing
+    constant of its Lagrange weights, c_t = f / prod_(s != t)(t - s), as
+    their sum against t^(d-2), a divided difference of x^(d-2), is 1.
     False (any other matrix, a locator outside GF(q), a zero f, or a
     representative search over the memory cap) leaves the verdict to
     the generic engine.
@@ -302,8 +306,8 @@ def _orbit_certifies(matrix: ParityCheckMatrix, d: int) -> bool:
         return False
     if not np.array_equal(rebuilt.rows, matrix.rows):
         return False
-    field, base = rebuilt.locators.field, matrix.rows[:-s]
-    if not _affine_invariant(base, field):
+    base = matrix.rows[:-s]
+    if not _affine_invariant(base, rebuilt.locators.field):
         return False
     if not matrix.rows.any(axis=0).all():  # a zero column is a weight-1 word
         return False
@@ -312,10 +316,9 @@ def _orbit_certifies(matrix: ParityCheckMatrix, d: int) -> bool:
             supports, coeffs = _representatives(base, q, v)
         except BudgetExceededError:
             return False
-        if not _on_line(supports, n, q).all():  # outside the proven range
+        ys = rebuilt.locators.encoded(supports)
+        if _count_on_line(ys, q, d) < len(ys):  # a locator outside GF(q): outside the proven range
             return False
-        # an encoded GF(q) element is its constant coordinate; column n-1 holds locator 0
-        ys = np.where(supports == n - 1, 0, field.power_array(supports + 1))
         f = coeffs
         for _ in range(d - 2):
             f = f * ys % q
@@ -407,18 +410,10 @@ def on_affine_line(locators) -> AffineLine | None:
         raise ValueError("line checks need at least 3 locators")
     if len({x.val for x in xs}) != len(xs):
         raise ValueError("locators must be pairwise distinct")
-    field = xs[0].field
-    q = field.p
-    anchor = xs[-1]
-    direction = xs[-2] - xs[-1]
-    dir_inv = direction.inverse()
-    lambdas = []
-    for x in xs:
-        t = (x - anchor) * dir_inv
-        if t**q != t:
-            return None
-        lambdas.append(prime_scalar(t))
-    return AffineLine(a=anchor, b=direction, lambdas=tuple(lambdas))
+    anchor, direction = xs[-1], xs[-2] - xs[-1]
+    lambdas = tuple(((x - anchor) / direction).val for x in xs)
+    in_gf_q = max(lambdas) < xs[0].field.p  # an element lies in GF(q) exactly when its encoding is below q
+    return AffineLine(a=anchor, b=direction, lambdas=lambdas) if in_gf_q else None
 
 
 def _representatives(rows: np.ndarray, q: int, v: int) -> tuple[np.ndarray, np.ndarray]:
@@ -444,14 +439,17 @@ def _representatives(rows: np.ndarray, q: int, v: int) -> tuple[np.ndarray, np.n
     return supports, np.hstack([coeffs[keep], c[keep, None], tail])
 
 
-def _on_line(supports: np.ndarray, n: int, q: int) -> np.ndarray:
-    """Which representatives have every locator in GF(q), a boolean per support row.
+def _count_on_line(ys: np.ndarray, q: int, d: int) -> int:
+    """How many representatives, as rows of encoded locators, lie on a line: all their locators below q.
 
-    The last two columns of a representative hold locators 1 and 0.
-    Column j < n-1 holds e^(j+1), which lies in GF(q) exactly when
-    (n-1)/(q-1) divides j+1.
+    As the base code kills t^j for j <= d-3, that is C(q-2, d-3) at weight
+    d-1, each (d-3)-subset of GF(q) minus {0, 1} with its Lagrange weights,
+    and 0 below.  Any other count means the search lost or invented words.
     """
-    return ((supports[:, :-2] + 1) % ((n - 1) // (q - 1)) == 0).all(axis=1)
+    on = int((ys < q).all(axis=1).sum())
+    if on != (want := math.comb(q - 2, d - 3) if ys.shape[1] == d - 1 else 0):
+        raise RuntimeError(f"{on} on-line representatives of weight {ys.shape[1]}, expected {want}")
+    return on
 
 
 def _orbit_size(reps: int, n: int, v: int) -> int:
@@ -488,7 +486,7 @@ def verify_lines_theorem(
     if total > budget:
         raise BudgetExceededError(total, budget)
     supports, _ = _representatives(matrix.rows, q, v)
-    on = int(_on_line(supports, n, q).sum())
+    on = _count_on_line(matrix.locators.encoded(supports), q, params.d)
     return LinesReport(
         params=params,
         weight=v,

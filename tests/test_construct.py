@@ -77,7 +77,7 @@ class TestValidateParams:
 class TestLocators:
     def test_prime_field_permutation(self):
         loc = build_locators(validate_params(5, 1, 3))
-        vals = [x.val for x in loc.values]
+        vals = loc.encoded(np.arange(loc.n)).tolist()
         assert sorted(vals) == [0, 1, 2, 3, 4]
         assert vals[-1] == 0
 
@@ -88,7 +88,20 @@ class TestLocators:
 
     def test_all_distinct(self):
         loc = build_locators(validate_params(5, 2, 4))
-        assert len({x.val for x in loc.values}) == 25
+        assert len(set(loc.encoded(np.arange(loc.n)).tolist())) == 25
+
+    @pytest.mark.parametrize("q, m", [(2, 5), (3, 4), (5, 1), (5, 3), (7, 2), (13, 2)])
+    def test_encoded_agrees_with_locator_and_position(self, q, m):
+        # and with the rule it replaced for GF(q): column j < n-1 holds e^(j+1), which lies in
+        # GF(q) exactly when (n-1)/(q-1) divides j+1; the last column holds 0
+        loc = build_locators(validate_params(q, m, 4))
+        n = loc.n
+        ys = loc.encoded(np.arange(n))
+        assert ys.tolist() == [loc.locator(j).val for j in range(1, n + 1)]
+        assert [loc.position_of(loc.field.elem(y)) for y in ys.tolist()] == list(range(1, n + 1))
+        divisible = [(j + 1) % ((n - 1) // (q - 1)) == 0 for j in range(n - 1)] + [True]
+        assert (ys < q).tolist() == divisible
+        assert loc.encoded([[n - 1, 0], [1, n - 1]]).tolist() == [[0, ys[0]], [ys[1], 0]]
 
     def test_position_roundtrip(self):
         loc = build_locators(validate_params(5, 2, 4))
@@ -327,6 +340,12 @@ class TestFiles:
         with pytest.raises(ValueError) as err:
             read_matrix_file(path)
         assert str(err.value) == f"{path}{message}"
+
+    def test_negative_block_count_refused_on_construction(self):
+        # so no program builds a matrix whose header the reader refuses
+        with pytest.raises(ValueError, match="^block pow1:-1 has a negative row count$"):
+            ParityCheckMatrix(5, np.ones((2, 3)), [("ones", 3), ("pow1", -1)])
+        assert ParityCheckMatrix(5, np.ones((2, 3)), [("x", 0), ("ones", 2)]).blocks == (("x", 0), ("ones", 2))
 
     def test_matrix_file_without_rows(self, tmp_path, capsys):
         path = tmp_path / "m.txt"

@@ -12,7 +12,6 @@ from normbch import (
     make_basis_pair,
     make_field,
     norm,
-    prime_scalar,
 )
 from normbch.field import DEFAULT_MAX_FIELD_SIZE, _x_power, is_prime
 from oracles import (
@@ -165,6 +164,8 @@ class TestArithmetic:
     def test_inverse_of_zero(self):
         with pytest.raises(ZeroDivisionError):
             F125.zero.inverse()
+        with pytest.raises(ZeroDivisionError):
+            F125.one / F125.zero
 
     def test_pow_lagrange(self):
         assert F125.e ** (125 - 1) == F125.one
@@ -229,6 +230,13 @@ class TestAdditionReference:
     def test_zech_table_built_once(self):
         assert F125.zech is F125.zech
         assert len(F125.zech) == 124
+
+
+@pytest.mark.parametrize("p,k", [(13, 1), (2, 5), (3, 4), (5, 3), (7, 2)])
+def test_prime_field_membership_is_an_encoding_below_p(p, k):
+    # the encoding test against the Frobenius test x^p == x, its reference
+    field = make_field(p, k)
+    assert [x.val < p for x in field.elements()] == [x**p == x for x in field.elements()]
 
 
 class TestSerialization:
@@ -359,8 +367,3 @@ class TestNorm:
         with pytest.raises(ValueError):
             norm(F125.one, 4)  # degree 3 is not a multiple of d-2 = 2
 
-
-def test_prime_scalar():
-    assert prime_scalar(F125.scalar(3)) == 3
-    with pytest.raises(ValueError):
-        prime_scalar(F125.e)

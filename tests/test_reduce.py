@@ -197,7 +197,7 @@ def test_reduce_pinned(monkeypatch, one_shift_per_batch):
         monkeypatch.setattr(reduce_module, "_BATCH_BYTES", 1)
     for (code, subset, trials), (shift, achieved, digest) in zip(_pinned_cases(), REDUCE_PINS, strict=True):
         results = [reduce_alphabet(code, subset)] + [
-            reduce_alphabet(code, subset, mode="sampled", trials=trials, seed=seed) for seed in (0, 3)
+            reduce_alphabet(code, subset, trials=trials, seed=seed) for seed in (0, 3)
         ]
         assert (results[0].shift, results[0].achieved) == (shift, achieved)
         text = repr([(r.mode, r.shift, r.achieved, r.average, r.floor, r.guaranteed, r.trials, r.subcode)
@@ -209,7 +209,7 @@ def test_reduce_pinned(monkeypatch, one_shift_per_batch):
 
 class TestReduceSampled:
     def test_reports_without_guarantee(self):
-        result = reduce_alphabet(TOY, [0, 1, 2], mode="sampled", trials=64, seed=7)
+        result = reduce_alphabet(TOY, [0, 1, 2], trials=64, seed=7)
         assert result.mode == "sampled"
         assert not result.guaranteed
         assert result.trials == 64
@@ -217,28 +217,24 @@ class TestReduceSampled:
         assert 0 <= result.achieved <= 4
 
     def test_deterministic_for_fixed_seed(self):
-        a = reduce_alphabet(TOY, [0, 1, 2], mode="sampled", trials=50, seed=3)
-        b = reduce_alphabet(TOY, [0, 1, 2], mode="sampled", trials=50, seed=3)
+        a = reduce_alphabet(TOY, [0, 1, 2], trials=50, seed=3)
+        b = reduce_alphabet(TOY, [0, 1, 2], trials=50, seed=3)
         assert a.shift == b.shift and a.achieved == b.achieved
 
     @pytest.mark.parametrize("trials", [0, -3])
     def test_needs_a_trial(self, trials):
         with pytest.raises(ValueError, match="at least one trial"):
-            reduce_alphabet(TOY, [0, 1, 2], mode="sampled", trials=trials)
+            reduce_alphabet(TOY, [0, 1, 2], trials=trials)
 
     def test_trials_count_against_the_budget(self):
         with pytest.raises(BudgetExceededError, match="shifts"):
-            reduce_alphabet(TOY, [0, 1], mode="sampled", trials=DEFAULT_SHIFT_BUDGET + 1)
+            reduce_alphabet(TOY, [0, 1], trials=DEFAULT_SHIFT_BUDGET + 1)
 
-    @pytest.mark.parametrize("mode", ["exhaustive", "sampled"])
-    def test_alphabet_beyond_the_budget_allocates_nothing(self, mode):
+    @pytest.mark.parametrize("trials", [None, 1], ids=["exhaustive", "sampled"])
+    def test_alphabet_beyond_the_budget_allocates_nothing(self, trials):
         code = ExplicitCode(q=10**12, n=1, words=((5,),))
         with pytest.raises(BudgetExceededError):
-            reduce_alphabet(code, [0, 1], mode=mode, trials=1)
-
-    def test_unknown_mode(self):
-        with pytest.raises(ValueError):
-            reduce_alphabet(TOY, [0, 1], mode="greedy")
+            reduce_alphabet(code, [0, 1], trials=trials)
 
 
 class TestFiles:

@@ -12,6 +12,7 @@ from normbch import (
     augmented_matrix,
     bch_matrix,
     apply_affine_permutation,
+    build_locators,
     construct_weight_word,
     embed_hat,
     enumerate_weight_words,
@@ -20,7 +21,6 @@ from normbch import (
     min_distance_at_least,
     norm,
     on_affine_line,
-    prime_scalar,
     syndrome,
     validate_params,
     vandermonde_check,
@@ -32,7 +32,6 @@ from normbch.verify import (
     _colex_first_dependent,
     _half_table,
     _kernel_words,
-    _on_line,
     _orbit_certifies,
     _orbit_size,
     _representatives,
@@ -309,11 +308,11 @@ class TestLineNormIdentity:
         supports, coeffs = _representatives(aug.rows[:-s], q, d - 1)
         words = [Codeword(tuple(j), tuple(c)) for j, c in zip((supports + 1).tolist(), coeffs.tolist())]
         in_gf_q = [all(loc.locator(j) ** q == loc.locator(j) for j in w.support) for w in words]
-        assert _on_line(supports, params.n, q).tolist() == in_gf_q
+        assert (loc.encoded(supports) < q).all(axis=1).tolist() == in_gf_q
         assert any(in_gf_q)
         rng = random.Random("%d-%d-%d" % qmd)
         for word in (w for w, on in zip(words, in_gf_q) if on):
-            f = sum(c * prime_scalar(loc.locator(j)) ** (d - 2) for j, c in zip(word.support, word.coeffs)) % q
+            f = sum(c * loc.locator(j).val ** (d - 2) for j, c in zip(word.support, word.coeffs)) % q
             assert f != 0
             for _ in range(20):
                 a, b = field.elem(rng.randrange(1, field.size)), field.elem(rng.randrange(field.size))
@@ -443,6 +442,43 @@ class TestLinesTheorem:
         assert _orbit_size(1, 25, 3) == 100
         with pytest.raises(RuntimeError):
             _orbit_size(1, 5, 4)  # 20 images of one weight-4 class cannot make whole orbits of 12
+
+
+def mutate_on_line_representatives(monkeypatch, loc, mutation):
+    """Make every representative search drop its first on-line word, or repeat it."""
+
+    def representatives(rows, q, v):
+        supports, coeffs = _representatives(rows, q, v)
+        on = np.flatnonzero((loc.encoded(supports) < q).all(axis=1))[:1]
+        if mutation == "lost":
+            return np.delete(supports, on, axis=0), np.delete(coeffs, on, axis=0)
+        return np.vstack([supports, supports[on]]), np.vstack([coeffs, coeffs[on]])
+
+    monkeypatch.setattr(verify, "_representatives", representatives)
+
+
+def with_on_line_words(instances):
+    # C(q-2, d-3) on-line representatives, at least one when q >= d-1
+    return [qmd for qmd in instances if qmd[0] >= qmd[2] - 1]
+
+
+@pytest.mark.parametrize("mutation", ["lost", "invented"])
+class TestOnLineCountGate:
+    @pytest.mark.parametrize("qmd", with_on_line_words(ORBIT_INSTANCES), ids=lambda qmd: "%d-%d-%d" % qmd)
+    def test_check_lines_raises(self, qmd, mutation, monkeypatch):
+        params = validate_params(*qmd)
+        mutate_on_line_representatives(monkeypatch, build_locators(params), mutation)
+        with pytest.raises(RuntimeError, match="on-line representatives of weight %d" % (params.d - 1)):
+            verify_lines_theorem(params, budget=math.comb(params.n, params.d - 1), experimental=True)
+
+    @pytest.mark.parametrize("qmd", with_on_line_words(AUGMENTED_INSTANCES), ids=lambda qmd: "%d-%d-%d" % qmd)
+    def test_orbit_route_raises(self, qmd, mutation, monkeypatch):
+        params = validate_params(*qmd)
+        matrix = augmented_matrix(params)
+        mutate_on_line_representatives(monkeypatch, matrix.locators, mutation)
+        monkeypatch.setattr(verify, "_colex_first_dependent", must_not_run)
+        with pytest.raises(RuntimeError, match="on-line representatives of weight %d" % (params.d - 1)):
+            min_distance_at_least(matrix, params.d, budget=math.comb(params.n, min(params.d - 1, params.n)))
 
 
 class TestSeparationWitness:
