@@ -35,9 +35,7 @@ _EXPORTS = {
         "make_basis_pair", "make_field", "norm",
     ),
     "linalg": (),
-    "reduce": (
-        "ExplicitCode", "ReductionResult", "read_codeword_list", "reduce_alphabet", "write_codeword_list",
-    ),
+    "reduce": ("ExplicitCode", "ReductionResult", "read_codeword_list", "reduce_alphabet"),
     "verify": (
         "AffineLine", "DistanceCertificate", "LinesReport", "construct_weight_word", "enumerate_weight_words",
         "min_distance_at_least", "on_affine_line", "vandermonde_check", "verify_lines_theorem",

@@ -11,12 +11,15 @@ to stdout and to the verify-distance and check-lines --out files, and
 Exit codes: 0 success or certified, 1 mathematical counterexample or
 violation, 2 usage, parameter, file or budget error, 141 (128 + SIGPIPE)
 stdout closed by its reader, with nothing on stderr.  Subcommands only
-compute and print; they raise on bad input, and main() alone turns
-BudgetExceededError, OSError and ValueError into exit 2 with one stderr
-line (any other exception is a bug and keeps its traceback).  Every
-file written with --out gets a JSON manifest next to it, written by
-main() from the parsed arguments, recording parameters, input/output
-hashes, seed and timing; re-running with the manifest's parameters
+compute: each returns its exit code, stdout text and --out text (with
+its SHA-256 when it holds one) and raises on bad input.  _run alone
+writes: it opens --out and <out>.manifest.json before the work, writes
+both after it, hashing the output from memory, and prints stdout last;
+a failed run removes the files it created and keeps the bytes of those
+that existed.  main() alone turns BudgetExceededError, OSError and
+ValueError into exit 2 with one stderr line (any other exception is a
+bug and keeps its traceback).  The manifest records parameters,
+input/output hashes, seed and timing; re-running with its parameters
 reproduces byte-identical primary outputs.
 Each subcommand imports its own engine when it runs, so a process loads
 only what its command uses: `--version` and `bounds` never load numpy,
@@ -28,6 +31,7 @@ command maps OpenSSL's libcrypto.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import string
 import sys
@@ -43,13 +47,9 @@ EXIT_BROKEN_PIPE = 128 + 13  # as if killed by SIGPIPE, the shell's code for `cm
 MAX_TABLE_CELLS = 100_000  # bounds --table takes about 4 s and prints 3 MB at this size
 
 
-def _sha256_file(path: str) -> str:
-    with open(path, "rb") as fh:
-        return _sha256_hex(fh.read())
-
-
-def _write_manifest(args, elapsed: float) -> None:
+def _manifest(args, output_sha256: str, elapsed: float) -> str:
     import json
+    from pathlib import Path
 
     inputs = [getattr(args, key) for key in ("matrix", "input") if hasattr(args, key)]
     manifest = {
@@ -58,13 +58,11 @@ def _write_manifest(args, elapsed: float) -> None:
         "subcommand": args.command,
         "parameters": {k: v for k, v in vars(args).items() if k not in ("command", "func", "json")},
         "seed": getattr(args, "seed", None),
-        "inputs": {p: _sha256_file(p) for p in inputs},
-        "outputs": {args.out: _sha256_file(args.out)},
+        "inputs": {p: _sha256_hex(Path(p).read_bytes()) for p in inputs},
+        "outputs": {args.out: output_sha256},
         "elapsed_s": round(elapsed, 6),
     }
-    with open(args.out + ".manifest.json", "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    return json.dumps(manifest, indent=2, sort_keys=True) + "\n"
 
 
 def _text(value) -> str:
@@ -85,50 +83,36 @@ class _Formatter(string.Formatter):
         return format(value, format_spec) if format_spec else _text(value)
 
 
-def _emit(record: dict, layout: dict, as_json: bool, out=None) -> None:
-    """Print the record as text, or as JSON when as_json, after writing the
-    text to out when given.  The text has one line per record key, in record
+def _emit(record: dict, layout: dict, as_json: bool) -> tuple[str, str]:
+    """The record's text, and what stdout shows: that text, or the record as
+    JSON when as_json.  The text has one line per record key, in record
     order: key=value, unless the layout maps the key to its own line, or to
     "" for none."""
     lines = (layout.get(key, f"{key}={{{key}}}") for key in record)
     text = "".join(_Formatter().format(line, **record) + "\n" for line in lines if line)
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text)
-    if as_json:
-        import json
+    if not as_json:
+        return text, text
+    import json
 
-        text = json.dumps(record, indent=2, sort_keys=True) + "\n"
-    sys.stdout.write(text)
+    return text, json.dumps(record, indent=2, sort_keys=True) + "\n"
 
 
-def cmd_gencode(args) -> int:
+def cmd_gencode(args) -> tuple:
     from .construct import augmented_matrix, bch_matrix, validate_params
 
     params = validate_params(args.q, args.m, args.d, relaxed=args.relaxed)
     if not params.valid:
         raise ValueError("invalid parameters: " + "; ".join(params.violations))
-    created = not os.path.exists(args.out)
-    try:
-        # Opened first, so an unwritable --out fails before the build; "a"
-        # keeps what the file held until the text is ready.
-        with open(args.out, "a") as fh:
-            matrix = bch_matrix(params) if args.bch_only else augmented_matrix(params)
-            text = matrix.to_text()
-            fh.truncate(0)
-            fh.write(text)
-    except BaseException:
-        if created and os.path.exists(args.out):  # a failed run leaves no file of its own
-            os.remove(args.out)
-        raise
+    matrix = bch_matrix(params) if args.bch_only else augmented_matrix(params)
     record = dict(out=args.out, n=matrix.n, rows=matrix.row_count, rank=matrix.rank(),
                   dimension=matrix.dimension(), blocks=dict(matrix.blocks), matrix_sha256=matrix.sha256())
-    _emit(record, {"out": "wrote {out}", "n": "n={n} rows={rows} rank={rank} dimension={dimension}",
-                   "rows": "", "rank": "", "dimension": ""}, args.json)
-    return EXIT_OK
+    _, shown = _emit(record, {"out": "wrote {out}", "n": "n={n} rows={rows} rank={rank} dimension={dimension}",
+                              "rows": "", "rank": "", "dimension": ""}, args.json)
+    # to_text is cached, and matrix_sha256 is its one hash, which the manifest reuses
+    return EXIT_OK, shown, (matrix.to_text(), record["matrix_sha256"])
 
 
-def cmd_verify_distance(args) -> int:
+def cmd_verify_distance(args) -> tuple:
     from .construct import read_matrix_file
     from .verify import min_distance_at_least
 
@@ -141,11 +125,11 @@ def cmd_verify_distance(args) -> int:
         cw = cert.counterexample
         record.update(counterexample_positions=list(cw.support), counterexample_coeffs=list(cw.coeffs),
                       counterexample_weight=cw.weight)
-    _emit(record, {"elapsed_s": "elapsed_s={elapsed_s:.3f}"}, args.json, args.out)
-    return EXIT_OK if cert.certified else EXIT_COUNTEREXAMPLE
+    text, shown = _emit(record, {"elapsed_s": "elapsed_s={elapsed_s:.3f}"}, args.json)
+    return (EXIT_OK if cert.certified else EXIT_COUNTEREXAMPLE), shown, (text, None)
 
 
-def cmd_check_lines(args) -> int:
+def cmd_check_lines(args) -> tuple:
     from .construct import validate_params
     from .verify import verify_lines_theorem
 
@@ -154,8 +138,8 @@ def cmd_check_lines(args) -> int:
     record = dict(q=args.q, m=args.m, d=args.d, weight=report.weight, subset_count=report.subset_count,
                   words_found=report.words_found, on_line=report.on_line,
                   violations=report.violation_count, theorem_applies=report.theorem_applies)
-    _emit(record, {"q": "q={q} m={m} d={d}", "m": "", "d": ""}, args.json, args.out)
-    return EXIT_OK if report.violation_count == 0 else EXIT_COUNTEREXAMPLE
+    text, shown = _emit(record, {"q": "q={q} m={m} d={d}", "m": "", "d": ""}, args.json)
+    return (EXIT_OK if report.violation_count == 0 else EXIT_COUNTEREXAMPLE), shown, (text, None)
 
 
 def _bound_record(q: int, d: int) -> dict:
@@ -182,7 +166,7 @@ def _table_range(text: str) -> range:
     return range(int(lo), int(hi) + 1)
 
 
-def cmd_bounds(args) -> int:
+def cmd_bounds(args) -> tuple:
     from .bounds import bounds_table
 
     if args.table:
@@ -194,19 +178,20 @@ def cmd_bounds(args) -> int:
             import json
 
             records = [_bound_record(q, d) for q in q_range for d in d_range]
-            print(json.dumps(records, indent=2, sort_keys=True))
+            table = json.dumps(records, indent=2, sort_keys=True)
         else:
-            print(bounds_table(q_range, d_range))
-        return EXIT_OK
+            table = bounds_table(q_range, d_range)
+        return EXIT_OK, table + "\n", None
     if args.q is None or args.d is None:
         raise ValueError("either --q and --d, or --table, is required")
-    _emit(_bound_record(args.q, args.d), {"q": "q={q} d={d}", "d": "", "best_source": "", "consistent": "",
-                                          "best_upper": "best_upper={best_upper} [{best_source}]"}, args.json)
-    return EXIT_OK
+    layout = {"q": "q={q} d={d}", "d": "", "best_source": "", "consistent": "",
+              "best_upper": "best_upper={best_upper} [{best_source}]"}
+    _, shown = _emit(_bound_record(args.q, args.d), layout, args.json)
+    return EXIT_OK, shown, None
 
 
-def cmd_reduce(args) -> int:
-    from .reduce import read_codeword_list, reduce_alphabet, write_codeword_list
+def cmd_reduce(args) -> tuple:
+    from .reduce import read_codeword_list, reduce_alphabet
 
     try:
         subset = [int(t) for t in args.subset.split(",")]
@@ -220,13 +205,11 @@ def cmd_reduce(args) -> int:
         if args.trials is None:
             exc.args = (f"{exc}; pass --trials to sample instead",)
         raise
-    if args.out:
-        write_codeword_list(result.subcode, args.out)
     record = dict(mode=result.mode, shift=list(result.shift), achieved=result.achieved,
                   average=result.average, floor=result.floor, guaranteed=result.guaranteed,
                   subcode_size=len(result.subcode.words))
-    _emit(record, {"average": "average={average:.4f}"}, args.json)
-    return EXIT_OK
+    _, shown = _emit(record, {"average": "average={average:.4f}"}, args.json)
+    return EXIT_OK, shown, (result.subcode.to_text(), None) if args.out else None
 
 
 class _Parser(argparse.ArgumentParser):
@@ -313,10 +296,28 @@ def _run(argv) -> int:
         args = _build_parser().parse_args(argv)
     except SystemExit as exc:  # 0 after --help or --version, 2 on a usage error
         return int(exc.code) if exc.code else EXIT_OK
-    started = time.perf_counter()
-    code = args.func(args)
-    if getattr(args, "out", None):
-        _write_manifest(args, time.perf_counter() - started)
+    out = getattr(args, "out", None)
+    paths = [] if out is None else [out, out + ".manifest.json"]  # an empty --out is a file error too
+    created = [path for path in paths if not os.path.exists(path)]
+    try:
+        with contextlib.ExitStack() as stack:
+            # Opened first, so an unwritable path fails before the work; "a"
+            # keeps what a file held until its bytes are ready.
+            files = [stack.enter_context(open(path, "ab")) for path in paths]
+            started = time.perf_counter()
+            code, stdout, written = args.func(args)
+            if files:
+                text, sha256 = written
+                data = text.encode()
+                manifest = _manifest(args, sha256 or _sha256_hex(data), time.perf_counter() - started)
+                for fh, blob in zip(files, (data, manifest.encode())):
+                    fh.truncate(0)
+                    fh.write(blob)
+    except BaseException:
+        for path in filter(os.path.exists, created):  # a failed run leaves no file of its own
+            os.remove(path)
+        raise
+    sys.stdout.write(stdout)
     return code
 
 

@@ -61,6 +61,10 @@ class ExplicitCode:
             return None
         return min(sum(x != y for x, y in zip(a, b)) for a, b in itertools.combinations(self.words, 2))
 
+    def to_text(self) -> str:
+        """The codeword-list text that read_codeword_list reads: one word per line, symbols space-separated."""
+        return "".join(" ".join(map(str, w)) + "\n" for w in self.words)
+
 
 @dataclass(frozen=True)
 class ReductionResult:
@@ -170,12 +174,6 @@ def reduce_alphabet(code: ExplicitCode, subset, trials: int | None = None, seed:
         subcode=sub,
         trials=trials,
     )
-
-
-def write_codeword_list(code: ExplicitCode, path) -> None:
-    with open(path, "w") as fh:
-        for w in code.words:
-            fh.write(" ".join(str(v) for v in w) + "\n")
 
 
 def read_codeword_list(path, q: int) -> ExplicitCode:

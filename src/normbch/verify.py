@@ -313,11 +313,10 @@ def _orbit_certifies(matrix: ParityCheckMatrix, d: int) -> bool:
         return False
     for v in range(min(d - 1, n), 1, -1):  # the largest search first, so a refusal comes early
         try:
-            supports, coeffs = _representatives(base, q, v)
+            coeffs, ys, on = _survey(base, rebuilt.locators, q, d, v)
         except BudgetExceededError:
             return False
-        ys = rebuilt.locators.encoded(supports)
-        if _count_on_line(ys, q, d) < len(ys):  # a locator outside GF(q): outside the proven range
+        if on < len(ys):  # a locator outside GF(q): outside the proven range
             return False
         f = coeffs
         for _ in range(d - 2):
@@ -439,17 +438,20 @@ def _representatives(rows: np.ndarray, q: int, v: int) -> tuple[np.ndarray, np.n
     return supports, np.hstack([coeffs[keep], c[keep, None], tail])
 
 
-def _count_on_line(ys: np.ndarray, q: int, d: int) -> int:
-    """How many representatives, as rows of encoded locators, lie on a line: all their locators below q.
+def _survey(rows: np.ndarray, locators, q: int, d: int, v: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """The weight-v representatives of rows: coefficients, encoded locators and the on-line count.
 
-    As the base code kills t^j for j <= d-3, that is C(q-2, d-3) at weight
-    d-1, each (d-3)-subset of GF(q) minus {0, 1} with its Lagrange weights,
-    and 0 below.  Any other count means the search lost or invented words.
+    A representative is on a line when all its locators lie below q.  As the
+    base code kills t^j for j <= d-3, that count is C(q-2, d-3) at weight
+    d-1, one per (d-3)-subset of GF(q) minus {0, 1}, and 0 below; any other
+    count means the search lost or invented words, and raises.
     """
+    supports, coeffs = _representatives(rows, q, v)
+    ys = locators.encoded(supports)
     on = int((ys < q).all(axis=1).sum())
-    if on != (want := math.comb(q - 2, d - 3) if ys.shape[1] == d - 1 else 0):
-        raise RuntimeError(f"{on} on-line representatives of weight {ys.shape[1]}, expected {want}")
-    return on
+    if on != (want := math.comb(q - 2, d - 3) if v == d - 1 else 0):
+        raise RuntimeError(f"{on} on-line representatives of weight {v}, expected {want}")
+    return coeffs, ys, on
 
 
 def _orbit_size(reps: int, n: int, v: int) -> int:
@@ -485,14 +487,13 @@ def verify_lines_theorem(
     total = math.comb(n, v)
     if total > budget:
         raise BudgetExceededError(total, budget)
-    supports, _ = _representatives(matrix.rows, q, v)
-    on = _count_on_line(matrix.locators.encoded(supports), q, params.d)
+    _, ys, on = _survey(matrix.rows, matrix.locators, q, params.d, v)
     return LinesReport(
         params=params,
         weight=v,
-        words_found=_orbit_size(len(supports), n, v),
+        words_found=_orbit_size(len(ys), n, v),
         on_line=_orbit_size(on, n, v),
-        violation_count=_orbit_size(len(supports) - on, n, v),
+        violation_count=_orbit_size(len(ys) - on, n, v),
         theorem_applies=params.valid,
         subset_count=total,
     )

@@ -1,5 +1,6 @@
 import ast
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -57,33 +58,6 @@ class TestGencode:
         run(capsys, "gencode", "--q", "5", "--m", "2", "--d", "4", "--out", str(a))
         run(capsys, "gencode", "--q", "5", "--m", "2", "--d", "4", "--out", str(b))
         assert a.read_bytes() == b.read_bytes()
-
-    def test_unwritable_out_fails_before_the_build(self, tmp_path, capsys, monkeypatch):
-        def no_build(*args, **kwargs):
-            raise AssertionError("the matrix was built before --out was opened")
-
-        monkeypatch.setattr(normbch.construct, "augmented_matrix", no_build)
-        out = tmp_path / "no-such-dir" / "x.txt"
-        code, stdout, stderr = run(capsys, "gencode", "--q", "5", "--m", "5", "--d", "5", "--out", str(out))
-        assert code == 2
-        assert stdout == ""
-        assert stderr.startswith("file error:")
-
-    def test_failed_build_keeps_out_as_it_was(self, tmp_path, capsys, monkeypatch):
-        def failed_build(*args, **kwargs):
-            raise ValueError("no field within the budget")
-
-        monkeypatch.setattr(normbch.construct, "augmented_matrix", failed_build)
-        existing, absent = tmp_path / "existing.txt", tmp_path / "absent.txt"
-        held = b"q=5 n=2 r=1 blocks=dense:1\n1 2\n" * 50
-        existing.write_bytes(held)
-        for out in (existing, absent):
-            code, stdout, stderr = run(capsys, "gencode", "--q", "5", "--m", "2", "--d", "4", "--out", str(out))
-            assert (code, stdout) == (2, "")
-            assert stderr == "parameter error: no field within the budget\n"
-        assert existing.read_bytes() == held
-        assert not absent.exists()
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["existing.txt"]  # no manifest either
 
     def test_shorter_matrix_replaces_longer_file(self, tmp_path, capsys):
         out = tmp_path / "m.txt"
@@ -678,6 +652,8 @@ EXIT_2_CASES = {
         ["verify-distance", "--matrix", "{aug524}", "--d", "4", "--out", "{missing}"], None, "file error:"),
     "check-lines-out-missing-dir": (
         ["check-lines", "--q", "5", "--m", "2", "--d", "4", "--out", "{missing}"], None, "file error:"),
+    "gencode-out-empty": (["gencode", "--q", "5", "--m", "2", "--d", "4", "--out", ""], None, "file error:"),
+    "check-lines-out-empty": (["check-lines", "--q", "5", "--m", "2", "--d", "4", "--out", ""], None, "file error:"),
     "reduce-out-missing-dir": (
         ["reduce", "--input", "{toy}", "--q2", "4", "--subset", "0,1,2", "--out", "{missing}"],
         None, "file error:"),
@@ -752,6 +728,86 @@ def test_exit_2_contract(matrix_files, tmp_path, capsys, monkeypatch, argv, budg
     assert len(stderr.splitlines()) == 1
     assert stderr.startswith(prefix)
     assert not list(tmp_path.glob("*.manifest.json"))
+
+
+# Each writing subcommand: argv without --out, as in EXIT_2_CASES, and the engine it runs.
+WRITERS = {
+    "gencode": (["gencode", "--q", "5", "--m", "2", "--d", "4"], "normbch.construct.augmented_matrix"),
+    "verify-distance": (["verify-distance", "--matrix", "{aug524}", "--d", "4"],
+                        "normbch.verify.min_distance_at_least"),
+    "check-lines": (["check-lines", "--q", "5", "--m", "2", "--d", "4"], "normbch.verify.verify_lines_theorem"),
+    "reduce": (["reduce", "--input", "{toy}", "--q2", "4", "--subset", "0,1,2"], "normbch.reduce.reduce_alphabet"),
+}
+
+
+def _must_not_run(*args, **kwargs):
+    raise AssertionError("the engine ran before --out and its manifest were opened")
+
+
+@pytest.mark.parametrize("blocked", ["out-dir-missing", "manifest-is-dir"])
+@pytest.mark.parametrize("argv, engine", WRITERS.values(), ids=WRITERS.keys())
+def test_unwritable_out_fails_before_the_build(matrix_files, tmp_path, capsys, monkeypatch, argv, engine, blocked):
+    monkeypatch.setattr(engine, _must_not_run)
+    outdir = tmp_path / "out"
+    outdir.mkdir()
+    if blocked == "out-dir-missing":
+        out = outdir / "no-such-dir" / "x.txt"
+    else:  # a directory where the manifest goes
+        out = outdir / "x.txt"
+        (outdir / "x.txt.manifest.json").mkdir()
+    code, stdout, stderr = run(capsys, *_fill(argv, matrix_files, tmp_path), "--out", str(out))
+    assert (code, stdout) == (2, "")
+    assert len(stderr.splitlines()) == 1
+    assert stderr.startswith("file error:")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, engine", WRITERS.values(), ids=WRITERS.keys())
+def test_failed_build_keeps_out_as_it_was(matrix_files, tmp_path, capsys, monkeypatch, argv, engine):
+    def failed_build(*args, **kwargs):
+        raise ValueError("no field within the budget")
+
+    monkeypatch.setattr(engine, failed_build)
+    outdir = tmp_path / "out"
+    outdir.mkdir()
+    existing, absent = outdir / "existing.txt", outdir / "absent.txt"
+    held = b"q=5 n=2 r=1 blocks=dense:1\n1 2\n" * 50
+    existing.write_bytes(held)
+    (outdir / "existing.txt.manifest.json").write_bytes(held[:40])
+    for out in (existing, absent):
+        code, stdout, stderr = run(capsys, *_fill(argv, matrix_files, tmp_path), "--out", str(out))
+        assert (code, stdout) == (2, "")
+        assert stderr == "parameter error: no field within the budget\n"
+    assert existing.read_bytes() == held
+    assert (outdir / "existing.txt.manifest.json").read_bytes() == held[:40]
+    assert sorted(p.name for p in outdir.iterdir()) == ["existing.txt", "existing.txt.manifest.json"]
+
+
+def test_gencode_hashes_its_text_once(tmp_path, capsys, monkeypatch):
+    """matrix_sha256 and the manifest's output hash come from one pass over the
+    matrix text, and no output file is read back."""
+    hashed, opened = [], []
+
+    def counting_hash(data, real=normbch._sha256_hex):
+        hashed.append(len(data))
+        return real(data)
+
+    def recording_open(path, mode="r", *args, **kwargs):
+        opened.append((os.fspath(path), mode))
+        return open(path, mode, *args, **kwargs)
+
+    for module in (normbch.cli, normbch.construct):
+        monkeypatch.setattr(module, "_sha256_hex", counting_hash)
+    monkeypatch.setattr(normbch.cli, "open", recording_open, raising=False)
+    out = tmp_path / "h.txt"
+    code, stdout, _ = run(capsys, "gencode", "--q", "5", "--m", "5", "--d", "5", "--out", str(out))
+    assert code == 0
+    data = out.read_bytes()
+    assert hashed == [len(data)]
+    assert opened == [(str(out), "ab"), (f"{out}.manifest.json", "ab")]
+    digest = hashlib.sha256(data).hexdigest()
+    assert f"matrix_sha256={digest}\n" in stdout
+    assert json.loads(Path(f"{out}.manifest.json").read_text())["outputs"] == {str(out): digest}
 
 
 @pytest.mark.parametrize("case", ["check-lines-out-missing-dir", "bounds-table-d1", "bounds-table-beyond-int64",
@@ -895,7 +951,8 @@ class TestBudgetEnvironment:
 
 
 def test_manifests_pinned(tmp_path, monkeypatch):
-    """Manifest fields derived from the parsed arguments, for all four writing subcommands."""
+    """Manifest fields derived from the parsed arguments, and the hashes of the files read and
+    written, for all four writing subcommands."""
     monkeypatch.chdir(tmp_path)
     monkeypatch.delenv("NORMBCH_BUDGET", raising=False)
     Path("toy.cwl").write_text("0 0 0 0\n1 1 1 1\n2 2 2 2\n3 3 3 3\n")
@@ -918,6 +975,6 @@ def test_manifests_pinned(tmp_path, monkeypatch):
         manifest = json.loads(Path(out + ".manifest.json").read_text())
         assert manifest["subcommand"] == argv[0]
         assert manifest["parameters"] == parameters
-        assert sorted(manifest["inputs"]) == inputs
-        assert list(manifest["outputs"]) == [out]
+        assert manifest["inputs"] == {p: hashlib.sha256(Path(p).read_bytes()).hexdigest() for p in inputs}
+        assert manifest["outputs"] == {out: hashlib.sha256(Path(out).read_bytes()).hexdigest()}
         assert manifest["seed"] == seed

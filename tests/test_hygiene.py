@@ -191,3 +191,38 @@ def test_hashlib_only_as_the_digest_fallback():
     # hashlib for a build without it
     found = {path.name: hashlib_imports(path.read_text()) for path in Path(normbch.__file__).parent.glob("*.py")}
     assert {name: where for name, where in found.items() if where} == {"__init__.py": ["_sha256_hex:handler"]}
+
+
+OUTPUT_CALLS = ("open", "print", "os.remove")
+
+
+def output_sites(source: str) -> dict[str, list[str]]:
+    """For each function of the source that does output, what it uses: calls of open, print and
+    os.remove, and sys.stdout."""
+    found = {}
+    for func in ast.walk(ast.parse(source)):
+        if isinstance(func, ast.FunctionDef):
+            nodes = list(ast.walk(func))
+            calls = {ast.unparse(node.func) for node in nodes if isinstance(node, ast.Call)}
+            stdout = {"sys.stdout" for node in nodes if isinstance(node, ast.Attribute)
+                      and ast.unparse(node) == "sys.stdout"}
+            if sites := sorted(calls.intersection(OUTPUT_CALLS) | stdout):
+                found[func.name] = sites
+    return found
+
+
+def test_output_site_is_found():
+    source = ("import os, sys\ndef cmd_a(args):\n    print(args)\n    return 0\n"
+              "def cmd_b(args):\n    with open(args.out, 'w') as fh:\n        fh.write('x')\n"
+              "    sys.stdout.write('y')\ndef _render(x):\n    return str(x)\n"
+              "def _run(argv):\n    os.remove(argv)\n    return sys.stdout.fileno()\n")
+    assert output_sites(source) == {"cmd_a": ["print"], "cmd_b": ["open", "sys.stdout"],
+                                    "_run": ["os.remove", "sys.stdout"]}
+
+
+def test_only_run_writes_command_output():
+    # Subcommands return their stdout and --out text; _run alone opens --out and the manifest,
+    # removes what a failed run created and writes stdout.  main prints its one stderr line, and
+    # pipe_safe flushes stdout.
+    found = output_sites((Path(normbch.__file__).parent / "cli.py").read_text())
+    assert found == {"_run": ["open", "os.remove", "sys.stdout"], "main": ["print"], "pipe_safe": ["sys.stdout"]}

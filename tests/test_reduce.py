@@ -10,7 +10,6 @@ from normbch import (
     ExplicitCode,
     read_codeword_list,
     reduce_alphabet,
-    write_codeword_list,
 )
 from normbch import reduce as reduce_module
 from normbch.reduce import DEFAULT_SHIFT_BUDGET, all_shift_counts
@@ -240,7 +239,7 @@ class TestReduceSampled:
 class TestFiles:
     def test_roundtrip(self, tmp_path):
         path = tmp_path / "code.cwl"
-        write_codeword_list(TOY, path)
+        path.write_text(TOY.to_text())
         back = read_codeword_list(path, 4)
         assert back == TOY
 
