@@ -13,7 +13,8 @@ violation, 2 usage, parameter, file or budget error, 141 (128 + SIGPIPE)
 stdout closed by its reader, with nothing on stderr.  Subcommands only
 compute: each returns its exit code, stdout text and --out text (with
 its SHA-256 when it holds one) and raises on bad input.  _run alone
-writes: it opens --out and <out>.manifest.json before the work, writes
+writes: it refuses an --out or manifest path that names the run's
+input, opens --out and <out>.manifest.json before the work, writes
 both after it, hashing the output from memory, and prints stdout last;
 a failed run removes the files it created and keeps the bytes of those
 that existed.  main() alone turns BudgetExceededError, OSError and
@@ -47,11 +48,18 @@ EXIT_BROKEN_PIPE = 128 + 13  # as if killed by SIGPIPE, the shell's code for `cm
 MAX_TABLE_CELLS = 100_000  # bounds --table takes about 4 s and prints 3 MB at this size
 
 
-def _manifest(args, output_sha256: str, elapsed: float) -> str:
+def _same_file(a: str, b: str) -> bool:
+    """Whether two paths name one file: by os.path.samefile when both exist, else by resolved path."""
+    try:
+        return os.path.samefile(a, b)
+    except OSError:
+        return os.path.realpath(a) == os.path.realpath(b)
+
+
+def _manifest(args, inputs: list[str], output_sha256: str, elapsed: float) -> str:
     import json
     from pathlib import Path
 
-    inputs = [getattr(args, key) for key in ("matrix", "input") if hasattr(args, key)]
     manifest = {
         "tool": "normbch",
         "version": __version__,
@@ -298,6 +306,10 @@ def _run(argv) -> int:
         return int(exc.code) if exc.code else EXIT_OK
     out = getattr(args, "out", None)
     paths = [] if out is None else [out, out + ".manifest.json"]  # an empty --out is a file error too
+    inputs = [getattr(args, key) for key in ("matrix", "input") if hasattr(args, key)]
+    for path in paths:
+        if any(_same_file(path, source) for source in inputs):
+            raise OSError(f"{path} is an input of this run, so the run would overwrite it")
     created = [path for path in paths if not os.path.exists(path)]
     try:
         with contextlib.ExitStack() as stack:
@@ -309,7 +321,7 @@ def _run(argv) -> int:
             if files:
                 text, sha256 = written
                 data = text.encode()
-                manifest = _manifest(args, sha256 or _sha256_hex(data), time.perf_counter() - started)
+                manifest = _manifest(args, inputs, sha256 or _sha256_hex(data), time.perf_counter() - started)
                 for fh, blob in zip(files, (data, manifest.encode())):
                     fh.truncate(0)
                     fh.write(blob)

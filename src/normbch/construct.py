@@ -31,6 +31,8 @@ from .field import (
     is_prime,
     make_basis_pair,
     make_field,
+    norm_degrees,
+    norm_exponent,
 )
 from . import _sha256_hex, linalg
 
@@ -95,8 +97,7 @@ def validate_params(q: int, m: int, d: int, relaxed: bool = False) -> CodeParams
     n = q**m if q >= 2 and 1 <= m <= max_degree else 0
     if d >= 3:
         if m >= 1:
-            s = -(-m // (d - 2))
-            mu = s * (d - 2)
+            s, mu = norm_degrees(m, d)
         if q >= 2:
             if q <= d - 3:
                 violations.append(f"characteristic q={q} must exceed d-3 = {d - 3}")
@@ -288,13 +289,12 @@ def augmented_matrix(params: CodeParams) -> ParityCheckMatrix:
     q, s, n = params.q, params.s, params.n
     field_mu = bp.field_mu
     # Work in the log domain: the embedded locators y = embed_hat(e^j) are
-    # nonzero, and log norm(y) = E * log y mod (q^mu - 1), E = sum of
-    # q^(t*s) for t < d-2.  As E * (q^s - 1) = q^mu - 1, log y may be taken
+    # nonzero, and log norm(y) = E * log y mod (q^mu - 1), E =
+    # norm_exponent(q, s, d).  As E * (q^s - 1) = q^mu - 1, log y may be taken
     # mod q^s - 1 first, which keeps the product below q^mu.  The last
     # position (locator 0) keeps its zero column.
     embedded = bp.embed_array(base.locators.encoded(np.arange(n - 1)))
-    exponent = sum(q ** (t * s) for t in range(params.d - 2))
-    logs = field_mu.log_array(embedded) % (q**s - 1) * exponent
+    logs = field_mu.log_array(embedded) % (q**s - 1) * norm_exponent(q, s, params.d)
     coords = bp.g_coords(field_mu.power_array(logs))
     if coords[s:].any():
         raise RuntimeError("norm value has coordinates outside the g-prefix; basis construction bug")

@@ -27,12 +27,14 @@ in the Zech table zech[k] = log(1 + e^k).  An element lies in the prime
 field exactly when its encoding is below p, as its only nonzero digit
 is then the constant one.
 
-Field towers pair GF(q^m) with GF(q^mu) through two bases: h, the
-polynomial basis of GF(q^m), and g, a product basis of GF(q^mu) over
-GF(q) whose first s members span the subfield GF(q^s).  make_basis_pair
-builds both; embed_hat carries h-coordinates onto g-coordinates (a
+Field towers pair GF(q^m) with GF(q^mu), mu = s*(d-2) (norm_degrees),
+through two bases: h, the polynomial basis of GF(q^m), and g, a product
+basis of GF(q^mu) over GF(q) whose first s members span the subfield
+GF(q^s).  make_basis_pair reads g off the antilog table as an array of
+encoded values, and BasisPair checks it on arrays.  embed_hat carries
+h-coordinates, which are polynomial coordinates, onto g-coordinates (a
 GF(q)-linear injection); norm is the multiplicative norm of GF(q^mu)
-onto that subfield.
+onto that subfield, the power norm_exponent.
 
 Fields and basis pairs are immutable after construction and safe to
 share across threads; all arithmetic is pure.  The Zech table is built
@@ -179,15 +181,10 @@ class FieldElement:
         self.field = field
         self.val = val
 
-    @property
-    def coords(self) -> tuple[int, ...]:
-        """Coordinates over the prime field, low coordinate first."""
-        return tuple(self.field.coords_array([self.val])[:, 0].tolist())
-
     def _check(self, other: "FieldElement") -> None:
         if not isinstance(other, FieldElement):
             raise TypeError(f"expected a FieldElement, got {type(other).__name__}")
-        if self.field != other.field:
+        if self.field is not other.field:
             raise FieldMismatchError(
                 f"elements of GF({self.field.p}^{self.field.degree}) and "
                 f"GF({other.field.p}^{other.field.degree}) cannot be combined"
@@ -247,10 +244,10 @@ class FieldElement:
     def __eq__(self, other):
         if not isinstance(other, FieldElement):
             return NotImplemented
-        return self.field == other.field and self.val == other.val
+        return self.field is other.field and self.val == other.val
 
     def __hash__(self):
-        return hash((self.field._hash, self.val))
+        return hash((self.field, self.val))
 
     def __repr__(self):
         return f"gf({self.field.p}^{self.field.degree}):{self.val}"
@@ -259,8 +256,8 @@ class FieldElement:
 class Field:
     """GF(p^k) with the deterministically chosen primitive modulus.
 
-    Use make_field instead of constructing directly; make_field caches
-    instances so elements of equal fields share one object.
+    Use make_field instead of constructing directly: its cache holds the
+    one instance of each field, so elements compare fields by identity.
     """
 
     def __init__(self, p: int, degree: int):
@@ -277,7 +274,6 @@ class Field:
         self._exp = _powers_of_x(self.modulus, p)
         self._log = np.zeros(size, dtype=np.int64)
         self._log[self._exp] = np.arange(size - 1)
-        self._hash = hash((p, degree, self.modulus))
         self.zero = FieldElement(self, 0)
         self.one = FieldElement(self, 1)
         self.e = FieldElement(self, self._exp.item(1 % (size - 1)))
@@ -325,14 +321,6 @@ class Field:
     def nonzero_elements(self) -> Iterator[FieldElement]:
         return (FieldElement(self, v) for v in range(1, self.size))
 
-    def __eq__(self, other):
-        if not isinstance(other, Field):
-            return NotImplemented
-        return self.p == other.p and self.degree == other.degree and self.modulus == other.modulus
-
-    def __hash__(self):
-        return self._hash
-
     def __repr__(self):
         return f"Field(GF({self.p}^{self.degree}), modulus={list(self.modulus)})"
 
@@ -356,49 +344,51 @@ def _cached_field(p: int, degree: int) -> Field:
     return Field(p, degree)
 
 
-class BasisPair:
-    """Bases h of GF(q^m) and g of GF(q^mu) tied together for embed_hat.
+def norm_degrees(m: int, d: int) -> tuple[int, int]:
+    """(s, mu) for GF(q^m) at distance d >= 3: the norm maps GF(q^mu), mu = s*(d-2), onto GF(q^s), s = ceil(m/(d-2))."""
+    s = -(-m // (d - 2))
+    return s, s * (d - 2)
 
-    Invariants validated at construction: each basis is linearly
-    independent over GF(q), and the first s members of g lie in (hence
-    span) the subfield GF(q^s) of GF(q^mu).
+
+def norm_exponent(q: int, s: int, d: int) -> int:
+    """The norm's exponent 1 + q^s + ... + q^((d-3)s) = (q^mu - 1)/(q^s - 1); e to it generates GF(q^s)*."""
+    return sum(q ** (t * s) for t in range(d - 2))
+
+
+class BasisPair:
+    """The polynomial basis h = {1, e, ..., e^(m-1)} of GF(q^m) and a basis g of GF(q^mu), for embed_hat.
+
+    g is an array of encoded GF(q^mu) values.  Invariants validated at
+    construction: g is linearly independent over GF(q), at least as long
+    as h, and its first s members lie in (hence span) the subfield
+    GF(q^s) of GF(q^mu); the two fields share their characteristic.
     """
 
-    def __init__(self, h, g, s: int):
-        h = tuple(h)
-        g = tuple(g)
-        if not h or not g:
-            raise ValueError("empty basis")
-        field_m = h[0].field
-        field_mu = g[0].field
-        if any(x.field != field_m for x in h) or any(y.field != field_mu for y in g):
-            raise FieldMismatchError("basis elements drawn from mixed fields")
-        if field_m.p != field_mu.p:
+    def __init__(self, field_m: Field, field_mu: Field, s: int, g):
+        g = np.asarray(g, dtype=np.int64)
+        p = field_mu.p
+        if field_m.p != p:
             raise FieldMismatchError("the two fields have different characteristics")
-        if len(h) != field_m.degree or len(g) != field_mu.degree:
-            raise ValueError("basis length must equal the extension degree")
-        if len(h) > len(g):
+        if g.shape != (field_mu.degree,) or ((g < 0) | (g >= field_mu.size)).any():
+            raise ValueError(f"g must hold {field_mu.degree} encoded values in [0, {field_mu.size})")
+        if field_m.degree > len(g):
             raise ValueError("h is longer than g, so embed_hat could not be injective")
         if not 1 <= s <= len(g) or field_mu.degree % s != 0:
             raise ValueError(f"subfield prefix length s={s} incompatible with degree {field_mu.degree}")
-        p = field_m.p
-        h_mat = np.array([x.coords for x in h], dtype=np.int64).T
-        if linalg.rank(h_mat, p) != len(h):
-            raise ValueError("h is not linearly independent over the prime field")
-        g_mat = np.array([y.coords for y in g], dtype=np.int64).T
+        g_mat = field_mu.coords_array(g)
         if linalg.rank(g_mat, p) != len(g):
             raise ValueError("g is not linearly independent over the prime field")
-        sub_size = p**s
-        for i in range(s):
-            if g[i] ** sub_size != g[i]:
-                raise ValueError(f"g_{i + 1} does not lie in the subfield of size {sub_size}")
-        self.h = h
+        # g_i lies in GF(p^s) when g_i^(p^s) = g_i, that is when log g_i * p^s = log g_i mod size - 1
+        logs = field_mu.log_array(g[:s])
+        outside = np.flatnonzero(logs * p**s % (field_mu.size - 1) != logs)
+        if len(outside):
+            raise ValueError(f"g_{outside[0] + 1} does not lie in the subfield of size {p**s}")
         self.g = g
         self.s = s
         self.field_m = field_m
         self.field_mu = field_mu
-        # embed_hat on polynomial coordinates: H^-1 gives h-coordinates, G puts them on g
-        self._embed = g_mat[:, : len(h)] @ linalg.invert(h_mat, p) % p
+        # h-coordinates are polynomial coordinates, so embed_hat is G's first m columns
+        self._embed = g_mat[:, : field_m.degree]
         self._g_inv = linalg.invert(g_mat, p)
 
     def embed_array(self, vals) -> np.ndarray:
@@ -422,26 +412,23 @@ def make_basis_pair(q: int, m: int, d: int) -> BasisPair:
 
     h is the polynomial basis {1, e, ..., e^(m-1)} of GF(q^m).  g is the
     product basis {beta_i * gamma_j} of GF(q^mu), where beta runs over
-    the powers {1, b, ..., b^(s-1)} of a generator b of the GF(q^s)
-    subfield and gamma over {1, E, ..., E^(d-3)} for the primitive
-    element E; gamma_1 = 1 forces g_1..g_s = beta_1..beta_s, so the
-    subfield prefix property holds by construction.
+    the powers {1, b, ..., b^(s-1)} of the generator b = E^step of the
+    GF(q^s) subfield, step = (q^mu - 1)/(q^s - 1) = norm_exponent, and
+    gamma over {1, E, ..., E^(d-3)} for the primitive element E;
+    gamma_1 = 1 forces g_1..g_s = beta_1..beta_s, so the subfield prefix
+    property holds by construction.  g_(j*s + i) = E^(i*step + j) is read
+    from the antilog table in one lookup.
     """
     if d < 3:
         raise ValueError("d must be at least 3")
     if m < 1:
         raise ValueError("m must be positive")
-    s = -(-m // (d - 2))
-    mu = s * (d - 2)
+    s, mu = norm_degrees(m, d)
     field_m = make_field(q, m)
     field_mu = make_field(q, mu)
-    h = tuple(field_m.e**i for i in range(m))
-    big_e = field_mu.e
-    sub_gen = big_e ** ((field_mu.size - 1) // (q**s - 1))
-    beta = tuple(sub_gen**i for i in range(s))
-    gamma = tuple(big_e**j for j in range(d - 2))
-    g = tuple(beta[i] * gamma[j] for j in range(d - 2) for i in range(s))
-    return BasisPair(h, g, s)
+    step = norm_exponent(q, s, d)
+    g = field_mu.power_array(np.arange(d - 2)[:, None] + step * np.arange(s)).ravel()
+    return BasisPair(field_m, field_mu, s, g)
 
 
 def embed_hat(x: FieldElement, bp: BasisPair) -> FieldElement:
@@ -450,7 +437,7 @@ def embed_hat(x: FieldElement, bp: BasisPair) -> FieldElement:
     GF(q)-linear and injective: if x = sum(alpha_i * h_i) then the image
     is sum(alpha_i * g_i).
     """
-    if x.field != bp.field_m:
+    if x.field is not bp.field_m:
         raise FieldMismatchError("element does not belong to the h-basis field")
     return FieldElement(bp.field_mu, bp.embed_array([x.val]).item())
 
@@ -458,16 +445,14 @@ def embed_hat(x: FieldElement, bp: BasisPair) -> FieldElement:
 def norm(x: FieldElement, d: int) -> FieldElement:
     """Multiplicative norm of GF(q^mu) onto its subfield GF(q^s), mu = s*(d-2).
 
-    Computes x ** (q^((d-3)s) + ... + q^s + 1).  The result y satisfies
+    Computes x ** norm_exponent(q, s, d).  The result y satisfies
     y ** (q^s) == y, i.e. it lies in the subfield; it is returned as an
     element of GF(q^mu).
     """
     field = x.field
     if d < 3:
         raise ValueError("d must be at least 3")
-    if field.degree % (d - 2) != 0:
+    s, mu = norm_degrees(field.degree, d)
+    if mu != field.degree:
         raise ValueError(f"field degree {field.degree} is not a multiple of d-2 = {d - 2}")
-    s = field.degree // (d - 2)
-    exponent = sum(field.p ** (t * s) for t in range(d - 2))
-    return x**exponent
-
+    return x ** norm_exponent(field.p, s, d)

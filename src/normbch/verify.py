@@ -43,8 +43,9 @@ colex-smallest superset of a word support.  When the first w columns
 are dependent (as whenever w exceeds the rank), they are that subset,
 and one rank settles it.  Otherwise, as colex order visits every subset
 of the first c columns before the others, the search runs on column
-prefixes of length w, 2w, 4w, ... and stops at the first prefix
-holding a word.
+prefixes of length 2w, 4w, ... and stops at the first prefix holding a
+word; the w-column prefix is skipped, as its one w-subset is the one
+the rank has just shown independent.
 """
 
 from __future__ import annotations
@@ -219,7 +220,7 @@ def _colex_first_dependent(rows: np.ndarray, q: int, w: int) -> tuple[int, ...] 
         return tuple(range(w))
     n = rows.shape[1]
     small = np.arange(w)
-    c = w
+    c = 2 * w  # the w-column prefix, proved independent above, holds no dependent subset
     while True:
         c = min(c, n)
         found = []

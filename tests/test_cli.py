@@ -642,10 +642,23 @@ def test_caller_blas_threads_are_kept():
 
 
 # Each case: argv with {missing} (an --out path in a missing directory),
-# {aug524} (a matrix file), {toy} (a codeword list) and {long} (one
-# binary word of length 15,000) filled in, the
+# {aug524} (a matrix file), {toy} (a codeword list), {long} (one
+# binary word of length 15,000) and {in535} (a copy of the (5,3,5)
+# matrix, named as the manifest of --out {tmp}/in535) filled in, the
 # NORMBCH_BUDGET value or None, and the prefix of the one stderr line.
 EXIT_2_CASES = {
+    "verify-distance-out-is-matrix": (
+        ["verify-distance", "--matrix", "{in535}", "--d", "5", "--out", "{in535}"], None, "file error:"),
+    "verify-distance-out-is-matrix-by-another-path": (
+        ["verify-distance", "--matrix", "{in535}", "--d", "5", "--out", "{tmp}/./in535.manifest.json"],
+        None, "file error:"),
+    "verify-distance-manifest-is-matrix": (
+        ["verify-distance", "--matrix", "{in535}", "--d", "5", "--out", "{tmp}/in535"], None, "file error:"),
+    "verify-distance-out-is-missing-matrix": (  # not created as an empty file first
+        ["verify-distance", "--matrix", "{tmp}/m.txt", "--d", "3", "--out", "{tmp}/m.txt"], None, "file error:"),
+    "reduce-out-is-missing-input": (
+        ["reduce", "--input", "{tmp}/x.cwl", "--q2", "2", "--subset", "0", "--out", "{tmp}/x.cwl"],
+        None, "file error:"),
     "gencode-out-missing-dir": (
         ["gencode", "--q", "5", "--m", "2", "--d", "4", "--out", "{missing}"], None, "file error:"),
     "verify-distance-out-missing-dir": (
@@ -711,8 +724,10 @@ def _fill(argv, matrix_files, tmp_path):
     toy.write_text("0 0 0 0\n1 1 1 1\n2 2 2 2\n3 3 3 3\n")
     long = tmp_path / "long.cwl"
     long.write_text(" ".join(["1"] * 15000) + "\n")
+    in535 = tmp_path / "in535.manifest.json"
+    in535.write_bytes(matrix_files["aug535"].read_bytes())
     paths = {"missing": tmp_path / "no-such-dir" / "out.txt", "aug524": matrix_files["aug524"],
-             "toy": toy, "long": long, "tmp": tmp_path}
+             "toy": toy, "long": long, "in535": in535, "tmp": tmp_path}
     return [a.format(**paths) for a in argv]
 
 
@@ -722,12 +737,14 @@ def test_exit_2_contract(matrix_files, tmp_path, capsys, monkeypatch, argv, budg
         monkeypatch.delenv("NORMBCH_BUDGET", raising=False)
     else:
         monkeypatch.setenv("NORMBCH_BUDGET", budget)
-    code, stdout, stderr = run(capsys, *_fill(argv, matrix_files, tmp_path))
+    argv = _fill(argv, matrix_files, tmp_path)
+    files = {path: path.read_bytes() for path in tmp_path.rglob("*")}
+    code, stdout, stderr = run(capsys, *argv)
     assert code == 2
     assert stdout == ""
     assert len(stderr.splitlines()) == 1
     assert stderr.startswith(prefix)
-    assert not list(tmp_path.glob("*.manifest.json"))
+    assert {path: path.read_bytes() for path in tmp_path.rglob("*")} == files  # no file created or changed
 
 
 # Each writing subcommand: argv without --out, as in EXIT_2_CASES, and the engine it runs.

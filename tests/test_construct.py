@@ -11,6 +11,7 @@ from hypothesis import assume, given, strategies as st
 from normbch import (
     _sha256_hex,
     Codeword,
+    FieldElement,
     ParityCheckMatrix,
     apply_affine_permutation,
     augmented_matrix,
@@ -412,6 +413,17 @@ def test_matrix_sha256_pinned(q, m, d, kind):
     matrix = augmented_matrix(params) if kind == "aug" else bch_matrix(params)
     assert matrix.sha256() == PINNED_SHA256[q, m, d, kind]
     assert hashlib.sha256(matrix.to_text().encode()).hexdigest() == PINNED_SHA256[q, m, d, kind]
+
+
+@pytest.mark.parametrize("q,m,d", [(5, 3, 5), (5, 5, 5)])
+def test_build_reads_tables_only(q, m, d, monkeypatch):
+    # the basis pair and the rows come from the field tables, not from FieldElement arithmetic
+    def element_arithmetic(*args):
+        raise AssertionError("FieldElement arithmetic on the build path")
+
+    for operator in ("__mul__", "__pow__", "__add__"):
+        monkeypatch.setattr(FieldElement, operator, element_arithmetic)
+    assert augmented_matrix(validate_params(q, m, d)).sha256() == PINNED_SHA256[q, m, d, "aug"]
 
 
 @pytest.mark.parametrize("data", [b"", b"abc", bytes(range(256)) * (1 << 14)], ids=["empty", "short", "4MB"])

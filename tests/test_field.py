@@ -209,12 +209,13 @@ class TestAdditionReference:
     @pytest.mark.parametrize("p,k", [(2, 1), (2, 3), (2, 8), (3, 4), (5, 3), (7, 2), (11, 2), (13, 1)])
     def test_every_pair(self, p, k):
         field = make_field(p, k)
-        elements = [(x, x.coords) for x in field.elements()]
+        coords = [tuple(c) for c in field.coords_array(np.arange(field.size)).T.tolist()]
+        elements = list(zip(field.elements(), coords))
         for x, cx in elements:
-            assert (-x).coords == tuple(-a % p for a in cx)
+            assert coords[(-x).val] == tuple(-a % p for a in cx)
             for y, cy in elements:
-                assert (x + y).coords == tuple((a + b) % p for a, b in zip(cx, cy))
-                assert (x - y).coords == tuple((a - b) % p for a, b in zip(cx, cy))
+                assert coords[(x + y).val] == tuple((a + b) % p for a, b in zip(cx, cy))
+                assert coords[(x - y).val] == tuple((a - b) % p for a, b in zip(cx, cy))
 
     def test_gf2_20_sum_is_xor(self):
         field = make_field(2, 20)
@@ -248,47 +249,68 @@ class TestBasisPair:
     def test_s1_prefix_is_unit(self):
         bp = make_basis_pair(5, 2, 4)
         assert bp.s == 1
-        assert bp.g[0] == bp.field_mu.one
+        assert bp.g[0] == 1
 
     def test_535_shape(self):
         bp = make_basis_pair(5, 3, 5)
         assert bp.s == 1
         assert len(bp.g) == 3
-        assert bp.g[0] == bp.field_mu.one
+        assert bp.g[0] == 1
 
     def test_s2_prefix_in_subfield(self):
         bp = make_basis_pair(5, 3, 4)
         assert bp.s == 2 and bp.field_mu.degree == 4
         for i in range(2):
-            assert bp.g[i] ** 25 == bp.g[i]
+            g_i = bp.field_mu.elem(int(bp.g[i]))
+            assert g_i**25 == g_i
 
     def test_prefix_spans_subfield(self):
         # the s-prefix consists of subfield elements and is independent,
         # so it spans GF(q^s); check coverage exhaustively
         bp = make_basis_pair(5, 3, 4)
         f = bp.field_mu
-        span = set()
-        for c1 in range(5):
-            for c2 in range(5):
-                span.add((f.scalar(c1) * bp.g[0] + f.scalar(c2) * bp.g[1]).val)
+        g = [f.elem(int(v)) for v in bp.g]
+        span = {(f.scalar(c1) * g[0] + f.scalar(c2) * g[1]).val for c1 in range(5) for c2 in range(5)}
         subfield = {x.val for x in f.elements() if x**25 == x}
         assert span == subfield
 
+    @pytest.mark.parametrize("q,m,d", [(5, 2, 4), (5, 3, 4), (5, 3, 5), (5, 5, 5), (7, 3, 5), (3, 2, 4)])
+    def test_g_is_the_product_basis(self, q, m, d):
+        # g_(j*s + i) = b^i * E^j, b = E^((q^mu - 1)/(q^s - 1)), by element arithmetic
+        bp = make_basis_pair(q, m, d)
+        f = bp.field_mu
+        b = f.e ** ((f.size - 1) // (q**bp.s - 1))
+        assert bp.g.tolist() == [(b**i * f.e**j).val for j in range(d - 2) for i in range(bp.s)]
+
     def test_dependent_basis_rejected(self):
         bp = make_basis_pair(5, 2, 4)
-        with pytest.raises(ValueError):
-            BasisPair(bp.h, (bp.g[0], bp.g[0]), 1)
+        with pytest.raises(ValueError, match="not linearly independent"):
+            BasisPair(bp.field_m, bp.field_mu, 1, [bp.g[0], bp.g[0]])
 
     def test_h_longer_than_g_rejected(self):
-        bp = make_basis_pair(5, 3, 4)
+        bp = make_basis_pair(5, 3, 4)  # GF(5^3) into GF(5^4); swapped, h has 4 members and g 3
         with pytest.raises(ValueError, match="injective"):
-            BasisPair(bp.g, bp.h, 1)
+            BasisPair(bp.field_mu, bp.field_m, 1, bp.field_m.power_array(np.arange(3)))
 
     def test_bad_prefix_rejected(self):
         bp = make_basis_pair(5, 3, 4)
-        shuffled = (bp.g[2], bp.g[1], bp.g[0], bp.g[3])
-        with pytest.raises(ValueError):
-            BasisPair(bp.h, shuffled, 2)
+        shuffled = bp.g[[2, 1, 0, 3]]  # E first, which lies outside GF(25)
+        with pytest.raises(ValueError, match="g_1 does not lie in the subfield of size 25"):
+            BasisPair(bp.field_m, bp.field_mu, 2, shuffled)
+
+    def test_mixed_characteristics_rejected(self):
+        with pytest.raises(FieldMismatchError, match="characteristics"):
+            BasisPair(make_field(7, 2), F125, 1, F125.power_array(np.arange(3)))
+
+    def test_g_length_is_the_degree(self):
+        bp = make_basis_pair(5, 3, 5)
+        with pytest.raises(ValueError, match=r"g must hold 3 encoded values in \[0, 125\)"):
+            BasisPair(bp.field_m, bp.field_mu, 1, bp.g[:2])
+
+    def test_g_outside_the_field_rejected(self):
+        bp = make_basis_pair(5, 3, 5)
+        with pytest.raises(ValueError, match=r"g must hold 3 encoded values in \[0, 125\)"):
+            BasisPair(bp.field_m, bp.field_mu, 1, bp.g + [0, 0, 125])
 
 
 class TestEmbed:
@@ -299,17 +321,10 @@ class TestEmbed:
         assert embed_hat(self.BP535.field_m.zero, self.BP535) == self.BP535.field_mu.zero
 
     def test_basis_maps_to_basis(self):
+        # h_i = e^i, the polynomial basis
         for bp in (self.BP535, self.BP524, make_basis_pair(5, 3, 4)):
-            for h_i, g_i in zip(bp.h, bp.g):
-                assert embed_hat(h_i, bp) == g_i
-
-    def test_h_coordinates_map_onto_g(self):
-        # a non-polynomial h: h'_0 = 2*h_0 still goes to g_0, not to 2*g_0
-        bp = make_basis_pair(5, 3, 4)
-        h = (bp.field_m.scalar(2) * bp.h[0],) + bp.h[1:]
-        scaled = BasisPair(h, bp.g, 1)
-        for h_i, g_i in zip(h, bp.g):
-            assert embed_hat(h_i, scaled) == g_i
+            for i in range(bp.field_m.degree):
+                assert embed_hat(bp.field_m.e**i, bp).val == bp.g[i]
 
     def test_linearity_random(self):
         bp = self.BP535

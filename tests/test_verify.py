@@ -144,6 +144,16 @@ class TestMinDistance:
         assert not syndrome(h535, word).any()
         assert cert.subsets_examined < cert.subset_count
 
+    def test_doubling_starts_at_twice_the_weight(self, h535, monkeypatch):
+        # the 4-column prefix is the one 4-subset the rank shortcut has shown independent
+        widths = []
+        monkeypatch.setattr(verify, "_kernel_words", lambda *args: widths.append(args[0].shape[1]) or _kernel_words(*args))
+        cert = min_distance_at_least(h535, 5)
+        assert widths == [8] * 4 + [16] * 4 + [32] * 4
+        word = cert.counterexample
+        assert (word.support, word.coeffs) == ((1, 7, 23, 30), (1, 2, 4, 3))
+        assert cert.subsets_examined == 25307
+
     def test_d2_with_nonzero_columns(self, h524):
         assert min_distance_at_least(h524, 2).certified
 
