@@ -62,6 +62,11 @@ def _sha256_hex(data: bytes) -> str:
     return sha256(data).hexdigest()
 
 
+def _is_digit_below(text: str, q: int) -> bool:
+    """Whether text is ASCII digits whose value is below q; one longer than q's digits never reaches int()."""
+    return text.isascii() and text.isdigit() and len(text.lstrip("0")) <= len(str(q)) and int(text) < q
+
+
 def __getattr__(name: str):
     if name in _EXPORTS:
         return importlib.import_module(f"{__name__}.{name}")  # the import binds it here

@@ -132,32 +132,14 @@ def best_known(q: int, d: int) -> BoundReport:
     """
     _check_qd(q, d)
     lower = hamming_lower(q, d)
-    candidates: list[tuple[Bound, str]] = [
-        (bch_upper(q, d), "bch"),
-        (varshamov_upper(d), "varshamov"),
-        (new_upper(d), "norm-bch"),
-    ]
-    candidates.extend(special_bounds(q, d))
-    best_value, best_source = candidates[0]
-    for value, source in candidates[1:]:
-        if float(value) < float(best_value):
-            best_value, best_source = value, source
+    bch, varshamov, new, special = bch_upper(q, d), varshamov_upper(d), new_upper(d), tuple(special_bounds(q, d))
+    candidates = [(bch, "bch"), (varshamov, "varshamov"), (new, "norm-bch"), *special]
+    best_value, best_source = min(candidates, key=lambda candidate: float(candidate[0]))
     exact = q == 2 or d == 3 or (q, d) in ((3, 5), (4, 5))
     consistent = lower <= float(best_value) + 1e-12
-    return BoundReport(
-        q=q,
-        d=d,
-        hamming_lower=lower,
-        varshamov_upper=varshamov_upper(d),
-        gilbert_upper=gilbert_upper(d),
-        bch_upper=bch_upper(q, d),
-        new_upper=new_upper(d),
-        special=tuple(special_bounds(q, d)),
-        best_upper=best_value,
-        best_source=best_source,
-        exact=exact,
-        consistent=consistent,
-    )
+    return BoundReport(q=q, d=d, hamming_lower=lower, varshamov_upper=varshamov, gilbert_upper=gilbert_upper(d),
+                       bch_upper=bch, new_upper=new, special=special, best_upper=best_value,
+                       best_source=best_source, exact=exact, consistent=consistent)
 
 
 def empirical_rho(matrix: ParityCheckMatrix) -> EmpiricalPoint:

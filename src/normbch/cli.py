@@ -34,7 +34,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import os
-import string
 import sys
 import time
 
@@ -73,22 +72,16 @@ def _manifest(args, inputs: list[str], output_sha256: str, elapsed: float) -> st
     return json.dumps(manifest, indent=2, sort_keys=True) + "\n"
 
 
-def _text(value) -> str:
-    """A record value as text: bools in lower case, a dict as name:count,...,
-    a list comma-joined."""
+def _text(value):
+    """A record value ready for str.format: bools in lower case, a dict as
+    name:count,..., a list comma-joined; anything else as it is."""
     if isinstance(value, bool):
         return str(value).lower()
     if isinstance(value, dict):
-        return ",".join(f"{name}:{count}" for name, count in value.items())
+        value = [f"{name}:{count}" for name, count in value.items()]
     if isinstance(value, list):
         return ",".join(str(v) for v in value)
-    return str(value)
-
-
-class _Formatter(string.Formatter):
-    def format_field(self, value, format_spec):
-        # a field with a spec, such as {average:.4f}, keeps it
-        return format(value, format_spec) if format_spec else _text(value)
+    return value
 
 
 def _emit(record: dict, layout: dict, as_json: bool) -> tuple[str, str]:
@@ -96,8 +89,9 @@ def _emit(record: dict, layout: dict, as_json: bool) -> tuple[str, str]:
     JSON when as_json.  The text has one line per record key, in record
     order: key=value, unless the layout maps the key to its own line, or to
     "" for none."""
+    fields = {key: _text(value) for key, value in record.items()}
     lines = (layout.get(key, f"{key}={{{key}}}") for key in record)
-    text = "".join(_Formatter().format(line, **record) + "\n" for line in lines if line)
+    text = "".join(line.format_map(fields) + "\n" for line in lines if line)
     if not as_json:
         return text, text
     import json
@@ -236,54 +230,47 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"normbch {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("gencode", help="build a parity check matrix file")
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--relaxed", action="store_true", help="use the divisor rule for m")
-    p.add_argument("--bch-only", action="store_true", help="skip the norm rows")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_gencode)
+    # Options that several subcommands share, each declared once; a subcommand takes them as parents.
+    shared = {name: _Parser(add_help=False) for name in ("params", "budget", "out", "json")}
+    for flag in ("--q", "--m", "--d"):
+        shared["params"].add_argument(flag, type=int, required=True)
+    shared["params"].add_argument("--relaxed", action="store_true", help="use the divisor rule for m")
+    shared["budget"].add_argument("--budget", type=int, default=budget)
+    shared["out"].add_argument("--out", default=None, help="also write the result to this file, with a manifest")
+    shared["json"].add_argument("--json", action="store_true")
 
-    p = sub.add_parser("verify-distance", help="certify distance >= d by exhaustive word search")
+    def command(name, func, about, *options):
+        p = sub.add_parser(name, help=about, parents=[shared[option] for option in (*options, "json")])
+        p.set_defaults(func=func)
+        return p
+
+    p = command("gencode", cmd_gencode, "build a parity check matrix file", "params")
+    p.add_argument("--out", required=True)
+    p.add_argument("--bch-only", action="store_true", help="skip the norm rows")
+
+    p = command("verify-distance", cmd_verify_distance, "certify distance >= d by exhaustive word search",
+                "budget", "out")
     p.add_argument("--matrix", required=True)
     p.add_argument("--d", type=int, required=True)
-    p.add_argument("--budget", type=int, default=budget)
     p.add_argument("--threads", type=int, default=1,
                    help="recorded in the certificate; does not change the work")
-    p.add_argument("--out", default=None, help="also write the certificate to a file")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_verify_distance)
 
-    p = sub.add_parser("check-lines", help="validate the affine-line structure of minimum words")
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--budget", type=int, default=budget)
-    p.add_argument("--relaxed", action="store_true")
+    p = command("check-lines", cmd_check_lines, "validate the affine-line structure of minimum words",
+                "params", "budget", "out")
     p.add_argument("--experimental", action="store_true",
                    help="run even when the hypotheses fail; results are reported, not asserted")
-    p.add_argument("--out", default=None)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_check_lines)
 
-    p = sub.add_parser("bounds", help="redundancy-coefficient bounds for (q, d)")
+    p = command("bounds", cmd_bounds, "redundancy-coefficient bounds for (q, d)")
     p.add_argument("--q", type=int, default=None)
     p.add_argument("--d", type=int, default=None)
     p.add_argument("--table", nargs=2, metavar=("QMIN..QMAX", "DMIN..DMAX"), default=None)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_bounds)
 
-    p = sub.add_parser("reduce", help="shift a code into a sub-alphabet")
+    p = command("reduce", cmd_reduce, "shift a code into a sub-alphabet", "out")
     p.add_argument("--input", required=True, help="codeword list, one vector per line")
     p.add_argument("--q2", type=int, required=True)
     p.add_argument("--subset", required=True, help="comma separated symbols, e.g. 0,1,2")
     p.add_argument("--trials", type=int, default=None, help="sample this many shifts instead of all")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", default=None, help="write the reduced codeword list here")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_reduce)
     return parser
 
 

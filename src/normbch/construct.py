@@ -34,7 +34,7 @@ from .field import (
     norm_degrees,
     norm_exponent,
 )
-from . import _sha256_hex, linalg
+from . import _is_digit_below, _sha256_hex, linalg
 
 MAX_ALPHABET = int(np.iinfo(np.int16).max)  # matrix entries are int16
 
@@ -250,6 +250,11 @@ def _require_buildable(params: CodeParams) -> None:
         raise ValueError("matrix construction needs a prime q and positive m: " + "; ".join(params.violations))
 
 
+def augmented_blocks(params: CodeParams) -> tuple[tuple[str, int], ...]:
+    """Row blocks of augmented_matrix(params): ones:1, pow1:m, ..., pow(d-3):m, norm:s; bch_matrix has all but norm."""
+    return (("ones", 1), *((f"pow{t}", params.m) for t in range(1, params.d - 2)), ("norm", params.s))
+
+
 def bch_matrix(params: CodeParams) -> ParityCheckMatrix:
     """Base matrix: all-ones row, then h-coordinates of e_j^t for t = 1..d-3.
 
@@ -267,8 +272,7 @@ def bch_matrix(params: CodeParams) -> ParityCheckMatrix:
     rows[0, :] = 1
     for t in range(1, d - 2):
         rows[1 + (t - 1) * m : 1 + t * m, :-1] = field.coords_array(field.power_array(positions * t))
-    blocks = [("ones", 1)] + [(f"pow{t}", m) for t in range(1, d - 2)]
-    return ParityCheckMatrix(q, rows, blocks, locators=loc)
+    return ParityCheckMatrix(q, rows, augmented_blocks(params)[:-1], locators=loc)
 
 
 def augmented_matrix(params: CodeParams) -> ParityCheckMatrix:
@@ -300,9 +304,7 @@ def augmented_matrix(params: CodeParams) -> ParityCheckMatrix:
         raise RuntimeError("norm value has coordinates outside the g-prefix; basis construction bug")
     norm_rows = np.zeros((s, n), dtype=np.int16)
     norm_rows[:, :-1] = coords[:s]
-    rows = np.vstack([base.rows, norm_rows])
-    blocks = list(base.blocks) + [("norm", s)]
-    return ParityCheckMatrix(params.q, rows, blocks, locators=base.locators)
+    return ParityCheckMatrix(q, np.vstack([base.rows, norm_rows]), augmented_blocks(params), locators=base.locators)
 
 
 def syndrome(matrix: ParityCheckMatrix, word: Codeword) -> np.ndarray:
@@ -338,8 +340,9 @@ def read_matrix_file(path) -> ParityCheckMatrix:
     body holds what loadtxt takes but the format does not, a line-by-line
     pass raises ValueError naming the first bad line: a wrong entry count,
     or an entry that is not ASCII digits below q.  A bad header, a length
-    n below 1, and block row counts that are negative or do not sum to r
-    are named as line 1, a wrong row count by the file alone.
+    n outside [1, DEFAULT_MAX_FIELD_SIZE], and block row counts that are
+    negative or do not sum to r are named as line 1, a wrong row count by
+    the file alone.
     """
     with open(path) as fh:
         header, *body = fh.read().rstrip().splitlines() or [""]
@@ -356,6 +359,8 @@ def read_matrix_file(path) -> ParityCheckMatrix:
         raise ValueError(f"{path}:1: {alphabet}")
     if n < 1:
         raise ValueError(f"{path}:1: n={n} is not a positive length")
+    if n > DEFAULT_MAX_FIELD_SIZE:
+        raise ValueError(f"{path}:1: n={n} exceeds the field size budget {DEFAULT_MAX_FIELD_SIZE}")
     if violation := _blocks_violation(blocks, r):
         raise ValueError(f"{path}:1: {violation}")
     if len(body) != r:
@@ -368,13 +373,11 @@ def read_matrix_file(path) -> ParityCheckMatrix:
     # loadtxt skips blank lines, takes signs and reads some non-ASCII letters as digits
     if r and (rows is None or rows.shape != (r, n) or (rows >= q).any() or "+" in text or "-" in text
               or not (text.isascii() or all(c.isascii() or c.isspace() for c in set(text)))):
-        digits = len(str(q))  # a longer entry is out of range, and int() never sees it
         for number, line in enumerate(body, start=2):
             entries = line.split()
             if len(entries) != n:
                 raise ValueError(f"{path}:{number}: {len(entries)} entries, expected n={n}")
-            bad = [e for e in entries
-                   if not (e.isascii() and e.isdigit() and len(e.lstrip("0")) <= digits and int(e) < q)]
+            bad = [e for e in entries if not _is_digit_below(e, q)]
             if bad:
                 raise ValueError(f"{path}:{number}: entry {bad[0]!r} is not a digit in [0, {q})")
     return ParityCheckMatrix(q, rows.reshape(r, n), blocks)

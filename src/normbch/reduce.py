@@ -26,6 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _is_digit_below
 from .errors import BudgetExceededError
 
 DEFAULT_SHIFT_BUDGET = 10_000_000
@@ -183,12 +184,10 @@ def read_codeword_list(path, q: int) -> ExplicitCode:
     [0, q), a word's length differs from the first word's, or a word repeats.
     """
     words: dict[tuple[int, ...], int] = {}  # word -> its line
-    digits = len(str(q))  # a longer symbol is out of range, and int() never sees it
     with open(path) as fh:
         for number, line in enumerate(fh, start=1):
             symbols = line.split()
-            bad = [v for v in symbols
-                   if not (v.isascii() and v.isdigit() and len(v.lstrip("0")) <= digits and int(v) < q)]
+            bad = [v for v in symbols if not _is_digit_below(v, q)]
             if bad:
                 raise ValueError(f"{path}:{number}: symbol {bad[0]!r} is not a digit in [0, {q})")
             if not symbols:

@@ -23,20 +23,21 @@ representatives has R*n(n-1)/(v(v-1)) members, which gives every count.
 Both routes check the on-line count against its closed form.
 
 Distance >= d holds when no (d-1)-subset of columns is dependent.  On
-the augmented matrix of the construction, rebuilt from its header and
-compared row by row, the orbit route decides this: after checking by
-rank that the base rows span an invariant space, it shows that no image
-of a representative of weight 2..d-1 has a zero norm syndrome.  A
-representative whose locators t all lie in GF(q), with coefficients
-c_t, is settled by one sum.  Its image under x -> a*x + b has norm
-syndrome N(hat a) * sum_t c_t N(u + t), u = hat b / hat a, as hat is
-GF(q)-linear and N multiplicative.  N(u + t) is monic of degree d-2 in
-t and the word kills t^j for j <= d-3, so that is N(hat a) * f with
-f = sum_t c_t t^(d-2), which is nonzero by Vandermonde.  Any other
-matrix or target, a representative with a locator outside GF(q) (which
-occurs only outside the proven range), a zero f, or a representative
-search over the memory cap falls back to the generic engine below, so
-its counterexamples and refusals are the only ones reported.
+the augmented matrix of the construction, rebuilt from q, d and
+n = q^m and compared block by block and row by row, the orbit route
+decides this: after checking by rank that the base rows span an
+invariant space, it shows that no image of a representative of weight
+2..d-1 has a zero norm syndrome.  A representative whose locators t
+all lie in GF(q), with coefficients c_t, is settled by one sum.  Its
+image under x -> a*x + b has norm syndrome N(hat a) * sum_t c_t
+N(u + t), u = hat b / hat a, as hat is GF(q)-linear and N
+multiplicative.  N(u + t) is monic of degree d-2 in t and the word
+kills t^j for j <= d-3, so that is N(hat a) * f with f = sum_t c_t
+t^(d-2), which is nonzero by Vandermonde.  Any other matrix or target,
+a representative with a locator outside GF(q) (which occurs only
+outside the proven range), a zero f, or a representative search over
+the memory cap falls back to the generic engine below, so its
+counterexamples and refusals are the only ones reported.
 
 The generic engine reports the colex-first dependent (d-1)-subset: the
 colex-smallest superset of a word support.  When the first w columns
@@ -62,6 +63,7 @@ from .construct import (
     CodeParams,
     Codeword,
     ParityCheckMatrix,
+    augmented_blocks,
     augmented_matrix,
     bch_matrix,
     syndrome,
@@ -122,6 +124,13 @@ class LinesReport:
     violation_count: int
     theorem_applies: bool
     subset_count: int
+
+
+def _subset_count(n: int, w: int, budget: int) -> int:
+    """C(n, w), the w-subsets of n columns; BudgetExceededError, carrying it, when it exceeds budget."""
+    if math.comb(n, w) > budget:
+        raise BudgetExceededError(math.comb(n, w), budget)
+    return math.comb(n, w)
 
 
 def _check_memory(r: int, q: int, slots: int) -> None:
@@ -275,9 +284,9 @@ def _affine_invariant(rows: np.ndarray, field) -> bool:
 def _orbit_certifies(matrix: ParityCheckMatrix, d: int) -> bool:
     """Whether the affine-orbit route proves distance >= d for matrix.
 
-    The route takes only the augmented matrix of some (q, m, d) with this
-    d: blocks ones:1, pow1:m, ..., pow(d-3):m, norm:s, n = q^m, and rows
-    equal to augmented_matrix rebuilt from them.  It then checks that the
+    The route takes only the augmented matrix of (q, m, d) with this d
+    and n = q^m: the blocks of augmented_blocks, compared before any
+    build, and rows equal to augmented_matrix.  It then checks that the
     base rows span the same space after the column permutations of the
     generators x -> e*x and x -> x+1 of the affine maps (the stacked rows
     have the base rank), so the base code is invariant and each of its
@@ -292,14 +301,12 @@ def _orbit_certifies(matrix: ParityCheckMatrix, d: int) -> bool:
     representative search over the memory cap) leaves the verdict to
     the generic engine.
     """
-    q, n, blocks = matrix.q, matrix.n, matrix.blocks
-    if d < 4 or len(blocks) != d - 1:
-        return False
-    m, s = blocks[1][1], blocks[-1][1]
-    if blocks != (("ones", 1), *((f"pow{t}", m) for t in range(1, d - 2)), ("norm", s)):
+    q, n = matrix.q, matrix.n
+    m = next((m for m in range(1, n.bit_length()) if q**m == n), 0)  # 0 when n is no power q^m, m >= 1
+    if d < 4 or not m or len(matrix.blocks) != d - 1:  # the count first: a huge d has a huge layout
         return False
     params = validate_params(q, m, d)
-    if params.n != n or params.s != s:
+    if matrix.blocks != augmented_blocks(params):
         return False
     try:
         rebuilt = augmented_matrix(params)
@@ -307,7 +314,7 @@ def _orbit_certifies(matrix: ParityCheckMatrix, d: int) -> bool:
         return False
     if not np.array_equal(rebuilt.rows, matrix.rows):
         return False
-    base = matrix.rows[:-s]
+    base = matrix.rows[: -params.s]
     if not _affine_invariant(base, rebuilt.locators.field):
         return False
     if not matrix.rows.any(axis=0).all():  # a zero column is a weight-1 word
@@ -350,9 +357,7 @@ def min_distance_at_least(
     start = time.perf_counter()
     n = matrix.n
     w = min(d - 1, n)
-    total = math.comb(n, w)
-    if total > budget:
-        raise BudgetExceededError(total, budget)
+    total = _subset_count(n, w, budget)
     if _orbit_certifies(matrix, d):
         columns = None
     else:
@@ -385,9 +390,7 @@ def enumerate_weight_words(
     """
     if w <= 0 or w > matrix.n:
         return []
-    total = math.comb(matrix.n, w)
-    if total > budget:
-        raise BudgetExceededError(total, budget)
+    _subset_count(matrix.n, w, budget)
     supports, coeffs = _kernel_words(matrix.rows, matrix.q, w)
     order = np.lexsort(np.hstack([supports, coeffs]).T[::-1])
     return [
@@ -485,9 +488,7 @@ def verify_lines_theorem(
         raise ValueError("parameters violate the hypotheses: " + "; ".join(params.violations))
     matrix = bch_matrix(params)
     n, q, v = params.n, params.q, params.d - 1
-    total = math.comb(n, v)
-    if total > budget:
-        raise BudgetExceededError(total, budget)
+    total = _subset_count(n, v, budget)
     _, ys, on = _survey(matrix.rows, matrix.locators, q, params.d, v)
     return LinesReport(
         params=params,

@@ -643,9 +643,11 @@ def test_caller_blas_threads_are_kept():
 
 # Each case: argv with {missing} (an --out path in a missing directory),
 # {aug524} (a matrix file), {toy} (a codeword list), {long} (one
-# binary word of length 15,000) and {in535} (a copy of the (5,3,5)
-# matrix, named as the manifest of --out {tmp}/in535) filled in, the
-# NORMBCH_BUDGET value or None, and the prefix of the one stderr line.
+# binary word of length 15,000), {in535} (a copy of the (5,3,5)
+# matrix, named as the manifest of --out {tmp}/in535) and {header} (a
+# directory of header-only matrix files, HEADERS) filled in, the
+# NORMBCH_BUDGET value or None, and the prefix of the one stderr line,
+# filled in too.
 EXIT_2_CASES = {
     "verify-distance-out-is-matrix": (
         ["verify-distance", "--matrix", "{in535}", "--d", "5", "--out", "{in535}"], None, "file error:"),
@@ -713,10 +715,42 @@ EXIT_2_CASES = {
     "reduce-trials-beyond-budget": (
         ["reduce", "--input", "{toy}", "--q2", "4", "--subset", "0,1,2", "--trials", "10000001"],
         None, "budget exceeded:"),
+    "verify-distance-n-beyond-int64": (
+        ["verify-distance", "--matrix", "{header}/n-2^63", "--d", "2"],
+        None, "parameter error: {header}/n-2^63:1: n=9223372036854775808 exceeds the field size budget 1048576"),
+    "verify-distance-n-at-int64-max": (
+        ["verify-distance", "--matrix", "{header}/n-2^63-1", "--d", "2"],
+        None, "parameter error: {header}/n-2^63-1:1: n=9223372036854775807 exceeds the field size budget"),
+    "verify-distance-n-beyond-field-budget": (
+        ["verify-distance", "--matrix", "{header}/n-2^20+1", "--d", "2"],
+        None, "parameter error: {header}/n-2^20+1:1: n=1048577 exceeds the field size budget"),
+    "verify-distance-q-beyond-int16": (
+        ["verify-distance", "--matrix", "{header}/q-32771", "--d", "2"],
+        None, "parameter error: {header}/q-32771:1: q=32771 exceeds 32767, the largest alphabet"),
     "reduce-count-beyond-digit-limit": (  # 2^15000 shifts: a count of 4516 digits
         ["reduce", "--input", "{long}", "--q2", "2", "--subset", "0"],
         None, "budget exceeded: about 10^4515 shifts needed, budget is 10000000"),
 }
+
+
+# Header-only matrix files at the reader's limits: file name -> text.  The
+# refused ones are EXIT_2_CASES; test_header_limits_accepted reads the others.
+HEADERS = {
+    "n-2^63": "q=5 n=9223372036854775808 r=0 blocks=a:0\n",
+    "n-2^63-1": "q=5 n=9223372036854775807 r=0 blocks=a:0\n",
+    "n-2^20+1": "q=5 n=1048577 r=0 blocks=a:0\n",
+    "n-2^20": "q=5 n=1048576 r=0 blocks=a:0\n",
+    "q-32771": "q=32771 n=2 r=1 blocks=a:1\n1 32770\n",
+    "q-32749": "q=32749 n=2 r=1 blocks=a:1\n1 32748\n",
+}
+
+
+def _headers(tmp_path) -> Path:
+    directory = tmp_path / "headers"
+    directory.mkdir(exist_ok=True)
+    for name, text in HEADERS.items():
+        (directory / name).write_text(text)
+    return directory
 
 
 def _fill(argv, matrix_files, tmp_path):
@@ -727,8 +761,13 @@ def _fill(argv, matrix_files, tmp_path):
     in535 = tmp_path / "in535.manifest.json"
     in535.write_bytes(matrix_files["aug535"].read_bytes())
     paths = {"missing": tmp_path / "no-such-dir" / "out.txt", "aug524": matrix_files["aug524"],
-             "toy": toy, "long": long, "in535": in535, "tmp": tmp_path}
+             "toy": toy, "long": long, "in535": in535, "tmp": tmp_path, "header": _headers(tmp_path)}
     return [a.format(**paths) for a in argv]
+
+
+def _snapshot(root) -> dict:
+    """Every path under root, with its bytes when it is a file."""
+    return {path: path.read_bytes() if path.is_file() else None for path in root.rglob("*")}
 
 
 @pytest.mark.parametrize("argv, budget, prefix", EXIT_2_CASES.values(), ids=EXIT_2_CASES.keys())
@@ -737,14 +776,21 @@ def test_exit_2_contract(matrix_files, tmp_path, capsys, monkeypatch, argv, budg
         monkeypatch.delenv("NORMBCH_BUDGET", raising=False)
     else:
         monkeypatch.setenv("NORMBCH_BUDGET", budget)
-    argv = _fill(argv, matrix_files, tmp_path)
-    files = {path: path.read_bytes() for path in tmp_path.rglob("*")}
+    *argv, prefix = _fill([*argv, prefix], matrix_files, tmp_path)
+    files = _snapshot(tmp_path)
     code, stdout, stderr = run(capsys, *argv)
     assert code == 2
     assert stdout == ""
     assert len(stderr.splitlines()) == 1
     assert stderr.startswith(prefix)
-    assert {path: path.read_bytes() for path in tmp_path.rglob("*")} == files  # no file created or changed
+    assert _snapshot(tmp_path) == files  # no file or directory created, no file changed
+
+
+@pytest.mark.parametrize("name, code, verdict", [("n-2^20", 1, "counterexample"), ("q-32749", 0, "certified")])
+def test_header_limits_accepted(tmp_path, capsys, name, code, verdict):
+    # the largest length and alphabet the reader takes, beside the refusals of EXIT_2_CASES
+    got, stdout, _ = run(capsys, "verify-distance", "--matrix", str(_headers(tmp_path) / name), "--d", "2")
+    assert (got, stdout.splitlines()[0]) == (code, f"verdict={verdict}")
 
 
 # Each writing subcommand: argv without --out, as in EXIT_2_CASES, and the engine it runs.

@@ -1,9 +1,11 @@
 import math
 import random
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from normbch import (
     BudgetExceededError,
@@ -231,10 +233,11 @@ class TestOrbitRoute:
             "target-6": (aug, 6, False),
             "one-entry-changed": (ParityCheckMatrix(5, changed, aug.blocks), 5, True),
             "norm-row-scaled": (ParityCheckMatrix(5, scaled, aug.blocks), 5, True),
+            "column-dropped": (ParityCheckMatrix(5, aug.rows[:, :-1], aug.blocks), 5, False),  # n = 124, no 5^m
         }
 
     @pytest.mark.parametrize("case", ["bch-only", "renamed-block", "reordered-blocks", "target-4", "target-6",
-                                      "one-entry-changed", "norm-row-scaled"])
+                                      "one-entry-changed", "norm-row-scaled", "column-dropped"])
     def test_other_matrices_fall_back(self, case, monkeypatch):
         matrix, d, passes_header = self.fallback_cases()[case]
         budget = math.comb(matrix.n, d - 1)
@@ -242,11 +245,59 @@ class TestOrbitRoute:
             monkeypatch.setattr(verify, "augmented_matrix", must_not_run)
         assert not _orbit_certifies(matrix, d)
         cert = min_distance_at_least(matrix, d, budget=budget)
-        certified = case in ("renamed-block", "reordered-blocks", "target-4", "norm-row-scaled")
+        certified = case in ("renamed-block", "reordered-blocks", "target-4", "norm-row-scaled", "column-dropped")
         assert cert.verdict == ("certified" if certified else "counterexample")
         if not certified:
             assert cert.counterexample.weight < d
             assert not syndrome(matrix, cert.counterexample).any()
+
+    @given(data=st.data())
+    def test_mutants_get_the_engine_verdict(self, ha524, ha535, data):
+        # One mutation of a member's augmented matrix: the certificate must be the engine's alone, field for
+        # field, and at n = 25 the colex-first dependent subset of the oracle.  A mutation that keeps the
+        # rows or their span keeps the member's verdict.
+        matrix, d = data.draw(st.sampled_from([(ha524, 4), (ha535, 5)]))
+        q, rows, blocks = matrix.q, matrix.rows.copy(), list(matrix.blocks)
+        (r, n), s = rows.shape, blocks[-1][1]
+        kind = data.draw(st.sampled_from(["entry", "swap", "scale-norm", "add-base", "drop-block", "rename-block"]))
+        if kind == "entry":
+            i, j = data.draw(st.integers(0, r - 1)), data.draw(st.integers(0, n - 1))
+            rows[i, j] = (rows[i, j] + data.draw(st.integers(1, q - 1))) % q
+        elif kind == "swap":
+            j, k = data.draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+            rows[:, [j, k]] = rows[:, [k, j]]
+        elif kind == "scale-norm":
+            i = data.draw(st.integers(r - s, r - 1))
+            rows[i] = rows[i] * data.draw(st.integers(2, q - 1)) % q
+        elif kind == "add-base":
+            i, k = data.draw(st.lists(st.integers(0, r - s - 1), min_size=2, max_size=2, unique=True))
+            rows[k] = (rows[k] + rows[i]) % q
+        else:
+            b = data.draw(st.integers(0, len(blocks) - 1))
+            name, count = blocks[b]
+            if kind == "drop-block":
+                start = sum(c for _, c in blocks[:b])
+                rows = np.delete(rows, np.arange(start, start + count), axis=0)
+                del blocks[b]
+            else:
+                names = [other for other, _ in blocks if other != name] + [name + "x"]
+                blocks[b] = (data.draw(st.sampled_from(names)), count)
+        mutant = ParityCheckMatrix(q, rows, blocks)
+        w = d - 1
+        budget = math.comb(n, w)
+        routed = min_distance_at_least(mutant, d, budget=budget)
+        with mock.patch.object(verify, "_orbit_certifies", lambda matrix, d: False):
+            generic = min_distance_at_least(mutant, d, budget=budget)
+        assert certificate_fields(routed) == certificate_fields(generic)
+        if kind in ("scale-norm", "add-base", "rename-block"):
+            assert routed.certified
+        if n == 25:
+            want = colex_first_dependent(mutant.rows.tolist(), q, w)
+            assert routed.certified == (want is None)
+            if want is not None:
+                assert routed.subsets_examined == want[0]
+                word = routed.counterexample
+                assert (word.support, word.coeffs) == dependency_word(mutant.rows.tolist(), q, want[1])
 
     @pytest.mark.parametrize("qmd", [(5, 2, 4), (5, 3, 5), (2, 4, 5), (7, 2, 6)], ids=lambda qmd: "%d-%d-%d" % qmd)
     def test_invariance_check(self, qmd):
@@ -256,6 +307,12 @@ class TestOrbitRoute:
         assert not _affine_invariant(matrix.rows[1:], field)  # x -> e*x keeps these rows, x -> x+1 does not
         swapped = matrix.rows[:, [1, 0, *range(2, matrix.n)]]  # locators e and e^2 trade columns
         assert not _affine_invariant(swapped, field)
+
+    def test_huge_target_declines_before_the_layout(self, ha524, monkeypatch):
+        # C(25, 25) = 1 passes the budget at any target; a layout of d-1 blocks would not fit in memory
+        monkeypatch.setattr(verify, "augmented_blocks", must_not_run)
+        cert = min_distance_at_least(ha524, 10**12)
+        assert (cert.verdict, cert.subsets_examined) == ("counterexample", 1)
 
     def test_budget_refusal_comes_first(self, ha535, monkeypatch):
         monkeypatch.setattr(verify, "_orbit_certifies", must_not_run)
