@@ -9,17 +9,17 @@ case, lists comma-joined and a dict as `name:count,...`.  That text goes
 to stdout and to the verify-distance and check-lines --out files, and
 --json prints the record itself.
 Exit codes: 0 success or certified, 1 mathematical counterexample or
-violation, 2 usage, parameter, file or budget error, 141 (128 + SIGPIPE)
-stdout closed by its reader, with nothing on stderr.  Subcommands only
-compute: each returns its exit code, stdout text and --out text (with
-its SHA-256 when it holds one) and raises on bad input.  _run alone
-writes: it refuses an --out or manifest path that names the run's
-input, opens --out and <out>.manifest.json before the work, writes
-both after it, hashing the output from memory, and prints stdout last;
-a failed run removes the files it created and keeps the bytes of those
+violation, 2 usage, parameter, file or budget error, 70 internal error,
+141 (128 + SIGPIPE) stdout closed by its reader, with nothing on stderr.
+Subcommands only compute: each returns its exit code, stdout text and
+--out text (with its SHA-256 when it holds one) and raises on bad input.
+_run alone writes: it refuses an --out or manifest path that names the
+run's input, opens --out and <out>.manifest.json before the work, writes
+both after it, hashing the output from memory, and prints stdout last; a
+failed run removes the files it created and keeps the bytes of those
 that existed.  main() alone turns BudgetExceededError, OSError and
-ValueError into exit 2 with one stderr line (any other exception is a
-bug and keeps its traceback).  The manifest records parameters,
+ValueError into exit 2 with one stderr line; any other exception is a
+bug, and exits 70 with its traceback.  The manifest records parameters,
 input/output hashes, seed and timing; re-running with its parameters
 reproduces byte-identical primary outputs.
 Each subcommand imports its own engine when it runs, so a process loads
@@ -43,6 +43,7 @@ from .errors import DEFAULT_SUBSET_BUDGET, BudgetExceededError
 EXIT_OK = 0
 EXIT_COUNTEREXAMPLE = 1
 EXIT_ERROR = 2
+EXIT_SOFTWARE = 70  # EX_SOFTWARE of sysexits.h: an internal error, never a verdict
 EXIT_BROKEN_PIPE = 128 + 13  # as if killed by SIGPIPE, the shell's code for `cmd | head`
 MAX_TABLE_CELLS = 100_000  # bounds --table takes about 4 s and prints 3 MB at this size
 
@@ -329,6 +330,10 @@ def main(argv=None) -> int:
         message = f"file error: {exc}"
     except ValueError as exc:
         message = f"parameter error: {exc}"
+    except Exception:  # a bug, such as a failed self-check, or memory ran out
+        import traceback  # here alone, so start-up loads no more
+        traceback.print_exc()
+        return EXIT_SOFTWARE
     print(message, file=sys.stderr)
     return EXIT_ERROR
 

@@ -28,6 +28,7 @@ from .field import (
     DEFAULT_MAX_FIELD_SIZE,
     FieldElement,
     FieldMismatchError,
+    check_field_size,
     is_prime,
     make_basis_pair,
     make_field,
@@ -69,8 +70,18 @@ def _alphabet_violation(q: int) -> str | None:
         return f"q={q} is not prime (this implementation supports prime alphabets)"
 
 
-def _blocks_violation(blocks, r: int) -> str | None:
-    """Why block row counts cannot head r rows, or None; built and read matrices share this rule."""
+def _header_violation(q: int, n: int, r: int, blocks) -> str | None:
+    """Why q, n, r and blocks cannot head a matrix file, or None; built and read matrices share this rule."""
+    if alphabet := _alphabet_violation(q):
+        return alphabet
+    if n < 1:
+        return f"n={n} is not a positive length"
+    if n > DEFAULT_MAX_FIELD_SIZE:
+        return f"n={n} exceeds the field size budget {DEFAULT_MAX_FIELD_SIZE}"
+    if not blocks:
+        return "the block list is empty"
+    if unfit := [name for name, _ in blocks if not name.isprintable() or set(name) & set(" ,:")]:
+        return f"block name {unfit[0]!r} is not printable text without spaces, ',' or ':'"
     if negative := [f"{name}:{count}" for name, count in blocks if count < 0]:
         return f"block {negative[0]} has a negative row count"
     if sum(count for _, count in blocks) != r:
@@ -187,11 +198,12 @@ class ParityCheckMatrix:
     """
 
     def __init__(self, q, rows, blocks, locators=None):
+        self.blocks = tuple((str(name), int(count)) for name, count in blocks)
+        r, n = np.shape(rows)
+        if violation := _header_violation(q, n, r, self.blocks):
+            raise ValueError(violation)
         self.q = q
         self.rows = np.ascontiguousarray(np.asarray(rows, dtype=np.int16) % q)
-        self.blocks = tuple((str(name), int(count)) for name, count in blocks)
-        if violation := _blocks_violation(self.blocks, self.rows.shape[0]):
-            raise ValueError(violation)
         self.locators = locators
         self._rank: int | None = None
         self._text: str | None = None
@@ -248,6 +260,7 @@ def _require_buildable(params: CodeParams) -> None:
         raise ValueError(f"d={params.d} is below 3; no matrix is defined")
     if params.m < 1 or _alphabet_violation(params.q):
         raise ValueError("matrix construction needs a prime q and positive m: " + "; ".join(params.violations))
+    check_field_size(params.q, params.m)
 
 
 def augmented_blocks(params: CodeParams) -> tuple[tuple[str, int], ...]:
@@ -288,8 +301,8 @@ def augmented_matrix(params: CodeParams) -> ParityCheckMatrix:
     if params.d == 3:
         raise ValueError("d=3 needs no norm rows; use bch_matrix, whose code already has distance 3")
     _require_buildable(params)
+    bp = make_basis_pair(params.q, params.m, params.d)  # refuses GF(q^mu) beyond the budget before the base rows
     base = bch_matrix(params)
-    bp = make_basis_pair(params.q, params.m, params.d)
     q, s, n = params.q, params.s, params.n
     field_mu = bp.field_mu
     # Work in the log domain: the embedded locators y = embed_hat(e^j) are
@@ -339,12 +352,11 @@ def read_matrix_file(path) -> ParityCheckMatrix:
     The body is read by one np.loadtxt call.  When that fails, or when the
     body holds what loadtxt takes but the format does not, a line-by-line
     pass raises ValueError naming the first bad line: a wrong entry count,
-    or an entry that is not ASCII digits below q.  A bad header, a length
-    n outside [1, DEFAULT_MAX_FIELD_SIZE], and block row counts that are
-    negative or do not sum to r are named as line 1, a wrong row count by
-    the file alone.
+    or an entry that is not ASCII digits below q.  A bad header, and one
+    that _header_violation refuses, are named as line 1, a wrong row
+    count by the file alone.
     """
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:  # as _run writes it, whatever the locale
         header, *body = fh.read().rstrip().splitlines() or [""]
     try:
         fields = dict(part.split("=", 1) for part in header.split())
@@ -355,13 +367,7 @@ def read_matrix_file(path) -> ParityCheckMatrix:
     except (KeyError, ValueError):
         form = "q=<prime> n=<n> r=<r> blocks=<name:count,...>"
         raise ValueError(f"{path}:1: header {header!r} is not {form}") from None
-    if alphabet := _alphabet_violation(q):
-        raise ValueError(f"{path}:1: {alphabet}")
-    if n < 1:
-        raise ValueError(f"{path}:1: n={n} is not a positive length")
-    if n > DEFAULT_MAX_FIELD_SIZE:
-        raise ValueError(f"{path}:1: n={n} exceeds the field size budget {DEFAULT_MAX_FIELD_SIZE}")
-    if violation := _blocks_violation(blocks, r):
+    if violation := _header_violation(q, n, r, blocks):
         raise ValueError(f"{path}:1: {violation}")
     if len(body) != r:
         raise ValueError(f"{path}: {len(body)} rows after the header, expected r={r}")

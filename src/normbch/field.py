@@ -6,14 +6,14 @@ digit first, are the coordinates in the polynomial basis
 defining polynomial is the lexicographically smallest monic polynomial
 of degree k (coefficients compared low degree first) modulo which x has
 multiplicative order p^k - 1; the residue class of x is then the
-canonical primitive element e.  The search tests each candidate by
-order, x^N = 1 and x^(N/r) != 1 for the primes r dividing N = p^k - 1,
-on batches of candidates at once, and skips constant terms whose norm
-cannot generate GF(p)*.  The antilog table (the powers of e) is built
-once, for the chosen modulus, and the log table is its inverse
-permutation; both are numpy arrays.  The search and the table take
-every power of x from the float64 companion matrix of y -> x*y, so the
-products run through BLAS: the search squares it, and the table
+canonical primitive element e.  The search tests one candidate at a
+time by order, x^N = 1 and x^(N/r) != 1 for the primes r dividing
+N = p^k - 1, drops it at its first failed exponent, and skips constant
+terms whose norm cannot generate GF(p)*.  The antilog table (the powers
+of e) is built once, for the chosen modulus, and the log table is its
+inverse permutation; both are numpy arrays.  The search and the table
+take every power of x from the float64 companion matrix of y -> x*y, so
+the products run through BLAS: the search squares it, and the table
 multiplies blocks of consecutive powers by a power of it.  This fixed
 choice makes every field, basis and matrix in the package
 bit-reproducible across runs.
@@ -43,6 +43,7 @@ on first use, from the antilog and log tables alone.
 
 from __future__ import annotations
 
+import itertools
 from functools import cached_property, lru_cache
 from typing import Iterator
 
@@ -76,34 +77,26 @@ def _prime_factors(n: int) -> list[int]:
     return out
 
 
-def _companions(tails, p: int) -> np.ndarray:
-    """The float64 matrix of y -> x*y modulo each monic x^k + tail, one per row of tails.
-
-    The matrices act on coordinate columns, low degree first.
-    """
-    count, k = tails.shape
-    mult = np.zeros((count, k, k))
-    mult[:, 1:, :-1] = np.eye(k - 1)
-    mult[:, :, -1] = -tails % p
+def _companion(tail, p: int) -> np.ndarray:
+    """The float64 matrix of y -> x*y modulo the monic x^k + tail, on coordinate columns, low degree first."""
+    mult = np.eye(len(tail), k=-1)
+    mult[:, -1] = -np.asarray(tail) % p
     return mult
 
 
-def _x_power(tails, exponent: int, p: int) -> np.ndarray:
-    """Coordinates of x^exponent, exponent >= 1, modulo each monic x^k + tail, one row per tail.
+def _x_power(tail, exponent: int, p: int) -> np.ndarray:
+    """Coordinates of x^exponent, exponent >= 1, modulo the monic x^k + tail.
 
-    Squares and multiplies the companion matrices; the first column of
+    Squares and multiplies the companion matrix; the first column of
     the matrix of x^exponent is its coordinate vector.
     """
-    mult = _companions(tails, p)
+    mult = _companion(tail, p)
     acc = mult
     for bit in bin(exponent)[3:]:
         acc = _mod(acc @ acc, p)
         if bit == "1":
             acc = _mod(mult @ acc, p)
-    return acc[:, :, 0]
-
-
-_SEARCH_BATCH = 256  # candidate moduli tested per numpy pass
+    return acc[:, 0]
 
 
 def _primitive_modulus(p: int, k: int) -> tuple[int, ...]:
@@ -111,29 +104,21 @@ def _primitive_modulus(p: int, k: int) -> tuple[int, ...]:
 
     Candidates are the tails (c0, ..., c_{k-1}), c0 most significant.  A
     residue x of order N = p^k - 1 has norm (-1)^k * c0 generating GF(p)*,
-    so blocks of c0 failing that are skipped; each other candidate is
-    kept when x^N = 1 and x^(N/r) != 1 for every prime r dividing N.  Only
-    a field has N units, so the winner is irreducible and x primitive.
+    so each c0 failing that is skipped; each other candidate is kept
+    when x^N = 1 and x^(N/r) != 1 for every prime r dividing N, and
+    dropped at its first failed exponent.  Only a field has N units, so
+    the winner is irreducible and x primitive.
     """
     order = p**k - 1
-    cofactors = [order // r for r in _prime_factors(order)]
+    checks = [(order, True)] + [(order // r, False) for r in _prime_factors(order)]
     unit_factors = _prime_factors(p - 1)
-    generators = {c for c in range(1, p) if all(pow(c, (p - 1) // r, p) != 1 for r in unit_factors)}
-    place = p ** np.arange(k - 2, -1, -1, dtype=np.int64)
     for c0 in range(1, p):
-        if (-1) ** k * c0 % p not in generators:
+        if any(pow((-1) ** k * c0 % p, (p - 1) // r, p) == 1 for r in unit_factors):
             continue
-        for start in range(0, p ** (k - 1), _SEARCH_BATCH):
-            index = np.arange(start, min(start + _SEARCH_BATCH, p ** (k - 1)), dtype=np.int64)
-            alive = np.empty((len(index), k), dtype=np.int64)
-            alive[:, 0] = c0
-            alive[:, 1:] = index[:, None] // place % p
-            for exponent, want_one in [(order, True)] + [(c, False) for c in cofactors]:
-                power = _x_power(alive, exponent, p)
-                is_one = (power[:, 0] == 1) & ~power[:, 1:].any(axis=1)
-                alive = alive[is_one == want_one]
-            if len(alive):
-                return tuple(int(c) for c in alive[0]) + (1,)
+        for rest in itertools.product(range(p), repeat=k - 1):
+            tail = (c0, *rest)
+            if all(np.array_equal(_x_power(tail, exponent, p), np.eye(k)[0]) == want for exponent, want in checks):
+                return tail + (1,)
     raise RuntimeError(f"no primitive polynomial of degree {k} over GF({p})")
 
 
@@ -146,7 +131,7 @@ def _powers_of_x(modulus, p: int) -> np.ndarray:
     """
     k = len(modulus) - 1
     n = p**k - 1
-    mult = _companions(np.array([modulus[:-1]]), p)[0]
+    mult = _companion(modulus[:-1], p)
     block = np.eye(k, 1)
     while block.shape[1] ** 2 < n:
         block = np.hstack([block, _mod(mult @ block, p)])
@@ -330,13 +315,15 @@ def make_field(p: int, total_degree: int) -> Field:
 
     Cached on (p, total_degree), so every call for one field returns the
     same object and their elements interoperate directly.
-    DEFAULT_MAX_FIELD_SIZE is checked on every call, cached or not, and
-    p^total_degree is computed only for a degree that 2^degree <=
-    DEFAULT_MAX_FIELD_SIZE admits.
     """
+    check_field_size(p, total_degree)
+    return _cached_field(p, total_degree)
+
+
+def check_field_size(p: int, total_degree: int) -> None:
+    """Refuse p^total_degree above DEFAULT_MAX_FIELD_SIZE, computed only for a degree 2^degree <= it admits."""
     if total_degree >= DEFAULT_MAX_FIELD_SIZE.bit_length() or p**total_degree > DEFAULT_MAX_FIELD_SIZE:
         raise ValueError(f"field size {p}^{total_degree} exceeds the budget {DEFAULT_MAX_FIELD_SIZE}")
-    return _cached_field(p, total_degree)
 
 
 @lru_cache(maxsize=None)

@@ -63,6 +63,7 @@ from .construct import (
     CodeParams,
     Codeword,
     ParityCheckMatrix,
+    _require_buildable,
     augmented_blocks,
     augmented_matrix,
     bch_matrix,
@@ -486,9 +487,10 @@ def verify_lines_theorem(
         raise ValueError("line validation needs d >= 4 (below that any support is collinear)")
     if not params.valid and not experimental:
         raise ValueError("parameters violate the hypotheses: " + "; ".join(params.violations))
-    matrix = bch_matrix(params)
+    _require_buildable(params)  # a parameter error outranks the budget refusal, which comes before the build
     n, q, v = params.n, params.q, params.d - 1
     total = _subset_count(n, v, budget)
+    matrix = bch_matrix(params)
     _, ys, on = _survey(matrix.rows, matrix.locators, q, params.d, v)
     return LinesReport(
         params=params,

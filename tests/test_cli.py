@@ -9,6 +9,7 @@ import re
 import subprocess
 import sys
 import time
+import traceback
 from pathlib import Path
 
 import pytest
@@ -704,6 +705,18 @@ EXIT_2_CASES = {
                        None, "parameter error: invalid parameters:"),
     "check-lines-m-beyond-field-budget": (
         ["check-lines", "--q", "5", "--m", "3000000", "--d", "5", "--experimental"], None, "parameter error:"),
+    "check-lines-q-beyond-int16-experimental": (  # the alphabet rule before the subset budget
+        ["check-lines", "--q", "40009", "--m", "1", "--d", "4", "--experimental"],
+        None, "parameter error: matrix construction needs a prime q and positive m: q=40009 exceeds 32767"),
+    "check-lines-field-beyond-budget-experimental": (  # the field budget before the subset budget
+        ["check-lines", "--q", "5", "--m", "9", "--d", "4", "--experimental"],
+        None, "parameter error: field size 5^9 exceeds the budget 1048576"),
+    "check-lines-576-beyond-subset-budget": (
+        ["check-lines", "--q", "5", "--m", "7", "--d", "6"],
+        None, "budget exceeded: about 10^22 subsets needed, budget is 20000000"),
+    "gencode-776-norm-field-beyond-budget": (
+        ["gencode", "--q", "7", "--m", "7", "--d", "6", "--out", "{tmp}/x.txt"],
+        None, "parameter error: field size 7^8 exceeds the budget 1048576"),
     "gencode-q-beyond-int16": (
         ["gencode", "--q", "40009", "--m", "1", "--d", "4", "--relaxed", "--out", "{tmp}/x.txt"],
         None, "parameter error: invalid parameters:"),
@@ -786,11 +799,51 @@ def test_exit_2_contract(matrix_files, tmp_path, capsys, monkeypatch, argv, budg
     assert _snapshot(tmp_path) == files  # no file or directory created, no file changed
 
 
+@pytest.mark.parametrize("case, unbuilt", [
+    ("check-lines-576-beyond-subset-budget", ["normbch.verify.bch_matrix", "normbch.construct.make_field"]),
+    ("gencode-776-norm-field-beyond-budget", ["normbch.construct.bch_matrix"]),
+])
+def test_refused_before_the_build(matrix_files, tmp_path, capsys, monkeypatch, case, unbuilt):
+    # the refusals of EXIT_2_CASES, with what they must not build patched to fail
+    def built(*args, **kwargs):
+        raise AssertionError("built before the refusal")
+
+    for target in unbuilt:
+        monkeypatch.setattr(target, built)
+    monkeypatch.delenv("NORMBCH_BUDGET", raising=False)
+    argv, _, message = EXIT_2_CASES[case]
+    code, stdout, stderr = run(capsys, *_fill(argv, matrix_files, tmp_path))
+    assert (code, stdout, stderr) == (2, "", message + "\n")
+
+
+@pytest.mark.parametrize("error", [RuntimeError("3 on-line representatives of weight 3, expected 1"), MemoryError()])
+def test_internal_error_exits_70(capsys, monkeypatch, error):
+    # a failed self-check or exhausted memory is a bug, never a counterexample (1) or a refusal (2)
+    def survey(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr("normbch.verify._survey", survey)
+    code, stdout, stderr = run(capsys, "check-lines", "--q", "5", "--m", "2", "--d", "4")
+    assert (code, stdout) == (70, "")
+    assert stderr.startswith("Traceback (most recent call last):\n")
+    assert stderr.endswith("".join(traceback.format_exception_only(error)))
+
+
 @pytest.mark.parametrize("name, code, verdict", [("n-2^20", 1, "counterexample"), ("q-32749", 0, "certified")])
 def test_header_limits_accepted(tmp_path, capsys, name, code, verdict):
     # the largest length and alphabet the reader takes, beside the refusals of EXIT_2_CASES
     got, stdout, _ = run(capsys, "verify-distance", "--matrix", str(_headers(tmp_path) / name), "--d", "2")
     assert (got, stdout.splitlines()[0]) == (code, f"verdict={verdict}")
+
+
+def test_matrix_file_reads_as_utf8_in_any_locale(tmp_path):
+    # a block name the header rule takes, written as _run writes, read back under an ASCII locale
+    path = tmp_path / "m.txt"
+    path.write_bytes("q=5 n=2 r=1 blocks=\u00e9:1\n1 2\n".encode("utf-8"))
+    env = dict(_child_env(), PYTHONUTF8="0", PYTHONCOERCECLOCALE="0", LC_ALL="C")
+    argv = [sys.executable, "-m", "normbch.cli", "verify-distance", "--matrix", str(path), "--d", "2"]
+    proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=120)
+    assert (proc.returncode, proc.stdout.splitlines()[:1], proc.stderr) == (0, ["verdict=certified"], "")
 
 
 # Each writing subcommand: argv without --out, as in EXIT_2_CASES, and the engine it runs.

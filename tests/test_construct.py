@@ -6,7 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from normbch import (
     _sha256_hex,
@@ -150,6 +150,15 @@ class TestAugmentedMatrix:
         stacked = np.vstack([h535.rows, ha535.rows])
         assert linalg.rank(stacked, 5) == ha535.rank()
 
+    def test_norm_field_refused_before_the_base_rows(self, monkeypatch):
+        # GF(7^7) is within the budget and GF(7^8), where the norm lives, is not
+        def built(*args, **kwargs):
+            raise AssertionError("base rows built before the refusal")
+
+        monkeypatch.setattr("normbch.construct.bch_matrix", built)
+        with pytest.raises(ValueError, match=r"^field size 7\^8 exceeds the budget 1048576$"):
+            augmented_matrix(validate_params(7, 7, 6))
+
     def test_d3_rejected(self):
         p = validate_params(5, 2, 3)
         with pytest.raises(ValueError, match="bch_matrix"):
@@ -258,23 +267,34 @@ class TestFiles:
         assert (back.rows == ha535.rows).all()
         assert back.to_text() == ha535.to_text()
 
+    @settings(max_examples=200)  # about 40% of the draws are refused
     @given(data=st.data())
     def test_matrix_file_roundtrip_property(self, tmp_path_factory, data):
-        q = data.draw(st.sampled_from([2, 3, 5, 7, 11, 32749]))
-        r = data.draw(st.integers(1, 4))
-        n = data.draw(st.integers(1, 6))
-        rows = data.draw(st.lists(st.lists(st.integers(0, q - 1), min_size=n, max_size=n),
-                                  min_size=r, max_size=r))
+        # The constructor refuses the matrix, and the reader its text, or the text reads back equal.
+        q = data.draw(st.sampled_from([2, 3, 5, 7, 11, 32749, 4, 40009]))
+        r = data.draw(st.integers(0, 4))
+        n = data.draw(st.integers(0, 6))
+        entries = data.draw(st.lists(st.integers(0, min(q, 32768) - 1), min_size=r * n, max_size=r * n))
+        rows = np.array(entries, dtype=np.int64).reshape(r, n)
         cuts = sorted(data.draw(st.sets(st.integers(1, r - 1)))) if r > 1 else []
-        names = data.draw(st.lists(st.from_regex(r"[a-z][a-z0-9]{0,5}", fullmatch=True),
-                                   min_size=len(cuts) + 1, max_size=len(cuts) + 1))
         counts = [b - a for a, b in zip([0] + cuts, cuts + [r])]
-        matrix = ParityCheckMatrix(q, rows, list(zip(names, counts)))
+        names = data.draw(st.lists(st.text(max_size=4) | st.from_regex(r"[a-z][a-z0-9]{0,5}", fullmatch=True),
+                                   min_size=len(counts), max_size=len(counts)))
+        blocks = list(zip(names, counts)) if r or data.draw(st.booleans()) else []
+        header = f"q={q} n={n} r={r} blocks=" + ",".join(f"{name}:{count}" for name, count in blocks)
+        text = "\n".join([header] + [" ".join(map(str, row)) for row in rows.tolist()]) + "\n"
         path = tmp_path_factory.mktemp("roundtrip") / "m.txt"
-        path.write_text(matrix.to_text())
+        path.write_text(text, encoding="utf-8", errors="surrogatepass")
+        try:
+            matrix = ParityCheckMatrix(q, rows, blocks)
+        except ValueError:
+            with pytest.raises(ValueError):
+                read_matrix_file(path)
+            return
+        assert matrix.to_text() == text
         back = read_matrix_file(path)
         assert (back.q, back.blocks, back.sha256()) == (q, matrix.blocks, matrix.sha256())
-        assert back.rows.tolist() == rows
+        assert back.rows.tolist() == rows.tolist()
 
     def test_matrix_file_in_other_spacing(self, tmp_path):
         # tabs, runs of spaces and leading zeros are not the written form; the line reader takes them
@@ -331,9 +351,11 @@ class TestFiles:
          ("q=32749 n=1 r=1 blocks=x:1\n1\u01fe2\n", ":2: entry '1\u01fe2' is not a digit in [0, 32749)"),
          ("q=5 n=0 r=0 blocks=x:0\n", ":1: n=0 is not a positive length"),
          ("q=5 n=3 r=2 blocks=ones:3,pow1:-1\n1 1 1\n0 1 2\n", ":1: block pow1:-1 has a negative row count"),
-         ("q=5 n=3 r=2 blocks=ones:1,pow1:2\n1 1 1\n0 1 2\n", ":1: block row counts do not sum to r=2")],
+         ("q=5 n=3 r=2 blocks=ones:1,pow1:2\n1 1 1\n0 1 2\n", ":1: block row counts do not sum to r=2"),
+         ("q=5 n=3 r=1 blocks=a\x01:1\n1 1 1\n",
+          ":1: block name 'a\\x01' is not printable text without spaces, ',' or ':'")],
         ids=["plus-sign", "minus-zero", "beyond-int64", "blank-line", "arabic-indic-digit", "latin-letter",
-             "zero-length", "negative-block", "block-sum"],
+             "zero-length", "negative-block", "block-sum", "unprintable-name"],
     )
     def test_matrix_file_refusals_name_the_line(self, tmp_path, text, message):
         path = tmp_path / "m.txt"
@@ -341,6 +363,26 @@ class TestFiles:
         with pytest.raises(ValueError) as err:
             read_matrix_file(path)
         assert str(err.value) == f"{path}{message}"
+
+    @pytest.mark.parametrize(
+        "q, shape, blocks, message",
+        [(4, (1, 3), [("x", 1)], "q=4 is not prime (this implementation supports prime alphabets)"),
+         (40009, (1, 3), [("x", 1)], "q=40009 exceeds 32767, the largest alphabet of the int16 matrix entries"),
+         (5, (1, 0), [("x", 1)], "n=0 is not a positive length"),
+         (5, (0, 2**20 + 1), [("x", 0)], "n=1048577 exceeds the field size budget 1048576"),
+         (5, (0, 3), [], "the block list is empty"),
+         (5, (1, 3), [("a b", 1)], "block name 'a b' is not printable text without spaces, ',' or ':'"),
+         (5, (1, 3), [("a,b", 1)], "block name 'a,b' is not printable text without spaces, ',' or ':'"),
+         (5, (1, 3), [("x", 0), ("a:b", 1)], "block name 'a:b' is not printable text without spaces, ',' or ':'"),
+         (5, (1, 3), [("a\tb", 1)], "block name 'a\\tb' is not printable text without spaces, ',' or ':'"),
+         (5, (1, 3), [("a\u2028", 1)], "block name 'a\\u2028' is not printable text without spaces, ',' or ':'")],
+        ids=["q-4", "q-40009", "n-0", "n-2^20+1", "no-blocks", "space", "comma", "colon", "tab", "line-separator"],
+    )
+    def test_header_rule_refused_on_construction(self, q, shape, blocks, message):
+        # the reader's header rule, so no program builds a matrix whose file the reader refuses
+        with pytest.raises(ValueError) as err:
+            ParityCheckMatrix(q, np.ones(shape, dtype=np.int64), blocks)
+        assert str(err.value) == message
 
     def test_negative_block_count_refused_on_construction(self):
         # so no program builds a matrix whose header the reader refuses

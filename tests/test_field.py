@@ -91,11 +91,16 @@ class TestMakeField:
 
     @pytest.mark.parametrize(
         "p,k,modulus",
-        [(5, 7, (2, 0, 0, 0, 0, 0, 1, 1)), (5, 8, (2, 0, 0, 0, 0, 0, 2, 1, 1)), (2, 20, (1,) + (0,) * 16 + (1, 0, 0, 1))],
+        [(5, 7, (2, 0, 0, 0, 0, 0, 1, 1)), (5, 8, (2, 0, 0, 0, 0, 0, 2, 1, 1)), (2, 20, (1,) + (0,) * 16 + (1, 0, 0, 1)),
+         (3, 12, (2, 0, 0, 0, 0, 0, 0, 0, 1, 1, 1, 2, 1)), (13, 4, (2, 0, 2, 6, 1)),
+         (3, 9, (1, 0, 0, 0, 0, 0, 2, 1, 0, 1)), (1021, 2, (10, 1, 1)), (32749, 1, (2, 1))],
     )
     def test_large_field_modulus(self, p, k, modulus):
         # GF(5^7) and GF(5^8) carry the d = 6 member (5,7,6); GF(2^20) is
-        # the largest field within the default budget
+        # the largest field within the default budget.  Of the fields the
+        # d = 4..8 members build, GF(3^12), GF(13^4) and GF(3^9) take the
+        # most candidates (42, 33 and 22); GF(1021^2) and GF(32749) have
+        # the largest prime fields.
         assert make_field(p, k).modulus == modulus
         assert is_irreducible(list(modulus), p)
         assert order_of_x(list(modulus), p) == p**k - 1
@@ -118,21 +123,19 @@ class TestSearchKernel:
         field = make_field(p, k)
         rng = random.Random(p + k)
         exponents = [1, field.size - 2, field.size - 1] + [rng.randrange(1, 10 * field.size) for _ in range(30)]
-        tails = np.array([field.modulus[:-1]] * len(exponents))
         for exponent in exponents:
-            powers = _x_power(tails, exponent, p).astype(np.int64)
-            assert (field.encode_array(powers.T) == field.power_array([exponent])).all()
+            power = _x_power(field.modulus[:-1], exponent, p).astype(np.int64)
+            assert field.encode_array(power) == field.power_array(exponent)
 
     @pytest.mark.parametrize("p,k", [(2, 5), (3, 4), (7, 3), (13, 2)])
     def test_x_power_batch_matches_oracle(self, p, k):
-        # arbitrary monic moduli, reducible ones included, each row reduced independently
+        # a batch of arbitrary monic moduli, reducible ones included, each with its own companion matrix
         rng = random.Random(10 * p + k)
-        tails = np.array([[rng.randrange(p) for _ in range(k)] for _ in range(40)])
+        tails = [[rng.randrange(p) for _ in range(k)] for _ in range(40)]
         for exponent in [1, 2, p**k - 1, rng.randrange(1, 10**6)]:
-            got = _x_power(tails, exponent, p).astype(np.int64).tolist()
-            for row, tail in zip(got, tails.tolist()):
+            for tail in tails:
                 want = poly_powmod([0, 1], exponent, tail + [1], p)
-                assert row == want + [0] * (k - len(want))
+                assert _x_power(tail, exponent, p).astype(np.int64).tolist() == want + [0] * (k - len(want))
 
     def test_is_prime_matches_a_sieve(self):
         limit = 10**4
