@@ -6,11 +6,11 @@ locators enumerate the whole field exactly once.  LocatorTable is the
 one map from columns to locators.  A matrix is a dense
 numpy array over GF(q) with one column per position plus row-block
 metadata; the base construction stacks an all-ones row with the
-h-coordinates of the locator powers e_j^t for t = 1..d-3, and the
+h-coordinates of the locator powers y_j^t for t = 1..d-3, and the
 augmented construction appends s rows holding the leading g-coordinates
 of the norm of each embedded locator.  Both are built a row block at a
-time from the field's log and antilog tables: e_j^t is e^(j*t), and the
-norm is a multiple of the discrete log.
+time from the encoded locators of all n columns by the field's power:
+the norm is the power norm_exponent, and locator 0 gives 0^t = 0.
 
 Row and coordinate order is fixed (all-ones first, then t ascending,
 then basis coordinate ascending) so that two builds with equal
@@ -161,7 +161,8 @@ class LocatorTable:
     """Column-to-locator map for one field: e^1, ..., e^(n-1), then 0.
 
     encoded reads it from the field's antilog table for arrays of
-    columns, locator for one position; position_of inverts it.
+    columns, locator for one position; columns inverts encoded on arrays,
+    position_of on one locator.
     """
 
     def __init__(self, field):
@@ -178,12 +179,15 @@ class LocatorTable:
             raise ValueError(f"position {position} out of range [1, {self.n}]")
         return FieldElement(self.field, self.encoded(position - 1).item())
 
+    def columns(self, vals) -> np.ndarray:
+        """0-based columns of an array of encoded locators: n-1 for 0, j for e^(j+1)."""
+        vals = np.asarray(vals)
+        return np.where(vals == 0, self.n - 1, (self.field.log_array(vals) - 1) % (self.n - 1))
+
     def position_of(self, x: FieldElement) -> int:
         if x.field != self.field:
             raise FieldMismatchError("locator from a different field")
-        if not x:
-            return self.n
-        return (int(self.field.log_array(x.val)) - 1) % (self.n - 1) + 1
+        return int(self.columns(x.val)) + 1
 
 
 def build_locators(params: CodeParams) -> LocatorTable:
@@ -269,33 +273,32 @@ def augmented_blocks(params: CodeParams) -> tuple[tuple[str, int], ...]:
 
 
 def bch_matrix(params: CodeParams) -> ParityCheckMatrix:
-    """Base matrix: all-ones row, then h-coordinates of e_j^t for t = 1..d-3.
+    """Base matrix: all-ones row, then h-coordinates of y_j^t for t = 1..d-3.
 
-    Row block t, column j < n holds the coordinates of e^(j*t), read
-    from the antilog table.  The extended position n has locator 0, so
-    its column is 1 in the all-ones row and 0 elsewhere.  Row count is
-    (d-3)m + 1.
+    Row block t holds the coordinates of the power t of every encoded
+    locator y_j.  The extended position n has locator 0, so its column
+    is 1 in the all-ones row and, as 0^t = 0, 0 elsewhere.  Row count
+    is (d-3)m + 1.
     """
     _require_buildable(params)
     loc = build_locators(params)
-    q, m, d, n = params.q, params.m, params.d, params.n
-    field = loc.field
-    positions = np.arange(1, n)
-    rows = np.zeros((1 + (d - 3) * m, n), dtype=np.int16)
-    rows[0, :] = 1
-    for t in range(1, d - 2):
-        rows[1 + (t - 1) * m : 1 + t * m, :-1] = field.coords_array(field.power_array(positions * t))
-    return ParityCheckMatrix(q, rows, augmented_blocks(params)[:-1], locators=loc)
+    m, field = params.m, loc.field
+    ys = loc.encoded(np.arange(params.n))
+    rows = np.ones((1 + (params.d - 3) * m, params.n), dtype=np.int16)
+    for t in range(1, params.d - 2):
+        rows[1 + (t - 1) * m : 1 + t * m] = field.coords_array(field.power(ys, t))
+    return ParityCheckMatrix(params.q, rows, augmented_blocks(params)[:-1], locators=loc)
 
 
 def augmented_matrix(params: CodeParams) -> ParityCheckMatrix:
-    """Base matrix plus s norm rows (leading g-coordinates of norm(embed(e_j))).
+    """Base matrix plus s norm rows (leading g-coordinates of norm(embed(y_j))).
 
     All locators are embedded at once (embed_hat as a linear map on
-    coordinate columns) and normed in the log domain.  Every norm value
-    provably lies in the GF(q^s) subfield spanned by
-    g_1..g_s; the build checks that the trailing coordinates vanish and
-    treats a nonzero one as a basis construction bug.  Row count is
+    coordinate columns) and normed by one power of GF(q^mu), the
+    exponent norm_exponent; locator 0 embeds and norms to 0.  Every norm
+    value provably lies in the GF(q^s) subfield spanned by g_1..g_s; the
+    build checks that the trailing coordinates vanish and treats a
+    nonzero one as a basis construction bug.  Row count is
     (d-3)m + s + 1.
     """
     if params.d == 3:
@@ -303,21 +306,13 @@ def augmented_matrix(params: CodeParams) -> ParityCheckMatrix:
     _require_buildable(params)
     bp = make_basis_pair(params.q, params.m, params.d)  # refuses GF(q^mu) beyond the budget before the base rows
     base = bch_matrix(params)
-    q, s, n = params.q, params.s, params.n
-    field_mu = bp.field_mu
-    # Work in the log domain: the embedded locators y = embed_hat(e^j) are
-    # nonzero, and log norm(y) = E * log y mod (q^mu - 1), E =
-    # norm_exponent(q, s, d).  As E * (q^s - 1) = q^mu - 1, log y may be taken
-    # mod q^s - 1 first, which keeps the product below q^mu.  The last
-    # position (locator 0) keeps its zero column.
-    embedded = bp.embed_array(base.locators.encoded(np.arange(n - 1)))
-    logs = field_mu.log_array(embedded) % (q**s - 1) * norm_exponent(q, s, params.d)
-    coords = bp.g_coords(field_mu.power_array(logs))
+    q, s = params.q, params.s
+    embedded = bp.embed_array(base.locators.encoded(np.arange(params.n)))
+    coords = bp.g_coords(bp.field_mu.power(embedded, norm_exponent(q, s, params.d)))
     if coords[s:].any():
         raise RuntimeError("norm value has coordinates outside the g-prefix; basis construction bug")
-    norm_rows = np.zeros((s, n), dtype=np.int16)
-    norm_rows[:, :-1] = coords[:s]
-    return ParityCheckMatrix(q, np.vstack([base.rows, norm_rows]), augmented_blocks(params), locators=base.locators)
+    rows = np.vstack([base.rows, coords[:s].astype(np.int16)])
+    return ParityCheckMatrix(q, rows, augmented_blocks(params), locators=base.locators)
 
 
 def syndrome(matrix: ParityCheckMatrix, word: Codeword) -> np.ndarray:
@@ -340,9 +335,13 @@ def apply_affine_permutation(
     """
     if not b:
         raise ValueError("affine permutations need a nonzero multiplier")
-    pairs = sorted(
-        (loc.position_of(a + b * loc.locator(j)), c) for j, c in zip(word.support, word.coeffs)
-    )
+    if a.field is not loc.field or b.field is not loc.field:
+        raise FieldMismatchError("affine map over a different field")
+    if word.support and word.support[-1] > loc.n:
+        raise ValueError(f"position {word.support[-1]} out of range [1, {loc.n}]")
+    xs = loc.encoded(np.array(word.support, dtype=np.intp) - 1)
+    images = loc.columns(loc.field.add(a.val, loc.field.mul(b.val, xs))) + 1
+    pairs = sorted(zip(images.tolist(), word.coeffs))
     return Codeword(tuple(j for j, _ in pairs), tuple(c for _, c in pairs))
 
 

@@ -18,14 +18,14 @@ multiplies blocks of consecutive powers by a power of it.  This fixed
 choice makes every field, basis and matrix in the package
 bit-reproducible across runs.
 
-FieldElement is the element-at-a-time API.  Matrix construction works
-on arrays instead: power_array, log_array, coords_array and encode_array
-map whole columns through the tables.  FieldElement's operators and the
-affine-orbit route of verify read the same exp, log and Zech tables: a
-product is a sum of logs, and a sum a + b is a * (1 + b/a), one lookup
-in the Zech table zech[k] = log(1 + e^k).  An element lies in the prime
-field exactly when its encoding is below p, as its only nonzero digit
-is then the constant one.
+Arithmetic works on encoded values, ints or numpy arrays that broadcast:
+add is a + b = a * (1 + b/a), one lookup in the Zech table
+zech[k] = log(1 + e^k); mul is a sum of logs; power is a log times the
+exponent; each masks zero.  FieldElement, the element-at-a-time API, is
+their scalar case.  Matrices are built a column array at a time with
+them and with power_array, log_array, coords_array and encode_array.  An
+element lies in the prime field exactly when its encoding is below p, as
+its only nonzero digit is then the constant one.
 
 Field towers pair GF(q^m) with GF(q^mu), mu = s*(d-2) (norm_degrees),
 through two bases: h, the polynomial basis of GF(q^m), and g, a product
@@ -175,20 +175,9 @@ class FieldElement:
                 f"GF({other.field.p}^{other.field.degree}) cannot be combined"
             )
 
-    def _dlog(self) -> int:
-        """Discrete log base e of a nonzero element."""
-        return self.field._log.item(self.val)
-
-    def _from_log(self, k: int) -> "FieldElement":
-        """e^k, with k taken mod size - 1."""
-        return FieldElement(self.field, self.field._exp.item(k % (self.field.size - 1)))
-
     def __add__(self, other):
         self._check(other)
-        if not self.val or not other.val:
-            return FieldElement(self.field, self.val + other.val)
-        z = self.field.zech.item((other._dlog() - self._dlog()) % (self.field.size - 1))  # a + b = a * (1 + b/a)
-        return self.field.zero if z < 0 else self._from_log(self._dlog() + z)
+        return FieldElement(self.field, int(self.field.add(self.val, other.val)))
 
     def __sub__(self, other):
         self._check(other)
@@ -199,9 +188,7 @@ class FieldElement:
 
     def __mul__(self, other):
         self._check(other)
-        if not self.val or not other.val:
-            return self.field.zero
-        return self._from_log(self._dlog() + other._dlog())
+        return FieldElement(self.field, int(self.field.mul(self.val, other.val)))
 
     def __truediv__(self, other):
         self._check(other)
@@ -210,18 +197,14 @@ class FieldElement:
     def __pow__(self, exponent):
         if not isinstance(exponent, int):
             return NotImplemented
-        # For a nonzero base the exponent acts mod (size - 1) in the log
-        # domain, which also gives meaning to negative exponents.
-        if not self.val:
-            if exponent < 0:
-                raise ZeroDivisionError("zero cannot be raised to a negative power")
-            return self.field.one if exponent == 0 else self
-        return self._from_log(self._dlog() * exponent)
+        if not self.val and exponent < 0:
+            raise ZeroDivisionError("zero cannot be raised to a negative power")
+        return FieldElement(self.field, int(self.field.power(self.val, exponent)))
 
     def inverse(self) -> "FieldElement":
         if not self.val:
             raise ZeroDivisionError("zero has no multiplicative inverse")
-        return self._from_log(-self._dlog())
+        return self ** -1
 
     def __bool__(self) -> bool:
         return self.val != 0
@@ -274,7 +257,24 @@ class Field:
         sums = self._exp - low + (low + 1) % self.p
         return np.where(sums == 0, -1, self._log[sums])
 
-    # array-level access to the tables, for building matrices column-wise
+    # arithmetic on encoded values: each operand is an int or a numpy array, and arrays broadcast;
+    # zero is masked by multiplying with a 0/1 test, so int operands stay numpy scalars, not arrays
+    def add(self, a, b):
+        """a + b: a * (1 + b/a), one Zech lookup, where neither is zero, and the other one where one is."""
+        la = self._log[a]
+        z = self.zech[(self._log[b] - la) % (self.size - 1)]
+        total = self._exp[(la + z) % (self.size - 1)] * (z >= 0)  # z = -1 where 1 + b/a = 0
+        return total * ((a != 0) & (b != 0)) + a * (b == 0) + b * (a == 0)
+
+    def mul(self, a, b):
+        """a * b: the sum of the logs, where neither is zero."""
+        return self._exp[(self._log[a] + self._log[b]) % (self.size - 1)] * ((a != 0) & (b != 0))
+
+    def power(self, a, k):
+        """a^k: the log times k mod size - 1, so negative k inverts; 0^0 = 1 and 0^k = 0 for k > 0."""
+        return self._exp[self._log[a] * (k % (self.size - 1)) % (self.size - 1)] * ((a != 0) | (k == 0))
+
+    # maps between encoded values, logs and coordinates, for building matrices column-wise
     def power_array(self, exponents) -> np.ndarray:
         """Encoded e^t for each integer t of an array (t taken mod size - 1)."""
         return self._exp[np.asarray(exponents) % (self.size - 1)]
@@ -365,9 +365,7 @@ class BasisPair:
         g_mat = field_mu.coords_array(g)
         if linalg.rank(g_mat, p) != len(g):
             raise ValueError("g is not linearly independent over the prime field")
-        # g_i lies in GF(p^s) when g_i^(p^s) = g_i, that is when log g_i * p^s = log g_i mod size - 1
-        logs = field_mu.log_array(g[:s])
-        outside = np.flatnonzero(logs * p**s % (field_mu.size - 1) != logs)
+        outside = np.flatnonzero(field_mu.power(g[:s], p**s) != g[:s])  # GF(p^s) holds the roots of y^(p^s) = y
         if len(outside):
             raise ValueError(f"g_{outside[0] + 1} does not lie in the subfield of size {p**s}")
         self.g = g
@@ -411,6 +409,7 @@ def make_basis_pair(q: int, m: int, d: int) -> BasisPair:
     if m < 1:
         raise ValueError("m must be positive")
     s, mu = norm_degrees(m, d)
+    check_field_size(q, mu)  # GF(q^mu) contains GF(q^m): refused first, before either is built
     field_m = make_field(q, m)
     field_mu = make_field(q, mu)
     step = norm_exponent(q, s, d)

@@ -184,7 +184,7 @@ def read_codeword_list(path, q: int) -> ExplicitCode:
     [0, q), a word's length differs from the first word's, or a word repeats.
     """
     words: dict[tuple[int, ...], int] = {}  # word -> its line
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:  # as _run writes it, whatever the locale
         for number, line in enumerate(fh, start=1):
             symbols = line.split()
             bad = [v for v in symbols if not _is_digit_below(v, q)]

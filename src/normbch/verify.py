@@ -71,7 +71,7 @@ from .construct import (
     validate_params,
 )
 from .errors import DEFAULT_SUBSET_BUDGET, BudgetExceededError
-from .field import FieldElement
+from .field import FieldElement, FieldMismatchError
 
 # Memory cap of one collision pass; above it the pass is refused with
 # BudgetExceededError before its tables are allocated.
@@ -263,21 +263,19 @@ def _dependency_codeword(matrix: ParityCheckMatrix, columns: tuple[int, ...]) ->
     )
 
 
-def _affine_invariant(rows: np.ndarray, field) -> bool:
-    """Whether the row space of rows is unchanged by the affine maps of field.
+def _affine_invariant(rows: np.ndarray, locators) -> bool:
+    """Whether the row space of rows is unchanged by the affine maps of the locators' field.
 
     Checks the column permutations of the generators x -> e*x and
     x -> x+1: the rows stacked on their permuted copy keep the rank of
     rows when each permuted row reduces to zero against rref(rows).
     """
-    q, n = field.p, field.size
-    times_e = np.append(np.arange(1, n) % (n - 1), n - 1)  # e^(j+1) -> e^(j+2); 0 stays
-    z = field.zech[np.arange(1, n) % (n - 1)]  # e^(j+1) + 1 = e^z, or 0 where z < 0
-    plus_one = np.append(np.where(z < 0, n - 1, (z - 1) % (n - 1)), n - 2)  # 0 -> 1
-    reduced, rank, pivots = linalg.rref(rows, q)
-    for perm in (times_e, plus_one):
+    field = locators.field
+    ys = locators.encoded(np.arange(locators.n))
+    reduced, rank, pivots = linalg.rref(rows, field.p)
+    for perm in (locators.columns(field.mul(ys, field.e.val)), locators.columns(field.add(ys, 1))):
         moved = rows[:, perm].astype(np.int64)
-        if ((moved[:, pivots] @ reduced[:rank] - moved) % q).any():
+        if ((moved[:, pivots] @ reduced[:rank] - moved) % field.p).any():
             return False
     return True
 
@@ -316,7 +314,7 @@ def _orbit_certifies(matrix: ParityCheckMatrix, d: int) -> bool:
     if not np.array_equal(rebuilt.rows, matrix.rows):
         return False
     base = matrix.rows[: -params.s]
-    if not _affine_invariant(base, rebuilt.locators.field):
+    if not _affine_invariant(base, rebuilt.locators):
         return False
     if not matrix.rows.any(axis=0).all():  # a zero column is a weight-1 word
         return False
@@ -414,10 +412,14 @@ def on_affine_line(locators) -> AffineLine | None:
         raise ValueError("line checks need at least 3 locators")
     if len({x.val for x in xs}) != len(xs):
         raise ValueError("locators must be pairwise distinct")
+    field = xs[-1].field
+    if any(x.field is not field for x in xs):
+        raise FieldMismatchError("locators from different fields")
     anchor, direction = xs[-1], xs[-2] - xs[-1]
-    lambdas = tuple(((x - anchor) / direction).val for x in xs)
-    in_gf_q = max(lambdas) < xs[0].field.p  # an element lies in GF(q) exactly when its encoding is below q
-    return AffineLine(a=anchor, b=direction, lambdas=lambdas) if in_gf_q else None
+    offsets = field.add(np.array([x.val for x in xs]), (-anchor).val)
+    lambdas = field.mul(offsets, direction.inverse().val).tolist()
+    in_gf_q = max(lambdas) < field.p  # an element lies in GF(q) exactly when its encoding is below q
+    return AffineLine(a=anchor, b=direction, lambdas=tuple(lambdas)) if in_gf_q else None
 
 
 def _representatives(rows: np.ndarray, q: int, v: int) -> tuple[np.ndarray, np.ndarray]:

@@ -837,13 +837,19 @@ def test_header_limits_accepted(tmp_path, capsys, name, code, verdict):
 
 
 def test_matrix_file_reads_as_utf8_in_any_locale(tmp_path):
-    # a block name the header rule takes, written as _run writes, read back under an ASCII locale
-    path = tmp_path / "m.txt"
-    path.write_bytes("q=5 n=2 r=1 blocks=\u00e9:1\n1 2\n".encode("utf-8"))
+    # a block name the header rule takes, written as _run writes, read back under an ASCII locale; and
+    # the same letter in a codeword list, refused by its line, which stderr escapes in that locale
+    matrix, words = tmp_path / "m.txt", tmp_path / "w.cwl"
+    matrix.write_bytes("q=5 n=2 r=1 blocks=\u00e9:1\n1 2\n".encode("utf-8"))
+    words.write_bytes("0 1\n1 \u00e9\n".encode("utf-8"))
     env = dict(_child_env(), PYTHONUTF8="0", PYTHONCOERCECLOCALE="0", LC_ALL="C")
-    argv = [sys.executable, "-m", "normbch.cli", "verify-distance", "--matrix", str(path), "--d", "2"]
-    proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=120)
-    assert (proc.returncode, proc.stdout.splitlines()[:1], proc.stderr) == (0, ["verdict=certified"], "")
+    runs = [(["verify-distance", "--matrix", str(matrix), "--d", "2"], 0, ["verdict=certified"], ""),
+            (["reduce", "--input", str(words), "--q2", "2", "--subset", "0,1"], 2, [],
+             f"parameter error: {words}:2: symbol '\\xe9' is not a digit in [0, 2)\n")]
+    for args, code, stdout, stderr in runs:
+        argv = [sys.executable, "-m", "normbch.cli", *args]
+        proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=120)
+        assert (proc.returncode, proc.stdout.splitlines()[:1], proc.stderr) == (code, stdout, stderr)
 
 
 # Each writing subcommand: argv without --out, as in EXIT_2_CASES, and the engine it runs.

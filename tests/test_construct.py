@@ -20,9 +20,11 @@ from normbch import (
     enumerate_weight_words,
     linalg,
     make_field,
+    min_distance_at_least,
     read_matrix_file,
     syndrome,
     validate_params,
+    verify,
 )
 
 
@@ -100,6 +102,7 @@ class TestLocators:
         ys = loc.encoded(np.arange(n))
         assert ys.tolist() == [loc.locator(j).val for j in range(1, n + 1)]
         assert [loc.position_of(loc.field.elem(y)) for y in ys.tolist()] == list(range(1, n + 1))
+        assert loc.columns(ys).tolist() == list(range(n))
         divisible = [(j + 1) % ((n - 1) // (q - 1)) == 0 for j in range(n - 1)] + [True]
         assert (ys < q).tolist() == divisible
         assert loc.encoded([[n - 1, 0], [1, n - 1]]).tolist() == [[0, ys[0]], [ys[1], 0]]
@@ -459,13 +462,18 @@ def test_matrix_sha256_pinned(q, m, d, kind):
 
 @pytest.mark.parametrize("q,m,d", [(5, 3, 5), (5, 5, 5)])
 def test_build_reads_tables_only(q, m, d, monkeypatch):
-    # the basis pair and the rows come from the field tables, not from FieldElement arithmetic
+    # the basis pair, the rows and the orbit route's certificate come from the field tables, not from
+    # FieldElement arithmetic; the generic engine is blocked, so the route itself certifies (5,3,5)
     def element_arithmetic(*args):
         raise AssertionError("FieldElement arithmetic on the build path")
 
-    for operator in ("__mul__", "__pow__", "__add__"):
+    for operator in ("__mul__", "__pow__", "__add__", "__sub__", "__neg__", "__truediv__", "inverse"):
         monkeypatch.setattr(FieldElement, operator, element_arithmetic)
-    assert augmented_matrix(validate_params(q, m, d)).sha256() == PINNED_SHA256[q, m, d, "aug"]
+    monkeypatch.setattr(verify, "_colex_first_dependent", lambda *args: pytest.fail("the generic engine ran"))
+    matrix = augmented_matrix(validate_params(q, m, d))
+    assert matrix.sha256() == PINNED_SHA256[q, m, d, "aug"]
+    if (q, m, d) == (5, 3, 5):
+        assert min_distance_at_least(matrix, d).certified
 
 
 @pytest.mark.parametrize("data", [b"", b"abc", bytes(range(256)) * (1 << 14)], ids=["empty", "short", "4MB"])

@@ -13,11 +13,14 @@ from normbch import (
     make_field,
     norm,
 )
+from normbch import field as field_module
 from normbch.field import DEFAULT_MAX_FIELD_SIZE, _x_power, is_prime
 from oracles import (
     is_irreducible,
     multiplicative_order,
     order_of_x,
+    poly_mod,
+    poly_mul,
     poly_powmod,
     powers_of_x,
     residue_of_x_is_primitive,
@@ -37,6 +40,7 @@ PINNED_MODULI = {
     (2, 12): (1, 0, 0, 0, 0, 0, 1, 0, 1, 0, 0, 1, 1),
 }
 SMALL_FIELDS = [(p, k) for p in (2, 3, 5, 7) for k in range(1, 14) if p**k <= 5**6]
+REFERENCE_FIELDS = [(2, 1), (2, 3), (2, 8), (3, 4), (5, 3), (7, 2), (11, 2), (13, 1)]
 
 
 class TestMakeField:
@@ -209,7 +213,7 @@ class TestArithmetic:
 class TestAdditionReference:
     """The Zech-table sum, difference and negation against digit-wise arithmetic mod p."""
 
-    @pytest.mark.parametrize("p,k", [(2, 1), (2, 3), (2, 8), (3, 4), (5, 3), (7, 2), (11, 2), (13, 1)])
+    @pytest.mark.parametrize("p,k", REFERENCE_FIELDS)
     def test_every_pair(self, p, k):
         field = make_field(p, k)
         coords = [tuple(c) for c in field.coords_array(np.arange(field.size)).T.tolist()]
@@ -234,6 +238,55 @@ class TestAdditionReference:
     def test_zech_table_built_once(self):
         assert F125.zech is F125.zech
         assert len(F125.zech) == 124
+
+
+def every_pair(field):
+    """Flat arrays a, b running over every pair of encoded elements, b fastest."""
+    return np.divmod(np.arange(field.size**2), field.size)
+
+
+class TestArrayArithmetic:
+    """Field.add, mul and power on arrays against references that read no field table.
+
+    FieldElement's operators call these same three, so it cannot serve as
+    their reference: digits come from integer division, products from
+    polynomial arithmetic modulo the field's modulus.
+    """
+
+    @pytest.mark.parametrize("p,k", REFERENCE_FIELDS)
+    def test_add_is_the_digitwise_sum(self, p, k):
+        field = make_field(p, k)
+        a, b = every_pair(field)
+        want = sum((a // p**i + b // p**i) % p * p**i for i in range(k))
+        assert (field.add(a, b) == want).all()
+
+    @pytest.mark.parametrize("p,k", REFERENCE_FIELDS)
+    def test_mul_is_the_polynomial_product(self, p, k):
+        field = make_field(p, k)
+        table = field.mul(*every_pair(field)).reshape(field.size, field.size)
+        assert (table == table.T).all()  # so the oracle runs on the pairs a <= b alone
+        polys, modulus = [[v // p**i % p for i in range(k)] for v in range(field.size)], list(field.modulus)
+        for a, b in itertools.combinations_with_replacement(range(field.size), 2):
+            product = poly_mod(poly_mul(polys[a], polys[b], p), modulus, p)
+            assert table[a, b] == sum(c * p**i for i, c in enumerate(product)), (a, b)
+
+    @pytest.mark.parametrize("p,k", REFERENCE_FIELDS)
+    def test_power_is_a_repeated_product(self, p, k):
+        # from k = 0, where 0^0 = 1, to 2(size - 1), where 0^k = 0 throughout; k = -1 inverts
+        field = make_field(p, k)
+        x = np.arange(field.size)
+        product = np.ones_like(x)
+        for exponent in range(2 * (field.size - 1) + 1):
+            assert (field.power(x, exponent) == product).all(), exponent
+            product = field.mul(product, x)
+        assert (field.mul(field.power(x[1:], -1), x[1:]) == 1).all()
+        assert (field.power(x, 10**30 * (field.size - 1) + 1) == x).all()  # beyond int64, as a Python int
+
+    def test_column_by_row_broadcasts(self):
+        column, row = np.arange(F125.size)[:, None], np.arange(F125.size)
+        a, b = every_pair(F125)
+        for operation in (F125.add, F125.mul, F125.power):
+            assert (operation(column, row) == operation(a, b).reshape(F125.size, F125.size)).all()
 
 
 @pytest.mark.parametrize("p,k", [(13, 1), (2, 5), (3, 4), (5, 3), (7, 2)])
@@ -309,6 +362,15 @@ class TestBasisPair:
         bp = make_basis_pair(5, 3, 5)
         with pytest.raises(ValueError, match=r"g must hold 3 encoded values in \[0, 125\)"):
             BasisPair(bp.field_m, bp.field_mu, 1, bp.g[:2])
+
+    def test_norm_field_refused_before_either_build(self, monkeypatch):
+        # GF(7^7) fits the budget and GF(7^8) does not; neither is built before the refusal
+        def build(p, degree):
+            raise AssertionError(f"GF({p}^{degree}) built before the refusal")
+
+        monkeypatch.setattr(field_module, "_cached_field", build)
+        with pytest.raises(ValueError, match=r"^field size 7\^8 exceeds the budget 1048576$"):
+            make_basis_pair(7, 7, 6)
 
     def test_g_outside_the_field_rejected(self):
         bp = make_basis_pair(5, 3, 5)

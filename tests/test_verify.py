@@ -302,11 +302,11 @@ class TestOrbitRoute:
     @pytest.mark.parametrize("qmd", [(5, 2, 4), (5, 3, 5), (2, 4, 5), (7, 2, 6)], ids=lambda qmd: "%d-%d-%d" % qmd)
     def test_invariance_check(self, qmd):
         matrix = bch_matrix(validate_params(*qmd))
-        field = matrix.locators.field
-        assert _affine_invariant(matrix.rows, field)
-        assert not _affine_invariant(matrix.rows[1:], field)  # x -> e*x keeps these rows, x -> x+1 does not
+        loc = matrix.locators
+        assert _affine_invariant(matrix.rows, loc)
+        assert not _affine_invariant(matrix.rows[1:], loc)  # x -> e*x keeps these rows, x -> x+1 does not
         swapped = matrix.rows[:, [1, 0, *range(2, matrix.n)]]  # locators e and e^2 trade columns
-        assert not _affine_invariant(swapped, field)
+        assert not _affine_invariant(swapped, loc)
 
     def test_huge_target_declines_before_the_layout(self, ha524, monkeypatch):
         # C(25, 25) = 1 passes the budget at any target; a layout of d-1 blocks would not fit in memory
