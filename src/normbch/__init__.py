@@ -27,7 +27,7 @@ _EXPORTS = {
     "cli": (),
     "construct": (
         "CodeParams", "Codeword", "LocatorTable", "ParityCheckMatrix", "apply_affine_permutation",
-        "augmented_matrix", "bch_matrix", "build_locators", "read_matrix_file", "syndrome", "validate_params",
+        "augmented_matrix", "bch_matrix", "read_matrix_file", "syndrome", "validate_params",
     ),
     "errors": ("BudgetExceededError",),
     "field": (

@@ -3,7 +3,8 @@
 Positions are 1-based: position j < n carries the locator e^j (e the
 primitive element of GF(q^m)), position n carries the locator 0, so the
 locators enumerate the whole field exactly once.  LocatorTable is the
-one map from columns to locators.  A matrix is a dense
+one map between columns and locators, and it refuses columns and
+encoded locators outside [0, n).  A matrix is a dense
 numpy array over GF(q) with one column per position plus row-block
 metadata; the base construction stacks an all-ones row with the
 h-coordinates of the locator powers y_j^t for t = 1..d-3, and the
@@ -110,8 +111,6 @@ def validate_params(q: int, m: int, d: int, relaxed: bool = False) -> CodeParams
         if m >= 1:
             s, mu = norm_degrees(m, d)
         if q >= 2:
-            if q <= d - 3:
-                violations.append(f"characteristic q={q} must exceed d-3 = {d - 3}")
             if (d - 2) % q == 0:
                 violations.append(f"q={q} divides d-2 = {d - 2}")
             if q < d - 1:
@@ -160,39 +159,35 @@ class Codeword:
 class LocatorTable:
     """Column-to-locator map for one field: e^1, ..., e^(n-1), then 0.
 
-    encoded reads it from the field's antilog table for arrays of
-    columns, locator for one position; columns inverts encoded on arrays,
-    position_of on one locator.
+    encoded maps arrays of 0-based columns to encoded locators by the
+    field's power, locator one 1-based position; columns inverts encoded
+    by the log.  Columns and encoded locators alike lie in [0, n), and
+    both maps refuse any other value with a ValueError naming it.
     """
 
     def __init__(self, field):
         self.field = field
         self.n = field.size
 
+    def _in_range(self, values, kind: str) -> np.ndarray:
+        values = np.asarray(values)
+        outside = (values < 0) | (values >= self.n)
+        if outside.any():
+            raise ValueError(f"{kind} {values[outside].flat[0]} out of range [0, {self.n})")
+        return values
+
     def encoded(self, columns) -> np.ndarray:
         """Encoded locators of 0-based columns: e^(j+1) for column j < n-1, 0 for column n-1."""
-        columns = np.asarray(columns)
-        return np.where(columns == self.n - 1, 0, self.field.power_array(columns + 1))
+        columns = self._in_range(columns, "column")
+        return self.field.power(self.field.e.val, columns + 1) * (columns != self.n - 1)
 
     def locator(self, position: int) -> FieldElement:
-        if not 1 <= position <= self.n:
-            raise ValueError(f"position {position} out of range [1, {self.n}]")
         return FieldElement(self.field, self.encoded(position - 1).item())
 
     def columns(self, vals) -> np.ndarray:
         """0-based columns of an array of encoded locators: n-1 for 0, j for e^(j+1)."""
-        vals = np.asarray(vals)
+        vals = self._in_range(vals, "locator")
         return np.where(vals == 0, self.n - 1, (self.field.log_array(vals) - 1) % (self.n - 1))
-
-    def position_of(self, x: FieldElement) -> int:
-        if x.field != self.field:
-            raise FieldMismatchError("locator from a different field")
-        return int(self.columns(x.val)) + 1
-
-
-def build_locators(params: CodeParams) -> LocatorTable:
-    """Locator table of GF(q^m); needs a buildable field, not full validity."""
-    return LocatorTable(make_field(params.q, params.m))
 
 
 class ParityCheckMatrix:
@@ -281,7 +276,7 @@ def bch_matrix(params: CodeParams) -> ParityCheckMatrix:
     is (d-3)m + 1.
     """
     _require_buildable(params)
-    loc = build_locators(params)
+    loc = LocatorTable(make_field(params.q, params.m))
     m, field = params.m, loc.field
     ys = loc.encoded(np.arange(params.n))
     rows = np.ones((1 + (params.d - 3) * m, params.n), dtype=np.int16)
@@ -337,8 +332,6 @@ def apply_affine_permutation(
         raise ValueError("affine permutations need a nonzero multiplier")
     if a.field is not loc.field or b.field is not loc.field:
         raise FieldMismatchError("affine map over a different field")
-    if word.support and word.support[-1] > loc.n:
-        raise ValueError(f"position {word.support[-1]} out of range [1, {loc.n}]")
     xs = loc.encoded(np.array(word.support, dtype=np.intp) - 1)
     images = loc.columns(loc.field.add(a.val, loc.field.mul(b.val, xs))) + 1
     pairs = sorted(zip(images.tolist(), word.coeffs))

@@ -23,15 +23,15 @@ add is a + b = a * (1 + b/a), one lookup in the Zech table
 zech[k] = log(1 + e^k); mul is a sum of logs; power is a log times the
 exponent; each masks zero.  FieldElement, the element-at-a-time API, is
 their scalar case.  Matrices are built a column array at a time with
-them and with power_array, log_array, coords_array and encode_array.  An
+them and with log_array, coords_array and encode_array.  An
 element lies in the prime field exactly when its encoding is below p, as
 its only nonzero digit is then the constant one.
 
 Field towers pair GF(q^m) with GF(q^mu), mu = s*(d-2) (norm_degrees),
 through two bases: h, the polynomial basis of GF(q^m), and g, a product
 basis of GF(q^mu) over GF(q) whose first s members span the subfield
-GF(q^s).  make_basis_pair reads g off the antilog table as an array of
-encoded values, and BasisPair checks it on arrays.  embed_hat carries
+GF(q^s).  make_basis_pair computes g as one array of powers of the
+primitive element, and BasisPair checks it on arrays.  embed_hat carries
 h-coordinates, which are polynomial coordinates, onto g-coordinates (a
 GF(q)-linear injection); norm is the multiplicative norm of GF(q^mu)
 onto that subfield, the power norm_exponent.
@@ -275,10 +275,6 @@ class Field:
         return self._exp[self._log[a] * (k % (self.size - 1)) % (self.size - 1)] * ((a != 0) | (k == 0))
 
     # maps between encoded values, logs and coordinates, for building matrices column-wise
-    def power_array(self, exponents) -> np.ndarray:
-        """Encoded e^t for each integer t of an array (t taken mod size - 1)."""
-        return self._exp[np.asarray(exponents) % (self.size - 1)]
-
     def log_array(self, vals) -> np.ndarray:
         """Discrete logs base e of an array of nonzero encoded values."""
         return self._log[vals]
@@ -401,8 +397,8 @@ def make_basis_pair(q: int, m: int, d: int) -> BasisPair:
     GF(q^s) subfield, step = (q^mu - 1)/(q^s - 1) = norm_exponent, and
     gamma over {1, E, ..., E^(d-3)} for the primitive element E;
     gamma_1 = 1 forces g_1..g_s = beta_1..beta_s, so the subfield prefix
-    property holds by construction.  g_(j*s + i) = E^(i*step + j) is read
-    from the antilog table in one lookup.
+    property holds by construction.  g_(j*s + i) = E^(i*step + j) comes
+    from one call of power.
     """
     if d < 3:
         raise ValueError("d must be at least 3")
@@ -413,7 +409,7 @@ def make_basis_pair(q: int, m: int, d: int) -> BasisPair:
     field_m = make_field(q, m)
     field_mu = make_field(q, mu)
     step = norm_exponent(q, s, d)
-    g = field_mu.power_array(np.arange(d - 2)[:, None] + step * np.arange(s)).ravel()
+    g = field_mu.power(field_mu.e.val, np.arange(d - 2)[:, None] + step * np.arange(s)).ravel()
     return BasisPair(field_m, field_mu, s, g)
 
 

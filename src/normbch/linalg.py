@@ -1,10 +1,10 @@
 """Dense linear algebra over prime fields GF(p) on numpy integer matrices.
 
 All routines take matrices of plain integers and a prime modulus and
-reduce entries mod p themselves.  They serve matrix ranks, the
-inverses of the change-of-basis matrices and kernels of single column
-slices; the exhaustive word searches in verify.py work on syndromes and
-need no elimination.
+reduce entries mod p themselves: rref, rank, kernel vector, invert.
+They serve matrix ranks, the inverses of the change-of-basis matrices
+and the kernel vector of a dependent column slice; the exhaustive word
+searches in verify.py work on syndromes and need no elimination.
 """
 
 from __future__ import annotations
@@ -59,22 +59,20 @@ def rank(mat, p: int) -> int:
         width *= 2
 
 
-def kernel_basis(mat, p: int) -> np.ndarray:
-    """Basis of the right kernel of mat over GF(p), one basis vector per row.
+def kernel_vector(mat, p: int) -> np.ndarray:
+    """The right kernel vector of mat over GF(p) with 1 at its first free column and 0 at the others.
 
-    Basis vectors are ordered by ascending free column, which makes the
-    first vector a deterministic canonical choice.
+    Read off rref, each pivot column taking minus its row's entry in that
+    free column; ValueError when the columns are independent.
     """
-    a, _, pivots = rref(mat, p)
-    n_cols = a.shape[1]
-    pivot_set = set(pivots)
-    free = [c for c in range(n_cols) if c not in pivot_set]
-    basis = np.zeros((len(free), n_cols), dtype=np.int64)
-    for i, f in enumerate(free):
-        basis[i, f] = 1
-        for row, c in enumerate(pivots):
-            basis[i, c] = (-a[row, f]) % p
-    return basis
+    a, rank, pivots = rref(mat, p)
+    free = [c for c in range(a.shape[1]) if c not in pivots]
+    if not free:
+        raise ValueError(f"the {a.shape[1]} columns are independent over GF({p})")
+    vec = np.zeros(a.shape[1], dtype=np.int64)
+    vec[free[0]] = 1
+    vec[pivots] = -a[:rank, free[0]] % p
+    return vec
 
 
 def invert(mat, p: int) -> np.ndarray:

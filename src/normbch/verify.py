@@ -252,10 +252,8 @@ def _dependency_codeword(matrix: ParityCheckMatrix, columns: tuple[int, ...]) ->
     """Canonical kernel vector on the given columns, first coefficient 1."""
     q = matrix.q
     slice_ = matrix.rows[:, list(columns)].astype(np.int64)
-    basis = linalg.kernel_basis(slice_, q)
-    vec = basis[0] % q
-    first = int(np.nonzero(vec)[0][0])
-    vec = (vec * pow(int(vec[first]), -1, q)) % q
+    vec = linalg.kernel_vector(slice_, q)
+    vec = vec * pow(int(vec[np.flatnonzero(vec)[0]]), -1, q) % q
     keep = np.nonzero(vec)[0]
     return Codeword(
         tuple(int(columns[i]) + 1 for i in keep),
@@ -525,8 +523,7 @@ def construct_weight_word(params: CodeParams) -> tuple[Codeword, np.ndarray]:
     spreads = [math.prod(y - z for z in ys if z != y) for y in ys]  # prod_(j != i)(y_i - y_j)
     coeffs = [spreads[-1] * pow(s, -1, q) % q for s in spreads]
     aug = augmented_matrix(params)
-    loc = aug.locators
-    pairs = sorted((loc.position_of(loc.field.scalar(y)), c) for y, c in zip(ys, coeffs))
+    pairs = sorted(zip((aug.locators.columns(ys) + 1).tolist(), coeffs))
     word = Codeword(tuple(j for j, _ in pairs), tuple(c for _, c in pairs))
     return word, syndrome(aug, word)
 

@@ -11,12 +11,14 @@ from hypothesis import assume, given, settings, strategies as st
 from normbch import (
     _sha256_hex,
     Codeword,
+    Field,
     FieldElement,
+    LocatorTable,
     ParityCheckMatrix,
     apply_affine_permutation,
     augmented_matrix,
     bch_matrix,
-    build_locators,
+    construct_weight_word,
     enumerate_weight_words,
     linalg,
     make_field,
@@ -62,6 +64,13 @@ class TestValidateParams:
         p = validate_params(5, 3, 2)
         assert any("minimum supported distance" in v for v in p.violations)
 
+    def test_small_characteristic_is_below_d_minus_one(self):
+        # q <= d-3 implies q < d-1, so one rule reports both
+        for q in range(2, 14):
+            for d in range(max(4, q + 3), 17):
+                params = validate_params(q, 3, d)
+                assert not params.valid and any("below d-1" in v for v in params.violations), (q, d)
+
     @pytest.mark.parametrize(
         "q, m, d, relaxed, rule",
         [(5, 3_000_000, 5, False, "n=5^3000000 exceeds the field size budget"),
@@ -79,38 +88,50 @@ class TestValidateParams:
 
 class TestLocators:
     def test_prime_field_permutation(self):
-        loc = build_locators(validate_params(5, 1, 3))
+        loc = LocatorTable(make_field(5, 1))
         vals = loc.encoded(np.arange(loc.n)).tolist()
         assert sorted(vals) == [0, 1, 2, 3, 4]
         assert vals[-1] == 0
 
     def test_last_nonzero_position_is_one(self):
-        loc = build_locators(validate_params(5, 2, 4))
+        loc = LocatorTable(make_field(5, 2))
         assert loc.locator(24) == loc.field.one
         assert loc.locator(25) == loc.field.zero
 
     def test_all_distinct(self):
-        loc = build_locators(validate_params(5, 2, 4))
+        loc = LocatorTable(make_field(5, 2))
         assert len(set(loc.encoded(np.arange(loc.n)).tolist())) == 25
 
     @pytest.mark.parametrize("q, m", [(2, 5), (3, 4), (5, 1), (5, 3), (7, 2), (13, 2)])
     def test_encoded_agrees_with_locator_and_position(self, q, m):
         # and with the rule it replaced for GF(q): column j < n-1 holds e^(j+1), which lies in
         # GF(q) exactly when (n-1)/(q-1) divides j+1; the last column holds 0
-        loc = build_locators(validate_params(q, m, 4))
+        loc = LocatorTable(make_field(q, m))
         n = loc.n
         ys = loc.encoded(np.arange(n))
         assert ys.tolist() == [loc.locator(j).val for j in range(1, n + 1)]
-        assert [loc.position_of(loc.field.elem(y)) for y in ys.tolist()] == list(range(1, n + 1))
+        assert [int(loc.columns(loc.field.elem(y).val)) + 1 for y in ys.tolist()] == list(range(1, n + 1))
         assert loc.columns(ys).tolist() == list(range(n))
         divisible = [(j + 1) % ((n - 1) // (q - 1)) == 0 for j in range(n - 1)] + [True]
         assert (ys < q).tolist() == divisible
         assert loc.encoded([[n - 1, 0], [1, n - 1]]).tolist() == [[0, ys[0]], [ys[1], 0]]
 
     def test_position_roundtrip(self):
-        loc = build_locators(validate_params(5, 2, 4))
+        loc = LocatorTable(make_field(5, 2))
         for j in range(1, 26):
-            assert loc.position_of(loc.locator(j)) == j
+            assert loc.columns(loc.locator(j).val) + 1 == j
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda loc: loc.encoded([25, 26, -1]), "column 25 out of range"),
+        (lambda loc: loc.columns([-1]), "locator -1 out of range"),
+        (lambda loc: loc.columns([25]), "locator 25 out of range"),
+        (lambda loc: loc.locator(0), "column -1 out of range"),
+        (lambda loc: loc.locator(26), "column 25 out of range"),
+    ], ids=["encoded", "columns-negative", "columns-n", "locator-0", "locator-n+1"])
+    def test_range_rule(self, call, message):
+        # columns and encoded locators both lie in [0, n); nothing outside aliases onto a column
+        with pytest.raises(ValueError, match=re.escape(message + " [0, 25)")):
+            call(LocatorTable(make_field(5, 2)))
 
 
 class TestBchMatrix:
@@ -218,11 +239,16 @@ class TestAffinePermutation:
         with pytest.raises(ValueError):
             apply_affine_permutation(Codeword((1,), (1,)), loc.field.one, loc.field.zero, loc)
 
+    def test_position_beyond_n_rejected(self, h524):
+        loc = h524.locators
+        with pytest.raises(ValueError, match=re.escape("column 25 out of range [0, 25)")):
+            apply_affine_permutation(Codeword((1, 26), (1, 1)), loc.field.zero, loc.field.one, loc)
+
     def test_is_position_bijection(self, h524):
         loc = h524.locators
         f = loc.field
         a, b = f.elem(7), f.elem(19)
-        images = {loc.position_of(a + b * loc.locator(j)) for j in range(1, 26)}
+        images = {int(loc.columns((a + b * loc.locator(j)).val)) + 1 for j in range(1, 26)}
         assert images == set(range(1, 26))
 
     def test_preserves_membership_random(self, h524):
@@ -462,18 +488,24 @@ def test_matrix_sha256_pinned(q, m, d, kind):
 
 @pytest.mark.parametrize("q,m,d", [(5, 3, 5), (5, 5, 5)])
 def test_build_reads_tables_only(q, m, d, monkeypatch):
-    # the basis pair, the rows and the orbit route's certificate come from the field tables, not from
-    # FieldElement arithmetic; the generic engine is blocked, so the route itself certifies (5,3,5)
+    # the basis pair, the rows, the orbit route's certificate and the separation witness come from the
+    # field tables, not from FieldElement arithmetic; the generic engine is blocked, so the route itself
+    # certifies (5,3,5)
     def element_arithmetic(*args):
         raise AssertionError("FieldElement arithmetic on the build path")
 
     for operator in ("__mul__", "__pow__", "__add__", "__sub__", "__neg__", "__truediv__", "inverse"):
         monkeypatch.setattr(FieldElement, operator, element_arithmetic)
+    monkeypatch.setattr(Field, "scalar", element_arithmetic)
     monkeypatch.setattr(verify, "_colex_first_dependent", lambda *args: pytest.fail("the generic engine ran"))
-    matrix = augmented_matrix(validate_params(q, m, d))
+    params = validate_params(q, m, d)
+    matrix = augmented_matrix(params)
     assert matrix.sha256() == PINNED_SHA256[q, m, d, "aug"]
     if (q, m, d) == (5, 3, 5):
         assert min_distance_at_least(matrix, d).certified
+        word, _ = construct_weight_word(params)  # the separation witness, too
+        assert word.weight == 4
+        assert not syndrome(bch_matrix(params), word).any()
 
 
 @pytest.mark.parametrize("data", [b"", b"abc", bytes(range(256)) * (1 << 14)], ids=["empty", "short", "4MB"])

@@ -193,6 +193,33 @@ def test_hashlib_only_as_the_digest_fallback():
     assert {name: where for name, where in found.items() if where} == {"__init__.py": ["_sha256_hex:handler"]}
 
 
+FIELD_TABLES = ("_exp", "_log", "zech")
+
+
+def table_reads(source: str) -> list[str]:
+    """'line N: name' for each attribute _exp, _log or zech the source reads outside the body of a
+    top-level class Field."""
+    tree = ast.parse(source)
+    inside = {id(node) for cls in tree.body if isinstance(cls, ast.ClassDef) and cls.name == "Field"
+              for node in ast.walk(cls)}
+    reads = [node for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr in FIELD_TABLES and id(node) not in inside]
+    return [f"line {node.lineno}: {node.attr}" for node in sorted(reads, key=lambda node: node.lineno)]
+
+
+def test_table_read_is_found():
+    source = ("class Field:\n    def mul(self, a, b):\n        return self._exp[self._log[a] + self._log[b]]\n"
+              "class LocatorTable:\n    def columns(self, vals):\n        return self.field._log[vals]\n"
+              "def add(field, a, b):\n    return field.zech[b - a]\n")
+    assert table_reads(source) == ["line 6: _log", "line 8: zech"]
+
+
+def test_field_tables_read_only_by_field():
+    # the log, antilog and Zech tables have one reader, Field's add, mul, power and maps
+    found = {path.name: table_reads(path.read_text()) for path in Path(normbch.__file__).parent.glob("*.py")}
+    assert {name: where for name, where in found.items() if where} == {}
+
+
 OUTPUT_CALLS = ("open", "print", "os.remove")
 
 

@@ -10,11 +10,11 @@ from hypothesis import given, settings, strategies as st
 from normbch import (
     BudgetExceededError,
     Codeword,
+    LocatorTable,
     ParityCheckMatrix,
     augmented_matrix,
     bch_matrix,
     apply_affine_permutation,
-    build_locators,
     construct_weight_word,
     embed_hat,
     enumerate_weight_words,
@@ -500,7 +500,7 @@ class TestLinesTheorem:
         loc = matrix.locators
         field = loc.field
         for image in (lambda x: field.e * x, lambda x: x + field.one):
-            perm = [loc.position_of(image(loc.locator(j))) - 1 for j in range(1, matrix.n + 1)]
+            perm = [int(loc.columns(image(loc.locator(j)).val)) for j in range(1, matrix.n + 1)]
             assert sorted(perm) == list(range(matrix.n))
             stacked = np.vstack([matrix.rows, matrix.rows[:, perm]])
             assert ParityCheckMatrix(matrix.q, stacked, [("stacked", len(stacked))]).rank() == matrix.rank()
@@ -534,7 +534,7 @@ class TestOnLineCountGate:
     @pytest.mark.parametrize("qmd", with_on_line_words(ORBIT_INSTANCES), ids=lambda qmd: "%d-%d-%d" % qmd)
     def test_check_lines_raises(self, qmd, mutation, monkeypatch):
         params = validate_params(*qmd)
-        mutate_on_line_representatives(monkeypatch, build_locators(params), mutation)
+        mutate_on_line_representatives(monkeypatch, LocatorTable(make_field(params.q, params.m)), mutation)
         with pytest.raises(RuntimeError, match="on-line representatives of weight %d" % (params.d - 1)):
             verify_lines_theorem(params, budget=math.comb(params.n, params.d - 1), experimental=True)
 
@@ -574,8 +574,9 @@ class TestSeparationWitness:
         assert not syndrome(base, word).any()
         assert (syndrome(aug, word) == aug_synd).all() and aug_synd.any()
         # d-1 columns of rank d-2: one kernel vector, whose free last entry is 1
-        kernel = linalg.kernel_basis(base.rows[:, [j - 1 for j in word.support]], params.q)
-        assert kernel.tolist() == [list(word.coeffs)]
+        columns = base.rows[:, [j - 1 for j in word.support]]
+        assert linalg.rank(columns, params.q) == params.d - 2
+        assert linalg.kernel_vector(columns, params.q).tolist() == list(word.coeffs)
 
     def test_invalid_params_rejected(self):
         with pytest.raises(ValueError):
