@@ -227,7 +227,9 @@ def _build_parser() -> argparse.ArgumentParser:
     # given, so a malformed NORMBCH_BUDGET is a usage error of exactly the
     # subcommands that take --budget.
     budget = os.environ.get("NORMBCH_BUDGET") or str(DEFAULT_SUBSET_BUDGET)
-    parser = _Parser(prog="normbch", description=__doc__)
+    about = ("Build, certify and check norm-augmented extended BCH codes.  Exit codes: 0 success, 1 counterexample, "
+             "2 usage, parameter, file or budget error, 70 internal error, 141 stdout closed by its reader.")
+    parser = _Parser(prog="normbch", description=about)
     parser.add_argument("--version", action="version", version=f"normbch {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 

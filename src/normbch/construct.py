@@ -96,42 +96,30 @@ def validate_params(q: int, m: int, d: int, relaxed: bool = False) -> CodeParams
     mode only demands that every divisor of m other than 1 exceeds
     (d-3)!.  No field within the size budget has a degree above
     log2(budget), so m is checked, and (d-3)! computed, only up to it.
+    The rule table's row order is the order of the report.
     """
-    violations: list[str] = []
-    if d < 3:
-        violations.append(f"d={d} is below the minimum supported distance 3")
-    if m < 1:
-        violations.append(f"m={m} must be a positive extension degree")
-    if alphabet := _alphabet_violation(q):
-        violations.append(alphabet)
     max_degree = DEFAULT_MAX_FIELD_SIZE.bit_length() - 1
-    s = mu = 0
-    n = q**m if q >= 2 and 1 <= m <= max_degree else 0
-    if d >= 3:
-        if m >= 1:
-            s, mu = norm_degrees(m, d)
-        if q >= 2:
-            if (d - 2) % q == 0:
-                violations.append(f"q={q} divides d-2 = {d - 2}")
-            if q < d - 1:
-                violations.append(f"q={q} is below d-1 = {d - 1}")
-        fact = math.factorial(min(d - 3, max_degree))
-        fact_text = str(fact) if d - 3 <= max_degree else f"{d - 3}!"
-        if 1 <= m <= max_degree:
-            if relaxed:
-                bad = [t for t in range(2, m + 1) if m % t == 0 and t <= fact]
-                if bad:
-                    violations.append(
-                        f"m={m} has divisors {bad} not exceeding (d-3)! = {fact_text} (relaxed rule)"
-                    )
-            else:
-                if not is_prime(m):
-                    violations.append(f"m={m} is not prime (strict rule; relaxed mode uses divisors)")
-                if m <= fact:
-                    violations.append(f"m={m} does not exceed (d-3)! = {fact_text}")
-    if q >= 2 and m >= 1 and (m > max_degree or n > DEFAULT_MAX_FIELD_SIZE):
-        violations.append(f"n={q}^{m} exceeds the field size budget {DEFAULT_MAX_FIELD_SIZE}")
-    return CodeParams(q, m, d, relaxed, s, mu, n, tuple(violations))
+    sized = 1 <= m <= max_degree
+    n = q**m if q >= 2 and sized else 0
+    s, mu = norm_degrees(m, d) if d >= 3 and m >= 1 else (0, 0)
+    fact = math.factorial(min(d - 3, max_degree)) if d >= 3 else 0
+    fact_text = str(fact) if d - 3 <= max_degree else f"{d - 3}!"
+    divisors = [t for t in range(2, m + 1) if m % t == 0 and t <= fact] if sized and d >= 3 and relaxed else []
+    strict = sized and d >= 3 and not relaxed
+    alphabet = _alphabet_violation(q)
+    rules = (
+        (d < 3, f"d={d} is below the minimum supported distance 3"),
+        (m < 1, f"m={m} must be a positive extension degree"),
+        (alphabet is not None, alphabet),
+        (d >= 3 and q >= 2 and (d - 2) % q == 0, f"q={q} divides d-2 = {d - 2}"),
+        (d >= 3 and q >= 2 and q < d - 1, f"q={q} is below d-1 = {d - 1}"),
+        (divisors, f"m={m} has divisors {divisors} not exceeding (d-3)! = {fact_text} (relaxed rule)"),
+        (strict and not is_prime(m), f"m={m} is not prime (strict rule; relaxed mode uses divisors)"),
+        (strict and m <= fact, f"m={m} does not exceed (d-3)! = {fact_text}"),
+        (q >= 2 and m >= 1 and (not sized or n > DEFAULT_MAX_FIELD_SIZE),
+         f"n={q}^{m} exceeds the field size budget {DEFAULT_MAX_FIELD_SIZE}"),
+    )
+    return CodeParams(q, m, d, relaxed, s, mu, n, tuple(violation for fails, violation in rules if fails))
 
 
 @dataclass(frozen=True)

@@ -345,6 +345,7 @@ class BasisPair:
     construction: g is linearly independent over GF(q), at least as long
     as h, and its first s members lie in (hence span) the subfield
     GF(q^s) of GF(q^mu); the two fields share their characteristic.
+    One rref of [G | I] decides independence (its pivots) and gives G^-1.
     """
 
     def __init__(self, field_m: Field, field_mu: Field, s: int, g):
@@ -359,7 +360,8 @@ class BasisPair:
         if not 1 <= s <= len(g) or field_mu.degree % s != 0:
             raise ValueError(f"subfield prefix length s={s} incompatible with degree {field_mu.degree}")
         g_mat = field_mu.coords_array(g)
-        if linalg.rank(g_mat, p) != len(g):
+        reduced, _, pivots = linalg.rref(np.hstack([g_mat, np.eye(len(g), dtype=np.int64)]), p)
+        if pivots != list(range(len(g))):
             raise ValueError("g is not linearly independent over the prime field")
         outside = np.flatnonzero(field_mu.power(g[:s], p**s) != g[:s])  # GF(p^s) holds the roots of y^(p^s) = y
         if len(outside):
@@ -370,7 +372,7 @@ class BasisPair:
         self.field_mu = field_mu
         # h-coordinates are polynomial coordinates, so embed_hat is G's first m columns
         self._embed = g_mat[:, : field_m.degree]
-        self._g_inv = linalg.invert(g_mat, p)
+        self._g_inv = reduced[:, len(g):]
 
     def embed_array(self, vals) -> np.ndarray:
         """embed_hat on an array of encoded GF(q^m) values."""

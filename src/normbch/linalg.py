@@ -1,8 +1,8 @@
 """Dense linear algebra over prime fields GF(p) on numpy integer matrices.
 
 All routines take matrices of plain integers and a prime modulus and
-reduce entries mod p themselves: rref, rank, kernel vector, invert.
-They serve matrix ranks, the inverses of the change-of-basis matrices
+reduce entries mod p themselves: rref, rank, kernel vector.  They serve
+matrix ranks, the basis pair's rref of [G | I] (independence and G^-1)
 and the kernel vector of a dependent column slice; the exhaustive word
 searches in verify.py work on syndromes and need no elimination.
 """
@@ -73,15 +73,3 @@ def kernel_vector(mat, p: int) -> np.ndarray:
     vec[free[0]] = 1
     vec[pivots] = -a[:rank, free[0]] % p
     return vec
-
-
-def invert(mat, p: int) -> np.ndarray:
-    """Inverse of a square matrix over GF(p); ValueError if singular."""
-    a = np.array(mat, dtype=np.int64) % p
-    n = a.shape[0]
-    if a.shape != (n, n):
-        raise ValueError("matrix must be square")
-    aug, _, pivots = rref(np.hstack([a, np.eye(n, dtype=np.int64)]), p)
-    if pivots[:n] != list(range(n)):
-        raise ValueError("matrix is singular over GF(%d)" % p)
-    return aug[:, n:]

@@ -982,6 +982,16 @@ def test_closed_stdout_after_version_or_help(argv, buffered):
     assert proc.returncode == 141 if buffered else proc.returncode in (0, 141)
 
 
+def test_help_names_the_exit_codes_and_no_internals(capsys):
+    code, stdout, _ = run(capsys, "--help")
+    text = " ".join(stdout.split())  # argparse wraps the description to the terminal width
+    assert code == 0 and "Exit codes:" in text
+    for exit_code in ("0 success", "1 counterexample", "2 usage", "70 internal error", "141 stdout closed"):
+        assert exit_code in text
+    for internal in ("_run", "main()", "libcrypto"):
+        assert internal not in text
+
+
 # A fresh interpreter runs one command through cli.main, then prints, as
 # its last line, the repr of the normbch submodules, numpy, _hashlib (the
 # libcrypto binding) and json that it loaded; it imports nothing itself.

@@ -30,6 +30,40 @@ from normbch import (
 )
 
 
+# (q, m, d, relaxed) and the exact report: every rule row fires in some case,
+# and each pair of rows that can fire together does so in one case, in row order.
+VIOLATION_REPORTS = [
+    ((5, 3, -1, False), ("d=-1 is below the minimum supported distance 3",)),
+    ((5, -2, 5, False), ("m=-2 must be a positive extension degree",)),
+    ((4, 0, 2, False), ("d=2 is below the minimum supported distance 3", "m=0 must be a positive extension degree",
+                        "q=4 is not prime (this implementation supports prime alphabets)")),
+    ((1, 3, 5, True), ("q=1 is not prime (this implementation supports prime alphabets)",)),
+    ((0, 4, 6, False), ("q=0 is not prime (this implementation supports prime alphabets)",
+                        "m=4 is not prime (strict rule; relaxed mode uses divisors)", "m=4 does not exceed (d-3)! = 6")),
+    ((4, 3, 6, False), ("q=4 is not prime (this implementation supports prime alphabets)", "q=4 divides d-2 = 4",
+                        "q=4 is below d-1 = 5", "m=3 does not exceed (d-3)! = 6")),
+    ((3, 4, 5, True), ("q=3 divides d-2 = 3", "q=3 is below d-1 = 4",
+                       "m=4 has divisors [2] not exceeding (d-3)! = 2 (relaxed rule)")),
+    ((3, 4, 5, False), ("q=3 divides d-2 = 3", "q=3 is below d-1 = 4",
+                        "m=4 is not prime (strict rule; relaxed mode uses divisors)")),
+    ((7, 8, 5, True), ("m=8 has divisors [2] not exceeding (d-3)! = 2 (relaxed rule)",
+                       "n=7^8 exceeds the field size budget 1048576")),
+    ((11, 6, 6, False), ("m=6 is not prime (strict rule; relaxed mode uses divisors)", "m=6 does not exceed (d-3)! = 6",
+                         "n=11^6 exceeds the field size budget 1048576")),
+    ((5, 3_000_000, 5, False), ("n=5^3000000 exceeds the field size budget 1048576",)),
+    ((5, 3_000_000, 5, True), ("n=5^3000000 exceeds the field size budget 1048576",)),
+    ((5, 3, 100_000, False), ("q=5 is below d-1 = 99999", "m=3 does not exceed (d-3)! = 99997!")),
+    ((5, 3, 100_000, True), ("q=5 is below d-1 = 99999",
+                             "m=3 has divisors [3] not exceeding (d-3)! = 99997! (relaxed rule)")),
+    ((10**40 + 1, 1, 4, True), (f"q={10**40 + 1} exceeds 32767, the largest alphabet of the int16 matrix entries",
+                                f"n={10**40 + 1}^1 exceeds the field size budget 1048576")),
+    ((10**40 + 1, 1, 4, False), (f"q={10**40 + 1} exceeds 32767, the largest alphabet of the int16 matrix entries",
+                                 "m=1 is not prime (strict rule; relaxed mode uses divisors)",
+                                 "m=1 does not exceed (d-3)! = 1",
+                                 f"n={10**40 + 1}^1 exceeds the field size budget 1048576")),
+]
+
+
 class TestValidateParams:
     def test_535_valid(self):
         p = validate_params(5, 3, 5)
@@ -84,6 +118,13 @@ class TestValidateParams:
     def test_work_bounded_for_any_params(self, q, m, d, relaxed, rule):
         p = validate_params(q, m, d, relaxed=relaxed)
         assert any(rule in v for v in p.violations), p.violations
+
+    @pytest.mark.parametrize("qmd_relaxed, report", VIOLATION_REPORTS,
+                             ids=["%s-%s-%s-%s" % (q, m, d, "relaxed" if r else "strict")
+                                  for (q, m, d, r), _ in VIOLATION_REPORTS])
+    def test_violations_are_reported_in_rule_order(self, qmd_relaxed, report):
+        q, m, d, relaxed = qmd_relaxed
+        assert validate_params(q, m, d, relaxed=relaxed).violations == report
 
 
 class TestLocators:

@@ -25,6 +25,7 @@ from oracles import (
     powers_of_x,
     residue_of_x_is_primitive,
 )
+from test_verify import AUGMENTED_INSTANCES
 
 F5 = make_field(5, 1)
 F25 = make_field(5, 2)
@@ -337,6 +338,12 @@ class TestBasisPair:
         f = bp.field_mu
         b = f.e ** ((f.size - 1) // (q**bp.s - 1))
         assert bp.g.tolist() == [(b**i * f.e**j).val for j in range(d - 2) for i in range(bp.s)]
+
+    def test_g_coords_of_g_is_the_identity(self):
+        # G^-1 is the right half of the elimination that also tests g's independence
+        for qmd in AUGMENTED_INSTANCES:
+            bp = make_basis_pair(*qmd)
+            assert (bp.g_coords(bp.g) == np.eye(len(bp.g), dtype=np.int64)).all(), qmd
 
     def test_dependent_basis_rejected(self):
         bp = make_basis_pair(5, 2, 4)

@@ -39,21 +39,6 @@ def test_kernel_annihilates(q):
         assert vec.tolist() == basis[0]
 
 
-def test_invert():
-    rng = random.Random(400)
-    q = 7
-    for _ in range(10):
-        n = rng.randrange(1, 6)
-        while True:
-            mat = _random_matrix(rng, n, n, q)
-            if linalg.rank(mat, q) == n:
-                break
-        inv = linalg.invert(mat, q)
-        assert ((mat @ inv) % q == np.eye(n, dtype=int)).all()
-    with pytest.raises(ValueError):
-        linalg.invert([[1, 2], [2, 4]], 5)
-
-
 @pytest.mark.parametrize("q", [2, 3, 5, 7])
 def test_prefix_rank_matches_rref(q):
     rng = random.Random(500 + q)

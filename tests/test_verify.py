@@ -121,12 +121,17 @@ def sorted_words(supports, coeffs):
     return sorted(map(tuple, np.hstack([supports, coeffs]).tolist()))
 
 
+def encoded_support(loc, word):
+    """The encoded locators of a word's support, by one array call of the column-to-locator map."""
+    return loc.encoded(np.array(word.support) - 1).tolist()
+
+
 def lines_by_enumeration(params):
     """(words_found, on_line, violation_count) from every weight-(d-1) word and its line test."""
     matrix = bch_matrix(params)
     words = enumerate_weight_words(matrix, params.d - 1, budget=math.comb(params.n, params.d - 1))
     loc = matrix.locators
-    violations = [w for w in words if on_affine_line([loc.locator(j) for j in w.support]) is None]
+    violations = [w for w in words if on_affine_line([loc.field.elem(y) for y in encoded_support(loc, w)]) is None]
     return len(words), len(words) - len(violations), len(violations)
 
 
@@ -374,12 +379,13 @@ class TestLineNormIdentity:
         bp = make_basis_pair(q, m, d)
         supports, coeffs = _representatives(aug.rows[:-s], q, d - 1)
         words = [Codeword(tuple(j), tuple(c)) for j, c in zip((supports + 1).tolist(), coeffs.tolist())]
-        in_gf_q = [all(loc.locator(j) ** q == loc.locator(j) for j in w.support) for w in words]
-        assert (loc.encoded(supports) < q).all(axis=1).tolist() == in_gf_q
+        ys = loc.encoded(supports)
+        in_gf_q = (field.power(ys, q) == ys).all(axis=1).tolist()
+        assert (ys < q).all(axis=1).tolist() == in_gf_q
         assert any(in_gf_q)
         rng = random.Random("%d-%d-%d" % qmd)
         for word in (w for w, on in zip(words, in_gf_q) if on):
-            f = sum(c * loc.locator(j).val ** (d - 2) for j, c in zip(word.support, word.coeffs)) % q
+            f = sum(c * y ** (d - 2) for y, c in zip(encoded_support(loc, word), word.coeffs)) % q
             assert f != 0
             for _ in range(20):
                 a, b = field.elem(rng.randrange(1, field.size)), field.elem(rng.randrange(field.size))
@@ -499,8 +505,9 @@ class TestLinesTheorem:
         matrix = bch_matrix(validate_params(*qmd))
         loc = matrix.locators
         field = loc.field
+        xs = [field.elem(v) for v in loc.encoded(np.arange(matrix.n)).tolist()]
         for image in (lambda x: field.e * x, lambda x: x + field.one):
-            perm = [int(loc.columns(image(loc.locator(j)).val)) for j in range(1, matrix.n + 1)]
+            perm = loc.columns([image(x).val for x in xs]).tolist()
             assert sorted(perm) == list(range(matrix.n))
             stacked = np.vstack([matrix.rows, matrix.rows[:, perm]])
             assert ParityCheckMatrix(matrix.q, stacked, [("stacked", len(stacked))]).rank() == matrix.rank()
@@ -552,7 +559,7 @@ class TestSeparationWitness:
     def test_524_exact_values(self, params524, h524):
         word, aug_synd = construct_weight_word(params524)
         loc = h524.locators
-        by_locator = {loc.locator(j).val: c for j, c in zip(word.support, word.coeffs)}
+        by_locator = dict(zip(encoded_support(loc, word), word.coeffs))
         assert by_locator == {2: 1, 1: 3, 0: 1}
         assert not syndrome(h524, word).any()
         assert aug_synd.any()
@@ -597,7 +604,7 @@ class TestVandermonde:
         # dropping the top power admits the separation witness
         word, _ = construct_weight_word(params524)
         loc = bch_matrix(params524).locators
-        lambdas = [loc.locator(j).val for j in word.support]
+        lambdas = encoded_support(loc, word)
         xis = list(word.coeffs)
         assert vandermonde_check(5, lambdas, xis) is False
         for t in range(len(lambdas) - 1):
