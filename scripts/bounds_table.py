@@ -25,4 +25,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(cli.pipe_safe(main))  # a closed stdout exits 141 quietly, as the normbch CLI does
+    cli.exit_process(cli.pipe_safe(main))  # exit codes and stdout failures as the normbch CLI has them

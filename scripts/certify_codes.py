@@ -11,7 +11,6 @@ Usage: python scripts/certify_codes.py
 """
 
 import math
-import sys
 import time
 
 from normbch import (
@@ -101,4 +100,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(cli.pipe_safe(main))  # a closed stdout exits 141 quietly, as the normbch CLI does
+    cli.exit_process(cli.pipe_safe(main))  # exit codes and stdout failures as the normbch CLI has them

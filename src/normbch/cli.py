@@ -17,9 +17,14 @@ _run alone writes: it refuses an --out or manifest path that names the
 run's input, opens --out and <out>.manifest.json before the work, writes
 both after it, hashing the output from memory, and prints stdout last; a
 failed run removes the files it created and keeps the bytes of those
-that existed.  main() alone turns BudgetExceededError, OSError and
-ValueError into exit 2 with one stderr line; any other exception is a
-bug, and exits 70 with its traceback.  The manifest records parameters,
+that existed.  pipe_safe flushes stdout and turns OSError, from the run
+or the flush, into exit 2 with one stderr line (141 for a closed
+stdout); main() does the same for BudgetExceededError and ValueError,
+and any other exception is a bug, which exits 70 with its traceback.
+The `normbch` command and the scripts end with os._exit once stderr is
+flushed (exit_process), so atexit handlers and finalizers do not run;
+an exception that escapes main ends the process the normal way.  An
+in-process caller of main is unaffected.  The manifest records parameters,
 input/output hashes, seed and timing; re-running with its parameters
 reproduces byte-identical primary outputs.
 Each subcommand imports its own engine when it runs, so a process loads
@@ -278,14 +283,22 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def pipe_safe(run) -> int:
-    """run()'s exit code, or EXIT_BROKEN_PIPE, quietly, when the reader closed stdout early (as `| head` does)."""
+    """run()'s exit code once stdout is flushed.  An OSError from either, such as a full disk or an --out
+    path that cannot be written, gives EXIT_ERROR with one `file error:` line; a closed stdout gives
+    EXIT_BROKEN_PIPE, quietly, as when its reader exited early (`| head`)."""
     try:
         code = run()
-        sys.stdout.flush()  # so a closed stdout fails here, not at interpreter exit
+        sys.stdout.flush()  # so a failed stdout shows here, not at a later flush
+        return code
     except BrokenPipeError:
-        # point stdout at devnull so the interpreter's own flush does not fail
+        code = EXIT_BROKEN_PIPE
+    except OSError as exc:
+        print(f"file error: {exc}", file=sys.stderr)
+        code = EXIT_ERROR
+    try:
+        sys.stdout.flush()
+    except OSError:  # stdout keeps bytes it cannot write: point it at devnull, so no later flush fails on them
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return EXIT_BROKEN_PIPE
     return code
 
 
@@ -328,8 +341,6 @@ def main(argv=None) -> int:
         return pipe_safe(lambda: _run(argv))
     except BudgetExceededError as exc:
         message = f"budget exceeded: {exc}"
-    except OSError as exc:
-        message = f"file error: {exc}"
     except ValueError as exc:
         message = f"parameter error: {exc}"
     except Exception:  # a bug, such as a failed self-check, or memory ran out
@@ -340,8 +351,17 @@ def main(argv=None) -> int:
     return EXIT_ERROR
 
 
+def exit_process(code: int) -> None:
+    """End the process with code at once: flush stderr, ignoring a failed flush, then os._exit.  This skips
+    interpreter teardown (atexit handlers, finalizers and the collector's passes over what numpy left), so
+    only entry points call it, after pipe_safe has flushed stdout or reported why it could not."""
+    with contextlib.suppress(OSError):
+        sys.stderr.flush()
+    os._exit(code)
+
+
 def cli_entry() -> None:
-    sys.exit(main())
+    exit_process(main())
 
 
 if __name__ == "__main__":

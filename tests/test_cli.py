@@ -6,6 +6,7 @@ import json
 import math
 import os
 import re
+import signal
 import subprocess
 import sys
 import time
@@ -946,19 +947,25 @@ def test_exit_2_contract_entry_point(matrix_files, tmp_path, case):
     assert proc.stderr.startswith(prefix)
 
 
-def _run_into_closed_pipe(argv, buffered):
-    # The read end is closed before the child starts, so its first write to
-    # stdout, or main's flush of a buffered one, fails with EPIPE, as when
-    # `| head` has exited.
+def _run_buffered(argv, buffered=True, stdout=subprocess.PIPE, command=("-m", "normbch.cli")):
+    """A fresh `python -m normbch.cli argv` (or another command) whose stdout is block-buffered, or
+    unbuffered as PYTHONUNBUFFERED makes it; stdout and stderr are captured unless stdout is given."""
     env = _child_env()
     env.pop("PYTHONUNBUFFERED", None)
     if not buffered:
         env["PYTHONUNBUFFERED"] = "1"
+    return subprocess.run([sys.executable, *command, *argv], stdout=stdout, stderr=subprocess.PIPE, text=True,
+                          env=env, timeout=120)
+
+
+def _run_into_closed_pipe(argv, buffered, command=("-m", "normbch.cli")):
+    # The read end is closed before the child starts, so its first write to
+    # stdout, or main's flush of a buffered one, fails with EPIPE, as when
+    # `| head` has exited.
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
-        return subprocess.run([sys.executable, "-m", "normbch.cli", *argv], stdout=write_end,
-                              stderr=subprocess.PIPE, text=True, env=env, timeout=120)
+        return _run_buffered(argv, buffered, write_end, command)
     finally:
         os.close(write_end)
 
@@ -980,6 +987,86 @@ def test_closed_stdout_after_version_or_help(argv, buffered):
     proc = _run_into_closed_pipe(argv, buffered)
     assert proc.stderr == ""  # no "Exception ignored ... BrokenPipeError" at interpreter exit
     assert proc.returncode == 141 if buffered else proc.returncode in (0, 141)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full, where every write fails with ENOSPC")
+@pytest.mark.parametrize("buffered", [False, True], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize("argv", [["bounds", "--q", "5", "--d", "5"], ["bounds", "--table", "2..300", "3..60"]],
+                         ids=["single", "table"])
+def test_full_stdout_exits_2_with_one_line(argv, buffered):
+    # buffered, the single record fails at pipe_safe's flush and the table at _run's write; a failed
+    # flush keeps its bytes, and nothing may flush them again into a second report or exit code 120
+    with open("/dev/full", "w") as full:
+        proc = _run_buffered(argv, buffered, full)
+    assert (proc.returncode, proc.stderr) == (2, "file error: [Errno 28] No space left on device\n")
+
+
+# A fresh interpreter registers an atexit handler, then runs argv through cli_entry, the
+# function behind `python -m normbch.cli` and the `normbch` script.  Unless its first
+# argument is "-", it first patches the bounds engine to raise the builtin exception of that name.
+ENTRY_PROBE = (
+    "import atexit, builtins, sys\n"
+    "import normbch.bounds\n"
+    "from normbch import cli\n"
+    "atexit.register(sys.stderr.write, 'atexit handler ran\\n')\n"
+    "error = sys.argv.pop(1)\n"
+    "def engine(*args):\n"
+    "    raise getattr(builtins, error)('patched engine')\n"
+    "if error != '-':\n"
+    "    normbch.bounds.best_known = engine\n"
+    "cli.cli_entry()\n"
+)
+# Each case: the exception the engine raises or "-", argv, the exit code, and the first line of
+# stdout, the first line of stderr and the last line of stderr, each as a list of none or one.
+TRACEBACK = "Traceback (most recent call last):"
+ENTRY_CASES = {
+    "ok": ("-", ["bounds", "--q", "7", "--d", "5"], 0, ["q=7 d=5"], [], []),
+    "counterexample": ("-", ["check-lines", "--q", "5", "--m", "2", "--d", "5", "--experimental"], 1,
+                       ["q=5 m=2 d=5"], [], []),
+    "parameter-error": ("-", ["bounds", "--table", "2..1", "3..4"], 2, [],
+                        ["parameter error: table range 2..1 is empty: its lower end exceeds its upper end"],
+                        ["parameter error: table range 2..1 is empty: its lower end exceeds its upper end"]),
+    "internal-error": ("RuntimeError", ["bounds", "--q", "7", "--d", "5"], 70, [], [TRACEBACK],
+                       ["RuntimeError: patched engine"]),
+}
+
+
+@pytest.mark.parametrize("error, argv, code, stdout, stderr_first, stderr_last", ENTRY_CASES.values(),
+                         ids=ENTRY_CASES.keys())
+def test_entry_point_ends_without_teardown(error, argv, code, stdout, stderr_first, stderr_last):
+    proc = _run_buffered([error, *argv], command=("-c", ENTRY_PROBE))
+    err = proc.stderr.splitlines()
+    assert (proc.returncode, proc.stdout.splitlines()[:1], err[:1], err[-1:]) == (code, stdout, stderr_first,
+                                                                                  stderr_last)
+    assert "atexit handler ran" not in proc.stderr  # os._exit skips it
+
+
+def test_entry_point_closed_stdout_ends_without_teardown():
+    proc = _run_into_closed_pipe(["-", "bounds", "--q", "7", "--d", "5"], True, command=("-c", ENTRY_PROBE))
+    assert (proc.returncode, proc.stderr) == (141, "")
+
+
+def test_escaped_exception_ends_the_normal_way():
+    # main maps no KeyboardInterrupt, so the process ends as Python ends it: traceback, atexit, SIGINT
+    proc = _run_buffered(["KeyboardInterrupt", "bounds", "--q", "7", "--d", "5"], command=("-c", ENTRY_PROBE))
+    err = proc.stderr.splitlines()
+    assert (proc.returncode, err[:1], err[-2:]) == (-signal.SIGINT, [TRACEBACK],
+                                                    ["KeyboardInterrupt: patched engine", "atexit handler ran"])
+
+
+@pytest.mark.parametrize("fmt", [[], ["--json"]], ids=["text", "json"])
+def test_large_buffered_output_arrives_complete(tmp_path, capsys, fmt):
+    # no flush follows the last write but pipe_safe's, before os._exit: the bytes must all be out by then
+    argv = ["bounds", "--table", "2..300", "3..60", *fmt]
+    code, expected, _ = run(capsys, *argv)
+    assert code == 0
+    assert fmt or len(expected.encode()) == 576_300
+    piped = _run_buffered(argv)
+    assert (piped.returncode, piped.stderr, piped.stdout == expected) == (0, "", True)
+    out = tmp_path / "table.txt"
+    with open(out, "w") as fh:
+        filed = _run_buffered(argv, stdout=fh)
+    assert (filed.returncode, filed.stderr, out.read_text() == expected) == (0, "", True)
 
 
 def test_help_names_the_exit_codes_and_no_internals(capsys):

@@ -249,7 +249,53 @@ def test_output_site_is_found():
 
 def test_only_run_writes_command_output():
     # Subcommands return their stdout and --out text; _run alone opens --out and the manifest,
-    # removes what a failed run created and writes stdout.  main prints its one stderr line, and
-    # pipe_safe flushes stdout.
+    # removes what a failed run created and writes stdout.  main and pipe_safe print their one
+    # stderr line, and pipe_safe flushes stdout.
     found = output_sites((Path(normbch.__file__).parent / "cli.py").read_text())
-    assert found == {"_run": ["open", "os.remove", "sys.stdout"], "main": ["print"], "pipe_safe": ["sys.stdout"]}
+    assert found == {"_run": ["open", "os.remove", "sys.stdout"], "main": ["print"],
+                     "pipe_safe": ["print", "sys.stdout"]}
+
+
+SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
+
+
+def exit_breaches(modules: dict[str, str], scripts: dict[str, str]) -> list[str]:
+    """How the sources, by file name, break the exit rule: os._exit is called once in the package and
+    the scripts, in cli.exit_process, and each script's `if __name__ == "__main__":` block ends by
+    calling cli.exit_process."""
+    calls = []
+    for name, source in {**modules, **scripts}.items():
+        tree = ast.parse(source)
+        owner = {id(node): func.name for func in tree.body if isinstance(func, ast.FunctionDef)
+                 for node in ast.walk(func)}
+        calls += [f"{name}:{owner.get(id(node), f'line {node.lineno}')}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and ast.unparse(node.func) == "os._exit"]
+    breaches = [] if calls == ["cli.py:exit_process"] else ["os._exit called in " + ", ".join(calls)]
+    for name, source in scripts.items():
+        blocks = [node for node in ast.parse(source).body
+                  if isinstance(node, ast.If) and ast.unparse(node.test) == "__name__ == '__main__'"]
+        last = blocks[-1].body[-1] if blocks else None
+        if not (isinstance(last, ast.Expr) and isinstance(last.value, ast.Call)
+                and ast.unparse(last.value.func) == "cli.exit_process"):
+            breaches.append(f"{name}: __main__ does not end with cli.exit_process")
+    return breaches
+
+
+def sources(paths) -> dict[str, str]:
+    return {path.name: path.read_text() for path in paths}
+
+
+def test_exit_rule_breach_is_found():
+    modules, scripts = sources(MODULES), sources(SCRIPTS)
+    ending = "cli.exit_process(cli.pipe_safe(main))"
+    assert ending in scripts["bounds_table.py"]
+    scripts["bounds_table.py"] = scripts["bounds_table.py"].replace(ending, "sys.exit(cli.pipe_safe(main))")
+    modules["verify.py"] += "\n\ndef _stop():\n    os._exit(1)\n"
+    assert exit_breaches(modules, scripts) == ["os._exit called in cli.py:exit_process, verify.py:_stop",
+                                               "bounds_table.py: __main__ does not end with cli.exit_process"]
+
+
+def test_processes_end_through_exit_process():
+    # the one exit that skips interpreter teardown, so that no second path to os._exit forgets
+    # to flush stdout first or to report why it could not
+    assert exit_breaches(sources(MODULES + [Path(normbch.__file__)]), sources(SCRIPTS)) == []

@@ -88,3 +88,18 @@ def test_closed_stdout_exits_quietly(name):
         os.close(write_end)
     assert proc.stderr == ""  # no BrokenPipeError traceback
     assert proc.returncode == 141  # as the CLI exits; 1 would claim a counterexample
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full, where every write fails with ENOSPC")
+@pytest.mark.parametrize("buffered", [False, True], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize("name", ["bounds_table.py", "certify_codes.py", "lines_experiment.py"])
+def test_full_stdout_exits_2_with_one_line(name, buffered):
+    # as the CLI: one `file error:` line, not a traceback, a second report or exit 120 from a later flush
+    env = script_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run([sys.executable, str(ROOT / "scripts" / name)], stdout=full, stderr=subprocess.PIPE,
+                              text=True, env=env, timeout=120)
+    assert (proc.returncode, proc.stderr) == (2, "file error: [Errno 28] No space left on device\n")
