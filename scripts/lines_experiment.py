@@ -30,7 +30,8 @@ def report(params, experimental=False):
 
 def main() -> int:
     print("hypotheses hold:")
-    proven = ((5, 2, 4), (7, 2, 4), (5, 3, 5), (7, 3, 5), (11, 3, 5), (13, 3, 5), (101, 2, 4), (29, 3, 5))
+    proven = ((5, 2, 4), (7, 2, 4), (5, 3, 5), (7, 3, 5), (11, 3, 5), (13, 3, 5), (101, 2, 4), (29, 3, 5),
+              (1021, 2, 4))
     for q, m, d in proven:
         report(validate_params(q, m, d))
     print()

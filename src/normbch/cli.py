@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import io
 import os
 import sys
 import time
@@ -285,20 +286,26 @@ def _build_parser() -> argparse.ArgumentParser:
 def pipe_safe(run) -> int:
     """run()'s exit code once stdout is flushed.  An OSError from either, such as a full disk or an --out
     path that cannot be written, gives EXIT_ERROR with one `file error:` line; a closed stdout gives
-    EXIT_BROKEN_PIPE, quietly, as when its reader exited early (`| head`)."""
+    EXIT_BROKEN_PIPE, quietly, as when its reader exited early (`| head`).  An unbuffered stdout drops what
+    a short write leaves, so run writes through a line-buffered one, whose writes complete or raise."""
+    stdout = sys.stdout
+    if isinstance(getattr(stdout, "buffer", None), io.FileIO):
+        raw = io.FileIO(stdout.fileno(), "w", closefd=False)
+        sys.stdout = io.TextIOWrapper(io.BufferedWriter(raw), stdout.encoding, stdout.errors, line_buffering=True)
     try:
         code = run()
         sys.stdout.flush()  # so a failed stdout shows here, not at a later flush
-        return code
     except BrokenPipeError:
         code = EXIT_BROKEN_PIPE
     except OSError as exc:
         print(f"file error: {exc}", file=sys.stderr)
         code = EXIT_ERROR
-    try:
-        sys.stdout.flush()
-    except OSError:  # stdout keeps bytes it cannot write: point it at devnull, so no later flush fails on them
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    finally:
+        try:
+            sys.stdout.flush()
+        except OSError:  # stdout keeps bytes it cannot write: point it at devnull, so no later flush fails on them
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.stdout = stdout
     return code
 
 

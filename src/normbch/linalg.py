@@ -2,9 +2,9 @@
 
 All routines take matrices of plain integers and a prime modulus and
 reduce entries mod p themselves: rref, rank, kernel vector.  They serve
-matrix ranks, the basis pair's rref of [G | I] (independence and G^-1)
-and the kernel vector of a dependent column slice; the exhaustive word
-searches in verify.py work on syndromes and need no elimination.
+matrix ranks, the basis pair's rref of [G | I] (independence and G^-1),
+the kernel vector of a dependent column slice and the one rref behind
+the affine-orbit representatives; the word searches use no elimination.
 """
 
 from __future__ import annotations

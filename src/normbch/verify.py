@@ -1,22 +1,23 @@
 """Exhaustive distance certification and affine-line validation.
 
 Both jobs run on _kernel_words, an exhaustive form of Stern's
-syndrome-collision search: a weight-v vector z with Hz = t splits into
-x on its first ceil(v/2) positions and -y on the rest, with
-Hx = Hy + t.  Sorting the syndromes Hx of every x together with the
-Hy + t of every y and pairing equal ones with
-max supp(x) < min supp(y) yields each vector exactly once.  For t = 0
-the first coefficient of x is fixed to 1, giving one kernel word per
-scalar class.  Passes over a fixed memory cap are refused up front.
+syndrome-collision search: a weight-v kernel word z splits into x on
+its first ceil(v/2) positions and -y on the rest, with Hx = Hy.
+Sorting the syndromes Hx of every x together with the Hy of every y
+and pairing equal ones with max supp(x) < min supp(y) yields each word
+exactly once; the first coefficient of x is fixed to 1, giving one word
+per scalar class.  Passes over a fixed memory cap are refused up front.
 
 Both also use the affine orbits of the base code.  The maps
 x -> a*x + b (a nonzero) preserve the base code and act doubly
 transitively on the locators (Kasami, Lin and Peterson, 1967), so every
 weight-v word is an image of a representative: a word whose support
-holds locator 1 (position n-1) and locator 0 (position n).  Those are
-the weight-(v-2) solutions of Hz = -(h_n + c*h_(n-1)), c nonzero,
-completed by c and 1, which one pass finds for every c once a row has
-cleared h_(n-1) from the others.
+holds locator 1 (position n-1) and locator 0 (position n).  Moved
+first, those columns are the first pivots of one rref, and a
+representative is (c, a, z): z a weight-(v-2) kernel word of the rows
+below the pivots, on the other columns, and c, a minus the pivot rows
+dotted with z.  One pass finds every z, and the words with c and a
+nonzero, scaled to a = 1, are the representatives.
 
 The line check examines representatives only.  An invariant set with R
 representatives has R*n(n-1)/(v(v-1)) members, which gives every count.
@@ -144,12 +145,12 @@ def _check_memory(r: int, q: int, slots: int) -> None:
         raise BudgetExceededError(slots, MEMORY_CAP_BYTES // per_slot, what="half-vectors")
 
 
-def _half_table(rows: np.ndarray, q: int, k: int, lead_one: bool, out: np.ndarray, offset=None):
+def _half_table(rows: np.ndarray, q: int, k: int, lead_one: bool, out: np.ndarray):
     """Supports and coefficients of every weight-k vector on the columns of rows.
 
     Coefficients run over 1..q-1, the first fixed to 1 with lead_one.
     Column s * len(coeffs) + i of out gets the syndrome of support s
-    with coefficient row i, plus offset (a syndrome) when given.
+    with coefficient row i.
     """
     n = rows.shape[1]
     n_supports = math.comb(n, k)
@@ -159,45 +160,39 @@ def _half_table(rows: np.ndarray, q: int, k: int, lead_one: bool, out: np.ndarra
     coeffs = np.array([(1,) * lead_one + t for t in tails], dtype=np.intp).reshape(len(tails), k)
     work = np.min_scalar_type(q * q)  # holds acc + c * h for acc, c, h < q
     cols = rows.astype(work)[:, supports]
-    start = np.zeros((rows.shape[0], 1), dtype=work)
-    if offset is not None:
-        start[:, 0] = np.asarray(offset) % q
     for i, pattern in enumerate(coeffs.tolist()):
-        acc = np.broadcast_to(start, cols.shape[:2])
+        acc = 0
         for j, c in enumerate(pattern):
             acc = (acc + c * cols[:, :, j]) % q
         out[:, i :: len(coeffs)] = acc
     return supports, coeffs
 
 
-def _kernel_words(rows: np.ndarray, q: int, v: int, target=None) -> tuple[np.ndarray, np.ndarray]:
-    """Every weight-v vector z over GF(q) with rows @ z = target (default 0).
+def _kernel_words(rows: np.ndarray, q: int, v: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every weight-v kernel word of rows over GF(q), one per scalar class: first coefficient 1.
 
-    Without a target the first coefficient is 1, one vector per scalar
-    class; with one, every coefficient runs over 1..q-1.  Returns
-    (supports, coeffs), two (N, v) arrays of ascending 0-based column
-    indices and their coefficients, in no particular order.  Raises
-    BudgetExceededError, counting half-vectors, when the pass would
-    need more than MEMORY_CAP_BYTES; with v > n there is no such vector,
-    and nothing is checked.
+    Returns (supports, coeffs), two (N, v) arrays of ascending 0-based
+    column indices and their coefficients, in no particular order.
+    Raises BudgetExceededError, counting half-vectors, when the pass
+    would need more than MEMORY_CAP_BYTES; with v > n there is no such
+    word, and nothing is checked.
     """
     r, n = rows.shape
     if v > n:
         return np.empty((0, v), dtype=np.intp), np.empty((0, v), dtype=np.intp)
     a = (v + 1) // 2
-    lead_one = target is None
-    n_x = math.comb(n, a) * (q - 1) ** (a - lead_one)
+    n_x = math.comb(n, a) * (q - 1) ** (a - 1)
     n_y = math.comb(n, v - a) * (q - 1) ** (v - a)
     _check_memory(r, q, n_x + n_y)  # a slot per x and y half-vector
     keys = np.empty((r, n_x + n_y), dtype=np.min_scalar_type(q - 1))
-    xs, xc = _half_table(rows, q, a, lead_one, keys[:, :n_x])
-    # Hx = Hy + t makes the word (x, -y)
-    ys, yc = _half_table(rows, q, v - a, False, keys[:, n_x:], target)
+    xs, xc = _half_table(rows, q, a, True, keys[:, :n_x])
+    # Hx = Hy makes the word (x, -y)
+    ys, yc = _half_table(rows, q, v - a, False, keys[:, n_x:])
 
     # Sort by syndrome, then by max supp(x) or min supp(y).  Within one
     # syndrome the y rows then run in ascending min supp(y), and each x
     # pairs with the tail of them whose min exceeds its max.
-    x_edge, y_edge = xs.max(axis=1, initial=0), ys.min(axis=1, initial=n)  # an empty x has edge 0
+    x_edge, y_edge = xs.max(axis=1), ys.min(axis=1, initial=n)  # an empty y has edge n
     edge = np.concatenate([np.repeat(x_edge, len(xc)), np.repeat(y_edge, len(yc))])
     edge = edge.astype(np.min_scalar_type(n))
     order = np.lexsort([edge, *keys])
@@ -421,26 +416,24 @@ def on_affine_line(locators) -> AffineLine | None:
 
 
 def _representatives(rows: np.ndarray, q: int, v: int) -> tuple[np.ndarray, np.ndarray]:
-    """The weight-v kernel words of rows that hold the last two columns.
+    """The weight-v kernel words of rows that hold the last two columns, coefficient 1 on the last.
 
-    One word per scalar class: coefficient 1 on the last column and
-    c = 1..q-1 on the one before, completed by the weight-(v-2) words z
-    on the other columns with Hz = -(h_last + c * h_before).  Row i,
-    the first where h_before is nonzero, scaled and taken from every
-    row gives P with P h_before = 0, so one pass over P z = -P h_last
-    finds z for every c; row i gives c, and c = 0 is dropped.
+    One rref and one pass (module docstring); RuntimeError when the last
+    two columns are dependent, as the base rows at d >= 4 never are.
     Returns (supports, coeffs) as _kernel_words does, columns ascending.
     """
     n = rows.shape[1]
-    i = int(np.flatnonzero(rows[:, -2])[0])
-    inv = pow(int(rows[i, -2]), -1, q)
-    projected = ((rows - rows[:, -2:-1].astype(np.int64) * inv % q * rows[i]) % q).astype(rows.dtype)
-    supports, coeffs = _kernel_words(projected[:, :-2], q, v - 2, -projected[:, -1].astype(np.int64) % q)
-    c = -((rows[i, supports] * coeffs).sum(axis=1) + rows[i, -1]) * inv % q
-    keep = c != 0
-    tail = np.ones((int(keep.sum()), 1), dtype=np.intp)
-    supports = np.hstack([supports[keep], (n - 2) * tail, (n - 1) * tail])
-    return supports, np.hstack([coeffs[keep], c[keep, None], tail])
+    reduced, rank, pivots = linalg.rref(rows[:, [n - 2, n - 1, *range(n - 2)]], q)
+    if pivots[:2] != [0, 1]:
+        raise RuntimeError("the last two columns are dependent")
+    if v == 2:  # z = 0 gives c = a = 0
+        return np.empty((0, 2), dtype=np.intp), np.empty((0, 2), dtype=np.intp)
+    supports, coeffs = _kernel_words(reduced[2:rank, 2:], q, v - 2)
+    c, a = -(reduced[:2, 2:][:, supports] * coeffs).sum(axis=2) % q
+    keep = (c != 0) & (a != 0)
+    inv = np.array([0, *(pow(x, -1, q) for x in range(1, q))])[a[keep], None]
+    coeffs = np.hstack([coeffs, c[:, None], a[:, None]])[keep] * inv % q
+    return np.hstack([supports[keep], np.broadcast_to([n - 2, n - 1], (len(coeffs), 2))]), coeffs
 
 
 def _survey(rows: np.ndarray, locators, q: int, d: int, v: int) -> tuple[np.ndarray, np.ndarray, int]:

@@ -316,11 +316,12 @@ class TestCheckLines:
         assert stderr == ""
 
     def test_representative_search_refused_by_memory_cap(self, capsys, monkeypatch):
-        monkeypatch.setattr(normbch.verify, "MEMORY_CAP_BYTES", 5_000)
+        # the one weight-2 pass over 23 columns and 3 rref rows takes 23 + 92 half-vectors of 43 bytes
+        monkeypatch.setattr(normbch.verify, "MEMORY_CAP_BYTES", 4_000)
         code, stdout, stderr = run(capsys, "check-lines", "--q", "5", "--m", "2", "--d", "5", "--experimental")
         assert code == 2
         assert stdout == ""
-        assert stderr == "budget exceeded: 184 half-vectors needed, budget is 111\n"
+        assert stderr == "budget exceeded: 115 half-vectors needed, budget is 93\n"
 
     def test_weight_beyond_length_finds_no_words(self, capsys):
         # no weight-39 word fits in n = 25 positions, so there is nothing to refuse
@@ -947,15 +948,20 @@ def test_exit_2_contract_entry_point(matrix_files, tmp_path, case):
     assert proc.stderr.startswith(prefix)
 
 
-def _run_buffered(argv, buffered=True, stdout=subprocess.PIPE, command=("-m", "normbch.cli")):
-    """A fresh `python -m normbch.cli argv` (or another command) whose stdout is block-buffered, or
-    unbuffered as PYTHONUNBUFFERED makes it; stdout and stderr are captured unless stdout is given."""
+def _buffered_env(buffered):
+    """_child_env, with stdout block-buffered or unbuffered as PYTHONUNBUFFERED makes it."""
     env = _child_env()
     env.pop("PYTHONUNBUFFERED", None)
     if not buffered:
         env["PYTHONUNBUFFERED"] = "1"
+    return env
+
+
+def _run_buffered(argv, buffered=True, stdout=subprocess.PIPE, command=("-m", "normbch.cli")):
+    """A fresh `python -m normbch.cli argv` (or another command) under _buffered_env; stdout and stderr are
+    captured unless stdout is given."""
     return subprocess.run([sys.executable, *command, *argv], stdout=stdout, stderr=subprocess.PIPE, text=True,
-                          env=env, timeout=120)
+                          env=_buffered_env(buffered), timeout=120)
 
 
 def _run_into_closed_pipe(argv, buffered, command=("-m", "normbch.cli")):
@@ -982,11 +988,11 @@ def test_closed_stdout_exits_141_quietly(argv, buffered):
 @pytest.mark.parametrize("buffered", [False, True], ids=["unbuffered", "buffered"])
 @pytest.mark.parametrize("argv", [["--version"], ["gencode", "--help"]], ids=["version", "help"])
 def test_closed_stdout_after_version_or_help(argv, buffered):
-    # argparse prints these and exits inside parse_args; unbuffered, it
-    # swallows the write error itself and exits 0
+    # argparse prints these and exits inside parse_args, swallowing the write error; the bytes it
+    # could not write stay in stdout's buffer, unbuffered too, so pipe_safe's flush reports them
     proc = _run_into_closed_pipe(argv, buffered)
     assert proc.stderr == ""  # no "Exception ignored ... BrokenPipeError" at interpreter exit
-    assert proc.returncode == 141 if buffered else proc.returncode in (0, 141)
+    assert proc.returncode == 141
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full, where every write fails with ENOSPC")
@@ -999,6 +1005,21 @@ def test_full_stdout_exits_2_with_one_line(argv, buffered):
     with open("/dev/full", "w") as full:
         proc = _run_buffered(argv, buffered, full)
     assert (proc.returncode, proc.stderr) == (2, "file error: [Errno 28] No space left on device\n")
+
+
+@pytest.mark.parametrize("buffered", [False, True], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize("command", [("-m", "normbch.cli", "bounds", "--table", "2..300", "3..60"),
+                                     (str(Path(__file__).resolve().parents[1] / "scripts" / "bounds_table.py"),
+                                      "300", "60")], ids=["cli", "bounds_table.py"])
+def test_reader_that_stops_early_gets_141(command, buffered):
+    # The reader takes 4,096 of the table's 576,300 bytes and closes the pipe, which cuts the child's
+    # write short.  Unbuffered stdout once dropped the rest of a short write and exited 0.
+    with subprocess.Popen([sys.executable, *command], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          env=_buffered_env(buffered)) as proc:
+        head = proc.stdout.read(4096)
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+    assert (len(head), proc.returncode, stderr) == (4096, 141, b"")
 
 
 # A fresh interpreter registers an atexit handler, then runs argv through cli_entry, the

@@ -49,6 +49,9 @@ def test_lines_experiment():
     assert "(q=13, m=3, d=5)  [proven range]  weight=4 words=22112805 on_line=22112805 violations=0\n" in out
     assert "(q=101, m=2, d=4)  [proven range]  weight=3 words=1716828300 on_line=1716828300 violations=0\n" in out
     assert "(q=29, m=3, d=5)  [proven range]  weight=4 words=17397868761 on_line=17397868761 violations=0\n" in out
+    # (1021,2,4) fits the memory cap only with a leading 1 on the x half of the representative pass
+    assert ("(q=1021, m=2, d=4)  [proven range]  weight=3 words=184554859627460 on_line=184554859627460 "
+            "violations=0\n") in out
     assert "(q=5, m=2, d=5)  [experiment only]  weight=4 words=350 on_line=150 violations=200\n" in out
     assert "(q=5, m=4, d=5)  [experiment only]  weight=4 words=227500 on_line=97500 violations=130000\n" in out
     assert "(q=7, m=4, d=5)  [experiment only]  weight=4 words=10564400 on_line=4802000 violations=5762400\n" in out
@@ -66,6 +69,7 @@ def test_certify_codes():
         "distance >= 5: certified over 968104633665 subsets",
         "distance >= 4: certified over 176867998300 subsets",
         "distance >= 5: certified over 14738656119688501 subsets",
+        "distance >= 4: certified over 188799983626290260 subsets",
     ]
 
 
