@@ -31,15 +31,16 @@ _EXPORTS = {
     ),
     "errors": ("BudgetExceededError",),
     "field": (
-        "BasisPair", "Field", "FieldElement", "FieldMismatchError", "embed_hat", "is_prime",
-        "make_basis_pair", "make_field", "norm",
+        "BasisPair", "Field", "FieldElement", "FieldMismatchError", "embed_hat", "make_basis_pair",
+        "make_field", "norm",
     ),
     "linalg": (),
-    "reduce": ("ExplicitCode", "ReductionResult", "read_codeword_list", "reduce_alphabet"),
-    "verify": (
-        "AffineLine", "DistanceCertificate", "LinesReport", "construct_weight_word", "enumerate_weight_words",
-        "min_distance_at_least", "on_affine_line", "vandermonde_check", "verify_lines_theorem",
+    "lines": (
+        "AffineLine", "LinesReport", "construct_weight_word", "enumerate_weight_words", "on_affine_line",
+        "vandermonde_check", "verify_lines_theorem",
     ),
+    "reduce": ("ExplicitCode", "ReductionResult", "read_codeword_list", "reduce_alphabet"),
+    "verify": ("DistanceCertificate", "min_distance_at_least"),
 }
 _OWNER = {name: module for module, names in _EXPORTS.items() for name in names}
 __all__ = sorted(_OWNER)
@@ -65,6 +66,27 @@ def _sha256_hex(data: bytes) -> str:
 def _is_digit_below(text: str, q: int) -> bool:
     """Whether text is ASCII digits whose value is below q; one longer than q's digits never reaches int()."""
     return text.isascii() and text.isdigit() and len(text.lstrip("0")) <= len(str(q)) and int(text) < q
+
+
+# The primality test lives here, not in field, so the matrix reader checks an
+# alphabet without compiling the field code; field imports both.
+def is_prime(n: int) -> bool:
+    return _prime_factors(n) == [n]
+
+
+def _prime_factors(n: int) -> list[int]:
+    """The distinct primes dividing n, ascending; none for n < 2."""
+    out = []
+    f = 2
+    while f * f <= n:
+        if n % f == 0:
+            out.append(f)
+            while n % f == 0:
+                n //= f
+        f += 1
+    if n > 1:
+        out.append(n)
+    return out
 
 
 def __getattr__(name: str):

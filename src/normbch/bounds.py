@@ -16,9 +16,8 @@ recomputed constructions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 if TYPE_CHECKING:  # an annotation only: the table code never loads numpy
     from .construct import ParityCheckMatrix
@@ -39,8 +38,7 @@ _SPECIAL: dict[tuple[int | None, int], list[tuple[Bound, str]]] = {
 }
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(NamedTuple):
     """All bounds for one (q, d) pair with the winning upper and its source."""
 
     q: int
@@ -57,8 +55,7 @@ class BoundReport:
     consistent: bool
 
 
-@dataclass(frozen=True)
-class EmpiricalPoint:
+class EmpiricalPoint(NamedTuple):
     """Finite-length redundancy of one concrete matrix: rank over log_q(n)."""
 
     q: int

@@ -140,7 +140,7 @@ def cmd_verify_distance(args) -> tuple:
 
 def cmd_check_lines(args) -> tuple:
     from .construct import validate_params
-    from .verify import verify_lines_theorem
+    from .lines import verify_lines_theorem
 
     params = validate_params(args.q, args.m, args.d, relaxed=args.relaxed)
     report = verify_lines_theorem(params, budget=args.budget, experimental=args.experimental)

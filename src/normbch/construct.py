@@ -16,33 +16,29 @@ the norm is the power norm_exponent, and locator 0 gives 0^t = 0.
 Row and coordinate order is fixed (all-ones first, then t ascending,
 then basis coordinate ascending) so that two builds with equal
 parameters serialize to identical bytes.
+
+The field code loads only where a field is built or an element made:
+the builders, validate_params and the field checks import it when they
+run, so reading a matrix file never compiles it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
-from .field import (
-    DEFAULT_MAX_FIELD_SIZE,
-    FieldElement,
-    FieldMismatchError,
-    check_field_size,
-    is_prime,
-    make_basis_pair,
-    make_field,
-    norm_degrees,
-    norm_exponent,
-)
-from . import _is_digit_below, _sha256_hex, linalg
+from . import _is_digit_below, _sha256_hex, is_prime, linalg
+from .errors import DEFAULT_MAX_FIELD_SIZE
+
+if TYPE_CHECKING:  # annotations only
+    from .field import FieldElement
 
 MAX_ALPHABET = int(np.iinfo(np.int16).max)  # matrix entries are int16
 
 
-@dataclass(frozen=True)
-class CodeParams:
+class CodeParams(NamedTuple):
     """Parameters (q, m, d) with derived sizes and recorded rule violations.
 
     Violations are data rather than exceptions so a caller can report
@@ -98,6 +94,8 @@ def validate_params(q: int, m: int, d: int, relaxed: bool = False) -> CodeParams
     log2(budget), so m is checked, and (d-3)! computed, only up to it.
     The rule table's row order is the order of the report.
     """
+    from .field import norm_degrees
+
     max_degree = DEFAULT_MAX_FIELD_SIZE.bit_length() - 1
     sized = 1 <= m <= max_degree
     n = q**m if q >= 2 and sized else 0
@@ -122,22 +120,26 @@ def validate_params(q: int, m: int, d: int, relaxed: bool = False) -> CodeParams
     return CodeParams(q, m, d, relaxed, s, mu, n, tuple(violation for fails, violation in rules if fails))
 
 
-@dataclass(frozen=True)
-class Codeword:
-    """Sparse codeword: sorted 1-based support with aligned nonzero coefficients."""
-
+class _CodewordFields(NamedTuple):
     support: tuple[int, ...]
     coeffs: tuple[int, ...]
 
-    def __post_init__(self):
-        if len(self.support) != len(self.coeffs):
+
+class Codeword(_CodewordFields):
+    """Sparse codeword: sorted 1-based support with aligned nonzero coefficients."""
+
+    __slots__ = ()
+
+    def __new__(cls, support: tuple[int, ...], coeffs: tuple[int, ...]):
+        if len(support) != len(coeffs):
             raise ValueError("support and coefficients differ in length")
-        if any(j < 1 for j in self.support):
+        if any(j < 1 for j in support):
             raise ValueError("positions are 1-based")
-        if any(a >= b for a, b in zip(self.support, self.support[1:])):
+        if any(a >= b for a, b in zip(support, support[1:])):
             raise ValueError("support must be strictly increasing")
-        if any(c == 0 for c in self.coeffs):
+        if any(c == 0 for c in coeffs):
             raise ValueError("coefficients must be nonzero")
+        return super().__new__(cls, support, coeffs)
 
     @property
     def weight(self) -> int:
@@ -170,7 +172,7 @@ class LocatorTable:
         return self.field.power(self.field.e.val, columns + 1) * (columns != self.n - 1)
 
     def locator(self, position: int) -> FieldElement:
-        return FieldElement(self.field, self.encoded(position - 1).item())
+        return self.field.elem(self.encoded(position - 1).item())
 
     def columns(self, vals) -> np.ndarray:
         """0-based columns of an array of encoded locators: n-1 for 0, j for e^(j+1)."""
@@ -243,6 +245,8 @@ class ParityCheckMatrix:
 def _require_buildable(params: CodeParams) -> None:
     # Matrices can be built for experiments even when the distance
     # hypotheses fail, but the field itself must exist.
+    from .field import check_field_size
+
     if params.d < 3:
         raise ValueError(f"d={params.d} is below 3; no matrix is defined")
     if params.m < 1 or _alphabet_violation(params.q):
@@ -263,6 +267,8 @@ def bch_matrix(params: CodeParams) -> ParityCheckMatrix:
     is 1 in the all-ones row and, as 0^t = 0, 0 elsewhere.  Row count
     is (d-3)m + 1.
     """
+    from .field import make_field
+
     _require_buildable(params)
     loc = LocatorTable(make_field(params.q, params.m))
     m, field = params.m, loc.field
@@ -284,6 +290,8 @@ def augmented_matrix(params: CodeParams) -> ParityCheckMatrix:
     nonzero one as a basis construction bug.  Row count is
     (d-3)m + s + 1.
     """
+    from .field import make_basis_pair, norm_exponent
+
     if params.d == 3:
         raise ValueError("d=3 needs no norm rows; use bch_matrix, whose code already has distance 3")
     _require_buildable(params)
@@ -319,6 +327,8 @@ def apply_affine_permutation(
     if not b:
         raise ValueError("affine permutations need a nonzero multiplier")
     if a.field is not loc.field or b.field is not loc.field:
+        from .field import FieldMismatchError
+
         raise FieldMismatchError("affine map over a different field")
     xs = loc.encoded(np.array(word.support, dtype=np.intp) - 1)
     images = loc.columns(loc.field.add(a.val, loc.field.mul(b.val, xs))) + 1

@@ -5,6 +5,9 @@ import math
 # Default cap on the subsets an exhaustive word search may enumerate; the
 # CLI parser needs it, so it lives here rather than in verify.
 DEFAULT_SUBSET_BUDGET = 20_000_000
+# Largest field, and so the longest matrix, the package builds or reads;
+# the matrix reader needs it, so it lives here rather than in field.
+DEFAULT_MAX_FIELD_SIZE = 1 << 20
 
 
 def _count(value: int) -> str:

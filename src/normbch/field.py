@@ -49,32 +49,12 @@ from typing import Iterator
 
 import numpy as np
 
-from . import linalg
-
-DEFAULT_MAX_FIELD_SIZE = 1 << 20
+from . import _prime_factors, is_prime, linalg
+from .errors import DEFAULT_MAX_FIELD_SIZE
 
 
 class FieldMismatchError(ValueError):
     """Raised when elements of different fields are combined."""
-
-
-def is_prime(n: int) -> bool:
-    return _prime_factors(n) == [n]
-
-
-def _prime_factors(n: int) -> list[int]:
-    """The distinct primes dividing n, ascending; none for n < 2."""
-    out = []
-    f = 2
-    while f * f <= n:
-        if n % f == 0:
-            out.append(f)
-            while n % f == 0:
-                n //= f
-        f += 1
-    if n > 1:
-        out.append(n)
-    return out
 
 
 def _companion(tail, p: int) -> np.ndarray:

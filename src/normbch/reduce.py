@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,26 +35,30 @@ DEFAULT_SHIFT_BUDGET = 10_000_000
 _BATCH_BYTES = 1 << 22
 
 
-@dataclass(frozen=True)
-class ExplicitCode:
-    """A code given by its full codeword list over the alphabet Z_q."""
-
+class _ExplicitCodeFields(NamedTuple):
     q: int
     n: int
     words: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self):
-        if self.q < 1:
+
+class ExplicitCode(_ExplicitCodeFields):
+    """A code given by its full codeword list over the alphabet Z_q."""
+
+    __slots__ = ()
+
+    def __new__(cls, q: int, n: int, words: tuple[tuple[int, ...], ...]):
+        if q < 1:
             raise ValueError("alphabet size must be positive")
-        if self.n < 1:
+        if n < 1:
             raise ValueError("length must be positive")
-        for w in self.words:
-            if len(w) != self.n:
-                raise ValueError(f"word {w} does not have length {self.n}")
-            if any(not 0 <= v < self.q for v in w):
-                raise ValueError(f"word {w} has symbols outside [0, {self.q})")
-        if len(set(self.words)) != len(self.words):
+        for w in words:
+            if len(w) != n:
+                raise ValueError(f"word {w} does not have length {n}")
+            if any(not 0 <= v < q for v in w):
+                raise ValueError(f"word {w} has symbols outside [0, {q})")
+        if len(set(words)) != len(words):
             raise ValueError("codewords must be distinct")
+        return super().__new__(cls, q, n, words)
 
     def min_distance(self) -> int | None:
         """Smallest pairwise Hamming distance; None for fewer than 2 words."""
@@ -67,8 +71,7 @@ class ExplicitCode:
         return "".join(" ".join(map(str, w)) + "\n" for w in self.words)
 
 
-@dataclass(frozen=True)
-class ReductionResult:
+class ReductionResult(NamedTuple):
     mode: str
     shift: tuple[int, ...]
     achieved: int

@@ -1,12 +1,13 @@
-"""Exhaustive distance certification and affine-line validation.
+"""Exhaustive distance certification, and the searches the line check shares.
 
-Both jobs run on _kernel_words, an exhaustive form of Stern's
-syndrome-collision search: a weight-v kernel word z splits into x on
-its first ceil(v/2) positions and -y on the rest, with Hx = Hy.
-Sorting the syndromes Hx of every x together with the Hy of every y
-and pairing equal ones with max supp(x) < min supp(y) yields each word
-exactly once; the first coefficient of x is fixed to 1, giving one word
-per scalar class.  Passes over a fixed memory cap are refused up front.
+The distance check here and the line check of lines.py run on
+_kernel_words, an exhaustive form of Stern's syndrome-collision search:
+a weight-v kernel word z splits into x on its first ceil(v/2) positions
+and -y on the rest, with Hx = Hy.  Sorting the syndromes Hx of every x
+together with the Hy of every y and pairing equal ones with
+max supp(x) < min supp(y) yields each word exactly once; the first
+coefficient of x is fixed to 1, giving one word per scalar class.
+Passes over a fixed memory cap are refused up front.
 
 Both also use the affine orbits of the base code.  The maps
 x -> a*x + b (a nonzero) preserve the base code and act doubly
@@ -19,9 +20,8 @@ below the pivots, on the other columns, and c, a minus the pivot rows
 dotted with z.  One pass finds every z, and the words with c and a
 nonzero, scaled to a = 1, are the representatives.
 
-The line check examines representatives only.  An invariant set with R
-representatives has R*n(n-1)/(v(v-1)) members, which gives every count.
-Both routes check the on-line count against its closed form.
+_survey finds the representatives of one weight for both checks, and
+checks their on-line count against its closed form.
 
 Distance >= d holds when no (d-1)-subset of columns is dependent.  On
 the augmented matrix of the construction, rebuilt from q, d and
@@ -55,32 +55,21 @@ from __future__ import annotations
 import itertools
 import math
 import time
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from . import linalg
-from .construct import (
-    CodeParams,
-    Codeword,
-    ParityCheckMatrix,
-    _require_buildable,
-    augmented_blocks,
-    augmented_matrix,
-    bch_matrix,
-    syndrome,
-    validate_params,
-)
+from .construct import Codeword, ParityCheckMatrix, augmented_blocks, augmented_matrix, validate_params
 from .errors import DEFAULT_SUBSET_BUDGET, BudgetExceededError
-from .field import FieldElement, FieldMismatchError
 
 # Memory cap of one collision pass; above it the pass is refused with
 # BudgetExceededError before its tables are allocated.
 MEMORY_CAP_BYTES = 1 << 30
+_SLOT_BYTES = 40  # what a half-vector slot takes besides its syndrome entries
 
 
-@dataclass(frozen=True)
-class DistanceCertificate:
+class DistanceCertificate(NamedTuple):
     """Outcome of one exhaustive distance check against a distance target.
 
     subsets_examined counts colex-order coverage: the full subset count
@@ -102,32 +91,6 @@ class DistanceCertificate:
         return self.verdict == "certified"
 
 
-@dataclass(frozen=True)
-class AffineLine:
-    """A line {a + t*b} with b nonzero; lambdas are the prime-field parameters."""
-
-    a: FieldElement
-    b: FieldElement
-    lambdas: tuple[int, ...]
-
-    def __post_init__(self):
-        if not self.b:
-            raise ValueError("a line needs a nonzero direction")
-
-
-@dataclass(frozen=True)
-class LinesReport:
-    """Counts of the minimum-weight base-code words and of those off every line."""
-
-    params: CodeParams
-    weight: int
-    words_found: int
-    on_line: int
-    violation_count: int
-    theorem_applies: bool
-    subset_count: int
-
-
 def _subset_count(n: int, w: int, budget: int) -> int:
     """C(n, w), the w-subsets of n columns; BudgetExceededError, carrying it, when it exceeds budget."""
     if math.comb(n, w) > budget:
@@ -135,12 +98,18 @@ def _subset_count(n: int, w: int, budget: int) -> int:
     return math.comb(n, w)
 
 
+def _half_slots(n: int, q: int, v: int) -> tuple[int, int]:
+    """Slots of the x and y half tables of a weight-v pass over n columns: x holds ceil(v/2) positions, lead one."""
+    a = (v + 1) // 2
+    return math.comb(n, a) * (q - 1) ** (a - 1), math.comb(n, v - a) * (q - 1) ** (v - a)
+
+
 def _check_memory(r: int, q: int, slots: int) -> None:
     """Refuse a pass of the given slots that would exceed MEMORY_CAP_BYTES.
 
-    A slot is r syndrome entries plus 40 bytes (37 in all measured at r=8, q=7).
+    A slot is r syndrome entries plus _SLOT_BYTES (37 in all measured at r=8, q=7).
     """
-    per_slot = r * np.min_scalar_type(q - 1).itemsize + 40
+    per_slot = r * np.min_scalar_type(q - 1).itemsize + _SLOT_BYTES
     if slots * per_slot > MEMORY_CAP_BYTES:
         raise BudgetExceededError(slots, MEMORY_CAP_BYTES // per_slot, what="half-vectors")
 
@@ -181,8 +150,7 @@ def _kernel_words(rows: np.ndarray, q: int, v: int) -> tuple[np.ndarray, np.ndar
     if v > n:
         return np.empty((0, v), dtype=np.intp), np.empty((0, v), dtype=np.intp)
     a = (v + 1) // 2
-    n_x = math.comb(n, a) * (q - 1) ** (a - 1)
-    n_y = math.comb(n, v - a) * (q - 1) ** (v - a)
+    n_x, n_y = _half_slots(n, q, v)
     _check_memory(r, q, n_x + n_y)  # a slot per x and y half-vector
     keys = np.empty((r, n_x + n_y), dtype=np.min_scalar_type(q - 1))
     xs, xc = _half_table(rows, q, a, True, keys[:, :n_x])
@@ -291,7 +259,8 @@ def _orbit_certifies(matrix: ParityCheckMatrix, d: int) -> bool:
     their sum against t^(d-2), a divided difference of x^(d-2), is 1.
     False (any other matrix, a locator outside GF(q), a zero f, or a
     representative search over the memory cap) leaves the verdict to
-    the generic engine.
+    the generic engine.  A search whose slots alone exceed the cap is
+    declined before the build, as its pass would surely be refused.
     """
     q, n = matrix.q, matrix.n
     m = next((m for m in range(1, n.bit_length()) if q**m == n), 0)  # 0 when n is no power q^m, m >= 1
@@ -299,6 +268,9 @@ def _orbit_certifies(matrix: ParityCheckMatrix, d: int) -> bool:
         return False
     params = validate_params(q, m, d)
     if matrix.blocks != augmented_blocks(params):
+        return False
+    # _representatives searches weight v-2 on n-2 columns, and nothing at v = 2
+    if any(sum(_half_slots(n - 2, q, v - 2)) * _SLOT_BYTES > MEMORY_CAP_BYTES for v in range(3, min(d, n + 1))):
         return False
     try:
         rebuilt = augmented_matrix(params)
@@ -371,50 +343,6 @@ def min_distance_at_least(
     )
 
 
-def enumerate_weight_words(
-    matrix: ParityCheckMatrix, w: int, budget: int = DEFAULT_SUBSET_BUDGET
-) -> list[Codeword]:
-    """All weight-w codewords of the matrix kernel, one per scalar class.
-
-    Each word has first coefficient 1.  Output is sorted by (support,
-    coefficients).  The zero word is never included; w = 0 or w > n
-    yields an empty list.
-    """
-    if w <= 0 or w > matrix.n:
-        return []
-    _subset_count(matrix.n, w, budget)
-    supports, coeffs = _kernel_words(matrix.rows, matrix.q, w)
-    order = np.lexsort(np.hstack([supports, coeffs]).T[::-1])
-    return [
-        Codeword(tuple(s), tuple(c))
-        for s, c in zip((supports[order] + 1).tolist(), coeffs[order].tolist())
-    ]
-
-
-def on_affine_line(locators) -> AffineLine | None:
-    """The affine line through a locator set, or None when there is none.
-
-    Normalization: the line is anchored at the last locator with
-    direction (second-to-last minus last), which parameterizes the last
-    two locators as 1 and 0; a line under this normalization exists
-    exactly when one exists at all.  Needs at least 3 pairwise distinct
-    locators.
-    """
-    xs = list(locators)
-    if len(xs) < 3:
-        raise ValueError("line checks need at least 3 locators")
-    if len({x.val for x in xs}) != len(xs):
-        raise ValueError("locators must be pairwise distinct")
-    field = xs[-1].field
-    if any(x.field is not field for x in xs):
-        raise FieldMismatchError("locators from different fields")
-    anchor, direction = xs[-1], xs[-2] - xs[-1]
-    offsets = field.add(np.array([x.val for x in xs]), (-anchor).val)
-    lambdas = field.mul(offsets, direction.inverse().val).tolist()
-    in_gf_q = max(lambdas) < field.p  # an element lies in GF(q) exactly when its encoding is below q
-    return AffineLine(a=anchor, b=direction, lambdas=tuple(lambdas)) if in_gf_q else None
-
-
 def _representatives(rows: np.ndarray, q: int, v: int) -> tuple[np.ndarray, np.ndarray]:
     """The weight-v kernel words of rows that hold the last two columns, coefficient 1 on the last.
 
@@ -452,91 +380,3 @@ def _survey(rows: np.ndarray, locators, q: int, d: int, v: int) -> tuple[np.ndar
     return coeffs, ys, on
 
 
-def _orbit_size(reps: int, n: int, v: int) -> int:
-    """Size of an affine-invariant set of weight-v words with reps representatives."""
-    size, rest = divmod(reps * n * (n - 1), v * (v - 1))
-    if rest:
-        raise RuntimeError(f"{reps} representatives of weight {v} cannot fill whole orbits at n={n}")
-    return size
-
-
-def verify_lines_theorem(
-    params: CodeParams,
-    budget: int = DEFAULT_SUBSET_BUDGET,
-    experimental: bool = False,
-) -> LinesReport:
-    """Check that every minimum-weight word of the base code sits on a line.
-
-    Examines only the representatives, the weight-(d-1) words whose
-    support holds locators 1 and 0, and derives words_found, on_line and
-    the violation count by orbit counting (see the module docstring).
-    on_affine_line anchors a representative at 0 with direction 1, so it
-    is on a line exactly when every locator of its support lies in GF(q).
-    With experimental set, parameters that fail the hypotheses are still
-    run and the report is marked as outside the proven range; results
-    are then observations, not assertions.
-    """
-    if params.d < 4:
-        raise ValueError("line validation needs d >= 4 (below that any support is collinear)")
-    if not params.valid and not experimental:
-        raise ValueError("parameters violate the hypotheses: " + "; ".join(params.violations))
-    _require_buildable(params)  # a parameter error outranks the budget refusal, which comes before the build
-    n, q, v = params.n, params.q, params.d - 1
-    total = _subset_count(n, v, budget)
-    matrix = bch_matrix(params)
-    _, ys, on = _survey(matrix.rows, matrix.locators, q, params.d, v)
-    return LinesReport(
-        params=params,
-        weight=v,
-        words_found=_orbit_size(len(ys), n, v),
-        on_line=_orbit_size(on, n, v),
-        violation_count=_orbit_size(len(ys) - on, n, v),
-        theorem_applies=params.valid,
-        subset_count=total,
-    )
-
-
-def construct_weight_word(params: CodeParams) -> tuple[Codeword, np.ndarray]:
-    """Deterministic weight-(d-1) word of the base code, plus its augmented syndrome.
-
-    Locators y_i are the d-3 smallest elements of GF(q) outside {0, 1},
-    then 1, then 0.  The coefficients c_i = 1/prod_(j != i)(y_i - y_j),
-    scaled to 1 at locator 0, are the Lagrange weights (the column
-    multipliers of a generalized Reed-Solomon code's dual): the unique
-    solution of sum_i c_i y_i^t = 0, t = 0..d-3, with that last
-    coefficient.  The word's base syndrome is zero; its augmented
-    syndrome, nonzero, is returned to show the separation of the codes.
-    """
-    if params.d < 4:
-        raise ValueError("the separation witness needs d >= 4")
-    if not params.valid:
-        raise ValueError("parameters violate the hypotheses: " + "; ".join(params.violations))
-    q, d = params.q, params.d
-    ys = list(range(2, d - 1)) + [1, 0]
-    spreads = [math.prod(y - z for z in ys if z != y) for y in ys]  # prod_(j != i)(y_i - y_j)
-    coeffs = [spreads[-1] * pow(s, -1, q) % q for s in spreads]
-    aug = augmented_matrix(params)
-    pairs = sorted(zip((aug.locators.columns(ys) + 1).tolist(), coeffs))
-    word = Codeword(tuple(j for j, _ in pairs), tuple(c for _, c in pairs))
-    return word, syndrome(aug, word)
-
-
-def vandermonde_check(q: int, lambdas, xis) -> bool:
-    """Whether sum(xi_i * lambda_i^t) vanishes for every t = 0..d-2.
-
-    With pairwise distinct lambdas and nonzero xis this is always False;
-    the full power range pins the coefficients of a square Vandermonde
-    system, which only the zero vector satisfies.
-    """
-    lambdas = [l % q for l in lambdas]
-    xis = [x % q for x in xis]
-    if len(lambdas) != len(xis) or not lambdas:
-        raise ValueError("need equally many lambdas and coefficients")
-    if len(set(lambdas)) != len(lambdas):
-        raise ValueError("lambdas must be pairwise distinct")
-    if any(x == 0 for x in xis):
-        raise ValueError("coefficients must be nonzero")
-    for t in range(len(lambdas)):
-        if sum(x * pow(l, t, q) for x, l in zip(xis, lambdas)) % q:
-            return False
-    return True

@@ -776,7 +776,8 @@ def _fill(argv, matrix_files, tmp_path):
     in535 = tmp_path / "in535.manifest.json"
     in535.write_bytes(matrix_files["aug535"].read_bytes())
     paths = {"missing": tmp_path / "no-such-dir" / "out.txt", "aug524": matrix_files["aug524"],
-             "toy": toy, "long": long, "in535": in535, "tmp": tmp_path, "header": _headers(tmp_path)}
+             "bch535": matrix_files["bch535"], "toy": toy, "long": long, "in535": in535, "tmp": tmp_path,
+             "header": _headers(tmp_path)}
     return [a.format(**paths) for a in argv]
 
 
@@ -802,7 +803,7 @@ def test_exit_2_contract(matrix_files, tmp_path, capsys, monkeypatch, argv, budg
 
 
 @pytest.mark.parametrize("case, unbuilt", [
-    ("check-lines-576-beyond-subset-budget", ["normbch.verify.bch_matrix", "normbch.construct.make_field"]),
+    ("check-lines-576-beyond-subset-budget", ["normbch.lines.bch_matrix", "normbch.field.make_field"]),
     ("gencode-776-norm-field-beyond-budget", ["normbch.construct.bch_matrix"]),
 ])
 def test_refused_before_the_build(matrix_files, tmp_path, capsys, monkeypatch, case, unbuilt):
@@ -824,7 +825,7 @@ def test_internal_error_exits_70(capsys, monkeypatch, error):
     def survey(*args, **kwargs):
         raise error
 
-    monkeypatch.setattr("normbch.verify._survey", survey)
+    monkeypatch.setattr("normbch.lines._survey", survey)
     code, stdout, stderr = run(capsys, "check-lines", "--q", "5", "--m", "2", "--d", "4")
     assert (code, stdout) == (70, "")
     assert stderr.startswith("Traceback (most recent call last):\n")
@@ -859,7 +860,7 @@ WRITERS = {
     "gencode": (["gencode", "--q", "5", "--m", "2", "--d", "4"], "normbch.construct.augmented_matrix"),
     "verify-distance": (["verify-distance", "--matrix", "{aug524}", "--d", "4"],
                         "normbch.verify.min_distance_at_least"),
-    "check-lines": (["check-lines", "--q", "5", "--m", "2", "--d", "4"], "normbch.verify.verify_lines_theorem"),
+    "check-lines": (["check-lines", "--q", "5", "--m", "2", "--d", "4"], "normbch.lines.verify_lines_theorem"),
     "reduce": (["reduce", "--input", "{toy}", "--q2", "4", "--subset", "0,1,2"], "normbch.reduce.reduce_alphabet"),
 }
 
@@ -1102,30 +1103,43 @@ def test_help_names_the_exit_codes_and_no_internals(capsys):
 
 # A fresh interpreter runs one command through cli.main, then prints, as
 # its last line, the repr of the normbch submodules, numpy, _hashlib (the
-# libcrypto binding) and json that it loaded; it imports nothing itself.
-# No command loads _hashlib: digests and manifest hashes use the built-in
-# SHA-256.
+# libcrypto binding), json and dataclasses that it loaded; it imports
+# nothing itself.  No command loads _hashlib: digests and manifest hashes
+# use the built-in SHA-256.  None loads dataclasses: the records are
+# NamedTuples.  Reading a matrix file and the collision engine never load
+# the field code, and only check-lines loads the line check.
 FOOTPRINT_PROBE = (
     "import sys\n"
     "from normbch.cli import main\n"
     "main(sys.argv[1:])\n"
-    "print(repr(sorted(m for m in sys.modules if m in ('numpy', '_hashlib', 'json') or m.startswith('normbch.'))))\n"
+    "print(repr(sorted(m for m in sys.modules\n"
+    "                  if m in ('numpy', '_hashlib', 'json', 'dataclasses') or m.startswith('normbch.'))))\n"
 )
 # Each case: argv as in EXIT_2_CASES, modules that must load, modules that must not.
 FOOTPRINT_CASES = {
-    "version": (["--version"], {"normbch.cli"}, {"numpy", "_hashlib", "json"}),
-    "bounds": (["bounds", "--q", "7", "--d", "5"], {"normbch.bounds"}, {"numpy", "_hashlib", "json"}),
+    "version": (["--version"], {"normbch.cli"}, {"numpy", "_hashlib", "json", "dataclasses"}),
+    "bounds": (["bounds", "--q", "7", "--d", "5"], {"normbch.bounds"}, {"numpy", "_hashlib", "json", "dataclasses"}),
     "gencode": (["gencode", "--q", "5", "--m", "2", "--d", "4", "--out", "{tmp}/g.txt"],
-                {"normbch.construct", "numpy", "json"},
-                {"normbch.verify", "normbch.bounds", "normbch.reduce", "_hashlib"}),
+                {"normbch.construct", "normbch.field", "numpy", "json"},
+                {"normbch.verify", "normbch.lines", "normbch.bounds", "normbch.reduce", "_hashlib", "dataclasses"}),
     "verify-distance": (["verify-distance", "--matrix", "{aug524}", "--d", "4"],
-                        {"normbch.verify"}, {"normbch.bounds", "normbch.reduce", "_hashlib", "json"}),
+                        {"normbch.verify", "normbch.field"},
+                        {"normbch.lines", "normbch.bounds", "normbch.reduce", "_hashlib", "json", "dataclasses"}),
+    "verify-distance-bch-only": (["verify-distance", "--matrix", "{bch535}", "--d", "5"],
+                                 {"normbch.verify"},
+                                 {"normbch.field", "normbch.lines", "normbch.bounds", "normbch.reduce", "_hashlib",
+                                  "json", "dataclasses"}),
+    "verify-distance-refused-header": (["verify-distance", "--matrix", "{header}/n-2^20+1", "--d", "3"],
+                                       {"normbch.construct"},
+                                       {"normbch.field", "normbch.lines", "normbch.bounds", "normbch.reduce",
+                                        "_hashlib", "json", "dataclasses"}),
     "verify-distance-out": (["verify-distance", "--matrix", "{aug524}", "--d", "4", "--out", "{tmp}/c.txt"],
-                            {"normbch.verify", "json"}, {"normbch.bounds", "normbch.reduce", "_hashlib"}),
+                            {"normbch.verify", "json"},
+                            {"normbch.lines", "normbch.bounds", "normbch.reduce", "_hashlib", "dataclasses"}),
     "check-lines": (["check-lines", "--q", "5", "--m", "2", "--d", "4"],
-                    {"normbch.verify"}, {"normbch.bounds", "normbch.reduce", "_hashlib", "json"}),
+                    {"normbch.lines"}, {"normbch.bounds", "normbch.reduce", "_hashlib", "json", "dataclasses"}),
     "check-lines-out": (["check-lines", "--q", "5", "--m", "2", "--d", "4", "--out", "{tmp}/l.txt"],
-                        {"normbch.verify", "json"}, {"normbch.bounds", "normbch.reduce", "_hashlib"}),
+                        {"normbch.lines", "json"}, {"normbch.bounds", "normbch.reduce", "_hashlib", "dataclasses"}),
 }
 
 

@@ -29,13 +29,13 @@ from normbch import (
     verify_lines_theorem,
 )
 from normbch import linalg, verify
+from normbch.lines import _orbit_size
 from normbch.verify import (
     _affine_invariant,
     _colex_first_dependent,
     _half_table,
     _kernel_words,
     _orbit_certifies,
-    _orbit_size,
     _representatives,
 )
 from oracles import (
@@ -325,6 +325,17 @@ class TestOrbitRoute:
         monkeypatch.setattr(verify, "_orbit_certifies", must_not_run)
         with pytest.raises(BudgetExceededError):
             min_distance_at_least(ha535, 5, budget=1000)
+
+    def test_pass_surely_over_the_cap_declines_before_the_build(self, ha535, monkeypatch):
+        # (5,3,5): the weight-4 representative pass searches weight 2 on 123 columns, 123 x halves and
+        # 123 * 4 y halves; at 40 bytes a slot, without its syndrome, one byte under 615 slots declines
+        slots = 123 + 123 * 4
+        monkeypatch.setattr(verify, "augmented_matrix", must_not_run)
+        monkeypatch.setattr(verify, "MEMORY_CAP_BYTES", slots * 40 - 1)
+        assert _orbit_certifies(ha535, 5) is False
+        monkeypatch.setattr(verify, "MEMORY_CAP_BYTES", slots * 40)  # not surely over: the route builds
+        with pytest.raises(AssertionError, match="must not run"):
+            _orbit_certifies(ha535, 5)
 
 
 class TestRepresentatives:
