@@ -3,8 +3,8 @@
 All routines take matrices of plain integers and a prime modulus and
 reduce entries mod p themselves: rref, rank, kernel vector.  They serve
 matrix ranks, the basis pair's rref of [G | I] (independence and G^-1),
-the kernel vector of a dependent column slice and the one rref behind
-the affine-orbit representatives; the word searches use no elimination.
+the kernel vector of a dependent column slice and the one rref of the
+affine-orbit check; the word searches use no elimination.
 """
 
 from __future__ import annotations

@@ -4,9 +4,10 @@ The distance gain of the construction rests on every minimum-weight word
 of the base code lying on an affine line.  verify_lines_theorem checks
 this on the representatives of verify's orbit argument alone: the words
 whose support holds locators 1 and 0, found by verify._survey, which
-also checks their on-line count against its closed form.  An invariant
-set with R representatives has R*n(n-1)/(v(v-1)) members, which gives
-every count of the report.
+also checks that the base code is invariant under the affine maps and
+the on-line count against its closed form.  An invariant set with R
+representatives has R*n(n-1)/(v(v-1)) members, which gives every count
+of the report.
 
 The other functions serve the acceptance gate and the scripts:
 enumerate_weight_words lists every word of one weight, on_affine_line
@@ -141,7 +142,7 @@ def verify_lines_theorem(
     n, q, v = params.n, params.q, params.d - 1
     total = _subset_count(n, v, budget)
     matrix = bch_matrix(params)
-    _, ys, on = _survey(matrix.rows, matrix.locators, q, params.d, v)
+    ((_, ys, on),) = _survey(matrix.rows, matrix.locators, q, params.d, [v])
     return LinesReport(
         params=params,
         weight=v,

@@ -13,32 +13,31 @@ Both also use the affine orbits of the base code.  The maps
 x -> a*x + b (a nonzero) preserve the base code and act doubly
 transitively on the locators (Kasami, Lin and Peterson, 1967), so every
 weight-v word is an image of a representative: a word whose support
-holds locator 1 (position n-1) and locator 0 (position n).  Moved
-first, those columns are the first pivots of one rref, and a
-representative is (c, a, z): z a weight-(v-2) kernel word of the rows
-below the pivots, on the other columns, and c, a minus the pivot rows
-dotted with z.  One pass finds every z, and the words with c and a
-nonzero, scaled to a = 1, are the representatives.
-
-_survey finds the representatives of one weight for both checks, and
-checks their on-line count against its closed form.
+holds locator 1 (position n-1) and locator 0 (position n).  _survey,
+the orbit check of both, moves those columns first, as the first pivots
+of one rref.  A representative is (c, a, z): z a weight-(v-2) kernel
+word of the rows below the pivots, on the other columns, and c, a minus
+the pivot rows dotted with z.  One pass per weight finds every z, and
+the words with c and a nonzero, scaled to a = 1, are the
+representatives.
 
 Distance >= d holds when no (d-1)-subset of columns is dependent.  On
 the augmented matrix of the construction, rebuilt from q, d and
 n = q^m and compared block by block and row by row, the orbit route
-decides this: after checking by rank that the base rows span an
-invariant space, it shows that no image of a representative of weight
-2..d-1 has a zero norm syndrome.  A representative whose locators t
-all lie in GF(q), with coefficients c_t, is settled by one sum.  Its
-image under x -> a*x + b has norm syndrome N(hat a) * sum_t c_t
-N(u + t), u = hat b / hat a, as hat is GF(q)-linear and N
+decides this: it shows that no image of a representative of weight
+3..d-1 has a zero norm syndrome (no representative has weight 2, and
+a zero column would be a weight-1 word).  A representative whose
+locators t all lie in GF(q), with coefficients c_t, is settled by one
+sum.  Its image under x -> a*x + b has norm syndrome N(hat a) * sum_t
+c_t N(u + t), u = hat b / hat a, as hat is GF(q)-linear and N
 multiplicative.  N(u + t) is monic of degree d-2 in t and the word
 kills t^j for j <= d-3, so that is N(hat a) * f with f = sum_t c_t
 t^(d-2), which is nonzero by Vandermonde.  Any other matrix or target,
 a representative with a locator outside GF(q) (which occurs only
 outside the proven range), a zero f, or a representative search over
 the memory cap falls back to the generic engine below, so its
-counterexamples and refusals are the only ones reported.
+counterexamples and refusals are the only ones reported; a failed
+self-check of _survey raises RuntimeError.
 
 The generic engine reports the colex-first dependent (d-1)-subset: the
 colex-smallest superset of a word support.  When the first w columns
@@ -224,43 +223,24 @@ def _dependency_codeword(matrix: ParityCheckMatrix, columns: tuple[int, ...]) ->
     )
 
 
-def _affine_invariant(rows: np.ndarray, locators) -> bool:
-    """Whether the row space of rows is unchanged by the affine maps of the locators' field.
-
-    Checks the column permutations of the generators x -> e*x and
-    x -> x+1: the rows stacked on their permuted copy keep the rank of
-    rows when each permuted row reduces to zero against rref(rows).
-    """
-    field = locators.field
-    ys = locators.encoded(np.arange(locators.n))
-    reduced, rank, pivots = linalg.rref(rows, field.p)
-    for perm in (locators.columns(field.mul(ys, field.e.val)), locators.columns(field.add(ys, 1))):
-        moved = rows[:, perm].astype(np.int64)
-        if ((moved[:, pivots] @ reduced[:rank] - moved) % field.p).any():
-            return False
-    return True
-
-
 def _orbit_certifies(matrix: ParityCheckMatrix, d: int) -> bool:
     """Whether the affine-orbit route proves distance >= d for matrix.
 
     The route takes only the augmented matrix of (q, m, d) with this d
     and n = q^m: the blocks of augmented_blocks, compared before any
-    build, and rows equal to augmented_matrix.  It then checks that the
-    base rows span the same space after the column permutations of the
-    generators x -> e*x and x -> x+1 of the affine maps (the stacked rows
-    have the base rank), so the base code is invariant and each of its
-    words of weight 2..d-1 is an image of a representative.  Distance
-    >= d holds when no column is zero and every representative has its
-    locators in GF(q) and a nonzero f = sum_t c_t t^(d-2), which shows
-    that none of its images has a zero norm syndrome (module docstring).
-    Such a representative has weight d-1, and f is the normalizing
-    constant of its Lagrange weights, c_t = f / prod_(s != t)(t - s), as
-    their sum against t^(d-2), a divided difference of x^(d-2), is 1.
-    False (any other matrix, a locator outside GF(q), a zero f, or a
-    representative search over the memory cap) leaves the verdict to
-    the generic engine.  A search whose slots alone exceed the cap is
-    declined before the build, as its pass would surely be refused.
+    build, and rows equal to augmented_matrix.  With no zero column and
+    _survey's checks passed on the base rows, each base-code word of
+    weight 2..d-1 is an image of a representative of weight 3..d-1.
+    Distance >= d holds when every representative has its locators in
+    GF(q) and a nonzero f = sum_t c_t t^(d-2), which shows that none of
+    its images has a zero norm syndrome (module docstring).  Such a
+    representative has weight d-1, and f is the normalizing constant of
+    its Lagrange weights, c_t = f / prod_(s != t)(t - s), as their sum
+    against t^(d-2), a divided difference of x^(d-2), is 1.  False (any
+    other matrix, a locator outside GF(q), a zero f, or a representative
+    search over the memory cap) leaves the verdict to the generic
+    engine.  A search whose slots alone exceed the cap is declined
+    before the build, as its pass would surely be refused.
     """
     q, n = matrix.q, matrix.n
     m = next((m for m in range(1, n.bit_length()) if q**m == n), 0)  # 0 when n is no power q^m, m >= 1
@@ -269,7 +249,7 @@ def _orbit_certifies(matrix: ParityCheckMatrix, d: int) -> bool:
     params = validate_params(q, m, d)
     if matrix.blocks != augmented_blocks(params):
         return False
-    # _representatives searches weight v-2 on n-2 columns, and nothing at v = 2
+    # _survey's pass at weight v searches weight v-2 on n-2 columns
     if any(sum(_half_slots(n - 2, q, v - 2)) * _SLOT_BYTES > MEMORY_CAP_BYTES for v in range(3, min(d, n + 1))):
         return False
     try:
@@ -278,16 +258,13 @@ def _orbit_certifies(matrix: ParityCheckMatrix, d: int) -> bool:
         return False
     if not np.array_equal(rebuilt.rows, matrix.rows):
         return False
-    base = matrix.rows[: -params.s]
-    if not _affine_invariant(base, rebuilt.locators):
-        return False
     if not matrix.rows.any(axis=0).all():  # a zero column is a weight-1 word
         return False
-    for v in range(min(d - 1, n), 1, -1):  # the largest search first, so a refusal comes early
-        try:
-            coeffs, ys, on = _survey(base, rebuilt.locators, q, d, v)
-        except BudgetExceededError:
-            return False
+    try:  # weight 2 needs no pass: _survey's pivot check excludes it
+        survey = _survey(matrix.rows[: -params.s], rebuilt.locators, q, d, range(min(d - 1, n), 2, -1))
+    except BudgetExceededError:
+        return False
+    for coeffs, ys, on in survey:
         if on < len(ys):  # a locator outside GF(q): outside the proven range
             return False
         f = coeffs
@@ -343,19 +320,14 @@ def min_distance_at_least(
     )
 
 
-def _representatives(rows: np.ndarray, q: int, v: int) -> tuple[np.ndarray, np.ndarray]:
-    """The weight-v kernel words of rows that hold the last two columns, coefficient 1 on the last.
+def _representatives(reduced: np.ndarray, rank: int, q: int, v: int) -> tuple[np.ndarray, np.ndarray]:
+    """The weight-v words (v >= 3) of a row space that hold the last two columns, coefficient 1 on the last.
 
-    One rref and one pass (module docstring); RuntimeError when the last
-    two columns are dependent, as the base rows at d >= 4 never are.
-    Returns (supports, coeffs) as _kernel_words does, columns ascending.
+    reduced and rank are the rref of the rows with the last two columns
+    moved first, as its first two pivots.  One pass (module docstring);
+    returns (supports, coeffs) as _kernel_words does, columns ascending.
     """
-    n = rows.shape[1]
-    reduced, rank, pivots = linalg.rref(rows[:, [n - 2, n - 1, *range(n - 2)]], q)
-    if pivots[:2] != [0, 1]:
-        raise RuntimeError("the last two columns are dependent")
-    if v == 2:  # z = 0 gives c = a = 0
-        return np.empty((0, 2), dtype=np.intp), np.empty((0, 2), dtype=np.intp)
+    n = reduced.shape[1]
     supports, coeffs = _kernel_words(reduced[2:rank, 2:], q, v - 2)
     c, a = -(reduced[:2, 2:][:, supports] * coeffs).sum(axis=2) % q
     keep = (c != 0) & (a != 0)
@@ -364,19 +336,35 @@ def _representatives(rows: np.ndarray, q: int, v: int) -> tuple[np.ndarray, np.n
     return np.hstack([supports[keep], np.broadcast_to([n - 2, n - 1], (len(coeffs), 2))]), coeffs
 
 
-def _survey(rows: np.ndarray, locators, q: int, d: int, v: int) -> tuple[np.ndarray, np.ndarray, int]:
-    """The weight-v representatives of rows: coefficients, encoded locators and the on-line count.
+def _survey(rows: np.ndarray, locators, q: int, d: int, weights) -> list[tuple[np.ndarray, np.ndarray, int]]:
+    """The orbit check: per weight, the representatives' coefficients, encoded locators and on-line count.
 
-    A representative is on a line when all its locators lie below q.  As the
-    base code kills t^j for j <= d-3, that count is C(q-2, d-3) at weight
-    d-1, one per (d-3)-subset of GF(q) minus {0, 1}, and 0 below; any other
-    count means the search lost or invented words, and raises.
+    One rref of rows, locators 1 and 0 first, serves every step, and a
+    failed step raises RuntimeError.  Those columns must be its first two
+    pivots, as at d >= 4 (so no representative has weight 2).  One pass
+    per weight follows, in the order given: largest first, a memory
+    refusal precedes the rest.  The rows permuted by x -> e*x and
+    x -> x+1, which generate the affine maps, must reduce to zero
+    against the rref.  Last, a representative is on a line when its
+    locators all lie below q; as the base code kills t^j for j <= d-3,
+    their count is C(q-2, d-3) at weight d-1, one per (d-3)-subset of
+    GF(q) minus {0, 1}, and 0 below.
     """
-    supports, coeffs = _representatives(rows, q, v)
-    ys = locators.encoded(supports)
-    on = int((ys < q).all(axis=1).sum())
-    if on != (want := math.comb(q - 2, d - 3) if v == d - 1 else 0):
-        raise RuntimeError(f"{on} on-line representatives of weight {v}, expected {want}")
-    return coeffs, ys, on
-
-
+    reduced, rank, pivots = linalg.rref(np.roll(rows, 2, axis=1), q)  # columns n-2, n-1, 0, 1, ...
+    if pivots[:2] != [0, 1]:
+        raise RuntimeError("the last two columns are dependent")
+    found = [_representatives(reduced, rank, q, v) for v in weights]
+    field = locators.field
+    ys = locators.encoded(np.arange(rows.shape[1]))
+    for image in (field.mul(ys, field.e.val), field.add(ys, 1)):
+        moved = rows.take(np.roll(locators.columns(image), 2), axis=1)
+        if any(((row[pivots] @ reduced[:rank] - row) % q).any() for row in moved):  # a row at a time
+            raise RuntimeError("the row space fails the affine invariance test")
+    survey = []
+    for v, (supports, coeffs) in zip(weights, found):
+        locs = ys[supports]
+        on = int((locs < q).all(axis=1).sum())
+        if on != (want := math.comb(q - 2, d - 3) if v == d - 1 else 0):
+            raise RuntimeError(f"{on} on-line representatives of weight {v}, expected {want}")
+        survey.append((coeffs, locs, on))
+    return survey

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import normbch
-from normbch import augmented_matrix, empirical_rho, validate_params, varshamov_upper
+from normbch import ParityCheckMatrix, augmented_matrix, bch_matrix, empirical_rho, validate_params, varshamov_upper
 from normbch.cli import main
 
 
@@ -322,6 +322,19 @@ class TestCheckLines:
         assert code == 2
         assert stdout == ""
         assert stderr == "budget exceeded: 115 half-vectors needed, budget is 93\n"
+
+    def test_rows_that_fail_affine_invariance_exit_70(self, capsys, monkeypatch):
+        # locators e and e^2 trade columns: the orbit counts would rest on a false premise, a bug
+        def swapped(params):
+            matrix = bch_matrix(params)
+            rows = matrix.rows[:, [1, 0, *range(2, matrix.n)]]
+            return ParityCheckMatrix(matrix.q, rows, matrix.blocks, matrix.locators)
+
+        monkeypatch.setattr("normbch.lines.bch_matrix", swapped)
+        code, stdout, stderr = run(capsys, "check-lines", "--q", "5", "--m", "3", "--d", "5")
+        assert (code, stdout) == (70, "")
+        assert stderr.startswith("Traceback (most recent call last):\n")
+        assert stderr.endswith("RuntimeError: the row space fails the affine invariance test\n")
 
     def test_weight_beyond_length_finds_no_words(self, capsys):
         # no weight-39 word fits in n = 25 positions, so there is nothing to refuse

@@ -31,12 +31,12 @@ from normbch import (
 from normbch import linalg, verify
 from normbch.lines import _orbit_size
 from normbch.verify import (
-    _affine_invariant,
     _colex_first_dependent,
     _half_table,
     _kernel_words,
     _orbit_certifies,
     _representatives,
+    _survey,
 )
 from oracles import (
     colex_first_dependent,
@@ -98,6 +98,19 @@ def certificate_fields(cert):
 
 def must_not_run(*args, **kwargs):
     raise AssertionError("called where it must not run")
+
+
+def reduced_with_last_two_first(rows, q):
+    """The rref of rows with the last two columns moved first, as _survey takes it: (reduced, rank, pivots)."""
+    n = rows.shape[1]
+    return linalg.rref(rows[:, [n - 2, n - 1, *range(n - 2)]], q)
+
+
+def representatives(rows, q, v):
+    """_representatives of rows whose last two columns are independent, from their rref."""
+    reduced, rank, pivots = reduced_with_last_two_first(rows, q)
+    assert pivots[:2] == [0, 1]
+    return _representatives(reduced, rank, q, v)
 
 
 def representatives_per_coefficient(rows, q, v):
@@ -222,6 +235,16 @@ class TestOrbitRoute:
         budget = math.comb(params.n, params.d - 1)
         assert min_distance_at_least(augmented_matrix(params), params.d, budget=budget).certified
 
+    def test_745_counterexample_pinned(self):
+        # outside the hypotheses (m = 4 is not prime): the route declines, and the engine finds a weight-4 word
+        # within the memory cap, so the run exits 1 rather than being refused
+        matrix = augmented_matrix(validate_params(7, 4, 5))
+        cert = min_distance_at_least(matrix, 5, budget=math.comb(2401, 4))
+        word = cert.counterexample
+        assert (cert.verdict, cert.subsets_examined) == ("counterexample", 15806708)
+        assert (word.support, word.coeffs) == ((22, 23, 58, 142), (1, 4, 5, 4))
+        assert not syndrome(matrix, word).any()
+
     @staticmethod
     def fallback_cases():
         params = validate_params(5, 3, 5)
@@ -308,12 +331,22 @@ class TestOrbitRoute:
 
     @pytest.mark.parametrize("qmd", [(5, 2, 4), (5, 3, 5), (2, 4, 5), (7, 2, 6)], ids=lambda qmd: "%d-%d-%d" % qmd)
     def test_invariance_check(self, qmd):
-        matrix = bch_matrix(validate_params(*qmd))
+        params = validate_params(*qmd)
+        q, d = params.q, params.d
+        matrix = bch_matrix(params)
         loc = matrix.locators
-        assert _affine_invariant(matrix.rows, loc)
-        assert not _affine_invariant(matrix.rows[1:], loc)  # x -> e*x keeps these rows, x -> x+1 does not
+        _survey(matrix.rows, loc, q, d, [d - 1])
+        # x -> e*x keeps these rows, x -> x+1 does not; locator 0's column is zero, so the pivot check fails first
+        with pytest.raises(RuntimeError, match="dependent"):
+            _survey(matrix.rows[1:], loc, q, d, [d - 1])
         swapped = matrix.rows[:, [1, 0, *range(2, matrix.n)]]  # locators e and e^2 trade columns
-        assert not _affine_invariant(swapped, loc)
+        with pytest.raises(RuntimeError, match="affine invariance"):
+            _survey(swapped, loc, q, d, [d - 1])
+        # a unit row on locator e's column leaves locators 1 and 0 independent, and its images under
+        # x -> e*x and x -> x+1 leave the span, so only the invariance test can catch it
+        unit = np.vstack([matrix.rows, np.eye(1, matrix.n, dtype=matrix.rows.dtype)])
+        with pytest.raises(RuntimeError, match="affine invariance"):
+            _survey(unit, loc, q, d, [d - 1])
 
     def test_huge_target_declines_before_the_layout(self, ha524, monkeypatch):
         # C(25, 25) = 1 passes the budget at any target; a layout of d-1 blocks would not fit in memory
@@ -345,8 +378,9 @@ class TestRepresentatives:
     def test_one_pass_matches_the_per_coefficient_loop(self, qmd):
         params = validate_params(*qmd)
         rows = bch_matrix(params).rows
-        for v in range(2, params.d):
-            got = _representatives(rows, params.q, v)
+        assert sorted_words(*representatives_per_coefficient(rows, params.q, 2)) == []
+        for v in range(3, params.d):
+            got = representatives(rows, params.q, v)
             assert sorted_words(*got) == sorted_words(*representatives_per_coefficient(rows, params.q, v))
 
     @pytest.mark.parametrize("q", [2, 3, 5, 7])
@@ -360,11 +394,12 @@ class TestRepresentatives:
             rows = rng.integers(0, q, size=(r, n)).astype(np.int16)
             rows[: rng.integers(r), -2] = 0
             rows[-1, -2] = rng.integers(1, q)
+            reduced, rank, pivots = reduced_with_last_two_first(rows, q)
             if linalg.rank(rows[:, -2:], q) < 2:
                 dependent += 1
-                with pytest.raises(RuntimeError, match="the last two columns are dependent"):
-                    _representatives(rows, q, 3)
+                assert pivots[:2] != [0, 1]
                 continue
+            assert pivots[:2] == [0, 1]
             for v in range(2, min(n, 5) + 1):
                 want = sorted(
                     (*(p - 1 for p in positions), n - 2, n - 1, *coeffs, c, 1)
@@ -372,16 +407,56 @@ class TestRepresentatives:
                     for positions, coeffs in syndrome_words(rows[:, :-2].tolist(), q, v - 2,
                                                             (-(rows[:, -1] + c * rows[:, -2]) % q).tolist())
                 )
-                assert sorted_words(*_representatives(rows, q, v)) == want
+                if v == 2:  # two independent columns hold no word
+                    assert want == []
+                else:
+                    assert sorted_words(*_representatives(reduced, rank, q, v)) == want
         assert 0 < dependent < 40
 
+    def test_dependent_last_two_columns_raise(self):
+        # the d = 3 base is the ones row alone, so locators 1 and 0 have equal columns
+        matrix = bch_matrix(validate_params(5, 2, 3))
+        assert matrix.rows.shape[0] == 1
+        with pytest.raises(RuntimeError, match="the last two columns are dependent"):
+            _survey(matrix.rows, matrix.locators, 5, 3, [])
+
     @pytest.mark.parametrize("v", [2, 3, 4])
-    def test_one_kernel_pass_per_call(self, v, monkeypatch):
+    def test_one_kernel_pass_per_weight(self, v, monkeypatch):
+        # weights v down to 3, as the route asks at d = v + 1
         passes = []
         monkeypatch.setattr(verify, "_kernel_words", lambda *args: passes.append(args) or _kernel_words(*args))
-        supports, _ = _representatives(bch_matrix(validate_params(5, 3, 5)).rows, 5, v)
-        assert len(passes) == (0 if v == 2 else 1)  # no weight-2 word holds two independent columns alone
-        assert len(supports) == (3 if v == 4 else 0)
+        matrix = bch_matrix(validate_params(5, 3, 5))
+        weights = range(v, 2, -1)
+        survey = _survey(matrix.rows, matrix.locators, 5, 5, weights)
+        assert [args[2] for args in passes] == [w - 2 for w in weights]
+        assert [len(ys) for _, ys, _ in survey] == [3 if w == 4 else 0 for w in weights]
+        # no weight-2 word holds two independent columns alone
+        assert representatives_per_coefficient(matrix.rows, 5, 2)[0].size == 0
+
+    def test_refusal_precedes_the_invariance_test(self, h535, monkeypatch):
+        # the weight-4 pass of (5,3,5) needs 123 + 123 * 4 half-vectors, refused before any locator is read
+        monkeypatch.setattr(verify, "MEMORY_CAP_BYTES", 1000)
+        with pytest.raises(BudgetExceededError, match="615 half-vectors needed"):
+            _survey(h535.rows, None, 5, 5, [4, 3])
+
+    def test_one_rref_of_the_base_rows(self, ha535, monkeypatch):
+        base = ha535.rows[:-1]
+        rref = linalg.rref
+        on_base = []
+
+        def spy(mat, p):
+            if np.shape(mat) == base.shape:
+                on_base.append(np.array(mat))
+            return rref(mat, p)
+
+        monkeypatch.setattr(linalg, "rref", spy)
+        assert _orbit_certifies(ha535, 5)
+        assert len(on_base) == 1
+        assert np.array_equal(on_base[0], base[:, [123, 124, *range(123)]])
+        on_base.clear()
+        report = verify_lines_theorem(validate_params(5, 3, 5))
+        assert (report.words_found, report.on_line, report.violation_count) == (3875, 3875, 0)
+        assert len(on_base) == 1
 
 
 class TestLineNormIdentity:
@@ -396,7 +471,7 @@ class TestLineNormIdentity:
         loc = aug.locators
         field = loc.field
         bp = make_basis_pair(q, m, d)
-        supports, coeffs = _representatives(aug.rows[:-s], q, d - 1)
+        supports, coeffs = representatives(aug.rows[:-s], q, d - 1)
         words = [Codeword(tuple(j), tuple(c)) for j, c in zip((supports + 1).tolist(), coeffs.tolist())]
         ys = loc.encoded(supports)
         in_gf_q = (field.power(ys, q) == ys).all(axis=1).tolist()
@@ -540,14 +615,14 @@ class TestLinesTheorem:
 def mutate_on_line_representatives(monkeypatch, loc, mutation):
     """Make every representative search drop its first on-line word, or repeat it."""
 
-    def representatives(rows, q, v):
-        supports, coeffs = _representatives(rows, q, v)
+    def mutated(reduced, rank, q, v):
+        supports, coeffs = _representatives(reduced, rank, q, v)
         on = np.flatnonzero((loc.encoded(supports) < q).all(axis=1))[:1]
         if mutation == "lost":
             return np.delete(supports, on, axis=0), np.delete(coeffs, on, axis=0)
         return np.vstack([supports, supports[on]]), np.vstack([coeffs, coeffs[on]])
 
-    monkeypatch.setattr(verify, "_representatives", representatives)
+    monkeypatch.setattr(verify, "_representatives", mutated)
 
 
 def with_on_line_words(instances):
