@@ -143,7 +143,7 @@ def cmd_check_lines(args) -> tuple:
     from .lines import verify_lines_theorem
 
     params = validate_params(args.q, args.m, args.d, relaxed=args.relaxed)
-    report = verify_lines_theorem(params, budget=args.budget, experimental=args.experimental)
+    report = verify_lines_theorem(params, experimental=args.experimental)
     record = dict(q=args.q, m=args.m, d=args.d, weight=report.weight, subset_count=report.subset_count,
                   words_found=report.words_found, on_line=report.on_line,
                   violations=report.violation_count, theorem_applies=report.theorem_applies)
@@ -229,10 +229,6 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    # A string default goes through type=int only when the option is not
-    # given, so a malformed NORMBCH_BUDGET is a usage error of exactly the
-    # subcommands that take --budget.
-    budget = os.environ.get("NORMBCH_BUDGET") or str(DEFAULT_SUBSET_BUDGET)
     about = ("Build, certify and check norm-augmented extended BCH codes.  Exit codes: 0 success, 1 counterexample, "
              "2 usage, parameter, file or budget error, 70 internal error, 141 stdout closed by its reader.")
     parser = _Parser(prog="normbch", description=about)
@@ -240,11 +236,10 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     # Options that several subcommands share, each declared once; a subcommand takes them as parents.
-    shared = {name: _Parser(add_help=False) for name in ("params", "budget", "out", "json")}
+    shared = {name: _Parser(add_help=False) for name in ("params", "out", "json")}
     for flag in ("--q", "--m", "--d"):
         shared["params"].add_argument(flag, type=int, required=True)
     shared["params"].add_argument("--relaxed", action="store_true", help="use the divisor rule for m")
-    shared["budget"].add_argument("--budget", type=int, default=budget)
     shared["out"].add_argument("--out", default=None, help="also write the result to this file, with a manifest")
     shared["json"].add_argument("--json", action="store_true")
 
@@ -257,15 +252,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--bch-only", action="store_true", help="skip the norm rows")
 
-    p = command("verify-distance", cmd_verify_distance, "certify distance >= d by exhaustive word search",
-                "budget", "out")
+    p = command("verify-distance", cmd_verify_distance, "certify distance >= d by exhaustive word search", "out")
     p.add_argument("--matrix", required=True)
     p.add_argument("--d", type=int, required=True)
+    # type=int reads a string default only when --budget is not given: a bad NORMBCH_BUDGET fails only here
+    p.add_argument("--budget", type=int, default=os.environ.get("NORMBCH_BUDGET") or str(DEFAULT_SUBSET_BUDGET))
     p.add_argument("--threads", type=int, default=1,
                    help="recorded in the certificate; does not change the work")
 
-    p = command("check-lines", cmd_check_lines, "validate the affine-line structure of minimum words",
-                "params", "budget", "out")
+    p = command("check-lines", cmd_check_lines, "validate the affine-line structure of minimum words", "params", "out")
     p.add_argument("--experimental", action="store_true",
                    help="run even when the hypotheses fail; results are reported, not asserted")
 

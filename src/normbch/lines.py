@@ -34,7 +34,7 @@ from .construct import (
 )
 from .errors import DEFAULT_SUBSET_BUDGET
 from .field import FieldElement, FieldMismatchError
-from .verify import _kernel_words, _subset_count, _survey
+from .verify import _check_survey_memory, _kernel_words, _subset_count, _survey
 
 
 class _AffineLineFields(NamedTuple):
@@ -118,11 +118,7 @@ def _orbit_size(reps: int, n: int, v: int) -> int:
     return size
 
 
-def verify_lines_theorem(
-    params: CodeParams,
-    budget: int = DEFAULT_SUBSET_BUDGET,
-    experimental: bool = False,
-) -> LinesReport:
+def verify_lines_theorem(params: CodeParams, experimental: bool = False) -> LinesReport:
     """Check that every minimum-weight word of the base code sits on a line.
 
     Examines only the representatives, the weight-(d-1) words whose
@@ -130,19 +126,23 @@ def verify_lines_theorem(
     the violation count by orbit counting (see the module docstring).
     on_affine_line anchors a representative at 0 with direction 1, so it
     is on a line exactly when every locator of its support lies in GF(q).
-    With experimental set, parameters that fail the hypotheses are still
-    run and the report is marked as outside the proven range; results
-    are then observations, not assertions.
+    A search surely over the memory cap is refused before the build, and
+    with d-1 > n, as no word fits, nothing is built.  With experimental
+    set, parameters that fail the hypotheses are still run and the report
+    is marked as outside the proven range; results are then observations,
+    not assertions.
     """
     if params.d < 4:
         raise ValueError("line validation needs d >= 4 (below that any support is collinear)")
     if not params.valid and not experimental:
         raise ValueError("parameters violate the hypotheses: " + "; ".join(params.violations))
-    _require_buildable(params)  # a parameter error outranks the budget refusal, which comes before the build
+    _require_buildable(params)  # a parameter error outranks the memory refusal, which comes before the build
     n, q, v = params.n, params.q, params.d - 1
-    total = _subset_count(n, v, budget)
-    matrix = bch_matrix(params)
-    ((_, ys, on),) = _survey(matrix.rows, matrix.locators, q, params.d, [v])
+    ys, on = (), 0
+    if v <= n:
+        _check_survey_memory(n, q, [v])
+        matrix = bch_matrix(params)
+        ((_, ys, on),) = _survey(matrix.rows, matrix.locators, q, params.d, [v])
     return LinesReport(
         params=params,
         weight=v,
@@ -150,7 +150,7 @@ def verify_lines_theorem(
         on_line=_orbit_size(on, n, v),
         violation_count=_orbit_size(len(ys) - on, n, v),
         theorem_applies=params.valid,
-        subset_count=total,
+        subset_count=math.comb(n, v),
     )
 
 

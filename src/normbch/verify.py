@@ -92,9 +92,9 @@ class DistanceCertificate(NamedTuple):
 
 def _subset_count(n: int, w: int, budget: int) -> int:
     """C(n, w), the w-subsets of n columns; BudgetExceededError, carrying it, when it exceeds budget."""
-    if math.comb(n, w) > budget:
-        raise BudgetExceededError(math.comb(n, w), budget)
-    return math.comb(n, w)
+    if (count := math.comb(n, w)) > budget:  # computed once: at n ~ 10^6 and w ~ n/2 it takes seconds
+        raise BudgetExceededError(count, budget)
+    return count
 
 
 def _half_slots(n: int, q: int, v: int) -> tuple[int, int]:
@@ -111,6 +111,12 @@ def _check_memory(r: int, q: int, slots: int) -> None:
     per_slot = r * np.min_scalar_type(q - 1).itemsize + _SLOT_BYTES
     if slots * per_slot > MEMORY_CAP_BYTES:
         raise BudgetExceededError(slots, MEMORY_CAP_BYTES // per_slot, what="half-vectors")
+
+
+def _check_survey_memory(n: int, q: int, weights) -> None:
+    """Refuse, before any build, a _survey on n columns with a pass surely over the cap."""
+    for v in weights:  # weight v-2 on n-2 columns, surely over when its slots alone, without syndromes, exceed it
+        _check_memory(0, q, sum(_half_slots(n - 2, q, v - 2)))
 
 
 def _half_table(rows: np.ndarray, q: int, k: int, lead_one: bool, out: np.ndarray):
@@ -249,19 +255,18 @@ def _orbit_certifies(matrix: ParityCheckMatrix, d: int) -> bool:
     params = validate_params(q, m, d)
     if matrix.blocks != augmented_blocks(params):
         return False
-    # _survey's pass at weight v searches weight v-2 on n-2 columns
-    if any(sum(_half_slots(n - 2, q, v - 2)) * _SLOT_BYTES > MEMORY_CAP_BYTES for v in range(3, min(d, n + 1))):
-        return False
+    weights = range(min(d - 1, n), 2, -1)  # weight 2 needs no pass: _survey's pivot check excludes it
     try:
+        _check_survey_memory(n, q, weights)
         rebuilt = augmented_matrix(params)
-    except ValueError:  # no field or basis pair within the budgets
+    except (BudgetExceededError, ValueError):  # ValueError: no field or basis pair within the budgets
         return False
     if not np.array_equal(rebuilt.rows, matrix.rows):
         return False
     if not matrix.rows.any(axis=0).all():  # a zero column is a weight-1 word
         return False
-    try:  # weight 2 needs no pass: _survey's pivot check excludes it
-        survey = _survey(matrix.rows[: -params.s], rebuilt.locators, q, d, range(min(d - 1, n), 2, -1))
+    try:
+        survey = _survey(matrix.rows[: -params.s], rebuilt.locators, q, d, weights)
     except BudgetExceededError:
         return False
     for coeffs, ys, on in survey:
@@ -285,11 +290,11 @@ def min_distance_at_least(
 
     The affine-orbit route certifies the construction's augmented
     matrices; every other case goes to the generic collision engine (see
-    the module docstring).  Raises BudgetExceededError (with the exact
-    subset count) when C(n, d-1) exceeds the budget, whichever route
-    would run, or (counting half-vectors) when the generic engine's pass
-    would exceed MEMORY_CAP_BYTES.  threads is recorded in the
-    certificate and does not change the work.
+    the module docstring).  The budget bounds that engine alone: once
+    the route declines, BudgetExceededError (with the exact subset
+    count) is raised when C(n, d-1) exceeds it, or (counting
+    half-vectors) when a pass would exceed MEMORY_CAP_BYTES.  threads is
+    recorded in the certificate and does not change the work.
     """
     if d < 2:
         raise ValueError("distance targets below 2 are meaningless")
@@ -298,10 +303,10 @@ def min_distance_at_least(
     start = time.perf_counter()
     n = matrix.n
     w = min(d - 1, n)
-    total = _subset_count(n, w, budget)
     if _orbit_certifies(matrix, d):
-        columns = None
+        total, columns = math.comb(n, w), None
     else:
+        total = _subset_count(n, w, budget)
         columns = _colex_first_dependent(matrix.rows, matrix.q, w)
     if columns is None:
         verdict, counterexample, examined = "certified", None, total

@@ -21,6 +21,10 @@ from normbch import ParityCheckMatrix, augmented_matrix, bch_matrix, empirical_r
 from normbch.cli import main
 
 
+def must_not_build(*args, **kwargs):
+    raise AssertionError("built where nothing must be built")
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -122,9 +126,10 @@ class TestVerifyDistance:
         assert "counterexample_weight=4" in stdout
 
     def test_budget_exit_2(self, matrix_files, capsys):
+        # the orbit route declines the base matrix, and the generic engine needs all C(125, 4) subsets
         code, _, stderr = run(
             capsys,
-            "verify-distance", "--matrix", str(matrix_files["aug535"]), "--d", "5",
+            "verify-distance", "--matrix", str(matrix_files["bch535"]), "--d", "5",
             "--budget", "1000",
         )
         assert code == 2
@@ -295,9 +300,7 @@ class TestCheckLines:
     def test_large_q_pinned(self, qmd, words, capsys):
         # one collision pass over the representatives' columns settles n = 10,201 and n = 24,389
         q, m, d = qmd
-        budget = math.comb(q**m, d - 1)
-        code, stdout, stderr = run(capsys, "check-lines", "--q", str(q), "--m", str(m), "--d", str(d),
-                                   "--budget", str(budget))
+        code, stdout, stderr = run(capsys, "check-lines", "--q", str(q), "--m", str(m), "--d", str(d))
         assert code == 0
         assert f"words_found={words}\non_line={words}\nviolations=0\n" in stdout
         assert stderr == ""
@@ -316,12 +319,22 @@ class TestCheckLines:
         assert stderr == ""
 
     def test_representative_search_refused_by_memory_cap(self, capsys, monkeypatch):
-        # the one weight-2 pass over 23 columns and 3 rref rows takes 23 + 92 half-vectors of 43 bytes
+        # the one weight-2 pass over 23 columns takes 23 + 92 half-vectors; at 40 bytes a slot, without
+        # syndrome entries, 4,000 bytes surely refuse it, before the build
         monkeypatch.setattr(normbch.verify, "MEMORY_CAP_BYTES", 4_000)
+        monkeypatch.setattr("normbch.lines.bch_matrix", must_not_build)
         code, stdout, stderr = run(capsys, "check-lines", "--q", "5", "--m", "2", "--d", "5", "--experimental")
         assert code == 2
         assert stdout == ""
-        assert stderr == "budget exceeded: 115 half-vectors needed, budget is 93\n"
+        assert stderr == "budget exceeded: 115 half-vectors needed, budget is 100\n"
+
+    def test_representative_search_refused_by_its_pass(self, capsys, monkeypatch):
+        # 4,800 bytes hold 115 slots of 40 bytes, but not of 43, with the pass's 3 rref rows of syndrome
+        monkeypatch.setattr(normbch.verify, "MEMORY_CAP_BYTES", 4_800)
+        code, stdout, stderr = run(capsys, "check-lines", "--q", "5", "--m", "2", "--d", "5", "--experimental")
+        assert code == 2
+        assert stdout == ""
+        assert stderr == "budget exceeded: 115 half-vectors needed, budget is 111\n"
 
     def test_rows_that_fail_affine_invariance_exit_70(self, capsys, monkeypatch):
         # locators e and e^2 trade columns: the orbit counts would rest on a false premise, a bug
@@ -336,18 +349,26 @@ class TestCheckLines:
         assert stderr.startswith("Traceback (most recent call last):\n")
         assert stderr.endswith("RuntimeError: the row space fails the affine invariance test\n")
 
-    def test_weight_beyond_length_finds_no_words(self, capsys):
-        # no weight-39 word fits in n = 25 positions, so there is nothing to refuse
+    def test_weight_beyond_length_finds_no_words(self, capsys, monkeypatch):
+        # no weight-39 word fits in n = 25 positions, so nothing is built and there is nothing to refuse
+        monkeypatch.setattr("normbch.lines.bch_matrix", must_not_build)
         code, stdout, stderr = run(capsys, "check-lines", "--q", "5", "--m", "2", "--d", "40", "--experimental")
         assert code == 0
-        assert "words_found=0\non_line=0\nviolations=0\n" in stdout
+        assert stdout == ("q=5 m=2 d=40\nweight=39\nsubset_count=0\n"
+                          "words_found=0\non_line=0\nviolations=0\ntheorem_applies=false\n")
         assert stderr == ""
+
+    def test_weight_beyond_length_allocates_no_rows(self, capsys, monkeypatch):
+        # n = 531,441: the base rows would be 7,199,965 x 531,441 entries
+        monkeypatch.setattr("normbch.lines.bch_matrix", must_not_build)
+        code, stdout, stderr = run(capsys, "check-lines", "--q", "3", "--m", "12", "--d", "600000", "--experimental")
+        assert (code, stderr) == (0, "")
+        assert stdout == ("q=3 m=12 d=600000\nweight=599999\nsubset_count=0\n"
+                          "words_found=0\non_line=0\nviolations=0\ntheorem_applies=false\n")
 
     def test_745_counts_by_orbits(self, capsys):
         # m = 4 is not prime; 5,762,400 violating words are counted, never built
-        budget = str(math.comb(2401, 4))
-        code, stdout, stderr = run(capsys, "check-lines", "--q", "7", "--m", "4", "--d", "5", "--experimental",
-                                   "--budget", budget)
+        code, stdout, stderr = run(capsys, "check-lines", "--q", "7", "--m", "4", "--d", "5", "--experimental")
         assert code == 1
         assert "words_found=10564400\non_line=4802000\nviolations=5762400\n" in stdout
         assert stderr == ""
@@ -708,8 +729,9 @@ EXIT_2_CASES = {
         None, "parameter error:"),
     "verify-distance-malformed-budget": (
         ["verify-distance", "--matrix", "{aug524}", "--d", "4"], "2e7", "normbch verify-distance: error:"),
-    "check-lines-malformed-budget": (
-        ["check-lines", "--q", "5", "--m", "2", "--d", "4"], "2e7", "normbch check-lines: error:"),
+    "check-lines-budget-option": (  # the subset budget bounds verify-distance's generic engine alone
+        ["check-lines", "--q", "5", "--m", "2", "--d", "4", "--budget", "1000"], None,
+        "normbch: error: unrecognized arguments: --budget 1000"),
     "gencode-m-beyond-field-budget": (
         ["gencode", "--q", "5", "--m", "3000000", "--d", "5", "--out", "{tmp}/x.txt"],
         None, "parameter error: invalid parameters:"),
@@ -720,15 +742,22 @@ EXIT_2_CASES = {
                        None, "parameter error: invalid parameters:"),
     "check-lines-m-beyond-field-budget": (
         ["check-lines", "--q", "5", "--m", "3000000", "--d", "5", "--experimental"], None, "parameter error:"),
-    "check-lines-q-beyond-int16-experimental": (  # the alphabet rule before the subset budget
+    "check-lines-q-beyond-int16-experimental": (  # the alphabet rule before the memory refusal
         ["check-lines", "--q", "40009", "--m", "1", "--d", "4", "--experimental"],
         None, "parameter error: matrix construction needs a prime q and positive m: q=40009 exceeds 32767"),
-    "check-lines-field-beyond-budget-experimental": (  # the field budget before the subset budget
+    "check-lines-field-beyond-budget-experimental": (  # the field budget before the memory refusal
         ["check-lines", "--q", "5", "--m", "9", "--d", "4", "--experimental"],
         None, "parameter error: field size 5^9 exceeds the budget 1048576"),
-    "check-lines-576-beyond-subset-budget": (
+    # the representative search, weight d-3 on n-2 columns at 40 bytes a slot, is surely over the memory cap
+    "check-lines-576-beyond-memory-cap": (
         ["check-lines", "--q", "5", "--m", "7", "--d", "6"],
-        None, "budget exceeded: about 10^22 subsets needed, budget is 20000000"),
+        None, "budget exceeded: 12206562504 half-vectors needed, budget is 26843545"),
+    "check-lines-101035-beyond-memory-cap": (
+        ["check-lines", "--q", "101", "--m", "3", "--d", "5"],
+        None, "budget exceeded: 104060199 half-vectors needed, budget is 26843545"),
+    "check-lines-776-beyond-memory-cap": (
+        ["check-lines", "--q", "7", "--m", "7", "--d", "6"],
+        None, "budget exceeded: 2034661806666 half-vectors needed, budget is 26843545"),
     "gencode-776-norm-field-beyond-budget": (
         ["gencode", "--q", "7", "--m", "7", "--d", "6", "--out", "{tmp}/x.txt"],
         None, "parameter error: field size 7^8 exceeds the budget 1048576"),
@@ -816,8 +845,10 @@ def test_exit_2_contract(matrix_files, tmp_path, capsys, monkeypatch, argv, budg
 
 
 @pytest.mark.parametrize("case, unbuilt", [
-    ("check-lines-576-beyond-subset-budget", ["normbch.lines.bch_matrix", "normbch.field.make_field"]),
+    ("check-lines-576-beyond-memory-cap", ["normbch.lines.bch_matrix", "normbch.field.make_field"]),
     ("gencode-776-norm-field-beyond-budget", ["normbch.construct.bch_matrix"]),
+    ("check-lines-101035-beyond-memory-cap", ["normbch.lines.bch_matrix", "normbch.field.make_field"]),
+    ("check-lines-776-beyond-memory-cap", ["normbch.lines.bch_matrix", "normbch.field.make_field"]),
 ])
 def test_refused_before_the_build(matrix_files, tmp_path, capsys, monkeypatch, case, unbuilt):
     # the refusals of EXIT_2_CASES, with what they must not build patched to fail
@@ -1196,18 +1227,20 @@ def test_fresh_process_matches_in_process(matrix_files, tmp_path, capsys, monkey
 
 
 class TestBudgetEnvironment:
-    def test_valid_value_is_the_default(self, capsys, monkeypatch):
+    # verify-distance alone takes --budget; the base (5,3,5) matrix goes to the generic engine
+    def test_valid_value_is_the_default(self, matrix_files, capsys, monkeypatch):
         monkeypatch.setenv("NORMBCH_BUDGET", "1000")
-        code, stdout, stderr = run(capsys, "check-lines", "--q", "5", "--m", "2", "--d", "4")
+        code, stdout, stderr = run(capsys, "verify-distance", "--matrix", str(matrix_files["bch535"]), "--d", "5")
         assert code == 2
         assert stdout == ""
-        assert stderr.startswith("budget exceeded:") and "budget is 1000" in stderr
+        assert stderr == "budget exceeded: 9691375 subsets needed, budget is 1000\n"
 
-    def test_explicit_budget_overrides_malformed_value(self, capsys, monkeypatch):
+    def test_explicit_budget_overrides_malformed_value(self, matrix_files, capsys, monkeypatch):
         monkeypatch.setenv("NORMBCH_BUDGET", "2e7")
-        code, stdout, _ = run(capsys, "check-lines", "--q", "5", "--m", "2", "--d", "4", "--budget", "5000")
-        assert code == 0
-        assert "words_found=300" in stdout
+        code, stdout, _ = run(capsys, "verify-distance", "--matrix", str(matrix_files["bch535"]), "--d", "5",
+                              "--budget", "9691375")
+        assert code == 1
+        assert "subsets_examined=25307\n" in stdout
 
     def test_malformed_value_ignored_without_budget(self, capsys, monkeypatch):
         monkeypatch.setenv("NORMBCH_BUDGET", "2e7")
@@ -1215,6 +1248,9 @@ class TestBudgetEnvironment:
         assert code == 0
         assert stderr == ""
         assert "best_upper=7/3 [norm-bch]" in stdout
+        code, stdout, stderr = run(capsys, "check-lines", "--q", "5", "--m", "2", "--d", "4")
+        assert (code, stderr) == (0, "")
+        assert "words_found=300" in stdout
 
 
 def test_manifests_pinned(tmp_path, monkeypatch):
@@ -1230,8 +1266,7 @@ def test_manifests_pinned(tmp_path, monkeypatch):
          {"matrix": "h.txt", "d": 4, "budget": 20_000_000, "threads": 1, "out": "cert.txt"},
          ["h.txt"], None),
         (["check-lines", "--q", "5", "--m", "2", "--d", "4", "--out", "lines.txt"],
-         {"q": 5, "m": 2, "d": 4, "relaxed": False, "experimental": False, "budget": 20_000_000,
-          "out": "lines.txt"}, [], None),
+         {"q": 5, "m": 2, "d": 4, "relaxed": False, "experimental": False, "out": "lines.txt"}, [], None),
         (["reduce", "--input", "toy.cwl", "--q2", "4", "--subset", "0,1,2", "--out", "sub.cwl"],
          {"input": "toy.cwl", "q2": 4, "subset": "0,1,2", "trials": None, "seed": 0, "out": "sub.cwl"},
          ["toy.cwl"], 0),

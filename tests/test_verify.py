@@ -179,9 +179,10 @@ class TestMinDistance:
     def test_d2_with_nonzero_columns(self, h524):
         assert min_distance_at_least(h524, 2).certified
 
-    def test_budget_exceeded_carries_count(self, ha535):
+    def test_budget_exceeded_carries_count(self, h535):
+        # the base matrix goes to the generic engine, which needs every 4-subset of its 125 columns
         with pytest.raises(BudgetExceededError) as err:
-            min_distance_at_least(ha535, 5, budget=1000)
+            min_distance_at_least(h535, 5, budget=1000)
         assert err.value.needed == math.comb(125, 4)
 
     def test_d_below_two_rejected(self, h524):
@@ -232,8 +233,26 @@ class TestOrbitRoute:
     def test_members_certify_by_line_norm_sums_alone(self, qmd, monkeypatch):
         monkeypatch.setattr(verify, "_colex_first_dependent", must_not_run)
         params = validate_params(*qmd)
-        budget = math.comb(params.n, params.d - 1)
-        assert min_distance_at_least(augmented_matrix(params), params.d, budget=budget).certified
+        # at the default budget: from (7,3,5) on, C(n, d-1) exceeds it, and the budget bounds the engine alone
+        assert min_distance_at_least(augmented_matrix(params), params.d).certified
+
+    def test_2935_certified_at_the_default_budget(self, monkeypatch):
+        monkeypatch.setattr(verify, "_colex_first_dependent", must_not_run)
+        monkeypatch.setattr(verify, "_subset_count", must_not_run)
+        cert = min_distance_at_least(augmented_matrix(validate_params(29, 3, 5)), 5)
+        assert (cert.verdict, cert.subset_count, cert.subsets_examined) == ("certified", 14738656119688501,
+                                                                            14738656119688501)
+
+    def test_745_refused_by_the_engine_budget_after_the_route(self, monkeypatch):
+        # outside the hypotheses the route runs and declines; then C(2401, 4) is over the default budget,
+        # and the refusal comes before the engine's first pass
+        matrix = augmented_matrix(validate_params(7, 4, 5))
+        routed = []
+        monkeypatch.setattr(verify, "_orbit_certifies", lambda *args: routed.append(_orbit_certifies(*args)))
+        monkeypatch.setattr(verify, "_colex_first_dependent", must_not_run)
+        with pytest.raises(BudgetExceededError, match="^1381247760200 subsets needed, budget is 20000000$"):
+            min_distance_at_least(matrix, 5)
+        assert routed == [False]
 
     def test_745_counterexample_pinned(self):
         # outside the hypotheses (m = 4 is not prime): the route declines, and the engine finds a weight-4 word
@@ -354,10 +373,16 @@ class TestOrbitRoute:
         cert = min_distance_at_least(ha524, 10**12)
         assert (cert.verdict, cert.subsets_examined) == ("counterexample", 1)
 
-    def test_budget_refusal_comes_first(self, ha535, monkeypatch):
-        monkeypatch.setattr(verify, "_orbit_certifies", must_not_run)
-        with pytest.raises(BudgetExceededError):
-            min_distance_at_least(ha535, 5, budget=1000)
+    def test_budget_refusal_comes_first(self, ha535, h535, monkeypatch):
+        # the route runs first, and the budget bounds the engine alone: below C(125, 4) the augmented
+        # matrix is certified, and the base matrix, which the route declines, is refused before any pass
+        monkeypatch.setattr(verify, "_colex_first_dependent", must_not_run)
+        assert min_distance_at_least(ha535, 5, budget=1000).subsets_examined == 9691375
+        routed = []
+        monkeypatch.setattr(verify, "_orbit_certifies", lambda *args: routed.append(_orbit_certifies(*args)))
+        with pytest.raises(BudgetExceededError, match="^9691375 subsets needed, budget is 1000$"):
+            min_distance_at_least(h535, 5, budget=1000)
+        assert routed == [False]
 
     def test_pass_surely_over_the_cap_declines_before_the_build(self, ha535, monkeypatch):
         # (5,3,5): the weight-4 representative pass searches weight 2 on 123 columns, 123 x halves and
@@ -582,15 +607,14 @@ class TestLinesTheorem:
             verify_lines_theorem(validate_params(5, 2, 3))
 
     def test_735_pinned(self):
-        report = verify_lines_theorem(validate_params(7, 3, 5), budget=math.comb(343, 4))
+        report = verify_lines_theorem(validate_params(7, 3, 5))
         assert (report.words_found, report.on_line, report.violation_count) == (97755, 97755, 0)
         assert report.theorem_applies
 
     @pytest.mark.parametrize("qmd", ORBIT_INSTANCES, ids=lambda qmd: "%d-%d-%d" % qmd)
     def test_orbit_counting_matches_enumeration(self, qmd):
         params = validate_params(*qmd)
-        budget = math.comb(params.n, params.d - 1)
-        report = verify_lines_theorem(params, budget=budget, experimental=not params.valid)
+        report = verify_lines_theorem(params, experimental=not params.valid)
         assert (report.words_found, report.on_line, report.violation_count) == lines_by_enumeration(params)
 
     @pytest.mark.parametrize("qmd", ORBIT_INSTANCES, ids=lambda qmd: "%d-%d-%d" % qmd)
@@ -637,7 +661,7 @@ class TestOnLineCountGate:
         params = validate_params(*qmd)
         mutate_on_line_representatives(monkeypatch, LocatorTable(make_field(params.q, params.m)), mutation)
         with pytest.raises(RuntimeError, match="on-line representatives of weight %d" % (params.d - 1)):
-            verify_lines_theorem(params, budget=math.comb(params.n, params.d - 1), experimental=True)
+            verify_lines_theorem(params, experimental=True)
 
     @pytest.mark.parametrize("qmd", with_on_line_words(AUGMENTED_INSTANCES), ids=lambda qmd: "%d-%d-%d" % qmd)
     def test_orbit_route_raises(self, qmd, mutation, monkeypatch):
@@ -646,7 +670,7 @@ class TestOnLineCountGate:
         mutate_on_line_representatives(monkeypatch, matrix.locators, mutation)
         monkeypatch.setattr(verify, "_colex_first_dependent", must_not_run)
         with pytest.raises(RuntimeError, match="on-line representatives of weight %d" % (params.d - 1)):
-            min_distance_at_least(matrix, params.d, budget=math.comb(params.n, min(params.d - 1, params.n)))
+            min_distance_at_least(matrix, params.d)
 
 
 class TestSeparationWitness:
