@@ -11,6 +11,8 @@ to stdout and to the verify-distance and check-lines --out files, and
 Exit codes: 0 success or certified, 1 mathematical counterexample or
 violation, 2 usage, parameter, file or budget error, 70 internal error,
 141 (128 + SIGPIPE) stdout closed by its reader, with nothing on stderr.
+A budget error is a search over the fixed memory cap, or over the subset
+budget that verify-distance --budget sets for its generic engine alone.
 Subcommands only compute: each returns its exit code, stdout text and
 --out text (with its SHA-256 when it holds one) and raises on bad input.
 _run alone writes: it refuses an --out or manifest path that names the
@@ -255,8 +257,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = command("verify-distance", cmd_verify_distance, "certify distance >= d by exhaustive word search", "out")
     p.add_argument("--matrix", required=True)
     p.add_argument("--d", type=int, required=True)
-    # type=int reads a string default only when --budget is not given: a bad NORMBCH_BUDGET fails only here
-    p.add_argument("--budget", type=int, default=os.environ.get("NORMBCH_BUDGET") or str(DEFAULT_SUBSET_BUDGET))
+    p.add_argument("--budget", type=int, default=DEFAULT_SUBSET_BUDGET)
     p.add_argument("--threads", type=int, default=1,
                    help="recorded in the certificate; does not change the work")
 

@@ -19,8 +19,9 @@ def _count(value: int) -> str:
 class BudgetExceededError(RuntimeError):
     """A requested enumeration is larger than the configured budget.
 
-    Carries the exact count that would be needed, so callers can decide
-    to re-run with a deliberately raised budget.
+    Carries the exact count that would be needed.  A subset count can be
+    met by re-running with a deliberately raised budget; half-vectors
+    count against the fixed memory cap, which no option raises.
     """
 
     def __init__(self, needed: int, budget: int, what: str = "subsets"):

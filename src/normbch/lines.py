@@ -10,10 +10,11 @@ representatives has R*n(n-1)/(v(v-1)) members, which gives every count
 of the report.
 
 The other functions serve the acceptance gate and the scripts:
-enumerate_weight_words lists every word of one weight, on_affine_line
-finds the line through a locator set, construct_weight_word builds the
-separation witness and vandermonde_check decides the Vandermonde
-argument.  Only check-lines and those callers load this module.
+enumerate_weight_words lists every word of one weight within the memory
+cap, on_affine_line finds the line through a locator set,
+construct_weight_word builds the separation witness and
+vandermonde_check decides the Vandermonde argument.  Only check-lines
+and those callers load this module.
 """
 
 from __future__ import annotations
@@ -32,9 +33,8 @@ from .construct import (
     bch_matrix,
     syndrome,
 )
-from .errors import DEFAULT_SUBSET_BUDGET
 from .field import FieldElement, FieldMismatchError
-from .verify import _check_survey_memory, _kernel_words, _subset_count, _survey
+from .verify import _check_survey_memory, _kernel_words, _survey
 
 
 class _AffineLineFields(NamedTuple):
@@ -66,18 +66,16 @@ class LinesReport(NamedTuple):
     subset_count: int
 
 
-def enumerate_weight_words(
-    matrix: ParityCheckMatrix, w: int, budget: int = DEFAULT_SUBSET_BUDGET
-) -> list[Codeword]:
+def enumerate_weight_words(matrix: ParityCheckMatrix, w: int) -> list[Codeword]:
     """All weight-w codewords of the matrix kernel, one per scalar class.
 
     Each word has first coefficient 1.  Output is sorted by (support,
     coefficients).  The zero word is never included; w = 0 or w > n
-    yields an empty list.
+    yields an empty list.  A pass over the memory cap is refused before
+    its tables are allocated.
     """
     if w <= 0 or w > matrix.n:
         return []
-    _subset_count(matrix.n, w, budget)
     supports, coeffs = _kernel_words(matrix.rows, matrix.q, w)
     order = np.lexsort(np.hstack([supports, coeffs]).T[::-1])
     return [

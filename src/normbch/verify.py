@@ -34,10 +34,12 @@ multiplicative.  N(u + t) is monic of degree d-2 in t and the word
 kills t^j for j <= d-3, so that is N(hat a) * f with f = sum_t c_t
 t^(d-2), which is nonzero by Vandermonde.  Any other matrix or target,
 a representative with a locator outside GF(q) (which occurs only
-outside the proven range), a zero f, or a representative search over
-the memory cap falls back to the generic engine below, so its
-counterexamples and refusals are the only ones reported; a failed
-self-check of _survey raises RuntimeError.
+outside the proven range) or a zero f falls back to the generic engine
+below, so its counterexamples are the only ones reported; a failed
+self-check of _survey raises RuntimeError.  A representative search
+over the memory cap is refused, not passed on: the engine's pass at
+c = n includes a weight-(v-2) pass on all n columns with at least as
+many rows, so it could never certify either, only search prefixes.
 
 The generic engine reports the colex-first dependent (d-1)-subset: the
 colex-smallest superset of a word support.  When the first w columns
@@ -88,13 +90,6 @@ class DistanceCertificate(NamedTuple):
     @property
     def certified(self) -> bool:
         return self.verdict == "certified"
-
-
-def _subset_count(n: int, w: int, budget: int) -> int:
-    """C(n, w), the w-subsets of n columns; BudgetExceededError, carrying it, when it exceeds budget."""
-    if (count := math.comb(n, w)) > budget:  # computed once: at n ~ 10^6 and w ~ n/2 it takes seconds
-        raise BudgetExceededError(count, budget)
-    return count
 
 
 def _half_slots(n: int, q: int, v: int) -> tuple[int, int]:
@@ -243,10 +238,11 @@ def _orbit_certifies(matrix: ParityCheckMatrix, d: int) -> bool:
     representative has weight d-1, and f is the normalizing constant of
     its Lagrange weights, c_t = f / prod_(s != t)(t - s), as their sum
     against t^(d-2), a divided difference of x^(d-2), is 1.  False (any
-    other matrix, a locator outside GF(q), a zero f, or a representative
-    search over the memory cap) leaves the verdict to the generic
-    engine.  A search whose slots alone exceed the cap is declined
-    before the build, as its pass would surely be refused.
+    other matrix, a locator outside GF(q) or a zero f) leaves the
+    verdict to the generic engine.  A representative search over the
+    memory cap raises BudgetExceededError, before the build when its
+    slots alone exceed the cap: the engine could never certify such a
+    matrix, as its pass at c = n includes that search's pass.
     """
     q, n = matrix.q, matrix.n
     m = next((m for m in range(1, n.bit_length()) if q**m == n), 0)  # 0 when n is no power q^m, m >= 1
@@ -256,20 +252,16 @@ def _orbit_certifies(matrix: ParityCheckMatrix, d: int) -> bool:
     if matrix.blocks != augmented_blocks(params):
         return False
     weights = range(min(d - 1, n), 2, -1)  # weight 2 needs no pass: _survey's pivot check excludes it
+    _check_survey_memory(n, q, weights)
     try:
-        _check_survey_memory(n, q, weights)
         rebuilt = augmented_matrix(params)
-    except (BudgetExceededError, ValueError):  # ValueError: no field or basis pair within the budgets
+    except ValueError:  # no field or basis pair within the budgets
         return False
     if not np.array_equal(rebuilt.rows, matrix.rows):
         return False
     if not matrix.rows.any(axis=0).all():  # a zero column is a weight-1 word
         return False
-    try:
-        survey = _survey(matrix.rows[: -params.s], rebuilt.locators, q, d, weights)
-    except BudgetExceededError:
-        return False
-    for coeffs, ys, on in survey:
+    for coeffs, ys, on in _survey(matrix.rows[: -params.s], rebuilt.locators, q, d, weights):
         if on < len(ys):  # a locator outside GF(q): outside the proven range
             return False
         f = coeffs
@@ -290,11 +282,14 @@ def min_distance_at_least(
 
     The affine-orbit route certifies the construction's augmented
     matrices; every other case goes to the generic collision engine (see
-    the module docstring).  The budget bounds that engine alone: once
-    the route declines, BudgetExceededError (with the exact subset
-    count) is raised when C(n, d-1) exceeds it, or (counting
-    half-vectors) when a pass would exceed MEMORY_CAP_BYTES.  threads is
-    recorded in the certificate and does not change the work.
+    the module docstring).  BudgetExceededError, counting half-vectors,
+    is raised when the route's search or an engine pass would exceed
+    MEMORY_CAP_BYTES; a route search over the cap is refused, as the
+    engine's pass on all n columns would hold it.  The budget bounds the
+    engine alone, its multi-pass prefix hunt: once the route declines,
+    BudgetExceededError (with the exact subset count) is raised when
+    C(n, d-1) exceeds it.  threads is recorded in the certificate and
+    does not change the work.
     """
     if d < 2:
         raise ValueError("distance targets below 2 are meaningless")
@@ -303,10 +298,12 @@ def min_distance_at_least(
     start = time.perf_counter()
     n = matrix.n
     w = min(d - 1, n)
+    total = math.comb(n, w)  # computed once: at n ~ 10^6 and w ~ n/2 it takes seconds
     if _orbit_certifies(matrix, d):
-        total, columns = math.comb(n, w), None
+        columns = None
+    elif total > budget:
+        raise BudgetExceededError(total, budget)
     else:
-        total = _subset_count(n, w, budget)
         columns = _colex_first_dependent(matrix.rows, matrix.q, w)
     if columns is None:
         verdict, counterexample, examined = "certified", None, total

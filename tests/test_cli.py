@@ -71,7 +71,7 @@ class TestGencode:
         assert run(capsys, "gencode", "--q", "5", "--m", "2", "--d", "4", "--out", str(out))[0] == 0
         assert out.read_text() == augmented_matrix(validate_params(5, 2, 4)).to_text()
 
-    def test_d6_member_576(self, tmp_path, capsys):
+    def test_d6_member_576(self, tmp_path, capsys, monkeypatch):
         # the smallest d = 6 member: n = 5^7, norm rows from GF(5^8)
         out = tmp_path / "h576.txt"
         code, stdout, _ = run(capsys, "gencode", "--q", "5", "--m", "7", "--d", "6", "--out", str(out))
@@ -83,6 +83,12 @@ class TestGencode:
         assert point.redundancy == 24
         assert point.ratio == pytest.approx(24 / 7)
         assert point.ratio < varshamov_upper(6) == 4
+        # beyond the orbit check's reach: refused at any budget, with check-lines' line, before the engine
+        monkeypatch.setattr("normbch.verify._colex_first_dependent", lambda *args: pytest.fail("engine ran"))
+        code, stdout, stderr = run(capsys, "verify-distance", "--matrix", str(out), "--d", "6",
+                                   "--budget", str(10**30))
+        assert (code, stdout) == (2, "")
+        assert stderr == "budget exceeded: 12206562504 half-vectors needed, budget is 26843545\n"
 
     def test_json_output(self, tmp_path, capsys):
         out = tmp_path / "m.txt"
@@ -574,7 +580,6 @@ def _mask_elapsed(text):
 @pytest.fixture
 def pin_dir(matrix_files, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    monkeypatch.delenv("NORMBCH_BUDGET", raising=False)
     for name in ("aug524", "bch535"):
         (tmp_path / f"{name}.txt").write_bytes(matrix_files[name].read_bytes())
     (tmp_path / "toy.cwl").write_text("0 0 0 0\n1 1 1 1\n2 2 2 2\n3 3 3 3\n")
@@ -646,9 +651,8 @@ def test_version_flag(capsys):
 
 def _child_env() -> dict:
     """The environment for a fresh interpreter: this process's, with the
-    package under test first on PYTHONPATH and NORMBCH_BUDGET unset."""
+    package under test first on PYTHONPATH."""
     env = dict(os.environ)
-    env.pop("NORMBCH_BUDGET", None)
     src = str(Path(normbch.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     return env
@@ -682,111 +686,108 @@ def test_caller_blas_threads_are_kept():
 # {aug524} (a matrix file), {toy} (a codeword list), {long} (one
 # binary word of length 15,000), {in535} (a copy of the (5,3,5)
 # matrix, named as the manifest of --out {tmp}/in535) and {header} (a
-# directory of header-only matrix files, HEADERS) filled in, the
-# NORMBCH_BUDGET value or None, and the prefix of the one stderr line,
-# filled in too.
+# directory of header-only matrix files, HEADERS) filled in, and the
+# prefix of the one stderr line, filled in too.
 EXIT_2_CASES = {
     "verify-distance-out-is-matrix": (
-        ["verify-distance", "--matrix", "{in535}", "--d", "5", "--out", "{in535}"], None, "file error:"),
+        ["verify-distance", "--matrix", "{in535}", "--d", "5", "--out", "{in535}"], "file error:"),
     "verify-distance-out-is-matrix-by-another-path": (
         ["verify-distance", "--matrix", "{in535}", "--d", "5", "--out", "{tmp}/./in535.manifest.json"],
-        None, "file error:"),
+        "file error:"),
     "verify-distance-manifest-is-matrix": (
-        ["verify-distance", "--matrix", "{in535}", "--d", "5", "--out", "{tmp}/in535"], None, "file error:"),
+        ["verify-distance", "--matrix", "{in535}", "--d", "5", "--out", "{tmp}/in535"], "file error:"),
     "verify-distance-out-is-missing-matrix": (  # not created as an empty file first
-        ["verify-distance", "--matrix", "{tmp}/m.txt", "--d", "3", "--out", "{tmp}/m.txt"], None, "file error:"),
+        ["verify-distance", "--matrix", "{tmp}/m.txt", "--d", "3", "--out", "{tmp}/m.txt"], "file error:"),
     "reduce-out-is-missing-input": (
         ["reduce", "--input", "{tmp}/x.cwl", "--q2", "2", "--subset", "0", "--out", "{tmp}/x.cwl"],
-        None, "file error:"),
+        "file error:"),
     "gencode-out-missing-dir": (
-        ["gencode", "--q", "5", "--m", "2", "--d", "4", "--out", "{missing}"], None, "file error:"),
+        ["gencode", "--q", "5", "--m", "2", "--d", "4", "--out", "{missing}"], "file error:"),
     "verify-distance-out-missing-dir": (
-        ["verify-distance", "--matrix", "{aug524}", "--d", "4", "--out", "{missing}"], None, "file error:"),
+        ["verify-distance", "--matrix", "{aug524}", "--d", "4", "--out", "{missing}"], "file error:"),
     "check-lines-out-missing-dir": (
-        ["check-lines", "--q", "5", "--m", "2", "--d", "4", "--out", "{missing}"], None, "file error:"),
-    "gencode-out-empty": (["gencode", "--q", "5", "--m", "2", "--d", "4", "--out", ""], None, "file error:"),
-    "check-lines-out-empty": (["check-lines", "--q", "5", "--m", "2", "--d", "4", "--out", ""], None, "file error:"),
+        ["check-lines", "--q", "5", "--m", "2", "--d", "4", "--out", "{missing}"], "file error:"),
+    "gencode-out-empty": (["gencode", "--q", "5", "--m", "2", "--d", "4", "--out", ""], "file error:"),
+    "check-lines-out-empty": (["check-lines", "--q", "5", "--m", "2", "--d", "4", "--out", ""], "file error:"),
     "reduce-out-missing-dir": (
         ["reduce", "--input", "{toy}", "--q2", "4", "--subset", "0,1,2", "--out", "{missing}"],
-        None, "file error:"),
+        "file error:"),
     "gencode-d3": (["gencode", "--q", "5", "--m", "2", "--d", "3", "--out", "{tmp}/d3.txt"],
-                   None, "parameter error:"),
+                   "parameter error:"),
     "gencode-335": (["gencode", "--q", "3", "--m", "3", "--d", "5", "--out", "{tmp}/335.txt"],
-                    None, "parameter error: invalid parameters:"),
-    "bounds-table-d1": (["bounds", "--table", "2..3", "1..4"], None, "parameter error:"),
-    "bounds-table-reversed": (["bounds", "--table", "3..2", "4..5"], None, "parameter error:"),
-    "bounds-table-beyond-cell-cap": (["bounds", "--table", "2..2000", "3..60", "--json"], None,
+                    "parameter error: invalid parameters:"),
+    "bounds-table-d1": (["bounds", "--table", "2..3", "1..4"], "parameter error:"),
+    "bounds-table-reversed": (["bounds", "--table", "3..2", "4..5"], "parameter error:"),
+    "bounds-table-beyond-cell-cap": (["bounds", "--table", "2..2000", "3..60", "--json"],
                                      "budget exceeded: 115942 table cells needed, budget is 100000"),
-    "bounds-table-beyond-int64": (["bounds", "--table", "2..99999999999999999999", "3..4"], None,
+    "bounds-table-beyond-int64": (["bounds", "--table", "2..99999999999999999999", "3..4"],
                                  "budget exceeded: about 10^20 table cells needed, budget is 100000"),
     "verify-distance-threads-below-1": (
-        ["verify-distance", "--matrix", "{aug524}", "--d", "4", "--threads", "-1"], None, "parameter error:"),
+        ["verify-distance", "--matrix", "{aug524}", "--d", "4", "--threads", "-1"], "parameter error:"),
     "reduce-subset-not-integers": (
         ["reduce", "--input", "{toy}", "--q2", "4", "--subset", "0,x"],
-        None, "parameter error: --subset takes comma-separated integers such as 0,1,2, got '0,x'"),
+        "parameter error: --subset takes comma-separated integers such as 0,1,2, got '0,x'"),
     "reduce-negative-trials": (
         ["reduce", "--input", "{toy}", "--q2", "4", "--subset", "0,1,2", "--trials", "-3"],
-        None, "parameter error:"),
-    "verify-distance-malformed-budget": (
-        ["verify-distance", "--matrix", "{aug524}", "--d", "4"], "2e7", "normbch verify-distance: error:"),
+        "parameter error:"),
     "check-lines-budget-option": (  # the subset budget bounds verify-distance's generic engine alone
-        ["check-lines", "--q", "5", "--m", "2", "--d", "4", "--budget", "1000"], None,
+        ["check-lines", "--q", "5", "--m", "2", "--d", "4", "--budget", "1000"],
         "normbch: error: unrecognized arguments: --budget 1000"),
     "gencode-m-beyond-field-budget": (
         ["gencode", "--q", "5", "--m", "3000000", "--d", "5", "--out", "{tmp}/x.txt"],
-        None, "parameter error: invalid parameters:"),
+        "parameter error: invalid parameters:"),
     "gencode-m-beyond-field-budget-relaxed": (
         ["gencode", "--q", "5", "--m", "100000000", "--d", "5", "--relaxed", "--out", "{tmp}/x.txt"],
-        None, "parameter error: invalid parameters:"),
+        "parameter error: invalid parameters:"),
     "gencode-huge-d": (["gencode", "--q", "5", "--m", "3", "--d", "100000", "--out", "{tmp}/x.txt"],
-                       None, "parameter error: invalid parameters:"),
+                       "parameter error: invalid parameters:"),
     "check-lines-m-beyond-field-budget": (
-        ["check-lines", "--q", "5", "--m", "3000000", "--d", "5", "--experimental"], None, "parameter error:"),
+        ["check-lines", "--q", "5", "--m", "3000000", "--d", "5", "--experimental"], "parameter error:"),
     "check-lines-q-beyond-int16-experimental": (  # the alphabet rule before the memory refusal
         ["check-lines", "--q", "40009", "--m", "1", "--d", "4", "--experimental"],
-        None, "parameter error: matrix construction needs a prime q and positive m: q=40009 exceeds 32767"),
+        "parameter error: matrix construction needs a prime q and positive m: q=40009 exceeds 32767"),
     "check-lines-field-beyond-budget-experimental": (  # the field budget before the memory refusal
         ["check-lines", "--q", "5", "--m", "9", "--d", "4", "--experimental"],
-        None, "parameter error: field size 5^9 exceeds the budget 1048576"),
+        "parameter error: field size 5^9 exceeds the budget 1048576"),
     # the representative search, weight d-3 on n-2 columns at 40 bytes a slot, is surely over the memory cap
     "check-lines-576-beyond-memory-cap": (
         ["check-lines", "--q", "5", "--m", "7", "--d", "6"],
-        None, "budget exceeded: 12206562504 half-vectors needed, budget is 26843545"),
+        "budget exceeded: 12206562504 half-vectors needed, budget is 26843545"),
     "check-lines-101035-beyond-memory-cap": (
         ["check-lines", "--q", "101", "--m", "3", "--d", "5"],
-        None, "budget exceeded: 104060199 half-vectors needed, budget is 26843545"),
+        "budget exceeded: 104060199 half-vectors needed, budget is 26843545"),
     "check-lines-776-beyond-memory-cap": (
         ["check-lines", "--q", "7", "--m", "7", "--d", "6"],
-        None, "budget exceeded: 2034661806666 half-vectors needed, budget is 26843545"),
+        "budget exceeded: 2034661806666 half-vectors needed, budget is 26843545"),
     "gencode-776-norm-field-beyond-budget": (
         ["gencode", "--q", "7", "--m", "7", "--d", "6", "--out", "{tmp}/x.txt"],
-        None, "parameter error: field size 7^8 exceeds the budget 1048576"),
+        "parameter error: field size 7^8 exceeds the budget 1048576"),
     "gencode-q-beyond-int16": (
         ["gencode", "--q", "40009", "--m", "1", "--d", "4", "--relaxed", "--out", "{tmp}/x.txt"],
-        None, "parameter error: invalid parameters:"),
+        "parameter error: invalid parameters:"),
     "reduce-q2-beyond-budget": (
-        ["reduce", "--input", "{toy}", "--q2", "1000000000000", "--subset", "0,1,2"], None, "budget exceeded:"),
+        ["reduce", "--input", "{toy}", "--q2", "1000000000000", "--subset", "0,1,2"], "budget exceeded:"),
     "reduce-q2-beyond-budget-sampled": (
         ["reduce", "--input", "{toy}", "--q2", "1000000000000", "--subset", "0,1,2", "--trials", "1"],
-        None, "budget exceeded:"),
+        "budget exceeded:"),
     "reduce-trials-beyond-budget": (
         ["reduce", "--input", "{toy}", "--q2", "4", "--subset", "0,1,2", "--trials", "10000001"],
-        None, "budget exceeded:"),
+        "budget exceeded:"),
     "verify-distance-n-beyond-int64": (
         ["verify-distance", "--matrix", "{header}/n-2^63", "--d", "2"],
-        None, "parameter error: {header}/n-2^63:1: n=9223372036854775808 exceeds the field size budget 1048576"),
+        "parameter error: {header}/n-2^63:1: n=9223372036854775808 exceeds the field size budget 1048576"),
     "verify-distance-n-at-int64-max": (
         ["verify-distance", "--matrix", "{header}/n-2^63-1", "--d", "2"],
-        None, "parameter error: {header}/n-2^63-1:1: n=9223372036854775807 exceeds the field size budget"),
+        "parameter error: {header}/n-2^63-1:1: n=9223372036854775807 exceeds the field size budget"),
     "verify-distance-n-beyond-field-budget": (
         ["verify-distance", "--matrix", "{header}/n-2^20+1", "--d", "2"],
-        None, "parameter error: {header}/n-2^20+1:1: n=1048577 exceeds the field size budget"),
+        "parameter error: {header}/n-2^20+1:1: n=1048577 exceeds the field size budget"),
     "verify-distance-q-beyond-int16": (
         ["verify-distance", "--matrix", "{header}/q-32771", "--d", "2"],
-        None, "parameter error: {header}/q-32771:1: q=32771 exceeds 32767, the largest alphabet"),
+        "parameter error: {header}/q-32771:1: q=32771 exceeds 32767, the largest alphabet"),
     "reduce-count-beyond-digit-limit": (  # 2^15000 shifts: a count of 4516 digits
         ["reduce", "--input", "{long}", "--q2", "2", "--subset", "0"],
-        None, "budget exceeded: about 10^4515 shifts needed, budget is 10000000"),
+        "budget exceeded: about 10^4515 shifts needed, budget is 10000000"),
 }
 
 
@@ -828,12 +829,8 @@ def _snapshot(root) -> dict:
     return {path: path.read_bytes() if path.is_file() else None for path in root.rglob("*")}
 
 
-@pytest.mark.parametrize("argv, budget, prefix", EXIT_2_CASES.values(), ids=EXIT_2_CASES.keys())
-def test_exit_2_contract(matrix_files, tmp_path, capsys, monkeypatch, argv, budget, prefix):
-    if budget is None:
-        monkeypatch.delenv("NORMBCH_BUDGET", raising=False)
-    else:
-        monkeypatch.setenv("NORMBCH_BUDGET", budget)
+@pytest.mark.parametrize("argv, prefix", EXIT_2_CASES.values(), ids=EXIT_2_CASES.keys())
+def test_exit_2_contract(matrix_files, tmp_path, capsys, argv, prefix):
     *argv, prefix = _fill([*argv, prefix], matrix_files, tmp_path)
     files = _snapshot(tmp_path)
     code, stdout, stderr = run(capsys, *argv)
@@ -857,8 +854,7 @@ def test_refused_before_the_build(matrix_files, tmp_path, capsys, monkeypatch, c
 
     for target in unbuilt:
         monkeypatch.setattr(target, built)
-    monkeypatch.delenv("NORMBCH_BUDGET", raising=False)
-    argv, _, message = EXIT_2_CASES[case]
+    argv, message = EXIT_2_CASES[case]
     code, stdout, stderr = run(capsys, *_fill(argv, matrix_files, tmp_path))
     assert (code, stdout, stderr) == (2, "", message + "\n")
 
@@ -982,7 +978,7 @@ def test_gencode_hashes_its_text_once(tmp_path, capsys, monkeypatch):
 @pytest.mark.parametrize("case", ["check-lines-out-missing-dir", "bounds-table-d1", "bounds-table-beyond-int64",
                                   "reduce-q2-beyond-budget"])
 def test_exit_2_contract_entry_point(matrix_files, tmp_path, case):
-    argv, _, prefix = EXIT_2_CASES[case]
+    argv, prefix = EXIT_2_CASES[case]
     proc = subprocess.run(
         [sys.executable, "-m", "normbch.cli", *_fill(argv, matrix_files, tmp_path)],
         capture_output=True, text=True, env=_child_env(), timeout=120,
@@ -1219,7 +1215,6 @@ def test_fresh_process_matches_in_process(matrix_files, tmp_path, capsys, monkey
     assert proc.stderr == ""
     fresh = [proc.returncode, proc.stdout] + [(tmp_path / name).read_text() for name in written]
     monkeypatch.chdir(tmp_path)
-    monkeypatch.delenv("NORMBCH_BUDGET", raising=False)
     code, stdout, stderr = run(capsys, *argv)
     assert stderr == ""
     in_process = [code, stdout] + [(tmp_path / name).read_text() for name in written]
@@ -1227,37 +1222,26 @@ def test_fresh_process_matches_in_process(matrix_files, tmp_path, capsys, monkey
 
 
 class TestBudgetEnvironment:
-    # verify-distance alone takes --budget; the base (5,3,5) matrix goes to the generic engine
-    def test_valid_value_is_the_default(self, matrix_files, capsys, monkeypatch):
-        monkeypatch.setenv("NORMBCH_BUDGET", "1000")
-        code, stdout, stderr = run(capsys, "verify-distance", "--matrix", str(matrix_files["bch535"]), "--d", "5")
-        assert code == 2
-        assert stdout == ""
-        assert stderr == "budget exceeded: 9691375 subsets needed, budget is 1000\n"
-
-    def test_explicit_budget_overrides_malformed_value(self, matrix_files, capsys, monkeypatch):
-        monkeypatch.setenv("NORMBCH_BUDGET", "2e7")
-        code, stdout, _ = run(capsys, "verify-distance", "--matrix", str(matrix_files["bch535"]), "--d", "5",
-                              "--budget", "9691375")
-        assert code == 1
-        assert "subsets_examined=25307\n" in stdout
-
-    def test_malformed_value_ignored_without_budget(self, capsys, monkeypatch):
-        monkeypatch.setenv("NORMBCH_BUDGET", "2e7")
-        code, stdout, stderr = run(capsys, "bounds", "--q", "5", "--d", "5")
-        assert code == 0
-        assert stderr == ""
-        assert "best_upper=7/3 [norm-bch]" in stdout
-        code, stdout, stderr = run(capsys, "check-lines", "--q", "5", "--m", "2", "--d", "4")
-        assert (code, stderr) == (0, "")
-        assert "words_found=300" in stdout
+    # no environment variable sets a budget: the default of --budget is a plain int
+    def test_malformed_value_ignored_without_budget(self, matrix_files, capsys, monkeypatch):
+        for value in ("1000", "2e7"):
+            monkeypatch.setenv("NORMBCH_BUDGET", value)
+            code, stdout, stderr = run(capsys, "verify-distance", "--matrix", str(matrix_files["bch535"]),
+                                       "--d", "5")
+            assert (code, stderr) == (1, "")
+            assert "subsets_examined=25307\n" in stdout
+            code, stdout, stderr = run(capsys, "bounds", "--q", "5", "--d", "5")
+            assert (code, stderr) == (0, "")
+            assert "best_upper=7/3 [norm-bch]" in stdout
+            code, stdout, stderr = run(capsys, "check-lines", "--q", "5", "--m", "2", "--d", "4")
+            assert (code, stderr) == (0, "")
+            assert "words_found=300" in stdout
 
 
 def test_manifests_pinned(tmp_path, monkeypatch):
     """Manifest fields derived from the parsed arguments, and the hashes of the files read and
     written, for all four writing subcommands."""
     monkeypatch.chdir(tmp_path)
-    monkeypatch.delenv("NORMBCH_BUDGET", raising=False)
     Path("toy.cwl").write_text("0 0 0 0\n1 1 1 1\n2 2 2 2\n3 3 3 3\n")
     runs = [
         (["gencode", "--q", "5", "--m", "2", "--d", "4", "--out", "h.txt"],

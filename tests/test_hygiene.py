@@ -155,12 +155,18 @@ def test_unpassed_parameter_is_found():
 
 
 def test_every_defaulted_parameter_is_passed():
-    # the budget of enumerate_weight_words is raised by a test's own reference enumeration.
     passed = set().union(*(passed_parameters(path.read_text()) for path in CALLERS))
     unpassed = {(path.name, function, name) for path in MODULES
                 for function, position, name in defaulted_parameters(path.read_text())
                 if (function, name) not in passed and (function, position) not in passed}
-    assert unpassed == {("lines.py", "enumerate_weight_words", "budget")}
+    assert unpassed == set()
+
+
+def test_environment_read_only_for_openblas():
+    # no environment variable sets an option: the package's one use of os.environ fixes OpenBLAS's threads
+    uses = {(path.name, line.strip()) for path in Path(normbch.__file__).parent.glob("*.py")
+            for line in path.read_text().splitlines() if "environ" in line or "getenv" in line}
+    assert uses == {("__init__.py", 'os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")')}
 
 
 def hashlib_imports(source: str) -> list[str]:

@@ -144,7 +144,7 @@ def encoded_support(loc, word):
 def lines_by_enumeration(params):
     """(words_found, on_line, violation_count) from every weight-(d-1) word and its line test."""
     matrix = bch_matrix(params)
-    words = enumerate_weight_words(matrix, params.d - 1, budget=math.comb(params.n, params.d - 1))
+    words = enumerate_weight_words(matrix, params.d - 1)
     loc = matrix.locators
     violations = [w for w in words if on_affine_line([loc.field.elem(y) for y in encoded_support(loc, w)]) is None]
     return len(words), len(words) - len(violations), len(violations)
@@ -237,11 +237,12 @@ class TestOrbitRoute:
         assert min_distance_at_least(augmented_matrix(params), params.d).certified
 
     def test_2935_certified_at_the_default_budget(self, monkeypatch):
+        # the budget bounds the engine alone, so even a zero budget leaves the route's certificate
         monkeypatch.setattr(verify, "_colex_first_dependent", must_not_run)
-        monkeypatch.setattr(verify, "_subset_count", must_not_run)
-        cert = min_distance_at_least(augmented_matrix(validate_params(29, 3, 5)), 5)
-        assert (cert.verdict, cert.subset_count, cert.subsets_examined) == ("certified", 14738656119688501,
-                                                                            14738656119688501)
+        matrix = augmented_matrix(validate_params(29, 3, 5))
+        for cert in (min_distance_at_least(matrix, 5), min_distance_at_least(matrix, 5, budget=0)):
+            assert (cert.verdict, cert.subset_count, cert.subsets_examined) == ("certified", 14738656119688501,
+                                                                                14738656119688501)
 
     def test_745_refused_by_the_engine_budget_after_the_route(self, monkeypatch):
         # outside the hypotheses the route runs and declines; then C(2401, 4) is over the default budget,
@@ -384,16 +385,54 @@ class TestOrbitRoute:
             min_distance_at_least(h535, 5, budget=1000)
         assert routed == [False]
 
-    def test_pass_surely_over_the_cap_declines_before_the_build(self, ha535, monkeypatch):
+    def test_pass_surely_over_the_cap_refuses_before_the_build(self, ha535, monkeypatch):
         # (5,3,5): the weight-4 representative pass searches weight 2 on 123 columns, 123 x halves and
-        # 123 * 4 y halves; at 40 bytes a slot, without its syndrome, one byte under 615 slots declines
+        # 123 * 4 y halves; at 40 bytes a slot, without its syndrome, one byte under 615 slots refuses
         slots = 123 + 123 * 4
         monkeypatch.setattr(verify, "augmented_matrix", must_not_run)
         monkeypatch.setattr(verify, "MEMORY_CAP_BYTES", slots * 40 - 1)
-        assert _orbit_certifies(ha535, 5) is False
+        with pytest.raises(BudgetExceededError, match="^615 half-vectors needed, budget is 614$"):
+            _orbit_certifies(ha535, 5)
         monkeypatch.setattr(verify, "MEMORY_CAP_BYTES", slots * 40)  # not surely over: the route builds
         with pytest.raises(AssertionError, match="must not run"):
             _orbit_certifies(ha535, 5)
+
+    def test_refusal_at_any_budget_before_the_build(self, ha535, monkeypatch):
+        # the route's refusal is the run's: no subset budget hands the matrix to the engine
+        monkeypatch.setattr(verify, "augmented_matrix", must_not_run)
+        monkeypatch.setattr(verify, "_colex_first_dependent", must_not_run)
+        monkeypatch.setattr(verify, "MEMORY_CAP_BYTES", 615 * 40 - 1)
+        with pytest.raises(BudgetExceededError, match="^615 half-vectors needed, budget is 614$"):
+            min_distance_at_least(ha535, 5, budget=10**30)
+
+    def test_pass_over_the_cap_refuses_after_the_build(self, ha535, monkeypatch):
+        # 27,000 bytes pass the 40-byte pre-check; the pass's own check counts the 5 syndrome bytes of the
+        # rows below the pivots too, 45 bytes a slot, and refuses, and the engine never runs
+        built = []
+        monkeypatch.setattr(verify, "augmented_matrix", lambda params: built.append(params) or augmented_matrix(params))
+        monkeypatch.setattr(verify, "_colex_first_dependent", must_not_run)
+        monkeypatch.setattr(verify, "MEMORY_CAP_BYTES", 27_000)
+        with pytest.raises(BudgetExceededError, match="^615 half-vectors needed, budget is 600$"):
+            min_distance_at_least(ha535, 5, budget=10**30)
+        assert built == [validate_params(5, 3, 5)]
+
+    @pytest.mark.parametrize("qmd", [(5, 2, 4), (5, 3, 5), (7, 3, 5)], ids=lambda qmd: "%d-%d-%d" % qmd)
+    def test_refusal_loses_no_certificate(self, qmd, monkeypatch):
+        # at every cap where the route refuses, the engine alone, at any subset budget, cannot certify either:
+        # its pass over all n columns holds the route's search
+        matrix = augmented_matrix(validate_params(*qmd))
+        refused = 0
+        for cap in np.geomspace(100, 10**6, 20).astype(int).tolist():
+            monkeypatch.setattr(verify, "MEMORY_CAP_BYTES", cap)
+            try:
+                assert _orbit_certifies(matrix, qmd[2])
+            except BudgetExceededError:
+                refused += 1
+                with monkeypatch.context() as patch:
+                    patch.setattr(verify, "_orbit_certifies", lambda matrix, d: False)
+                    with pytest.raises(BudgetExceededError, match="half-vectors"):
+                        min_distance_at_least(matrix, qmd[2], budget=10**40)
+        assert 0 < refused < 20  # the grid spans the route's reach
 
 
 class TestRepresentatives:
@@ -530,9 +569,17 @@ class TestEnumerate:
             assert not syndrome(h524, word).any()
         assert words == sorted(words, key=lambda w: (w.support, w.coeffs))
 
-    def test_budget(self, h535):
-        with pytest.raises(BudgetExceededError):
-            enumerate_weight_words(h535, 4, budget=100)
+    def test_budget(self, h535, monkeypatch):
+        # the one budget of the single pass is the memory cap
+        monkeypatch.setattr(verify, "MEMORY_CAP_BYTES", 1000)
+        with pytest.raises(BudgetExceededError) as err:
+            enumerate_weight_words(h535, 4)
+        assert err.value.what == "half-vectors"
+
+    def test_735_base_words_within_the_cap(self):
+        # C(343, 4) = 566,685,735 subsets, one pass of 2.5 million half-vectors
+        words = enumerate_weight_words(bch_matrix(validate_params(7, 3, 5)), 4)
+        assert len(words) == 97755 == verify_lines_theorem(validate_params(7, 3, 5)).words_found
 
     def test_multidimensional_kernels(self):
         # an all-zero row makes every 2-subset kernel 2-dimensional;
@@ -863,7 +910,7 @@ class TestEngineAgainstOracles:
         matrix = ParityCheckMatrix(7, rng.integers(0, 7, size=(2, 2000)), [("dense", 2)])
         half_vectors = math.comb(2000, 2) * 6 + math.comb(2000, 2) * 36
         with pytest.raises(BudgetExceededError) as err:
-            enumerate_weight_words(matrix, 4, budget=math.comb(2000, 4))
+            enumerate_weight_words(matrix, 4)
         assert err.value.what == "half-vectors"
         assert err.value.needed == half_vectors
         assert err.value.budget < half_vectors
