@@ -385,9 +385,10 @@ class TestOrbitRoute:
             min_distance_at_least(h535, 5, budget=1000)
         assert routed == [False]
 
-    def test_pass_surely_over_the_cap_refuses_before_the_build(self, ha535, monkeypatch):
+    def test_pass_surely_over_the_cap_declines_before_the_build(self, ha535, monkeypatch):
         # (5,3,5): the weight-4 representative pass searches weight 2 on 123 columns, 123 x halves and
-        # 123 * 4 y halves; at 40 bytes a slot, without its syndrome, one byte under 615 slots refuses
+        # 123 * 4 y halves; at 40 bytes a slot, without its syndrome, one byte under 615 slots declines
+        # the build and refuses the run
         slots = 123 + 123 * 4
         monkeypatch.setattr(verify, "augmented_matrix", must_not_run)
         monkeypatch.setattr(verify, "MEMORY_CAP_BYTES", slots * 40 - 1)
