@@ -157,24 +157,22 @@ def format_bound(value: Bound) -> str:
     return str(value)
 
 
-def bounds_table(q_range, d_range) -> str:
-    """Text taxonomy: one row per q, one column per d, each cell the winner.
+def bounds_table(reports) -> str:
+    """Text taxonomy of best_known reports: one row per q, one column per d, each cell the winner.
 
-    The cell layout is computed from the bound values recorded here, so a
-    cell shows which bound is smallest at that (q, d).
+    reports, read once, covers a grid of (q, d), rows and columns in their
+    order of first appearance; a cell shows which bound is smallest there.
     """
-    qs = list(q_range)
-    ds = list(d_range)
     cells = {}
     width = 6
-    for q in qs:
-        for d in ds:
-            report = best_known(q, d)
-            text = f"{format_bound(report.best_upper)} [{report.best_source}]"
-            if report.exact:
-                text += " ="
-            cells[q, d] = text
-            width = max(width, len(text))
+    for report in reports:
+        text = f"{format_bound(report.best_upper)} [{report.best_source}]"
+        if report.exact:
+            text += " ="
+        cells[report.q, report.d] = text
+        width = max(width, len(text))
+    qs = list(dict.fromkeys(q for q, _ in cells))
+    ds = list(dict.fromkeys(d for _, d in cells))
     header = "q\\d".ljust(6) + "".join(f"d={d}".ljust(width + 2) for d in ds)
     lines = [header]
     for q in qs:

@@ -153,12 +153,11 @@ def cmd_check_lines(args) -> tuple:
     return (EXIT_OK if report.violation_count == 0 else EXIT_COUNTEREXAMPLE), shown, (text, None)
 
 
-def _bound_record(q: int, d: int) -> dict:
-    from .bounds import best_known, format_bound
+def _bound_record(report) -> dict:
+    from .bounds import format_bound
 
-    report = best_known(q, d)
     return {
-        "q": q, "d": d,
+        "q": report.q, "d": report.d,
         "hamming_lower": report.hamming_lower, "varshamov_upper": report.varshamov_upper,
         "gilbert_upper": report.gilbert_upper, "bch_upper": report.bch_upper,
         "new_upper": format_bound(report.new_upper),
@@ -178,26 +177,26 @@ def _table_range(text: str) -> range:
 
 
 def cmd_bounds(args) -> tuple:
-    from .bounds import bounds_table
+    from .bounds import best_known, bounds_table
 
     if args.table:
         q_range, d_range = (_table_range(t) for t in args.table)
         cells = (q_range.stop - q_range.start) * (d_range.stop - d_range.start)  # len() overflows past 2^63
         if cells > MAX_TABLE_CELLS:
             raise BudgetExceededError(cells, MAX_TABLE_CELLS, what="table cells")
+        reports = (best_known(q, d) for q in q_range for d in d_range)
         if args.json:
             import json
 
-            records = [_bound_record(q, d) for q in q_range for d in d_range]
-            table = json.dumps(records, indent=2, sort_keys=True)
+            table = json.dumps([_bound_record(report) for report in reports], indent=2, sort_keys=True)
         else:
-            table = bounds_table(q_range, d_range)
+            table = bounds_table(reports)
         return EXIT_OK, table + "\n", None
     if args.q is None or args.d is None:
         raise ValueError("either --q and --d, or --table, is required")
     layout = {"q": "q={q} d={d}", "d": "", "best_source": "", "consistent": "",
               "best_upper": "best_upper={best_upper} [{best_source}]"}
-    _, shown = _emit(_bound_record(args.q, args.d), layout, args.json)
+    _, shown = _emit(_bound_record(best_known(args.q, args.d)), layout, args.json)
     return EXIT_OK, shown, None
 
 

@@ -286,25 +286,22 @@ class Field:
         return f"Field(GF({self.p}^{self.degree}), modulus={list(self.modulus)})"
 
 
+@lru_cache(maxsize=None)
 def make_field(p: int, total_degree: int) -> Field:
     """GF(p^total_degree) with the deterministic modulus choice.
 
     Cached on (p, total_degree), so every call for one field returns the
-    same object and their elements interoperate directly.
+    same object and their elements interoperate directly; a refusal is
+    not cached.
     """
     check_field_size(p, total_degree)
-    return _cached_field(p, total_degree)
+    return Field(p, total_degree)
 
 
 def check_field_size(p: int, total_degree: int) -> None:
     """Refuse p^total_degree above DEFAULT_MAX_FIELD_SIZE, computed only for a degree 2^degree <= it admits."""
     if total_degree >= DEFAULT_MAX_FIELD_SIZE.bit_length() or p**total_degree > DEFAULT_MAX_FIELD_SIZE:
         raise ValueError(f"field size {p}^{total_degree} exceeds the budget {DEFAULT_MAX_FIELD_SIZE}")
-
-
-@lru_cache(maxsize=None)
-def _cached_field(p: int, degree: int) -> Field:
-    return Field(p, degree)
 
 
 def norm_degrees(m: int, d: int) -> tuple[int, int]:

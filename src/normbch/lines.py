@@ -4,10 +4,10 @@ The distance gain of the construction rests on every minimum-weight word
 of the base code lying on an affine line.  verify_lines_theorem checks
 this on the representatives of verify's orbit argument alone: the words
 whose support holds locators 1 and 0, found by verify._survey, which
-also checks that the base code is invariant under the affine maps and
-the on-line count against its closed form.  An invariant set with R
-representatives has R*n(n-1)/(v(v-1)) members, which gives every count
-of the report.
+also checks that the base code is invariant under the affine maps,
+that no word is lighter than d-1 and the on-line count against its
+closed form.  An invariant set with R representatives has
+R*n(n-1)/(v(v-1)) members, which gives every count of the report.
 
 The other functions serve the acceptance gate and the scripts:
 enumerate_weight_words lists every word of one weight within the memory
@@ -119,9 +119,9 @@ def _orbit_size(reps: int, n: int, v: int) -> int:
 def verify_lines_theorem(params: CodeParams, experimental: bool = False) -> LinesReport:
     """Check that every minimum-weight word of the base code sits on a line.
 
-    Examines only the representatives, the weight-(d-1) words whose
-    support holds locators 1 and 0, and derives words_found, on_line and
-    the violation count by orbit counting (see the module docstring).
+    Runs the distance route's orbit check, with the same arguments, and
+    derives words_found, on_line and the violation count from its
+    weight-(d-1) representatives by orbit counting (module docstring).
     on_affine_line anchors a representative at 0 with direction 1, so it
     is on a line exactly when every locator of its support lies in GF(q).
     A search surely over the memory cap is refused before the build, and
@@ -138,9 +138,9 @@ def verify_lines_theorem(params: CodeParams, experimental: bool = False) -> Line
     n, q, v = params.n, params.q, params.d - 1
     ys, on = (), 0
     if v <= n:
-        _check_survey_memory(n, q, [v])
+        _check_survey_memory(n, q, params.d)
         matrix = bch_matrix(params)
-        ((_, ys, on),) = _survey(matrix.rows, matrix.locators, q, params.d, [v])
+        _, ys, on = _survey(matrix.rows, matrix.locators, q, params.d)
     return LinesReport(
         params=params,
         weight=v,

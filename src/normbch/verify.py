@@ -24,15 +24,15 @@ representatives.
 Distance >= d holds when no (d-1)-subset of columns is dependent.  On
 the augmented matrix of the construction, rebuilt from q, d and
 n = q^m and compared block by block and row by row, the orbit route
-decides this: it shows that no image of a representative of weight
-3..d-1 has a zero norm syndrome (no representative has weight 2, and
-a zero column would be a weight-1 word).  A representative whose
-locators t all lie in GF(q), with coefficients c_t, is settled by one
-sum.  Its image under x -> a*x + b has norm syndrome N(hat a) * sum_t
-c_t N(u + t), u = hat b / hat a, as hat is GF(q)-linear and N
-multiplicative.  N(u + t) is monic of degree d-2 in t and the word
-kills t^j for j <= d-3, so that is N(hat a) * f with f = sum_t c_t
-t^(d-2), which is nonzero by Vandermonde.  Any other matrix or target,
+decides this: no image of a representative of weight d-1 has a zero
+norm syndrome.  By the BCH bound no base-code word is lighter, which
+_survey checks.  A representative whose locators t all lie in GF(q),
+with coefficients c_t, is settled by one sum.  Its image under
+x -> a*x + b has norm syndrome N(hat a) * sum_t c_t N(u + t),
+u = hat b / hat a, as hat is GF(q)-linear and N multiplicative.
+N(u + t) is monic of degree d-2 in t and the word kills t^j for
+j <= d-3, so that is N(hat a) * f with f = sum_t c_t t^(d-2), which
+is nonzero by Vandermonde.  Any other matrix or target,
 a representative with a locator outside GF(q) (which occurs only
 outside the proven range) or a zero f falls back to the generic engine
 below, so its counterexamples are the only ones reported; a failed
@@ -108,9 +108,9 @@ def _check_memory(r: int, q: int, slots: int) -> None:
         raise BudgetExceededError(slots, MEMORY_CAP_BYTES // per_slot, what="half-vectors")
 
 
-def _check_survey_memory(n: int, q: int, weights) -> None:
-    """Refuse, before any build, a _survey on n columns with a pass surely over the cap."""
-    for v in weights:  # weight v-2 on n-2 columns, surely over when its slots alone, without syndromes, exceed it
+def _check_survey_memory(n: int, q: int, d: int) -> None:
+    """Refuse, before any build, a _survey on n columns with a pass surely over the cap: its slots alone exceed it."""
+    for v in range(min(d - 1, n), 2, -1):  # _survey's weights: a weight-v pass searches weight v-2 on n-2 columns
         _check_memory(0, q, sum(_half_slots(n - 2, q, v - 2)))
 
 
@@ -187,6 +187,21 @@ def _kernel_words(rows: np.ndarray, q: int, v: int) -> tuple[np.ndarray, np.ndar
     return np.hstack([xs[x_sup], ys[y_sup]]), np.hstack([xc[x_coef], q - yc[y_coef]])
 
 
+def _subset_count(n: int, w: int, budget: int) -> int:
+    """C(n, w), or its math.lgamma estimate where that is surely over both the budget and 10^19.
+
+    The exact value takes seconds at n ~ 10^6 and w ~ n/2.  The estimate's
+    log10 lies at least tol from the budget's and from an integer, so a
+    refusal prints the power of ten of the exact count.
+    """
+    bits = (math.lgamma(n + 1) - math.lgamma(w + 1) - math.lgamma(n - w + 1)) / math.log(2)
+    digits = bits * math.log10(2)
+    tol = 1e-6 + 1e-15 * bits  # lgamma's rounding grows like n log n
+    if digits < 19 or digits < math.log10(max(budget, 1)) + tol or abs(digits - round(digits)) < tol:
+        return math.comb(n, w)
+    return int(2 ** (bits % 1 + 52)) << (int(bits) - 52)
+
+
 def _colex_first_dependent(rows: np.ndarray, q: int, w: int) -> tuple[int, ...] | None:
     """The colex-first linearly dependent w-subset of columns, or None."""
     if linalg.rank(rows[:, :w], q) < w:  # the colex-first w-subset itself, whatever the weight of its word
@@ -229,17 +244,16 @@ def _orbit_certifies(matrix: ParityCheckMatrix, d: int) -> bool:
 
     The route takes only the augmented matrix of (q, m, d) with this d
     and n = q^m: the blocks of augmented_blocks, compared before any
-    build, and rows equal to augmented_matrix.  With no zero column and
-    _survey's checks passed on the base rows, each base-code word of
-    weight 2..d-1 is an image of a representative of weight 3..d-1.
-    Distance >= d holds when every representative has its locators in
-    GF(q) and a nonzero f = sum_t c_t t^(d-2), which shows that none of
-    its images has a zero norm syndrome (module docstring).  Such a
-    representative has weight d-1, and f is the normalizing constant of
-    its Lagrange weights, c_t = f / prod_(s != t)(t - s), as their sum
-    against t^(d-2), a divided difference of x^(d-2), is 1.  False (any
-    other matrix, a locator outside GF(q) or a zero f) leaves the
-    verdict to the generic engine.  A representative search over the
+    build, and rows equal to augmented_matrix.  With _survey's checks
+    passed on the base rows, each base-code word of weight up to d-1 is
+    an image of a weight-(d-1) representative.  Distance >= d holds when
+    every representative has its locators in GF(q) and a nonzero
+    f = sum_t c_t t^(d-2), which shows that none of its images has a
+    zero norm syndrome (module docstring).  f is the normalizing
+    constant of its Lagrange weights, c_t = f / prod_(s != t)(t - s), as
+    their sum against t^(d-2), a divided difference of x^(d-2), is 1.
+    False (any other matrix, a locator outside GF(q) or a zero f) leaves
+    the verdict to the generic engine.  A representative search over the
     memory cap raises BudgetExceededError, before the build when its
     slots alone exceed the cap: the engine could never certify such a
     matrix, as its pass at c = n includes that search's pass.
@@ -251,25 +265,18 @@ def _orbit_certifies(matrix: ParityCheckMatrix, d: int) -> bool:
     params = validate_params(q, m, d)
     if matrix.blocks != augmented_blocks(params):
         return False
-    weights = range(min(d - 1, n), 2, -1)  # weight 2 needs no pass: _survey's pivot check excludes it
-    _check_survey_memory(n, q, weights)
+    _check_survey_memory(n, q, d)
     try:
         rebuilt = augmented_matrix(params)
     except ValueError:  # no field or basis pair within the budgets
         return False
     if not np.array_equal(rebuilt.rows, matrix.rows):
         return False
-    if not matrix.rows.any(axis=0).all():  # a zero column is a weight-1 word
-        return False
-    for coeffs, ys, on in _survey(matrix.rows[: -params.s], rebuilt.locators, q, d, weights):
-        if on < len(ys):  # a locator outside GF(q): outside the proven range
-            return False
-        f = coeffs
-        for _ in range(d - 2):
-            f = f * ys % q
-        if (f.sum(axis=1) % q == 0).any():
-            return False
-    return True
+    coeffs, ys, on = _survey(matrix.rows[: -params.s], rebuilt.locators, q, d)
+    f = coeffs
+    for _ in range(d - 2):
+        f = f * ys % q
+    return on == len(ys) and bool((f.sum(axis=1) % q).all())  # on < len(ys): a locator outside GF(q)
 
 
 def min_distance_at_least(
@@ -287,9 +294,9 @@ def min_distance_at_least(
     MEMORY_CAP_BYTES; a route search over the cap is refused, as the
     engine's pass on all n columns would hold it.  The budget bounds the
     engine alone, its multi-pass prefix hunt: once the route declines,
-    BudgetExceededError (with the exact subset count) is raised when
-    C(n, d-1) exceeds it.  threads is recorded in the certificate and
-    does not change the work.
+    BudgetExceededError is raised when C(n, d-1) exceeds it, counted
+    exactly unless surely over the budget and 10^19 (_subset_count).
+    threads is recorded in the certificate and does not change the work.
     """
     if d < 2:
         raise ValueError("distance targets below 2 are meaningless")
@@ -298,12 +305,12 @@ def min_distance_at_least(
     start = time.perf_counter()
     n = matrix.n
     w = min(d - 1, n)
-    total = math.comb(n, w)  # computed once: at n ~ 10^6 and w ~ n/2 it takes seconds
     if _orbit_certifies(matrix, d):
-        columns = None
-    elif total > budget:
-        raise BudgetExceededError(total, budget)
+        columns, total = None, math.comb(n, w)
     else:
+        total = _subset_count(n, w, budget)
+        if total > budget:
+            raise BudgetExceededError(total, budget)
         columns = _colex_first_dependent(matrix.rows, matrix.q, w)
     if columns is None:
         verdict, counterexample, examined = "certified", None, total
@@ -338,23 +345,25 @@ def _representatives(reduced: np.ndarray, rank: int, q: int, v: int) -> tuple[np
     return np.hstack([supports[keep], np.broadcast_to([n - 2, n - 1], (len(coeffs), 2))]), coeffs
 
 
-def _survey(rows: np.ndarray, locators, q: int, d: int, weights) -> list[tuple[np.ndarray, np.ndarray, int]]:
-    """The orbit check: per weight, the representatives' coefficients, encoded locators and on-line count.
+def _survey(rows: np.ndarray, locators, q: int, d: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """The orbit check: the weight-(d-1) representatives' coefficients, encoded locators and on-line count.
 
     One rref of rows, locators 1 and 0 first, serves every step, and a
     failed step raises RuntimeError.  Those columns must be its first two
     pivots, as at d >= 4 (so no representative has weight 2).  One pass
-    per weight follows, in the order given: largest first, a memory
-    refusal precedes the rest.  The rows permuted by x -> e*x and
+    per weight d-1 down to 3 follows, largest first: a memory refusal
+    precedes the rest.  The rows permuted by x -> e*x and
     x -> x+1, which generate the affine maps, must reduce to zero
-    against the rref.  Last, a representative is on a line when its
-    locators all lie below q; as the base code kills t^j for j <= d-3,
-    their count is C(q-2, d-3) at weight d-1, one per (d-3)-subset of
-    GF(q) minus {0, 1}, and 0 below.
+    against the rref.  No representative may be lighter than d-1: any
+    d-2 columns of [1; y; ...; y^(d-3)] are independent over GF(q^m).
+    Last, a representative is on a line when its locators all lie below
+    q, and there are C(q-2, d-3) of them, one per (d-3)-subset of GF(q)
+    minus {0, 1}, as the base code kills t^j for j <= d-3.
     """
     reduced, rank, pivots = linalg.rref(np.roll(rows, 2, axis=1), q)  # columns n-2, n-1, 0, 1, ...
     if pivots[:2] != [0, 1]:
         raise RuntimeError("the last two columns are dependent")
+    weights = range(d - 1, 2, -1)  # a weight above n has no pass, as _kernel_words finds no word
     found = [_representatives(reduced, rank, q, v) for v in weights]
     field = locators.field
     ys = locators.encoded(np.arange(rows.shape[1]))
@@ -362,11 +371,12 @@ def _survey(rows: np.ndarray, locators, q: int, d: int, weights) -> list[tuple[n
         moved = rows.take(np.roll(locators.columns(image), 2), axis=1)
         if any(((row[pivots] @ reduced[:rank] - row) % q).any() for row in moved):  # a row at a time
             raise RuntimeError("the row space fails the affine invariance test")
-    survey = []
-    for v, (supports, coeffs) in zip(weights, found):
-        locs = ys[supports]
-        on = int((locs < q).all(axis=1).sum())
-        if on != (want := math.comb(q - 2, d - 3) if v == d - 1 else 0):
-            raise RuntimeError(f"{on} on-line representatives of weight {v}, expected {want}")
-        survey.append((coeffs, locs, on))
-    return survey
+    for v, (supports, _) in zip(weights, found):
+        if v < d - 1 and len(supports):
+            raise RuntimeError(f"{len(supports)} representatives of weight {v}, below the minimum weight {d - 1}")
+    supports, coeffs = found[0]
+    locs = ys[supports]
+    on = int((locs < q).all(axis=1).sum())
+    if on != (want := math.comb(q - 2, d - 3)):
+        raise RuntimeError(f"{on} on-line representatives of weight {d - 1}, expected {want}")
+    return coeffs, locs, on

@@ -1,6 +1,7 @@
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import settings
 
@@ -40,3 +41,20 @@ def h535(params535):
 @pytest.fixture(scope="session")
 def ha535(params535):
     return augmented_matrix(params535)
+
+
+@pytest.fixture
+def lighter_representative(monkeypatch):
+    """verify._representatives plus, at weight 3, one representative on locator e's column, off every line."""
+    from normbch import verify
+
+    found = verify._representatives
+
+    def with_weight_3(reduced, rank, q, v):
+        supports, coeffs = found(reduced, rank, q, v)
+        if v == 3:
+            n = reduced.shape[1]
+            supports, coeffs = np.vstack([supports, [[0, n - 2, n - 1]]]), np.vstack([coeffs, [[1, 1, 1]]])
+        return supports, coeffs
+
+    monkeypatch.setattr(verify, "_representatives", with_weight_3)

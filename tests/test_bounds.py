@@ -159,7 +159,7 @@ class TestPresentation:
         assert format_bound(3) == "3"
 
     def test_table_contains_winners(self):
-        table = bounds_table(range(2, 6), range(4, 7))
+        table = bounds_table([best_known(q, d) for q in range(2, 6) for d in range(4, 7)])
         assert "7/3 [norm-bch]" in table
         assert "[ternary-caps-record]" in table
         assert "17/6 [quaternary-d6]" in table

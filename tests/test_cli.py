@@ -872,6 +872,28 @@ def test_internal_error_exits_70(capsys, monkeypatch, error):
     assert stderr.endswith("".join(traceback.format_exception_only(error)))
 
 
+@pytest.mark.parametrize("command", ["check-lines", "verify-distance"])
+def test_lighter_representative_exits_70(matrix_files, capsys, lighter_representative, command):
+    # an injected weight-3 representative at (5,3,5) fails the orbit check's self-check in both commands
+    args = {"check-lines": ["--q", "5", "--m", "3", "--d", "5"],
+            "verify-distance": ["--matrix", str(matrix_files["aug535"]), "--d", "5"]}[command]
+    code, stdout, stderr = run(capsys, command, *args)
+    assert (code, stdout) == (70, "")
+    assert stderr.startswith("Traceback (most recent call last):\n")
+    assert stderr.endswith("RuntimeError: 1 representatives of weight 3, below the minimum weight 4\n")
+
+
+def test_check_lines_searches_every_lighter_weight(capsys, monkeypatch):
+    # the orbit check of check-lines is the route's: weight 4 and then weight 3, by kernel passes of weight 2 and 1
+    from normbch import verify
+
+    kernel_words, passes = verify._kernel_words, []
+    monkeypatch.setattr(verify, "_kernel_words", lambda *args: passes.append(args[2]) or kernel_words(*args))
+    code, stdout, _ = run(capsys, "check-lines", "--q", "5", "--m", "3", "--d", "5")
+    assert (code, passes) == (0, [2, 1])
+    assert "words_found=3875" in stdout
+
+
 @pytest.mark.parametrize("name, code, verdict", [("n-2^20", 1, "counterexample"), ("q-32749", 0, "certified")])
 def test_header_limits_accepted(tmp_path, capsys, name, code, verdict):
     # the largest length and alphabet the reader takes, beside the refusals of EXIT_2_CASES

@@ -375,7 +375,7 @@ class TestBasisPair:
         def build(p, degree):
             raise AssertionError(f"GF({p}^{degree}) built before the refusal")
 
-        monkeypatch.setattr(field_module, "_cached_field", build)
+        monkeypatch.setattr(field_module, "make_field", build)  # a cache hit cannot hide a build
         with pytest.raises(ValueError, match=r"^field size 7\^8 exceeds the budget 1048576$"):
             make_basis_pair(7, 7, 6)
 

@@ -36,6 +36,7 @@ from normbch.verify import (
     _kernel_words,
     _orbit_certifies,
     _representatives,
+    _subset_count,
     _survey,
 )
 from oracles import (
@@ -178,6 +179,39 @@ class TestMinDistance:
 
     def test_d2_with_nonzero_columns(self, h524):
         assert min_distance_at_least(h524, 2).certified
+
+    @pytest.mark.parametrize("n, w, budget, shown", [
+        (125, 4, 1000, None),  # below 10^19: printed in full
+        (200, 100, math.comb(200, 100) - 1, None),  # within the margin of the budget
+        (200, 100, math.comb(200, 100), None),
+        (200, 100, 10**40, "about 10^58 subsets needed, budget is about 10^40"),
+        (1042441, 521220, 20_000_000, "about 10^313802 subsets needed, budget is 20000000"),  # exact: seconds
+    ], ids=["below-10^19", "just-over-budget", "at-budget", "estimate-10^58", "estimate-10^313802"])
+    def test_subset_count_exact_where_it_shows(self, n, w, budget, shown, monkeypatch):
+        comb, calls = math.comb, []
+
+        def counted(n, k):
+            calls.append((n, k))
+            return must_not_run() if k > 10**4 else comb(n, k)
+
+        monkeypatch.setattr(math, "comb", counted)
+        count = _subset_count(n, w, budget)
+        if shown is None:
+            assert (calls, count) == ([(n, w)], comb(n, w))
+        else:
+            assert (calls, count > budget) == ([], True)
+            assert str(BudgetExceededError(count, budget)) == shown
+
+    def test_refused_from_the_estimate(self, monkeypatch):
+        # a 1 x 2^20 all-ones matrix at d = 2^19 + 1 needs C(2^20, 2^19) subsets, whose exact count takes seconds
+        comb = math.comb
+        monkeypatch.setattr(math, "comb", lambda n, k: must_not_run() if k > 10**4 else comb(n, k))
+        monkeypatch.setattr(verify, "_colex_first_dependent", must_not_run)
+        ones = ParityCheckMatrix(2, np.ones((1, 1 << 20), dtype=np.int16), [("ones", 1)])
+        start = time.perf_counter()
+        with pytest.raises(BudgetExceededError, match=r"^about 10\^315649 subsets needed, budget is 20000000$"):
+            min_distance_at_least(ones, (1 << 19) + 1)
+        assert time.perf_counter() - start < 1
 
     def test_budget_exceeded_carries_count(self, h535):
         # the base matrix goes to the generic engine, which needs every 4-subset of its 125 columns
@@ -355,18 +389,25 @@ class TestOrbitRoute:
         q, d = params.q, params.d
         matrix = bch_matrix(params)
         loc = matrix.locators
-        _survey(matrix.rows, loc, q, d, [d - 1])
+        _survey(matrix.rows, loc, q, d)
         # x -> e*x keeps these rows, x -> x+1 does not; locator 0's column is zero, so the pivot check fails first
         with pytest.raises(RuntimeError, match="dependent"):
-            _survey(matrix.rows[1:], loc, q, d, [d - 1])
+            _survey(matrix.rows[1:], loc, q, d)
         swapped = matrix.rows[:, [1, 0, *range(2, matrix.n)]]  # locators e and e^2 trade columns
         with pytest.raises(RuntimeError, match="affine invariance"):
-            _survey(swapped, loc, q, d, [d - 1])
+            _survey(swapped, loc, q, d)
         # a unit row on locator e's column leaves locators 1 and 0 independent, and its images under
         # x -> e*x and x -> x+1 leave the span, so only the invariance test can catch it
         unit = np.vstack([matrix.rows, np.eye(1, matrix.n, dtype=matrix.rows.dtype)])
         with pytest.raises(RuntimeError, match="affine invariance"):
-            _survey(unit, loc, q, d, [d - 1])
+            _survey(unit, loc, q, d)
+
+    def test_lighter_representative_fails_the_self_check(self, ha535, lighter_representative, monkeypatch):
+        # the BCH bound leaves no base word lighter than d-1, so a weight-3 representative at d = 5 is a bug,
+        # not a matrix for the engine to judge
+        monkeypatch.setattr(verify, "_colex_first_dependent", must_not_run)
+        with pytest.raises(RuntimeError, match="^1 representatives of weight 3, below the minimum weight 4$"):
+            min_distance_at_least(ha535, 5)
 
     def test_huge_target_declines_before_the_layout(self, ha524, monkeypatch):
         # C(25, 25) = 1 passes the budget at any target; a layout of d-1 blocks would not fit in memory
@@ -483,26 +524,28 @@ class TestRepresentatives:
         matrix = bch_matrix(validate_params(5, 2, 3))
         assert matrix.rows.shape[0] == 1
         with pytest.raises(RuntimeError, match="the last two columns are dependent"):
-            _survey(matrix.rows, matrix.locators, 5, 3, [])
+            _survey(matrix.rows, matrix.locators, 5, 3)
 
     @pytest.mark.parametrize("v", [2, 3, 4])
     def test_one_kernel_pass_per_weight(self, v, monkeypatch):
-        # weights v down to 3, as the route asks at d = v + 1
+        # at d = v + 2, weights d-1 down to 3, largest first: (5,2,4), (5,3,5) and the relaxed (7,2,6)
+        (q, m), d = {2: (5, 2), 3: (5, 3), 4: (7, 2)}[v], v + 2
         passes = []
         monkeypatch.setattr(verify, "_kernel_words", lambda *args: passes.append(args) or _kernel_words(*args))
-        matrix = bch_matrix(validate_params(5, 3, 5))
-        weights = range(v, 2, -1)
-        survey = _survey(matrix.rows, matrix.locators, 5, 5, weights)
-        assert [args[2] for args in passes] == [w - 2 for w in weights]
-        assert [len(ys) for _, ys, _ in survey] == [3 if w == 4 else 0 for w in weights]
+        matrix = bch_matrix(validate_params(q, m, d, relaxed=True))
+        _, ys, on = _survey(matrix.rows, matrix.locators, q, d)
+        assert [args[2] for args in passes] == [w - 2 for w in range(d - 1, 2, -1)]
+        # weight d-1 holds the representatives, 35 of them off every line at (7,2,6); the lighter weights hold none
+        assert (len(ys), on) == {2: (3, 3), 3: (3, 3), 4: (45, 10)}[v]
+        assert all(len(representatives(matrix.rows, q, w)[0]) == 0 for w in range(3, d - 1))
         # no weight-2 word holds two independent columns alone
-        assert representatives_per_coefficient(matrix.rows, 5, 2)[0].size == 0
+        assert representatives_per_coefficient(matrix.rows, q, 2)[0].size == 0
 
     def test_refusal_precedes_the_invariance_test(self, h535, monkeypatch):
         # the weight-4 pass of (5,3,5) needs 123 + 123 * 4 half-vectors, refused before any locator is read
         monkeypatch.setattr(verify, "MEMORY_CAP_BYTES", 1000)
         with pytest.raises(BudgetExceededError, match="615 half-vectors needed"):
-            _survey(h535.rows, None, 5, 5, [4, 3])
+            _survey(h535.rows, None, 5, 5)
 
     def test_one_rref_of_the_base_rows(self, ha535, monkeypatch):
         base = ha535.rows[:-1]
