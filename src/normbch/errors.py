@@ -13,7 +13,12 @@ DEFAULT_MAX_FIELD_SIZE = 1 << 20
 def _count(value: int) -> str:
     # Exact below 10^18; a larger count prints as a power of ten, so one
     # with thousands of digits never meets Python's int-to-str limit.
-    return str(value) if value < 10**18 else f"about 10^{math.floor(math.log10(value))}"
+    if value < 10**18:
+        return str(value)
+    power = math.floor(log := math.log10(value))
+    if abs(log - round(log)) < 1e-9 * log:  # the float log of 10^19 - 1 is 19: compare exactly
+        power = round(log) - (value < 10 ** round(log))
+    return f"about 10^{power}"
 
 
 class BudgetExceededError(RuntimeError):

@@ -34,7 +34,7 @@ from .construct import (
     syndrome,
 )
 from .field import FieldElement, FieldMismatchError
-from .verify import _check_survey_memory, _kernel_words, _survey
+from .verify import _kernel_words, _pass_slots, _survey
 
 
 class _AffineLineFields(NamedTuple):
@@ -124,7 +124,7 @@ def verify_lines_theorem(params: CodeParams, experimental: bool = False) -> Line
     weight-(d-1) representatives by orbit counting (module docstring).
     on_affine_line anchors a representative at 0 with direction 1, so it
     is on a line exactly when every locator of its support lies in GF(q).
-    A search surely over the memory cap is refused before the build, and
+    A search over the memory cap is refused before the build, and
     with d-1 > n, as no word fits, nothing is built.  With experimental
     set, parameters that fail the hypotheses are still run and the report
     is marked as outside the proven range; results are then observations,
@@ -138,7 +138,7 @@ def verify_lines_theorem(params: CodeParams, experimental: bool = False) -> Line
     n, q, v = params.n, params.q, params.d - 1
     ys, on = (), 0
     if v <= n:
-        _check_survey_memory(n, q, params.d)
+        _pass_slots((params.d - 3) * params.m - 1, n - 2, q, v - 2)  # _survey's largest pass, as in _orbit_certifies
         matrix = bch_matrix(params)
         _, ys, on = _survey(matrix.rows, matrix.locators, q, params.d)
     return LinesReport(

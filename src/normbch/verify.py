@@ -7,7 +7,7 @@ and -y on the rest, with Hx = Hy.  Sorting the syndromes Hx of every x
 together with the Hy of every y and pairing equal ones with
 max supp(x) < min supp(y) yields each word exactly once; the first
 coefficient of x is fixed to 1, giving one word per scalar class.
-Passes over a fixed memory cap are refused up front.
+Passes over a fixed memory cap are refused up front by _pass_slots.
 
 Both also use the affine orbits of the base code.  The maps
 x -> a*x + b (a nonzero) preserve the base code and act doubly
@@ -92,26 +92,31 @@ class DistanceCertificate(NamedTuple):
         return self.verdict == "certified"
 
 
-def _half_slots(n: int, q: int, v: int) -> tuple[int, int]:
-    """Slots of the x and y half tables of a weight-v pass over n columns: x holds ceil(v/2) positions, lead one."""
-    a = (v + 1) // 2
-    return math.comb(n, a) * (q - 1) ** (a - 1), math.comb(n, v - a) * (q - 1) ** (v - a)
+def _pass_slots(r: int, n: int, q: int, v: int, words: int = 0) -> tuple[int, int]:
+    """Slots of the x and y half tables of a weight-v pass on r rows and n columns, refused over the cap.
 
-
-def _check_memory(r: int, q: int, slots: int) -> None:
-    """Refuse a pass of the given slots that would exceed MEMORY_CAP_BYTES.
-
-    A slot is r syndrome entries plus _SLOT_BYTES (37 in all measured at r=8, q=7).
+    x holds ceil(v/2) positions, lead one, y the rest, and each of words output words takes
+    v + 1 more.  A slot is r syndrome entries plus _SLOT_BYTES (37 in all measured at r=8,
+    q=7).  x + y is one binomial by Pascal's rule, counted by _subset_count (exact unless surely over).
     """
     per_slot = r * np.min_scalar_type(q - 1).itemsize + _SLOT_BYTES
-    if slots * per_slot > MEMORY_CAP_BYTES:
-        raise BudgetExceededError(slots, MEMORY_CAP_BYTES // per_slot, what="half-vectors")
+    cap = MEMORY_CAP_BYTES // per_slot
+    a, even = (v + 1) // 2, 1 - v % 2
+    slots = _subset_count(n + 1 - even, a, cap, (q - 1, a - 1), (q, even))
+    if (needed := slots + (v + 1) * words) > cap:
+        raise BudgetExceededError(needed, cap, what="half-vectors")
+    n_x = math.comb(n, a) * (q - 1) ** (a - 1)
+    return n_x, slots - n_x
 
 
-def _check_survey_memory(n: int, q: int, d: int) -> None:
-    """Refuse, before any build, a _survey on n columns with a pass surely over the cap: its slots alone exceed it."""
-    for v in range(min(d - 1, n), 2, -1):  # _survey's weights: a weight-v pass searches weight v-2 on n-2 columns
-        _check_memory(0, q, sum(_half_slots(n - 2, q, v - 2)))
+def _supports(n: int, k: int) -> np.ndarray:
+    """Every k-subset of range(n), ascending in a row, rows in the order of itertools.combinations."""
+    subsets, low = np.empty((1, 0), dtype=np.min_scalar_type(n)), np.zeros(1, dtype=np.intp)
+    for _ in range(k):  # after each row, every larger value at or above its low
+        counts = n - low
+        last = np.arange(counts.sum()) + np.repeat(low - np.cumsum(counts) + counts, counts)
+        subsets, low = np.column_stack([np.repeat(subsets, counts, axis=0), last.astype(subsets.dtype)]), last + 1
+    return subsets
 
 
 def _half_table(rows: np.ndarray, q: int, k: int, lead_one: bool, out: np.ndarray):
@@ -121,10 +126,7 @@ def _half_table(rows: np.ndarray, q: int, k: int, lead_one: bool, out: np.ndarra
     Column s * len(coeffs) + i of out gets the syndrome of support s
     with coefficient row i.
     """
-    n = rows.shape[1]
-    n_supports = math.comb(n, k)
-    combos = itertools.chain.from_iterable(itertools.combinations(range(n), k))
-    supports = np.fromiter(combos, dtype=np.intp, count=n_supports * k).reshape(n_supports, k)
+    supports = _supports(rows.shape[1], k)
     tails = list(itertools.product(range(1, q), repeat=k - lead_one))
     coeffs = np.array([(1,) * lead_one + t for t in tails], dtype=np.intp).reshape(len(tails), k)
     work = np.min_scalar_type(q * q)  # holds acc + c * h for acc, c, h < q
@@ -150,8 +152,7 @@ def _kernel_words(rows: np.ndarray, q: int, v: int) -> tuple[np.ndarray, np.ndar
     if v > n:
         return np.empty((0, v), dtype=np.intp), np.empty((0, v), dtype=np.intp)
     a = (v + 1) // 2
-    n_x, n_y = _half_slots(n, q, v)
-    _check_memory(r, q, n_x + n_y)  # a slot per x and y half-vector
+    n_x, n_y = _pass_slots(r, n, q, v)
     keys = np.empty((r, n_x + n_y), dtype=np.min_scalar_type(q - 1))
     xs, xc = _half_table(rows, q, a, True, keys[:, :n_x])
     # Hx = Hy makes the word (x, -y)
@@ -179,7 +180,7 @@ def _kernel_words(rows: np.ndarray, q: int, v: int) -> tuple[np.ndarray, np.ndar
     lo = np.searchsorted(y_key, x_key, side="right")
     counts = np.searchsorted(y_key, (x_key // (n + 1) + 1) * (n + 1)) - lo
     words = int(counts.sum())
-    _check_memory(r, q, n_x + n_y + (v + 1) * words)  # and v + 1 per output word
+    _pass_slots(r, n, q, v, words)  # and v + 1 slots per output word
 
     x_sup, x_coef = np.divmod(order[np.repeat(x_at, counts)], len(xc))
     y_pick = y_at[np.arange(words) + np.repeat(lo - np.cumsum(counts) + counts, counts)]
@@ -187,18 +188,19 @@ def _kernel_words(rows: np.ndarray, q: int, v: int) -> tuple[np.ndarray, np.ndar
     return np.hstack([xs[x_sup], ys[y_sup]]), np.hstack([xc[x_coef], q - yc[y_coef]])
 
 
-def _subset_count(n: int, w: int, budget: int) -> int:
-    """C(n, w), or its math.lgamma estimate where that is surely over both the budget and 10^19.
+def _subset_count(n: int, w: int, budget: int, *powers: tuple[int, int]) -> int:
+    """C(n, w) times the powers b^e, or its math.lgamma estimate where that is surely over both the budget and 10^19.
 
     The exact value takes seconds at n ~ 10^6 and w ~ n/2.  The estimate's
     log10 lies at least tol from the budget's and from an integer, so a
     refusal prints the power of ten of the exact count.
     """
     bits = (math.lgamma(n + 1) - math.lgamma(w + 1) - math.lgamma(n - w + 1)) / math.log(2)
+    bits += sum(e * math.log2(b) for b, e in powers)
     digits = bits * math.log10(2)
     tol = 1e-6 + 1e-15 * bits  # lgamma's rounding grows like n log n
     if digits < 19 or digits < math.log10(max(budget, 1)) + tol or abs(digits - round(digits)) < tol:
-        return math.comb(n, w)
+        return math.prod([math.comb(n, w), *(b**e for b, e in powers)])
     return int(2 ** (bits % 1 + 52)) << (int(bits) - 52)
 
 
@@ -253,10 +255,8 @@ def _orbit_certifies(matrix: ParityCheckMatrix, d: int) -> bool:
     constant of its Lagrange weights, c_t = f / prod_(s != t)(t - s), as
     their sum against t^(d-2), a divided difference of x^(d-2), is 1.
     False (any other matrix, a locator outside GF(q) or a zero f) leaves
-    the verdict to the generic engine.  A representative search over the
-    memory cap raises BudgetExceededError, before the build when its
-    slots alone exceed the cap: the engine could never certify such a
-    matrix, as its pass at c = n includes that search's pass.
+    the verdict to the generic engine.  _survey's largest pass is sized before
+    the build on full-rank base rows: its own rows at odd q, more at q = 2.
     """
     q, n = matrix.q, matrix.n
     m = next((m for m in range(1, n.bit_length()) if q**m == n), 0)  # 0 when n is no power q^m, m >= 1
@@ -265,7 +265,8 @@ def _orbit_certifies(matrix: ParityCheckMatrix, d: int) -> bool:
     params = validate_params(q, m, d)
     if matrix.blocks != augmented_blocks(params):
         return False
-    _check_survey_memory(n, q, d)
+    if n > 2:  # _survey's largest pass; at n = 2 it makes none
+        _pass_slots((d - 3) * m - 1, n - 2, q, min(d - 1, n) - 2)
     try:
         rebuilt = augmented_matrix(params)
     except ValueError:  # no field or basis pair within the budgets
@@ -291,8 +292,7 @@ def min_distance_at_least(
     matrices; every other case goes to the generic collision engine (see
     the module docstring).  BudgetExceededError, counting half-vectors,
     is raised when the route's search or an engine pass would exceed
-    MEMORY_CAP_BYTES; a route search over the cap is refused, as the
-    engine's pass on all n columns would hold it.  The budget bounds the
+    MEMORY_CAP_BYTES (module docstring).  The budget bounds the
     engine alone, its multi-pass prefix hunt: once the route declines,
     BudgetExceededError is raised when C(n, d-1) exceeds it, counted
     exactly unless surely over the budget and 10^19 (_subset_count).

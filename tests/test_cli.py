@@ -88,7 +88,7 @@ class TestGencode:
         code, stdout, stderr = run(capsys, "verify-distance", "--matrix", str(out), "--d", "6",
                                    "--budget", str(10**30))
         assert (code, stdout) == (2, "")
-        assert stderr == "budget exceeded: 12206562504 half-vectors needed, budget is 26843545\n"
+        assert stderr == "budget exceeded: 12206562504 half-vectors needed, budget is 17895697\n"
 
     def test_json_output(self, tmp_path, capsys):
         out = tmp_path / "m.txt"
@@ -325,22 +325,36 @@ class TestCheckLines:
         assert stderr == ""
 
     def test_representative_search_refused_by_memory_cap(self, capsys, monkeypatch):
-        # the one weight-2 pass over 23 columns takes 23 + 92 half-vectors; at 40 bytes a slot, without
-        # syndrome entries, 4,000 bytes surely refuse it, before the build
+        # the one weight-2 pass over 23 columns takes 23 + 92 half-vectors; at 43 bytes a slot, 40 and the
+        # syndrome entries of the 3 rows below the pivots, 4,000 bytes refuse it, before the build
         monkeypatch.setattr(normbch.verify, "MEMORY_CAP_BYTES", 4_000)
         monkeypatch.setattr("normbch.lines.bch_matrix", must_not_build)
         code, stdout, stderr = run(capsys, "check-lines", "--q", "5", "--m", "2", "--d", "5", "--experimental")
         assert code == 2
         assert stdout == ""
-        assert stderr == "budget exceeded: 115 half-vectors needed, budget is 100\n"
+        assert stderr == "budget exceeded: 115 half-vectors needed, budget is 93\n"
 
     def test_representative_search_refused_by_its_pass(self, capsys, monkeypatch):
-        # 4,800 bytes hold 115 slots of 40 bytes, but not of 43, with the pass's 3 rref rows of syndrome
+        # the pre-build check is the pass's own: 4,800 bytes hold 115 slots of 40 bytes, but not of 43,
+        # with the pass's 3 rref rows of syndrome, so nothing is built
         monkeypatch.setattr(normbch.verify, "MEMORY_CAP_BYTES", 4_800)
+        monkeypatch.setattr("normbch.lines.bch_matrix", must_not_build)
         code, stdout, stderr = run(capsys, "check-lines", "--q", "5", "--m", "2", "--d", "5", "--experimental")
         assert code == 2
         assert stdout == ""
         assert stderr == "budget exceeded: 115 half-vectors needed, budget is 111\n"
+
+    def test_representative_search_refused_from_the_estimate(self, capsys, monkeypatch):
+        # weight 499,997 on 1,042,439 columns over 999,993 rows: an exact binomial of the refused count
+        # takes seconds, and the lgamma estimate prints its power of ten
+        comb = math.comb
+        monkeypatch.setattr(normbch.verify.math, "comb", lambda n, k: must_not_build() if n > 10**5 else comb(n, k))
+        started = time.perf_counter()
+        code, stdout, stderr = run(capsys, "check-lines", "--q", "1021", "--m", "2", "--d", "500000",
+                                   "--experimental")
+        assert time.perf_counter() - started < 1.0
+        assert (code, stdout) == (2, "")
+        assert stderr == "budget exceeded: about 10^1001535 half-vectors needed, budget is 536\n"
 
     def test_rows_that_fail_affine_invariance_exit_70(self, capsys, monkeypatch):
         # locators e and e^2 trade columns: the orbit counts would rest on a false premise, a bug
@@ -722,6 +736,8 @@ EXIT_2_CASES = {
                                      "budget exceeded: 115942 table cells needed, budget is 100000"),
     "bounds-table-beyond-int64": (["bounds", "--table", "2..99999999999999999999", "3..4"],
                                  "budget exceeded: about 10^20 table cells needed, budget is 100000"),
+    "bounds-table-just-below-10^20": (["bounds", "--table", "2..33333333333333333334", "3..5"],
+                                      "budget exceeded: about 10^19 table cells needed, budget is 100000"),
     "verify-distance-threads-below-1": (
         ["verify-distance", "--matrix", "{aug524}", "--d", "4", "--threads", "-1"], "parameter error:"),
     "reduce-subset-not-integers": (
@@ -749,16 +765,20 @@ EXIT_2_CASES = {
     "check-lines-field-beyond-budget-experimental": (  # the field budget before the memory refusal
         ["check-lines", "--q", "5", "--m", "9", "--d", "4", "--experimental"],
         "parameter error: field size 5^9 exceeds the budget 1048576"),
-    # the representative search, weight d-3 on n-2 columns at 40 bytes a slot, is surely over the memory cap
+    # the representative search, weight d-3 on n-2 columns, is over the memory cap at 40 bytes a slot
+    # and the syndrome bytes of the (d-3)m - 1 rows below the pivots
     "check-lines-576-beyond-memory-cap": (
         ["check-lines", "--q", "5", "--m", "7", "--d", "6"],
-        "budget exceeded: 12206562504 half-vectors needed, budget is 26843545"),
+        "budget exceeded: 12206562504 half-vectors needed, budget is 17895697"),
+    "check-lines-71035-beyond-memory-cap": (
+        ["check-lines", "--q", "71", "--m", "3", "--d", "5"],
+        "budget exceeded: 25411539 half-vectors needed, budget is 23860929"),
     "check-lines-101035-beyond-memory-cap": (
         ["check-lines", "--q", "101", "--m", "3", "--d", "5"],
-        "budget exceeded: 104060199 half-vectors needed, budget is 26843545"),
+        "budget exceeded: 104060199 half-vectors needed, budget is 23860929"),
     "check-lines-776-beyond-memory-cap": (
         ["check-lines", "--q", "7", "--m", "7", "--d", "6"],
-        "budget exceeded: 2034661806666 half-vectors needed, budget is 26843545"),
+        "budget exceeded: 2034661806666 half-vectors needed, budget is 17895697"),
     "gencode-776-norm-field-beyond-budget": (
         ["gencode", "--q", "7", "--m", "7", "--d", "6", "--out", "{tmp}/x.txt"],
         "parameter error: field size 7^8 exceeds the budget 1048576"),
@@ -846,6 +866,7 @@ def test_exit_2_contract(matrix_files, tmp_path, capsys, argv, prefix):
     ("gencode-776-norm-field-beyond-budget", ["normbch.construct.bch_matrix"]),
     ("check-lines-101035-beyond-memory-cap", ["normbch.lines.bch_matrix", "normbch.field.make_field"]),
     ("check-lines-776-beyond-memory-cap", ["normbch.lines.bch_matrix", "normbch.field.make_field"]),
+    ("check-lines-71035-beyond-memory-cap", ["normbch.lines.bch_matrix", "normbch.field.make_field"]),
 ])
 def test_refused_before_the_build(matrix_files, tmp_path, capsys, monkeypatch, case, unbuilt):
     # the refusals of EXIT_2_CASES, with what they must not build patched to fail

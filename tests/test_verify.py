@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import time
@@ -35,6 +36,7 @@ from normbch.verify import (
     _half_table,
     _kernel_words,
     _orbit_certifies,
+    _pass_slots,
     _representatives,
     _subset_count,
     _survey,
@@ -202,6 +204,33 @@ class TestMinDistance:
             assert (calls, count > budget) == ([], True)
             assert str(BudgetExceededError(count, budget)) == shown
 
+    def test_count_near_a_power_of_ten_is_exact(self):
+        # C(1, 1) * 10^30: the estimate's log10 lies within tol of an integer, so the count is exact
+        count = _subset_count(1, 1, 1, (10, 30))
+        assert (count, str(BudgetExceededError(count, 1))) == (10**30, "about 10^30 subsets needed, budget is 1")
+
+    @pytest.mark.parametrize("q", [2, 3, 7, 101])
+    def test_pass_count_estimate_matches_the_exact_count(self, q, monkeypatch):
+        # on a grid of passes and caps, a pass refused from the estimate is one the exact count refuses,
+        # with the same line, and one within the cap gets its exact half-table sizes
+        comb, calls, estimated = math.comb, [], 0
+        monkeypatch.setattr(math, "comb", lambda n, k: calls.append(n) or comb(n, k))
+        per_slot = 3 * np.min_scalar_type(q - 1).itemsize + 40
+        for n in range(60, 241, 30):
+            for v in range(1, n + 1, 7):
+                a = (v + 1) // 2
+                n_x = comb(n, a) * (q - 1) ** (a - 1)
+                slots = n_x + comb(n, v - a) * (q - 1) ** (v - a)
+                for cap in {10**18, 10**30, slots // 10, slots - 1, slots, slots + 1}:
+                    monkeypatch.setattr(verify, "MEMORY_CAP_BYTES", cap * per_slot)
+                    calls.clear()
+                    try:
+                        assert (_pass_slots(3, n, q, v), slots <= cap) == ((n_x, slots - n_x), True)
+                    except BudgetExceededError as err:
+                        assert str(err) == str(BudgetExceededError(slots, cap, "half-vectors"))
+                        estimated += not calls
+        assert estimated > 100
+
     def test_refused_from_the_estimate(self, monkeypatch):
         # a 1 x 2^20 all-ones matrix at d = 2^19 + 1 needs C(2^20, 2^19) subsets, whose exact count takes seconds
         comb = math.comb
@@ -212,6 +241,12 @@ class TestMinDistance:
         with pytest.raises(BudgetExceededError, match=r"^about 10\^315649 subsets needed, budget is 20000000$"):
             min_distance_at_least(ones, (1 << 19) + 1)
         assert time.perf_counter() - start < 1
+
+    @pytest.mark.parametrize("needed, power", [(10**19 - 1, 18), (10**19, 19), (10**20 - 1, 19)],
+                             ids=["10^19-1", "10^19", "10^20-1"])
+    def test_printed_power_of_ten_is_exact(self, needed, power):
+        # math.log10 rounds 10^19 - 1 and 10^20 - 1 onto the next integer
+        assert str(BudgetExceededError(needed, 1)) == f"about 10^{power} subsets needed, budget is 1"
 
     def test_budget_exceeded_carries_count(self, h535):
         # the base matrix goes to the generic engine, which needs every 4-subset of its 125 columns
@@ -428,14 +463,14 @@ class TestOrbitRoute:
 
     def test_pass_surely_over_the_cap_declines_before_the_build(self, ha535, monkeypatch):
         # (5,3,5): the weight-4 representative pass searches weight 2 on 123 columns, 123 x halves and
-        # 123 * 4 y halves; at 40 bytes a slot, without its syndrome, one byte under 615 slots declines
-        # the build and refuses the run
+        # 123 * 4 y halves; at 45 bytes a slot, 40 and the syndrome bytes of the 5 rows below the pivots,
+        # one byte under 615 slots declines the build and refuses the run
         slots = 123 + 123 * 4
         monkeypatch.setattr(verify, "augmented_matrix", must_not_run)
-        monkeypatch.setattr(verify, "MEMORY_CAP_BYTES", slots * 40 - 1)
+        monkeypatch.setattr(verify, "MEMORY_CAP_BYTES", slots * 45 - 1)
         with pytest.raises(BudgetExceededError, match="^615 half-vectors needed, budget is 614$"):
             _orbit_certifies(ha535, 5)
-        monkeypatch.setattr(verify, "MEMORY_CAP_BYTES", slots * 40)  # not surely over: the route builds
+        monkeypatch.setattr(verify, "MEMORY_CAP_BYTES", slots * 45)  # within the cap: the route builds
         with pytest.raises(AssertionError, match="must not run"):
             _orbit_certifies(ha535, 5)
 
@@ -443,20 +478,20 @@ class TestOrbitRoute:
         # the route's refusal is the run's: no subset budget hands the matrix to the engine
         monkeypatch.setattr(verify, "augmented_matrix", must_not_run)
         monkeypatch.setattr(verify, "_colex_first_dependent", must_not_run)
-        monkeypatch.setattr(verify, "MEMORY_CAP_BYTES", 615 * 40 - 1)
+        monkeypatch.setattr(verify, "MEMORY_CAP_BYTES", 615 * 45 - 1)
         with pytest.raises(BudgetExceededError, match="^615 half-vectors needed, budget is 614$"):
             min_distance_at_least(ha535, 5, budget=10**30)
 
     def test_pass_over_the_cap_refuses_after_the_build(self, ha535, monkeypatch):
-        # 27,000 bytes pass the 40-byte pre-check; the pass's own check counts the 5 syndrome bytes of the
-        # rows below the pivots too, 45 bytes a slot, and refuses, and the engine never runs
+        # the pre-build check is the pass's own, 45 bytes a slot with the 5 syndrome bytes of the rows
+        # below the pivots: 27,000 bytes refuse before the build, and the engine never runs
         built = []
         monkeypatch.setattr(verify, "augmented_matrix", lambda params: built.append(params) or augmented_matrix(params))
         monkeypatch.setattr(verify, "_colex_first_dependent", must_not_run)
         monkeypatch.setattr(verify, "MEMORY_CAP_BYTES", 27_000)
         with pytest.raises(BudgetExceededError, match="^615 half-vectors needed, budget is 600$"):
             min_distance_at_least(ha535, 5, budget=10**30)
-        assert built == [validate_params(5, 3, 5)]
+        assert built == []
 
     @pytest.mark.parametrize("qmd", [(5, 2, 4), (5, 3, 5), (7, 3, 5)], ids=lambda qmd: "%d-%d-%d" % qmd)
     def test_refusal_loses_no_certificate(self, qmd, monkeypatch):
@@ -943,6 +978,13 @@ class TestEngineAgainstOracles:
                     assert not syndrome(matrix, cert.counterexample).any()
                     assert true_d <= cert.counterexample.weight <= d - 1
                     assert cert.counterexample.weight == true_d or d > true_d + 1
+
+    def test_supports_are_itertools_combinations(self):
+        # index arithmetic in place of itertools.combinations: the same rows in the same order, narrow entries
+        for n, k in [(n, k) for n in range(9) for k in range(n + 1)] + [(300, 1), (300, 2), (40, 5)]:
+            want = np.array(list(itertools.combinations(range(n), k)), dtype=np.intp).reshape(math.comb(n, k), k)
+            got = verify._supports(n, k)
+            assert (got.dtype, got.tolist()) == (np.min_scalar_type(n), want.tolist()), (n, k)
 
     def test_weight_beyond_length_is_empty_before_the_memory_cap(self, monkeypatch):
         monkeypatch.setattr(verify, "MEMORY_CAP_BYTES", 0)
