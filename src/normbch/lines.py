@@ -5,9 +5,10 @@ of the base code lying on an affine line.  verify_lines_theorem checks
 this on the representatives of verify's orbit argument alone: the words
 whose support holds locators 1 and 0, found by verify._survey, which
 also checks that the base code is invariant under the affine maps,
-that no word is lighter than d-1 and the on-line count against its
-closed form.  An invariant set with R representatives has
-R*n(n-1)/(v(v-1)) members, which gives every count of the report.
+that no word is lighter than d-1, the on-line count against its closed
+form and Vandermonde's nonzero sum on each on-line word.  An invariant
+set with R representatives has R*n(n-1)/(v(v-1)) members, which gives
+every count of the report.
 
 The other functions serve the acceptance gate and the scripts:
 enumerate_weight_words lists every word of one weight within the memory
@@ -34,7 +35,7 @@ from .construct import (
     syndrome,
 )
 from .field import FieldElement, FieldMismatchError
-from .verify import _kernel_words, _pass_slots, _survey
+from .verify import _kernel_words, _survey
 
 
 class _AffineLineFields(NamedTuple):
@@ -119,15 +120,15 @@ def _orbit_size(reps: int, n: int, v: int) -> int:
 def verify_lines_theorem(params: CodeParams, experimental: bool = False) -> LinesReport:
     """Check that every minimum-weight word of the base code sits on a line.
 
-    Runs the distance route's orbit check, with the same arguments, and
+    Runs the distance route's orbit check, _survey, on bch_matrix and
     derives words_found, on_line and the violation count from its
     weight-(d-1) representatives by orbit counting (module docstring).
     on_affine_line anchors a representative at 0 with direction 1, so it
     is on a line exactly when every locator of its support lies in GF(q).
-    A search over the memory cap is refused before the build, and
-    with d-1 > n, as no word fits, nothing is built.  With experimental
-    set, parameters that fail the hypotheses are still run and the report
-    is marked as outside the proven range; results are then observations,
+    A search over the memory cap is refused before the build, and with
+    d-1 > n, as no word fits, nothing is built.  With experimental set,
+    parameters that fail the hypotheses are still run and the report is
+    marked as outside the proven range; results are then observations,
     not assertions.
     """
     if params.d < 4:
@@ -135,12 +136,8 @@ def verify_lines_theorem(params: CodeParams, experimental: bool = False) -> Line
     if not params.valid and not experimental:
         raise ValueError("parameters violate the hypotheses: " + "; ".join(params.violations))
     _require_buildable(params)  # a parameter error outranks the memory refusal, which comes before the build
-    n, q, v = params.n, params.q, params.d - 1
-    ys, on = (), 0
-    if v <= n:
-        _pass_slots((params.d - 3) * params.m - 1, n - 2, q, v - 2)  # _survey's largest pass, as in _orbit_certifies
-        matrix = bch_matrix(params)
-        _, ys, on = _survey(matrix.rows, matrix.locators, q, params.d)
+    n, v = params.n, params.d - 1
+    _, ys, on = _survey(params, bch_matrix) if v <= n else (None, (), 0)
     return LinesReport(
         params=params,
         weight=v,

@@ -22,23 +22,22 @@ the words with c and a nonzero, scaled to a = 1, are the
 representatives.
 
 Distance >= d holds when no (d-1)-subset of columns is dependent.  On
-the augmented matrix of the construction, rebuilt from q, d and
-n = q^m and compared block by block and row by row, the orbit route
-decides this: no image of a representative of weight d-1 has a zero
-norm syndrome.  By the BCH bound no base-code word is lighter, which
-_survey checks.  A representative whose locators t all lie in GF(q),
-with coefficients c_t, is settled by one sum.  Its image under
-x -> a*x + b has norm syndrome N(hat a) * sum_t c_t N(u + t),
-u = hat b / hat a, as hat is GF(q)-linear and N multiplicative.
-N(u + t) is monic of degree d-2 in t and the word kills t^j for
-j <= d-3, so that is N(hat a) * f with f = sum_t c_t t^(d-2), which
-is nonzero by Vandermonde.  Any other matrix or target,
-a representative with a locator outside GF(q) (which occurs only
-outside the proven range) or a zero f falls back to the generic engine
+the augmented matrix of the construction, with the blocks of (q, m, d)
+and n = q^m, the orbit route decides this: _survey builds and checks
+the construction, and the file's rows must equal the build.  By the BCH
+bound no base-code word is lighter than d-1, which _survey checks.  A
+representative whose locators t all lie in GF(q), with coefficients
+c_t, is settled by one sum.  Its image under x -> a*x + b has norm
+syndrome N(hat a) * sum_t c_t N(u + t), u = hat b / hat a, as hat is
+GF(q)-linear and N multiplicative.  N(u + t) is monic of degree d-2 in
+t and the word kills t^j for j <= d-3, so that is N(hat a) * f with
+f = sum_t c_t t^(d-2), nonzero by Vandermonde, which _survey checks
+too.  Any other matrix or target, or a locator outside GF(q) (which
+occurs only outside the proven range), falls back to the generic engine
 below, so its counterexamples are the only ones reported; a failed
-self-check of _survey raises RuntimeError.  A representative search
-over the memory cap is refused, not passed on: the engine's pass at
-c = n includes a weight-(v-2) pass on all n columns with at least as
+self-check raises RuntimeError in both commands.  A representative
+search over the memory cap is refused, not passed on: the engine's pass
+at c = n includes a weight-(v-2) pass on all n columns with at least as
 many rows, so it could never certify either, only search prefixes.
 
 The generic engine reports the colex-first dependent (d-1)-subset: the
@@ -61,7 +60,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import linalg
-from .construct import Codeword, ParityCheckMatrix, augmented_blocks, augmented_matrix, validate_params
+from .construct import CodeParams, Codeword, ParityCheckMatrix, augmented_blocks, augmented_matrix, validate_params
 from .errors import DEFAULT_SUBSET_BUDGET, BudgetExceededError
 
 # Memory cap of one collision pass; above it the pass is refused with
@@ -246,17 +245,11 @@ def _orbit_certifies(matrix: ParityCheckMatrix, d: int) -> bool:
 
     The route takes only the augmented matrix of (q, m, d) with this d
     and n = q^m: the blocks of augmented_blocks, compared before any
-    build, and rows equal to augmented_matrix.  With _survey's checks
-    passed on the base rows, each base-code word of weight up to d-1 is
-    an image of a weight-(d-1) representative.  Distance >= d holds when
-    every representative has its locators in GF(q) and a nonzero
-    f = sum_t c_t t^(d-2), which shows that none of its images has a
-    zero norm syndrome (module docstring).  f is the normalizing
-    constant of its Lagrange weights, c_t = f / prod_(s != t)(t - s), as
-    their sum against t^(d-2), a divided difference of x^(d-2), is 1.
-    False (any other matrix, a locator outside GF(q) or a zero f) leaves
-    the verdict to the generic engine.  _survey's largest pass is sized before
-    the build on full-rank base rows: its own rows at odd q, more at q = 2.
+    build, and the rows of augmented_matrix, which _survey builds and
+    checks.  Distance >= d holds when every representative has its
+    locators in GF(q) (module docstring).  False (any other matrix, no
+    field or basis pair within the budgets, or a locator outside GF(q))
+    leaves the verdict to the generic engine.
     """
     q, n = matrix.q, matrix.n
     m = next((m for m in range(1, n.bit_length()) if q**m == n), 0)  # 0 when n is no power q^m, m >= 1
@@ -265,19 +258,11 @@ def _orbit_certifies(matrix: ParityCheckMatrix, d: int) -> bool:
     params = validate_params(q, m, d)
     if matrix.blocks != augmented_blocks(params):
         return False
-    if n > 2:  # _survey's largest pass; at n = 2 it makes none
-        _pass_slots((d - 3) * m - 1, n - 2, q, min(d - 1, n) - 2)
     try:
-        rebuilt = augmented_matrix(params)
+        rebuilt, representatives, on = _survey(params, augmented_matrix)
     except ValueError:  # no field or basis pair within the budgets
         return False
-    if not np.array_equal(rebuilt.rows, matrix.rows):
-        return False
-    coeffs, ys, on = _survey(matrix.rows[: -params.s], rebuilt.locators, q, d)
-    f = coeffs
-    for _ in range(d - 2):
-        f = f * ys % q
-    return on == len(ys) and bool((f.sum(axis=1) % q).all())  # on < len(ys): a locator outside GF(q)
+    return np.array_equal(rebuilt.rows, matrix.rows) and on == len(representatives)  # on < len: off GF(q)
 
 
 def min_distance_at_least(
@@ -302,6 +287,8 @@ def min_distance_at_least(
         raise ValueError("distance targets below 2 are meaningless")
     if threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")
+    if budget < 0:
+        raise ValueError(f"the subset budget must be at least 0, got {budget}")
     start = time.perf_counter()
     n = matrix.n
     w = min(d - 1, n)
@@ -345,28 +332,39 @@ def _representatives(reduced: np.ndarray, rank: int, q: int, v: int) -> tuple[np
     return np.hstack([supports[keep], np.broadcast_to([n - 2, n - 1], (len(coeffs), 2))]), coeffs
 
 
-def _survey(rows: np.ndarray, locators, q: int, d: int) -> tuple[np.ndarray, np.ndarray, int]:
-    """The orbit check: the weight-(d-1) representatives' coefficients, encoded locators and on-line count.
+def _survey(params: CodeParams, build) -> tuple[ParityCheckMatrix, np.ndarray, int]:
+    """The orbit check of (q, m, d): build(params), its weight-(d-1) representatives' locators and on-line count.
 
-    One rref of rows, locators 1 and 0 first, serves every step, and a
-    failed step raises RuntimeError.  Those columns must be its first two
-    pivots, as at d >= 4 (so no representative has weight 2).  One pass
-    per weight d-1 down to 3 follows, largest first: a memory refusal
-    precedes the rest.  The rows permuted by x -> e*x and
-    x -> x+1, which generate the affine maps, must reduce to zero
+    The largest pass, weight min(d-1, n) - 2 on n - 2 columns, is sized
+    before the build, on the rows below the pivots of full-rank base
+    rows.  One rref of the build's first 1 + (d-3)m rows, its base rows,
+    with locators 1 and 0 first, serves every step, and a failed step
+    raises RuntimeError.  Those columns must be its first two pivots, as
+    at d >= 4 (so no representative has weight 2).  One pass per weight
+    d-1 down to 3 follows, largest first.  The rows permuted by x -> e*x
+    and x -> x+1, which generate the affine maps, must reduce to zero
     against the rref.  No representative may be lighter than d-1: any
     d-2 columns of [1; y; ...; y^(d-3)] are independent over GF(q^m).
-    Last, a representative is on a line when its locators all lie below
-    q, and there are C(q-2, d-3) of them, one per (d-3)-subset of GF(q)
-    minus {0, 1}, as the base code kills t^j for j <= d-3.
+    A representative is on a line when its locators all lie below q,
+    and there are C(q-2, d-3) of them, one per (d-3)-subset of GF(q)
+    minus {0, 1}, as the base code kills t^j for j <= d-3.  Last, each
+    has f = sum_t c_t t^(d-2) nonzero: f is the normalizing constant of
+    its Lagrange weights, c_t = f / prod_(s != t)(t - s), as their sum
+    against t^(d-2), a divided difference of x^(d-2), is 1.
     """
+    q, n, d = params.q, params.n, params.d
+    r = 1 + (d - 3) * params.m
+    if n > 2:  # the largest pass; at n = 2 there is none
+        _pass_slots(r - 2, n - 2, q, min(d - 1, n) - 2)
+    matrix = build(params)
+    rows = matrix.rows[:r]
     reduced, rank, pivots = linalg.rref(np.roll(rows, 2, axis=1), q)  # columns n-2, n-1, 0, 1, ...
     if pivots[:2] != [0, 1]:
         raise RuntimeError("the last two columns are dependent")
     weights = range(d - 1, 2, -1)  # a weight above n has no pass, as _kernel_words finds no word
     found = [_representatives(reduced, rank, q, v) for v in weights]
-    field = locators.field
-    ys = locators.encoded(np.arange(rows.shape[1]))
+    locators, field = matrix.locators, matrix.locators.field
+    ys = locators.encoded(np.arange(n))
     for image in (field.mul(ys, field.e.val), field.add(ys, 1)):
         moved = rows.take(np.roll(locators.columns(image), 2), axis=1)
         if any(((row[pivots] @ reduced[:rank] - row) % q).any() for row in moved):  # a row at a time
@@ -376,7 +374,10 @@ def _survey(rows: np.ndarray, locators, q: int, d: int) -> tuple[np.ndarray, np.
             raise RuntimeError(f"{len(supports)} representatives of weight {v}, below the minimum weight {d - 1}")
     supports, coeffs = found[0]
     locs = ys[supports]
-    on = int((locs < q).all(axis=1).sum())
-    if on != (want := math.comb(q - 2, d - 3)):
+    line = (locs < q).all(axis=1)
+    if (on := int(line.sum())) != (want := math.comb(q - 2, d - 3)):
         raise RuntimeError(f"{on} on-line representatives of weight {d - 1}, expected {want}")
-    return coeffs, locs, on
+    powers = np.array([pow(t, d - 2, q) for t in range(q)])  # t^(d-2) for each t in GF(q)
+    if zero := int(((coeffs[line] * powers[locs[line]]).sum(axis=1) % q == 0).sum()):
+        raise RuntimeError(f"{zero} on-line representatives of weight {d - 1} with f = sum_t c_t t^{d - 2} = 0")
+    return matrix, locs, on

@@ -58,3 +58,23 @@ def lighter_representative(monkeypatch):
         return supports, coeffs
 
     monkeypatch.setattr(verify, "_representatives", with_weight_3)
+
+
+@pytest.fixture
+def zero_f_representative(monkeypatch):
+    """verify._representatives with the (5,3,5) representative on locators 4, 2, 1, 0 given coefficients
+    1, 1, 3, 1 for 3, 2, 4, 1: still on a line, but f = sum_t c_t t^3 = 75 = 0 mod 5."""
+    from normbch import verify
+
+    found = verify._representatives
+
+    def with_zero_f(reduced, rank, q, v):
+        supports, coeffs = found(reduced, rank, q, v)
+        if (q, reduced.shape[1], v) == (5, 125, 4):
+            at = np.flatnonzero((supports == [61, 92, 123, 124]).all(axis=1))
+            assert coeffs[at].tolist() == [[3, 2, 4, 1]]
+            coeffs = coeffs.copy()
+            coeffs[at] = [1, 1, 3, 1]
+        return supports, coeffs
+
+    monkeypatch.setattr(verify, "_representatives", with_zero_f)

@@ -738,6 +738,9 @@ EXIT_2_CASES = {
                                  "budget exceeded: about 10^20 table cells needed, budget is 100000"),
     "bounds-table-just-below-10^20": (["bounds", "--table", "2..33333333333333333334", "3..5"],
                                       "budget exceeded: about 10^19 table cells needed, budget is 100000"),
+    "verify-distance-negative-budget": (
+        ["verify-distance", "--matrix", "{aug524}", "--d", "4", "--budget", "-3", "--out", "{tmp}/c.txt"],
+        "parameter error: the subset budget must be at least 0, got -3"),
     "verify-distance-threads-below-1": (
         ["verify-distance", "--matrix", "{aug524}", "--d", "4", "--threads", "-1"], "parameter error:"),
     "reduce-subset-not-integers": (
@@ -902,6 +905,36 @@ def test_lighter_representative_exits_70(matrix_files, capsys, lighter_represent
     assert (code, stdout) == (70, "")
     assert stderr.startswith("Traceback (most recent call last):\n")
     assert stderr.endswith("RuntimeError: 1 representatives of weight 3, below the minimum weight 4\n")
+
+
+@pytest.mark.parametrize("command", ["check-lines", "verify-distance"])
+def test_zero_f_exits_70(matrix_files, capsys, zero_f_representative, command):
+    # an on-line representative whose images would have zero norm syndromes contradicts Vandermonde: both
+    # commands run the orbit check's self-check on it, rather than counting it or passing the file on
+    args = {"check-lines": ["--q", "5", "--m", "3", "--d", "5"],
+            "verify-distance": ["--matrix", str(matrix_files["aug535"]), "--d", "5"]}[command]
+    code, stdout, stderr = run(capsys, command, *args)
+    assert (code, stdout) == (70, "")
+    assert stderr.startswith("Traceback (most recent call last):\n")
+    assert stderr.endswith("RuntimeError: 1 on-line representatives of weight 4 with f = sum_t c_t t^3 = 0\n")
+
+
+@pytest.mark.parametrize("mutant", [False, True], ids=["aug535", "norm-row-scaled"])
+def test_route_builds_the_base_rows_once(matrix_files, tmp_path, capsys, monkeypatch, mutant):
+    # the orbit check builds the construction once, and the route compares the file with that build; the
+    # mutant, the same code from other rows, is declined and certified by the engine
+    path = matrix_files["aug535"]
+    if mutant:
+        aug = augmented_matrix(validate_params(5, 3, 5))
+        rows = aug.rows.copy()
+        rows[-1] = 2 * rows[-1] % 5
+        path = tmp_path / "scaled535.txt"
+        path.write_text(ParityCheckMatrix(5, rows, aug.blocks).to_text())
+    built, bch = [], normbch.construct.bch_matrix
+    monkeypatch.setattr("normbch.construct.bch_matrix", lambda params: built.append(params) or bch(params))
+    code, stdout, _ = run(capsys, "verify-distance", "--matrix", str(path), "--d", "5")
+    assert (code, built) == (0, [validate_params(5, 3, 5)])
+    assert stdout.startswith("verdict=certified\n") and "\nsubsets_examined=9691375\n" in stdout
 
 
 def test_check_lines_searches_every_lighter_weight(capsys, monkeypatch):

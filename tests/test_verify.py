@@ -258,6 +258,12 @@ class TestMinDistance:
         with pytest.raises(ValueError):
             min_distance_at_least(h524, 1)
 
+    def test_negative_budget_rejected(self, ha524, monkeypatch):
+        # before any work; a zero budget stays valid, as the route's certificate needs none
+        monkeypatch.setattr(verify, "_orbit_certifies", must_not_run)
+        with pytest.raises(ValueError, match="^the subset budget must be at least 0, got -1$"):
+            min_distance_at_least(ha524, 4, budget=-1)
+
     def test_thread_count_invariance(self, h535):
         certs = [min_distance_at_least(h535, 5, threads=t) for t in (1, 2, 3)]
         assert len({c.counterexample for c in certs}) == 1
@@ -423,19 +429,23 @@ class TestOrbitRoute:
         params = validate_params(*qmd)
         q, d = params.q, params.d
         matrix = bch_matrix(params)
-        loc = matrix.locators
-        _survey(matrix.rows, loc, q, d)
+
+        def build(rows):  # the base rows replaced, the locators kept
+            return lambda params: ParityCheckMatrix(q, rows, [("rows", len(rows))], matrix.locators)
+
+        _survey(params, build(matrix.rows))
         # x -> e*x keeps these rows, x -> x+1 does not; locator 0's column is zero, so the pivot check fails first
         with pytest.raises(RuntimeError, match="dependent"):
-            _survey(matrix.rows[1:], loc, q, d)
+            _survey(params, build(matrix.rows[1:]))
         swapped = matrix.rows[:, [1, 0, *range(2, matrix.n)]]  # locators e and e^2 trade columns
         with pytest.raises(RuntimeError, match="affine invariance"):
-            _survey(swapped, loc, q, d)
+            _survey(params, build(swapped))
         # a unit row on locator e's column leaves locators 1 and 0 independent, and its images under
-        # x -> e*x and x -> x+1 leave the span, so only the invariance test can catch it
-        unit = np.vstack([matrix.rows, np.eye(1, matrix.n, dtype=matrix.rows.dtype)])
+        # x -> e*x and x -> x+1 leave the span, so only the invariance test can catch it; it comes first,
+        # as _survey reads the first 1 + (d-3)m rows, so the last base row drops out of the survey
+        unit = np.vstack([np.eye(1, matrix.n, dtype=matrix.rows.dtype), matrix.rows])
         with pytest.raises(RuntimeError, match="affine invariance"):
-            _survey(unit, loc, q, d)
+            _survey(params, build(unit))
 
     def test_lighter_representative_fails_the_self_check(self, ha535, lighter_representative, monkeypatch):
         # the BCH bound leaves no base word lighter than d-1, so a weight-3 representative at d = 5 is a bug,
@@ -555,11 +565,12 @@ class TestRepresentatives:
         assert 0 < dependent < 40
 
     def test_dependent_last_two_columns_raise(self):
-        # the d = 3 base is the ones row alone, so locators 1 and 0 have equal columns
+        # the d = 3 base is the ones row alone, so locators 1 and 0 have equal columns; both commands refuse
+        # d < 4 before the survey, so a d = 4 survey is given it as its build
         matrix = bch_matrix(validate_params(5, 2, 3))
         assert matrix.rows.shape[0] == 1
         with pytest.raises(RuntimeError, match="the last two columns are dependent"):
-            _survey(matrix.rows, matrix.locators, 5, 3)
+            _survey(validate_params(5, 2, 4), lambda params: matrix)
 
     @pytest.mark.parametrize("v", [2, 3, 4])
     def test_one_kernel_pass_per_weight(self, v, monkeypatch):
@@ -567,8 +578,7 @@ class TestRepresentatives:
         (q, m), d = {2: (5, 2), 3: (5, 3), 4: (7, 2)}[v], v + 2
         passes = []
         monkeypatch.setattr(verify, "_kernel_words", lambda *args: passes.append(args) or _kernel_words(*args))
-        matrix = bch_matrix(validate_params(q, m, d, relaxed=True))
-        _, ys, on = _survey(matrix.rows, matrix.locators, q, d)
+        matrix, ys, on = _survey(validate_params(q, m, d, relaxed=True), bch_matrix)
         assert [args[2] for args in passes] == [w - 2 for w in range(d - 1, 2, -1)]
         # weight d-1 holds the representatives, 35 of them off every line at (7,2,6); the lighter weights hold none
         assert (len(ys), on) == {2: (3, 3), 3: (3, 3), 4: (45, 10)}[v]
@@ -576,11 +586,12 @@ class TestRepresentatives:
         # no weight-2 word holds two independent columns alone
         assert representatives_per_coefficient(matrix.rows, q, 2)[0].size == 0
 
-    def test_refusal_precedes_the_invariance_test(self, h535, monkeypatch):
-        # the weight-4 pass of (5,3,5) needs 123 + 123 * 4 half-vectors, refused before any locator is read
+    def test_refusal_precedes_the_invariance_test(self, params535, h535, monkeypatch):
+        # the weight-4 pass of (5,3,5) needs 123 + 123 * 4 half-vectors, refused before the build, let alone
+        # before any locator is read
         monkeypatch.setattr(verify, "MEMORY_CAP_BYTES", 1000)
         with pytest.raises(BudgetExceededError, match="615 half-vectors needed"):
-            _survey(h535.rows, None, 5, 5)
+            _survey(params535, lambda params: ParityCheckMatrix(5, h535.rows, h535.blocks))
 
     def test_one_rref_of_the_base_rows(self, ha535, monkeypatch):
         base = ha535.rows[:-1]
