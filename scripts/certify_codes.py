@@ -1,6 +1,8 @@
 #!/usr/bin/env python3
 """Build the desk-scale codes, certify their distance, and compare redundancy.
 
+The desk-scale codes are (5,2,3), (5,2,4), (5,3,5) and (7,3,5); at d = 3
+the code is [1; y] and its base, the ones row alone, has a weight-2 word.
 Then certifies (11,3,5), (5,5,5), (13,3,5), (101,2,4), (29,3,5) and
 (1021,2,4), which only the affine-orbit route reaches (the generic
 engine's passes exceed the 1 GiB memory cap), and prints their times.  Also builds the smallest d = 6
@@ -35,6 +37,7 @@ from normbch.verify import DEFAULT_SUBSET_BUDGET
 # so its budget is raised; the affine-orbit route certifies the augmented
 # matrix at any budget.
 CODES = (
+    (5, 2, 3, DEFAULT_SUBSET_BUDGET),
     (5, 2, 4, DEFAULT_SUBSET_BUDGET),
     (5, 3, 5, DEFAULT_SUBSET_BUDGET),
     (7, 3, 5, math.comb(343, 4)),

@@ -288,12 +288,11 @@ def augmented_matrix(params: CodeParams) -> ParityCheckMatrix:
     value provably lies in the GF(q^s) subfield spanned by g_1..g_s; the
     build checks that the trailing coordinates vanish and treats a
     nonzero one as a basis construction bug.  Row count is
-    (d-3)m + s + 1.
+    (d-3)m + s + 1.  At d = 3, s = mu = m and the norm is the identity,
+    so the matrix is [1; y]: the base rows of d = 4.
     """
     from .field import make_basis_pair, norm_exponent
 
-    if params.d == 3:
-        raise ValueError("d=3 needs no norm rows; use bch_matrix, whose code already has distance 3")
     _require_buildable(params)
     bp = make_basis_pair(params.q, params.m, params.d)  # refuses GF(q^mu) beyond the budget before the base rows
     base = bch_matrix(params)

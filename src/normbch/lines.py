@@ -129,7 +129,8 @@ def verify_lines_theorem(params: CodeParams, experimental: bool = False) -> Line
     d-1 > n, as no word fits, nothing is built.  With experimental set,
     parameters that fail the hypotheses are still run and the report is
     marked as outside the proven range; results are then observations,
-    not assertions.
+    not assertions.  d >= 4, as the base rows of d = 3, the ones row,
+    give locators 1 and 0 one column: no two pivots for the survey.
     """
     if params.d < 4:
         raise ValueError("line validation needs d >= 4 (below that any support is collinear)")
@@ -159,13 +160,11 @@ def construct_weight_word(params: CodeParams) -> tuple[Codeword, np.ndarray]:
     solution of sum_i c_i y_i^t = 0, t = 0..d-3, with that last
     coefficient.  The word's base syndrome is zero; its augmented
     syndrome, nonzero, is returned to show the separation of the codes.
+    At d = 3 the word is locator 1 with weight q-1 and locator 0 with 1.
     """
-    if params.d < 4:
-        raise ValueError("the separation witness needs d >= 4")
     if not params.valid:
         raise ValueError("parameters violate the hypotheses: " + "; ".join(params.violations))
-    q, d = params.q, params.d
-    ys = list(range(2, d - 1)) + [1, 0]
+    q, ys = params.q, [*range(2, params.d - 1), 1, 0]
     spreads = [math.prod(y - z for z in ys if z != y) for y in ys]  # prod_(j != i)(y_i - y_j)
     coeffs = [spreads[-1] * pow(s, -1, q) % q for s in spreads]
     aug = augmented_matrix(params)

@@ -249,7 +249,8 @@ def _orbit_certifies(matrix: ParityCheckMatrix, d: int) -> bool:
     checks.  Distance >= d holds when every representative has its
     locators in GF(q) (module docstring).  False (any other matrix, no
     field or basis pair within the budgets, or a locator outside GF(q))
-    leaves the verdict to the generic engine.
+    leaves the verdict to the generic engine, as does d = 3, whose base
+    row gives locators 1 and 0 one column: no two pivots for _survey.
     """
     q, n = matrix.q, matrix.n
     m = next((m for m in range(1, n.bit_length()) if q**m == n), 0)  # 0 when n is no power q^m, m >= 1

@@ -288,3 +288,54 @@ def lagrange_eval(points, x):
                 term = term * (x - xj) * (xi - xj).inverse()
         total = total + term
     return total
+
+
+def closed_form_representatives(locators, d, v):
+    """The weight-v words of the base code [1; y; ...; y^(d-3)] holding locators 1 and 0, by algebra.
+
+    Rows of 0-based columns, then coefficients, sorted, as verify._representatives returns them:
+    locator 0 has coefficient 1 and locator 1 coefficient c, and the word kills y^t for t <= d-3.
+    Field arithmetic is the element API and columns come from locators.columns.
+    - v = 3: c_a = -(1 + c) and x_a = -c/c_a at d = 4; at d >= 5 the t = 2 row forces 1 = 0.
+    - v = 4 at d = 5: c_b = -(1 + c + c_a), x_b = -(c + c_a x_a)/c_b, and x_a a root in GF(q^m) of
+      c_a(c_a + c_b) x^2 + 2c c_a x + c(c + c_b), the square root of the discriminant being half its
+      discrete log.  In characteristic 2 only c = c_a = c_b = 1 is left, where the quadratic vanishes,
+      so every x gives {x, x + 1, 1, 0}.
+    """
+    field, n = locators.field, locators.n
+    q, k = field.p, field.scalar
+
+    def column(x):
+        return int(locators.columns(x.val))
+
+    def square_roots(x):
+        if not x:
+            return [x]
+        log = int(field.log_array(x.val))
+        return [] if log % 2 else [field.e ** (log // 2), -(field.e ** (log // 2))]
+
+    words = []
+    if (v, d) == (3, 4):
+        for c in range(1, q):
+            ca = -(1 + c) % q
+            if ca and (xa := -k(c) / k(ca)).val not in (0, 1):
+                words.append((column(xa), n - 2, n - 1, ca, c, 1))
+    elif (v, d) == (4, 5):
+        for c, ca in itertools.product(range(1, q), repeat=2):
+            cb = -(1 + c + ca) % q
+            if not cb:
+                continue
+            a, b, z = k(ca * (ca + cb)), k(2 * c * ca), k(c * (c + cb))
+            if a:
+                roots = [(r - b) / (a + a) for r in square_roots(b * b - k(4) * a * z)]
+            elif b:
+                roots = [-z / b]
+            else:
+                roots = [] if z else list(field.elements())
+            for xa in roots:
+                xb = -(k(c) + k(ca) * xa) / k(cb)
+                if {xa.val, xb.val}.isdisjoint((0, 1)) and column(xa) < column(xb):
+                    words.append((column(xa), column(xb), n - 2, n - 1, ca, cb, c, 1))
+    elif v != 3 or d < 4:
+        raise NotImplementedError(f"no closed form for weight {v} at d = {d}")
+    return sorted(words)

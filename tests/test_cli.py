@@ -90,6 +90,26 @@ class TestGencode:
         assert (code, stdout) == (2, "")
         assert stderr == "budget exceeded: 12206562504 half-vectors needed, budget is 17895697\n"
 
+    def test_d3_builds(self, tmp_path, capsys):
+        # [1; y]: the norm is the identity at d = 3, so the rows are the d = 4 base rows, distance 3 at q = 5
+        out = tmp_path / "d3.txt"
+        code, stdout, _ = run(capsys, "gencode", "--q", "5", "--m", "2", "--d", "3", "--out", str(out))
+        assert code == 0
+        assert "n=25 rows=3 rank=3 dimension=22" in stdout
+        assert "blocks=ones:1,norm:2" in stdout
+        rows = ParityCheckMatrix(5, bch_matrix(validate_params(5, 2, 4)).rows, [("ones", 1), ("norm", 2)])
+        assert out.read_text() == rows.to_text()
+        code, stdout, _ = run(capsys, "verify-distance", "--matrix", str(out), "--d", "3")
+        assert code == 0
+        assert "verdict=certified" in stdout and "subsets_examined=300" in stdout
+        code, stdout, _ = run(capsys, "verify-distance", "--matrix", str(out), "--d", "4")
+        assert code == 1
+        assert "counterexample_weight=3" in stdout
+        # without the norm rows the all-ones row alone is left, whose distance is 2
+        code, _, _ = run(capsys, "gencode", "--q", "5", "--m", "2", "--d", "3", "--bch-only", "--out", str(out))
+        assert code == 0
+        assert out.read_text() == "q=5 n=25 r=1 blocks=ones:1\n" + " ".join("1" * 25) + "\n"
+
     def test_json_output(self, tmp_path, capsys):
         out = tmp_path / "m.txt"
         code, stdout, _ = run(
@@ -98,6 +118,26 @@ class TestGencode:
         assert code == 0
         payload = json.loads(stdout)
         assert payload["n"] == 25 and payload["rank"] == 4
+
+
+# Every (q, m, d, relaxed) that validate_params accepts with q in {2, 3, 5, 7}, d = 3..6 and q^m <= 150.
+ACCEPTED = [(q, m, d, relaxed) for q in (2, 3, 5, 7) for d in range(3, 7) for m in range(1, 8)
+            for relaxed in (False, True) if q**m <= 150 and validate_params(q, m, d, relaxed).valid]
+
+
+def test_accepted_members_are_sized_as_listed():
+    assert len(ACCEPTED) == 45
+    assert [sum(d == k for _, _, d, _ in ACCEPTED) for k in range(3, 7)] == [25, 14, 4, 2]
+
+
+@pytest.mark.parametrize("q, m, d, relaxed", ACCEPTED,
+                         ids=["%d-%d-%d-%s" % (q, m, d, "relaxed" if r else "strict") for q, m, d, r in ACCEPTED])
+def test_every_accepted_member_builds_and_certifies(tmp_path, capsys, q, m, d, relaxed):
+    out = tmp_path / "m.txt"
+    argv = ["gencode", "--q", str(q), "--m", str(m), "--d", str(d), "--out", str(out)]
+    assert run(capsys, *argv, *["--relaxed"] * relaxed)[0] == 0
+    code, stdout, _ = run(capsys, "verify-distance", "--matrix", str(out), "--d", str(d))
+    assert (code, stdout.splitlines()[0]) == (0, "verdict=certified")
 
 
 @pytest.fixture(scope="module")
@@ -726,8 +766,6 @@ EXIT_2_CASES = {
     "reduce-out-missing-dir": (
         ["reduce", "--input", "{toy}", "--q2", "4", "--subset", "0,1,2", "--out", "{missing}"],
         "file error:"),
-    "gencode-d3": (["gencode", "--q", "5", "--m", "2", "--d", "3", "--out", "{tmp}/d3.txt"],
-                   "parameter error:"),
     "gencode-335": (["gencode", "--q", "3", "--m", "3", "--d", "5", "--out", "{tmp}/335.txt"],
                     "parameter error: invalid parameters:"),
     "bounds-table-d1": (["bounds", "--table", "2..3", "1..4"], "parameter error:"),

@@ -224,10 +224,12 @@ class TestAugmentedMatrix:
         with pytest.raises(ValueError, match=r"^field size 7\^8 exceeds the budget 1048576$"):
             augmented_matrix(validate_params(7, 7, 6))
 
-    def test_d3_rejected(self):
+    def test_d3_builds(self):
+        # at d = 3, s = mu = m and the norm is the identity: [1; y], the base rows of d = 4
         p = validate_params(5, 2, 3)
-        with pytest.raises(ValueError, match="bch_matrix"):
-            augmented_matrix(p)
+        matrix = augmented_matrix(p)
+        assert matrix.blocks == (("ones", 1), ("norm", 2))
+        assert np.array_equal(matrix.rows, bch_matrix(validate_params(5, 2, 4)).rows)
         assert bch_matrix(p).row_count == 1
 
     def test_columns_never_proportional(self, ha524):

@@ -58,9 +58,11 @@ def test_lines_experiment():
 
 
 def test_certify_codes():
-    certified = [line.split(" in ")[0] for line in run_script("certify_codes.py").splitlines()
+    out = run_script("certify_codes.py")
+    certified = [line.split(" in ")[0] for line in out.splitlines()
                  if line.startswith("distance >=") and "certified over" in line]
     assert certified == [
+        "distance >= 3: certified over 300 subsets",
         "distance >= 4: certified over 2300 subsets",
         "distance >= 5: certified over 9691375 subsets",
         "distance >= 5: certified over 566685735 subsets",
@@ -71,6 +73,7 @@ def test_certify_codes():
         "distance >= 5: certified over 14738656119688501 subsets",
         "distance >= 4: certified over 188799983626290260 subsets",
     ]
+    assert "base code at distance 3: counterexample (witness weight 2, base syndrome zero: True" in out
 
 
 @pytest.mark.parametrize("name", ["bounds_table.py", "certify_codes.py", "lines_experiment.py"])

@@ -42,6 +42,7 @@ from normbch.verify import (
     _survey,
 )
 from oracles import (
+    closed_form_representatives,
     colex_first_dependent,
     dependency_word,
     find_line_bruteforce,
@@ -564,6 +565,24 @@ class TestRepresentatives:
                     assert sorted_words(*_representatives(reduced, rank, q, v)) == want
         assert 0 < dependent < 40
 
+    # the closed forms' instances: within the hypotheses, outside them (even m has roots in GF(q^2), off
+    # every line) and characteristic 2, where every x gives a word
+    @pytest.mark.parametrize("qmd", [
+        (5, 3, 5), (7, 3, 5), (11, 3, 5), (13, 3, 5), (29, 3, 5), (5, 5, 5), (5, 2, 4), (7, 2, 4), (101, 2, 4),
+        (3, 3, 4), (3, 5, 4), (5, 3, 4), (7, 3, 4),
+        (5, 2, 5), (7, 2, 5), (5, 4, 5), (7, 4, 5), (11, 2, 5), (3, 3, 5), (3, 4, 5),
+        (2, 3, 5), (2, 4, 5), (2, 5, 5), (2, 7, 5),
+    ], ids=lambda qmd: "%d-%d-%d" % qmd)
+    def test_closed_forms_match_the_pass(self, qmd):
+        params = validate_params(*qmd)
+        matrix = bch_matrix(params)
+        reduced, rank, _ = reduced_with_last_two_first(matrix.rows, params.q)
+        found = {v: sorted_words(*_representatives(reduced, rank, params.q, v)) for v in range(3, params.d)}
+        assert found == {v: closed_form_representatives(matrix.locators, params.d, v) for v in found}
+        assert found[params.d - 1] or params.q == 3  # at (3,m,5) every quadratic's roots are 0 and 1
+        if params.q == 2:
+            assert len(found[4]) == (params.n - 2) // 2
+
     def test_dependent_last_two_columns_raise(self):
         # the d = 3 base is the ones row alone, so locators 1 and 0 have equal columns; both commands refuse
         # d < 4 before the survey, so a d = 4 survey is given it as its build
@@ -843,6 +862,14 @@ class TestSeparationWitness:
     def test_invalid_params_rejected(self):
         with pytest.raises(ValueError):
             construct_weight_word(validate_params(3, 3, 5))
+
+    def test_d3_weight_2(self):
+        # locators 1 and 0 with Lagrange weights q-1 and 1: the ones row kills the word, the norm rows do not
+        params = validate_params(5, 2, 3)
+        word, aug_synd = construct_weight_word(params)
+        assert word == Codeword((24, 25), (4, 1))
+        assert not syndrome(bch_matrix(params), word).any()
+        assert aug_synd.tolist() == [0, 4, 0]
 
 
 class TestVandermonde:
