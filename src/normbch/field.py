@@ -19,10 +19,10 @@ choice makes every field, basis and matrix in the package
 bit-reproducible across runs.
 
 Arithmetic works on encoded values, ints or numpy arrays that broadcast:
-add is a + b = a * (1 + b/a), one lookup in the Zech table
-zech[k] = log(1 + e^k); mul is a sum of logs; power is a log times the
-exponent; each masks zero.  FieldElement, the element-at-a-time API, is
-their scalar case.  Matrices are built a column array at a time with
+add sums the base-p digits mod p, as polynomial coordinates add
+coordinate-wise; mul is a sum of logs and power a log times the
+exponent, each masking zero.  FieldElement, the element-at-a-time API,
+is their scalar case.  Matrices are built a column array at a time with
 them and with log_array, coords_array and encode_array.  An
 element lies in the prime field exactly when its encoding is below p, as
 its only nonzero digit is then the constant one.
@@ -37,14 +37,13 @@ GF(q)-linear injection); norm is the multiplicative norm of GF(q^mu)
 onto that subfield, the power norm_exponent.
 
 Fields and basis pairs are immutable after construction and safe to
-share across threads; all arithmetic is pure.  The Zech table is built
-on first use, from the antilog and log tables alone.
+share across threads; all arithmetic is pure.
 """
 
 from __future__ import annotations
 
 import itertools
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Iterator
 
 import numpy as np
@@ -226,25 +225,11 @@ class Field:
         self.one = FieldElement(self, 1)
         self.e = FieldElement(self, self._exp.item(1 % (size - 1)))
 
-    @cached_property
-    def zech(self) -> np.ndarray:
-        """Zech logarithms: entry k is log(1 + e^k), or -1 where 1 + e^k = 0.
-
-        Adding 1 changes only the constant digit, so 1 + e^k is read off
-        the antilog table directly.
-        """
-        low = self._exp % self.p
-        sums = self._exp - low + (low + 1) % self.p
-        return np.where(sums == 0, -1, self._log[sums])
-
     # arithmetic on encoded values: each operand is an int or a numpy array, and arrays broadcast;
-    # zero is masked by multiplying with a 0/1 test, so int operands stay numpy scalars, not arrays
+    # mul and power mask zero by multiplying with a 0/1 test, so their int operands give numpy scalars
     def add(self, a, b):
-        """a + b: a * (1 + b/a), one Zech lookup, where neither is zero, and the other one where one is."""
-        la = self._log[a]
-        z = self.zech[(self._log[b] - la) % (self.size - 1)]
-        total = self._exp[(la + z) % (self.size - 1)] * (z >= 0)  # z = -1 where 1 + b/a = 0
-        return total * ((a != 0) & (b != 0)) + a * (b == 0) + b * (a == 0)
+        """a + b: the base-p digits are polynomial coordinates, so they add mod p; int operands give an int."""
+        return sum((a // w + b // w) % self.p * w for w in self._weights.tolist())
 
     def mul(self, a, b):
         """a * b: the sum of the logs, where neither is zero."""

@@ -32,8 +32,11 @@ syndrome N(hat a) * sum_t c_t N(u + t), u = hat b / hat a, as hat is
 GF(q)-linear and N multiplicative.  N(u + t) is monic of degree d-2 in
 t and the word kills t^j for j <= d-3, so that is N(hat a) * f with
 f = sum_t c_t t^(d-2), nonzero by Vandermonde, which _survey checks
-too.  Any other matrix or target, or a locator outside GF(q) (which
-occurs only outside the proven range), falls back to the generic engine
+too.  At d = 3 the file is [1; y], the base rows of d = 4, and _survey
+runs at d = 4 on it: its pivot check makes locators 1 and 0
+independent, and the affine maps carry that pair onto any other.  Any
+other matrix or target, or a locator outside GF(q) (which occurs only
+outside the proven range), falls back to the generic engine
 below, so its counterexamples are the only ones reported; a failed
 self-check raises RuntimeError in both commands.  A representative
 search over the memory cap is refused, not passed on: the engine's pass
@@ -247,20 +250,20 @@ def _orbit_certifies(matrix: ParityCheckMatrix, d: int) -> bool:
     and n = q^m: the blocks of augmented_blocks, compared before any
     build, and the rows of augmented_matrix, which _survey builds and
     checks.  Distance >= d holds when every representative has its
-    locators in GF(q) (module docstring).  False (any other matrix, no
-    field or basis pair within the budgets, or a locator outside GF(q))
-    leaves the verdict to the generic engine, as does d = 3, whose base
-    row gives locators 1 and 0 one column: no two pivots for _survey.
+    locators in GF(q) (module docstring).  At d = 3 the rows [1; y] are
+    the base rows of d = 4, surveyed as such.  False (any other matrix,
+    no field or basis pair within the budgets, or a locator outside
+    GF(q)) leaves the verdict to the generic engine.
     """
     q, n = matrix.q, matrix.n
     m = next((m for m in range(1, n.bit_length()) if q**m == n), 0)  # 0 when n is no power q^m, m >= 1
-    if d < 4 or not m or len(matrix.blocks) != d - 1:  # the count first: a huge d has a huge layout
+    if d < 3 or not m or len(matrix.blocks) != d - 1:  # the count first: a huge d has a huge layout
         return False
     params = validate_params(q, m, d)
     if matrix.blocks != augmented_blocks(params):
         return False
     try:
-        rebuilt, representatives, on = _survey(params, augmented_matrix)
+        rebuilt, representatives, on = _survey(validate_params(q, m, max(d, 4)), lambda _: augmented_matrix(params))
     except ValueError:  # no field or basis pair within the budgets
         return False
     return np.array_equal(rebuilt.rows, matrix.rows) and on == len(representatives)  # on < len: off GF(q)

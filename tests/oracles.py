@@ -3,12 +3,15 @@
 Everything here is deliberately written from scratch on plain Python
 lists (no shared code with the package internals beyond the public
 element API where field arithmetic itself is the fixture, not the thing
-under test).
+under test); the MacWilliams transform alone takes one numpy FFT.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
+
+import numpy as np
 
 
 # polynomial arithmetic over GF(p), coefficient lists low degree first
@@ -339,3 +342,39 @@ def closed_form_representatives(locators, d, v):
     elif v != 3 or d < 4:
         raise NotImplementedError(f"no closed form for weight {v} at d = {d}")
     return sorted(words)
+
+
+def macwilliams_weights(rows, q, w_max):
+    """[A_0, ..., A_w_max], the weight distribution of the kernel of rows over GF(q), q prime, by MacWilliams.
+
+    The dual code is the row space, the words uH for u in GF(q)^r.  With
+    h the histogram of the columns over GF(q)^r and F its FFT, the
+    columns orthogonal to u number (1/q) sum_t F(t u), t in GF(q), which
+    gives every weight of uH at once; each dual word has q^(r-k) such u,
+    the count of weight 0.  Then A_w = q^-k sum_j B_j K_w(j), with the
+    Krawtchouk polynomials K_w(j) = sum_i (-1)^i (q-1)^(w-i) C(j, i)
+    C(n-j, w-i), in exact integers.
+    """
+    rows = np.asarray(rows, dtype=np.int64) % q
+    r, n = rows.shape
+    hist = np.zeros((q,) * r)
+    np.add.at(hist, tuple(rows), 1)
+    spectrum = np.fft.fftn(hist)
+    total = sum(spectrum[np.ix_(*[t * np.arange(q) % q] * r)] for t in range(q)).real
+    rounded = np.rint(total)
+    assert np.abs(total - rounded).max() < 0.25, "FFT rounding residue"
+    orthogonal, rest = np.divmod(rounded.astype(np.int64), q)
+    assert not rest.any(), "orthogonal column counts not integral"
+    counts = np.bincount((n - orthogonal).ravel(), minlength=n + 1).tolist()
+    multiplicity = counts[0]
+    assert all(c % multiplicity == 0 for c in counts), "dual words not counted equally often"
+    dual = [c // multiplicity for c in counts]
+    size = sum(dual)  # q^k
+    weights = []
+    for w in range(w_max + 1):
+        krawtchouk = [sum((-1) ** i * (q - 1) ** (w - i) * math.comb(j, i) * math.comb(n - j, w - i)
+                          for i in range(w + 1)) for j in range(n + 1)]
+        count, rest = divmod(sum(b * k for b, k in zip(dual, krawtchouk)), size)
+        assert not rest, f"A_{w} not integral"
+        weights.append(count)
+    return weights

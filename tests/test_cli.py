@@ -17,8 +17,17 @@ import pytest
 from hypothesis import given, strategies as st
 
 import normbch
-from normbch import ParityCheckMatrix, augmented_matrix, bch_matrix, empirical_rho, validate_params, varshamov_upper
+from normbch import (
+    ParityCheckMatrix,
+    augmented_matrix,
+    bch_matrix,
+    empirical_rho,
+    read_matrix_file,
+    validate_params,
+    varshamov_upper,
+)
 from normbch.cli import main
+from normbch.verify import _colex_first_dependent, _orbit_certifies
 
 
 def must_not_build(*args, **kwargs):
@@ -110,6 +119,31 @@ class TestGencode:
         assert code == 0
         assert out.read_text() == "q=5 n=25 r=1 blocks=ones:1\n" + " ".join("1" * 25) + "\n"
 
+    def test_d3_573_certified_by_the_route(self, tmp_path, capsys, monkeypatch):
+        # n = 5^7: C(n, 2) is over the default budget, and the orbit route certifies without the engine
+        out = tmp_path / "h573.txt"
+        assert run(capsys, "gencode", "--q", "5", "--m", "7", "--d", "3", "--out", str(out))[0] == 0
+        monkeypatch.setattr("normbch.verify._colex_first_dependent", lambda *args: pytest.fail("engine ran"))
+        code, stdout, _ = run(capsys, "verify-distance", "--matrix", str(out), "--d", "3")
+        assert code == 0
+        assert "verdict=certified" in stdout and "subset_count=3051718750" in stdout
+
+    def test_d3_other_files_go_to_the_engine(self, tmp_path, capsys, monkeypatch):
+        # the route takes the construction's file alone: renamed blocks and the --bch-only row are the engine's
+        out, renamed, ones = tmp_path / "d3.txt", tmp_path / "renamed.txt", tmp_path / "ones.txt"
+        run(capsys, "gencode", "--q", "5", "--m", "2", "--d", "3", "--out", str(out))
+        run(capsys, "gencode", "--q", "5", "--m", "2", "--d", "3", "--bch-only", "--out", str(ones))
+        renamed.write_text(out.read_text().replace("norm:2", "x:2", 1))
+        calls = []
+        monkeypatch.setattr("normbch.verify._colex_first_dependent",
+                            lambda *args: calls.append(args) or _colex_first_dependent(*args))
+        code, stdout, _ = run(capsys, "verify-distance", "--matrix", str(renamed), "--d", "3")
+        assert (code, len(calls)) == (0, 1)
+        assert "verdict=certified" in stdout and "subset_count=300" in stdout
+        code, stdout, _ = run(capsys, "verify-distance", "--matrix", str(ones), "--d", "3")
+        assert (code, len(calls)) == (1, 2)
+        assert "counterexample_weight=2" in stdout
+
     def test_json_output(self, tmp_path, capsys):
         out = tmp_path / "m.txt"
         code, stdout, _ = run(
@@ -138,6 +172,7 @@ def test_every_accepted_member_builds_and_certifies(tmp_path, capsys, q, m, d, r
     assert run(capsys, *argv, *["--relaxed"] * relaxed)[0] == 0
     code, stdout, _ = run(capsys, "verify-distance", "--matrix", str(out), "--d", str(d))
     assert (code, stdout.splitlines()[0]) == (0, "verdict=certified")
+    assert _orbit_certifies(read_matrix_file(out), d)  # the orbit route's verdict, d = 3 included
 
 
 @pytest.fixture(scope="module")

@@ -212,7 +212,8 @@ class TestArithmetic:
 
 
 class TestAdditionReference:
-    """The Zech-table sum, difference and negation against digit-wise arithmetic mod p."""
+    """Field.add against the log-domain sum a * (1 + b/a), and the sum, difference and negation of
+    FieldElement against digit-wise arithmetic mod p."""
 
     @pytest.mark.parametrize("p,k", REFERENCE_FIELDS)
     def test_every_pair(self, p, k):
@@ -231,14 +232,43 @@ class TestAdditionReference:
         for _ in range(10_000):
             a, b = rng.randrange(field.size), rng.randrange(field.size)
             assert (field.elem(a) + field.elem(b)).val == a ^ b
-        # and every table entry: e^zech[k] = e^k XOR 1, where 1 + e^0 = 0 is marked -1
-        powers = field.power(field.e.val, np.arange(field.size - 1))
-        assert field.zech[0] == -1
-        assert (field.power(field.e.val, field.zech[1:]) == powers[1:] ^ 1).all()
 
-    def test_zech_table_built_once(self):
-        assert F125.zech is F125.zech
-        assert len(F125.zech) == 124
+    @pytest.mark.parametrize("p,k", REFERENCE_FIELDS)
+    def test_every_pair_is_the_log_domain_sum(self, p, k):
+        field = make_field(p, k)
+        a, b = every_pair(field)
+        assert (field.add(a, b) == log_domain_sum(field, a, b)).all()
+
+    @pytest.mark.parametrize("p,k", [(2, 20), (1021, 2)])
+    def test_random_pairs_are_the_log_domain_sum(self, p, k):
+        field = make_field(p, k)
+        a, b = np.random.default_rng(p).integers(field.size, size=(2, 10**5))
+        a[:100], b[50:150] = 0, 0  # a zero operand, and both zero at 50..99
+        b[150:250] = field.mul(a[150:250], p - 1)  # b = -a, where 1 + b/a = 0
+        assert (field.add(a, b) == log_domain_sum(field, a, b)).all()
+
+    def test_ints_scalars_and_arrays(self):
+        for a, b in [(3, 7), (0, 9), (9, 0), (0, 0), (7, int(F125.mul(7, 4))), (124, 124)]:
+            total = F125.add(a, b)
+            assert type(total) is int and total == log_domain_sum(F125, a, b)
+        x = np.arange(F125.size)
+        assert (F125.add(x, 1) == log_domain_sum(F125, x, 1)).all()
+        assert (F125.add(7, x) == log_domain_sum(F125, 7, x)).all()
+        assert (F125.add(x, x[::-1]) == log_domain_sum(F125, x, x[::-1])).all()
+
+
+def log_domain_sum(field, a, b):
+    """a + b as a * (1 + b/a), where both are nonzero, and the other operand where one is zero.
+
+    The Zech-logarithm formula: 1 + e^k is e^k with its constant digit
+    raised by one mod p, and the logs come from log_array.
+    """
+    a, b = np.broadcast_arrays(np.asarray(a), np.asarray(b))
+    nonzero = (a != 0) & (b != 0)
+    k = field.log_array(np.where(nonzero, b, 1)) - field.log_array(np.where(nonzero, a, 1))
+    ratio = field.power(field.e.val, k % (field.size - 1))
+    low = ratio % field.p
+    return np.where(nonzero, field.mul(a, ratio - low + (low + 1) % field.p), a + b)
 
 
 def every_pair(field):

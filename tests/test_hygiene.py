@@ -229,11 +229,11 @@ def test_no_dataclasses():
     assert dataclass_importers(sources(PACKAGE)) == []
 
 
-FIELD_TABLES = ("_exp", "_log", "zech")
+FIELD_TABLES = ("_exp", "_log")
 
 
 def table_reads(source: str) -> list[str]:
-    """'line N: name' for each attribute _exp, _log or zech the source reads outside the body of a
+    """'line N: name' for each attribute _exp or _log the source reads outside the body of a
     top-level class Field."""
     tree = ast.parse(source)
     inside = {id(node) for cls in tree.body if isinstance(cls, ast.ClassDef) and cls.name == "Field"
@@ -246,12 +246,12 @@ def table_reads(source: str) -> list[str]:
 def test_table_read_is_found():
     source = ("class Field:\n    def mul(self, a, b):\n        return self._exp[self._log[a] + self._log[b]]\n"
               "class LocatorTable:\n    def columns(self, vals):\n        return self.field._log[vals]\n"
-              "def add(field, a, b):\n    return field.zech[b - a]\n")
-    assert table_reads(source) == ["line 6: _log", "line 8: zech"]
+              "def mul(field, a, b):\n    return field._exp[a + b]\n")
+    assert table_reads(source) == ["line 6: _log", "line 8: _exp"]
 
 
 def test_field_tables_read_only_by_field():
-    # the log, antilog and Zech tables have one reader, Field's add, mul, power and maps
+    # the log and antilog tables have one reader, Field's mul, power and maps
     found = {path.name: table_reads(path.read_text()) for path in Path(normbch.__file__).parent.glob("*.py")}
     assert {name: where for name, where in found.items() if where} == {}
 

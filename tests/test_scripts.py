@@ -66,6 +66,7 @@ def test_certify_codes():
         "distance >= 4: certified over 2300 subsets",
         "distance >= 5: certified over 9691375 subsets",
         "distance >= 5: certified over 566685735 subsets",
+        "distance >= 3: certified over 3051718750 subsets",
         "distance >= 5: certified over 130179173740 subsets",
         "distance >= 5: certified over 3966018065625 subsets",
         "distance >= 5: certified over 968104633665 subsets",

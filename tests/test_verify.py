@@ -46,6 +46,7 @@ from oracles import (
     colex_first_dependent,
     dependency_word,
     find_line_bruteforce,
+    macwilliams_weights,
     min_distance_enumeration,
     syndrome_words,
     weight_words,
@@ -584,8 +585,9 @@ class TestRepresentatives:
             assert len(found[4]) == (params.n - 2) // 2
 
     def test_dependent_last_two_columns_raise(self):
-        # the d = 3 base is the ones row alone, so locators 1 and 0 have equal columns; both commands refuse
-        # d < 4 before the survey, so a d = 4 survey is given it as its build
+        # the d = 3 base is the ones row alone, so locators 1 and 0 have equal columns; neither command surveys
+        # it (the route surveys a d = 3 file's rows [1; y] at d = 4, check-lines refuses d < 4), so a d = 4
+        # survey is given it as its build
         matrix = bch_matrix(validate_params(5, 2, 3))
         assert matrix.rows.shape[0] == 1
         with pytest.raises(RuntimeError, match="the last two columns are dependent"):
@@ -1060,3 +1062,46 @@ class TestEngineAgainstOracles:
         assert err.value.needed == math.comb(125, 2) * 4 + math.comb(125, 2) * 16
         assert err.value.budget == 4_000_000 // 48
         assert max(widths) == 125 and widths.count(125) == 6  # two tables for each of weights 1..3
+
+
+def direct_weights(rows, q, w_max):
+    """[A_0, ..., A_w_max] as q^-r times the sum over every u in GF(q)^r of K_w(wt(uH)), with K_w(j) the
+    coefficient of z^w in (1 + (q-1)z)^(n-j) (1-z)^j, expanded one factor at a time."""
+    n = len(rows[0])
+    krawtchouk = []
+    for j in range(n + 1):
+        poly = [1] + [0] * w_max
+        for lead in [q - 1] * (n - j) + [-1] * j:
+            poly = [poly[0]] + [c + lead * below for c, below in zip(poly[1:], poly)]
+        krawtchouk.append(poly)
+    sums = [0] * (w_max + 1)
+    for u in itertools.product(range(q), repeat=len(rows)):
+        weight = sum(1 for column in zip(*rows) if sum(a * b for a, b in zip(u, column)) % q)
+        sums = [total + k for total, k in zip(sums, krawtchouk[weight])]
+    assert all(total % q ** len(rows) == 0 for total in sums)
+    return [total // q ** len(rows) for total in sums]
+
+
+class TestMacWilliams:
+    """The MacWilliams oracle: the weight distribution from the row space, with no search for words."""
+
+    @pytest.mark.parametrize("q,m,d", [(5, 2, 4), (3, 3, 4)])
+    def test_the_direct_sum(self, q, m, d):
+        rows = augmented_matrix(validate_params(q, m, d)).rows
+        assert macwilliams_weights(rows, q, d + 1) == direct_weights(rows.tolist(), q, d + 1)
+
+    @pytest.mark.parametrize("q,m,d,a_d", [(5, 2, 4, 6_600), (5, 3, 5, 635_500), (7, 2, 4, 135_240),
+                                           (3, 3, 4, 432), (3, 5, 4, 126_360)])
+    def test_no_word_below_d(self, q, m, d, a_d):
+        params = validate_params(q, m, d)
+        assert params.valid
+        assert macwilliams_weights(augmented_matrix(params).rows, q, d) == [1] + [0] * (d - 1) + [a_d]
+
+    def test_invalid_525_has_weight_4_words(self):
+        params = validate_params(5, 2, 5)
+        assert not params.valid
+        assert macwilliams_weights(augmented_matrix(params).rows, 5, 4) == [1, 0, 0, 0, 160]
+
+    def test_the_engine_counts_a_d_at_524(self):
+        aug = augmented_matrix(validate_params(5, 2, 4))
+        assert (5 - 1) * len(enumerate_weight_words(aug, 4)) == macwilliams_weights(aug.rows, 5, 4)[4] == 6_600
