@@ -39,6 +39,7 @@ _EXPORTS = {
         "AffineLine", "LinesReport", "construct_weight_word", "enumerate_weight_words", "on_affine_line",
         "vandermonde_check", "verify_lines_theorem",
     ),
+    "orbit": (),
     "reduce": ("ExplicitCode", "ReductionResult", "read_codeword_list", "reduce_alphabet"),
     "verify": ("DistanceCertificate", "min_distance_at_least"),
 }

@@ -242,7 +242,7 @@ class ParityCheckMatrix:
         return f"ParityCheckMatrix(q={self.q}, {self.row_count}x{self.n}, blocks={self.blocks})"
 
 
-def _require_buildable(params: CodeParams) -> None:
+def require_buildable(params: CodeParams) -> None:
     # Matrices can be built for experiments even when the distance
     # hypotheses fail, but the field itself must exist.
     from .field import check_field_size
@@ -269,7 +269,7 @@ def bch_matrix(params: CodeParams) -> ParityCheckMatrix:
     """
     from .field import make_field
 
-    _require_buildable(params)
+    require_buildable(params)
     loc = LocatorTable(make_field(params.q, params.m))
     m, field = params.m, loc.field
     ys = loc.encoded(np.arange(params.n))
@@ -293,7 +293,7 @@ def augmented_matrix(params: CodeParams) -> ParityCheckMatrix:
     """
     from .field import make_basis_pair, norm_exponent
 
-    _require_buildable(params)
+    require_buildable(params)
     bp = make_basis_pair(params.q, params.m, params.d)  # refuses GF(q^mu) beyond the budget before the base rows
     base = bch_matrix(params)
     q, s = params.q, params.s

@@ -264,9 +264,6 @@ class Field:
     def elements(self) -> Iterator[FieldElement]:
         return (FieldElement(self, v) for v in range(self.size))
 
-    def nonzero_elements(self) -> Iterator[FieldElement]:
-        return (FieldElement(self, v) for v in range(1, self.size))
-
     def __repr__(self):
         return f"Field(GF({self.p}^{self.degree}), modulus={list(self.modulus)})"
 

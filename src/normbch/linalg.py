@@ -4,12 +4,33 @@ All routines take matrices of plain integers and a prime modulus and
 reduce entries mod p themselves: rref, rank, kernel vector.  They serve
 matrix ranks, the basis pair's rref of [G | I] (independence and G^-1),
 the kernel vector of a dependent column slice and the one rref of the
-affine-orbit check; the word searches use no elimination.
+affine-orbit check.
+
+The word searches use no elimination.  The distance engine of verify.py,
+the orbit check of orbit.py and the word lists of lines.py run on
+kernel_words, an exhaustive form of Stern's syndrome-collision search:
+a weight-v kernel word z splits into x on its first ceil(v/2) positions
+and -y on the rest, with Hx = Hy.  Sorting the syndromes Hx of every x
+together with the Hy of every y and pairing equal ones with
+max supp(x) < min supp(y) yields each word exactly once; the first
+coefficient of x is fixed to 1, giving one word per scalar class.
+Passes over a fixed memory cap are refused up front by pass_slots.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
+
 import numpy as np
+
+from .errors import BudgetExceededError
+
+# Memory cap of one collision pass; above it the pass is refused with
+# BudgetExceededError before its tables are allocated.
+MEMORY_CAP_BYTES = 1 << 30
+_SLOT_BYTES = 40  # what a half-vector slot takes besides its syndrome entries
+_GATHER_ENTRIES = 1 << 22  # the most column entries a half table gathers at once
 
 
 def rref(mat, p: int):
@@ -73,3 +94,122 @@ def kernel_vector(mat, p: int) -> np.ndarray:
     vec[free[0]] = 1
     vec[pivots] = -a[:rank, free[0]] % p
     return vec
+
+
+def pass_slots(r: int, n: int, q: int, v: int, words: int = 0) -> tuple[int, int]:
+    """Slots of the x and y half tables of a weight-v pass on r rows and n columns, refused over the cap.
+
+    x holds ceil(v/2) positions, lead one, y the rest, and each of words output words takes
+    v + 1 more.  A slot is r syndrome entries plus _SLOT_BYTES (37 in all measured at r=8,
+    q=7).  x + y is one binomial by Pascal's rule, counted by subset_count (exact unless surely over).
+    """
+    per_slot = r * np.min_scalar_type(q - 1).itemsize + _SLOT_BYTES
+    cap = MEMORY_CAP_BYTES // per_slot
+    a, even = (v + 1) // 2, 1 - v % 2
+    slots = subset_count(n + 1 - even, a, cap, (q - 1, a - 1), (q, even))
+    if (needed := slots + (v + 1) * words) > cap:
+        raise BudgetExceededError(needed, cap, what="half-vectors")
+    n_x = math.comb(n, a) * (q - 1) ** (a - 1)
+    return n_x, slots - n_x
+
+
+def _supports(n: int, k: int) -> np.ndarray:
+    """Every k-subset of range(n), ascending in a row, rows in the order of itertools.combinations."""
+    subsets, low = np.empty((1, 0), dtype=np.min_scalar_type(n)), np.zeros(1, dtype=np.intp)
+    for _ in range(k):  # after each row, every larger value at or above its low
+        counts = n - low
+        last = np.arange(counts.sum()) + np.repeat(low - np.cumsum(counts) + counts, counts)
+        subsets, low = np.column_stack([np.repeat(subsets, counts, axis=0), last.astype(subsets.dtype)]), last + 1
+    return subsets
+
+
+def _half_table(rows: np.ndarray, q: int, k: int, lead_one: bool, out: np.ndarray):
+    """Supports and coefficients of every weight-k vector on the columns of rows.
+
+    Coefficients run over 1..q-1, the first fixed to 1 with lead_one.
+    Column s * len(coeffs) + i of out gets the syndrome of support s
+    with coefficient row i.  The columns of the supports are gathered
+    at most _GATHER_ENTRIES entries at a time, never rows[:, supports]
+    whole.
+    """
+    supports = _supports(rows.shape[1], k)
+    tails = list(itertools.product(range(1, q), repeat=k - lead_one))
+    coeffs = np.array([(1,) * lead_one + t for t in tails], dtype=np.intp).reshape(len(tails), k)
+    rows = rows.astype(np.min_scalar_type(q * q))  # holds acc + c * h for acc, c, h < q
+    step, width = max(1, _GATHER_ENTRIES // max(1, rows.shape[0] * k)), len(coeffs)
+    for lo in range(0, len(supports), step):
+        cols = rows[:, supports[lo : lo + step]]
+        for i, pattern in enumerate(coeffs.tolist()):
+            acc = 0
+            for j, c in enumerate(pattern):
+                acc = (acc + c * cols[:, :, j]) % q
+            out[:, lo * width + i : (lo + step) * width : width] = acc
+    return supports, coeffs
+
+
+def kernel_words(rows: np.ndarray, q: int, v: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every weight-v kernel word of rows over GF(q), one per scalar class: first coefficient 1.
+
+    Returns (supports, coeffs), two (N, v) arrays of ascending 0-based
+    column indices and their coefficients, in no particular order.
+    Raises BudgetExceededError, counting half-vectors, when the pass
+    would need more than MEMORY_CAP_BYTES; with v > n there is no such
+    word, and nothing is checked.  The half tables are charged before
+    they are allocated, but the v + 1 slots of each output word only
+    once the sort has counted the words: a pass admitted up front, and
+    so the build before it, can still be refused after the sort.
+    """
+    r, n = rows.shape
+    if v > n:
+        return np.empty((0, v), dtype=np.intp), np.empty((0, v), dtype=np.intp)
+    a = (v + 1) // 2
+    n_x, n_y = pass_slots(r, n, q, v)
+    keys = np.empty((r, n_x + n_y), dtype=np.min_scalar_type(q - 1))
+    xs, xc = _half_table(rows, q, a, True, keys[:, :n_x])
+    # Hx = Hy makes the word (x, -y)
+    ys, yc = _half_table(rows, q, v - a, False, keys[:, n_x:])
+
+    # Sort by syndrome, then by max supp(x) or min supp(y).  Within one
+    # syndrome the y rows then run in ascending min supp(y), and each x
+    # pairs with the tail of them whose min exceeds its max.
+    x_edge, y_edge = xs.max(axis=1), ys.min(axis=1, initial=n)  # an empty y has edge n
+    edge = np.concatenate([np.repeat(x_edge, len(xc)), np.repeat(y_edge, len(yc))])
+    edge = edge.astype(np.min_scalar_type(n))
+    order = np.lexsort([edge, *keys])
+    new_group = np.zeros(order.size, dtype=bool)
+    for row in keys:
+        row = row[order]
+        new_group[1:] |= row[1:] != row[:-1]
+    del keys
+    key = np.cumsum(new_group)  # (syndrome group, edge), ascending
+    key *= n + 1
+    key += edge[order]
+    x_at = np.flatnonzero(order < n_x)
+    y_at = np.flatnonzero(order >= n_x)
+    x_key, y_key = key[x_at], key[y_at]
+    del key
+    lo = np.searchsorted(y_key, x_key, side="right")
+    counts = np.searchsorted(y_key, (x_key // (n + 1) + 1) * (n + 1)) - lo
+    words = int(counts.sum())
+    pass_slots(r, n, q, v, words)  # and v + 1 slots per output word
+
+    x_sup, x_coef = np.divmod(order[np.repeat(x_at, counts)], len(xc))
+    y_pick = y_at[np.arange(words) + np.repeat(lo - np.cumsum(counts) + counts, counts)]
+    y_sup, y_coef = np.divmod(order[y_pick] - n_x, len(yc))
+    return np.hstack([xs[x_sup], ys[y_sup]]), np.hstack([xc[x_coef], q - yc[y_coef]])
+
+
+def subset_count(n: int, w: int, budget: int, *powers: tuple[int, int]) -> int:
+    """C(n, w) times the powers b^e, or its math.lgamma estimate where that is surely over both the budget and 10^19.
+
+    The exact value takes seconds at n ~ 10^6 and w ~ n/2.  The estimate's
+    log10 lies at least tol from the budget's and from an integer, so a
+    refusal prints the power of ten of the exact count.
+    """
+    bits = (math.lgamma(n + 1) - math.lgamma(w + 1) - math.lgamma(n - w + 1)) / math.log(2)
+    bits += sum(e * math.log2(b) for b, e in powers)
+    digits = bits * math.log10(2)
+    tol = 1e-6 + 1e-15 * bits  # lgamma's rounding grows like n log n
+    if digits < 19 or digits < math.log10(max(budget, 1)) + tol or abs(digits - round(digits)) < tol:
+        return math.prod([math.comb(n, w), *(b**e for b, e in powers)])
+    return int(2 ** (bits % 1 + 52)) << (int(bits) - 52)

@@ -2,8 +2,8 @@
 
 The distance gain of the construction rests on every minimum-weight word
 of the base code lying on an affine line.  verify_lines_theorem checks
-this on the representatives of verify's orbit argument alone: the words
-whose support holds locators 1 and 0, found by verify._survey, which
+this on the representatives of the orbit argument alone: the words
+whose support holds locators 1 and 0, found by orbit.survey, which
 also checks that the base code is invariant under the affine maps,
 that no word is lighter than d-1, the on-line count against its closed
 form and Vandermonde's nonzero sum on each on-line word.  An invariant
@@ -25,17 +25,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .construct import (
-    CodeParams,
-    Codeword,
-    ParityCheckMatrix,
-    _require_buildable,
-    augmented_matrix,
-    bch_matrix,
-    syndrome,
-)
+from . import linalg, orbit
+from .construct import (CodeParams, Codeword, ParityCheckMatrix, augmented_matrix, bch_matrix, require_buildable,
+                        syndrome)
 from .field import FieldElement, FieldMismatchError
-from .verify import _kernel_words, _survey
 
 
 class _AffineLineFields(NamedTuple):
@@ -77,7 +70,7 @@ def enumerate_weight_words(matrix: ParityCheckMatrix, w: int) -> list[Codeword]:
     """
     if w <= 0 or w > matrix.n:
         return []
-    supports, coeffs = _kernel_words(matrix.rows, matrix.q, w)
+    supports, coeffs = linalg.kernel_words(matrix.rows, matrix.q, w)
     order = np.lexsort(np.hstack([supports, coeffs]).T[::-1])
     return [
         Codeword(tuple(s), tuple(c))
@@ -120,7 +113,7 @@ def _orbit_size(reps: int, n: int, v: int) -> int:
 def verify_lines_theorem(params: CodeParams, experimental: bool = False) -> LinesReport:
     """Check that every minimum-weight word of the base code sits on a line.
 
-    Runs the distance route's orbit check, _survey, on bch_matrix and
+    Runs the distance route's orbit check, orbit.survey, on bch_matrix and
     derives words_found, on_line and the violation count from its
     weight-(d-1) representatives by orbit counting (module docstring).
     on_affine_line anchors a representative at 0 with direction 1, so it
@@ -136,9 +129,9 @@ def verify_lines_theorem(params: CodeParams, experimental: bool = False) -> Line
         raise ValueError("line validation needs d >= 4 (below that any support is collinear)")
     if not params.valid and not experimental:
         raise ValueError("parameters violate the hypotheses: " + "; ".join(params.violations))
-    _require_buildable(params)  # a parameter error outranks the memory refusal, which comes before the build
+    require_buildable(params)  # a parameter error outranks the memory refusal, which comes before the build
     n, v = params.n, params.d - 1
-    _, ys, on = _survey(params, bch_matrix) if v <= n else (None, (), 0)
+    _, ys, on = orbit.survey(params, bch_matrix) if v <= n else (None, (), 0)
     return LinesReport(
         params=params,
         weight=v,

@@ -45,10 +45,10 @@ def ha535(params535):
 
 @pytest.fixture
 def lighter_representative(monkeypatch):
-    """verify._representatives plus, at weight 3, one representative on locator e's column, off every line."""
-    from normbch import verify
+    """orbit._representatives plus, at weight 3, one representative on locator e's column, off every line."""
+    from normbch import orbit
 
-    found = verify._representatives
+    found = orbit._representatives
 
     def with_weight_3(reduced, rank, q, v):
         supports, coeffs = found(reduced, rank, q, v)
@@ -57,16 +57,16 @@ def lighter_representative(monkeypatch):
             supports, coeffs = np.vstack([supports, [[0, n - 2, n - 1]]]), np.vstack([coeffs, [[1, 1, 1]]])
         return supports, coeffs
 
-    monkeypatch.setattr(verify, "_representatives", with_weight_3)
+    monkeypatch.setattr(orbit, "_representatives", with_weight_3)
 
 
 @pytest.fixture
 def zero_f_representative(monkeypatch):
-    """verify._representatives with the (5,3,5) representative on locators 4, 2, 1, 0 given coefficients
+    """orbit._representatives with the (5,3,5) representative on locators 4, 2, 1, 0 given coefficients
     1, 1, 3, 1 for 3, 2, 4, 1: still on a line, but f = sum_t c_t t^3 = 75 = 0 mod 5."""
-    from normbch import verify
+    from normbch import orbit
 
-    found = verify._representatives
+    found = orbit._representatives
 
     def with_zero_f(reduced, rank, q, v):
         supports, coeffs = found(reduced, rank, q, v)
@@ -77,4 +77,4 @@ def zero_f_representative(monkeypatch):
             coeffs[at] = [1, 1, 3, 1]
         return supports, coeffs
 
-    monkeypatch.setattr(verify, "_representatives", with_zero_f)
+    monkeypatch.setattr(orbit, "_representatives", with_zero_f)

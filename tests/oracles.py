@@ -260,7 +260,7 @@ def find_line_bruteforce(locators):
     field = locators[0].field
     targets = {x.val for x in locators}
     scalars = [field.scalar(c) for c in range(field.p)]
-    for b in field.nonzero_elements():
+    for b in (field.elem(v) for v in range(1, field.size)):
         for a in field.elements():
             if targets <= {(a + t * b).val for t in scalars}:
                 return True

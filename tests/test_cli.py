@@ -27,7 +27,8 @@ from normbch import (
     varshamov_upper,
 )
 from normbch.cli import main
-from normbch.verify import _colex_first_dependent, _orbit_certifies
+from normbch.orbit import certifies
+from normbch.verify import _colex_first_dependent
 
 
 def must_not_build(*args, **kwargs):
@@ -172,7 +173,7 @@ def test_every_accepted_member_builds_and_certifies(tmp_path, capsys, q, m, d, r
     assert run(capsys, *argv, *["--relaxed"] * relaxed)[0] == 0
     code, stdout, _ = run(capsys, "verify-distance", "--matrix", str(out), "--d", str(d))
     assert (code, stdout.splitlines()[0]) == (0, "verdict=certified")
-    assert _orbit_certifies(read_matrix_file(out), d)  # the orbit route's verdict, d = 3 included
+    assert certifies(read_matrix_file(out), d)  # the orbit route's verdict, d = 3 included
 
 
 @pytest.fixture(scope="module")
@@ -270,7 +271,7 @@ class TestVerifyDistance:
     def test_memory_cap_exit_2(self, matrix_files, capsys, monkeypatch):
         # with no word below weight 5, the engine reaches the weight-4 pass over all 125 columns,
         # which 4 MB refuses
-        monkeypatch.setattr(normbch.verify, "MEMORY_CAP_BYTES", 4_000_000)
+        monkeypatch.setattr(normbch.linalg, "MEMORY_CAP_BYTES", 4_000_000)
         code, stdout, stderr = run(capsys, "verify-distance", "--matrix", str(matrix_files["renamed535"]), "--d", "5")
         assert code == 2
         assert stdout == ""
@@ -280,7 +281,7 @@ class TestVerifyDistance:
         # 1 MB is below the generic engine's weight-4 passes over the 64- and 125-column prefixes
         # of (5,3,5) (40,320 and 155,000 half-vectors, about 1.9 and 7.4 MB) and above the
         # representative search's
-        monkeypatch.setattr(normbch.verify, "MEMORY_CAP_BYTES", 1_000_000)
+        monkeypatch.setattr(normbch.linalg, "MEMORY_CAP_BYTES", 1_000_000)
         code, stdout, _ = run(capsys, "verify-distance", "--matrix", str(matrix_files["aug535"]), "--d", "5")
         assert code == 0
         assert "verdict=certified" in stdout
@@ -393,7 +394,7 @@ class TestCheckLines:
 
     def test_representative_search_within_memory_cap(self, capsys, monkeypatch):
         # the representative search of (5,2,5) fits in 20 kB, and the counts need nothing more
-        monkeypatch.setattr(normbch.verify, "MEMORY_CAP_BYTES", 20_000)
+        monkeypatch.setattr(normbch.linalg, "MEMORY_CAP_BYTES", 20_000)
         code, stdout, stderr = run(capsys, "check-lines", "--q", "5", "--m", "2", "--d", "5", "--experimental")
         assert code == 1
         assert "violations=200" in stdout
@@ -402,7 +403,7 @@ class TestCheckLines:
     def test_representative_search_refused_by_memory_cap(self, capsys, monkeypatch):
         # the one weight-2 pass over 23 columns takes 23 + 92 half-vectors; at 43 bytes a slot, 40 and the
         # syndrome entries of the 3 rows below the pivots, 4,000 bytes refuse it, before the build
-        monkeypatch.setattr(normbch.verify, "MEMORY_CAP_BYTES", 4_000)
+        monkeypatch.setattr(normbch.linalg, "MEMORY_CAP_BYTES", 4_000)
         monkeypatch.setattr("normbch.lines.bch_matrix", must_not_build)
         code, stdout, stderr = run(capsys, "check-lines", "--q", "5", "--m", "2", "--d", "5", "--experimental")
         assert code == 2
@@ -412,7 +413,7 @@ class TestCheckLines:
     def test_representative_search_refused_by_its_pass(self, capsys, monkeypatch):
         # the pre-build check is the pass's own: 4,800 bytes hold 115 slots of 40 bytes, but not of 43,
         # with the pass's 3 rref rows of syndrome, so nothing is built
-        monkeypatch.setattr(normbch.verify, "MEMORY_CAP_BYTES", 4_800)
+        monkeypatch.setattr(normbch.linalg, "MEMORY_CAP_BYTES", 4_800)
         monkeypatch.setattr("normbch.lines.bch_matrix", must_not_build)
         code, stdout, stderr = run(capsys, "check-lines", "--q", "5", "--m", "2", "--d", "5", "--experimental")
         assert code == 2
@@ -962,7 +963,7 @@ def test_internal_error_exits_70(capsys, monkeypatch, error):
     def survey(*args, **kwargs):
         raise error
 
-    monkeypatch.setattr("normbch.lines._survey", survey)
+    monkeypatch.setattr("normbch.orbit.survey", survey)
     code, stdout, stderr = run(capsys, "check-lines", "--q", "5", "--m", "2", "--d", "4")
     assert (code, stdout) == (70, "")
     assert stderr.startswith("Traceback (most recent call last):\n")
@@ -1012,10 +1013,10 @@ def test_route_builds_the_base_rows_once(matrix_files, tmp_path, capsys, monkeyp
 
 def test_check_lines_searches_every_lighter_weight(capsys, monkeypatch):
     # the orbit check of check-lines is the route's: weight 4 and then weight 3, by kernel passes of weight 2 and 1
-    from normbch import verify
+    from normbch import linalg
 
-    kernel_words, passes = verify._kernel_words, []
-    monkeypatch.setattr(verify, "_kernel_words", lambda *args: passes.append(args[2]) or kernel_words(*args))
+    kernel_words, passes = linalg.kernel_words, []
+    monkeypatch.setattr(linalg, "kernel_words", lambda *args: passes.append(args[2]) or kernel_words(*args))
     code, stdout, _ = run(capsys, "check-lines", "--q", "5", "--m", "3", "--d", "5")
     assert (code, passes) == (0, [2, 1])
     assert "words_found=3875" in stdout
@@ -1310,12 +1311,13 @@ FOOTPRINT_CASES = {
     "bounds": (["bounds", "--q", "7", "--d", "5"], {"normbch.bounds"}, {"numpy", "_hashlib", "json", "dataclasses"}),
     "gencode": (["gencode", "--q", "5", "--m", "2", "--d", "4", "--out", "{tmp}/g.txt"],
                 {"normbch.construct", "normbch.field", "numpy", "json"},
-                {"normbch.verify", "normbch.lines", "normbch.bounds", "normbch.reduce", "_hashlib", "dataclasses"}),
+                {"normbch.verify", "normbch.orbit", "normbch.lines", "normbch.bounds", "normbch.reduce", "_hashlib",
+                 "dataclasses"}),
     "verify-distance": (["verify-distance", "--matrix", "{aug524}", "--d", "4"],
-                        {"normbch.verify", "normbch.field"},
+                        {"normbch.verify", "normbch.orbit", "normbch.field"},
                         {"normbch.lines", "normbch.bounds", "normbch.reduce", "_hashlib", "json", "dataclasses"}),
     "verify-distance-bch-only": (["verify-distance", "--matrix", "{bch535}", "--d", "5"],
-                                 {"normbch.verify"},
+                                 {"normbch.verify", "normbch.orbit"},
                                  {"normbch.field", "normbch.lines", "normbch.bounds", "normbch.reduce", "_hashlib",
                                   "json", "dataclasses"}),
     "verify-distance-refused-header": (["verify-distance", "--matrix", "{header}/n-2^20+1", "--d", "3"],
@@ -1323,12 +1325,14 @@ FOOTPRINT_CASES = {
                                        {"normbch.field", "normbch.lines", "normbch.bounds", "normbch.reduce",
                                         "_hashlib", "json", "dataclasses"}),
     "verify-distance-out": (["verify-distance", "--matrix", "{aug524}", "--d", "4", "--out", "{tmp}/c.txt"],
-                            {"normbch.verify", "json"},
+                            {"normbch.verify", "normbch.orbit", "json"},
                             {"normbch.lines", "normbch.bounds", "normbch.reduce", "_hashlib", "dataclasses"}),
     "check-lines": (["check-lines", "--q", "5", "--m", "2", "--d", "4"],
-                    {"normbch.lines"}, {"normbch.bounds", "normbch.reduce", "_hashlib", "json", "dataclasses"}),
+                    {"normbch.lines", "normbch.orbit"},
+                    {"normbch.verify", "normbch.bounds", "normbch.reduce", "_hashlib", "json", "dataclasses"}),
     "check-lines-out": (["check-lines", "--q", "5", "--m", "2", "--d", "4", "--out", "{tmp}/l.txt"],
-                        {"normbch.lines", "json"}, {"normbch.bounds", "normbch.reduce", "_hashlib", "dataclasses"}),
+                        {"normbch.lines", "normbch.orbit", "json"},
+                        {"normbch.verify", "normbch.bounds", "normbch.reduce", "_hashlib", "dataclasses"}),
 }
 
 

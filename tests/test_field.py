@@ -190,11 +190,17 @@ class TestArithmetic:
         assert x**-1 == x.inverse()
 
     def test_pow_matches_repeated_multiplication(self):
-        for x in F125.nonzero_elements():
+        for x in (F125.elem(v) for v in range(1, F125.size)):
             up, down, inv = F125.one, F125.one, x.inverse()
             for k in range(131):
                 assert x**k == up and x ** (-k) == down
                 up, down = up * x, down * inv
+
+    def test_elem_range(self):
+        assert F125.elem(F125.size - 1).val == 124
+        for val in (-1, F125.size):
+            with pytest.raises(ValueError, match=rf"element value {val} out of range \[0, 125\)"):
+                F125.elem(val)
 
     def test_field_mismatch(self):
         with pytest.raises(FieldMismatchError):

@@ -335,3 +335,81 @@ def test_processes_end_through_exit_process():
     # the one exit that skips interpreter teardown, so that no second path to os._exit forgets
     # to flush stdout first or to report why it could not
     assert exit_breaches(sources(MODULES + [Path(normbch.__file__)]), sources(SCRIPTS)) == []
+
+
+def package_imports(modules: dict[str, str]) -> dict[str, list[tuple[str, str]]]:
+    """For each module, by stem, (source, name) of each name it imports from the package, at any depth:
+    `from .x import y` gives ("x", "y"), and `from . import y` gives (y, "") for a submodule y, else
+    ("__init__", y)."""
+    found = {}
+    for stem, source in modules.items():
+        found[stem] = []
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                found[stem] += [(node.module, alias.name) if node.module else
+                                (alias.name, "") if alias.name in modules else ("__init__", alias.name)
+                                for alias in node.names]
+    return found
+
+
+def import_cycle(modules: dict[str, str]) -> list[str]:
+    """A cycle of package imports, call-time and annotation-only ones included, as the stems along it with
+    the first repeated at the end, or [] when there is none."""
+    graph = {stem: sorted({source for source, _ in imports}) for stem, imports in package_imports(modules).items()}
+    path, done = [], set()
+
+    def visit(stem):
+        if stem in path:
+            return path[path.index(stem):] + [stem]
+        if stem in done:
+            return []
+        path.append(stem)
+        for source in graph[stem]:
+            if cycle := visit(source):
+                return cycle
+        done.add(path.pop())
+        return []
+
+    return next(filter(None, map(visit, sorted(graph))), [])
+
+
+def private_imports(modules: dict[str, str]) -> list[str]:
+    """'module: sibling._name' for each underscore name a module imports from a sibling module or reads off
+    one it imports; the names of the package's __init__ are the package's own."""
+    found = []
+    for stem, imports in package_imports(modules).items():
+        found += [f"{stem}: {source}.{name}" for source, name in imports
+                  if source != "__init__" and name.startswith("_")]
+        siblings = {source for source, name in imports if not name}
+        found += [f"{stem}: {node.value.id}.{node.attr}" for node in ast.walk(ast.parse(modules[stem]))
+                  if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                  and node.value.id in siblings and node.attr.startswith("_")]
+    return found
+
+
+def package_sources() -> dict[str, str]:
+    return {path.stem: path.read_text() for path in PACKAGE}
+
+
+def test_import_cycle_is_found():
+    modules = package_sources()
+    modules["orbit"] += "\n\ndef _engine(matrix, d):\n    from .verify import min_distance_at_least\n    return d\n"
+    assert import_cycle(modules) == ["orbit", "verify", "orbit"]
+
+
+def test_no_import_cycle():
+    # the orbit check reaches the collision engine in linalg, not in verify, which calls the route
+    assert import_cycle(package_sources()) == []
+
+
+def test_private_import_is_found():
+    modules = package_sources()
+    modules["lines"] = modules["lines"].replace("from . import linalg, orbit\n",
+                                                "from . import linalg, orbit\nfrom .orbit import _representatives\n")
+    modules["verify"] += "\n\ndef _cap():\n    return linalg._SLOT_BYTES\n"
+    assert sorted(private_imports(modules)) == ["lines: orbit._representatives", "verify: linalg._SLOT_BYTES"]
+
+
+def test_no_private_imports_between_modules():
+    # a module reads a sibling's public names only; the package's own __init__ helpers are shared
+    assert private_imports(package_sources()) == []

@@ -26,7 +26,7 @@ import normbch
 report = {
     "openblas": os.environ.get("OPENBLAS_NUM_THREADS"),
     "loaded": sorted(m for m in sys.modules if m == "numpy" or m.startswith("normbch.")),
-    "memory_cap": normbch.verify.MEMORY_CAP_BYTES,
+    "memory_cap": normbch.linalg.MEMORY_CAP_BYTES,
 }
 stems = sorted(p.stem for p in Path(normbch.__file__).parent.glob("*.py") if p.name != "__init__.py")
 report["submodules"] = {stem: getattr(normbch, stem).__name__ for stem in stems}

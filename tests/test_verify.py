@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 import time
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -29,18 +30,11 @@ from normbch import (
     vandermonde_check,
     verify_lines_theorem,
 )
-from normbch import linalg, verify
+from normbch import linalg, orbit, verify
+from normbch.linalg import _half_table, kernel_words, pass_slots, subset_count
 from normbch.lines import _orbit_size
-from normbch.verify import (
-    _colex_first_dependent,
-    _half_table,
-    _kernel_words,
-    _orbit_certifies,
-    _pass_slots,
-    _representatives,
-    _subset_count,
-    _survey,
-)
+from normbch.orbit import _representatives, certifies, survey
+from normbch.verify import _colex_first_dependent
 from oracles import (
     closed_form_representatives,
     colex_first_dependent,
@@ -106,7 +100,7 @@ def must_not_run(*args, **kwargs):
 
 
 def reduced_with_last_two_first(rows, q):
-    """The rref of rows with the last two columns moved first, as _survey takes it: (reduced, rank, pivots)."""
+    """The rref of rows with the last two columns moved first, as survey takes it: (reduced, rank, pivots)."""
     n = rows.shape[1]
     return linalg.rref(rows[:, [n - 2, n - 1, *range(n - 2)]], q)
 
@@ -128,7 +122,7 @@ def representatives_per_coefficient(rows, q, v):
     found = []
     for c in range(1, q):
         lifted = np.hstack([(rows[:, -1:].astype(np.int64) + c * rows[:, -2:-1]) % q, rows[:, :-2]])
-        supports, coeffs = _kernel_words(lifted, q, v - 1)
+        supports, coeffs = kernel_words(lifted, q, v - 1)
         hold = supports[:, 0] == 0
         tail = np.ones((int(hold.sum()), 1), dtype=np.intp)
         supports = np.hstack([supports[hold, 1:] - 1, (n - 2) * tail, (n - 1) * tail])
@@ -174,7 +168,7 @@ class TestMinDistance:
     def test_doubling_starts_at_twice_the_weight(self, h535, monkeypatch):
         # the 4-column prefix is the one 4-subset the rank shortcut has shown independent
         widths = []
-        monkeypatch.setattr(verify, "_kernel_words", lambda *args: widths.append(args[0].shape[1]) or _kernel_words(*args))
+        monkeypatch.setattr(linalg, "kernel_words", lambda *args: widths.append(args[0].shape[1]) or kernel_words(*args))
         cert = min_distance_at_least(h535, 5)
         assert widths == [8] * 4 + [16] * 4 + [32] * 4
         word = cert.counterexample
@@ -199,7 +193,7 @@ class TestMinDistance:
             return must_not_run() if k > 10**4 else comb(n, k)
 
         monkeypatch.setattr(math, "comb", counted)
-        count = _subset_count(n, w, budget)
+        count = subset_count(n, w, budget)
         if shown is None:
             assert (calls, count) == ([(n, w)], comb(n, w))
         else:
@@ -208,7 +202,7 @@ class TestMinDistance:
 
     def test_count_near_a_power_of_ten_is_exact(self):
         # C(1, 1) * 10^30: the estimate's log10 lies within tol of an integer, so the count is exact
-        count = _subset_count(1, 1, 1, (10, 30))
+        count = subset_count(1, 1, 1, (10, 30))
         assert (count, str(BudgetExceededError(count, 1))) == (10**30, "about 10^30 subsets needed, budget is 1")
 
     @pytest.mark.parametrize("q", [2, 3, 7, 101])
@@ -224,10 +218,10 @@ class TestMinDistance:
                 n_x = comb(n, a) * (q - 1) ** (a - 1)
                 slots = n_x + comb(n, v - a) * (q - 1) ** (v - a)
                 for cap in {10**18, 10**30, slots // 10, slots - 1, slots, slots + 1}:
-                    monkeypatch.setattr(verify, "MEMORY_CAP_BYTES", cap * per_slot)
+                    monkeypatch.setattr(linalg, "MEMORY_CAP_BYTES", cap * per_slot)
                     calls.clear()
                     try:
-                        assert (_pass_slots(3, n, q, v), slots <= cap) == ((n_x, slots - n_x), True)
+                        assert (pass_slots(3, n, q, v), slots <= cap) == ((n_x, slots - n_x), True)
                     except BudgetExceededError as err:
                         assert str(err) == str(BudgetExceededError(slots, cap, "half-vectors"))
                         estimated += not calls
@@ -262,7 +256,7 @@ class TestMinDistance:
 
     def test_negative_budget_rejected(self, ha524, monkeypatch):
         # before any work; a zero budget stays valid, as the route's certificate needs none
-        monkeypatch.setattr(verify, "_orbit_certifies", must_not_run)
+        monkeypatch.setattr(orbit, "certifies", must_not_run)
         with pytest.raises(ValueError, match="^the subset budget must be at least 0, got -1$"):
             min_distance_at_least(ha524, 4, budget=-1)
 
@@ -286,10 +280,10 @@ class TestOrbitRoute:
         w = min(params.d - 1, params.n)
         budget = math.comb(params.n, w)
         with monkeypatch.context() as patch:
-            patch.setattr(verify, "_orbit_certifies", lambda matrix, d: False)
+            patch.setattr(orbit, "certifies", lambda matrix, d: False)
             generic = min_distance_at_least(matrix, params.d, budget=budget)
         by_route = qmd not in DECLINED_INSTANCES and qmd not in OFF_LINE_CERTIFIED
-        assert _orbit_certifies(matrix, params.d) == by_route
+        assert certifies(matrix, params.d) == by_route
         with monkeypatch.context() as patch:
             if by_route:  # the route alone must certify
                 patch.setattr(verify, "_colex_first_dependent", must_not_run)
@@ -326,7 +320,7 @@ class TestOrbitRoute:
         # and the refusal comes before the engine's first pass
         matrix = augmented_matrix(validate_params(7, 4, 5))
         routed = []
-        monkeypatch.setattr(verify, "_orbit_certifies", lambda *args: routed.append(_orbit_certifies(*args)))
+        monkeypatch.setattr(orbit, "certifies", lambda *args: routed.append(certifies(*args)))
         monkeypatch.setattr(verify, "_colex_first_dependent", must_not_run)
         with pytest.raises(BudgetExceededError, match="^1381247760200 subsets needed, budget is 20000000$"):
             min_distance_at_least(matrix, 5)
@@ -369,8 +363,8 @@ class TestOrbitRoute:
         matrix, d, passes_header = self.fallback_cases()[case]
         budget = math.comb(matrix.n, d - 1)
         if not passes_header:  # the header alone turns these away
-            monkeypatch.setattr(verify, "augmented_matrix", must_not_run)
-        assert not _orbit_certifies(matrix, d)
+            monkeypatch.setattr(orbit, "augmented_matrix", must_not_run)
+        assert not certifies(matrix, d)
         cert = min_distance_at_least(matrix, d, budget=budget)
         certified = case in ("renamed-block", "reordered-blocks", "target-4", "norm-row-scaled", "column-dropped")
         assert cert.verdict == ("certified" if certified else "counterexample")
@@ -413,7 +407,7 @@ class TestOrbitRoute:
         w = d - 1
         budget = math.comb(n, w)
         routed = min_distance_at_least(mutant, d, budget=budget)
-        with mock.patch.object(verify, "_orbit_certifies", lambda matrix, d: False):
+        with mock.patch.object(orbit, "certifies", lambda matrix, d: False):
             generic = min_distance_at_least(mutant, d, budget=budget)
         assert certificate_fields(routed) == certificate_fields(generic)
         if kind in ("scale-norm", "add-base", "rename-block"):
@@ -435,19 +429,19 @@ class TestOrbitRoute:
         def build(rows):  # the base rows replaced, the locators kept
             return lambda params: ParityCheckMatrix(q, rows, [("rows", len(rows))], matrix.locators)
 
-        _survey(params, build(matrix.rows))
+        survey(params, build(matrix.rows))
         # x -> e*x keeps these rows, x -> x+1 does not; locator 0's column is zero, so the pivot check fails first
         with pytest.raises(RuntimeError, match="dependent"):
-            _survey(params, build(matrix.rows[1:]))
+            survey(params, build(matrix.rows[1:]))
         swapped = matrix.rows[:, [1, 0, *range(2, matrix.n)]]  # locators e and e^2 trade columns
         with pytest.raises(RuntimeError, match="affine invariance"):
-            _survey(params, build(swapped))
+            survey(params, build(swapped))
         # a unit row on locator e's column leaves locators 1 and 0 independent, and its images under
         # x -> e*x and x -> x+1 leave the span, so only the invariance test can catch it; it comes first,
-        # as _survey reads the first 1 + (d-3)m rows, so the last base row drops out of the survey
+        # as survey reads the first 1 + (d-3)m rows, so the last base row drops out of the survey
         unit = np.vstack([np.eye(1, matrix.n, dtype=matrix.rows.dtype), matrix.rows])
         with pytest.raises(RuntimeError, match="affine invariance"):
-            _survey(params, build(unit))
+            survey(params, build(unit))
 
     def test_lighter_representative_fails_the_self_check(self, ha535, lighter_representative, monkeypatch):
         # the BCH bound leaves no base word lighter than d-1, so a weight-3 representative at d = 5 is a bug,
@@ -458,7 +452,7 @@ class TestOrbitRoute:
 
     def test_huge_target_declines_before_the_layout(self, ha524, monkeypatch):
         # C(25, 25) = 1 passes the budget at any target; a layout of d-1 blocks would not fit in memory
-        monkeypatch.setattr(verify, "augmented_blocks", must_not_run)
+        monkeypatch.setattr(orbit, "augmented_blocks", must_not_run)
         cert = min_distance_at_least(ha524, 10**12)
         assert (cert.verdict, cert.subsets_examined) == ("counterexample", 1)
 
@@ -468,7 +462,7 @@ class TestOrbitRoute:
         monkeypatch.setattr(verify, "_colex_first_dependent", must_not_run)
         assert min_distance_at_least(ha535, 5, budget=1000).subsets_examined == 9691375
         routed = []
-        monkeypatch.setattr(verify, "_orbit_certifies", lambda *args: routed.append(_orbit_certifies(*args)))
+        monkeypatch.setattr(orbit, "certifies", lambda *args: routed.append(certifies(*args)))
         with pytest.raises(BudgetExceededError, match="^9691375 subsets needed, budget is 1000$"):
             min_distance_at_least(h535, 5, budget=1000)
         assert routed == [False]
@@ -478,19 +472,19 @@ class TestOrbitRoute:
         # 123 * 4 y halves; at 45 bytes a slot, 40 and the syndrome bytes of the 5 rows below the pivots,
         # one byte under 615 slots declines the build and refuses the run
         slots = 123 + 123 * 4
-        monkeypatch.setattr(verify, "augmented_matrix", must_not_run)
-        monkeypatch.setattr(verify, "MEMORY_CAP_BYTES", slots * 45 - 1)
+        monkeypatch.setattr(orbit, "augmented_matrix", must_not_run)
+        monkeypatch.setattr(linalg, "MEMORY_CAP_BYTES", slots * 45 - 1)
         with pytest.raises(BudgetExceededError, match="^615 half-vectors needed, budget is 614$"):
-            _orbit_certifies(ha535, 5)
-        monkeypatch.setattr(verify, "MEMORY_CAP_BYTES", slots * 45)  # within the cap: the route builds
+            certifies(ha535, 5)
+        monkeypatch.setattr(linalg, "MEMORY_CAP_BYTES", slots * 45)  # within the cap: the route builds
         with pytest.raises(AssertionError, match="must not run"):
-            _orbit_certifies(ha535, 5)
+            certifies(ha535, 5)
 
     def test_refusal_at_any_budget_before_the_build(self, ha535, monkeypatch):
         # the route's refusal is the run's: no subset budget hands the matrix to the engine
-        monkeypatch.setattr(verify, "augmented_matrix", must_not_run)
+        monkeypatch.setattr(orbit, "augmented_matrix", must_not_run)
         monkeypatch.setattr(verify, "_colex_first_dependent", must_not_run)
-        monkeypatch.setattr(verify, "MEMORY_CAP_BYTES", 615 * 45 - 1)
+        monkeypatch.setattr(linalg, "MEMORY_CAP_BYTES", 615 * 45 - 1)
         with pytest.raises(BudgetExceededError, match="^615 half-vectors needed, budget is 614$"):
             min_distance_at_least(ha535, 5, budget=10**30)
 
@@ -498,9 +492,9 @@ class TestOrbitRoute:
         # the pre-build check is the pass's own, 45 bytes a slot with the 5 syndrome bytes of the rows
         # below the pivots: 27,000 bytes refuse before the build, and the engine never runs
         built = []
-        monkeypatch.setattr(verify, "augmented_matrix", lambda params: built.append(params) or augmented_matrix(params))
+        monkeypatch.setattr(orbit, "augmented_matrix", lambda params: built.append(params) or augmented_matrix(params))
         monkeypatch.setattr(verify, "_colex_first_dependent", must_not_run)
-        monkeypatch.setattr(verify, "MEMORY_CAP_BYTES", 27_000)
+        monkeypatch.setattr(linalg, "MEMORY_CAP_BYTES", 27_000)
         with pytest.raises(BudgetExceededError, match="^615 half-vectors needed, budget is 600$"):
             min_distance_at_least(ha535, 5, budget=10**30)
         assert built == []
@@ -512,13 +506,13 @@ class TestOrbitRoute:
         matrix = augmented_matrix(validate_params(*qmd))
         refused = 0
         for cap in np.geomspace(100, 10**6, 20).astype(int).tolist():
-            monkeypatch.setattr(verify, "MEMORY_CAP_BYTES", cap)
+            monkeypatch.setattr(linalg, "MEMORY_CAP_BYTES", cap)
             try:
-                assert _orbit_certifies(matrix, qmd[2])
+                assert certifies(matrix, qmd[2])
             except BudgetExceededError:
                 refused += 1
                 with monkeypatch.context() as patch:
-                    patch.setattr(verify, "_orbit_certifies", lambda matrix, d: False)
+                    patch.setattr(orbit, "certifies", lambda matrix, d: False)
                     with pytest.raises(BudgetExceededError, match="half-vectors"):
                         min_distance_at_least(matrix, qmd[2], budget=10**40)
         assert 0 < refused < 20  # the grid spans the route's reach
@@ -591,15 +585,15 @@ class TestRepresentatives:
         matrix = bch_matrix(validate_params(5, 2, 3))
         assert matrix.rows.shape[0] == 1
         with pytest.raises(RuntimeError, match="the last two columns are dependent"):
-            _survey(validate_params(5, 2, 4), lambda params: matrix)
+            survey(validate_params(5, 2, 4), lambda params: matrix)
 
     @pytest.mark.parametrize("v", [2, 3, 4])
     def test_one_kernel_pass_per_weight(self, v, monkeypatch):
         # at d = v + 2, weights d-1 down to 3, largest first: (5,2,4), (5,3,5) and the relaxed (7,2,6)
         (q, m), d = {2: (5, 2), 3: (5, 3), 4: (7, 2)}[v], v + 2
         passes = []
-        monkeypatch.setattr(verify, "_kernel_words", lambda *args: passes.append(args) or _kernel_words(*args))
-        matrix, ys, on = _survey(validate_params(q, m, d, relaxed=True), bch_matrix)
+        monkeypatch.setattr(linalg, "kernel_words", lambda *args: passes.append(args) or kernel_words(*args))
+        matrix, ys, on = survey(validate_params(q, m, d, relaxed=True), bch_matrix)
         assert [args[2] for args in passes] == [w - 2 for w in range(d - 1, 2, -1)]
         # weight d-1 holds the representatives, 35 of them off every line at (7,2,6); the lighter weights hold none
         assert (len(ys), on) == {2: (3, 3), 3: (3, 3), 4: (45, 10)}[v]
@@ -610,9 +604,9 @@ class TestRepresentatives:
     def test_refusal_precedes_the_invariance_test(self, params535, h535, monkeypatch):
         # the weight-4 pass of (5,3,5) needs 123 + 123 * 4 half-vectors, refused before the build, let alone
         # before any locator is read
-        monkeypatch.setattr(verify, "MEMORY_CAP_BYTES", 1000)
+        monkeypatch.setattr(linalg, "MEMORY_CAP_BYTES", 1000)
         with pytest.raises(BudgetExceededError, match="615 half-vectors needed"):
-            _survey(params535, lambda params: ParityCheckMatrix(5, h535.rows, h535.blocks))
+            survey(params535, lambda params: ParityCheckMatrix(5, h535.rows, h535.blocks))
 
     def test_one_rref_of_the_base_rows(self, ha535, monkeypatch):
         base = ha535.rows[:-1]
@@ -625,7 +619,7 @@ class TestRepresentatives:
             return rref(mat, p)
 
         monkeypatch.setattr(linalg, "rref", spy)
-        assert _orbit_certifies(ha535, 5)
+        assert certifies(ha535, 5)
         assert len(on_base) == 1
         assert np.array_equal(on_base[0], base[:, [123, 124, *range(123)]])
         on_base.clear()
@@ -682,7 +676,7 @@ class TestEnumerate:
 
     def test_budget(self, h535, monkeypatch):
         # the one budget of the single pass is the memory cap
-        monkeypatch.setattr(verify, "MEMORY_CAP_BYTES", 1000)
+        monkeypatch.setattr(linalg, "MEMORY_CAP_BYTES", 1000)
         with pytest.raises(BudgetExceededError) as err:
             enumerate_weight_words(h535, 4)
         assert err.value.what == "half-vectors"
@@ -804,7 +798,7 @@ def mutate_on_line_representatives(monkeypatch, loc, mutation):
             return np.delete(supports, on, axis=0), np.delete(coeffs, on, axis=0)
         return np.vstack([supports, supports[on]]), np.vstack([coeffs, coeffs[on]])
 
-    monkeypatch.setattr(verify, "_representatives", mutated)
+    monkeypatch.setattr(orbit, "_representatives", mutated)
 
 
 def with_on_line_words(instances):
@@ -1023,12 +1017,12 @@ class TestEngineAgainstOracles:
         # index arithmetic in place of itertools.combinations: the same rows in the same order, narrow entries
         for n, k in [(n, k) for n in range(9) for k in range(n + 1)] + [(300, 1), (300, 2), (40, 5)]:
             want = np.array(list(itertools.combinations(range(n), k)), dtype=np.intp).reshape(math.comb(n, k), k)
-            got = verify._supports(n, k)
+            got = linalg._supports(n, k)
             assert (got.dtype, got.tolist()) == (np.min_scalar_type(n), want.tolist()), (n, k)
 
     def test_weight_beyond_length_is_empty_before_the_memory_cap(self, monkeypatch):
-        monkeypatch.setattr(verify, "MEMORY_CAP_BYTES", 0)
-        supports, coeffs = _kernel_words(np.ones((2, 5), dtype=np.int16), 5, 6)
+        monkeypatch.setattr(linalg, "MEMORY_CAP_BYTES", 0)
+        supports, coeffs = kernel_words(np.ones((2, 5), dtype=np.int16), 5, 6)
         assert supports.shape == coeffs.shape == (0, 6)
 
     def test_memory_cap_refuses_up_front(self, monkeypatch):
@@ -1048,20 +1042,42 @@ class TestEngineAgainstOracles:
         # weight-4 pass over all 125 columns; 4 MB refuses that pass before its tables exist
         aug = augmented_matrix(validate_params(5, 3, 5))
         renamed = ParityCheckMatrix(5, aug.rows, [*aug.blocks[:-1], ("norms", 1)])
-        monkeypatch.setattr(verify, "MEMORY_CAP_BYTES", 4_000_000)
+        monkeypatch.setattr(linalg, "MEMORY_CAP_BYTES", 4_000_000)
         widths = []
 
         def half_table(rows, *args):
             widths.append(rows.shape[1])
             return _half_table(rows, *args)
 
-        monkeypatch.setattr(verify, "_half_table", half_table)
+        monkeypatch.setattr(linalg, "_half_table", half_table)
         with pytest.raises(BudgetExceededError) as err:
             min_distance_at_least(renamed, 5)
         assert err.value.what == "half-vectors"
         assert err.value.needed == math.comb(125, 2) * 4 + math.comb(125, 2) * 16
         assert err.value.budget == 4_000_000 // 48
         assert max(widths) == 125 and widths.count(125) == 6  # two tables for each of weights 1..3
+
+    def test_peak_within_the_charge(self):
+        # the half tables gather their columns in chunks, never rows[:, supports] whole, so the pass peaks
+        # within what pass_slots charges it: 651,000 slots of 27 + 40 bytes (41.6 MiB) at weight 6 on 27 x 126
+        rows = np.random.default_rng(7).integers(0, 2, (27, 126))
+        charge = sum(pass_slots(27, 126, 2, 6)) * (27 + linalg._SLOT_BYTES)
+        assert charge == 651_000 * 67
+        tracemalloc.start()
+        try:
+            kernel_words(rows, 2, 6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= charge
+
+    def test_chunked_gather_finds_the_same_words(self, monkeypatch):
+        # 35 entries: x supports 2 at a time (4495 of them, the last chunk short), y supports 4 at a time (465)
+        rows = np.random.default_rng(3).integers(0, 5, (4, 31))
+        want = sorted_words(*kernel_words(rows, 5, 5))
+        monkeypatch.setattr(linalg, "_GATHER_ENTRIES", 35)
+        assert sorted_words(*kernel_words(rows, 5, 5)) == want
+        assert len(want) > 10_000
 
 
 def direct_weights(rows, q, w_max):
@@ -1101,6 +1117,13 @@ class TestMacWilliams:
         params = validate_params(5, 2, 5)
         assert not params.valid
         assert macwilliams_weights(augmented_matrix(params).rows, 5, 4) == [1, 0, 0, 0, 160]
+
+    @pytest.mark.parametrize("q,m,d", [(5, 2, 4), (3, 3, 4), (5, 2, 5)])
+    def test_the_weights_sum_to_the_code_size(self, q, m, d):
+        # A_0 + ... + A_n counts every kernel word once: q^(n - rank), the invalid (5,2,5) included
+        rows = augmented_matrix(validate_params(q, m, d)).rows
+        n = rows.shape[1]
+        assert sum(macwilliams_weights(rows, q, n)) == q ** (n - linalg.rank(rows, q))
 
     def test_the_engine_counts_a_d_at_524(self):
         aug = augmented_matrix(validate_params(5, 2, 4))
