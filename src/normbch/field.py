@@ -44,7 +44,6 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
-from typing import Iterator
 
 import numpy as np
 
@@ -260,9 +259,6 @@ class Field:
     def scalar(self, c: int) -> FieldElement:
         """The prime-subfield element with constant coordinate c."""
         return FieldElement(self, c % self.p)
-
-    def elements(self) -> Iterator[FieldElement]:
-        return (FieldElement(self, v) for v in range(self.size))
 
     def __repr__(self):
         return f"Field(GF({self.p}^{self.degree}), modulus={list(self.modulus)})"

@@ -11,10 +11,10 @@ the orbit check of orbit.py and the word lists of lines.py run on
 kernel_words, an exhaustive form of Stern's syndrome-collision search:
 a weight-v kernel word z splits into x on its first ceil(v/2) positions
 and -y on the rest, with Hx = Hy.  Sorting the syndromes Hx of every x
-together with the Hy of every y and pairing equal ones with
-max supp(x) < min supp(y) yields each word exactly once; the first
-coefficient of x is fixed to 1, giving one word per scalar class.
-Passes over a fixed memory cap are refused up front by pass_slots.
+together with the Hy of every y, each x pairs with the y slots after it
+in its syndrome group, those with max supp(x) < min supp(y): each word
+once, the first coefficient of x fixed to 1, one word per scalar class.
+A pass peaks within its pass_slots charge, refused up front over a cap.
 """
 
 from __future__ import annotations
@@ -100,8 +100,9 @@ def pass_slots(r: int, n: int, q: int, v: int, words: int = 0) -> tuple[int, int
     """Slots of the x and y half tables of a weight-v pass on r rows and n columns, refused over the cap.
 
     x holds ceil(v/2) positions, lead one, y the rest, and each of words output words takes
-    v + 1 more.  A slot is r syndrome entries plus _SLOT_BYTES (37 in all measured at r=8,
-    q=7).  x + y is one binomial by Pascal's rule, counted by subset_count (exact unless surely over).
+    v + 1 more.  A slot is r syndrome entries plus _SLOT_BYTES (the memory gates' passes peak
+    at 0.84 of that at most, in a fresh process's RSS).  x + y is one binomial by Pascal's
+    rule, counted by subset_count (exact unless surely over).
     """
     per_slot = r * np.min_scalar_type(q - 1).itemsize + _SLOT_BYTES
     cap = MEMORY_CAP_BYTES // per_slot
@@ -151,7 +152,10 @@ def kernel_words(rows: np.ndarray, q: int, v: int) -> tuple[np.ndarray, np.ndarr
     """Every weight-v kernel word of rows over GF(q), one per scalar class: first coefficient 1.
 
     Returns (supports, coeffs), two (N, v) arrays of ascending 0-based
-    column indices and their coefficients, in no particular order.
+    column indices and their coefficients, in no particular order.  The
+    y half table comes first, so the stable sort by syndrome, then by
+    min supp(y) or max supp(x), puts each x just before the y slots it
+    pairs with: the rest of its syndrome group.
     Raises BudgetExceededError, counting half-vectors, when the pass
     would need more than MEMORY_CAP_BYTES; with v > n there is no such
     word, and nothing is checked.  The half tables are charged before
@@ -164,38 +168,32 @@ def kernel_words(rows: np.ndarray, q: int, v: int) -> tuple[np.ndarray, np.ndarr
         return np.empty((0, v), dtype=np.intp), np.empty((0, v), dtype=np.intp)
     a = (v + 1) // 2
     n_x, n_y = pass_slots(r, n, q, v)
-    keys = np.empty((r, n_x + n_y), dtype=np.min_scalar_type(q - 1))
-    xs, xc = _half_table(rows, q, a, True, keys[:, :n_x])
-    # Hx = Hy makes the word (x, -y)
-    ys, yc = _half_table(rows, q, v - a, False, keys[:, n_x:])
+    keys = np.empty((r, n_y + n_x), dtype=np.min_scalar_type(q - 1))
+    ys, yc = _half_table(rows, q, v - a, False, keys[:, :n_y])
+    xs, xc = _half_table(rows, q, a, True, keys[:, n_y:])  # Hx = Hy makes the word (x, -y)
 
-    # Sort by syndrome, then by max supp(x) or min supp(y).  Within one
-    # syndrome the y rows then run in ascending min supp(y), and each x
-    # pairs with the tail of them whose min exceeds its max.
-    x_edge, y_edge = xs.max(axis=1), ys.min(axis=1, initial=n)  # an empty y has edge n
-    edge = np.concatenate([np.repeat(x_edge, len(xc)), np.repeat(y_edge, len(yc))])
-    edge = edge.astype(np.min_scalar_type(n))
-    order = np.lexsort([edge, *keys])
+    edge = np.concatenate([np.repeat(ys.min(axis=1, initial=n), len(yc)), np.repeat(xs.max(axis=1), len(xc))])
+    order = np.lexsort([edge, *keys])  # stable
+    del edge
     new_group = np.zeros(order.size, dtype=bool)
     for row in keys:
         row = row[order]
         new_group[1:] |= row[1:] != row[:-1]
     del keys
-    key = np.cumsum(new_group)  # (syndrome group, edge), ascending
-    key *= n + 1
-    key += edge[order]
-    x_at = np.flatnonzero(order < n_x)
-    y_at = np.flatnonzero(order >= n_x)
-    x_key, y_key = key[x_at], key[y_at]
-    del key
-    lo = np.searchsorted(y_key, x_key, side="right")
-    counts = np.searchsorted(y_key, (x_key // (n + 1) + 1) * (n + 1)) - lo
+    group = np.cumsum(new_group, dtype=np.min_scalar_type(order.size))
+    del new_group
+    y_at, x_at = np.flatnonzero(order < n_y), np.flatnonzero(order >= n_y)
+    lo = np.searchsorted(y_at, x_at)
+    counts = np.searchsorted(group[y_at], group[x_at], side="right") - lo
+    del group
     words = int(counts.sum())
     pass_slots(r, n, q, v, words)  # and v + 1 slots per output word
 
-    x_sup, x_coef = np.divmod(order[np.repeat(x_at, counts)], len(xc))
+    pairing = np.flatnonzero(counts)
+    x_at, lo, counts = x_at[pairing], lo[pairing], counts[pairing]
+    x_sup, x_coef = np.divmod(order[np.repeat(x_at, counts)] - n_y, len(xc))
     y_pick = y_at[np.arange(words) + np.repeat(lo - np.cumsum(counts) + counts, counts)]
-    y_sup, y_coef = np.divmod(order[y_pick] - n_x, len(yc))
+    y_sup, y_coef = np.divmod(order[y_pick], len(yc))
     return np.hstack([xs[x_sup], ys[y_sup]]), np.hstack([xc[x_coef], q - yc[y_coef]])
 
 

@@ -261,7 +261,7 @@ def find_line_bruteforce(locators):
     targets = {x.val for x in locators}
     scalars = [field.scalar(c) for c in range(field.p)]
     for b in (field.elem(v) for v in range(1, field.size)):
-        for a in field.elements():
+        for a in (field.elem(v) for v in range(field.size)):
             if targets <= {(a + t * b).val for t in scalars}:
                 return True
     return False
@@ -334,7 +334,7 @@ def closed_form_representatives(locators, d, v):
             elif b:
                 roots = [-z / b]
             else:
-                roots = [] if z else list(field.elements())
+                roots = [] if z else [field.elem(v) for v in range(field.size)]
             for xa in roots:
                 xb = -(k(c) + k(ca) * xa) / k(cb)
                 if {xa.val, xb.val}.isdisjoint((0, 1)) and column(xa) < column(xb):
@@ -353,10 +353,13 @@ def macwilliams_weights(rows, q, w_max):
     gives every weight of uH at once; each dual word has q^(r-k) such u,
     the count of weight 0.  Then A_w = q^-k sum_j B_j K_w(j), with the
     Krawtchouk polynomials K_w(j) = sum_i (-1)^i (q-1)^(w-i) C(j, i)
-    C(n-j, w-i), in exact integers.
+    C(n-j, w-i), in exact integers.  ValueError when q^r exceeds 2^22,
+    before the histogram is allocated.
     """
     rows = np.asarray(rows, dtype=np.int64) % q
     r, n = rows.shape
+    if q**r > 1 << 22:
+        raise ValueError(f"a histogram of {q**r} entries over GF({q})^{r}, more than 2^22")
     hist = np.zeros((q,) * r)
     np.add.at(hist, tuple(rows), 1)
     spectrum = np.fft.fftn(hist)

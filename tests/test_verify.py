@@ -1,8 +1,12 @@
 import itertools
 import math
+import os
 import random
+import subprocess
+import sys
 import time
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -1057,19 +1061,43 @@ class TestEngineAgainstOracles:
         assert err.value.budget == 4_000_000 // 48
         assert max(widths) == 125 and widths.count(125) == 6  # two tables for each of weights 1..3
 
-    def test_peak_within_the_charge(self):
-        # the half tables gather their columns in chunks, never rows[:, supports] whole, so the pass peaks
-        # within what pass_slots charges it: 651,000 slots of 27 + 40 bytes (41.6 MiB) at weight 6 on 27 x 126
-        rows = np.random.default_rng(7).integers(0, 2, (27, 126))
-        charge = sum(pass_slots(27, 126, 2, 6)) * (27 + linalg._SLOT_BYTES)
-        assert charge == 651_000 * 67
+    @pytest.mark.parametrize("q,r,n,v,seed,slots", [(2, 27, 126, 6, 7, 651_000), (5, 14, 600, 3, 1, 721_200),
+                                                    (101, 3, 3000, 2, 4, 303_000)])
+    def test_peak_within_the_charge(self, q, r, n, v, seed, slots):
+        # the half tables gather their columns in chunks, never rows[:, supports] whole, and the pairing
+        # frees each array at its last use, so the pass peaks within what pass_slots charges it: slots of
+        # r + 40 bytes, 41.6 MiB at weight 6 on 27 x 126 over GF(2)
+        rows = np.random.default_rng(seed).integers(0, q, (r, n))
+        charge = sum(pass_slots(r, n, q, v)) * (r + linalg._SLOT_BYTES)
+        assert charge == slots * (r + 40)
         tracemalloc.start()
         try:
-            kernel_words(rows, 2, 6)
+            kernel_words(rows, q, v)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak <= charge
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="reads VmHWM in /proc/self/status")
+    def test_child_rss_growth_within_the_charge(self):
+        # what tracemalloc does not see: the growth of a fresh process's peak RSS over the weight-3 pass on
+        # 14 x 600 rows over GF(5), charged 721,200 slots of 54 bytes (37.1 MiB).  VmHWM, not ru_maxrss:
+        # a child's ru_maxrss starts at the peak of the process that spawned it, here the test runner's
+        probe = (
+            "import re, numpy as np; from normbch.linalg import kernel_words\n"
+            "hwm = lambda: re.search(r'VmHWM:\\s*(\\d+) kB', open('/proc/self/status').read())[1]\n"
+            "rows = np.random.default_rng(1).integers(0, 5, (14, 600))\n"
+            "before = hwm()\n"
+            "kernel_words(rows, 5, 3)\n"
+            "print(before, hwm())"
+        )
+        env = dict(os.environ)
+        src = str(Path(linalg.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        before, after = map(int, proc.stdout.split())
+        assert (after - before) * 1024 <= sum(pass_slots(14, 600, 5, 3)) * (14 + linalg._SLOT_BYTES)
 
     def test_chunked_gather_finds_the_same_words(self, monkeypatch):
         # 35 entries: x supports 2 at a time (4495 of them, the last chunk short), y supports 4 at a time (465)
@@ -1125,6 +1153,14 @@ class TestMacWilliams:
         n = rows.shape[1]
         assert sum(macwilliams_weights(rows, q, n)) == q ** (n - linalg.rank(rows, q))
 
-    def test_the_engine_counts_a_d_at_524(self):
-        aug = augmented_matrix(validate_params(5, 2, 4))
-        assert (5 - 1) * len(enumerate_weight_words(aug, 4)) == macwilliams_weights(aug.rows, 5, 4)[4] == 6_600
+    @pytest.mark.parametrize("q,m,d,a_d", [(5, 2, 4, 6_600), (7, 2, 4, 135_240), (3, 3, 4, 432), (3, 5, 4, 126_360)])
+    def test_the_engine_counts_a_d(self, q, m, d, a_d):
+        aug = augmented_matrix(validate_params(q, m, d))
+        assert (q - 1) * len(enumerate_weight_words(aug, d)) == macwilliams_weights(aug.rows, q, d)[d] == a_d
+
+    def test_histogram_over_2_22_entries_refused(self):
+        # (7,3,5) has 8 augmented rows: a 7^8-entry histogram, whose FFT takes about 1.3 GB
+        rows = augmented_matrix(validate_params(7, 3, 5)).rows
+        assert rows.shape[0] == 8
+        with pytest.raises(ValueError, match="5764801 entries"):
+            macwilliams_weights(rows, 7, 5)
