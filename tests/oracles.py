@@ -381,3 +381,10 @@ def macwilliams_weights(rows, q, w_max):
         assert not rest, f"A_{w} not integral"
         weights.append(count)
     return weights
+
+
+def shift_counts_bruteforce(words, q, n, subset):
+    """For every shift s of Z_q^n in lexicographic order, the words v with every (v_i + s_i) % q in subset."""
+    inside = set(subset)
+    return [sum(all((v + s) % q in inside for v, s in zip(word, shift)) for word in words)
+            for shift in itertools.product(range(q), repeat=n)]

@@ -13,6 +13,7 @@ from normbch import (
 )
 from normbch import reduce as reduce_module
 from normbch.reduce import DEFAULT_SHIFT_BUDGET, all_shift_counts
+from oracles import shift_counts_bruteforce
 
 TOY = ExplicitCode(q=4, n=4, words=((0, 0, 0, 0), (1, 1, 1, 1), (2, 2, 2, 2), (3, 3, 3, 3)))
 
@@ -83,6 +84,34 @@ class TestReduceExhaustive:
     def test_no_words_gives_zero_counts(self):
         code = ExplicitCode(q=3, n=2, words=())
         assert all_shift_counts(code, [0, 1]).tolist() == [0] * 9
+
+    def test_counts_match_the_bruteforce_oracle(self):
+        rng = random.Random(43)
+        for q, n in [(2, 1), (2, 12), (3, 3), (3, 7), (4, 2), (4, 6), (5, 5), (7, 1), (7, 4)]:
+            code = _random_code(rng, q, n, min(q**n, rng.randrange(1, 25)))
+            for subset in ([0], sorted(rng.sample(range(q), rng.randrange(1, q + 1))), list(range(q))):
+                want = shift_counts_bruteforce(code.words, q, n, subset)
+                assert all_shift_counts(code, subset).tolist() == want, (code, subset)
+
+    @pytest.mark.parametrize("subset", [[4], [5], [-1]])
+    def test_counts_reject_symbols_outside_the_alphabet(self, subset):
+        with pytest.raises(ValueError, match=r"sub-alphabet symbols must lie in \[0, 4\)"):
+            all_shift_counts(TOY, subset)
+
+    def test_empty_subset_counts_nothing(self):
+        assert all_shift_counts(TOY, []).tolist() == [0] * 256
+
+    def test_counts_take_twelve_bytes_a_shift(self):
+        # three int32 arrays of q2^n counts, the histogram, a roll and their sum, besides the words array
+        code = _random_code(random.Random(12), 3, 12, 729)
+        words_bytes = 8 * len(code.words) * code.n
+        tracemalloc.start()
+        try:
+            all_shift_counts(code, [0, 1])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 12 * 3**12 + words_bytes + (1 << 16)
 
     def test_memory_bounded_on_a_large_code(self):
         # 2,120 words of length 6 over Z_4: one batch of all 4096 shifts as

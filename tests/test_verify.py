@@ -1078,6 +1078,25 @@ class TestEngineAgainstOracles:
             tracemalloc.stop()
         assert peak <= charge
 
+    def test_widest_prefix_pass_within_its_charge(self):
+        # a whole engine run, which the parametrization above cannot take: the (5,3,5) augmented matrix with
+        # its norm row doubled passes the route's header, is turned away at its row comparison, and is
+        # certified by the prefix hunt, whose widest pass is weight 4 on all 125 columns
+        aug = augmented_matrix(validate_params(5, 3, 5))
+        rows = aug.rows.copy()
+        rows[-1] = 2 * rows[-1] % 5
+        matrix, (r, n) = ParityCheckMatrix(5, rows, aug.blocks), rows.shape
+        assert not certifies(matrix, 5)
+        charge = sum(pass_slots(r, n, 5, 4)) * (r + linalg._SLOT_BYTES)
+        tracemalloc.start()
+        try:
+            cert = min_distance_at_least(matrix, 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (cert.verdict, cert.subsets_examined) == ("certified", 9_691_375)
+        assert peak <= charge
+
     @pytest.mark.skipif(sys.platform != "linux", reason="reads VmHWM in /proc/self/status")
     def test_child_rss_growth_within_the_charge(self):
         # what tracemalloc does not see: the growth of a fresh process's peak RSS over the weight-3 pass on
