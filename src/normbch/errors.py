@@ -10,6 +10,11 @@ DEFAULT_SUBSET_BUDGET = 20_000_000
 DEFAULT_MAX_FIELD_SIZE = 1 << 20
 
 
+def within_field_budget(p: int, degree: int) -> bool:
+    """Whether p^degree is at most DEFAULT_MAX_FIELD_SIZE, computed only for a degree 2^degree <= it admits."""
+    return degree < DEFAULT_MAX_FIELD_SIZE.bit_length() and p**degree <= DEFAULT_MAX_FIELD_SIZE
+
+
 def _count(value: int) -> str:
     # Exact below 10^18; a larger count prints as a power of ten, so one
     # with thousands of digits never meets Python's int-to-str limit.

@@ -48,7 +48,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import _prime_factors, is_prime, linalg
-from .errors import DEFAULT_MAX_FIELD_SIZE
+from .errors import DEFAULT_MAX_FIELD_SIZE, within_field_budget
 
 
 class FieldMismatchError(ValueError):
@@ -277,8 +277,8 @@ def make_field(p: int, total_degree: int) -> Field:
 
 
 def check_field_size(p: int, total_degree: int) -> None:
-    """Refuse p^total_degree above DEFAULT_MAX_FIELD_SIZE, computed only for a degree 2^degree <= it admits."""
-    if total_degree >= DEFAULT_MAX_FIELD_SIZE.bit_length() or p**total_degree > DEFAULT_MAX_FIELD_SIZE:
+    """Refuse p^total_degree above DEFAULT_MAX_FIELD_SIZE."""
+    if not within_field_budget(p, total_degree):
         raise ValueError(f"field size {p}^{total_degree} exceeds the budget {DEFAULT_MAX_FIELD_SIZE}")
 
 
@@ -300,7 +300,7 @@ class BasisPair:
     construction: g is linearly independent over GF(q), at least as long
     as h, and its first s members lie in (hence span) the subfield
     GF(q^s) of GF(q^mu); the two fields share their characteristic.
-    One rref of [G | I] decides independence (its pivots) and gives G^-1.
+    The row operations of G's rref decide independence (its rank) and are G^-1.
     """
 
     def __init__(self, field_m: Field, field_mu: Field, s: int, g):
@@ -315,8 +315,8 @@ class BasisPair:
         if not 1 <= s <= len(g) or field_mu.degree % s != 0:
             raise ValueError(f"subfield prefix length s={s} incompatible with degree {field_mu.degree}")
         g_mat = field_mu.coords_array(g)
-        reduced, _, pivots = linalg.rref(np.hstack([g_mat, np.eye(len(g), dtype=np.int64)]), p)
-        if pivots != list(range(len(g))):
+        self._g_inv, rank, _ = linalg.row_operations(g_mat, p)
+        if rank < len(g):
             raise ValueError("g is not linearly independent over the prime field")
         outside = np.flatnonzero(field_mu.power(g[:s], p**s) != g[:s])  # GF(p^s) holds the roots of y^(p^s) = y
         if len(outside):
@@ -327,7 +327,6 @@ class BasisPair:
         self.field_mu = field_mu
         # h-coordinates are polynomial coordinates, so embed_hat is G's first m columns
         self._embed = g_mat[:, : field_m.degree]
-        self._g_inv = reduced[:, len(g):]
 
     def embed_array(self, vals) -> np.ndarray:
         """embed_hat on an array of encoded GF(q^m) values."""

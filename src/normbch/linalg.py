@@ -1,10 +1,10 @@
 """Dense linear algebra over prime fields GF(p) on numpy integer matrices.
 
 All routines take matrices of plain integers and a prime modulus and
-reduce entries mod p themselves: rref, rank, kernel vector.  They serve
-matrix ranks, the basis pair's rref of [G | I] (independence and G^-1),
-the kernel vector of a dependent column slice and the one rref of the
-affine-orbit check.
+reduce entries mod p themselves.  One elimination, row_operations,
+gives the row operations t of a rref: rank is their pivot count, rref
+the product t @ mat, kernel_vector reads the rref of a dependent column
+slice, and the basis pair's G^-1 is the t of G.
 
 The word searches use no elimination.  The distance engine of verify.py,
 the orbit check of orbit.py and the word lists of lines.py run on
@@ -31,53 +31,49 @@ from .errors import BudgetExceededError
 MEMORY_CAP_BYTES = 1 << 30
 _SLOT_BYTES = 40  # what a half-vector slot takes besides its syndrome entries
 _GATHER_ENTRIES = 1 << 22  # the most column entries a half table gathers at once
+_PRODUCT_ENTRIES = 1 << 18  # rref's product takes this many entries at a time, to peak at its output plus one chunk
+
+
+def row_operations(mat, p: int) -> tuple[np.ndarray, int, list[int]]:
+    """The row operations of mat's rref over GF(p): (t, rank, pivot_columns), the rref being t @ mat % p.
+
+    Gauss-Jordan on [prefix | I], t what I becomes.  The column prefix starts at 4x the row count and
+    doubles until it has full row rank or is the whole matrix, so it holds every pivot, and a wide
+    matrix of full row rank, as the construction's are, needs no row operation beyond it.
+    """
+    mat = np.asarray(mat)
+    n_rows, n_cols = mat.shape
+    width = 4 * n_rows
+    while True:
+        width = min(width, n_cols)
+        a = np.hstack([mat[:, :width] % p, np.eye(n_rows, dtype=np.int64)])
+        pivots: list[int] = []
+        for c in range(width):
+            if (r := len(pivots)) == n_rows:
+                break
+            if (nz := np.flatnonzero(a[r:, c])).size:
+                a[[r, r + nz[0]]] = a[[r + nz[0], r]]
+                a[r] = a[r] * pow(int(a[r, c]), -1, p) % p
+                a = (a - np.outer(a[:, c] * (np.arange(n_rows) != r), a[r])) % p
+                pivots.append(c)
+        if len(pivots) == n_rows or width == n_cols:
+            return a[:, width:], len(pivots), pivots
+        width *= 2
 
 
 def rref(mat, p: int):
-    """Reduced row echelon form over GF(p).
-
-    Returns (rref_matrix, rank, pivot_columns).  The input is copied,
-    never mutated.
-    """
-    a = np.array(mat, dtype=np.int64) % p
-    n_rows, n_cols = a.shape
-    pivots: list[int] = []
-    r = 0
-    for c in range(n_cols):
-        if r == n_rows:
-            break
-        nz = np.nonzero(a[r:, c])[0]
-        if nz.size == 0:
-            continue
-        k = r + int(nz[0])
-        if k != r:
-            a[[r, k]] = a[[k, r]]
-        a[r] = (a[r] * pow(int(a[r, c]), -1, p)) % p
-        others = np.nonzero(a[:, c])[0]
-        others = others[others != r]
-        if others.size:
-            a[others] = (a[others] - np.outer(a[others, c], a[r])) % p
-        pivots.append(c)
-        r += 1
-    return a, r, pivots
+    """Reduced row echelon form over GF(p), (rref_matrix, rank, pivot_columns): the int64 t @ mat of row_operations."""
+    mat = np.asarray(mat)
+    t, rank, pivots = row_operations(mat, p)
+    out, step = np.empty(mat.shape, dtype=np.int64), max(1, _PRODUCT_ENTRIES // max(1, len(mat)))
+    for lo in range(0, mat.shape[1], step):
+        out[:, lo : lo + step] = t @ (mat[:, lo : lo + step] % p) % p
+    return out, rank, pivots
 
 
 def rank(mat, p: int) -> int:
-    """Rank over GF(p).
-
-    Reduces a column prefix that starts at 4x the row count and doubles
-    until it has full row rank or is the whole matrix.  A wide matrix of
-    full row rank, as the construction's matrices are, is done after a few
-    prefix columns instead of row operations across all of them.
-    """
-    a = np.asarray(mat)
-    n_rows, n_cols = a.shape
-    width = 4 * n_rows
-    while True:
-        r = rref(a[:, :width], p)[1]
-        if r == n_rows or width >= n_cols:
-            return r
-        width *= 2
+    """Rank over GF(p): the pivot count of row_operations."""
+    return row_operations(mat, p)[1]
 
 
 def kernel_vector(mat, p: int) -> np.ndarray:

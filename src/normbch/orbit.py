@@ -42,31 +42,30 @@ import numpy as np
 
 from . import linalg
 from .construct import CodeParams, ParityCheckMatrix, augmented_blocks, augmented_matrix, validate_params
+from .errors import within_field_budget
 
 
 def certifies(matrix: ParityCheckMatrix, d: int) -> bool:
     """Whether the affine-orbit route proves distance >= d for matrix.
 
     The route takes only the augmented matrix of (q, m, d) with this d
-    and n = q^m: the blocks of augmented_blocks, compared before any
-    build, and the rows of augmented_matrix, which survey builds and
-    checks.  Distance >= d holds when every representative has its
-    locators in GF(q) (module docstring).  At d = 3 the rows [1; y] are
-    the base rows of d = 4, surveyed as such.  False (any other matrix,
-    no field or basis pair within the budgets, or a locator outside
-    GF(q)) leaves the verdict to the generic engine.
+    and n = q^m: the blocks of augmented_blocks and a GF(q^mu) within
+    the field budget, checked before any build, and the rows of
+    augmented_matrix, which survey builds and checks.  Distance >= d
+    holds when every representative has its locators in GF(q) (module
+    docstring).  At d = 3 the rows [1; y] are the base rows of d = 4,
+    surveyed as such.  False (any other matrix, a GF(q^mu) beyond the
+    budget, or a locator outside GF(q)) leaves the verdict to the
+    generic engine; an error inside the survey propagates.
     """
     q, n = matrix.q, matrix.n
     m = next((m for m in range(1, n.bit_length()) if q**m == n), 0)  # 0 when n is no power q^m, m >= 1
     if d < 3 or not m or len(matrix.blocks) != d - 1:  # the count first: a huge d has a huge layout
         return False
     params = validate_params(q, m, d)
-    if matrix.blocks != augmented_blocks(params):
+    if matrix.blocks != augmented_blocks(params) or not within_field_budget(q, params.mu):
         return False
-    try:
-        rebuilt, representatives, on = survey(validate_params(q, m, max(d, 4)), lambda _: augmented_matrix(params))
-    except ValueError:  # no field or basis pair within the budgets
-        return False
+    rebuilt, representatives, on = survey(validate_params(q, m, max(d, 4)), lambda _: augmented_matrix(params))
     return np.array_equal(rebuilt.rows, matrix.rows) and on == len(representatives)  # on < len: off GF(q)
 
 

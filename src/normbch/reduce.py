@@ -12,9 +12,10 @@ addition.  Ties between shifts go to the lexicographically smallest.
 all_shift_counts, the exhaustive mode, applies C[s, x] = [x + s in S]
 along each axis of the words' q2^n histogram (Yates, 1937) in three
 int32 arrays: 12 bytes a shift, ~115 MiB at DEFAULT_SHIFT_BUDGET, which
-q2^n must not exceed.  The sampled mode scans at most that many trials
-in batches of at most _BATCH_BYTES, symbols in the smallest dtype that
-holds a symbol plus a shift, 2(q2 - 1), and looked up in a table of
+q2^n must not exceed, and its n |S| rolls of q2^n steps must not exceed
+_ROLL_STEP_BUDGET.  The sampled mode scans at most DEFAULT_SHIFT_BUDGET
+trials in batches of at most _BATCH_BYTES, symbols in the smallest dtype
+that holds a symbol plus a shift, 2(q2 - 1), and looked up in a table of
 2*q2 entries without reducing mod q2.  The budgets are checked first.
 """
 
@@ -30,6 +31,8 @@ from . import _is_digit_below
 from .errors import BudgetExceededError
 
 DEFAULT_SHIFT_BUDGET = 10_000_000
+# The most roll steps, n |S| q2^n, of an exhaustive count: 10^9 take about 2 s on 10^7 shifts.
+_ROLL_STEP_BUDGET = 10**9
 # A batch takes at most 16 bytes per shift-row entry (int64 digits) and per
 # (shift, codeword) pair (a symbol sum, its lookup and the running mask).
 _BATCH_BYTES = 1 << 22
@@ -122,6 +125,8 @@ def all_shift_counts(code: ExplicitCode, subset) -> np.ndarray:
     subset = _sub_alphabet(code, subset)
     if q**n > DEFAULT_SHIFT_BUDGET:
         raise BudgetExceededError(q**n, DEFAULT_SHIFT_BUDGET, what="shifts")
+    if (steps := n * len(subset) * q**n) > _ROLL_STEP_BUDGET:
+        raise BudgetExceededError(steps, _ROLL_STEP_BUDGET, what="roll steps")
     counts = np.zeros((q,) * n, dtype=np.int32)  # at most |V| <= q2^n, exact
     # a word v sits at -v, so rolling axis i by t moves it to t - v_i, the shift sending v_i to t
     counts[tuple((-np.array(code.words, dtype=np.int64).reshape(-1, n) % q).T)] = 1  # the words are distinct

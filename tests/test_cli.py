@@ -867,6 +867,9 @@ EXIT_2_CASES = {
     "reduce-q2-beyond-budget-sampled": (
         ["reduce", "--input", "{toy}", "--q2", "1000000000000", "--subset", "0,1,2", "--trials", "1"],
         "budget exceeded:"),
+    "reduce-roll-steps-beyond-budget": (  # 50^4 shifts fit the shift budget, their 4 * 50 rolls do not
+        ["reduce", "--input", "{toy}", "--q2", "50", "--subset", ",".join(map(str, range(50)))],
+        "budget exceeded: 1250000000 roll steps needed, budget is 1000000000; pass --trials to sample instead"),
     "reduce-trials-beyond-budget": (
         ["reduce", "--input", "{toy}", "--q2", "4", "--subset", "0,1,2", "--trials", "10000001"],
         "budget exceeded:"),

@@ -13,6 +13,7 @@ from normbch import (
     Codeword,
     Field,
     FieldElement,
+    FieldMismatchError,
     LocatorTable,
     ParityCheckMatrix,
     apply_affine_permutation,
@@ -287,6 +288,11 @@ class TestAffinePermutation:
         with pytest.raises(ValueError, match=re.escape("column 25 out of range [0, 25)")):
             apply_affine_permutation(Codeword((1, 26), (1, 1)), loc.field.zero, loc.field.one, loc)
 
+    def test_map_over_another_field_rejected(self, h524):
+        other = make_field(5, 3)
+        with pytest.raises(FieldMismatchError, match="^affine map over a different field$"):
+            apply_affine_permutation(Codeword((1,), (1,)), other.zero, other.one, h524.locators)
+
     def test_is_position_bijection(self, h524):
         loc = h524.locators
         f = loc.field
@@ -425,9 +431,11 @@ class TestFiles:
          ("q=5 n=3 r=2 blocks=ones:3,pow1:-1\n1 1 1\n0 1 2\n", ":1: block pow1:-1 has a negative row count"),
          ("q=5 n=3 r=2 blocks=ones:1,pow1:2\n1 1 1\n0 1 2\n", ":1: block row counts do not sum to r=2"),
          ("q=5 n=3 r=1 blocks=a\x01:1\n1 1 1\n",
-          ":1: block name 'a\\x01' is not printable text without spaces, ',' or ':'")],
+          ":1: block name 'a\\x01' is not printable text without spaces, ',' or ':'"),
+         ("q=5 n=3 r=1 blocks=x:1 extra=1\n1 1 1\n",
+          ":1: header 'q=5 n=3 r=1 blocks=x:1 extra=1' is not q=<prime> n=<n> r=<r> blocks=<name:count,...>")],
         ids=["plus-sign", "minus-zero", "beyond-int64", "blank-line", "arabic-indic-digit", "latin-letter",
-             "zero-length", "negative-block", "block-sum", "unprintable-name"],
+             "zero-length", "negative-block", "block-sum", "unprintable-name", "unknown-key"],
     )
     def test_matrix_file_refusals_name_the_line(self, tmp_path, text, message):
         path = tmp_path / "m.txt"

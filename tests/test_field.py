@@ -206,6 +206,10 @@ class TestArithmetic:
         with pytest.raises(FieldMismatchError):
             F125.one + F25.one
 
+    def test_non_element_rejected(self):
+        with pytest.raises(TypeError, match="^expected a FieldElement, got int$"):
+            F125.one * 3
+
     @given(st.integers(0, 24), st.integers(0, 24))
     def test_sub_is_add_neg(self, a, b):
         x, y = F25.elem(a), F25.elem(b)
@@ -377,7 +381,7 @@ class TestBasisPair:
         assert bp.g.tolist() == [(b**i * f.e**j).val for j in range(d - 2) for i in range(bp.s)]
 
     def test_g_coords_of_g_is_the_identity(self):
-        # G^-1 is the right half of the elimination that also tests g's independence
+        # G^-1 is the row operations of the elimination that also tests g's independence
         for qmd in AUGMENTED_INSTANCES:
             bp = make_basis_pair(*qmd)
             assert (bp.g_coords(bp.g) == np.eye(len(bp.g), dtype=np.int64)).all(), qmd
@@ -415,6 +419,16 @@ class TestBasisPair:
         monkeypatch.setattr(field_module, "make_field", build)  # a cache hit cannot hide a build
         with pytest.raises(ValueError, match=r"^field size 7\^8 exceeds the budget 1048576$"):
             make_basis_pair(7, 7, 6)
+
+    def test_prefix_length_must_divide_the_degree(self):
+        bp = make_basis_pair(5, 3, 4)  # GF(5^4): s = 3 does not divide 4
+        with pytest.raises(ValueError, match="^subfield prefix length s=3 incompatible with degree 4$"):
+            BasisPair(bp.field_m, bp.field_mu, 3, bp.g)
+
+    @pytest.mark.parametrize("m, d, message", [(3, 2, "d must be at least 3"), (0, 4, "m must be positive")])
+    def test_parameters_refused(self, m, d, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            make_basis_pair(5, m, d)
 
     def test_g_outside_the_field_rejected(self):
         bp = make_basis_pair(5, 3, 5)
@@ -490,4 +504,8 @@ class TestNorm:
     def test_degree_mismatch_rejected(self):
         with pytest.raises(ValueError):
             norm(F125.one, 4)  # degree 3 is not a multiple of d-2 = 2
+
+    def test_distance_below_3_rejected(self):
+        with pytest.raises(ValueError, match="^d must be at least 3$"):
+            norm(F125.one, 2)
 

@@ -413,3 +413,35 @@ def test_private_import_is_found():
 def test_no_private_imports_between_modules():
     # a module reads a sibling's public names only; the package's own __init__ helpers are shared
     assert private_imports(package_sources()) == []
+
+
+def try_sites(modules: dict[str, str]) -> set[str]:
+    """'file:function' for each top-level function of the sources, by file name, that holds a try
+    statement, and 'file:<module>' for one outside any function."""
+    found = set()
+    for name, source in modules.items():
+        tree = ast.parse(source)
+        owner = {id(node): func.name for func in tree.body if isinstance(func, ast.FunctionDef)
+                 for node in ast.walk(func)}
+        found |= {f"{name}:{owner.get(id(node), '<module>')}" for node in ast.walk(tree)
+                  if type(node).__name__ in ("Try", "TryStar")}
+    return found
+
+
+def test_try_site_is_found():
+    # a copy of the package's sources: a decline that catches a ValueError, a module-level import fallback
+    modules = sources(PACKAGE)
+    modules["orbit.py"] += "\n\ndef _decline(matrix, d):\n    try:\n        return certifies(matrix, d)\n" \
+                           "    except ValueError:\n        return False\n"
+    modules["lines.py"] += "\ntry:\n    import fast\nexcept ImportError:\n    fast = None\n"
+    found = {site for site in try_sites(modules) if not site.startswith("cli.py:")}
+    assert found == {"__init__.py:_sha256_hex", "construct.py:read_matrix_file", "orbit.py:_decline",
+                     "lines.py:<module>"}
+
+
+def test_only_the_cli_the_digest_and_the_reader_catch():
+    # cli.py maps exceptions to exit codes, _sha256_hex falls back to another hash module and
+    # read_matrix_file names a bad file's line; every other module catches nothing, so a failed
+    # self-check or a bug always surfaces as an exception
+    found = {site for site in try_sites(sources(PACKAGE)) if not site.startswith("cli.py:")}
+    assert found == {"__init__.py:_sha256_hex", "construct.py:read_matrix_file"}

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import random
+import time
 import tracemalloc
 
 import pytest
@@ -132,6 +133,37 @@ class TestReduceExhaustive:
         big = ExplicitCode(q=4, n=13, words=((0,) * 13,))
         with pytest.raises(BudgetExceededError):
             reduce_alphabet(big, [0, 1])
+
+    @pytest.mark.parametrize("q2", [10**6, 10**7])
+    def test_roll_steps_over_the_cap_allocate_nothing(self, q2):
+        # 2,000 symbols at n = 1 take 2,000 q2 roll steps, over the cap, refused before the 4 q2-byte histogram
+        code = ExplicitCode(q=q2, n=1, words=((0,), (1,), (2,)))
+        subset = list(range(0, 4000, 2))
+        start = time.perf_counter()
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetExceededError, match=f"^{2000 * q2} roll steps needed, budget is 1000000000$"):
+                reduce_alphabet(code, subset)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert time.perf_counter() - start < 0.1
+        assert peak < q2
+
+    def test_roll_steps_are_n_symbols_shifts(self, monkeypatch):
+        # 3 axes, 2 symbols and 4^3 shifts: 384 steps, admitted at a cap of 384 and refused at 383; a
+        # repeated symbol counts once
+        code = _random_code(random.Random(13), 4, 3, 10)
+        monkeypatch.setattr(reduce_module, "_ROLL_STEP_BUDGET", 384)
+        assert all_shift_counts(code, [1, 0, 1]).tolist() == shift_counts_bruteforce(code.words, 4, 3, [0, 1])
+        monkeypatch.setattr(reduce_module, "_ROLL_STEP_BUDGET", 383)
+        with pytest.raises(BudgetExceededError, match="^384 roll steps needed, budget is 383$"):
+            all_shift_counts(code, [0, 1])
+
+    def test_the_largest_shift_count_is_admitted(self):
+        # q2^n at the shift budget with every symbol: 7 * 10 * 10^7 roll steps, under the cap
+        counts = all_shift_counts(ExplicitCode(q=10, n=7, words=((3,) * 7,)), range(10))
+        assert (counts.size, int(counts.min()), int(counts.max())) == (DEFAULT_SHIFT_BUDGET, 1, 1)
 
     def test_empty_result_is_valid(self):
         code = ExplicitCode(q=3, n=1, words=((0,), (1,), (2,)))

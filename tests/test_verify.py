@@ -16,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 from normbch import (
     BudgetExceededError,
     Codeword,
+    FieldMismatchError,
     LocatorTable,
     ParityCheckMatrix,
     augmented_matrix,
@@ -35,6 +36,7 @@ from normbch import (
     verify_lines_theorem,
 )
 from normbch import linalg, orbit, verify
+from normbch.construct import augmented_blocks
 from normbch.linalg import _half_table, kernel_words, pass_slots, subset_count
 from normbch.lines import _orbit_size
 from normbch.orbit import _representatives, certifies, survey
@@ -339,6 +341,26 @@ class TestOrbitRoute:
         assert (cert.verdict, cert.subsets_examined) == ("counterexample", 15806708)
         assert (word.support, word.coeffs) == ((22, 23, 58, 142), (1, 4, 5, 4))
         assert not syndrome(matrix, word).any()
+
+    def test_11_5_5_declined_before_the_build(self, monkeypatch):
+        # n = 11^5 = 161,051 fits the field budget, but the basis pair's GF(11^6) does not: the route declines
+        # on the header, and the engine then refuses C(161051, 4) subsets
+        params = validate_params(11, 5, 5)
+        matrix = ParityCheckMatrix(11, np.zeros((13, 11**5), dtype=np.int16), augmented_blocks(params))
+        monkeypatch.setattr(orbit, "survey", must_not_run)
+        monkeypatch.setattr(verify, "_colex_first_dependent", must_not_run)
+        assert not certifies(matrix, 5)
+        with pytest.raises(BudgetExceededError, match=r"^about 10\^19 subsets needed, budget is 20000000$"):
+            min_distance_at_least(matrix, 5)
+
+    def test_an_error_inside_the_survey_propagates(self, ha535, monkeypatch):
+        # the route declines for named reasons before the survey, so an error inside it is never a decline
+        def columns(self, vals):
+            raise ValueError("columns patched to fail")
+
+        monkeypatch.setattr(LocatorTable, "columns", columns)
+        with pytest.raises(ValueError, match="^columns patched to fail$"):
+            min_distance_at_least(ha535, 5)
 
     @staticmethod
     def fallback_cases():
@@ -731,6 +753,11 @@ class TestOnAffineLine:
         with pytest.raises(ValueError):
             on_affine_line([f.zero, f.one, f.one])
 
+    def test_locators_of_two_fields_rejected(self):
+        f, other = self.F25, make_field(5, 3)
+        with pytest.raises(FieldMismatchError, match="^locators from different fields$"):
+            on_affine_line([f.zero, f.one, other.e])
+
     def test_agrees_with_bruteforce(self):
         f = self.F25
         rng = random.Random(32)
@@ -895,6 +922,10 @@ class TestVandermonde:
     def test_repeated_lambdas_rejected(self):
         with pytest.raises(ValueError):
             vandermonde_check(5, [1, 1, 2], [1, 1, 1])
+
+    def test_unequal_lengths_rejected(self):
+        with pytest.raises(ValueError, match="^need equally many lambdas and coefficients$"):
+            vandermonde_check(5, [1, 2, 3], [1, 1])
 
     def test_zero_coefficient_rejected(self):
         with pytest.raises(ValueError):
