@@ -127,7 +127,6 @@ def best_known(q: int, d: int) -> BoundReport:
     norm-bch, then recorded specials).  The exact flag marks pairs where
     lower and upper are known to meet.
     """
-    _check_qd(q, d)
     lower = hamming_lower(q, d)
     bch, varshamov, new, special = bch_upper(q, d), varshamov_upper(d), new_upper(d), tuple(special_bounds(q, d))
     candidates = [(bch, "bch"), (varshamov, "varshamov"), (new, "norm-bch"), *special]

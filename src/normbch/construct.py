@@ -188,11 +188,14 @@ class ParityCheckMatrix:
 
     def __init__(self, q, rows, blocks, locators=None):
         self.blocks = tuple((str(name), int(count)) for name, count in blocks)
-        r, n = np.shape(rows)
+        rows = np.asarray(rows)
+        r, n = rows.shape
         if violation := _header_violation(q, n, r, self.blocks):
             raise ValueError(violation)
         self.q = q
-        self.rows = np.ascontiguousarray(np.asarray(rows, dtype=np.int16) % q)
+        # reduced in a dtype that holds q, then narrowed, so that no entry wraps before it is reduced
+        wide = np.remainder(rows, q, dtype=np.promote_types(rows.dtype, np.int16))
+        self.rows = np.ascontiguousarray(wide.astype(np.int16, copy=False))
         self.locators = locators
         self._rank: int | None = None
         self._text: str | None = None
@@ -309,10 +312,8 @@ def syndrome(matrix: ParityCheckMatrix, word: Codeword) -> np.ndarray:
     """matrix times the sparse word, as a length-r vector over GF(q)."""
     if word.support and word.support[-1] > matrix.n:
         raise ValueError(f"support position {word.support[-1]} exceeds n={matrix.n}")
-    if not word.support:
-        return np.zeros(matrix.row_count, dtype=np.int64)
     cols = matrix.rows[:, [j - 1 for j in word.support]].astype(np.int64)
-    return (cols @ np.array(word.coeffs, dtype=np.int64)) % matrix.q
+    return (cols @ np.array([c % matrix.q for c in word.coeffs], dtype=np.int64)) % matrix.q
 
 
 def apply_affine_permutation(
@@ -375,4 +376,4 @@ def read_matrix_file(path) -> ParityCheckMatrix:
             bad = [e for e in entries if not _is_digit_below(e, q)]
             if bad:
                 raise ValueError(f"{path}:{number}: entry {bad[0]!r} is not a digit in [0, {q})")
-    return ParityCheckMatrix(q, rows.reshape(r, n), blocks)
+    return ParityCheckMatrix(q, rows.reshape(r, n).astype(np.int16), blocks)  # every entry checked below q

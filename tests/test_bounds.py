@@ -43,10 +43,14 @@ class TestFormulaBounds:
         assert new_upper(6) == Fraction(13, 4)
 
     def test_domain_checks(self):
-        with pytest.raises(ValueError):
-            hamming_lower(1, 4)
-        with pytest.raises(ValueError):
-            new_upper(2)
+        # every bound checks its own domain, and best_known through hamming_lower, which it calls first
+        q_message, d_message = "^alphabet size q=1 must be at least 2$", "^distance d=2 must be at least 3$"
+        for call, message in [(lambda: hamming_lower(1, 4), q_message), (lambda: new_upper(2), d_message),
+                              (lambda: varshamov_upper(2), d_message), (lambda: gilbert_upper(2), d_message),
+                              (lambda: bch_upper(1, 5), q_message), (lambda: bch_upper(5, 2), d_message),
+                              (lambda: best_known(1, 5), q_message), (lambda: best_known(5, 2), d_message)]:
+            with pytest.raises(ValueError, match=message):
+                call()
 
     @given(st.integers(2, 40), st.integers(4, 12))
     def test_bch_vs_varshamov(self, q, d):

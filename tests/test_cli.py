@@ -420,6 +420,16 @@ class TestCheckLines:
         assert stdout == ""
         assert stderr == "budget exceeded: 115 half-vectors needed, budget is 111\n"
 
+    def test_representative_search_refused_by_its_words(self, capsys, monkeypatch):
+        # 115 slots of 43 bytes pass the pre-build check, so the rows are built once; the weight-2 pass's
+        # sort then finds 7 words of v + 1 = 3 slots each, 136 slots in all, and refuses after the build
+        builds = []
+        monkeypatch.setattr(normbch.linalg, "MEMORY_CAP_BYTES", 115 * 43)
+        monkeypatch.setattr("normbch.lines.bch_matrix", lambda params: builds.append(params) or bch_matrix(params))
+        code, stdout, stderr = run(capsys, "check-lines", "--q", "5", "--m", "2", "--d", "5", "--experimental")
+        assert (code, stdout, len(builds)) == (2, "", 1)
+        assert stderr == "budget exceeded: 136 half-vectors needed, budget is 115\n"
+
     def test_representative_search_refused_from_the_estimate(self, capsys, monkeypatch):
         # weight 499,997 on 1,042,439 columns over 999,993 rows: an exact binomial of the refused count
         # takes seconds, and the lgamma estimate prints its power of ten

@@ -193,6 +193,19 @@ class TestBchMatrix:
     def test_blocks(self, h535):
         assert h535.blocks == (("ones", 1), ("pow1", 3), ("pow2", 3))
 
+    @pytest.mark.parametrize("build", [bch_matrix, augmented_matrix], ids=["bch", "augmented"])
+    @pytest.mark.parametrize("qmd, message", [
+        ((5, 2, 2), "d=2 is below 3; no matrix is defined"),
+        ((4, 2, 4), "matrix construction needs a prime q and positive m: "
+                    "q=4 is not prime (this implementation supports prime alphabets)"),
+        ((5, 0, 4), "matrix construction needs a prime q and positive m: m=0 must be a positive extension degree"),
+    ], ids=["d-2", "q-4", "m-0"])
+    def test_unbuildable_parameters_refused(self, build, qmd, message):
+        # called directly, as the API allows: each builder checks its parameters before it makes a field
+        with pytest.raises(ValueError) as err:
+            build(validate_params(*qmd))
+        assert str(err.value) == message
+
 
 class TestAugmentedMatrix:
     def test_shape_524(self, ha524):
@@ -258,7 +271,13 @@ class TestCodeword:
         assert Codeword((1, 5), (2, 3)).weight == 2
 
     def test_empty_syndrome(self, h524):
-        assert not syndrome(h524, Codeword((), ())).any()
+        assert syndrome(h524, Codeword((), ())).tolist() == [0, 0, 0]
+
+    def test_syndrome_reduces_the_coefficients(self):
+        # 4 * 2^62 would wrap in int64, and 2^64 does not fit it: each coefficient is reduced mod q first
+        matrix = ParityCheckMatrix(5, [[4, 3]], [("x", 1)])
+        assert syndrome(matrix, Codeword((1,), (2**62,))).tolist() == [1]
+        assert syndrome(matrix, Codeword((1,), (2**64,))).tolist() == [4]
 
     def test_single_coordinate_syndrome(self, ha524):
         word = Codeword((7,), (3,))
@@ -427,6 +446,7 @@ class TestFiles:
          ("q=5 n=3 r=3 blocks=x:3\n1 2 3\n\n1 2 3\n", ":3: 0 entries, expected n=3"),
          ("q=5 n=3 r=2 blocks=x:2\n1 2 3\n\u0664 0 1\n", ":3: entry '\u0664' is not a digit in [0, 5)"),
          ("q=32749 n=1 r=1 blocks=x:1\n1\u01fe2\n", ":2: entry '1\u01fe2' is not a digit in [0, 32749)"),
+         ("q=5 n=3 r=2 blocks=x:2\n1 2 3\n", ": 1 rows after the header, expected r=2"),
          ("q=5 n=0 r=0 blocks=x:0\n", ":1: n=0 is not a positive length"),
          ("q=5 n=3 r=2 blocks=ones:3,pow1:-1\n1 1 1\n0 1 2\n", ":1: block pow1:-1 has a negative row count"),
          ("q=5 n=3 r=2 blocks=ones:1,pow1:2\n1 1 1\n0 1 2\n", ":1: block row counts do not sum to r=2"),
@@ -435,7 +455,7 @@ class TestFiles:
          ("q=5 n=3 r=1 blocks=x:1 extra=1\n1 1 1\n",
           ":1: header 'q=5 n=3 r=1 blocks=x:1 extra=1' is not q=<prime> n=<n> r=<r> blocks=<name:count,...>")],
         ids=["plus-sign", "minus-zero", "beyond-int64", "blank-line", "arabic-indic-digit", "latin-letter",
-             "zero-length", "negative-block", "block-sum", "unprintable-name", "unknown-key"],
+             "row-count", "zero-length", "negative-block", "block-sum", "unprintable-name", "unknown-key"],
     )
     def test_matrix_file_refusals_name_the_line(self, tmp_path, text, message):
         path = tmp_path / "m.txt"
@@ -463,6 +483,12 @@ class TestFiles:
         with pytest.raises(ValueError) as err:
             ParityCheckMatrix(q, np.ones(shape, dtype=np.int64), blocks)
         assert str(err.value) == message
+
+    def test_entries_reduced_before_they_are_narrowed(self):
+        # narrowed to int16 first, 40000 would wrap to -25536 and 2^40 + 3 to 3; a list takes any int size
+        rows = np.array([[40000, 7, -1, 2**40 + 3]], dtype=np.int64)
+        assert ParityCheckMatrix(5, rows, [("x", 1)]).rows.tolist() == [[0, 2, 4, 4]]
+        assert ParityCheckMatrix(5, [[40000, 1]], [("x", 1)]).rows.tolist() == [[0, 1]]
 
     def test_negative_block_count_refused_on_construction(self):
         # so no program builds a matrix whose header the reader refuses

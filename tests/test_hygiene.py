@@ -445,3 +445,27 @@ def test_only_the_cli_the_digest_and_the_reader_catch():
     # self-check or a bug always surfaces as an exception
     found = {site for site in try_sites(sources(PACKAGE)) if not site.startswith("cli.py:")}
     assert found == {"__init__.py:_sha256_hex", "construct.py:read_matrix_file"}
+
+
+def unlisted_scripts(names, tests: str, readme: str) -> list[str]:
+    """'name: why' for each script name that no string constant of the tests holds, or that the README's
+    Scripts section does not run as `python scripts/<name>`."""
+    constants = {node.value for node in ast.walk(ast.parse(tests)) if isinstance(node, ast.Constant)}
+    section = readme.partition("\n## Scripts\n")[2].partition("\n## ")[0]
+    return [f"{name}: {why}" for name in names for why, listed in
+            (("not run by the tests", name in constants), ("not in the README", f"python scripts/{name}" in section))
+            if not listed]
+
+
+def test_unlisted_script_is_found():
+    tests = 'run_script("a.py")\nNAMES = ["b.py"]\n# c.py\n'
+    readme = "# tool\n\n## Scripts\n\npython scripts/a.py\npython scripts/c.py\n\n## Layout\n\npython scripts/b.py\n"
+    assert unlisted_scripts(["a.py", "b.py", "c.py"], tests, readme) == [
+        "b.py: not in the README", "c.py: not run by the tests"]
+
+
+def test_every_script_is_tested_and_documented():
+    # a script that nothing runs can rot unseen, and one the README does not list is found by no reader
+    names = [path.name for path in SCRIPTS]
+    assert unlisted_scripts(names, (ROOT / "tests" / "test_scripts.py").read_text(),
+                            (ROOT / "README.md").read_text()) == []

@@ -176,7 +176,7 @@ class TestReduceExhaustive:
     def test_bad_subset_rejected(self):
         with pytest.raises(ValueError):
             reduce_alphabet(TOY, [0, 9])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^the sub-alphabet must not be empty$"):
             reduce_alphabet(TOY, [])
 
 

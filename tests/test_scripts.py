@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import normbch
+from normbch import bch_upper, new_upper
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -44,40 +45,72 @@ def test_bounds_table_bad_range_exits_2(args, error):
     assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", error)
 
 
-def test_lines_experiment():
-    out = run_script("lines_experiment.py")
-    assert "(q=13, m=3, d=5)  [proven range]  weight=4 words=22112805 on_line=22112805 violations=0\n" in out
-    assert "(q=101, m=2, d=4)  [proven range]  weight=3 words=1716828300 on_line=1716828300 violations=0\n" in out
-    assert "(q=29, m=3, d=5)  [proven range]  weight=4 words=17397868761 on_line=17397868761 violations=0\n" in out
-    # (1021,2,4) fits the memory cap only with a leading 1 on the x half of the representative pass
-    assert ("(q=1021, m=2, d=4)  [proven range]  weight=3 words=184554859627460 on_line=184554859627460 "
-            "violations=0\n") in out
-    assert "(q=5, m=2, d=5)  [experiment only]  weight=4 words=350 on_line=150 violations=200\n" in out
-    assert "(q=5, m=4, d=5)  [experiment only]  weight=4 words=227500 on_line=97500 violations=130000\n" in out
-    assert "(q=7, m=4, d=5)  [experiment only]  weight=4 words=10564400 on_line=4802000 violations=5762400\n" in out
+@pytest.fixture(scope="module")
+def census() -> dict[tuple[int, int, int], dict[str, str]]:
+    """The census's cells by (q, m, d), in the order of its lines."""
+    rows = [dict(cell.split("=", 1) for cell in line.split()) for line in run_script("census.py").splitlines()]
+    return {(int(row["q"]), int(row["m"]), int(row["d"])): row for row in rows}
 
 
-def test_certify_codes():
-    out = run_script("certify_codes.py")
-    certified = [line.split(" in ")[0] for line in out.splitlines()
-                 if line.startswith("distance >=") and "certified over" in line]
+def test_census_cells(census):
+    # every line opens with the build and the coefficients and closes with the tag and the seconds
+    for (q, m, d), row in census.items():
+        keys = list(row)
+        assert keys[:11] == ["q", "m", "d", "r", "n", "rank", "r/m", "varshamov", "bch", "norm-bch", "verdict"]
+        assert keys[-2:] == ["tag", "s"]
+        assert row["n"] == str(q**m) and row["r/m"] == f"{int(row['rank']) / m:.4f}"
+        assert (row["varshamov"], row["bch"], row["norm-bch"]) == (str(d - 2), str(bch_upper(q, d)), str(new_upper(d)))
+    assert [census[5, 7, 6][key] for key in ("r", "n", "rank", "verdict")] == ["24", "78125", "24", "unchecked"]
+
+
+def test_census_certifies(census):
+    certified = [(qmd, row["subsets"]) for qmd, row in census.items() if row["verdict"] == "certified"]
     assert certified == [
-        "distance >= 3: certified over 300 subsets",
-        "distance >= 4: certified over 2300 subsets",
-        "distance >= 5: certified over 9691375 subsets",
-        "distance >= 5: certified over 566685735 subsets",
-        "distance >= 3: certified over 3051718750 subsets",
-        "distance >= 5: certified over 130179173740 subsets",
-        "distance >= 5: certified over 3966018065625 subsets",
-        "distance >= 5: certified over 968104633665 subsets",
-        "distance >= 4: certified over 176867998300 subsets",
-        "distance >= 5: certified over 14738656119688501 subsets",
-        "distance >= 4: certified over 188799983626290260 subsets",
+        ((5, 2, 3), "300"),
+        ((5, 2, 4), "2300"),
+        ((5, 3, 5), "9691375"),
+        ((7, 3, 5), "566685735"),
+        ((5, 7, 3), "3051718750"),
+        ((11, 3, 5), "130179173740"),
+        ((5, 5, 5), "3966018065625"),
+        ((13, 3, 5), "968104633665"),
+        ((101, 2, 4), "176867998300"),
+        ((29, 3, 5), "14738656119688501"),
+        ((1021, 2, 4), "188799983626290260"),
     ]
-    assert "base code at distance 3: counterexample (witness weight 2, base syndrome zero: True" in out
+    assert {row["verdict"] for row in census.values()} == {"certified", "unchecked"}
+    # the desk members' base codes fall short of d: the witness is a base word the norm rows reject
+    separated = {qmd: [row[key] for key in ("base", "witness", "base-syndrome", "aug-syndrome")]
+                 for qmd, row in census.items() if "base" in row}
+    assert separated == {(5, 2, 3): ["counterexample", "2", "zero", "nonzero"],
+                         (5, 2, 4): ["counterexample", "3", "zero", "nonzero"],
+                         (5, 3, 5): ["counterexample", "4", "zero", "nonzero"],
+                         (7, 3, 5): ["counterexample", "4", "zero", "nonzero"]}
 
 
-@pytest.mark.parametrize("name", ["bounds_table.py", "certify_codes.py", "lines_experiment.py"])
+def test_census_line_checks(census):
+    checked = {qmd: [row[key] for key in ("weight", "words", "on-line", "violations", "tag")]
+               for qmd, row in census.items() if "words" in row}
+    assert checked == {
+        (5, 2, 4): ["3", "300", "300", "0", "proven"],
+        (7, 2, 4): ["3", "1960", "1960", "0", "proven"],
+        (5, 3, 5): ["4", "3875", "3875", "0", "proven"],
+        (7, 3, 5): ["4", "97755", "97755", "0", "proven"],
+        (11, 3, 5): ["4", "5310690", "5310690", "0", "proven"],
+        (13, 3, 5): ["4", "22112805", "22112805", "0", "proven"],
+        (101, 2, 4): ["3", "1716828300", "1716828300", "0", "proven"],
+        (29, 3, 5): ["4", "17397868761", "17397868761", "0", "proven"],
+        # (1021,2,4) fits the memory cap only with a leading 1 on the x half of the representative pass
+        (1021, 2, 4): ["3", "184554859627460", "184554859627460", "0", "proven"],
+        # m too small or not prime: observations, never asserted by the theorem
+        (5, 2, 5): ["4", "350", "150", "200", "experiment"],
+        (7, 2, 5): ["4", "4312", "1960", "2352", "experiment"],
+        (5, 4, 5): ["4", "227500", "97500", "130000", "experiment"],
+        (7, 4, 5): ["4", "10564400", "4802000", "5762400", "experiment"],
+    }
+
+
+@pytest.mark.parametrize("name", ["bounds_table.py", "census.py"])
 def test_closed_stdout_exits_quietly(name):
     # The read end is closed before the child starts, so its first write to
     # stdout fails with EPIPE, as when `| head` has exited.
@@ -100,7 +133,7 @@ def test_closed_stdout_exits_quietly(name):
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full, where every write fails with ENOSPC")
 @pytest.mark.parametrize("buffered", [False, True], ids=["unbuffered", "buffered"])
-@pytest.mark.parametrize("name", ["bounds_table.py", "certify_codes.py", "lines_experiment.py"])
+@pytest.mark.parametrize("name", ["bounds_table.py", "census.py"])
 def test_full_stdout_exits_2_with_one_line(name, buffered):
     # as the CLI: one `file error:` line, not a traceback, a second report or exit 120 from a later flush
     env = script_env()

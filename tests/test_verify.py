@@ -257,7 +257,7 @@ class TestMinDistance:
         assert err.value.needed == math.comb(125, 4)
 
     def test_d_below_two_rejected(self, h524):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^distance targets below 2 are meaningless$"):
             min_distance_at_least(h524, 1)
 
     def test_negative_budget_rejected(self, ha524, monkeypatch):
@@ -887,7 +887,8 @@ class TestSeparationWitness:
         assert linalg.kernel_vector(columns, params.q).tolist() == list(word.coeffs)
 
     def test_invalid_params_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^parameters violate the hypotheses: q=3 divides d-2 = 3; "
+                                             "q=3 is below d-1 = 4$"):
             construct_weight_word(validate_params(3, 3, 5))
 
     def test_d3_weight_2(self):
