@@ -115,12 +115,12 @@ def cmd_gencode(args) -> tuple:
     if not params.valid:
         raise ValueError("invalid parameters: " + "; ".join(params.violations))
     matrix = bch_matrix(params) if args.bch_only else augmented_matrix(params)
+    text = matrix.to_text()  # rendered once: matrix_sha256 is its one hash, which the manifest reuses
     record = dict(out=args.out, n=matrix.n, rows=matrix.row_count, rank=matrix.rank(),
-                  dimension=matrix.dimension(), blocks=dict(matrix.blocks), matrix_sha256=matrix.sha256())
+                  dimension=matrix.dimension(), blocks=dict(matrix.blocks), matrix_sha256=_sha256_hex(text.encode()))
     _, shown = _emit(record, {"out": "wrote {out}", "n": "n={n} rows={rows} rank={rank} dimension={dimension}",
                               "rows": "", "rank": "", "dimension": ""}, args.json)
-    # to_text is cached, and matrix_sha256 is its one hash, which the manifest reuses
-    return EXIT_OK, shown, (matrix.to_text(), record["matrix_sha256"])
+    return EXIT_OK, shown, (text, record["matrix_sha256"])
 
 
 def cmd_verify_distance(args) -> tuple:

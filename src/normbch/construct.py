@@ -183,7 +183,7 @@ class LocatorTable:
 class ParityCheckMatrix:
     """Dense GF(q) parity check matrix with block metadata and locators.
 
-    Immutable by convention; rank is computed lazily and cached.
+    Rows are reduced mod q (float entries must be integral) and read-only, so the cached rank holds.
     """
 
     def __init__(self, q, rows, blocks, locators=None):
@@ -192,13 +192,15 @@ class ParityCheckMatrix:
         r, n = rows.shape
         if violation := _header_violation(q, n, r, self.blocks):
             raise ValueError(violation)
+        if rows.dtype.kind == "f" and not (integral := np.isfinite(rows) & (rows == np.round(rows))).all():
+            raise ValueError(f"entry {rows[~integral][0]} is not an integer")
         self.q = q
-        # reduced in a dtype that holds q, then narrowed, so that no entry wraps before it is reduced
-        wide = np.remainder(rows, q, dtype=np.promote_types(rows.dtype, np.int16))
-        self.rows = np.ascontiguousarray(wide.astype(np.int16, copy=False))
+        # reduced in a dtype that holds q and each entry exactly (unsigned rows in an unsigned one), then narrowed
+        wide = np.promote_types(rows.dtype, np.uint16 if rows.dtype.kind == "u" else np.int16)
+        self.rows = np.ascontiguousarray(np.remainder(rows, q, dtype=wide).astype(np.int16, copy=False))
+        self.rows.flags.writeable = False
         self.locators = locators
         self._rank: int | None = None
-        self._text: str | None = None
 
     @property
     def n(self) -> int:
@@ -217,7 +219,7 @@ class ParityCheckMatrix:
         return self.n - self.rank()
 
     def to_text(self) -> str:
-        """The matrix file text; rendered once and cached, like the rank.
+        """The matrix file text, rendered on each call; no matrix keeps it.
 
         Each row is its entries in decimal, one space apart, ending in a
         newline.  The body is one byte array: each entry's slot, a space
@@ -225,18 +227,16 @@ class ParityCheckMatrix:
         table of the q values; dropping the zero bytes and each row's
         first space leaves the text.
         """
-        if self._text is None:
-            blocks = ",".join(f"{name}:{count}" for name, count in self.blocks)
-            header = f"q={self.q} n={self.n} r={self.row_count} blocks={blocks}\n"
-            width = len(str(self.q - 1))
-            table = "".join(" " + str(v).rjust(width, "\0") for v in range(self.q)).encode()
-            slots = np.frombuffer(table, dtype=np.uint8).reshape(self.q, 1 + width)[self.rows]
-            slots[:, :1, 0] = 0
-            r = self.row_count  # the row width is given, as reshape cannot infer one when r = 0
-            newlines = np.full((r, 1), ord("\n"), dtype=np.uint8)
-            body = np.hstack([slots.reshape(r, self.n * (1 + width)), newlines])
-            self._text = header + body[body != 0].tobytes().decode("ascii")
-        return self._text
+        blocks = ",".join(f"{name}:{count}" for name, count in self.blocks)
+        header = f"q={self.q} n={self.n} r={self.row_count} blocks={blocks}\n"
+        width = len(str(self.q - 1))
+        table = "".join(" " + str(v).rjust(width, "\0") for v in range(self.q)).encode()
+        slots = np.frombuffer(table, dtype=np.uint8).reshape(self.q, 1 + width)[self.rows]
+        slots[:, :1, 0] = 0
+        r = self.row_count  # the row width is given, as reshape cannot infer one when r = 0
+        newlines = np.full((r, 1), ord("\n"), dtype=np.uint8)
+        body = np.hstack([slots.reshape(r, self.n * (1 + width)), newlines])
+        return header + body[body != 0].tobytes().decode("ascii")
 
     def sha256(self) -> str:
         return _sha256_hex(self.to_text().encode())  # the built-in hash: no libcrypto mapped
@@ -339,12 +339,13 @@ def apply_affine_permutation(
 def read_matrix_file(path) -> ParityCheckMatrix:
     """Parse a matrix file; locators and params are not reconstructed.
 
-    The body is read by one np.loadtxt call.  When that fails, or when the
-    body holds what loadtxt takes but the format does not, a line-by-line
-    pass raises ValueError naming the first bad line: a wrong entry count,
-    or an entry that is not ASCII digits below q.  A bad header, and one
-    that _header_violation refuses, are named as line 1, a wrong row
-    count by the file alone.
+    The body is read by one np.loadtxt call into int16, which holds any
+    entry below q.  When that fails, as on a token int16 cannot hold, or
+    when the body holds what loadtxt takes but the format does not, a
+    line-by-line pass raises ValueError naming the first bad line: a wrong
+    entry count, or an entry that is not ASCII digits below q.  A bad
+    header, and one that _header_violation refuses, are named as line 1, a
+    wrong row count by the file alone.
     """
     with open(path, encoding="utf-8") as fh:  # as _run writes it, whatever the locale
         header, *body = fh.read().rstrip().splitlines() or [""]
@@ -362,13 +363,13 @@ def read_matrix_file(path) -> ParityCheckMatrix:
     if len(body) != r:
         raise ValueError(f"{path}: {len(body)} rows after the header, expected r={r}")
     try:  # an empty body skips loadtxt, which warns on it
-        rows = np.loadtxt(body, dtype=np.int64, ndmin=2, comments=None) if r else np.zeros(0, dtype=np.int64)
+        rows = np.loadtxt(body, dtype=np.int16, ndmin=2, comments=None) if r else np.zeros(0, dtype=np.int16)
     except ValueError:
         rows = None
-    text = "\n".join(body)
-    # loadtxt skips blank lines, takes signs and reads some non-ASCII letters as digits
-    if r and (rows is None or rows.shape != (r, n) or (rows >= q).any() or "+" in text or "-" in text
-              or not (text.isascii() or all(c.isascii() or c.isspace() for c in set(text)))):
+    # loadtxt skips blank lines, takes signs and reads some non-ASCII letters as digits; by line, not to copy the file
+    if r and (rows is None or rows.shape != (r, n) or (rows >= q).any() or any(
+            "+" in line or "-" in line or not (line.isascii() or all(c.isascii() or c.isspace() for c in set(line)))
+            for line in body)):
         for number, line in enumerate(body, start=2):
             entries = line.split()
             if len(entries) != n:
@@ -376,4 +377,4 @@ def read_matrix_file(path) -> ParityCheckMatrix:
             bad = [e for e in entries if not _is_digit_below(e, q)]
             if bad:
                 raise ValueError(f"{path}:{number}: entry {bad[0]!r} is not a digit in [0, {q})")
-    return ParityCheckMatrix(q, rows.reshape(r, n).astype(np.int16), blocks)  # every entry checked below q
+    return ParityCheckMatrix(q, rows.reshape(r, n), blocks)  # every entry checked below q

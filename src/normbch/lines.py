@@ -51,7 +51,6 @@ class AffineLine(_AffineLineFields):
 class LinesReport(NamedTuple):
     """Counts of the minimum-weight base-code words and of those off every line."""
 
-    params: CodeParams
     weight: int
     words_found: int
     on_line: int
@@ -133,7 +132,6 @@ def verify_lines_theorem(params: CodeParams, experimental: bool = False) -> Line
     n, v = params.n, params.d - 1
     _, ys, on = orbit.survey(params, bch_matrix) if v <= n else (None, (), 0)
     return LinesReport(
-        params=params,
         weight=v,
         words_found=_orbit_size(len(ys), n, v),
         on_line=_orbit_size(on, n, v),

@@ -2,6 +2,7 @@ import hashlib
 import random
 import re
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -453,9 +454,13 @@ class TestFiles:
          ("q=5 n=3 r=1 blocks=a\x01:1\n1 1 1\n",
           ":1: block name 'a\\x01' is not printable text without spaces, ',' or ':'"),
          ("q=5 n=3 r=1 blocks=x:1 extra=1\n1 1 1\n",
-          ":1: header 'q=5 n=3 r=1 blocks=x:1 extra=1' is not q=<prime> n=<n> r=<r> blocks=<name:count,...>")],
+          ":1: header 'q=5 n=3 r=1 blocks=x:1 extra=1' is not q=<prime> n=<n> r=<r> blocks=<name:count,...>"),
+         # tokens int16 cannot hold, which fail the int16 loadtxt; the line pass names them as any entry >= q
+         *((f"q={q} n=2 r=2 blocks=x:2\n1 0\n{q - 1} {token}\n", f":3: entry '{token}' is not a digit in [0, {q})")
+           for q in (5, 32749) for token in ("32768", "65535", "99999"))],
         ids=["plus-sign", "minus-zero", "beyond-int64", "blank-line", "arabic-indic-digit", "latin-letter",
-             "row-count", "zero-length", "negative-block", "block-sum", "unprintable-name", "unknown-key"],
+             "row-count", "zero-length", "negative-block", "block-sum", "unprintable-name", "unknown-key",
+             *(f"beyond-int16-{token}-q{q}" for q in (5, 32749) for token in ("32768", "65535", "99999"))],
     )
     def test_matrix_file_refusals_name_the_line(self, tmp_path, text, message):
         path = tmp_path / "m.txt"
@@ -484,11 +489,55 @@ class TestFiles:
             ParityCheckMatrix(q, np.ones(shape, dtype=np.int64), blocks)
         assert str(err.value) == message
 
+    def test_largest_entry_of_the_largest_alphabet_read(self, tmp_path):
+        path = tmp_path / "m.txt"
+        path.write_text("q=32749 n=3 r=1 blocks=x:1\n32748 0 1\n")
+        assert read_matrix_file(path).rows.tolist() == [[32748, 0, 1]]
+
+    def test_reader_peak_within_5x_the_file(self, tmp_path):
+        # the body is parsed straight into int16 and its lines are checked unjoined: 3.2 times the file here
+        path = tmp_path / "aug2935.txt"
+        path.write_text(augmented_matrix(validate_params(29, 3, 5)).to_text())
+        tracemalloc.start()
+        try:
+            matrix = read_matrix_file(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert matrix.rows.shape == (8, 24389)
+        assert peak < 5 * path.stat().st_size
+
+    def test_rows_read_only(self, tmp_path):
+        # so the cached rank always describes the rows, whether built or read
+        path = tmp_path / "m.txt"
+        path.write_text("q=5 n=2 r=1 blocks=x:1\n1 2\n")
+        for matrix in (ParityCheckMatrix(5, [[1, 2]], [("x", 1)]), read_matrix_file(path)):
+            assert matrix.rank() == 1
+            with pytest.raises(ValueError, match="read-only"):
+                matrix.rows[0] = 0
+            assert matrix.rows.tolist() == [[1, 2]]
+
+    def test_unsigned_entries_reduced_exactly(self):
+        # in float64, which int16 and uint64 promote to, 2^63 + 3 and 2^64 - 1 round to powers of two
+        rows = np.array([[2**63 + 3, 2**64 - 1, 2**53 + 1]], dtype=np.uint64)
+        assert ParityCheckMatrix(5, rows, [("x", 1)]).rows.tolist() == [[1, 0, 3]]
+        assert ParityCheckMatrix(5, np.array([[255, 7]], dtype=np.uint8), [("x", 1)]).rows.tolist() == [[0, 2]]
+
+    @pytest.mark.parametrize("entries, first", [([[2.7, 1.0]], "2.7"), ([[1.0, 2.5], [np.nan, 0.0]], "2.5"),
+                                                ([[1.0, 0.0], [np.nan, np.inf]], "nan"), ([[-np.inf, 1.0]], "-inf")])
+    def test_non_integral_entries_refused(self, entries, first):
+        with pytest.raises(ValueError) as err:
+            ParityCheckMatrix(5, np.array(entries), [("x", len(entries))])
+        assert str(err.value) == f"entry {first} is not an integer"
+
     def test_entries_reduced_before_they_are_narrowed(self):
         # narrowed to int16 first, 40000 would wrap to -25536 and 2^40 + 3 to 3; a list takes any int size
         rows = np.array([[40000, 7, -1, 2**40 + 3]], dtype=np.int64)
         assert ParityCheckMatrix(5, rows, [("x", 1)]).rows.tolist() == [[0, 2, 4, 4]]
         assert ParityCheckMatrix(5, [[40000, 1]], [("x", 1)]).rows.tolist() == [[0, 1]]
+        # integral floats are taken, and reduced exactly
+        floats = np.array([[5.0, -1.0, 2.0**60 + 2**8]])
+        assert ParityCheckMatrix(5, floats, [("x", 1)]).rows.tolist() == [[0, 4, (2**60 + 2**8) % 5]]
 
     def test_negative_block_count_refused_on_construction(self):
         # so no program builds a matrix whose header the reader refuses
